@@ -310,7 +310,8 @@ fn run_check(scale: &Scale) {
 }
 
 /// Parse `--shuffle baseline|innode|coded:<r>` (also accepts `coded_r<r>`,
-/// the label form the reports print).
+/// the label form the reports print). `coded:<r>` selects the simulator's
+/// volume model; it has no real-path counterpart.
 fn parse_shuffle(s: &str) -> SimShuffle {
     match s {
         "baseline" => SimShuffle::Baseline,

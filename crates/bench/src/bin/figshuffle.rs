@@ -18,6 +18,10 @@
 //! * strategies change bytes moved, never bytes meant: wire volume is
 //!   topology-invariant, and `r = 1` coded is byte-identical to baseline.
 //!
+//! Every cell is a simulator output. In-node combining also exists on the
+//! real path (`mpid::ShuffleKind::InNodeCombine`); the coded rows are a
+//! model with no real-path counterpart — the `1/r` wire factor is assumed.
+//!
 //! `--check` shrinks the input, re-runs the grid and asserts those claims
 //! plus byte-identical tables across independent replays (determinism).
 
@@ -347,7 +351,8 @@ fn main() {
     println!(
         "(strategy resolved per job through SimShuffle::resolve; wire = \
          shuffle payload that crossed disk/network after strategy savings; \
-         input {} MB per map wave)",
+         input {} MB per map wave; coded_r<r> rows are a model with no \
+         real-path counterpart)",
         scale.input_bytes / MB / 64,
     );
     println!();

@@ -21,8 +21,8 @@
 //!   with large values (`pipe_large_values`), all-distinct keys
 //!   (`pipe_many_keys`), LZ wire compression (`pipe_compressed`), the
 //!   bounded-memory external merge (`pipe_extmerge`), and the non-baseline
-//!   shuffle strategies — in-node combining with two mappers per host
-//!   (`pipe_innode`) and degenerate coded ship at r = 2 (`pipe_coded_r2`).
+//!   shuffle strategy — in-node combining with two mappers per host
+//!   (`pipe_innode`).
 //!
 //! `--quick` shrinks the microbench sizes for CI; the bench *names* are
 //! identical in both modes so baselines stay comparable (the JSON records
@@ -294,10 +294,6 @@ fn main() {
         "pipe_compressed",
         "pipe_extmerge",
         "pipe_innode",
-        "pipe_coded_r2",
-        "mpid_pipeline_t1",
-        "mpid_pipeline_t2",
-        "mpid_pipeline_t4",
         "pipe_many_keys_t1",
         "pipe_many_keys_t2",
         "pipe_many_keys_t4",
@@ -385,45 +381,25 @@ fn main() {
         benches.push(pipe_shape("pipe_innode", &cfg, WordCountPairs, pairs));
     }
 
-    // Shape 7: coded shuffle's real-path degenerate form at r = 2 —
-    // parity framing and decode algebra on every shipped frame.
-    if want("pipe_coded_r2") {
-        let pairs = zipf_pairs(23, scale * 524_288, 20_000);
-        let mut cfg = pipe_cfg(threads);
-        cfg.shuffle = mpid::ShuffleKind::Coded { r: 2 };
-        benches.push(pipe_shape("pipe_coded_r2", &cfg, WordCountPairs, pairs));
-    }
-
     // ------------------------------------------------------------------
-    // 6. Thread-scaling matrix: the combined-shuffle shape and the
-    //    distinct-key shape at 1 / 2 / 4 worker threads over the *same*
-    //    input. Each point is its own named bench so `cargo xtask
-    //    bench-diff` gates every (shape, threads) cell against its own
-    //    baseline — a scaling regression fails CI even when the
-    //    single-thread number is healthy. (Absolute speedup across the
-    //    cells is machine-dependent; a single-core runner serializes the
-    //    workers and the t2/t4 cells mostly measure sharding overhead.)
+    // 6. Range-merge matrix: the distinct-key shape (the one whose
+    //    receiver merge sees every pair) at `threads` = 1 / 2 / 4 over the
+    //    *same* input. Each point is its own named bench so `cargo xtask
+    //    bench-diff` gates every cell against its own baseline. (Absolute
+    //    speedup across the cells is machine-dependent; a single-core
+    //    runner serializes the range workers.)
     // ------------------------------------------------------------------
-    let scaling: [(&'static str, usize); 6] = [
-        ("mpid_pipeline_t1", 1),
-        ("mpid_pipeline_t2", 2),
-        ("mpid_pipeline_t4", 4),
+    for (name, t) in [
         ("pipe_many_keys_t1", 1),
         ("pipe_many_keys_t2", 2),
         ("pipe_many_keys_t4", 4),
-    ];
-    for (name, t) in scaling {
+    ] {
         if !want(name) {
             continue;
         }
-        if name.starts_with("mpid_pipeline") {
-            let pairs = zipf_pairs(11, scale * 524_288, 20_000);
-            benches.push(pipe_shape(name, &pipe_cfg(t), WordCountPairs, pairs));
-        } else {
-            let n = scale * 131_072;
-            let pairs: Vec<(String, u64)> = (0..n).map(|i| (rank_to_word(i), 1)).collect();
-            benches.push(pipe_shape(name, &pipe_cfg(t), WordCountPairs, pairs));
-        }
+        let n = scale * 131_072;
+        let pairs: Vec<(String, u64)> = (0..n).map(|i| (rank_to_word(i), 1)).collect();
+        benches.push(pipe_shape(name, &pipe_cfg(t), WordCountPairs, pairs));
     }
 
     if let Some(path) = out {
@@ -444,7 +420,7 @@ fn main() {
 }
 
 /// The real-pipeline engine config every shape uses: 4 mappers, 2
-/// reducers, `threads` hot-path workers per data-path rank.
+/// reducers, `threads` parallel key ranges in each reducer's merge.
 fn pipe_cfg(threads: usize) -> MpidEngineConfig {
     let mut cfg = MpidEngineConfig::with_workers(4, 2);
     cfg.threads = threads;

@@ -33,11 +33,12 @@ pub struct MpidConfig {
     /// LZ-compress realigned frames before sending (the paper's
     /// "compressing data" realignment improvement; see [`crate::compress`]).
     pub compress: bool,
-    /// Worker threads per data-path rank (Mimir's `tnum`). `1` keeps every
-    /// stage on the rank's own thread. With more, the sender shards its hash
-    /// table across `threads` combiner workers (see [`crate::shard`]) and the
-    /// receiver splits its k-way merge into `threads` disjoint key ranges.
-    /// Output bytes are identical at every setting.
+    /// Number of disjoint key ranges the receiver's in-memory k-way merge
+    /// runs in parallel, one scoped thread per range (see
+    /// [`crate::receiver`]). `1` merges on the reducer's own thread. Nothing
+    /// else reads it: the sender, the windowed external merge and the wire
+    /// format do not depend on it, and grouped output is bit-identical at
+    /// every setting.
     pub threads: usize,
     /// Byte budget for the job's shared [`BlockPool`]. `Some(n)` routes
     /// sender, receiver, and external-merge buffering through one pool of
@@ -52,8 +53,8 @@ pub struct MpidConfig {
     /// exactly that.
     pub pool: Option<Arc<BlockPool>>,
     /// How spilled wire frames travel to the reducers (see
-    /// [`crate::shuffle`]): direct ship (baseline), per-host in-node
-    /// combining, or coded-multicast validation.
+    /// [`crate::shuffle`]): direct ship (baseline) or per-host in-node
+    /// combining.
     pub shuffle: ShuffleKind,
 }
 

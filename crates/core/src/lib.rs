@@ -77,7 +77,6 @@ pub mod pool;
 pub mod realign;
 pub mod receiver;
 pub mod sender;
-pub mod shard;
 pub mod shuffle;
 pub mod stats;
 

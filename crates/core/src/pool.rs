@@ -12,12 +12,12 @@
 //! long as every stage charges *before* it buffers and spills when a charge
 //! is refused.
 //!
-//! The pool is shared across ranks (and sender shard threads) of one job via
-//! `Arc`, so the budget bounds the job's aggregate buffering, not one rank's.
-//! Charges are plain atomics: a refused [`BlockPool::try_charge`] never
-//! blocks — the caller's remedy is to spill its own buffers, which releases
-//! its own charge; waiting on *other* ranks to release theirs could deadlock
-//! a rank that holds nothing.
+//! The pool is shared across the ranks of one job via `Arc`, so the budget
+//! bounds the job's aggregate buffering, not one rank's. Charges are plain
+//! atomics: a refused [`BlockPool::try_charge`] never blocks — the caller's
+//! remedy is to spill its own buffers, which releases its own charge;
+//! waiting on *other* ranks to release theirs could deadlock a rank that
+//! holds nothing.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;

@@ -18,21 +18,11 @@
 //! `buffered_bytes` counts the *raw* encoded size of every pair accepted
 //! this epoch — Hadoop's `io.sort.mb` semantics — not the post-combine
 //! table size. That makes the spill cadence a pure function of the input
-//! stream and `spill_threshold_bytes`: independent of combiner shrinkage,
-//! of `MpidConfig::threads`, and of `MpidConfig::mem_budget`. With a
-//! combiner the spill epochs *are* observable downstream (each epoch emits
-//! one accumulator per key), so this purity is exactly what keeps grouped
-//! output bit-identical across thread counts and memory budgets.
-//!
-//! ## Threads
-//!
-//! With `threads > 1` the table is sharded across that many worker threads
-//! by `partition % threads` (see [`crate::shard`]): each worker owns whole
-//! partitions, combines eagerly in its own [`ByteTable`], and realigns its
-//! partitions into wire frames at spill; the main thread then ships all
-//! frames in ascending partition order ("merge-on-ship"). Because a shard's
-//! insertion order is the global send order filtered to its partitions, the
-//! frames are byte-for-byte the ones the single-threaded path builds.
+//! stream and `spill_threshold_bytes`: independent of combiner shrinkage
+//! and of `MpidConfig::mem_budget`. With a combiner the spill epochs *are*
+//! observable downstream (each epoch emits one accumulator per key), so
+//! this purity is exactly what keeps grouped output bit-identical across
+//! memory budgets.
 
 use crate::combine::Combiner;
 use crate::compress;
@@ -42,7 +32,6 @@ use crate::kv::{Key, Kv, Value};
 use crate::partition::{HashPartitioner, Partitioner};
 use crate::pool::PoolCharge;
 use crate::realign::{FrameBuilder, MARKER_LZ};
-use crate::shard::ShardSet;
 use crate::shuffle::{self, ShipCtx, ShuffleKind, ShuffleStrategy};
 use crate::stats::SenderStats;
 use bytes::{Bytes, BytesMut};
@@ -98,8 +87,8 @@ struct ValNode {
     next: u32,
 }
 
-/// Open-addressed hash table over encoded key bytes. Shared by the
-/// single-threaded sender and the [`crate::shard`] workers.
+/// Open-addressed hash table over encoded key bytes. Shared by the sender
+/// and the in-node combine leader ([`crate::shuffle`]).
 pub(crate) struct ByteTable<V> {
     /// Encoded keys, concatenated. A probe encodes the incoming key at the
     /// tail, hashes that region, and truncates it back off on a hit — so
@@ -357,7 +346,7 @@ pub(crate) struct SpillOutput {
 }
 
 /// Realign a table into per-partition wire frames: the spill core shared by
-/// the single-threaded sender and each shard worker. Entries are grouped by
+/// the sender and the in-node combine leader. Entries are grouped by
 /// their stored partition in insertion order (optionally key-sorted), built
 /// into fixed-size wire frames, and compressed when configured and
 /// profitable. Partitions come out ascending — the ship order.
@@ -496,9 +485,6 @@ pub struct MpidSender<'a, K: Key, V: Value> {
     /// The epoch's raw bytes charged against the job's block pool (no-op
     /// without one); released at spill.
     charge: PoolCharge,
-    /// Worker shards, spawned lazily on the first send when
-    /// `cfg.threads > 1`.
-    shards: Option<ShardSet<K, V>>,
     pending: Vec<SendRequest>,
     stats: SenderStats,
     finished: bool,
@@ -520,8 +506,7 @@ struct SenderTrace {
     /// When the current buffering interval started (first `send` after the
     /// last spill).
     buffer_start: Option<u64>,
-    /// Wall time spent inside the combiner during the current interval
-    /// (single-threaded path only; shard workers combine off-thread).
+    /// Wall time spent inside the combiner during the current interval.
     combine_ns: u64,
     /// Stats snapshot at the end of the previous spill, for deltas.
     prev: SenderStats,
@@ -538,7 +523,6 @@ impl<'a, K: Key, V: Value> MpidSender<'a, K, V> {
             table: ByteTable::new(),
             buffered_bytes: 0,
             charge,
-            shards: None,
             pending: Vec::new(),
             stats: SenderStats::default(),
             finished: false,
@@ -566,10 +550,7 @@ impl<'a, K: Key, V: Value> MpidSender<'a, K, V> {
     /// the reduce function" in Hadoop practice). Must be called before the
     /// first [`MpidSender::send`].
     pub fn with_combiner(mut self, c: impl Combiner<V> + 'static) -> Self {
-        assert!(
-            self.table.is_empty() && self.shards.is_none(),
-            "with_combiner after sends began"
-        );
+        assert!(self.table.is_empty(), "with_combiner after sends began");
         self.combiner = Some(Arc::new(c));
         self
     }
@@ -577,10 +558,7 @@ impl<'a, K: Key, V: Value> MpidSender<'a, K, V> {
     /// Replace the default [`HashPartitioner`]. Must be called before the
     /// first [`MpidSender::send`] — entries memoize their partition.
     pub fn with_partitioner(mut self, p: impl Partitioner<K> + 'static) -> Self {
-        assert!(
-            self.table.is_empty() && self.shards.is_none(),
-            "with_partitioner after sends began"
-        );
+        assert!(self.table.is_empty(), "with_partitioner after sends began");
         self.partitioner = Arc::new(p);
         self
     }
@@ -600,35 +578,27 @@ impl<'a, K: Key, V: Value> MpidSender<'a, K, V> {
         let added = key.wire_size() + value.wire_size();
         self.buffered_bytes += added;
         self.charge.grow(added);
-        if self.cfg.threads > 1 && self.shards.is_none() {
-            self.shards = Some(ShardSet::spawn(&self.cfg, self.combiner.clone()));
-        }
-        if let Some(shards) = &mut self.shards {
-            let part = self.partitioner.partition(&key, self.cfg.n_reducers) as u32;
-            shards.push(part, key, value);
-        } else {
-            let n_red = self.cfg.n_reducers;
-            let table = &mut self.table;
-            let partitioner = &self.partitioner;
-            let part_of = || partitioner.partition(&key, n_red) as u32;
-            match &self.combiner {
-                Some(c) => {
-                    let trace = &mut self.trace;
-                    let mut fold = |acc: &mut V, v: V| {
-                        let t0 = trace.as_ref().map(|ts| ts.rt.now_ns());
-                        c.combine(acc, v);
-                        if let Some(t0) = t0 {
-                            let ts = trace.as_mut().expect("trace checked above");
-                            ts.combine_ns += ts.rt.now_ns().saturating_sub(t0);
-                        }
-                    };
-                    if table.push(&key, value, part_of, Some(&mut fold)) {
-                        self.stats.pairs_combined += 1;
+        let n_red = self.cfg.n_reducers;
+        let table = &mut self.table;
+        let partitioner = &self.partitioner;
+        let part_of = || partitioner.partition(&key, n_red) as u32;
+        match &self.combiner {
+            Some(c) => {
+                let trace = &mut self.trace;
+                let mut fold = |acc: &mut V, v: V| {
+                    let t0 = trace.as_ref().map(|ts| ts.rt.now_ns());
+                    c.combine(acc, v);
+                    if let Some(t0) = t0 {
+                        let ts = trace.as_mut().expect("trace checked above");
+                        ts.combine_ns += ts.rt.now_ns().saturating_sub(t0);
                     }
+                };
+                if table.push(&key, value, part_of, Some(&mut fold)) {
+                    self.stats.pairs_combined += 1;
                 }
-                None => {
-                    table.push(&key, value, part_of, None);
-                }
+            }
+            None => {
+                table.push(&key, value, part_of, None);
             }
         }
         if self.buffered_bytes >= self.cfg.spill_threshold_bytes {
@@ -645,11 +615,7 @@ impl<'a, K: Key, V: Value> MpidSender<'a, K, V> {
 
     /// Force a spill of the current buffer contents.
     pub fn spill(&mut self) -> MpidResult<()> {
-        let empty = match &self.shards {
-            Some(s) => !s.dirty(),
-            None => self.table.is_empty(),
-        };
-        if empty {
+        if self.table.is_empty() {
             return Ok(());
         }
         // Close the buffering interval: one "buffer" span per spill, with a
@@ -688,32 +654,21 @@ impl<'a, K: Key, V: Value> MpidSender<'a, K, V> {
         }
         self.stats.spills += 1;
         self.buffered_bytes = 0;
-        // Realign into per-partition wire frames — locally, or across the
-        // shard workers with a merge-on-ship collect.
-        let (out, table_bytes, table_entries) = match &mut self.shards {
-            Some(shards) => {
-                let agg = shards.spill();
-                self.stats.pairs_combined = agg.pairs_combined;
-                (agg.out, agg.table_bytes, agg.table_entries)
-            }
-            None => {
-                let out = realign_table(
-                    &self.table,
-                    self.cfg.n_reducers,
-                    self.cfg.frame_bytes,
-                    self.cfg.sort_keys,
-                    self.cfg.compress,
-                    &mut self.shop,
-                    &mut self.scratch,
-                );
-                // Arena high-water for this spill, captured before the
-                // clear: the table is at its fullest right here.
-                let table_bytes = self.table.arena_bytes() as u64;
-                let table_entries = self.table.len() as u64;
-                self.table.clear();
-                (out, table_bytes, table_entries)
-            }
-        };
+        // Realign into per-partition wire frames.
+        let out = realign_table(
+            &self.table,
+            self.cfg.n_reducers,
+            self.cfg.frame_bytes,
+            self.cfg.sort_keys,
+            self.cfg.compress,
+            &mut self.shop,
+            &mut self.scratch,
+        );
+        // Arena high-water for this spill, captured before the clear: the
+        // table is at its fullest right here.
+        let table_bytes = self.table.arena_bytes() as u64;
+        let table_entries = self.table.len() as u64;
+        self.table.clear();
         self.stats.groups_out += out.groups;
         self.stats.frames += out.frames;
         self.stats.bytes_precompress += out.precompress;
@@ -745,8 +700,7 @@ impl<'a, K: Key, V: Value> MpidSender<'a, K, V> {
         // Hand the spill to the shuffle strategy: baseline ships straight to
         // the reducers (use_isend overlaps map computation with
         // communication — the paper's future-work item, as an ablation
-        // switch); in-node members relay to their leader; coded validates
-        // the parity algebra before shipping.
+        // switch); in-node members relay to their leader.
         let mut strategy = self.take_strategy();
         {
             let mut ctx = ShipCtx {
@@ -817,18 +771,6 @@ impl<'a, K: Key, V: Value> MpidSender<'a, K, V> {
                     pool.budget() as f64,
                 );
             }
-            if let Some(shards) = &self.shards {
-                ts.rt.counter(
-                    obs::names::CTR_THREADS_WORKERS,
-                    obs::names::CAT_MPID_THREADS,
-                    shards.workers() as f64,
-                );
-                ts.rt.counter(
-                    obs::names::CTR_THREADS_BATCHES,
-                    obs::names::CAT_MPID_THREADS,
-                    shards.batches_sent() as f64,
-                );
-            }
         }
         Ok(())
     }
@@ -838,9 +780,6 @@ impl<'a, K: Key, V: Value> MpidSender<'a, K, V> {
     pub fn finish(mut self) -> MpidResult<SenderStats> {
         let t0 = self.trace.as_ref().map(|ts| ts.rt.now_ns());
         self.spill()?;
-        if let Some(mut shards) = self.shards.take() {
-            shards.shutdown();
-        }
         // Flush the shuffle strategy before end-of-stream: in-node leaders
         // drain their members' relay streams and ship the merged frames
         // here (isends land in `pending`, waited below).
@@ -885,7 +824,6 @@ impl<'a, K: Key, V: Value> MpidSender<'a, K, V> {
                         ArgValue::U64(self.stats.bytes_precompress),
                     ),
                     ("combine_ratio", ArgValue::F64(self.stats.combine_ratio())),
-                    ("threads", ArgValue::U64(self.cfg.threads as u64)),
                 ],
             );
             // Shuffle-strategy counters, only off the baseline path so the
@@ -908,11 +846,6 @@ impl<'a, K: Key, V: Value> MpidSender<'a, K, V> {
                         report.host_groups_out as f64 / report.host_groups_in as f64,
                     );
                 }
-                ts.rt.counter(
-                    obs::names::CTR_SHUFFLE_REPL_OVERHEAD,
-                    obs::names::CAT_MPID_SHUFFLE,
-                    report.repl_overhead as f64,
-                );
             }
         }
         Ok(self.stats.clone())
@@ -924,10 +857,7 @@ impl<K: Key, V: Value> Drop for MpidSender<'_, K, V> {
         // A sender dropped without finish() would leave reducers waiting for
         // an EOS forever in larger jobs; make the bug loud in tests. (Panics
         // in flight take precedence — don't double-panic.)
-        let buffered = self
-            .shards
-            .as_ref()
-            .map_or(self.table.len(), |s| if s.dirty() { 1 } else { 0 });
+        let buffered = self.table.len();
         if !self.finished && !std::thread::panicking() && buffered > 0 {
             eprintln!("warning: MpidSender dropped with {buffered} buffered keys and no finish()");
         }

@@ -2,14 +2,11 @@
 //! mapper's spill to the owning reducers.
 //!
 //! The paper's MPI-D advantage comes almost entirely from the shuffle path,
-//! and two published refinements attack the same path from different ends:
-//! in-node combining (Lee et al., arXiv:1511.04861) merges the outputs of
-//! co-located map tasks *before* anything hits the wire, and Coded
-//! MapReduce (Li et al., arXiv:1512.01625) replicates map work r× so a
-//! coded multicast can cut shuffle traffic ~r×. Both are policies over the
-//! same seam — what happens to a [`SpillOutput`] after realignment — so the
-//! sender routes every spill through a [`ShuffleStrategy`] selected by
-//! [`MpidConfig::shuffle`]:
+//! and in-node combining (Lee et al., arXiv:1511.04861) attacks the same
+//! path by merging the outputs of co-located map tasks *before* anything
+//! hits the wire. It is a policy over one seam — what happens to a
+//! [`SpillOutput`] after realignment — so the sender routes every spill
+//! through a [`ShuffleStrategy`] selected by [`MpidConfig::shuffle`]:
 //!
 //! * [`ShuffleKind::Baseline`] — the unmodified ship loop: every wire frame
 //!   goes straight to its partition's reducer on [`tags::DATA`]. Selecting
@@ -22,15 +19,10 @@
 //!   job's [`crate::pool::BlockPool`]), then at finish merges all co-located
 //!   spill runs through one [`ByteTable`] — folding with the job's combiner
 //!   when one is installed — and ships the pre-combined frames.
-//! * [`ShuffleKind::Coded`] — the real-path degenerate form of coded
-//!   multicast: each spill's frames are chunked into groups of `r`, an XOR
-//!   parity word is built over every chunk ([`code_parity_into`]) and each
-//!   frame is reconstructed back out of the parity plus its peers
-//!   ([`code_decode_into`]) and checked byte-for-byte, validating the
-//!   partition/decode algebra on real wire bytes. The original frames then
-//!   ship unchanged, so output is trivially identical; the r×-replication
-//!   win itself is modeled in the simulators, which share this enum's shape
-//!   via `netsim::ShuffleKind`.
+//!
+//! Both change what crosses the wire. Coded MapReduce (Li et al.,
+//! arXiv:1512.01625) has no real-path implementation: it exists only as
+//! `netsim::SimShuffle::Coded`, a volume model in the simulators.
 //!
 //! ## Why grouped output stays identical (the determinism argument)
 //!
@@ -62,8 +54,9 @@ use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-/// Which shuffle strategy a job runs (see the module docs). Mirrored by
-/// `netsim::ShuffleKind` for the simulated stacks; keep the two in sync.
+/// Which shuffle strategy a job runs (see the module docs). The simulators'
+/// `netsim::SimShuffle` models these two plus a coded-multicast variant that
+/// has no real-path counterpart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShuffleKind {
     /// Ship every wire frame straight to its reducer (the paper's path).
@@ -76,13 +69,6 @@ pub enum ShuffleKind {
         /// size). `1` degenerates to per-mapper re-framing.
         mappers_per_host: usize,
     },
-    /// Coded multicast with map replication factor `r`: the real path
-    /// validates the XOR partition/decode algebra on every spill and ships
-    /// originals; the simulators model the r× traffic reduction.
-    Coded {
-        /// Map replication factor (`1` = no coding).
-        r: usize,
-    },
 }
 
 impl ShuffleKind {
@@ -91,7 +77,6 @@ impl ShuffleKind {
         match self {
             ShuffleKind::Baseline => 0,
             ShuffleKind::InNodeCombine { .. } => 1,
-            ShuffleKind::Coded { .. } => 2,
         }
     }
 
@@ -100,20 +85,15 @@ impl ShuffleKind {
         match self {
             ShuffleKind::Baseline => "baseline",
             ShuffleKind::InNodeCombine { .. } => "innode",
-            ShuffleKind::Coded { .. } => "coded",
         }
     }
 
     /// Degenerate-parameter check, shared by [`MpidConfig::check`].
     pub fn validate(&self) -> Result<(), String> {
         match self {
-            ShuffleKind::Baseline => Ok(()),
-            ShuffleKind::InNodeCombine { mappers_per_host } if *mappers_per_host == 0 => {
-                Err("shuffle: in-node combine needs mappers_per_host >= 1".into())
-            }
-            ShuffleKind::Coded { r } if *r == 0 => {
-                Err("shuffle: coded replication factor must be >= 1".into())
-            }
+            ShuffleKind::InNodeCombine {
+                mappers_per_host: 0,
+            } => Err("shuffle: in-node combine needs mappers_per_host >= 1".into()),
             _ => Ok(()),
         }
     }
@@ -141,8 +121,6 @@ pub(crate) struct ShuffleReport {
     pub(crate) host_groups_in: u64,
     /// Groups surviving the in-node merge.
     pub(crate) host_groups_out: u64,
-    /// Parity bytes built for coded-algebra validation.
-    pub(crate) repl_overhead: u64,
 }
 
 /// The sender→wire policy seam: every spill's realigned output passes
@@ -166,7 +144,6 @@ pub(crate) fn build_strategy<K: Key, V: Value>(
 ) -> Box<dyn ShuffleStrategy<K, V>> {
     match cfg.shuffle {
         ShuffleKind::Baseline => Box::new(BaselineShip),
-        ShuffleKind::Coded { r } => Box::new(CodedShip::new(r)),
         ShuffleKind::InNodeCombine { mappers_per_host } => match Role::of(cfg, comm.rank()) {
             Role::Mapper(idx) => Box::new(InNodeShip::new(cfg, idx, mappers_per_host, combiner)),
             _ => Box::new(BaselineShip),
@@ -203,91 +180,6 @@ impl<K: Key, V: Value> ShuffleStrategy<K, V> for BaselineShip {
 
     fn flush(&mut self, _ctx: &mut ShipCtx<'_>) -> MpidResult<ShuffleReport> {
         Ok(ShuffleReport::default())
-    }
-}
-
-/// [`ShuffleKind::Coded`]: validate the XOR coded-multicast algebra over
-/// every spill's frames, then ship the originals unchanged.
-struct CodedShip {
-    r: usize,
-    /// Reused parity scratch across chunks.
-    parity: Vec<u8>,
-    /// Reused reconstruction scratch.
-    rebuilt: Vec<u8>,
-    report: ShuffleReport,
-}
-
-impl CodedShip {
-    fn new(r: usize) -> Self {
-        CodedShip {
-            r: r.max(1),
-            parity: Vec::new(),
-            rebuilt: Vec::new(),
-            report: ShuffleReport {
-                kind_tag: ShuffleKind::Coded { r }.tag(),
-                ..ShuffleReport::default()
-            },
-        }
-    }
-}
-
-impl<K: Key, V: Value> ShuffleStrategy<K, V> for CodedShip {
-    fn ship(&mut self, ctx: &mut ShipCtx<'_>, out: SpillOutput) -> MpidResult<()> {
-        for (_, wires) in &out.shipments {
-            for chunk in wires.chunks(self.r) {
-                if chunk.len() < 2 {
-                    continue; // a lone frame codes to itself
-                }
-                code_parity_into(chunk, &mut self.parity);
-                self.report.repl_overhead += self.parity.len() as u64;
-                for skip in 0..chunk.len() {
-                    code_decode_into(&self.parity, chunk, skip, &mut self.rebuilt);
-                    if self.rebuilt[..chunk[skip].len()] != chunk[skip][..] {
-                        return Err(MpidError::Spill(
-                            "coded shuffle: parity decode does not reproduce the frame".into(),
-                        ));
-                    }
-                }
-            }
-        }
-        self.report.wire_in += out.wire_bytes;
-        self.report.wire_out += out.wire_bytes;
-        ship_to_reducers(ctx, &out)
-    }
-
-    fn flush(&mut self, _ctx: &mut ShipCtx<'_>) -> MpidResult<ShuffleReport> {
-        Ok(self.report.clone())
-    }
-}
-
-/// XOR parity over a chunk of frames, each padded with zeros to the longest
-/// frame's length. With replication, one such word multicast to `r`
-/// receivers replaces `r` unicast frames — here it exists so the decode
-/// algebra can be checked against real wire bytes.
-pub fn code_parity_into(frames: &[Bytes], out: &mut Vec<u8>) {
-    let len = frames.iter().map(|f| f.len()).max().unwrap_or(0);
-    out.clear();
-    out.resize(len, 0);
-    for f in frames {
-        for (o, b) in out.iter_mut().zip(f.iter()) {
-            *o ^= *b;
-        }
-    }
-}
-
-/// Reconstruct frame `skip` from the parity word and the other frames of
-/// its chunk (`out` is padded to parity length; the caller compares the
-/// first `frames[skip].len()` bytes).
-pub fn code_decode_into(parity: &[u8], frames: &[Bytes], skip: usize, out: &mut Vec<u8>) {
-    out.clear();
-    out.extend_from_slice(parity);
-    for (i, f) in frames.iter().enumerate() {
-        if i == skip {
-            continue;
-        }
-        for (o, b) in out.iter_mut().zip(f.iter()) {
-            *o ^= *b;
-        }
     }
 }
 
@@ -528,43 +420,6 @@ impl<K: Key, V: Value> ShuffleStrategy<K, V> for InNodeShip<K, V> {
 mod tests {
     use super::*;
 
-    fn frames(bodies: &[&[u8]]) -> Vec<Bytes> {
-        bodies.iter().map(|b| Bytes::copy_from_slice(b)).collect()
-    }
-
-    #[test]
-    fn parity_round_trips_equal_length_frames() {
-        let fs = frames(&[b"abcd", b"wxyz", b"1234"]);
-        let mut parity = Vec::new();
-        code_parity_into(&fs, &mut parity);
-        assert_eq!(parity.len(), 4);
-        let mut rebuilt = Vec::new();
-        for skip in 0..fs.len() {
-            code_decode_into(&parity, &fs, skip, &mut rebuilt);
-            assert_eq!(&rebuilt[..fs[skip].len()], &fs[skip][..], "frame {skip}");
-        }
-    }
-
-    #[test]
-    fn parity_round_trips_ragged_frames() {
-        let fs = frames(&[b"a", b"bcdef", b"ghi"]);
-        let mut parity = Vec::new();
-        code_parity_into(&fs, &mut parity);
-        assert_eq!(parity.len(), 5, "parity pads to the longest frame");
-        let mut rebuilt = Vec::new();
-        for skip in 0..fs.len() {
-            code_decode_into(&parity, &fs, skip, &mut rebuilt);
-            assert_eq!(&rebuilt[..fs[skip].len()], &fs[skip][..], "frame {skip}");
-        }
-    }
-
-    #[test]
-    fn parity_of_empty_chunk_is_empty() {
-        let mut parity = vec![9u8; 3];
-        code_parity_into(&[], &mut parity);
-        assert!(parity.is_empty());
-    }
-
     #[test]
     fn kind_validation_rejects_degenerate_parameters() {
         assert!(ShuffleKind::Baseline.validate().is_ok());
@@ -578,8 +433,6 @@ mod tests {
         }
         .validate()
         .is_err());
-        assert!(ShuffleKind::Coded { r: 1 }.validate().is_ok());
-        assert!(ShuffleKind::Coded { r: 0 }.validate().is_err());
     }
 
     #[test]
@@ -592,8 +445,13 @@ mod tests {
             .tag(),
             1
         );
-        assert_eq!(ShuffleKind::Coded { r: 3 }.tag(), 2);
         assert_eq!(ShuffleKind::default(), ShuffleKind::Baseline);
-        assert_eq!(ShuffleKind::Coded { r: 2 }.label(), "coded");
+        assert_eq!(
+            ShuffleKind::InNodeCombine {
+                mappers_per_host: 2
+            }
+            .label(),
+            "innode"
+        );
     }
 }

@@ -62,8 +62,11 @@ fn run_wordcount_cfg(cfg: MpidConfig) -> (BTreeMap<String, u64>, SenderStats) {
 
 #[test]
 fn compression_preserves_results_and_shrinks_wire_bytes() {
+    // One mapper: the byte counts of two separate runs are compared, and
+    // with more mappers the split-to-mapper assignment (hence which words
+    // share a table, hence the frame bytes) is a race.
     let plain_cfg = MpidConfig {
-        n_mappers: 2,
+        n_mappers: 1,
         n_reducers: 2,
         ..Default::default()
     };
@@ -186,9 +189,11 @@ fn streaming_mode_folds_to_the_same_totals() {
 
 #[test]
 fn streaming_and_grouped_receivers_have_matching_byte_counts() {
-    // Cross-check the two reducer paths account identically.
+    // Cross-check the two reducer paths account identically. One mapper:
+    // with more, which splits share a table (and hence the frame bytes) is
+    // a race between mappers, so two separate runs need not agree.
     let cfg = MpidConfig {
-        n_mappers: 2,
+        n_mappers: 1,
         n_reducers: 1,
         ..Default::default()
     };

@@ -102,8 +102,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Full ordered output is bit-identical across worker-thread counts
-    /// (sender sharding + parallel receiver merge vs. the single-threaded
-    /// pipeline), for any mapper/reducer topology.
+    /// (parallel receiver range merge vs. the single-threaded pipeline),
+    /// for any mapper/reducer topology.
     #[test]
     fn output_identical_across_thread_counts(
         pairs in arb_pairs(),

@@ -34,9 +34,8 @@ pub struct MpidEngineConfig {
     /// ([`mpid::MpidReceiver::into_external`]) with this in-memory byte
     /// budget instead of holding the whole key space resident.
     pub reduce_budget_bytes: Option<usize>,
-    /// Worker threads per mapper/reducer rank (Mimir's `tnum`). `1` runs
-    /// the hot path inline; `>1` shards the sender table and parallelizes
-    /// the receiver merge. Output is bit-identical at any setting.
+    /// Passed through as [`mpid::MpidConfig::threads`] (documented there):
+    /// key ranges the reducers' in-memory merge runs in parallel.
     pub threads: usize,
     /// Job-wide byte budget for MPI-D buffering. One [`mpid::BlockPool`]
     /// is shared across every rank of the job; sender tables, receiver
@@ -48,8 +47,8 @@ pub struct MpidEngineConfig {
     /// default; observation-only, so results are identical either way.
     pub verify: bool,
     /// How spilled frames travel to the reducers (see [`mpid::shuffle`]):
-    /// direct ship, per-host in-node combining, or coded-multicast
-    /// validation. Grouped output is identical for every setting.
+    /// direct ship or per-host in-node combining. Grouped output is
+    /// identical for every setting.
     pub shuffle: mpid::ShuffleKind,
 }
 

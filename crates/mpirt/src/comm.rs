@@ -195,6 +195,16 @@ impl Comm {
         self.world.verifier.as_ref()
     }
 
+    /// The error for a send that found `dst`'s mailbox closed. After a
+    /// universe abort (deadlock / collective mismatch) the peer left
+    /// *because* of the abort, so the sender reports that — the same error
+    /// a blocked receive would — rather than the bare departure.
+    fn peer_gone(&self, dst: Rank) -> MpiError {
+        self.verifier()
+            .and_then(|v| v.abort_error())
+            .unwrap_or(MpiError::PeerGone { rank: dst })
+    }
+
     /// Number of messages that have arrived in this rank's queue (within
     /// this communicator, optionally filtered by tag) but have not been
     /// received. Clean-shutdown audits in layers above MPI (e.g. MPI-D's
@@ -277,7 +287,7 @@ impl Comm {
                     payload: PayloadSlot::Eager(data),
                     sig,
                 })
-                .map_err(|_| MpiError::PeerGone { rank: dst })
+                .map_err(|_| self.peer_gone(dst))
         } else {
             let rv = Rendezvous::new(data);
             mailbox
@@ -288,7 +298,7 @@ impl Comm {
                     payload: PayloadSlot::Rendezvous(rv.clone()),
                     sig,
                 })
-                .map_err(|_| MpiError::PeerGone { rank: dst })?;
+                .map_err(|_| self.peer_gone(dst))?;
             // MPI_Send above the eager threshold blocks until the receiver
             // has matched (rendezvous protocol).
             match self.verifier() {
@@ -334,7 +344,7 @@ impl Comm {
                     payload: PayloadSlot::Eager(data),
                     sig,
                 })
-                .map_err(|_| MpiError::PeerGone { rank: dst })?;
+                .map_err(|_| self.peer_gone(dst))?;
             Ok(SendRequest {
                 rv: None,
                 verify: None,
@@ -349,7 +359,7 @@ impl Comm {
                     payload: PayloadSlot::Rendezvous(rv.clone()),
                     sig,
                 })
-                .map_err(|_| MpiError::PeerGone { rank: dst })?;
+                .map_err(|_| self.peer_gone(dst))?;
             let verify = self.verifier().map(|v| SendVerify {
                 verifier: v.clone(),
                 rank: self.world_rank(),
@@ -637,7 +647,7 @@ impl Comm {
                 payload: PayloadSlot::Eager(payload),
                 sig: Some(wire_sig::<T>(data)),
             })
-            .map_err(|_| MpiError::PeerGone { rank: dst });
+            .map_err(|_| self.peer_gone(dst));
         self.trace_p2p(obs::names::MPI_BSEND, start, dst as i64, tag, len);
         out
     }

@@ -39,8 +39,7 @@ pub const CAT_MPID: &str = "mpid";
 pub const CAT_MPID_CHECKPOINT: &str = "mpid.checkpoint";
 /// MPI-D data-path memory-accounting counter samples.
 pub const CAT_MPID_MEM: &str = "mpid.mem";
-/// MPI-D data-path worker-thread counter samples (shard workers, parallel
-/// merge ranges).
+/// MPI-D data-path worker-thread counter samples (parallel merge ranges).
 pub const CAT_MPID_THREADS: &str = "mpid.threads";
 /// Hadoop simulated task phases (map/copy/sort/reduce).
 pub const CAT_HADOOP_PHASE: &str = "hadoop.phase";
@@ -73,7 +72,7 @@ pub const CAT_SERVE: &str = "serve";
 pub const CAT_SERVE_JOB: &str = "serve.job";
 /// Discrete-event scheduler probe samples.
 pub const CAT_DESIM: &str = "desim";
-/// Shuffle-strategy spans and counters (in-node combine, coded shuffle).
+/// Shuffle-strategy spans and counters (in-node combine).
 pub const CAT_MPID_SHUFFLE: &str = "mpid.shuffle";
 
 // --- Span names ------------------------------------------------------------
@@ -245,10 +244,6 @@ pub const CTR_MEM_POOL_BUDGET: &str = "mpid.mem.pool.budget";
 pub const CTR_MEM_POOL_FORCED: &str = "mpid.mem.pool.forced";
 /// Prefix of the worker-thread counter streams.
 pub const THREADS_COUNTER_PREFIX: &str = "mpid.threads.";
-/// Sender shard workers attached to this rank.
-pub const CTR_THREADS_WORKERS: &str = "mpid.threads.workers";
-/// Record batches routed to sender shard workers.
-pub const CTR_THREADS_BATCHES: &str = "mpid.threads.batches";
 /// Key ranges merged in parallel by the receiver.
 pub const CTR_THREADS_MERGE_RANGES: &str = "mpid.threads.merge_ranges";
 /// Prefix of the per-host utilization streams summarized under
@@ -272,14 +267,12 @@ pub const CTR_DESIM_PENDING: &str = "desim.pending";
 pub const CTR_DESIM_EXECUTED: &str = "desim.executed";
 /// Prefix of the shuffle-strategy counter streams.
 pub const SHUFFLE_COUNTER_PREFIX: &str = "mpid.shuffle.";
-/// Which shuffle strategy ran (0 = baseline, 1 = in-node, 2 = coded).
+/// Which shuffle strategy ran (0 = baseline, 1 = in-node).
 pub const CTR_SHUFFLE_STRATEGY: &str = "mpid.shuffle.strategy";
 /// Wire bytes the strategy kept off the reducer-bound wire.
 pub const CTR_SHUFFLE_WIRE_SAVED: &str = "mpid.shuffle.wire_bytes_saved";
 /// Groups surviving a leader's per-host merge / groups entering it.
 pub const CTR_SHUFFLE_COMBINE_RATIO: &str = "mpid.shuffle.combine_ratio_per_host";
-/// Extra bytes spent on replication/parity (coded map-work overhead).
-pub const CTR_SHUFFLE_REPL_OVERHEAD: &str = "mpid.shuffle.replication_overhead";
 
 // --- Metrics-registry keys -------------------------------------------------
 
@@ -423,13 +416,7 @@ mod tests {
         ] {
             assert!(c.starts_with(MEM_COUNTER_PREFIX), "{c}");
         }
-        for c in [
-            CTR_THREADS_WORKERS,
-            CTR_THREADS_BATCHES,
-            CTR_THREADS_MERGE_RANGES,
-        ] {
-            assert!(c.starts_with(THREADS_COUNTER_PREFIX), "{c}");
-        }
+        assert!(CTR_THREADS_MERGE_RANGES.starts_with(THREADS_COUNTER_PREFIX));
         for c in [CTR_UTIL_UP, CTR_UTIL_DOWN, CTR_UTIL_DISK] {
             assert!(c.starts_with(UTIL_COUNTER_PREFIX), "{c}");
         }
@@ -442,7 +429,6 @@ mod tests {
             CTR_SHUFFLE_STRATEGY,
             CTR_SHUFFLE_WIRE_SAVED,
             CTR_SHUFFLE_COMBINE_RATIO,
-            CTR_SHUFFLE_REPL_OVERHEAD,
         ] {
             assert!(c.starts_with(SHUFFLE_COUNTER_PREFIX), "{c}");
         }

@@ -251,11 +251,11 @@ fn blocking_flags_untimed_waits_in_mpirt_and_core_only() {
         "}\n",
     );
     write(&root, "crates/mpirt/src/comm.rs", body);
-    // The core crate spawns its own shard/merge workers, so its untimed
-    // joins are findings too.
+    // The core crate spawns its own merge workers, so its untimed joins
+    // are findings too.
     write(
         &root,
-        "crates/core/src/shard.rs",
+        "crates/core/src/receiver.rs",
         "pub fn stop(h: Handle) {\n    h.join();\n}\n",
     );
     // The same tokens outside mpi-rt and core are not this pass's business.
@@ -264,7 +264,7 @@ fn blocking_flags_untimed_waits_in_mpirt_and_core_only() {
     findings.sort_by(|a, b| a.file.cmp(&b.file));
     assert_eq!(findings.len(), 2, "{findings:?}");
     assert_eq!(findings[0].token, ".join()");
-    assert_eq!(findings[0].file, "crates/core/src/shard.rs");
+    assert_eq!(findings[0].file, "crates/core/src/receiver.rs");
     assert_eq!(findings[0].line, 2);
     assert_eq!(findings[1].token, ".wait()");
     assert_eq!(findings[1].file, "crates/mpirt/src/comm.rs");

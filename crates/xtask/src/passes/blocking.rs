@@ -41,7 +41,7 @@ pub const UNTIMED: &[(&str, &str)] = &[
 ];
 
 /// Crates the pass scans: the MPI runtime and the MPI-D core (which spawns
-/// sender-shard and merge workers).
+/// merge workers).
 const SCANNED: &[&str] = &["mpirt", "core"];
 
 /// The blocking-call pass; see the module docs.
