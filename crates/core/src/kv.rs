@@ -67,11 +67,54 @@ pub trait Kv: Sized {
     fn encoded_cmp() -> Option<EncodedCmp> {
         None
     }
+    /// Order-preserving 8-byte abbreviation of one *encoded* value, so a
+    /// sort can keep the abbreviation beside each index entry and reach for
+    /// the bytes only on a tie. The contract, for slices `a` and `b` that
+    /// each hold exactly one encoded value:
+    ///
+    /// `encoded_prefix(a) < encoded_prefix(b)` ⟹ `encoded_cmp(a, b) == Less`
+    ///
+    /// Equal prefixes say nothing by themselves (see
+    /// [`Kv::prefix_is_exact`]), so the default `0` is always valid. It is
+    /// consulted only for types that also provide [`Kv::encoded_cmp`].
+    /// Strings and blobs give their first seven payload bytes big-endian,
+    /// zero-padded, then `min(len, 8)` — the length byte orders `"a"`
+    /// before `"a\0"` and marks the prefixes that hold a whole key; the
+    /// ordered integers widen to `u64` with the sign bit flipped, which
+    /// makes their prefix order the whole order.
+    fn encoded_prefix(_encoded: &[u8]) -> u64 {
+        0
+    }
+    /// Whether `prefix` pins down the whole value: `true` promises that any
+    /// two encoded values of this type with this [`Kv::encoded_prefix`] are
+    /// equal, so a tie on it needs no look at the bytes. The default
+    /// `false` is always valid. This is what keeps a merge of heavily
+    /// repeated short keys (word count) off the frame bodies entirely.
+    fn prefix_is_exact(_prefix: u64) -> bool {
+        false
+    }
 }
 
 /// Comparator over *encoded* byte slices — what [`Kv::encoded_cmp`] hands
 /// out. Each slice must hold exactly one encoded value.
 pub type EncodedCmp = fn(&[u8], &[u8]) -> std::cmp::Ordering;
+
+/// [`Kv::encoded_prefix`] of a `u32`-length-prefixed byte string: its first
+/// seven payload bytes, big-endian and zero-padded, then `min(len, 8)`. A
+/// payload of at most seven bytes is fully determined by its prefix
+/// ([`bytes_prefix_is_exact`]).
+fn bytes_prefix(encoded: &[u8]) -> u64 {
+    let payload = &encoded[4..];
+    let mut be = [0u8; 8];
+    let n = payload.len().min(7);
+    be[..n].copy_from_slice(&payload[..n]);
+    be[7] = payload.len().min(8) as u8;
+    u64::from_be_bytes(be)
+}
+
+fn bytes_prefix_is_exact(prefix: u64) -> bool {
+    prefix & 0xff < 8
+}
 
 fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], CodecError> {
     if buf.len() < n {
@@ -94,6 +137,15 @@ macro_rules! impl_kv_int {
                 let y = <$t>::from_le_bytes(b.try_into().expect("exact encoded width"));
                 x.cmp(&y)
             })
+        }
+        fn encoded_prefix(encoded: &[u8]) -> u64 {
+            let x = <$t>::from_le_bytes(encoded.try_into().expect("exact encoded width"));
+            // Distance from the type's minimum: 0..=u64::MAX in value order
+            // for signed and unsigned alike.
+            (x as i128 - <$t>::MIN as i128) as u64
+        }
+        fn prefix_is_exact(_prefix: u64) -> bool {
+            true
         }
     };
     (@cmp unord, $t:ty) => {};
@@ -144,6 +196,12 @@ impl Kv for String {
         // payload past the 4-byte length prefix matches `String::cmp`.
         Some(|a, b| a[4..].cmp(&b[4..]))
     }
+    fn encoded_prefix(encoded: &[u8]) -> u64 {
+        bytes_prefix(encoded)
+    }
+    fn prefix_is_exact(prefix: u64) -> bool {
+        bytes_prefix_is_exact(prefix)
+    }
 }
 
 impl Kv for Vec<u8> {
@@ -164,6 +222,12 @@ impl Kv for Vec<u8> {
     }
     fn encoded_cmp() -> Option<fn(&[u8], &[u8]) -> std::cmp::Ordering> {
         Some(|a, b| a[4..].cmp(&b[4..]))
+    }
+    fn encoded_prefix(encoded: &[u8]) -> u64 {
+        bytes_prefix(encoded)
+    }
+    fn prefix_is_exact(prefix: u64) -> bool {
+        bytes_prefix_is_exact(prefix)
     }
 }
 
@@ -298,6 +362,47 @@ mod tests {
         // Tuples keep the conservative default: no encoded comparator.
         assert!(<(String, u64)>::encoded_cmp().is_none());
         assert!(f64::encoded_cmp().is_none());
+    }
+
+    fn prefix_of<T: Kv>(v: &T) -> u64 {
+        let mut e = BytesMut::new();
+        v.encode(&mut e);
+        T::encoded_prefix(&e)
+    }
+
+    #[test]
+    fn encoded_prefix_orders_edge_cases_and_knows_when_it_is_whole() {
+        // Ascending by `Ord`; adjacent prefixes must never descend, and an
+        // exact prefix must be unique to its value.
+        let words = [
+            "",
+            "\0",
+            "a",
+            "a\0",
+            "a\0\0",
+            "aaaaaaa",
+            "aaaaaaa\0",
+            "aaaaaaaa1",
+            "b",
+        ];
+        let p: Vec<u64> = words.iter().map(|w| prefix_of(&w.to_string())).collect();
+        assert!(p.windows(2).all(|w| w[0] <= w[1]), "{p:?}");
+        for (w, &pw) in words.iter().zip(&p) {
+            assert_eq!(String::prefix_is_exact(pw), w.len() <= 7, "{w:?}");
+            assert_eq!(pw, prefix_of(&w.as_bytes().to_vec()), "blob = string");
+        }
+        assert!(p[..7].windows(2).all(|w| w[0] < w[1]), "short keys: {p:?}");
+        assert_eq!(p[6], p[7], "eight bytes and more tie on a shared start");
+
+        let ints = [i64::MIN, -1, 0, 1, i64::MAX];
+        assert!(ints.windows(2).all(|w| prefix_of(&w[0]) < prefix_of(&w[1])));
+        assert!([0u8, 1, 255]
+            .windows(2)
+            .all(|w| prefix_of(&w[0]) < prefix_of(&w[1])));
+        assert!(i64::prefix_is_exact(0) && u8::prefix_is_exact(7));
+        // Types that keep the defaults claim nothing.
+        assert_eq!(prefix_of(&("k".to_string(), 1u64)), 0);
+        assert!(!<(String, u64)>::prefix_is_exact(0));
     }
 
     #[test]

@@ -182,7 +182,7 @@ impl<'a> FrameReader<'a> {
 
     /// Drain the whole frame into a vector of groups.
     pub fn read_all<K: Kv, V: Kv>(mut self) -> Result<Vec<(K, Vec<V>)>, CodecError> {
-        let mut out = Vec::with_capacity(self.remaining_groups as usize);
+        let mut out = Vec::with_capacity(group_capacity(self.remaining_groups, self.rest));
         while let Some(g) = self.next_group()? {
             out.push(g);
         }
@@ -197,6 +197,14 @@ pub fn decode_frames<K: Kv, V: Kv>(frames: &[Bytes]) -> Result<Vec<(K, Vec<V>)>,
         out.extend(FrameReader::new(f)?.read_all()?);
     }
     Ok(out)
+}
+
+/// How many groups to reserve room for when a frame's count header claims
+/// `n_groups`: the header is a `u32` straight off the wire, so a flipped bit
+/// must not size an allocation. Every group carries at least its `u32` value
+/// count, which bounds the count by what `rest` can hold.
+fn group_capacity(n_groups: u32, rest: &[u8]) -> usize {
+    (n_groups as usize).min(rest.len() / 4)
 }
 
 /// One group's location inside a frame body: the decoded key plus the byte
@@ -222,7 +230,7 @@ pub struct GroupMeta<K> {
 pub fn parse_group_index<K: Kv, V: Kv>(body: &[u8]) -> Result<Vec<GroupMeta<K>>, CodecError> {
     let mut slice = body;
     let n_groups = u32::decode(&mut slice)?;
-    let mut out = Vec::with_capacity(n_groups as usize);
+    let mut out = Vec::with_capacity(group_capacity(n_groups, slice));
     for _ in 0..n_groups {
         let key = K::decode(&mut slice)?;
         let n_values = u32::decode(&mut slice)?;
@@ -275,19 +283,32 @@ impl RawGroup {
     }
 }
 
+/// One entry of a key-sorted index over the groups of one or more frames:
+/// the key's [`Kv::encoded_prefix`] held inline, so sorting and merging
+/// compare a register and touch the frame bytes only on a tie, plus where
+/// the group lives. Sixteen bytes, so a sort moves entries, not groups.
+#[derive(Debug, Clone, Copy)]
+pub struct KeyRef {
+    /// Order-preserving abbreviation of the group's encoded key.
+    pub prefix: u64,
+    /// Which frame of the indexed set holds the group.
+    pub run: u32,
+    /// The group's position in that frame's list of [`RawGroup`]s.
+    pub group: u32,
+}
+
 /// Index a frame body into per-group key/value byte ranges, decoding
 /// nothing. Keys are [`Kv::skip`]ped like values, so content errors (e.g.
 /// invalid UTF-8 in a `String` key) surface at the later per-group decode.
-/// Offsets are `u32`: frames are built to `frame_bytes` (order of KBs–MBs)
-/// and a single oversized group caps out far below 4 GiB in practice.
+/// Offsets are `u32`: frames are built to `frame_bytes` (order of KBs–MBs),
+/// and a body too large to index that way is rejected as corrupt.
 pub fn parse_group_index_raw<K: Kv, V: Kv>(body: &[u8]) -> Result<Vec<RawGroup>, CodecError> {
-    debug_assert!(
-        body.len() <= u32::MAX as usize,
-        "frame body exceeds u32 indexing"
-    );
+    if body.len() > u32::MAX as usize {
+        return Err(CodecError::Corrupt("frame body exceeds u32 indexing"));
+    }
     let mut slice = body;
     let n_groups = u32::decode(&mut slice)?;
-    let mut out = Vec::with_capacity(n_groups as usize);
+    let mut out = Vec::with_capacity(group_capacity(n_groups, slice));
     for _ in 0..n_groups {
         let key_off = (body.len() - slice.len()) as u32;
         K::skip(&mut slice)?;
@@ -489,6 +510,28 @@ mod tests {
             parse_group_index::<String, u64>(&noisy),
             Err(CodecError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn hostile_group_count_is_an_error_not_an_allocation() {
+        // A count header of u32::MAX over a one-group body: every reader
+        // must run out of bytes, not reserve room for four billion groups.
+        let frames = build(&[("k".to_string(), vec![7u64])], 1 << 20);
+        let mut bad = frames[0].to_vec();
+        bad[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(
+            parse_group_index_raw::<String, u64>(&bad).unwrap_err(),
+            CodecError::Truncated
+        );
+        assert_eq!(
+            parse_group_index::<String, u64>(&bad).unwrap_err(),
+            CodecError::Truncated
+        );
+        let reader = FrameReader::new(&bad).unwrap();
+        assert_eq!(
+            reader.read_all::<String, u64>().unwrap_err(),
+            CodecError::Truncated
+        );
     }
 
     #[test]

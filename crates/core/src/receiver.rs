@@ -6,34 +6,45 @@
 //! frames are a zero-copy slice past the wire marker; only LZ frames are
 //! decompressed into a fresh buffer). Each frame body is indexed into
 //! per-group byte ranges ([`parse_group_index_raw`]) — nothing decodes at
-//! ingest — then the group index is sorted by key and all frame runs are
-//! k-way merged: the same streaming-merge shape [`ExternalTable`] uses on
-//! disk, applied in memory.
+//! ingest — and sorted by key as it arrives; at end of stream all frame
+//! runs go through *one* merge (`Merged`), whose output the in-memory
+//! table, the bounded path's window spills and its tail all walk.
 //!
 //! ## Raw-key merge
 //!
 //! For key types with an [`encoded_cmp`](crate::kv::Kv::encoded_cmp)
-//! comparator (integers, strings, blobs — every common MapReduce key), the
-//! sort and merge compare encoded bytes in place and each distinct key is
-//! decoded exactly *once*, when its merged group is emitted. Other key
-//! types fall back to decoding each frame's keys up front and comparing
-//! decoded values. Values decode exactly once either way, straight into an
-//! exact-capacity `Vec` per merged group. Grouped output is deterministic:
-//! ascending key order, and each key's values concatenated in (mapper
-//! rank, mapper send order) — the in-memory merge stably sorts its runs by
-//! source rank before merging, so the scheduler-dependent interleaving of
-//! *frame arrival* across mappers never reaches the output.
+//! comparator (integers, strings, blobs — every common MapReduce key) no
+//! key is decoded to be compared. A frame's groups are sorted through a
+//! compact index of 16-byte [`KeyRef`]s, each holding the key's
+//! [`encoded_prefix`](crate::kv::Kv::encoded_prefix) inline: comparing two
+//! entries is comparing two registers, and only a tie on a prefix that is
+//! not [a whole key](crate::kv::Kv::prefix_is_exact) follows the entries
+//! into the frame bytes. The merge concatenates the run indexes in the
+//! order values must come out — (mapper rank, send order) on the unbounded
+//! path, which stably sorts its runs by source rank first, so the
+//! scheduler-dependent interleaving of *frame arrival* across mappers never
+//! reaches the output — and stably sorts the concatenation. std's merge
+//! sort finds the k presorted runs and merges them in about log k
+//! comparisons per entry, whatever k is, and stability is the value-order
+//! guarantee. Equal keys then sit next to each other: each distinct key is
+//! decoded exactly *once*, from the first entry of its span, and its values
+//! decode exactly once, straight into an exact-capacity `Vec`. Grouped
+//! output is ascending in key order.
+//!
+//! Other key types decode each frame's keys up front and compare decoded
+//! values (their prefix is `0`); once the merged index is sorted its
+//! prefixes are overwritten with the ordinal of each distinct key, and from
+//! there on they take the same walk.
 //!
 //! ## Threads
 //!
-//! With [`MpidConfig::threads`] > 1 and a raw-key comparator available, the
-//! k-way merge fans out across worker threads by *key range*: boundary keys
-//! are read off the largest run's quantiles, each run's sorted group index
-//! is cut at those boundaries with `partition_point`, and every range is
-//! merged independently ([`RangeMerge`]). Ranges partition the key space,
-//! so concatenating the per-range outputs in boundary order reproduces the
-//! sequential merge byte for byte — each worker shares only `&[u8]` frame
-//! bodies and offset tables, never a decoded key.
+//! With [`MpidConfig::threads`] > 1 the merged index is cut into that many
+//! near-equal chunks, each cut moved forward to the next key boundary, and
+//! the chunks decode on scoped threads (`Merged::decode`). The chunks
+//! partition the index in key order, so concatenating their outputs is the
+//! sequential result byte for byte — a worker shares only `&[u8]` frame
+//! bodies and offset tables, never a decoded key. The sort itself stays on
+//! the receiving thread.
 //!
 //! ## Memory
 //!
@@ -55,19 +66,19 @@
 
 use crate::config::{tags, MpidConfig};
 use crate::error::{MpidError, MpidResult};
-use crate::kv::{Key, Value};
+use crate::kv::{CodecError, Key, Value};
 use crate::pool::PoolCharge;
-use crate::realign::{parse_group_index_raw, FrameReader, RawGroup, MARKER_LZ, MARKER_PLAIN};
+use crate::realign::{
+    parse_group_index_raw, FrameReader, KeyRef, RawGroup, MARKER_LZ, MARKER_PLAIN,
+};
 use crate::stats::ReceiverStats;
 use bytes::Bytes;
 use mpi_rt::{Comm, Rank, RankTrace};
 use obs::ArgValue;
 use std::cmp::Ordering;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Encoded-key comparator shorthand (see [`crate::kv::Kv::encoded_cmp`]).
-type Cmp = crate::kv::EncodedCmp;
 
 /// Merged grouped output: ascending keys, each with its value list.
 type Grouped<K, V> = Vec<(K, Vec<V>)>;
@@ -100,23 +111,63 @@ enum RecvState<K: Key, V: Value> {
     DrainingExt(Box<crate::extmerge::MergeIter<K, V>>),
 }
 
-/// One received frame, held as bytes: the body buffer plus its key-sorted
-/// group index (byte ranges only). `keys` carries decoded keys — parallel
-/// to `raw` — only when the key type has no encoded comparator; with one,
-/// it stays empty and comparisons run on the raw bytes. `pos` is the
-/// sequential merge cursor.
-struct FrameRun<K> {
+/// One received frame, held as bytes: the body buffer and its groups' byte
+/// ranges, in key order. Holds no decoded key, so worker threads can share
+/// it whatever `K` is.
+struct Frame {
     body: Bytes,
     raw: Vec<RawGroup>,
-    keys: Vec<K>,
-    pos: usize,
     /// Sender rank, for attributing late decode errors.
     src: Rank,
 }
 
-impl<K> FrameRun<K> {
-    fn head_key_bytes(&self) -> &[u8] {
-        self.raw[self.pos].key_bytes(&self.body)
+impl Frame {
+    fn key_bytes(&self, e: &KeyRef) -> &[u8] {
+        self.raw[e.group as usize].key_bytes(&self.body)
+    }
+
+    fn codec_err(&self, err: CodecError) -> MpidError {
+        MpidError::Codec {
+            source_rank: self.src,
+            err,
+        }
+    }
+}
+
+/// A frame whose groups (`frame.raw`) are in key order, with what comparing
+/// them needs, both parallel to `frame.raw`: each key's
+/// [`encoded_prefix`](crate::kv::Kv::encoded_prefix) and — only when the key
+/// type has no encoded comparator — the decoded keys. With a comparator
+/// `keys` stays empty and comparisons run on prefixes and raw bytes;
+/// without one the prefixes are all `0`.
+struct FrameRun<K> {
+    frame: Frame,
+    prefixes: Vec<u64>,
+    keys: Vec<K>,
+}
+
+/// Order of two keys that have an encoded comparator, from their prefixes:
+/// the prefixes decide, and only a tie on a prefix that is not a whole key
+/// calls `bytes_order` to fetch and compare the encoded bytes.
+fn prefix_order<K: Key>(a: u64, b: u64, bytes_order: impl FnOnce() -> Ordering) -> Ordering {
+    a.cmp(&b).then_with(|| {
+        if K::prefix_is_exact(a) {
+            Ordering::Equal
+        } else {
+            bytes_order()
+        }
+    })
+}
+
+/// Key order of two index entries over `runs`: by prefix and encoded bytes
+/// with a comparator, by decoded key without one.
+fn key_order<K: Key>(runs: &[FrameRun<K>], a: &KeyRef, b: &KeyRef) -> Ordering {
+    let run_of = |e: &KeyRef| &runs[e.run as usize];
+    match K::encoded_cmp() {
+        Some(cmp) => prefix_order::<K>(a.prefix, b.prefix, || {
+            cmp(run_of(a).frame.key_bytes(a), run_of(b).frame.key_bytes(b))
+        }),
+        None => run_of(a).keys[a.group as usize].cmp(&run_of(b).keys[b.group as usize]),
     }
 }
 
@@ -165,36 +216,16 @@ impl<'a, K: Key, V: Value> MpidReceiver<'a, K, V> {
         let Some((body, src)) = recv_frame_body(self.comm, self.timeout, &mut self.stats)? else {
             return Ok(None);
         };
-        let codec_err = |err| MpidError::Codec {
-            source_rank: src,
-            err,
-        };
-        let mut raw = parse_group_index_raw::<K, V>(&body).map_err(codec_err)?;
-        self.stats.groups_in += raw.len() as u64;
-        let mut keys: Vec<K> = Vec::new();
-        match K::encoded_cmp() {
-            // Stable sorts: a frame carrying the same key twice keeps its
-            // in-frame order, so the merge's arrival-order guarantee holds.
-            Some(cmp) => raw.sort_by(|a, b| cmp(a.key_bytes(&body), b.key_bytes(&body))),
-            None => {
-                let mut pairs: Vec<(K, RawGroup)> = Vec::with_capacity(raw.len());
-                for g in raw.drain(..) {
-                    let mut kb = g.key_bytes(&body);
-                    pairs.push((K::decode(&mut kb).map_err(codec_err)?, g));
-                }
-                pairs.sort_by(|a, b| a.0.cmp(&b.0));
-                (keys, raw) = pairs.into_iter().unzip();
-            }
-        }
-        Ok(Some(FrameRun {
-            body,
-            raw,
-            keys,
-            pos: 0,
-            src,
-        }))
+        let run = sort_frame::<K, V>(body, src)?;
+        self.stats.groups_in += run.frame.raw.len() as u64;
+        Ok(Some(run))
     }
 
+    // Runs once per job. Out of line so that the size of the merge does not
+    // sway how a caller's rank closure — the mapper's loop included — gets
+    // compiled: inlined, `wc_zipf_1x1_*` measured 9 % slower end to end
+    // with not one changed instruction in the sender.
+    #[inline(never)]
     fn ingest(&mut self) -> MpidResult<Vec<(K, Vec<V>)>> {
         let t0 = self.comm.trace().map(|rt| rt.now_ns());
         // Unbounded ingest holds every frame at once; the charge records
@@ -207,23 +238,12 @@ impl<'a, K: Key, V: Value> MpidReceiver<'a, K, V> {
             match self.recv_one_run()? {
                 None => eos_seen += 1,
                 Some(run) => {
-                    charge.grow(run.body.len());
+                    charge.grow(run.frame.body.len());
                     runs.push(run);
                 }
             }
         }
-        // Merge in (mapper rank, send order), not frame-arrival order:
-        // wildcard reception interleaves mappers however the scheduler ran
-        // them, and equal keys absorb run-by-run, so arrival order would
-        // leak scheduling into each key's value order. A stable sort by
-        // source rank pins it.
-        runs.sort_by_key(|r| r.src);
-        let (table, merge_ranges) = match K::encoded_cmp() {
-            Some(cmp) if self.cfg.threads > 1 && !runs.is_empty() => {
-                merge_runs_parallel::<K, V>(&runs, cmp, self.cfg.threads)?
-            }
-            _ => (merge_runs::<K, V>(runs)?, 0),
-        };
+        let (table, merge_ranges) = merge_by_rank::<K, V>(runs, self.cfg.threads)?;
         self.stats.distinct_keys = table.len() as u64;
         if let (Some(rt), Some(t0)) = (self.comm.trace(), t0) {
             trace_merge(
@@ -244,6 +264,7 @@ impl<'a, K: Key, V: Value> MpidReceiver<'a, K, V> {
     /// and the automatic bounded path [`MpidReceiver::recv`] takes when
     /// [`MpidConfig::mem_budget`] is set. Returns the streaming merge and
     /// the number of runs spilled.
+    #[inline(never)] // as for `ingest`
     fn ingest_external(
         &mut self,
         budget_bytes: usize,
@@ -262,7 +283,7 @@ impl<'a, K: Key, V: Value> MpidReceiver<'a, K, V> {
             match self.recv_one_run()? {
                 None => eos_seen += 1,
                 Some(run) => {
-                    let b = run.body.len();
+                    let b = run.frame.body.len();
                     // Charge *before* buffering: a frame that doesn't fit
                     // spills the current window first, so the pool's
                     // high-water mark stays at or under the budget unless
@@ -288,7 +309,7 @@ impl<'a, K: Key, V: Value> MpidReceiver<'a, K, V> {
         // The final unspilled window becomes the merge tail — the position
         // the resident table held in the insert path, so per-key value
         // order stays run-order-then-tail = frame-arrival order.
-        let tail = merge_runs::<K, V>(window)?;
+        let (tail, merge_ranges) = Merged::new(window).decode::<K, V>(self.cfg.threads)?;
         let spilled_runs = table.spilled_runs();
         if let (Some(rt), Some(t0)) = (self.comm.trace(), t0) {
             trace_merge(
@@ -299,7 +320,7 @@ impl<'a, K: Key, V: Value> MpidReceiver<'a, K, V> {
                 Some(spilled_runs),
                 window_high_water as u64,
                 table.spilled_bytes(),
-                0,
+                merge_ranges,
             );
         }
         let merge = table.into_merge_with_tail(tail).map_err(spill_err)?;
@@ -392,282 +413,210 @@ impl<'a, K: Key, V: Value> MpidReceiver<'a, K, V> {
     }
 }
 
-/// K-way merge state over key-sorted frame runs. [`WindowMerge::advance`]
-/// steps to the next (smallest) key and records which runs contribute
-/// groups for it; the caller then reads the contributions — decoded values
-/// for the in-memory table, raw byte ranges for a disk spill. Compares
-/// encoded key bytes when the key type provides a comparator, decoded keys
-/// otherwise.
-struct WindowMerge<K> {
-    runs: Vec<FrameRun<K>>,
-    cmp: Option<Cmp>,
-    /// `(run, first_group, n_groups)` contributions for the current key,
-    /// in run (= frame arrival) order.
-    contribs: Vec<(u32, u32, u32)>,
-    /// Total values across the current key's contributions.
-    total_values: u64,
+/// Index one frame body (count header + groups, from rank `src`) and sort
+/// it by key, decoding no value — and no key either when the key type has
+/// an encoded comparator.
+fn sort_frame<K: Key, V: Value>(body: Bytes, src: Rank) -> MpidResult<FrameRun<K>> {
+    let codec_err = |err| MpidError::Codec {
+        source_rank: src,
+        err,
+    };
+    let raw = parse_group_index_raw::<K, V>(&body).map_err(codec_err)?;
+    // Both sorts are stable: a frame carrying the same key twice keeps
+    // its in-frame order, so the merge's send-order guarantee holds.
+    let (raw, prefixes, keys) = match K::encoded_cmp() {
+        Some(cmp) => {
+            // Sort a compact (prefix, group) index, then put the byte
+            // ranges in that order too, so the merge reads each run's
+            // ranges front to back.
+            let key_bytes = |e: &KeyRef| raw[e.group as usize].key_bytes(&body);
+            let mut index: Vec<KeyRef> = (raw.iter().zip(0u32..))
+                .map(|(g, group)| KeyRef {
+                    prefix: K::encoded_prefix(g.key_bytes(&body)),
+                    run: 0,
+                    group,
+                })
+                .collect();
+            // A key recurs inside one frame only when the frame spans two
+            // spills, so ties here are rare and go straight to the bytes:
+            // asking `prefix_is_exact` in this comparator too made the
+            // tie-free sort of `distinct_keys` ~1.6x slower (measured).
+            index.sort_by(|a, b| {
+                (a.prefix.cmp(&b.prefix)).then_with(|| cmp(key_bytes(a), key_bytes(b)))
+            });
+            let sorted = index.iter().map(|e| raw[e.group as usize]).collect();
+            let prefixes = index.iter().map(|e| e.prefix).collect();
+            (sorted, prefixes, Vec::new())
+        }
+        None => {
+            let mut pairs: Vec<(K, RawGroup)> = Vec::with_capacity(raw.len());
+            for g in raw {
+                let mut kb = g.key_bytes(&body);
+                pairs.push((K::decode(&mut kb).map_err(codec_err)?, g));
+            }
+            pairs.sort_by(|a, b| a.0.cmp(&b.0));
+            let (keys, sorted): (Vec<K>, Vec<RawGroup>) = pairs.into_iter().unzip();
+            (sorted, vec![0; keys.len()], keys)
+        }
+    };
+    Ok(FrameRun {
+        frame: Frame { body, raw, src },
+        prefixes,
+        keys,
+    })
 }
 
-impl<K: Key> WindowMerge<K> {
-    fn new(runs: Vec<FrameRun<K>>) -> Self {
-        WindowMerge {
-            runs,
-            cmp: K::encoded_cmp(),
-            contribs: Vec::new(),
-            total_values: 0,
-        }
-    }
-
-    fn advance(&mut self) -> MpidResult<Option<K>> {
-        match self.cmp {
-            Some(cmp) => self.advance_raw(cmp),
-            None => Ok(self.advance_decoded()),
-        }
-    }
-
-    /// Raw-key step: min-scan on encoded bytes, decode the winning key once.
-    fn advance_raw(&mut self, cmp: Cmp) -> MpidResult<Option<K>> {
-        let mut min: Option<usize> = None;
-        for i in 0..self.runs.len() {
-            let r = &self.runs[i];
-            if r.pos >= r.raw.len() {
-                continue;
-            }
-            match min {
-                Some(m)
-                    if cmp(self.runs[m].head_key_bytes(), r.head_key_bytes())
-                        != Ordering::Greater => {}
-                _ => min = Some(i),
-            }
-        }
-        let Some(m) = min else { return Ok(None) };
-        // `Bytes` clone is a refcount bump; holding the winning frame's
-        // body locally lets the key bytes outlive the `iter_mut` below.
-        let min_body = self.runs[m].body.clone();
-        let min_group = self.runs[m].raw[self.runs[m].pos];
-        let kb = min_group.key_bytes(&min_body);
-        let mut kslice = kb;
-        let key = K::decode(&mut kslice).map_err(|err| MpidError::Codec {
-            source_rank: self.runs[m].src,
-            err,
-        })?;
-        self.contribs.clear();
-        self.total_values = 0;
-        for (i, r) in self.runs.iter_mut().enumerate() {
-            let start = r.pos;
-            while r.pos < r.raw.len() && cmp(r.raw[r.pos].key_bytes(&r.body), kb) == Ordering::Equal
-            {
-                self.total_values += r.raw[r.pos].n_values as u64;
-                r.pos += 1;
-            }
-            if r.pos > start {
-                self.contribs
-                    .push((i as u32, start as u32, (r.pos - start) as u32));
-            }
-        }
-        Ok(Some(key))
-    }
-
-    /// Decoded-key step for key types without an encoded comparator.
-    fn advance_decoded(&mut self) -> Option<K> {
-        let mut min: Option<usize> = None;
-        for i in 0..self.runs.len() {
-            let r = &self.runs[i];
-            if r.pos >= r.raw.len() {
-                continue;
-            }
-            match min {
-                Some(m) if self.runs[m].keys[self.runs[m].pos] <= r.keys[r.pos] => {}
-                _ => min = Some(i),
-            }
-        }
-        let m = min?;
-        let key = self.runs[m].keys[self.runs[m].pos].clone();
-        self.contribs.clear();
-        self.total_values = 0;
-        for (i, r) in self.runs.iter_mut().enumerate() {
-            let start = r.pos;
-            while r.pos < r.raw.len() && r.keys[r.pos] == key {
-                self.total_values += r.raw[r.pos].n_values as u64;
-                r.pos += 1;
-            }
-            if r.pos > start {
-                self.contribs
-                    .push((i as u32, start as u32, (r.pos - start) as u32));
-            }
-        }
-        Some(key)
-    }
+/// Every group of a set of frame runs under one key-ordered index — the
+/// one merge behind the in-memory table, the bounded path's window spills
+/// and its tail. Equal keys sit next to each other in (run, in-frame)
+/// order, so walking [`Merged::spans`] yields each distinct key once with
+/// its contributions already in delivery order.
+struct Merged {
+    frames: Vec<Frame>,
+    index: Vec<KeyRef>,
 }
 
-/// Merge key-sorted frame runs into `(key, values)` groups, ascending keys,
-/// values in frame-arrival order, decoding each value exactly once into an
-/// exact-capacity list.
-fn merge_runs<K: Key, V: Value>(runs: Vec<FrameRun<K>>) -> MpidResult<Vec<(K, Vec<V>)>> {
-    let mut wm = WindowMerge::new(runs);
-    let mut out: Vec<(K, Vec<V>)> = Vec::new();
-    while let Some(key) = wm.advance()? {
-        let mut values: Vec<V> = Vec::with_capacity(wm.total_values as usize);
-        for &(ri, g0, ng) in &wm.contribs {
-            let run = &wm.runs[ri as usize];
-            for gi in g0..g0 + ng {
-                let g = &run.raw[gi as usize];
-                let mut slice = g.val_bytes(&run.body);
+impl Merged {
+    /// Merge `runs`, given in the order their values must come out for an
+    /// equal key. The run indexes are concatenated in that order and
+    /// stably sorted: std's merge sort is run-adaptive, so k presorted runs
+    /// cost about log k comparisons per entry, and stability *is* the
+    /// value-order guarantee.
+    fn new<K: Key>(runs: Vec<FrameRun<K>>) -> Self {
+        let mut index = Vec::with_capacity(runs.iter().map(|r| r.prefixes.len()).sum());
+        for (run, r) in (0u32..).zip(&runs) {
+            index.extend(
+                (r.prefixes.iter().zip(0u32..)).map(|(&prefix, group)| KeyRef {
+                    prefix,
+                    run,
+                    group,
+                }),
+            );
+        }
+        index.sort_by(|a, b| key_order(&runs, a, b));
+        if K::encoded_cmp().is_none() {
+            // No comparator on bytes: number the distinct keys while the
+            // decoded ones are still here, so that from now on an equal
+            // prefix alone means an equal key and the keys can go.
+            let key = |e: &KeyRef| &runs[e.run as usize].keys[e.group as usize];
+            let mut ordinal = 0u64;
+            for i in 1..index.len() {
+                ordinal += u64::from(key(&index[i - 1]) != key(&index[i]));
+                index[i].prefix = ordinal;
+            }
+        }
+        Merged {
+            frames: runs.into_iter().map(|r| r.frame).collect(),
+            index,
+        }
+    }
+
+    fn same_key<K: Key>(&self, a: &KeyRef, b: &KeyRef) -> bool {
+        let key_bytes = |e: &KeyRef| self.frames[e.run as usize].key_bytes(e);
+        match K::encoded_cmp() {
+            Some(cmp) => {
+                prefix_order::<K>(a.prefix, b.prefix, || cmp(key_bytes(a), key_bytes(b))).is_eq()
+            }
+            None => a.prefix == b.prefix,
+        }
+    }
+
+    /// The equal-key spans of `index[range]`, in key order. `range` must
+    /// start and end on span boundaries.
+    fn spans<K: Key>(&self, range: Range<usize>) -> impl Iterator<Item = &[KeyRef]> + '_ {
+        let mut rest = &self.index[range];
+        std::iter::from_fn(move || {
+            let first = rest.first()?;
+            let n = 1 + rest[1..]
+                .iter()
+                .take_while(|e| self.same_key::<K>(first, e))
+                .count();
+            let (span, tail) = rest.split_at(n);
+            rest = tail;
+            Some(span)
+        })
+    }
+
+    /// Decode a span's key (once) and count its values, for an
+    /// exact-capacity value list or a disk run's group header.
+    fn span_head<K: Key>(&self, span: &[KeyRef]) -> MpidResult<(K, usize)> {
+        let frame = &self.frames[span[0].run as usize];
+        let mut kb = frame.key_bytes(&span[0]);
+        let key = K::decode(&mut kb).map_err(|e| frame.codec_err(e))?;
+        let n_values = span.iter().map(|e| self.group(e).1.n_values as usize).sum();
+        Ok((key, n_values))
+    }
+
+    fn group(&self, e: &KeyRef) -> (&Frame, &RawGroup) {
+        let frame = &self.frames[e.run as usize];
+        (frame, &frame.raw[e.group as usize])
+    }
+
+    /// Decode `index[range]` into `(key, values)` groups: ascending keys,
+    /// each value decoded exactly once into an exact-capacity list.
+    fn decode_range<K: Key, V: Value>(&self, range: Range<usize>) -> MpidResult<Grouped<K, V>> {
+        let mut out: Grouped<K, V> = Vec::new();
+        for span in self.spans::<K>(range) {
+            let (key, n_values) = self.span_head::<K>(span)?;
+            let mut values: Vec<V> = Vec::with_capacity(n_values);
+            for e in span {
+                let (frame, g) = self.group(e);
+                let mut slice = g.val_bytes(&frame.body);
                 for _ in 0..g.n_values {
-                    values.push(V::decode(&mut slice).map_err(|err| MpidError::Codec {
-                        source_rank: run.src,
-                        err,
-                    })?);
-                }
-            }
-        }
-        out.push((key, values));
-    }
-    Ok(out)
-}
-
-/// Borrowed view of one run's group index restricted to a key range. Only
-/// byte slices and offsets cross thread boundaries — a view is `Sync`
-/// without requiring `K: Sync`.
-struct RunView<'a> {
-    body: &'a [u8],
-    raw: &'a [RawGroup],
-    src: Rank,
-}
-
-/// Cursor-array merge over one key range of every run — the per-thread
-/// unit of the parallel receiver merge. Identical output contract to
-/// [`WindowMerge`], restricted to the range its views were cut to.
-struct RangeMerge<'a> {
-    views: Vec<RunView<'a>>,
-    pos: Vec<usize>,
-}
-
-impl<'a> RangeMerge<'a> {
-    fn new(views: Vec<RunView<'a>>) -> Self {
-        let pos = vec![0; views.len()];
-        RangeMerge { views, pos }
-    }
-
-    /// Merge the whole range: ascending keys, values in run order.
-    fn run<K: Key, V: Value>(mut self, cmp: Cmp) -> MpidResult<Vec<(K, Vec<V>)>> {
-        let mut out: Vec<(K, Vec<V>)> = Vec::new();
-        loop {
-            let mut min: Option<usize> = None;
-            for (i, v) in self.views.iter().enumerate() {
-                if self.pos[i] >= v.raw.len() {
-                    continue;
-                }
-                match min {
-                    Some(m)
-                        if cmp(
-                            self.views[m].raw[self.pos[m]].key_bytes(self.views[m].body),
-                            v.raw[self.pos[i]].key_bytes(v.body),
-                        ) != Ordering::Greater => {}
-                    _ => min = Some(i),
-                }
-            }
-            let Some(m) = min else { break };
-            let kb = self.views[m].raw[self.pos[m]].key_bytes(self.views[m].body);
-            let mut kslice = kb;
-            let key = K::decode(&mut kslice).map_err(|err| MpidError::Codec {
-                source_rank: self.views[m].src,
-                err,
-            })?;
-            // Count first for an exact-capacity value list, then decode.
-            let mut total = 0u64;
-            for (i, v) in self.views.iter().enumerate() {
-                let mut p = self.pos[i];
-                while p < v.raw.len() && cmp(v.raw[p].key_bytes(v.body), kb) == Ordering::Equal {
-                    total += v.raw[p].n_values as u64;
-                    p += 1;
-                }
-            }
-            let mut values: Vec<V> = Vec::with_capacity(total as usize);
-            for (i, v) in self.views.iter().enumerate() {
-                while self.pos[i] < v.raw.len()
-                    && cmp(v.raw[self.pos[i]].key_bytes(v.body), kb) == Ordering::Equal
-                {
-                    let g = &v.raw[self.pos[i]];
-                    let mut slice = g.val_bytes(v.body);
-                    for _ in 0..g.n_values {
-                        values.push(V::decode(&mut slice).map_err(|err| MpidError::Codec {
-                            source_rank: v.src,
-                            err,
-                        })?);
-                    }
-                    self.pos[i] += 1;
+                    values.push(V::decode(&mut slice).map_err(|e| frame.codec_err(e))?);
                 }
             }
             out.push((key, values));
         }
         Ok(out)
     }
+
+    /// Decode the whole index. With `threads > 1` it is cut into that many
+    /// near-equal chunks, each cut moved forward to the next span boundary,
+    /// and the chunks decode on scoped threads; chunks partition the index
+    /// in key order, so their concatenation is the sequential result.
+    /// Returns the groups and the number of chunks decoded in parallel.
+    fn decode<K: Key, V: Value>(&self, threads: usize) -> MpidResult<(Grouped<K, V>, usize)> {
+        let n = self.index.len();
+        if threads <= 1 || n == 0 {
+            return Ok((self.decode_range(0..n)?, 0));
+        }
+        let mut cuts = vec![0; threads + 1];
+        for t in 1..threads {
+            let mut cut = (t * n / threads).max(cuts[t - 1]);
+            while 0 < cut && cut < n && self.same_key::<K>(&self.index[cut - 1], &self.index[cut]) {
+                cut += 1;
+            }
+            cuts[t] = cut;
+        }
+        cuts[threads] = n;
+        let mut parts: Vec<MpidResult<Grouped<K, V>>> = Vec::new();
+        parts.resize_with(threads, || Ok(Vec::new()));
+        // The scope joins every worker and re-raises a worker's panic.
+        std::thread::scope(|s| {
+            for (part, w) in parts.iter_mut().zip(cuts.windows(2)) {
+                s.spawn(move || *part = self.decode_range(w[0]..w[1]));
+            }
+        });
+        let mut out: Grouped<K, V> = Vec::new();
+        for part in parts {
+            out.extend(part?);
+        }
+        Ok((out, threads))
+    }
 }
 
-/// Parallel k-way merge: cut every run's sorted group index into `threads`
-/// disjoint key ranges (boundaries from the largest run's quantiles, cut
-/// points by `partition_point`), merge each range on its own scoped thread,
-/// and concatenate in boundary order. Returns the merged groups and the
-/// number of ranges merged in parallel.
-fn merge_runs_parallel<K: Key, V: Value>(
-    runs: &[FrameRun<K>],
-    cmp: Cmp,
+/// The unbounded path's merge: in (mapper rank, send order), not
+/// frame-arrival order. Wildcard reception interleaves mappers however the
+/// scheduler ran them, and an equal key's values come out run by run, so
+/// arrival order would leak scheduling into each key's value order; a
+/// stable sort of the runs by source rank pins it.
+fn merge_by_rank<K: Key, V: Value>(
+    mut runs: Vec<FrameRun<K>>,
     threads: usize,
 ) -> MpidResult<(Grouped<K, V>, usize)> {
-    let largest = runs
-        .iter()
-        .max_by_key(|r| r.raw.len())
-        .expect("merge_runs_parallel on zero runs");
-    if largest.raw.is_empty() {
-        return Ok((Vec::new(), 0));
-    }
-    // Boundary keys at the largest run's quantiles. Range `t` covers keys
-    // in `[bounds[t-1], bounds[t])` (first range open below, last above);
-    // duplicate boundaries just yield empty middle ranges.
-    let bounds: Vec<&[u8]> = (1..threads)
-        .map(|t| largest.raw[t * largest.raw.len() / threads].key_bytes(&largest.body))
-        .collect();
-    let mut range_views: Vec<Vec<RunView<'_>>> = (0..threads).map(|_| Vec::new()).collect();
-    for run in runs {
-        let mut cuts = Vec::with_capacity(threads + 1);
-        cuts.push(0);
-        for b in &bounds {
-            cuts.push(
-                run.raw
-                    .partition_point(|g| cmp(g.key_bytes(&run.body), b) == Ordering::Less),
-            );
-        }
-        cuts.push(run.raw.len());
-        for (t, views) in range_views.iter_mut().enumerate() {
-            views.push(RunView {
-                body: &run.body,
-                raw: &run.raw[cuts[t]..cuts[t + 1]],
-                src: run.src,
-            });
-        }
-    }
-    let merged: Vec<MpidResult<Grouped<K, V>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = range_views
-            .into_iter()
-            .enumerate()
-            .map(|(t, views)| {
-                std::thread::Builder::new()
-                    .name(format!("mpid-merge-{t}"))
-                    .spawn_scoped(s, move || RangeMerge::new(views).run::<K, V>(cmp))
-                    .expect("spawn receiver merge worker")
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("receiver merge worker panicked"))
-            .collect()
-    });
-    let mut out: Vec<(K, Vec<V>)> = Vec::new();
-    for r in merged {
-        out.extend(r?);
-    }
-    Ok((out, threads))
+    runs.sort_by_key(|r| r.frame.src);
+    Merged::new(runs).decode(threads)
 }
 
 /// Merge one window of frame runs into a single pre-sorted disk run. Value
@@ -679,22 +628,18 @@ fn spill_window<K: Key, V: Value>(
     if runs.is_empty() {
         return Ok(());
     }
-    let mut wm = WindowMerge::new(runs);
+    let merged = Merged::new(runs);
     let mut rw = table.begin_sorted_run()?;
-    loop {
-        let key = match wm.advance() {
-            Ok(Some(k)) => k,
-            Ok(None) => break,
-            // A key that fails to decode mid-spill is a frame codec error;
-            // surface it through the extmerge error channel the caller maps.
-            Err(e) => return Err(crate::extmerge::ExtMergeError::Codec(codec_of(e))),
-        };
-        rw.begin_group(&key, wm.total_values as u32);
-        for &(ri, g0, ng) in &wm.contribs {
-            let run = &wm.runs[ri as usize];
-            for gi in g0..g0 + ng {
-                rw.push_raw(run.raw[gi as usize].val_bytes(&run.body));
-            }
+    for span in merged.spans::<K>(0..merged.index.len()) {
+        // A key that fails to decode mid-spill is a frame codec error;
+        // surface it through the extmerge error channel the caller maps.
+        let (key, n_values) = merged
+            .span_head::<K>(span)
+            .map_err(|e| crate::extmerge::ExtMergeError::Codec(codec_of(e)))?;
+        rw.begin_group(&key, n_values as u32);
+        for e in span {
+            let (frame, g) = merged.group(e);
+            rw.push_raw(g.val_bytes(&frame.body));
         }
         rw.end_group()?;
     }
@@ -897,5 +842,235 @@ impl<K: Key, V: Value> MpidStream<'_, K, V> {
     /// Statistics gathered so far.
     pub fn stats(&self) -> &ReceiverStats {
         &self.stats
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::kv::Kv;
+    use crate::realign::FrameBuilder;
+    use mpi_rt::Universe;
+
+    /// One frame body holding `groups` in the order given.
+    fn frame<K: Key, V: Value>(groups: &[(K, Vec<V>)]) -> Bytes {
+        let mut b = FrameBuilder::new(1 << 20);
+        for (k, vs) in groups {
+            b.push_group(k, vs);
+        }
+        // Zero groups: the builder emits nothing, the wire form is the bare count.
+        (b.finish().pop()).unwrap_or_else(|| Bytes::from_static(&[0, 0, 0, 0]))
+    }
+
+    /// `(source rank, frame)` list, in arrival order, through the unbounded
+    /// path's merge.
+    fn merged<K: Key, V: Value>(arrivals: &[(Rank, Bytes)], threads: usize) -> Grouped<K, V> {
+        let runs = arrivals
+            .iter()
+            .map(|(src, body)| sort_frame::<K, V>(body.clone(), *src).unwrap())
+            .collect();
+        merge_by_rank::<K, V>(runs, threads).unwrap().0
+    }
+
+    fn s(x: &str) -> String {
+        x.to_string()
+    }
+
+    #[test]
+    fn same_key_twice_in_one_frame_keeps_frame_order() {
+        let f = frame(&[
+            (s("b"), vec![1u64]),
+            (s("a"), vec![2]),
+            (s("b"), vec![3, 4]),
+        ]);
+        let got: Grouped<String, u64> = merged(&[(1, f)], 1);
+        assert_eq!(got, vec![(s("a"), vec![2]), (s("b"), vec![1, 3, 4])]);
+    }
+
+    #[test]
+    fn values_come_out_in_rank_then_send_order_whatever_the_arrival_order() {
+        // Rank 1 sends two frames, rank 2 sends two; "k" is in all four.
+        let r1a = frame(&[(s("k"), vec![10u64]), (s("only1"), vec![11])]);
+        let r1b = frame(&[(s("k"), vec![12u64])]);
+        let r2a = frame(&[(s("a"), vec![20u64]), (s("k"), vec![21, 22])]);
+        let r2b = frame(&[(s("k"), vec![23u64])]);
+        let want = vec![
+            (s("a"), vec![20u64]),
+            (s("k"), vec![10, 12, 21, 22, 23]),
+            (s("only1"), vec![11]),
+        ];
+        // Per-rank send order is what MPI preserves; ranks interleave freely.
+        let arrivals = [
+            vec![
+                (1, r1a.clone()),
+                (1, r1b.clone()),
+                (2, r2a.clone()),
+                (2, r2b.clone()),
+            ],
+            vec![
+                (2, r2a.clone()),
+                (1, r1a.clone()),
+                (2, r2b.clone()),
+                (1, r1b.clone()),
+            ],
+            vec![(2, r2a), (2, r2b), (1, r1a), (1, r1b)],
+        ];
+        for arrival in &arrivals {
+            for threads in [1, 2, 4, 8] {
+                assert_eq!(
+                    merged::<String, u64>(arrival, threads),
+                    want,
+                    "threads {threads}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn empty_frames_and_no_frames_merge_to_nothing() {
+        let empty = frame::<String, u64>(&[]);
+        assert!(merged::<String, u64>(&[], 1).is_empty());
+        assert!(merged::<String, u64>(&[], 4).is_empty());
+        assert!(merged::<String, u64>(&[(1, empty.clone())], 2).is_empty());
+        let f = frame(&[(s("x"), vec![1u64])]);
+        let got: Grouped<String, u64> = merged(&[(1, empty.clone()), (1, f), (2, empty)], 2);
+        assert_eq!(got, vec![(s("x"), vec![1])]);
+    }
+
+    #[test]
+    fn one_run_and_two_hundred_runs() {
+        let single = frame(&[(s("q"), vec![1u64]), (s("p"), vec![2])]);
+        let got: Grouped<String, u64> = merged(&[(1, single)], 1);
+        assert_eq!(got, vec![(s("p"), vec![2]), (s("q"), vec![1])]);
+
+        // Run i carries "shared" and its own key; ranks alternate 1, 2.
+        let arrivals: Vec<(Rank, Bytes)> = (0..200u64)
+            .map(|i| {
+                let own = format!("own{i:03}");
+                (
+                    1 + (i % 2) as Rank,
+                    frame(&[(own, vec![i]), (s("shared"), vec![i])]),
+                )
+            })
+            .collect();
+        let mut want: Grouped<String, u64> = (0..200u64)
+            .map(|i| (format!("own{i:03}"), vec![i]))
+            .collect();
+        let by_rank = (0..200u64).step_by(2).chain((1..200u64).step_by(2));
+        want.push((s("shared"), by_rank.collect()));
+        for threads in [1, 2, 4, 8] {
+            assert_eq!(
+                merged::<String, u64>(&arrivals, threads),
+                want,
+                "threads {threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn keys_that_tie_on_their_prefix_are_still_told_apart() {
+        // Same first eight bytes; and short keys that differ by a trailing NUL.
+        let keys = [
+            "aaaaaaaa2",
+            "a\0",
+            "aaaaaaaa1",
+            "a",
+            "aaaaaaaa",
+            "a\0\0",
+            "",
+        ];
+        let f1 = frame(&keys.map(|k| (s(k), vec![1u64])));
+        let f2 = frame(&keys.map(|k| (s(k), vec![2u64])));
+        let mut sorted = keys;
+        sorted.sort_unstable();
+        let want: Grouped<String, u64> = sorted.iter().map(|k| (s(k), vec![1, 2])).collect();
+        for threads in [1, 2, 4] {
+            assert_eq!(
+                merged::<String, u64>(&[(1, f1.clone()), (2, f2.clone())], threads),
+                want
+            );
+        }
+    }
+
+    #[test]
+    fn integer_and_comparator_less_keys_merge_like_their_ord() {
+        let ints = [3i64, -7, i64::MIN, 0, i64::MAX, -7];
+        let f = frame(&ints.map(|k| (k, vec![k as u64])));
+        let got: Grouped<i64, u64> = merged(&[(1, f.clone()), (2, f)], 2);
+        let keys: Vec<i64> = got.iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys, vec![i64::MIN, -7, 0, 3, i64::MAX]);
+        assert_eq!(got[1].1, vec![-7i64 as u64; 4]);
+
+        // Tuples have no encoded comparator: the decoded-key fallback.
+        assert!(<(String, u64)>::encoded_cmp().is_none());
+        let t = |a: &str, b: u64| (s(a), b);
+        let f1 = frame(&[
+            (t("b", 1), vec![1u64]),
+            (t("a", 2), vec![2]),
+            (t("a", 1), vec![3]),
+        ]);
+        let f2 = frame(&[
+            (t("a", 2), vec![4u64]),
+            (t("b", 1), vec![5]),
+            (t("b", 1), vec![6]),
+        ]);
+        let want = vec![
+            (t("a", 1), vec![3u64]),
+            (t("a", 2), vec![2, 4]),
+            (t("b", 1), vec![1, 5, 6]),
+        ];
+        for threads in [1, 2, 4] {
+            let got: Grouped<(String, u64), u64> =
+                merged(&[(2, f2.clone()), (1, f1.clone())], threads);
+            assert_eq!(got, want, "threads {threads}");
+        }
+    }
+
+    #[test]
+    fn a_bad_key_or_value_names_its_source_rank() {
+        // Framing is valid, content is not: the key is not UTF-8.
+        let bad_key = frame(&[(vec![0xffu8, 0xfe], vec![1u64])]);
+        let good = frame(&[(s("ok"), vec![1u64])]);
+        let runs = vec![
+            sort_frame::<String, u64>(good, 1).unwrap(),
+            sort_frame::<String, u64>(bad_key, 2).unwrap(),
+        ];
+        let err = merge_by_rank::<String, u64>(runs, 2).unwrap_err();
+        assert!(matches!(
+            err,
+            MpidError::Codec {
+                source_rank: 2,
+                err: CodecError::Corrupt(_)
+            }
+        ));
+    }
+
+    #[test]
+    fn hostile_group_count_is_a_codec_error_naming_the_mapper() {
+        // One real group under a count header claiming u32::MAX of them.
+        let mut wire = vec![MARKER_PLAIN];
+        wire.extend_from_slice(&frame(&[(s("k"), vec![7u64])]));
+        wire[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
+        let wire = Bytes::from(wire);
+        let results = Universe::run(2, move |comm| {
+            if comm.rank() == 1 {
+                comm.send_bytes(0, tags::DATA, wire.clone()).unwrap();
+                comm.send_bytes(0, tags::DATA, Bytes::new()).unwrap();
+                return None;
+            }
+            let cfg = MpidConfig {
+                n_mappers: 1,
+                n_reducers: 1,
+                ..Default::default()
+            };
+            Some(MpidReceiver::<String, u64>::new(comm, cfg).recv())
+        });
+        assert_eq!(
+            results[0],
+            Some(Err(MpidError::Codec {
+                source_rank: 1,
+                err: CodecError::Truncated,
+            }))
+        );
     }
 }

@@ -155,4 +155,34 @@ proptest! {
         let want = reference_groups(&pairs, reducers, spill, combine);
         prop_assert_eq!(got, want);
     }
+
+    /// Many runs, compressed: a frame per group (`frame_bytes` below any
+    /// group's size) and a spill every few records, so the one reducer
+    /// merges 64+ LZ frames in which the same few keys keep recurring.
+    #[test]
+    fn many_compressed_runs_match_per_record_reference(
+        pairs in proptest::collection::vec(
+            ("[a-c]{0,6}", proptest::collection::vec(any::<u8>(), 0..24)),
+            120..200,
+        ),
+        combine: bool,
+    ) {
+        let spill = 96;
+        let cfg = MpidConfig {
+            n_mappers: 1,
+            n_reducers: 1,
+            spill_threshold_bytes: spill,
+            frame_bytes: 8,
+            compress: true,
+            ..Default::default()
+        };
+        // With a combiner every (key, spill epoch) is one value — and one frame.
+        let runs: usize = reference_groups(&pairs, 1, spill, true)[0]
+            .iter()
+            .map(|(_, vs)| vs.len())
+            .sum();
+        prop_assert!(runs >= 64, "only {} runs", runs);
+        let got = run_pipeline(cfg, pairs.clone(), combine);
+        prop_assert_eq!(got, reference_groups(&pairs, 1, spill, combine));
+    }
 }

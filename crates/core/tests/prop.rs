@@ -4,7 +4,9 @@
 //! * job output is independent of combiner use, spill threshold, frame
 //!   size, transport mode, and topology (for an associative+commutative
 //!   combine function);
-//! * the partitioner gives every key exactly one owner.
+//! * the partitioner gives every key exactly one owner;
+//! * sorting encoded keys by `(encoded_prefix, encoded_cmp)` is sorting the
+//!   keys by `Ord`, and an exact prefix belongs to one value only.
 
 use bytes::BytesMut;
 use mpi_rt::Universe;
@@ -78,6 +80,88 @@ proptest! {
             prop_assert!(a < n);
             prop_assert_eq!(a, p.partition(k, n));
         }
+    }
+}
+
+/// The receiver's sort order — prefix first, encoded comparator on a tie —
+/// must be the key type's `Ord`, and a prefix that claims to be the whole
+/// key must not be shared by two different values.
+fn prefix_sort_matches_ord<T: Kv + Ord + Clone + std::fmt::Debug>(mut vals: Vec<T>) {
+    let cmp = T::encoded_cmp().expect("ordered key types compare encoded");
+    let mut encoded: Vec<(u64, BytesMut)> = vals
+        .iter()
+        .map(|v| {
+            let mut e = BytesMut::new();
+            v.encode(&mut e);
+            (T::encoded_prefix(&e), e)
+        })
+        .collect();
+    encoded.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| cmp(&a.1, &b.1)));
+    vals.sort();
+    let back: Vec<T> = encoded
+        .iter()
+        .map(|(_, e)| T::decode(&mut &e[..]).unwrap())
+        .collect();
+    assert_eq!(back, vals);
+    for w in encoded.windows(2) {
+        if w[0].0 == w[1].0 && T::prefix_is_exact(w[0].0) {
+            assert_eq!(w[0].1, w[1].1, "exact prefix {:#x} shared", w[0].0);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Small alphabets (NUL included) and lengths either side of the
+    /// prefix width, so shared prefixes and trailing-NUL twins are common.
+    #[test]
+    fn prefix_sort_matches_ord_strings_and_blobs(
+        words in proptest::collection::vec("[ab\0]{0,10}", 0..60),
+        blobs in proptest::collection::vec(proptest::collection::vec(0u8..3, 0..11), 0..60),
+        wide in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..12), 0..40),
+    ) {
+        prefix_sort_matches_ord(words);
+        prefix_sort_matches_ord(blobs);
+        prefix_sort_matches_ord(wide);
+    }
+
+    #[test]
+    fn prefix_sort_matches_ord_integers(
+        a in proptest::collection::vec(any::<u8>(), 0..40),
+        b in proptest::collection::vec(any::<u16>(), 0..40),
+        c in proptest::collection::vec(any::<u32>(), 0..40),
+        d in proptest::collection::vec(any::<u64>(), 0..40),
+        e in proptest::collection::vec(any::<i8>(), 0..40),
+        f in proptest::collection::vec(any::<i16>(), 0..40),
+    ) {
+        prefix_sort_matches_ord(a);
+        prefix_sort_matches_ord(b);
+        prefix_sort_matches_ord(c);
+        prefix_sort_matches_ord(d);
+        prefix_sort_matches_ord(e);
+        prefix_sort_matches_ord(f);
+    }
+
+    #[test]
+    fn prefix_sort_matches_ord_wide_signed(
+        g in proptest::collection::vec(any::<i32>(), 0..40),
+        h in proptest::collection::vec(any::<i64>(), 0..40),
+        near in proptest::collection::vec(-3i64..3, 0..40),
+    ) {
+        prefix_sort_matches_ord(g);
+        prefix_sort_matches_ord(h);
+        prefix_sort_matches_ord(near);
+    }
+
+    /// Types that keep the trait defaults abbreviate nothing.
+    #[test]
+    fn default_prefix_is_zero_and_never_exact(s in "[a-z]{0,12}", x in any::<u64>()) {
+        let mut e = BytesMut::new();
+        (s, x).encode(&mut e);
+        prop_assert_eq!(<(String, u64)>::encoded_prefix(&e), 0);
+        prop_assert_eq!(<()>::encoded_prefix(&[]), 0);
+        prop_assert!(!<(String, u64)>::prefix_is_exact(0) && !<()>::prefix_is_exact(0));
     }
 }
 

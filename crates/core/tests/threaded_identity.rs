@@ -38,6 +38,14 @@ fn base_cfg(mappers: usize, reducers: usize) -> MpidConfig {
 /// and no reduction — the assertion is about the exact groups the receiver
 /// emits, not an aggregate that could mask reordering.
 fn run_job(cfg: MpidConfig, pairs: &[(String, u64)]) -> Vec<(String, Vec<u64>)> {
+    run_job_counting_frames(cfg, pairs).0
+}
+
+/// [`run_job`], plus the fewest frames (= merge runs) any reducer received.
+fn run_job_counting_frames(
+    cfg: MpidConfig,
+    pairs: &[(String, u64)],
+) -> (Vec<(String, Vec<u64>)>, u64) {
     let pairs = pairs.to_vec();
     let results = Universe::run(cfg.required_ranks(), move |comm| {
         let world = MpidWorld::init(comm, cfg.clone()).unwrap();
@@ -61,11 +69,15 @@ fn run_job(cfg: MpidConfig, pairs: &[(String, u64)]) -> Vec<(String, Vec<u64>)> 
             }
             Role::Reducer(_) => {
                 let mut recv = world.receiver::<String, u64>();
-                Some(recv.recv_all().unwrap())
+                let groups = recv.recv_all().unwrap();
+                Some((groups, recv.stats().frames))
             }
         }
     });
-    results.into_iter().flatten().flatten().collect()
+    let per_reducer: Vec<_> = results.into_iter().flatten().collect();
+    let min_frames = per_reducer.iter().map(|(_, f)| *f).min().unwrap_or(0);
+    let groups = per_reducer.into_iter().flat_map(|(g, _)| g).collect();
+    (groups, min_frames)
 }
 
 /// Value-order-insensitive view: keys and grouping stay exact, each value
@@ -134,6 +146,44 @@ proptest! {
         for budget in [1usize << 20, 8 << 10, 512] {
             let cfg = MpidConfig { mem_budget: Some(budget), ..base.clone() };
             prop_assert_eq!(run_job(cfg, &pairs), oracle.clone(), "budget = {}", budget);
+        }
+    }
+
+    /// Many runs per reducer: a frame per group (`frame_bytes` below any
+    /// group's size) and a spill every dozen pairs, so one reducer merges
+    /// 64+ runs in which most keys recur. Unbounded output is bit-identical
+    /// at every thread count; bounded output (arrival-ordered, so compared
+    /// with value order normalized) matches at budgets forcing zero, a few
+    /// and many window spills, at every thread count.
+    #[test]
+    fn many_runs_identical_across_threads_and_budgets(
+        pairs in proptest::collection::vec(("[a-e]{1,3}", 0u64..1000), 150..300),
+        mappers in 2usize..4,
+    ) {
+        let base = MpidConfig {
+            spill_threshold_bytes: 192,
+            frame_bytes: 8,
+            ..base_cfg(mappers, 1)
+        };
+        let (oracle, runs) = run_job_counting_frames(base.clone(), &pairs);
+        prop_assert!(runs >= 64, "only {} runs", runs);
+        prop_assert_eq!(output_sums(&oracle), reference_sums(&pairs));
+        for threads in [2usize, 4, 8] {
+            let cfg = MpidConfig { threads, ..base.clone() };
+            prop_assert_eq!(run_job(cfg, &pairs), oracle.clone(), "threads = {}", threads);
+        }
+        let oracle = normalized(&oracle);
+        for budget in [1usize << 20, 2 << 10, 64] {
+            for threads in [1usize, 2, 4, 8] {
+                let cfg = MpidConfig { threads, mem_budget: Some(budget), ..base.clone() };
+                prop_assert_eq!(
+                    normalized(&run_job(cfg, &pairs)),
+                    oracle.clone(),
+                    "budget = {} threads = {}",
+                    budget,
+                    threads
+                );
+            }
         }
     }
 
