@@ -382,12 +382,12 @@ fn main() {
     }
 
     // ------------------------------------------------------------------
-    // 6. Range-merge matrix: the distinct-key shape (the one whose
-    //    receiver merge sees every pair) at `threads` = 1 / 2 / 4 over the
-    //    *same* input. Each point is its own named bench so `cargo xtask
-    //    bench-diff` gates every cell against its own baseline. (Absolute
-    //    speedup across the cells is machine-dependent; a single-core
-    //    runner serializes the range workers.)
+    // 6. The distinct-key shape (the one whose receiver merge sees every
+    //    pair) at `threads` = 1 / 2 / 4 over the *same* input. Each point
+    //    is its own named bench so `cargo xtask bench-diff` gates every
+    //    cell against its own baseline. The receiver no longer reads
+    //    `threads`, so the cells run the same code until the field and
+    //    this matrix are retired together (ROADMAP item 7).
     // ------------------------------------------------------------------
     for (name, t) in [
         ("pipe_many_keys_t1", 1),
@@ -420,7 +420,7 @@ fn main() {
 }
 
 /// The real-pipeline engine config every shape uses: 4 mappers, 2
-/// reducers, `threads` parallel key ranges in each reducer's merge.
+/// reducers, `threads` passed through (nothing on the data path reads it).
 fn pipe_cfg(threads: usize) -> MpidEngineConfig {
     let mut cfg = MpidEngineConfig::with_workers(4, 2);
     cfg.threads = threads;

@@ -33,12 +33,12 @@ pub struct MpidConfig {
     /// LZ-compress realigned frames before sending (the paper's
     /// "compressing data" realignment improvement; see [`crate::compress`]).
     pub compress: bool,
-    /// Number of disjoint key ranges the receiver's in-memory merge decodes
-    /// in parallel, one scoped thread per range (see [`crate::receiver`]):
-    /// the unbounded path's table and the bounded path's final window.
-    /// `1` decodes on the reducer's own thread. Nothing else reads it: the
-    /// sender, the window spills and the wire format do not depend on it,
-    /// and grouped output is bit-identical at every setting.
+    /// Worker threads inside one rank. Read by nothing on the data path at
+    /// present: the sender never used it, and the receiver decodes each
+    /// group on the reducer's own thread in the `recv()` that returns it
+    /// (decoding key ranges ahead on scoped threads measured no faster, see
+    /// EXPERIMENTS.md "Receiver merge, streamed product"). Any value `>= 1`
+    /// is accepted and grouped output is the same at every setting.
     pub threads: usize,
     /// Byte budget for the job's shared [`BlockPool`]. `Some(n)` routes
     /// sender, receiver, and external-merge buffering through one pool of

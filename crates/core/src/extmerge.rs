@@ -196,45 +196,52 @@ impl<K: Key, V: Value> ExternalTable<K, V> {
     }
 
     /// Finish ingestion: returns an iterator of globally key-ordered merged
-    /// groups (k-way merge of all runs plus the resident tail).
+    /// groups (k-way merge of all runs plus the resident tail). This opens
+    /// the run files and reads none of them: a run that cannot be read or
+    /// decoded fails the [`MergeIter::next_group`] that needs its next
+    /// group, the first call included.
     pub fn into_merge(mut self) -> Result<MergeIter<K, V>, ExtMergeError> {
-        let resident: Vec<(K, Vec<V>)> = std::mem::take(&mut self.resident).into_iter().collect();
-        self.merge_impl(resident)
+        let resident = std::mem::take(&mut self.resident);
+        self.merge_impl(Box::new(resident.into_iter().map(Ok)))
     }
 
     /// Like [`ExternalTable::into_merge`], but with a caller-supplied tail
     /// of already-merged groups in ascending key order (the batched
-    /// receiver's final unspilled window). The resident table must be empty
-    /// — a producer uses either `insert` or sorted runs + tail, not both.
+    /// receiver's final unspilled window), pulled one group at a time as
+    /// the merge reaches them; a group the tail fails to produce fails that
+    /// [`MergeIter::next_group`], as for a run. The merge owns the tail, so
+    /// it is `Send + 'static` like the rest of a [`MergeIter`]. The resident
+    /// table must be empty — a producer uses either `insert` or sorted runs
+    /// + tail, not both.
     pub fn into_merge_with_tail(
         mut self,
-        tail: Vec<(K, Vec<V>)>,
+        tail: impl Iterator<Item = Result<(K, Vec<V>), ExtMergeError>> + Send + 'static,
     ) -> Result<MergeIter<K, V>, ExtMergeError> {
         assert!(
             self.resident.is_empty(),
             "into_merge_with_tail with resident entries; use into_merge"
         );
-        self.resident = BTreeMap::new();
-        self.merge_impl(tail)
+        self.merge_impl(Box::new(tail))
     }
 
-    fn merge_impl(&mut self, tail: Vec<(K, Vec<V>)>) -> Result<MergeIter<K, V>, ExtMergeError> {
+    fn merge_impl(&mut self, tail: Tail<K, V>) -> Result<MergeIter<K, V>, ExtMergeError> {
         let mut readers = Vec::with_capacity(self.runs.len());
         for path in &self.runs {
             readers.push(RunReader::open(path)?);
         }
-        let mut heads: Vec<Option<(K, Vec<V>)>> = Vec::new();
-        for r in readers.iter_mut() {
-            heads.push(r.next_group()?);
-        }
+        let n_sources = readers.len() + 1;
         Ok(MergeIter {
             readers,
-            heads,
-            resident: tail.into_iter().peekable(),
+            tail,
+            heads: std::iter::repeat_with(|| None).take(n_sources).collect(),
+            taken: (0..n_sources).collect(),
             _cleanup: DirCleanup(self.spill_dir.clone()),
         })
     }
 }
+
+/// A merge's last source: groups in ascending key order, each key once.
+type Tail<K, V> = Box<dyn Iterator<Item = Result<(K, Vec<V>), ExtMergeError>> + Send>;
 
 /// Writer for one pre-sorted run (see [`ExternalTable::begin_sorted_run`]).
 /// Groups use the same `u32 len , single-group frame` record format as
@@ -323,62 +330,66 @@ impl RunReader {
     }
 }
 
-/// Streaming k-way merge over spilled runs and the resident tail: yields
+/// Streaming k-way merge over spilled runs and the tail: yields
 /// `(key, merged values)` in ascending key order, each key exactly once.
 pub struct MergeIter<K: Key, V: Value> {
     readers: Vec<RunReader>,
+    tail: Tail<K, V>,
+    /// The next group of each source: the runs in spill order, the tail
+    /// last — the order an equal key's values are collected in.
     heads: Vec<Option<(K, Vec<V>)>>,
-    resident: std::iter::Peekable<std::vec::IntoIter<(K, Vec<V>)>>,
+    /// Sources whose head the last call took (at first: all of them).
+    taken: Vec<usize>,
     _cleanup: DirCleanup,
 }
 
 impl<K: Key, V: Value> MergeIter<K, V> {
-    /// Next merged group, or `None` at end.
+    /// Next merged group, or `None` at end. A source that fails to produce
+    /// a group fails the call that needs it as a head — every group
+    /// delivered before is whole — and the merge is fused: after an error
+    /// every later call returns `Ok(None)`.
     #[allow(clippy::type_complexity)]
     pub fn next_group(&mut self) -> Result<Option<(K, Vec<V>)>, ExtMergeError> {
-        // Locate the source holding the smallest key by index — comparisons
-        // are by reference, so finding the minimum clones no key.
-        let mut best: Option<usize> = None;
-        for i in 0..self.heads.len() {
-            if let Some((k, _)) = &self.heads[i] {
-                match best {
-                    Some(b) if *k < self.heads[b].as_ref().expect("best is some").0 => {
-                        best = Some(i)
-                    }
-                    None => best = Some(i),
-                    _ => {}
-                }
-            }
+        let next = self.merge_next();
+        if next.is_err() {
+            self.heads.clear();
+            self.taken.clear();
         }
-        // The resident tail wins only on a strictly smaller key, matching
-        // the run-first collection order below (run values, resident last).
-        let resident_first = match (best, self.resident.peek()) {
-            (Some(b), Some((rk, _))) => *rk < self.heads[b].as_ref().expect("best is some").0,
-            (None, Some(_)) => true,
-            _ => false,
-        };
+        next
+    }
+
+    #[allow(clippy::type_complexity)]
+    fn merge_next(&mut self) -> Result<Option<(K, Vec<V>)>, ExtMergeError> {
+        // Refill the heads the last call took: now rather than then, so
+        // that a failing source costs no group that came before its own.
+        while let Some(i) = self.taken.pop() {
+            self.heads[i] = match self.readers.get_mut(i) {
+                Some(run) => run.next_group()?,
+                None => self.tail.next().transpose()?,
+            };
+        }
+        // Locate the source holding the smallest key by index — comparisons
+        // are by reference, so finding the minimum clones no key — the
+        // earliest such source (`min_by` keeps the first of equals).
+        let heads = self.heads.iter().enumerate();
+        let best = heads
+            .filter_map(|(i, head)| Some((i, &head.as_ref()?.0)))
+            .min_by(|a, b| a.1.cmp(b.1))
+            .map(|(i, _)| i);
         // Take the winning group whole: its key moves out by value, so the
         // merge extracts each key exactly once with no clone at all.
-        let (key, mut values) = if resident_first {
-            self.resident.next().expect("peeked")
-        } else if let Some(b) = best {
-            let (k, vs) = self.heads[b].take().expect("best is some");
-            self.heads[b] = self.readers[b].next_group()?;
-            (k, vs)
-        } else {
+        let Some((b, (key, mut values))) = best.and_then(|b| Some((b, self.heads[b].take()?)))
+        else {
             return Ok(None);
         };
-        // Absorb equal keys from every remaining source, in run order.
-        for i in 0..self.heads.len() {
-            while self.heads[i].as_ref().is_some_and(|(k, _)| *k == key) {
-                let (_, vs) = self.heads[i].take().expect("checked some");
+        self.taken.push(b);
+        // Absorb the key from every later source that has it (a source
+        // holds a key once), in source order.
+        for i in b + 1..self.heads.len() {
+            if let Some((_, vs)) = self.heads[i].take_if(|(k, _)| *k == key) {
                 values.extend(vs);
-                self.heads[i] = self.readers[i].next_group()?;
+                self.taken.push(i);
             }
-        }
-        if !resident_first && self.resident.peek().is_some_and(|(k, _)| *k == key) {
-            let (_, vs) = self.resident.next().expect("peeked");
-            values.extend(vs);
         }
         Ok(Some((key, values)))
     }
@@ -494,40 +505,57 @@ mod tests {
         // Two pre-sorted runs plus a tail must merge to the same groups the
         // insert path produces, with per-key value order = run order, tail
         // last.
-        let mut t = table(1 << 20);
-        {
-            let mut rw = t.begin_sorted_run().unwrap();
-            for (k, vs) in [("a", vec![1u64, 2]), ("c", vec![3])] {
-                rw.begin_group(&k.to_string(), vs.len() as u32);
-                for v in &vs {
-                    let mut b = BytesMut::new();
-                    v.encode(&mut b);
-                    rw.push_raw(&b);
+        let with_two_runs = || {
+            let mut t = table(1 << 20);
+            for run in [
+                vec![("a", vec![1u64, 2]), ("c", vec![3])],
+                vec![("a", vec![4])],
+            ] {
+                let mut rw = t.begin_sorted_run().unwrap();
+                for (k, vs) in run {
+                    rw.begin_group(&k.to_string(), vs.len() as u32);
+                    for v in &vs {
+                        let mut b = BytesMut::new();
+                        v.encode(&mut b);
+                        rw.push_raw(&b);
+                    }
+                    rw.end_group().unwrap();
                 }
-                rw.end_group().unwrap();
+                rw.finish().unwrap();
             }
-            rw.finish().unwrap();
-        }
-        {
-            let mut rw = t.begin_sorted_run().unwrap();
-            rw.begin_group(&"a".to_string(), 1);
-            let mut b = BytesMut::new();
-            4u64.encode(&mut b);
-            rw.push_raw(&b);
-            rw.end_group().unwrap();
-            rw.finish().unwrap();
-        }
-        assert_eq!(t.spilled_runs(), 2);
-        let tail = vec![("a".to_string(), vec![5u64]), ("b".to_string(), vec![6])];
-        let got = t.into_merge_with_tail(tail).unwrap().collect_all().unwrap();
+            assert_eq!(t.spilled_runs(), 2);
+            t
+        };
+        let tail = [("a".to_string(), vec![5u64]), ("b".to_string(), vec![6])];
+        let merged_a = ("a".to_string(), vec![1, 2, 4, 5]);
+        let merge =
+            (with_two_runs().into_merge_with_tail(tail.clone().into_iter().map(Ok))).unwrap();
         assert_eq!(
-            got,
+            merge.collect_all().unwrap(),
             vec![
-                ("a".to_string(), vec![1, 2, 4, 5]),
+                merged_a.clone(),
                 ("b".to_string(), vec![6]),
                 ("c".to_string(), vec![3]),
             ]
         );
+
+        // The tail is pulled a group at a time: one it fails to produce
+        // costs no group before it, and ends the merge.
+        let [a, b] = tail;
+        let failing = [Ok(a), Err(CodecError::Truncated.into()), Ok(b)];
+        let mut merge = (with_two_runs().into_merge_with_tail(failing.into_iter())).unwrap();
+        assert_eq!(merge.next_group().unwrap(), Some(merged_a));
+        assert!(matches!(merge.next_group(), Err(ExtMergeError::Codec(_))));
+        assert_eq!(merge.next_group().unwrap(), None);
+
+        // So is a run: a first record cut short on disk fails the first
+        // call, not `into_merge_with_tail`.
+        let t = with_two_runs();
+        let run = File::options().write(true).open(&t.runs[1]).unwrap();
+        run.set_len(6).unwrap();
+        let mut merge = t.into_merge_with_tail(std::iter::empty()).unwrap();
+        assert!(matches!(merge.next_group(), Err(ExtMergeError::Io(_))));
+        assert_eq!(merge.next_group().unwrap(), None);
     }
 
     #[test]

@@ -5,10 +5,15 @@
 //! Frames arrive as refcounted [`Bytes`] straight off the transport (plain
 //! frames are a zero-copy slice past the wire marker; only LZ frames are
 //! decompressed into a fresh buffer). Each frame body is indexed into
-//! per-group byte ranges ([`parse_group_index_raw`]) — nothing decodes at
-//! ingest — and sorted by key as it arrives; at end of stream all frame
-//! runs go through *one* merge (`Merged`), whose output the in-memory
-//! table, the bounded path's window spills and its tail all walk.
+//! per-group byte ranges ([`parse_group_index_raw`]) and sorted by key as it
+//! arrives; at end of stream the frames' run indexes go through *one* merge
+//! (`Merged`). Nothing has been decoded by then, and no table is ever
+//! built: the merged index over the held frames is the receiver's product,
+//! and each [`MpidReceiver::recv`] decodes the one group it returns — the
+//! equal-key span at a cursor (`Groups`). The bounded path's window spills
+//! walk the same spans, and its last window is pulled span by span by the
+//! disk merge. All of it runs on the reducer's own thread: the receiver does
+//! not read [`MpidConfig::threads`].
 //!
 //! ## Raw-key merge
 //!
@@ -26,43 +31,31 @@
 //! reaches the output — and stably sorts the concatenation. std's merge
 //! sort finds the k presorted runs and merges them in about log k
 //! comparisons per entry, whatever k is, and stability is the value-order
-//! guarantee. Equal keys then sit next to each other: each distinct key is
-//! decoded exactly *once*, from the first entry of its span, and its values
-//! decode exactly once, straight into an exact-capacity `Vec`. Grouped
-//! output is ascending in key order.
+//! guarantee. Equal keys then sit next to each other: a span's key is
+//! decoded *once*, from its first entry, and its values once, straight
+//! into an exact-capacity `Vec`, when the drain reaches it.
 //!
 //! Other key types decode each frame's keys up front and compare decoded
 //! values (their prefix is `0`); once the merged index is sorted its
 //! prefixes are overwritten with the ordinal of each distinct key, and from
 //! there on they take the same walk.
 //!
-//! ## Threads
-//!
-//! With [`MpidConfig::threads`] > 1 the merged index is cut into that many
-//! near-equal chunks, each cut moved forward to the next key boundary, and
-//! the chunks decode on scoped threads (`Merged::decode`). The chunks
-//! partition the index in key order, so concatenating their outputs is the
-//! sequential result byte for byte — a worker shares only `&[u8]` frame
-//! bodies and offset tables, never a decoded key. The sort itself stays on
-//! the receiving thread.
-//!
 //! ## Memory
 //!
 //! Frame buffering charges the job's [`BlockPool`](crate::pool::BlockPool)
-//! when one is configured. The unbounded path charges what it holds (the
-//! whole shuffle); with [`MpidConfig::mem_budget`] set, [`MpidReceiver::recv`]
-//! routes through the windowed external merge instead: frame runs buffer
-//! until the *next* frame would exceed the budget (charges are taken before
-//! buffering, so `high_water` stays at or under the budget), then the
-//! window merges into one pre-sorted disk run. Window boundaries never
-//! change grouping or key order — the disk merge absorbs equal keys
-//! run-first/tail-last. The windowed path streams frames as they arrive
-//! (it cannot reorder runs it has already spilled), so with a single
-//! mapper its output is bit-identical to the unbounded path; with several
-//! mappers, value order within a key follows arrival interleaving rather
-//! than mapper rank.
-//!
-//! [`ExternalTable`]: crate::extmerge::ExternalTable
+//! when one is configured, for as long as the frames are held: to the end
+//! of the stream or the drop of a half-drained receiver. The unbounded path
+//! charges the whole shuffle; with [`MpidConfig::mem_budget`] set,
+//! [`MpidReceiver::recv`] routes through the windowed external merge
+//! instead: frame runs buffer until the *next* frame would exceed the
+//! budget (charges are taken before buffering, so `high_water` stays at or
+//! under the budget), then the window merges into one pre-sorted disk run.
+//! Window boundaries never change grouping or key order — the disk merge
+//! absorbs equal keys run-first/tail-last. The windowed path streams frames
+//! as they arrive (it cannot reorder runs it has already spilled), so with
+//! a single mapper its output is bit-identical to the unbounded path; with
+//! several mappers, value order within a key follows arrival interleaving
+//! rather than mapper rank.
 
 use crate::config::{tags, MpidConfig};
 use crate::error::{MpidError, MpidResult};
@@ -76,12 +69,8 @@ use bytes::Bytes;
 use mpi_rt::{Comm, Rank, RankTrace};
 use obs::ArgValue;
 use std::cmp::Ordering;
-use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Merged grouped output: ascending keys, each with its value list.
-type Grouped<K, V> = Vec<(K, Vec<V>)>;
 
 /// Reducer-side handle.
 ///
@@ -91,9 +80,9 @@ type Grouped<K, V> = Vec<(K, Vec<V>)>;
 /// while reducers receive and combine them in memory."
 ///
 /// The first call to [`MpidReceiver::recv`] ingests frames until an
-/// end-of-stream marker has arrived from every mapper, merging value lists
-/// per key; subsequent calls stream out `(key, values)` groups in ascending
-/// key order.
+/// end-of-stream marker has arrived from every mapper and merges their key
+/// indexes; that call and every later one decode and return one
+/// `(key, values)` group, in ascending key order.
 pub struct MpidReceiver<'a, K: Key, V: Value> {
     comm: &'a Comm,
     cfg: MpidConfig,
@@ -101,19 +90,23 @@ pub struct MpidReceiver<'a, K: Key, V: Value> {
     value_sorter: Option<fn(&mut Vec<V>)>,
     state: RecvState<K, V>,
     stats: ReceiverStats,
+    /// When the drain began, on a traced rank.
+    drain_t0: Option<u64>,
 }
 
 enum RecvState<K: Key, V: Value> {
     Ingesting,
-    Draining(std::vec::IntoIter<(K, Vec<V>)>),
+    Draining(Groups<K, V>),
     /// Bounded-memory drain, entered automatically when
     /// [`MpidConfig::mem_budget`] is set.
     DrainingExt(Box<crate::extmerge::MergeIter<K, V>>),
+    /// End of stream, or an error: nothing more is delivered.
+    Done,
 }
 
 /// One received frame, held as bytes: the body buffer and its groups' byte
-/// ranges, in key order. Holds no decoded key, so worker threads can share
-/// it whatever `K` is.
+/// ranges, in key order. Holds no decoded key, so the merged index is
+/// `Send` whatever `K` is.
 struct Frame {
     body: Bytes,
     raw: Vec<RawGroup>,
@@ -180,6 +173,7 @@ impl<'a, K: Key, V: Value> MpidReceiver<'a, K, V> {
             value_sorter: None,
             state: RecvState::Ingesting,
             stats: ReceiverStats::default(),
+            drain_t0: None,
         }
     }
 
@@ -226,11 +220,11 @@ impl<'a, K: Key, V: Value> MpidReceiver<'a, K, V> {
     // compiled: inlined, `wc_zipf_1x1_*` measured 9 % slower end to end
     // with not one changed instruction in the sender.
     #[inline(never)]
-    fn ingest(&mut self) -> MpidResult<Vec<(K, Vec<V>)>> {
+    fn ingest(&mut self) -> MpidResult<Groups<K, V>> {
         let t0 = self.comm.trace().map(|rt| rt.now_ns());
-        // Unbounded ingest holds every frame at once; the charge records
-        // that honestly (`forced` counts any budget overrun) — bounded
-        // jobs route through `ingest_external` instead.
+        // Unbounded ingest holds every frame at once, through the drain;
+        // the charge records that honestly (`forced` counts any budget
+        // overrun) — bounded jobs route through `ingest_external` instead.
         let mut charge = PoolCharge::new(self.cfg.pool.clone());
         let mut runs: Vec<FrameRun<K>> = Vec::new();
         let mut eos_seen = 0usize;
@@ -243,8 +237,7 @@ impl<'a, K: Key, V: Value> MpidReceiver<'a, K, V> {
                 }
             }
         }
-        let (table, merge_ranges) = merge_by_rank::<K, V>(runs, self.cfg.threads)?;
-        self.stats.distinct_keys = table.len() as u64;
+        let groups = Groups::new(merge_by_rank(runs), charge);
         if let (Some(rt), Some(t0)) = (self.comm.trace(), t0) {
             trace_merge(
                 rt,
@@ -254,10 +247,9 @@ impl<'a, K: Key, V: Value> MpidReceiver<'a, K, V> {
                 None,
                 self.stats.bytes_received,
                 0,
-                merge_ranges,
             );
         }
-        Ok(table)
+        Ok(groups)
     }
 
     /// Windowed external ingest shared by [`MpidReceiver::into_external`]
@@ -308,8 +300,11 @@ impl<'a, K: Key, V: Value> MpidReceiver<'a, K, V> {
         }
         // The final unspilled window becomes the merge tail — the position
         // the resident table held in the insert path, so per-key value
-        // order stays run-order-then-tail = frame-arrival order.
-        let (tail, merge_ranges) = Merged::new(window).decode::<K, V>(self.cfg.threads)?;
+        // order stays run-order-then-tail = frame-arrival order. The merge
+        // pulls its groups as it reaches them, and the window's charge
+        // lives as long as its frames do.
+        let tail = Groups::new(Merged::new(window), charge);
+        let tail = tail.map(|g| g.map_err(|e| crate::extmerge::ExtMergeError::Codec(codec_of(e))));
         let spilled_runs = table.spilled_runs();
         if let (Some(rt), Some(t0)) = (self.comm.trace(), t0) {
             trace_merge(
@@ -320,7 +315,6 @@ impl<'a, K: Key, V: Value> MpidReceiver<'a, K, V> {
                 Some(spilled_runs),
                 window_high_water as u64,
                 table.spilled_bytes(),
-                merge_ranges,
             );
         }
         let merge = table.into_merge_with_tail(tail).map_err(spill_err)?;
@@ -332,7 +326,9 @@ impl<'a, K: Key, V: Value> MpidReceiver<'a, K, V> {
     /// of an [`ExternalTable`](crate::extmerge::ExternalTable) (no resident
     /// resort — the window is already key-merged), then stream globally
     /// key-ordered merged groups — the reducer-side external merge Hadoop
-    /// performs when reduce inputs exceed memory.
+    /// performs when reduce inputs exceed memory. An error here is an ingest
+    /// or spill-write error; a disk run that cannot be read back fails the
+    /// [`ExternalRecv::recv`] that needs it, the first call included.
     pub fn into_external(
         mut self,
         budget_bytes: usize,
@@ -368,39 +364,48 @@ impl<'a, K: Key, V: Value> MpidReceiver<'a, K, V> {
 
     /// `MPI_D_Recv`: return the next `(key, value-list)` group, or `None`
     /// once every group has been delivered.
+    ///
+    /// A group is decoded by the call that returns it. Malformed framing
+    /// (lengths, group counts) fails the first call, before any group is
+    /// delivered; malformed content (say, a key that is not UTF-8) fails
+    /// the call that reaches that group, after every group before it came
+    /// out intact — as [`MpidError::Codec`] naming the sending rank, or, on
+    /// the bounded path, as [`MpidError::Spill`]. The receiver is fused:
+    /// after `None` or an error every later call returns `Ok(None)`, and
+    /// the frames and their pool charge are released at that point (or
+    /// when a half-drained receiver is dropped).
     pub fn recv(&mut self) -> MpidResult<Option<(K, Vec<V>)>> {
-        loop {
-            match &mut self.state {
-                RecvState::Ingesting => {
-                    if let Some(budget) = self.cfg.mem_budget {
-                        let (merge, _) = self.ingest_external(budget, std::env::temp_dir())?;
-                        self.state = RecvState::DrainingExt(Box::new(merge));
-                    } else {
-                        let table = self.ingest()?;
-                        self.state = RecvState::Draining(table.into_iter());
-                    }
-                }
-                RecvState::Draining(iter) => {
-                    return Ok(iter.next().map(|(k, mut vs)| {
-                        if let Some(sort) = self.value_sorter {
-                            sort(&mut vs);
-                        }
-                        (k, vs)
-                    }));
-                }
-                RecvState::DrainingExt(merge) => {
-                    let next = merge
-                        .next_group()
-                        .map_err(|e| MpidError::Spill(e.to_string()))?;
-                    return Ok(next.map(|(k, mut vs)| {
-                        if let Some(sort) = self.value_sorter {
-                            sort(&mut vs);
-                        }
-                        (k, vs)
-                    }));
-                }
+        let next = match &mut self.state {
+            RecvState::Ingesting => {
+                self.state = RecvState::Done; // for an error out of ingest
+                self.state = match self.cfg.mem_budget {
+                    Some(budget) => RecvState::DrainingExt(Box::new(
+                        self.ingest_external(budget, std::env::temp_dir())?.0,
+                    )),
+                    None => RecvState::Draining(self.ingest()?),
+                };
+                self.drain_t0 = self.comm.trace().map(|rt| rt.now_ns());
+                return self.recv();
             }
+            RecvState::Draining(groups) => groups.next().transpose(),
+            RecvState::DrainingExt(merge) => merge
+                .next_group()
+                .map_err(|e| MpidError::Spill(e.to_string())),
+            RecvState::Done => return Ok(None),
+        };
+        if let Ok(Some((k, mut vs))) = next {
+            if let Some(sort) = self.value_sorter {
+                sort(&mut vs);
+            }
+            self.stats.distinct_keys += 1;
+            return Ok(Some((k, vs)));
         }
+        self.state = RecvState::Done;
+        if let (Some(rt), Some(t0)) = (self.comm.trace(), self.drain_t0) {
+            let args = vec![("distinct_keys", ArgValue::U64(self.stats.distinct_keys))];
+            rt.complete_since(obs::names::SPAN_DRAIN, obs::names::CAT_MPID_STAGE, t0, args);
+        }
+        next
     }
 
     /// Drain every remaining group into a vector (keys ascending).
@@ -471,6 +476,7 @@ fn sort_frame<K: Key, V: Value>(body: Bytes, src: Rank) -> MpidResult<FrameRun<K
 /// and its tail. Equal keys sit next to each other in (run, in-frame)
 /// order, so walking [`Merged::spans`] yields each distinct key once with
 /// its contributions already in delivery order.
+#[derive(Default)]
 struct Merged {
     frames: Vec<Frame>,
     index: Vec<KeyRef>,
@@ -521,18 +527,24 @@ impl Merged {
         }
     }
 
-    /// The equal-key spans of `index[range]`, in key order. `range` must
-    /// start and end on span boundaries.
-    fn spans<K: Key>(&self, range: Range<usize>) -> impl Iterator<Item = &[KeyRef]> + '_ {
-        let mut rest = &self.index[range];
+    /// The equal-key span that starts at `index[at]` (a span boundary), or
+    /// `None` at the end of the index.
+    fn span_at<K: Key>(&self, at: usize) -> Option<&[KeyRef]> {
+        let rest = &self.index[at..];
+        let first = rest.first()?;
+        let n = 1 + rest[1..]
+            .iter()
+            .take_while(|e| self.same_key::<K>(first, e))
+            .count();
+        Some(&rest[..n])
+    }
+
+    /// The equal-key spans of the index, in key order.
+    fn spans<K: Key>(&self) -> impl Iterator<Item = &[KeyRef]> + '_ {
+        let mut at = 0;
         std::iter::from_fn(move || {
-            let first = rest.first()?;
-            let n = 1 + rest[1..]
-                .iter()
-                .take_while(|e| self.same_key::<K>(first, e))
-                .count();
-            let (span, tail) = rest.split_at(n);
-            rest = tail;
+            let span = self.span_at::<K>(at)?;
+            at += span.len();
             Some(span)
         })
     }
@@ -552,57 +564,58 @@ impl Merged {
         (frame, &frame.raw[e.group as usize])
     }
 
-    /// Decode `index[range]` into `(key, values)` groups: ascending keys,
-    /// each value decoded exactly once into an exact-capacity list.
-    fn decode_range<K: Key, V: Value>(&self, range: Range<usize>) -> MpidResult<Grouped<K, V>> {
-        let mut out: Grouped<K, V> = Vec::new();
-        for span in self.spans::<K>(range) {
-            let (key, n_values) = self.span_head::<K>(span)?;
-            let mut values: Vec<V> = Vec::with_capacity(n_values);
-            for e in span {
-                let (frame, g) = self.group(e);
-                let mut slice = g.val_bytes(&frame.body);
-                for _ in 0..g.n_values {
-                    values.push(V::decode(&mut slice).map_err(|e| frame.codec_err(e))?);
-                }
+    /// Decode one span into its `(key, values)` group: the key once, each
+    /// value once, into an exact-capacity list.
+    fn decode_span<K: Key, V: Value>(&self, span: &[KeyRef]) -> MpidResult<(K, Vec<V>)> {
+        let (key, n_values) = self.span_head::<K>(span)?;
+        let mut values: Vec<V> = Vec::with_capacity(n_values);
+        for e in span {
+            let (frame, g) = self.group(e);
+            let mut slice = g.val_bytes(&frame.body);
+            for _ in 0..g.n_values {
+                values.push(V::decode(&mut slice).map_err(|e| frame.codec_err(e))?);
             }
-            out.push((key, values));
         }
-        Ok(out)
+        Ok((key, values))
     }
+}
 
-    /// Decode the whole index. With `threads > 1` it is cut into that many
-    /// near-equal chunks, each cut moved forward to the next span boundary,
-    /// and the chunks decode on scoped threads; chunks partition the index
-    /// in key order, so their concatenation is the sequential result.
-    /// Returns the groups and the number of chunks decoded in parallel.
-    fn decode<K: Key, V: Value>(&self, threads: usize) -> MpidResult<(Grouped<K, V>, usize)> {
-        let n = self.index.len();
-        if threads <= 1 || n == 0 {
-            return Ok((self.decode_range(0..n)?, 0));
+/// The receiver's product: `(key, values)` groups in ascending key order,
+/// pulled one at a time. Each pull decodes the equal-key span at the cursor;
+/// the frames, and the pool charge for them, live until the walk ends.
+struct Groups<K, V> {
+    merged: Merged,
+    cursor: usize,
+    charge: PoolCharge,
+    _groups: std::marker::PhantomData<fn() -> (K, V)>,
+}
+
+impl<K: Key, V: Value> Groups<K, V> {
+    fn new(merged: Merged, charge: PoolCharge) -> Self {
+        Groups {
+            merged,
+            cursor: 0,
+            charge,
+            _groups: std::marker::PhantomData,
         }
-        let mut cuts = vec![0; threads + 1];
-        for t in 1..threads {
-            let mut cut = (t * n / threads).max(cuts[t - 1]);
-            while 0 < cut && cut < n && self.same_key::<K>(&self.index[cut - 1], &self.index[cut]) {
-                cut += 1;
-            }
-            cuts[t] = cut;
-        }
-        cuts[threads] = n;
-        let mut parts: Vec<MpidResult<Grouped<K, V>>> = Vec::new();
-        parts.resize_with(threads, || Ok(Vec::new()));
-        // The scope joins every worker and re-raises a worker's panic.
-        std::thread::scope(|s| {
-            for (part, w) in parts.iter_mut().zip(cuts.windows(2)) {
-                s.spawn(move || *part = self.decode_range(w[0]..w[1]));
-            }
-        });
-        let mut out: Grouped<K, V> = Vec::new();
-        for part in parts {
-            out.extend(part?);
-        }
-        Ok((out, threads))
+    }
+}
+
+impl<K: Key, V: Value> Iterator for Groups<K, V> {
+    type Item = MpidResult<(K, Vec<V>)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let Some(span) = self.merged.span_at::<K>(self.cursor) else {
+            // End of stream: the frames and their charge go now.
+            self.merged = Merged::default();
+            self.cursor = 0;
+            self.charge.clear();
+            return None;
+        };
+        // Past the span before decoding it, so that an error skips its
+        // group and no pull ever delivers one twice.
+        self.cursor += span.len();
+        Some(self.merged.decode_span(span))
     }
 }
 
@@ -611,12 +624,9 @@ impl Merged {
 /// scheduler ran them, and an equal key's values come out run by run, so
 /// arrival order would leak scheduling into each key's value order; a
 /// stable sort of the runs by source rank pins it.
-fn merge_by_rank<K: Key, V: Value>(
-    mut runs: Vec<FrameRun<K>>,
-    threads: usize,
-) -> MpidResult<(Grouped<K, V>, usize)> {
+fn merge_by_rank<K: Key>(mut runs: Vec<FrameRun<K>>) -> Merged {
     runs.sort_by_key(|r| r.frame.src);
-    Merged::new(runs).decode(threads)
+    Merged::new(runs)
 }
 
 /// Merge one window of frame runs into a single pre-sorted disk run. Value
@@ -630,7 +640,7 @@ fn spill_window<K: Key, V: Value>(
     }
     let merged = Merged::new(runs);
     let mut rw = table.begin_sorted_run()?;
-    for span in merged.spans::<K>(0..merged.index.len()) {
+    for span in merged.spans::<K>() {
         // A key that fails to decode mid-spill is a frame codec error;
         // surface it through the extmerge error channel the caller maps.
         let (key, n_values) = merged
@@ -656,13 +666,12 @@ fn codec_of(e: MpidError) -> crate::kv::CodecError {
 }
 
 /// Record the reducer-side "merge" stage span (cat `mpid.stage`): wildcard
-/// frame reception plus in-memory (or external) merging, from `t0` to now,
-/// with the [`ReceiverStats`] counters as span args. Also publishes the
-/// receiver's `mpid.mem.*` memory-accounting counters (frame-buffer
-/// high-water, frames decoded, bytes spilled), the `mpid.mem.pool.*` pool
-/// snapshot when a pool is configured, and `mpid.threads.merge_ranges`
-/// when the merge fanned out.
-#[allow(clippy::too_many_arguments)] // one-shot trace emission, not an API
+/// frame reception plus merging the run indexes (or spilling windows), from
+/// `t0` to the index being ready, with the ingest-side [`ReceiverStats`]
+/// counters as span args. Also publishes the receiver's `mpid.mem.*`
+/// memory-accounting counters (frame-buffer high-water, frames decoded,
+/// bytes spilled) and the `mpid.mem.pool.*` pool snapshot when a pool is
+/// configured.
 fn trace_merge(
     rt: &Arc<RankTrace>,
     t0: u64,
@@ -671,19 +680,14 @@ fn trace_merge(
     spilled_runs: Option<usize>,
     frame_high_water: u64,
     spill_bytes: u64,
-    merge_ranges: usize,
 ) {
     let mut args = vec![
         ("frames", ArgValue::U64(stats.frames)),
         ("bytes_received", ArgValue::U64(stats.bytes_received)),
         ("groups_in", ArgValue::U64(stats.groups_in)),
-        ("distinct_keys", ArgValue::U64(stats.distinct_keys)),
     ];
     if let Some(runs) = spilled_runs {
         args.push(("spilled_runs", ArgValue::U64(runs as u64)));
-    }
-    if merge_ranges > 0 {
-        args.push(("merge_ranges", ArgValue::U64(merge_ranges as u64)));
     }
     rt.complete_since(obs::names::SPAN_MERGE, obs::names::CAT_MPID_STAGE, t0, args);
     rt.counter(
@@ -722,13 +726,6 @@ fn trace_merge(
             obs::names::CTR_MEM_POOL_FORCED,
             obs::names::CAT_MPID_MEM,
             ps.forced as f64,
-        );
-    }
-    if merge_ranges > 0 {
-        rt.counter(
-            obs::names::CTR_THREADS_MERGE_RANGES,
-            obs::names::CAT_MPID_THREADS,
-            merge_ranges as f64,
         );
     }
 }
@@ -775,11 +772,15 @@ pub struct ExternalRecv<K: Key, V: Value> {
 }
 
 impl<K: Key, V: Value> ExternalRecv<K, V> {
-    /// Next merged `(key, values)` group in ascending key order.
+    /// Next merged `(key, values)` group in ascending key order; errors and
+    /// fusing as for the bounded path of [`MpidReceiver::recv`].
     pub fn recv(&mut self) -> MpidResult<Option<(K, Vec<V>)>> {
-        self.merge
+        let next = self
+            .merge
             .next_group()
-            .map_err(|e| MpidError::Spill(e.to_string()))
+            .map_err(|e| MpidError::Spill(e.to_string()))?;
+        self.stats.distinct_keys += u64::from(next.is_some());
+        Ok(next)
     }
 
     /// Runs that were spilled to disk during ingestion.
@@ -849,8 +850,13 @@ impl<K: Key, V: Value> MpidStream<'_, K, V> {
 mod tests {
     use super::*;
     use crate::kv::Kv;
+    use crate::pool::BlockPool;
     use crate::realign::FrameBuilder;
-    use mpi_rt::Universe;
+    use crate::{MpidWorld, Role};
+    use mpi_rt::{MpiConfig, Universe};
+
+    /// Merged grouped output: ascending keys, each with its value list.
+    type Grouped<K, V> = Vec<(K, Vec<V>)>;
 
     /// One frame body holding `groups` in the order given.
     fn frame<K: Key, V: Value>(groups: &[(K, Vec<V>)]) -> Bytes {
@@ -863,13 +869,54 @@ mod tests {
     }
 
     /// `(source rank, frame)` list, in arrival order, through the unbounded
-    /// path's merge.
-    fn merged<K: Key, V: Value>(arrivals: &[(Rank, Bytes)], threads: usize) -> Grouped<K, V> {
+    /// path's merge, every group pulled from the stream the drain pulls.
+    fn merged<K: Key, V: Value>(arrivals: &[(Rank, Bytes)]) -> Grouped<K, V> {
         let runs = arrivals
             .iter()
             .map(|(src, body)| sort_frame::<K, V>(body.clone(), *src).unwrap())
             .collect();
-        merge_by_rank::<K, V>(runs, threads).unwrap().0
+        let mut groups = Groups::<K, V>::new(merge_by_rank::<K>(runs), PoolCharge::new(None));
+        let out = groups.by_ref().collect::<MpidResult<_>>().unwrap();
+        assert!(groups.next().is_none() && groups.next().is_none());
+        out
+    }
+
+    /// A job of `sends.len()` mappers and one reducer over hand-built
+    /// frames: mapper `i` ships `sends[i]` in order, then its end-of-stream
+    /// marker; `reduce` gets the reducer's receiver; every rank goes through
+    /// `MPI_D_Finalize`, whose leak audit must find nothing.
+    fn reduce_frames<K: Key, V: Value, R: Send>(
+        cfg: MpidConfig,
+        sends: &[Vec<Bytes>],
+        reduce: impl Fn(MpidReceiver<'_, K, V>) -> R + Send + Sync,
+    ) -> R {
+        let cfg = MpidConfig {
+            n_mappers: sends.len(),
+            n_reducers: 1,
+            ..cfg
+        };
+        let reducer = 1 + sends.len();
+        let (mut results, report) =
+            Universe::run_verified(MpiConfig::default(), reducer + 1, |comm| {
+                let world = MpidWorld::init(comm, cfg.clone()).unwrap();
+                let out = match world.role() {
+                    Role::Master => None,
+                    Role::Mapper(i) => {
+                        for body in &sends[i] {
+                            let wire = [&[MARKER_PLAIN][..], &body[..]].concat();
+                            comm.send_bytes(reducer, tags::DATA, wire.into()).unwrap();
+                        }
+                        comm.send_bytes(reducer, tags::DATA, Bytes::new()).unwrap();
+                        None
+                    }
+                    Role::Reducer(_) => Some(reduce(world.receiver())),
+                };
+                world.finalize().unwrap();
+                out
+            })
+            .unwrap();
+        assert!(report.is_clean(), "{report}");
+        results.pop().flatten().unwrap()
     }
 
     fn s(x: &str) -> String {
@@ -883,7 +930,7 @@ mod tests {
             (s("a"), vec![2]),
             (s("b"), vec![3, 4]),
         ]);
-        let got: Grouped<String, u64> = merged(&[(1, f)], 1);
+        let got: Grouped<String, u64> = merged(&[(1, f)]);
         assert_eq!(got, vec![(s("a"), vec![2]), (s("b"), vec![1, 3, 4])]);
     }
 
@@ -916,31 +963,24 @@ mod tests {
             vec![(2, r2a), (2, r2b), (1, r1a), (1, r1b)],
         ];
         for arrival in &arrivals {
-            for threads in [1, 2, 4, 8] {
-                assert_eq!(
-                    merged::<String, u64>(arrival, threads),
-                    want,
-                    "threads {threads}"
-                );
-            }
+            assert_eq!(merged::<String, u64>(arrival), want);
         }
     }
 
     #[test]
     fn empty_frames_and_no_frames_merge_to_nothing() {
         let empty = frame::<String, u64>(&[]);
-        assert!(merged::<String, u64>(&[], 1).is_empty());
-        assert!(merged::<String, u64>(&[], 4).is_empty());
-        assert!(merged::<String, u64>(&[(1, empty.clone())], 2).is_empty());
+        assert!(merged::<String, u64>(&[]).is_empty());
+        assert!(merged::<String, u64>(&[(1, empty.clone())]).is_empty());
         let f = frame(&[(s("x"), vec![1u64])]);
-        let got: Grouped<String, u64> = merged(&[(1, empty.clone()), (1, f), (2, empty)], 2);
+        let got: Grouped<String, u64> = merged(&[(1, empty.clone()), (1, f), (2, empty)]);
         assert_eq!(got, vec![(s("x"), vec![1])]);
     }
 
     #[test]
     fn one_run_and_two_hundred_runs() {
         let single = frame(&[(s("q"), vec![1u64]), (s("p"), vec![2])]);
-        let got: Grouped<String, u64> = merged(&[(1, single)], 1);
+        let got: Grouped<String, u64> = merged(&[(1, single)]);
         assert_eq!(got, vec![(s("p"), vec![2]), (s("q"), vec![1])]);
 
         // Run i carries "shared" and its own key; ranks alternate 1, 2.
@@ -958,13 +998,7 @@ mod tests {
             .collect();
         let by_rank = (0..200u64).step_by(2).chain((1..200u64).step_by(2));
         want.push((s("shared"), by_rank.collect()));
-        for threads in [1, 2, 4, 8] {
-            assert_eq!(
-                merged::<String, u64>(&arrivals, threads),
-                want,
-                "threads {threads}"
-            );
-        }
+        assert_eq!(merged::<String, u64>(&arrivals), want);
     }
 
     #[test]
@@ -984,19 +1018,14 @@ mod tests {
         let mut sorted = keys;
         sorted.sort_unstable();
         let want: Grouped<String, u64> = sorted.iter().map(|k| (s(k), vec![1, 2])).collect();
-        for threads in [1, 2, 4] {
-            assert_eq!(
-                merged::<String, u64>(&[(1, f1.clone()), (2, f2.clone())], threads),
-                want
-            );
-        }
+        assert_eq!(merged::<String, u64>(&[(1, f1), (2, f2)]), want);
     }
 
     #[test]
     fn integer_and_comparator_less_keys_merge_like_their_ord() {
         let ints = [3i64, -7, i64::MIN, 0, i64::MAX, -7];
         let f = frame(&ints.map(|k| (k, vec![k as u64])));
-        let got: Grouped<i64, u64> = merged(&[(1, f.clone()), (2, f)], 2);
+        let got: Grouped<i64, u64> = merged(&[(1, f.clone()), (2, f)]);
         let keys: Vec<i64> = got.iter().map(|(k, _)| *k).collect();
         assert_eq!(keys, vec![i64::MIN, -7, 0, 3, i64::MAX]);
         assert_eq!(got[1].1, vec![-7i64 as u64; 4]);
@@ -1019,30 +1048,166 @@ mod tests {
             (t("a", 2), vec![2, 4]),
             (t("b", 1), vec![1, 5, 6]),
         ];
-        for threads in [1, 2, 4] {
-            let got: Grouped<(String, u64), u64> =
-                merged(&[(2, f2.clone()), (1, f1.clone())], threads);
-            assert_eq!(got, want, "threads {threads}");
-        }
+        let got: Grouped<(String, u64), u64> = merged(&[(2, f2), (1, f1)]);
+        assert_eq!(got, want);
     }
 
     #[test]
     fn a_bad_key_or_value_names_its_source_rank() {
-        // Framing is valid, content is not: the key is not UTF-8.
-        let bad_key = frame(&[(vec![0xffu8, 0xfe], vec![1u64])]);
-        let good = frame(&[(s("ok"), vec![1u64])]);
-        let runs = vec![
-            sort_frame::<String, u64>(good, 1).unwrap(),
-            sort_frame::<String, u64>(bad_key, 2).unwrap(),
+        // Framing is valid, content is not: mapper 2's third group, in key
+        // order the job's fourth of six, is not UTF-8 in its key or value.
+        let b = |x: &str| x.as_bytes().to_vec();
+        let good = frame(&[(b("a"), vec![b("1")]), (b("e"), vec![b("5")])]);
+        let bad = |key: Vec<u8>, value: Vec<u8>| {
+            frame(&[
+                (b("b"), vec![b("2")]),
+                (b("f"), vec![b("6")]),
+                (key, vec![value]),
+                (b("c"), vec![b("3")]),
+            ])
+        };
+        let before = vec![
+            (s("a"), vec![s("1")]),
+            (s("b"), vec![s("2")]),
+            (s("c"), vec![s("3")]),
         ];
-        let err = merge_by_rank::<String, u64>(runs, 2).unwrap_err();
-        assert!(matches!(
-            err,
-            MpidError::Codec {
-                source_rank: 2,
-                err: CodecError::Corrupt(_)
+        for (bad, mem_budget) in [
+            (bad(vec![b'd', 0xff], b("4")), None),
+            (bad(b("d"), vec![0xff, 0xfe]), None),
+            (bad(b("d"), vec![0xff, 0xfe]), Some(1 << 20)),
+        ] {
+            let pool = BlockPool::new(1 << 20);
+            let cfg = MpidConfig {
+                mem_budget,
+                pool: Some(pool.clone()),
+                ..Default::default()
+            };
+            let sends = [vec![good.clone()], vec![bad]];
+            let (got, err) = reduce_frames(cfg, &sends, |mut recv| {
+                let mut got: Grouped<String, String> = Vec::new();
+                let err = loop {
+                    match recv.recv() {
+                        Ok(Some(g)) => got.push(g),
+                        Ok(None) => panic!("the bad group was skipped"),
+                        Err(e) => break e,
+                    }
+                };
+                // Fused: no panic, no second error, nothing delivered again,
+                // and what the receiver held is released.
+                assert_eq!(recv.recv(), Ok(None));
+                assert_eq!(recv.recv_all(), Ok(Vec::new()));
+                assert_eq!(recv.stats().distinct_keys, got.len() as u64);
+                (got, err)
+            });
+            assert_eq!(pool.stats().live, 0);
+            // Decoded span by span: everything before the bad group came
+            // out, and the error names the mapper that sent it — on the
+            // bounded tail through `ExtMergeError::Codec`.
+            assert_eq!(got, before);
+            match mem_budget {
+                None => assert!(matches!(
+                    err,
+                    MpidError::Codec {
+                        source_rank: 2,
+                        err: CodecError::Corrupt(_)
+                    }
+                )),
+                Some(_) => assert!(matches!(&err, MpidError::Spill(m) if m.contains("decode"))),
             }
-        ));
+        }
+    }
+
+    #[test]
+    fn the_pool_charge_lives_exactly_as_long_as_the_frames() {
+        let groups: Grouped<String, u64> = (0..50).map(|i| (format!("k{i:02}"), vec![i])).collect();
+        let f = frame(&groups);
+        for (mem_budget, drain_all) in [(None, true), (None, false), (Some(1 << 20), true)] {
+            let pool = BlockPool::new(1 << 20);
+            let cfg = MpidConfig {
+                mem_budget,
+                pool: Some(pool.clone()),
+                ..Default::default()
+            };
+            let got = reduce_frames(cfg, &[vec![f.clone(), f.clone()]], |mut recv| {
+                let first = recv.recv().unwrap().unwrap();
+                assert_eq!(pool.stats().live, 2 * f.len(), "frames held while draining");
+                if !drain_all {
+                    // A half-drained receiver: dropping it releases the rest
+                    // (and `MPI_D_Finalize` finds nothing undelivered).
+                    drop(recv);
+                    assert_eq!(pool.stats().live, 0);
+                    return vec![first];
+                }
+                let mut got = vec![first];
+                got.extend(recv.recv_all().unwrap());
+                assert_eq!(pool.stats().live, 0, "released at end of stream");
+                assert_eq!(recv.stats().distinct_keys, 50);
+                got
+            });
+            assert_eq!(got.len(), if drain_all { 50 } else { 1 });
+            assert_eq!(got[0], (s("k00"), vec![0u64, 0]));
+            assert_eq!(pool.stats().high_water, 2 * f.len());
+        }
+    }
+
+    #[test]
+    fn one_thread_and_two_deliver_the_same_groups_on_both_paths() {
+        // Sixty frames, every key in three of them; one mapper, so the
+        // bounded path's arrival order is the unbounded path's send order.
+        let frames: Vec<Bytes> = (0..60u64)
+            .map(|i| {
+                let keys = (0..40u64).map(|j| (i % 20) * 40 + j);
+                frame(
+                    &(keys
+                        .map(|k| (format!("w{:04}", k * 7919 % 800), vec![i, k]))
+                        .collect::<Vec<_>>()),
+                )
+            })
+            .collect();
+        let drain = |threads: usize, mem_budget: Option<usize>, sorted: bool| {
+            let cfg = MpidConfig {
+                threads,
+                mem_budget,
+                ..Default::default()
+            };
+            reduce_frames(cfg, std::slice::from_ref(&frames), move |recv| {
+                let mut recv: MpidReceiver<String, u64> = recv;
+                if sorted {
+                    recv = recv.with_sorted_values();
+                }
+                recv.recv_all().unwrap()
+            })
+        };
+        let want = drain(1, None, false);
+        assert_eq!(want.len(), 800);
+        assert!(want.windows(2).all(|w| w[0].0 < w[1].0));
+        assert!(want.iter().all(|(_, vs)| vs.len() == 6));
+        // A budget of four frames spills fourteen windows and leaves a tail.
+        // (`threads` is read by nothing; 2 pins that it stays inert.)
+        let budget = Some(4 * frames[0].len() + 8);
+        assert_eq!(drain(2, None, false), want);
+        assert_eq!(drain(1, budget, false), want);
+        assert_eq!(drain(2, budget, false), want);
+        let mut sorted = want;
+        sorted.iter_mut().for_each(|(_, vs)| vs.sort());
+        assert_eq!(drain(1, None, true), sorted);
+        assert_eq!(drain(1, budget, true), sorted);
+    }
+
+    #[test]
+    fn an_empty_stream_yields_none_forever() {
+        for mem_budget in [None, Some(1 << 20)] {
+            let cfg = MpidConfig {
+                mem_budget,
+                ..Default::default()
+            };
+            reduce_frames(cfg, &[vec![], vec![]], |mut recv| {
+                for _ in 0..3 {
+                    assert_eq!(recv.recv(), Ok(None::<(String, Vec<u64>)>));
+                }
+                assert_eq!(recv.stats().distinct_keys, 0);
+            });
+        }
     }
 
     #[test]
@@ -1055,7 +1220,8 @@ mod tests {
         let results = Universe::run(2, move |comm| {
             if comm.rank() == 1 {
                 comm.send_bytes(0, tags::DATA, wire.clone()).unwrap();
-                comm.send_bytes(0, tags::DATA, Bytes::new()).unwrap();
+                // The reducer fails on the frame above and may be gone by now.
+                let _ = comm.send_bytes(0, tags::DATA, Bytes::new());
                 return None;
             }
             let cfg = MpidConfig {

@@ -1,6 +1,7 @@
-//! Property tests for the multithreaded, memory-bounded hot path: grouped
-//! job output must be byte-for-byte independent of the worker-thread count
-//! and — for a single mapper — of the block-pool budget.
+//! Property tests for the memory-bounded hot path: grouped job output must
+//! be byte-for-byte independent of `MpidConfig::threads` (which the data
+//! path no longer reads; the sweep pins that it stays inert) and — for a
+//! single mapper — of the block-pool budget.
 //!
 //! The oracle is always the same job at `threads = 1` with `mem_budget =
 //! None`: the original single-threaded unbounded pipeline. Each mapper's

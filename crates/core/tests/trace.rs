@@ -118,6 +118,17 @@ fn traced_job_records_stage_spans_and_matches_untraced_output() {
             .iter()
             .any(|(k, v)| *k == "combine_ratio" && matches!(v, obs::ArgValue::F64(r) if *r < 1.0)));
     }
+    // 2 reducers, one drain each, closed at end of stream with the final
+    // count of keys delivered; together they delivered every distinct word.
+    let drained: u64 = (trace.events().iter())
+        .filter(|e| e.name == "drain" && e.cat == "mpid.stage")
+        .map(|e| match e.args[..] {
+            [("distinct_keys", obs::ArgValue::U64(n))] => n,
+            _ => panic!("drain span args: {:?}", e.args),
+        })
+        .sum();
+    assert_eq!(stage("drain"), 2);
+    assert_eq!(drained, plain.len() as u64);
     // MPI-layer spans interleave on the same lanes.
     assert!(trace.events().iter().any(|e| e.cat == "mpi.p2p"));
 }

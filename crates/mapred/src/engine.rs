@@ -34,8 +34,8 @@ pub struct MpidEngineConfig {
     /// ([`mpid::MpidReceiver::into_external`]) with this in-memory byte
     /// budget instead of holding the whole key space resident.
     pub reduce_budget_bytes: Option<usize>,
-    /// Passed through as [`mpid::MpidConfig::threads`] (documented there):
-    /// key ranges the reducers' in-memory merge runs in parallel.
+    /// Passed through as [`mpid::MpidConfig::threads`] (documented there;
+    /// nothing on the data path reads it at present).
     pub threads: usize,
     /// Job-wide byte budget for MPI-D buffering. One [`mpid::BlockPool`]
     /// is shared across every rank of the job; sender tables, receiver

@@ -66,8 +66,8 @@ pub struct SimMpidConfig {
     /// map computation on the producing mapper). `0` disables pipelining
     /// and ships the whole split output after the map completes.
     pub ship_frame_bytes: u64,
-    /// Key ranges the reducer's sort-merge runs in parallel (the real
-    /// runtime's `MpidConfig::threads`): the reduce-side CPU divides across
+    /// Key ranges the reducer's sort-merge runs in parallel — model only,
+    /// the real receiver runs on one thread: the reduce-side CPU divides across
     /// them, idealized — no contention term. The mapper side (map function,
     /// combiner, in-node combine) is serial per process and does not read it.
     pub threads: usize,

@@ -39,8 +39,6 @@ pub const CAT_MPID: &str = "mpid";
 pub const CAT_MPID_CHECKPOINT: &str = "mpid.checkpoint";
 /// MPI-D data-path memory-accounting counter samples.
 pub const CAT_MPID_MEM: &str = "mpid.mem";
-/// MPI-D data-path worker-thread counter samples (parallel merge ranges).
-pub const CAT_MPID_THREADS: &str = "mpid.threads";
 /// Hadoop simulated task phases (map/copy/sort/reduce).
 pub const CAT_HADOOP_PHASE: &str = "hadoop.phase";
 /// Hadoop job-level spans and markers (setup, job finished).
@@ -99,8 +97,13 @@ pub const SPAN_BUFFER: &str = "buffer";
 pub const SPAN_COMBINE: &str = "combine";
 /// Partition realignment ahead of shipment.
 pub const SPAN_REALIGN: &str = "realign";
-/// Receiver-side k-way merge of decoded frames.
+/// Receiver-side ingest: frame reception and the merge of the frames' key
+/// indexes, up to the merged index being ready.
 pub const SPAN_MERGE: &str = "merge";
+/// Receiver-side delivery: from the merged index being ready to the end of
+/// the stream, groups decoded one per `MPI_D_Recv` (the caller's work
+/// between calls included).
+pub const SPAN_DRAIN: &str = "drain";
 /// Sender flush/close (drains pending sends, ships end-of-stream).
 pub const SPAN_SENDER_FINISH: &str = "sender_finish";
 /// In-node leader's per-host merge of co-located mappers' spill runs.
@@ -242,10 +245,6 @@ pub const CTR_MEM_POOL_HIGH_WATER: &str = "mpid.mem.pool.high_water";
 pub const CTR_MEM_POOL_BUDGET: &str = "mpid.mem.pool.budget";
 /// Charges forced past the budget (irreducible buffers).
 pub const CTR_MEM_POOL_FORCED: &str = "mpid.mem.pool.forced";
-/// Prefix of the worker-thread counter streams.
-pub const THREADS_COUNTER_PREFIX: &str = "mpid.threads.";
-/// Key ranges merged in parallel by the receiver.
-pub const CTR_THREADS_MERGE_RANGES: &str = "mpid.threads.merge_ranges";
 /// Prefix of the per-host utilization streams summarized under
 /// `utilization` in a run profile.
 pub const UTIL_COUNTER_PREFIX: &str = "net.util.";
@@ -391,7 +390,6 @@ mod tests {
     #[test]
     fn prefixes_are_dotted_extensions_of_their_categories() {
         assert_eq!(MEM_COUNTER_PREFIX, format!("{CAT_MPID_MEM}."));
-        assert_eq!(THREADS_COUNTER_PREFIX, format!("{CAT_MPID_THREADS}."));
         assert_eq!(UTIL_COUNTER_PREFIX, format!("{CAT_NET_UTIL}."));
         assert!(CAT_MPI_P2P.starts_with(CAT_MPI_PREFIX));
         assert!(CAT_MPI_COLL.starts_with(CAT_MPI_PREFIX));
@@ -416,7 +414,6 @@ mod tests {
         ] {
             assert!(c.starts_with(MEM_COUNTER_PREFIX), "{c}");
         }
-        assert!(CTR_THREADS_MERGE_RANGES.starts_with(THREADS_COUNTER_PREFIX));
         for c in [CTR_UTIL_UP, CTR_UTIL_DOWN, CTR_UTIL_DISK] {
             assert!(c.starts_with(UTIL_COUNTER_PREFIX), "{c}");
         }
