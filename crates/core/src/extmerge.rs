@@ -11,13 +11,15 @@
 //! tail.
 //!
 //! Run file format: a sequence of `u32 len , frame` records, each frame a
-//! single-group [`crate::realign`] frame — so runs reuse the realignment
-//! codec and are readable incrementally with bounded memory.
+//! one-group [`crate::realign`] frame body (`begin_record` writes it,
+//! [`FrameReader`] reads it) — so runs reuse the realignment codec, a group
+//! of one value takes the single-valued layout (`u32 1|bit 31 , key , value`,
+//! no count), and runs are readable incrementally with bounded memory.
 
 use crate::kv::{CodecError, Key, Value};
 use crate::pool::{BlockPool, PoolCharge};
-use crate::realign::FrameReader;
-use bytes::{BufMut, BytesMut};
+use crate::realign::{begin_record, FrameReader};
+use bytes::BytesMut;
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -146,32 +148,17 @@ impl<K: Key, V: Value> ExternalTable<K, V> {
         if self.resident.is_empty() {
             return Ok(());
         }
-        let path = self
-            .spill_dir
-            .join(format!("run-{:05}.spill", self.next_run));
-        self.next_run += 1;
-        let mut w = BufWriter::new(File::create(&path)?);
-        // BTreeMap iterates in ascending key order — runs are sorted. Each
-        // record is a single-group realign frame (`u32 n_groups = 1 , key ,
-        // u32 n_values , value*`), encoded into one buffer reused across the
-        // whole run instead of a fresh FrameBuilder per group.
-        let mut frame = BytesMut::new();
-        for (k, vs) in std::mem::take(&mut self.resident) {
-            frame.clear();
-            frame.put_u32_le(1);
-            k.encode(&mut frame);
-            frame.put_u32_le(vs.len() as u32);
-            for v in &vs {
-                v.encode(&mut frame);
-            }
-            w.write_all(&(frame.len() as u32).to_le_bytes())?;
-            w.write_all(&frame)?;
-            self.spilled_bytes += 4 + frame.len() as u64;
+        let mut run = self.begin_sorted_run()?;
+        // BTreeMap iterates in ascending key order — runs are sorted.
+        for (k, vs) in std::mem::take(&mut run.table.resident) {
+            let n_values = vs.len() as u32;
+            begin_record(&mut run.frame, k.wire_size(), |b| k.encode(b), n_values);
+            vs.iter().for_each(|v| v.encode(&mut run.frame));
+            run.end_group()?;
         }
-        w.flush()?;
+        run.finish()?;
         self.resident_bytes = 0;
         self.charge.clear();
-        self.runs.push(path);
         Ok(())
     }
 
@@ -244,9 +231,10 @@ impl<K: Key, V: Value> ExternalTable<K, V> {
 type Tail<K, V> = Box<dyn Iterator<Item = Result<(K, Vec<V>), ExtMergeError>> + Send>;
 
 /// Writer for one pre-sorted run (see [`ExternalTable::begin_sorted_run`]).
-/// Groups use the same `u32 len , single-group frame` record format as
-/// resident spills; values are appended as raw encoded bytes, so spilling
-/// already-encoded frame data performs no decode/re-encode round-trip.
+/// Every record, a resident spill's included, is built here in one buffer
+/// reused across the run; keys and values are appended as raw encoded bytes,
+/// so spilling already-encoded frame data performs no decode/re-encode
+/// round-trip.
 pub struct RunWriter<'t, K: Key, V: Value> {
     table: &'t mut ExternalTable<K, V>,
     w: BufWriter<File>,
@@ -255,13 +243,13 @@ pub struct RunWriter<'t, K: Key, V: Value> {
 }
 
 impl<K: Key, V: Value> RunWriter<'_, K, V> {
-    /// Open a group. Keys must arrive in strictly ascending order across
-    /// `begin_group` calls (each key exactly once per run).
-    pub fn begin_group(&mut self, key: &K, n_values: u32) {
-        self.frame.clear();
-        self.frame.put_u32_le(1);
-        key.encode(&mut self.frame);
-        self.frame.put_u32_le(n_values);
+    /// Open a group from its already-encoded key, declaring its value count
+    /// (as [`crate::realign::FrameBuilder::begin_group_raw`]). Keys must
+    /// arrive in strictly ascending order across calls (each key exactly
+    /// once per run).
+    pub fn begin_group_raw(&mut self, key_bytes: &[u8], n_values: u32) {
+        let put_key = |b: &mut BytesMut| b.extend_from_slice(key_bytes);
+        begin_record(&mut self.frame, key_bytes.len(), put_key, n_values);
     }
 
     /// Append already-encoded value bytes to the open group.
@@ -513,9 +501,11 @@ mod tests {
             ] {
                 let mut rw = t.begin_sorted_run().unwrap();
                 for (k, vs) in run {
-                    rw.begin_group(&k.to_string(), vs.len() as u32);
+                    let mut b = BytesMut::new();
+                    k.to_string().encode(&mut b);
+                    rw.begin_group_raw(&b, vs.len() as u32);
                     for v in &vs {
-                        let mut b = BytesMut::new();
+                        b.clear();
                         v.encode(&mut b);
                         rw.push_raw(&b);
                     }

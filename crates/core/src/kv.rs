@@ -306,6 +306,25 @@ mod tests {
         round_trip(());
     }
 
+    /// `wire_size` of these types is the denominator of the benchmark's
+    /// `wire_ratio` and `job_mb_per_s`: pinned byte for byte, so that no
+    /// change improves either by shrinking what it is measured against.
+    #[test]
+    fn string_blob_and_u64_encodings_are_pinned() {
+        fn bytes_of<T: Kv>(v: T) -> Vec<u8> {
+            let mut out = BytesMut::new();
+            v.encode(&mut out);
+            assert_eq!(out.len(), v.wire_size());
+            out.to_vec()
+        }
+        assert_eq!(bytes_of("héllo".to_string()), b"\x06\0\0\0h\xc3\xa9llo");
+        assert_eq!(bytes_of(String::new()), [0, 0, 0, 0]);
+        assert_eq!(bytes_of(vec![0u8, 255, 7]), [3, 0, 0, 0, 0, 255, 7]);
+        assert_eq!(bytes_of(Vec::<u8>::new()), [0, 0, 0, 0]);
+        assert_eq!(bytes_of(0x0102_0304_0506_0708u64), [8, 7, 6, 5, 4, 3, 2, 1]);
+        assert_eq!(bytes_of(("k".to_string(), 1u64)).len(), 4 + 1 + 8);
+    }
+
     #[test]
     fn sequences_are_self_delimiting() {
         let mut out = BytesMut::new();

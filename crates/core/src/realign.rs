@@ -4,18 +4,31 @@
 //! key and value list pairs from a discrete hash table to an
 //! address-sequential and fix-sized partition." (paper §IV.A)
 //!
-//! A frame is a flat byte buffer:
+//! A frame body is a flat byte buffer in one of two group layouts, chosen
+//! per frame by bit 31 ([`SINGLE_VALUED`]) of its count word:
 //!
 //! ```text
-//! frame   := u32 n_groups , group*
-//! group   := key , u32 n_values , value*
+//! body    := u32 count , group*             n_groups = count & 0x7fff_ffff
+//! group   := key , u32 n_values , value*    count bit 31 clear
+//! group   := key , value                    count bit 31 set
 //! ```
 //!
 //! with keys and values encoded by the self-delimiting [`crate::kv::Kv`]
-//! codec. Frames are capped near a configured size; one logical spill can
-//! produce several frames per partition. The reverse direction
-//! ([`FrameReader`]) streams groups back out without materializing the whole
-//! frame's contents at once.
+//! codec. A set bit says every group of the frame has exactly one value —
+//! what a combiner leaves per key per spill, and what distinct keys produce —
+//! so none carries a count. It sits in the body's own count word, not beside
+//! the wire's compression marker, because plain [`FrameBuilder::new`] frames,
+//! disk-run records and LZ bodies after decompression have no marker byte;
+//! clear, it is the only layout there was before it. The builder of a frame
+//! picks its layout ([`FrameBuilder::single_valued`]): `realign_table` in
+//! [`crate::sender`] per (spill, partition), a disk run per record. One
+//! function writes the group layout (`put_group_head`), one reads it
+//! (`split_group`).
+//!
+//! Frames are capped near a configured size; one logical spill can produce
+//! several frames per partition. The reverse direction ([`FrameReader`])
+//! streams groups back out without materializing the whole frame's contents
+//! at once.
 
 use crate::kv::{CodecError, Kv};
 use bytes::{BufMut, Bytes, BytesMut};
@@ -25,15 +38,66 @@ use bytes::{BufMut, Bytes, BytesMut};
 pub const MARKER_PLAIN: u8 = 0;
 /// Leading byte of a wire frame whose body was LZ-compressed before send.
 pub const MARKER_LZ: u8 = 1;
+/// Bit 31 of a frame body's count word: every group of the frame has exactly
+/// one value and omits its `u32 n_values` (see the module doc).
+pub const SINGLE_VALUED: u32 = 1 << 31;
+
+/// Whether a group fits the single-valued layout: one value, and a key of at
+/// least one byte, so that a flagged frame's length bounds its group count.
+pub(crate) fn fits_single_valued(key_len: usize, n_values: u32) -> bool {
+    n_values == 1 && key_len > 0
+}
+
+fn count_word(n_groups: u32, single: bool) -> u32 {
+    assert!(n_groups < SINGLE_VALUED, "frame of 2^31 groups or more");
+    n_groups | if single { SINGLE_VALUED } else { 0 }
+}
+
+/// The one encoder of the group layout: the key (appended by `put_key`),
+/// then, unless the frame is single-valued, the value count. The caller
+/// appends the `n_values` encoded values.
+fn put_group_head(
+    buf: &mut BytesMut,
+    single: bool,
+    put_key: impl FnOnce(&mut BytesMut),
+    n_values: u32,
+) {
+    let key_at = buf.len();
+    put_key(buf);
+    if single {
+        // What the flag promises the parser: anything else decodes as garbage.
+        let fits = fits_single_valued(buf.len() - key_at, n_values);
+        assert!(fits, "not single-valued: empty key or {n_values} values");
+    } else {
+        buf.put_u32_le(n_values);
+    }
+}
+
+/// Start a one-group frame body in `buf` (cleared first) — the record format
+/// of [`crate::extmerge`]'s disk runs — in the single-valued layout when the
+/// group fits it. The caller appends the `n_values` encoded values.
+pub(crate) fn begin_record(
+    buf: &mut BytesMut,
+    key_len: usize,
+    put_key: impl FnOnce(&mut BytesMut),
+    n_values: u32,
+) {
+    let single = fits_single_valued(key_len, n_values);
+    buf.clear();
+    buf.put_u32_le(count_word(1, single));
+    put_group_head(buf, single, put_key, n_values);
+}
 
 /// Builds frames of bounded size from `(key, values)` groups.
 #[derive(Debug)]
 pub struct FrameBuilder {
     target_bytes: usize,
-    /// Bytes of header before the group-count field: 0 for plain frames,
-    /// 1 for wire frames (compression marker). The count lives at
+    /// Bytes of header before the first group: 4 for plain frames, 5 for
+    /// wire frames (compression marker first). The count word lives at
     /// `hdr - 4 .. hdr`.
     hdr: usize,
+    /// Whether frames are built in the single-valued layout.
+    single: bool,
     buf: BytesMut,
     n_groups: u32,
     frames: Vec<Bytes>,
@@ -56,24 +120,38 @@ impl FrameBuilder {
 
     fn with_header(target_bytes: usize, hdr: usize) -> Self {
         assert!(target_bytes > 0);
-        let mut buf = BytesMut::with_capacity(target_bytes + 64);
-        if hdr == 5 {
-            buf.put_u8(MARKER_PLAIN);
-        }
-        buf.put_u32_le(0); // group-count placeholder
         FrameBuilder {
             target_bytes,
             hdr,
-            buf,
+            single: false,
+            buf: Self::open_frame(target_bytes, hdr),
             n_groups: 0,
             frames: Vec::new(),
         }
     }
 
+    fn open_frame(target_bytes: usize, hdr: usize) -> BytesMut {
+        let mut buf = BytesMut::with_capacity(target_bytes + 64);
+        if hdr == 5 {
+            buf.put_u8(MARKER_PLAIN);
+        }
+        buf.put_u32_le(0); // count-word placeholder
+        buf
+    }
+
+    /// Build every frame in the single-valued layout ([`SINGLE_VALUED`]) when
+    /// `single` is set: each group pushed must then have exactly one value
+    /// and a key of at least one byte, or the push panics. Call first.
+    pub fn single_valued(mut self, single: bool) -> Self {
+        assert!(self.n_groups == 0 && self.frames.is_empty());
+        self.single = single;
+        self
+    }
+
     /// Append one key with its value list.
     pub fn push_group<K: Kv, V: Kv>(&mut self, key: &K, values: &[V]) {
-        key.encode(&mut self.buf);
-        self.buf.put_u32_le(values.len() as u32);
+        let n_values = values.len() as u32;
+        put_group_head(&mut self.buf, self.single, |b| key.encode(b), n_values);
         for v in values {
             v.encode(&mut self.buf);
         }
@@ -85,8 +163,8 @@ impl FrameBuilder {
     /// [`FrameBuilder::push_value`] calls for exactly `n_values` values,
     /// then [`FrameBuilder::end_group`].
     pub fn begin_group_raw(&mut self, key_bytes: &[u8], n_values: u32) {
-        self.buf.put_slice(key_bytes);
-        self.buf.put_u32_le(n_values);
+        let put_key = |b: &mut BytesMut| b.put_slice(key_bytes);
+        put_group_head(&mut self.buf, self.single, put_key, n_values);
     }
 
     /// Append already-encoded value bytes to the open group.
@@ -112,17 +190,11 @@ impl FrameBuilder {
         if self.n_groups == 0 {
             return;
         }
-        self.buf[self.hdr - 4..self.hdr].copy_from_slice(&self.n_groups.to_le_bytes());
-        let hdr = self.hdr;
-        let full = std::mem::replace(&mut self.buf, {
-            let mut b = BytesMut::with_capacity(self.target_bytes + 64);
-            if hdr == 5 {
-                b.put_u8(MARKER_PLAIN);
-            }
-            b.put_u32_le(0);
-            b
-        });
-        self.frames.push(full.freeze());
+        let count = count_word(self.n_groups, self.single);
+        self.buf[self.hdr - 4..self.hdr].copy_from_slice(&count.to_le_bytes());
+        let next = Self::open_frame(self.target_bytes, self.hdr);
+        self.frames
+            .push(std::mem::replace(&mut self.buf, next).freeze());
         self.n_groups = 0;
     }
 
@@ -138,22 +210,73 @@ impl FrameBuilder {
     }
 }
 
+/// Read a frame body's count word: the layout, the group count, the groups'
+/// bytes. The count comes straight off the wire, so it is checked here against
+/// what the body can hold — a group is at least its 4-byte value count, or its
+/// 1-byte key when single-valued — and may then size an allocation or bound a
+/// loop. Offsets into a body are `u32` ([`RawGroup`]; frames are KBs–MBs), so
+/// one too large for that is rejected as corrupt.
+fn open_body(body: &[u8]) -> Result<(bool, usize, &[u8]), CodecError> {
+    if body.len() > u32::MAX as usize {
+        return Err(CodecError::Corrupt("frame body exceeds u32 indexing"));
+    }
+    let mut rest = body;
+    let word = u32::decode(&mut rest)?;
+    let single = word & SINGLE_VALUED != 0;
+    let n_groups = (word & !SINGLE_VALUED) as usize;
+    if n_groups > rest.len() / if single { 1 } else { 4 } {
+        return Err(CodecError::Truncated);
+    }
+    Ok((single, n_groups, rest))
+}
+
+/// The one parser of the group layout: locate the group at the front of
+/// `rest` (the unread tail of `body`) and step past it. Key and values are
+/// [`Kv::skip`]ped, so framing errors surface here and content errors (e.g.
+/// invalid UTF-8 in a `String`) at the later decode of the byte ranges.
+#[inline(always)]
+fn split_group<K: Kv, V: Kv>(
+    body: &[u8],
+    rest: &mut &[u8],
+    single: bool,
+) -> Result<RawGroup, CodecError> {
+    let at = |rest: &[u8]| (body.len() - rest.len()) as u32;
+    let key_off = at(rest);
+    K::skip(rest)?;
+    let key_end = at(rest);
+    let n_values = if single { 1 } else { u32::decode(rest)? };
+    let val_off = at(rest);
+    for _ in 0..n_values {
+        V::skip(rest)?;
+    }
+    Ok(RawGroup {
+        key_off,
+        key_end,
+        val_off,
+        val_end: at(rest),
+        n_values,
+    })
+}
+
 /// Streaming reader over one frame: "the sequential data stream will be
 /// re-constructed as key-value pairs" (reverse realignment).
 #[derive(Debug)]
 pub struct FrameReader<'a> {
+    body: &'a [u8],
     rest: &'a [u8],
     remaining_groups: u32,
+    single: bool,
 }
 
 impl<'a> FrameReader<'a> {
     /// Open a frame.
     pub fn new(frame: &'a [u8]) -> Result<Self, CodecError> {
-        let mut slice = frame;
-        let n = u32::decode(&mut slice)?;
+        let (single, n_groups, rest) = open_body(frame)?;
         Ok(FrameReader {
-            rest: slice,
-            remaining_groups: n,
+            body: frame,
+            rest,
+            remaining_groups: n_groups as u32,
+            single,
         })
     }
 
@@ -170,11 +293,12 @@ impl<'a> FrameReader<'a> {
             }
             return Ok(None);
         }
-        let key = K::decode(&mut self.rest)?;
-        let n_values = u32::decode(&mut self.rest)? as usize;
-        let mut values = Vec::with_capacity(n_values.min(1 << 16));
-        for _ in 0..n_values {
-            values.push(V::decode(&mut self.rest)?);
+        let g = split_group::<K, V>(self.body, &mut self.rest, self.single)?;
+        let key = K::decode(&mut g.key_bytes(self.body))?;
+        let mut encoded = g.val_bytes(self.body);
+        let mut values = Vec::with_capacity((g.n_values as usize).min(1 << 16));
+        for _ in 0..g.n_values {
+            values.push(V::decode(&mut encoded)?);
         }
         self.remaining_groups -= 1;
         Ok(Some((key, values)))
@@ -182,7 +306,7 @@ impl<'a> FrameReader<'a> {
 
     /// Drain the whole frame into a vector of groups.
     pub fn read_all<K: Kv, V: Kv>(mut self) -> Result<Vec<(K, Vec<V>)>, CodecError> {
-        let mut out = Vec::with_capacity(group_capacity(self.remaining_groups, self.rest));
+        let mut out = Vec::with_capacity(self.remaining_groups as usize);
         while let Some(g) = self.next_group()? {
             out.push(g);
         }
@@ -199,59 +323,6 @@ pub fn decode_frames<K: Kv, V: Kv>(frames: &[Bytes]) -> Result<Vec<(K, Vec<V>)>,
     Ok(out)
 }
 
-/// How many groups to reserve room for when a frame's count header claims
-/// `n_groups`: the header is a `u32` straight off the wire, so a flipped bit
-/// must not size an allocation. Every group carries at least its `u32` value
-/// count, which bounds the count by what `rest` can hold.
-fn group_capacity(n_groups: u32, rest: &[u8]) -> usize {
-    (n_groups as usize).min(rest.len() / 4)
-}
-
-/// One group's location inside a frame body: the decoded key plus the byte
-/// range of its still-encoded value list. Produced by [`parse_group_index`];
-/// values stay as bytes until a consumer actually needs them.
-#[derive(Debug, Clone)]
-pub struct GroupMeta<K> {
-    /// The group key (keys must be decoded once anyway for merge ordering).
-    pub key: K,
-    /// Start of the encoded value list, as an offset into the frame body.
-    pub val_off: usize,
-    /// One past the end of the encoded value list.
-    pub val_end: usize,
-    /// Number of values in `val_off..val_end`.
-    pub n_values: u32,
-}
-
-/// Index a frame body (count header + groups, no wire marker) into per-group
-/// offsets without materializing any value. Keys are decoded; values are
-/// length-skipped via [`Kv::skip`], so framing errors surface here but
-/// content errors (e.g. invalid UTF-8 in a `String` value) surface at the
-/// later `decode` of the group's byte range.
-pub fn parse_group_index<K: Kv, V: Kv>(body: &[u8]) -> Result<Vec<GroupMeta<K>>, CodecError> {
-    let mut slice = body;
-    let n_groups = u32::decode(&mut slice)?;
-    let mut out = Vec::with_capacity(group_capacity(n_groups, slice));
-    for _ in 0..n_groups {
-        let key = K::decode(&mut slice)?;
-        let n_values = u32::decode(&mut slice)?;
-        let val_off = body.len() - slice.len();
-        for _ in 0..n_values {
-            V::skip(&mut slice)?;
-        }
-        let val_end = body.len() - slice.len();
-        out.push(GroupMeta {
-            key,
-            val_off,
-            val_end,
-            n_values,
-        });
-    }
-    if !slice.is_empty() {
-        return Err(CodecError::Corrupt("trailing bytes after last group"));
-    }
-    Ok(out)
-}
-
 /// One group's location inside a frame body with the key *not* decoded:
 /// both the key and the value list stay as byte ranges. Produced by
 /// [`parse_group_index_raw`] for key types with [`Kv::encoded_cmp`], where
@@ -261,7 +332,7 @@ pub fn parse_group_index<K: Kv, V: Kv>(body: &[u8]) -> Result<Vec<GroupMeta<K>>,
 pub struct RawGroup {
     /// Start of the encoded key, as an offset into the frame body.
     pub key_off: u32,
-    /// One past the end of the encoded key (= start of the value count).
+    /// One past the end of the encoded key.
     pub key_end: u32,
     /// Start of the encoded value list.
     pub val_off: u32,
@@ -297,37 +368,25 @@ pub struct KeyRef {
     pub group: u32,
 }
 
-/// Index a frame body into per-group key/value byte ranges, decoding
-/// nothing. Keys are [`Kv::skip`]ped like values, so content errors (e.g.
-/// invalid UTF-8 in a `String` key) surface at the later per-group decode.
-/// Offsets are `u32`: frames are built to `frame_bytes` (order of KBs–MBs),
-/// and a body too large to index that way is rejected as corrupt.
+/// Index a frame body (count word + groups, no wire marker, either layout)
+/// into per-group key/value byte ranges, decoding nothing: content errors
+/// (e.g. invalid UTF-8 in a `String` key) surface at the later per-group
+/// decode.
 pub fn parse_group_index_raw<K: Kv, V: Kv>(body: &[u8]) -> Result<Vec<RawGroup>, CodecError> {
-    if body.len() > u32::MAX as usize {
-        return Err(CodecError::Corrupt("frame body exceeds u32 indexing"));
-    }
-    let mut slice = body;
-    let n_groups = u32::decode(&mut slice)?;
-    let mut out = Vec::with_capacity(group_capacity(n_groups, slice));
-    for _ in 0..n_groups {
-        let key_off = (body.len() - slice.len()) as u32;
-        K::skip(&mut slice)?;
-        let key_end = (body.len() - slice.len()) as u32;
-        let n_values = u32::decode(&mut slice)?;
-        let val_off = (body.len() - slice.len()) as u32;
-        for _ in 0..n_values {
-            V::skip(&mut slice)?;
+    let (single, n_groups, mut rest) = open_body(body)?;
+    let mut out = Vec::with_capacity(n_groups);
+    // `single` is a constant in each arm once `split_group` is inlined, so
+    // the layout is tested once per frame, not once per group.
+    if single {
+        for _ in 0..n_groups {
+            out.push(split_group::<K, V>(body, &mut rest, true)?);
         }
-        let val_end = (body.len() - slice.len()) as u32;
-        out.push(RawGroup {
-            key_off,
-            key_end,
-            val_off,
-            val_end,
-            n_values,
-        });
+    } else {
+        for _ in 0..n_groups {
+            out.push(split_group::<K, V>(body, &mut rest, false)?);
+        }
     }
-    if !slice.is_empty() {
+    if !rest.is_empty() {
         return Err(CodecError::Corrupt("trailing bytes after last group"));
     }
     Ok(out)
@@ -445,6 +504,32 @@ mod tests {
         assert_eq!(&wire[0][1..], &typed[0][..]);
     }
 
+    /// The groups of `frame` as `parse_group_index_raw` locates them, decoded
+    /// from its byte ranges.
+    fn via_raw_index(frame: &[u8]) -> Vec<(String, Vec<u64>)> {
+        let decode = |g: &RawGroup| {
+            let key = String::decode(&mut g.key_bytes(frame)).unwrap();
+            let mut vals = g.val_bytes(frame);
+            let values = (0..g.n_values).map(|_| u64::decode(&mut vals).unwrap());
+            let values: Vec<u64> = values.collect();
+            assert!(vals.is_empty());
+            (key, values)
+        };
+        let raw = parse_group_index_raw::<String, u64>(frame).unwrap();
+        raw.iter().map(decode).collect()
+    }
+
+    const TRUNCATED: [Result<usize, CodecError>; 2] =
+        [Err(CodecError::Truncated), Err(CodecError::Truncated)];
+
+    /// Every reader's verdict on one frame body.
+    fn read_every_way(body: &[u8]) -> [Result<usize, CodecError>; 2] {
+        [
+            parse_group_index_raw::<String, u64>(body).map(|g| g.len()),
+            FrameReader::new(body).and_then(|r| Ok(r.read_all::<String, u64>()?.len())),
+        ]
+    }
+
     #[test]
     fn group_index_locates_every_value_list() {
         let groups = vec![
@@ -453,39 +538,9 @@ mod tests {
             ("ccc".to_string(), vec![7]),
         ];
         let frames = build(&groups, 1 << 20);
-        let idx = parse_group_index::<String, u64>(&frames[0]).unwrap();
-        assert_eq!(idx.len(), 3);
-        for (meta, (k, vs)) in idx.iter().zip(&groups) {
-            assert_eq!(&meta.key, k);
-            assert_eq!(meta.n_values as usize, vs.len());
-            let mut slice = &frames[0][meta.val_off..meta.val_end];
-            let decoded: Vec<u64> = (0..meta.n_values)
-                .map(|_| u64::decode(&mut slice).unwrap())
-                .collect();
-            assert_eq!(&decoded, vs);
-            assert!(slice.is_empty());
-        }
-    }
-
-    #[test]
-    fn raw_group_index_matches_typed_index() {
-        let groups = vec![
-            ("a".to_string(), vec![10u64, 20]),
-            ("bb".to_string(), vec![]),
-            ("ccc".to_string(), vec![7]),
-        ];
-        let frames = build(&groups, 1 << 20);
-        let typed = parse_group_index::<String, u64>(&frames[0]).unwrap();
-        let raw = parse_group_index_raw::<String, u64>(&frames[0]).unwrap();
-        assert_eq!(raw.len(), typed.len());
-        for (r, t) in raw.iter().zip(&typed) {
-            let mut kb = r.key_bytes(&frames[0]);
-            assert_eq!(String::decode(&mut kb).unwrap(), t.key);
-            assert_eq!(r.val_off as usize, t.val_off);
-            assert_eq!(r.val_end as usize, t.val_end);
-            assert_eq!(r.n_values, t.n_values);
-        }
+        assert_eq!(via_raw_index(&frames[0]), groups);
         // The byte-range comparator on raw keys orders like the typed keys.
+        let raw = parse_group_index_raw::<String, u64>(&frames[0]).unwrap();
         let cmp = String::encoded_cmp().unwrap();
         for w in raw.windows(2) {
             assert_eq!(
@@ -500,38 +555,159 @@ mod tests {
         let frames = build(&[("k".to_string(), vec![7u64])], 1 << 20);
         let mut bad = frames[0].to_vec();
         bad.truncate(bad.len() - 2);
-        assert!(matches!(
-            parse_group_index::<String, u64>(&bad),
-            Err(CodecError::Truncated)
-        ));
+        assert_eq!(read_every_way(&bad), TRUNCATED);
         let mut noisy = frames[0].to_vec();
         noisy.extend_from_slice(&[9, 9]);
-        assert!(matches!(
-            parse_group_index::<String, u64>(&noisy),
-            Err(CodecError::Corrupt(_))
-        ));
+        for verdict in read_every_way(&noisy) {
+            assert!(matches!(verdict, Err(CodecError::Corrupt(_))));
+        }
+        assert_eq!(read_every_way(&[1, 0]), TRUNCATED);
     }
 
     #[test]
     fn hostile_group_count_is_an_error_not_an_allocation() {
-        // A count header of u32::MAX over a one-group body: every reader
-        // must run out of bytes, not reserve room for four billion groups.
+        // A count word of u32::MAX — the flag plus 2^31 - 1 groups — and
+        // one of 2^31 - 1 without it, over a one-group body: every reader
+        // must find the body too short, not reserve room for two billion
+        // groups.
         let frames = build(&[("k".to_string(), vec![7u64])], 1 << 20);
-        let mut bad = frames[0].to_vec();
-        bad[..4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(
-            parse_group_index_raw::<String, u64>(&bad).unwrap_err(),
-            CodecError::Truncated
-        );
-        assert_eq!(
-            parse_group_index::<String, u64>(&bad).unwrap_err(),
-            CodecError::Truncated
-        );
-        let reader = FrameReader::new(&bad).unwrap();
-        assert_eq!(
-            reader.read_all::<String, u64>().unwrap_err(),
-            CodecError::Truncated
-        );
+        for count in [u32::MAX, u32::MAX >> 1, 5] {
+            let mut bad = frames[0].to_vec();
+            bad[..4].copy_from_slice(&count.to_le_bytes());
+            assert_eq!(read_every_way(&bad), TRUNCATED);
+        }
+    }
+
+    fn build_single(groups: &[(String, u64)], target: usize) -> Vec<Bytes> {
+        let mut b = FrameBuilder::new(target).single_valued(true);
+        for (k, v) in groups {
+            b.push_group(k, std::slice::from_ref(v));
+        }
+        b.finish()
+    }
+
+    #[test]
+    fn single_valued_frames_omit_the_value_counts_and_read_back() {
+        let pairs: Vec<(String, u64)> = (0..50).map(|i| (format!("key-{i:02}"), i)).collect();
+        let groups: Vec<(String, Vec<u64>)> =
+            pairs.iter().map(|(k, v)| (k.clone(), vec![*v])).collect();
+        for target in [32, 200, 1 << 20] {
+            let frames = build_single(&pairs, target);
+            // 4 (count word) per frame + 4+6 (key) + 8 (value) per group.
+            let bytes: usize = frames.iter().map(|f| f.len()).sum();
+            assert_eq!(bytes, 4 * frames.len() + 18 * pairs.len());
+            // The other layout spends four more bytes on each group, so
+            // it also fills (no fewer) frames sooner.
+            let plain = build(&groups, target);
+            let plain_bytes: usize = plain.iter().map(|f| f.len()).sum();
+            assert_eq!(plain_bytes, 4 * plain.len() + 22 * pairs.len());
+            assert!(frames.len() <= plain.len());
+            let mut n_groups = 0;
+            for f in &frames {
+                let count = u32::from_le_bytes(f[..4].try_into().unwrap());
+                assert_ne!(count & SINGLE_VALUED, 0, "flagged");
+                n_groups += count & !SINGLE_VALUED;
+                assert_eq!(
+                    FrameReader::new(f).unwrap().remaining(),
+                    count & !SINGLE_VALUED
+                );
+            }
+            assert_eq!(n_groups as usize, pairs.len());
+            assert_eq!(decode_frames::<String, u64>(&frames).unwrap(), groups);
+            let raw: Vec<_> = frames.iter().flat_map(|f| via_raw_index(f)).collect();
+            assert_eq!(raw, groups);
+        }
+        // The raw path builds the same bytes, marker aside.
+        let mut raw = FrameBuilder::new_wire(1 << 20).single_valued(true);
+        let mut key = BytesMut::new();
+        for (k, v) in &pairs {
+            key.clear();
+            k.encode(&mut key);
+            raw.begin_group_raw(&key, 1);
+            raw.push_value(v);
+            raw.end_group();
+        }
+        assert_eq!(&raw.finish()[0][1..], &build_single(&pairs, 1 << 20)[0][..]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not single-valued")]
+    fn a_single_valued_builder_refuses_a_second_value() {
+        FrameBuilder::new(64)
+            .single_valued(true)
+            .push_group(&"k".to_string(), &[1u64, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not single-valued")]
+    fn a_single_valued_builder_refuses_an_empty_key() {
+        FrameBuilder::new(64)
+            .single_valued(true)
+            .push_group(&(), &[1u64]);
+    }
+
+    #[test]
+    fn one_group_records_take_the_layout_their_group_fits() {
+        let mut buf = BytesMut::from(b"stale".to_vec());
+        let k = "k".to_string();
+        begin_record(&mut buf, k.wire_size(), |b| k.encode(b), 1);
+        7u64.encode(&mut buf);
+        assert_eq!(buf.len(), 4 + 5 + 8);
+        assert_eq!(&buf[..], &build_single(&[(k.clone(), 7)], 64)[0][..]);
+        begin_record(&mut buf, k.wire_size(), |b| k.encode(b), 2);
+        7u64.encode(&mut buf);
+        8u64.encode(&mut buf);
+        assert_eq!(&buf[..], &build(&[(k, vec![7, 8])], 64)[0][..]);
+        // An empty key never takes the flag: its group could be zero bytes.
+        begin_record(&mut buf, 0, |_| {}, 1);
+        assert_eq!(&buf[..], &[1, 0, 0, 0, 1, 0, 0, 0]);
+        let back = FrameReader::new(&buf).unwrap().read_all::<(), ()>();
+        assert_eq!(back.unwrap(), vec![((), vec![()])]);
+    }
+
+    /// ROADMAP 5a: a new header bit is a new way to lie to the decoder.
+    #[test]
+    fn a_lying_layout_bit_is_an_error_never_a_panic() {
+        let flagged = build_single(&[("k".to_string(), 7), ("kk".to_string(), 8)], 1 << 20);
+        let flagged = flagged[0].to_vec();
+        let with_count = |body: &[u8], count: u32| {
+            let mut b = body.to_vec();
+            b[..4].copy_from_slice(&count.to_le_bytes());
+            b
+        };
+        // A flagged group is at least a byte, so a count beyond the body's
+        // length is refused before any group is read or any room reserved.
+        let n_rest = (flagged.len() - 4) as u32;
+        for count in [n_rest + 1, u32::MAX >> 1] {
+            let bad = with_count(&flagged, SINGLE_VALUED | count);
+            assert_eq!(read_every_way(&bad), TRUNCATED);
+        }
+        // One the length allows but the groups do not.
+        let bad = with_count(&flagged, SINGLE_VALUED | n_rest);
+        assert_eq!(read_every_way(&bad), TRUNCATED);
+        // Cut mid-value, and mid-key.
+        assert_eq!(read_every_way(&flagged[..flagged.len() - 3]), TRUNCATED);
+        assert_eq!(read_every_way(&flagged[..flagged.len() - 10]), TRUNCATED);
+        // Trailing bytes after the last flagged group.
+        let noisy = [&flagged[..], &[0][..]].concat();
+        for verdict in read_every_way(&noisy) {
+            assert_eq!(
+                verdict,
+                Err(CodecError::Corrupt("trailing bytes after last group"))
+            );
+        }
+        // The bit cleared on a single-valued frame: the first value's low
+        // half is read as a count of seven values.
+        assert_eq!(read_every_way(&with_count(&flagged, 2)), TRUNCATED);
+        // The bit set on a multi-valued frame: count and half a value pass
+        // for one value, and the rest is left over.
+        let multi = build(&[("k".to_string(), vec![7u64, 8])], 1 << 20);
+        let lied = with_count(&multi[0], SINGLE_VALUED | 1);
+        for verdict in read_every_way(&lied) {
+            assert!(matches!(verdict, Err(CodecError::Corrupt(_))));
+        }
+        // A bare flag over no groups is an empty frame, like a bare zero.
+        assert_eq!(read_every_way(&SINGLE_VALUED.to_le_bytes()), [Ok(0), Ok(0)]);
     }
 
     #[test]

@@ -549,26 +549,22 @@ impl Merged {
         })
     }
 
-    /// Decode a span's key (once) and count its values, for an
-    /// exact-capacity value list or a disk run's group header.
-    fn span_head<K: Key>(&self, span: &[KeyRef]) -> MpidResult<(K, usize)> {
-        let frame = &self.frames[span[0].run as usize];
-        let mut kb = frame.key_bytes(&span[0]);
-        let key = K::decode(&mut kb).map_err(|e| frame.codec_err(e))?;
-        let n_values = span.iter().map(|e| self.group(e).1.n_values as usize).sum();
-        Ok((key, n_values))
-    }
-
     fn group(&self, e: &KeyRef) -> (&Frame, &RawGroup) {
         let frame = &self.frames[e.run as usize];
         (frame, &frame.raw[e.group as usize])
     }
 
-    /// Decode one span into its `(key, values)` group: the key once, each
-    /// value once, into an exact-capacity list.
+    /// How many values a span's groups hold between them.
+    fn n_values(&self, span: &[KeyRef]) -> usize {
+        span.iter().map(|e| self.group(e).1.n_values as usize).sum()
+    }
+
+    /// Decode one span into its `(key, values)` group: the key once, from
+    /// its first entry, each value once, into an exact-capacity list.
     fn decode_span<K: Key, V: Value>(&self, span: &[KeyRef]) -> MpidResult<(K, Vec<V>)> {
-        let (key, n_values) = self.span_head::<K>(span)?;
-        let mut values: Vec<V> = Vec::with_capacity(n_values);
+        let first = &self.frames[span[0].run as usize];
+        let key = K::decode(&mut first.key_bytes(&span[0])).map_err(|e| first.codec_err(e))?;
+        let mut values: Vec<V> = Vec::with_capacity(self.n_values(span));
         for e in span {
             let (frame, g) = self.group(e);
             let mut slice = g.val_bytes(&frame.body);
@@ -629,24 +625,19 @@ fn merge_by_rank<K: Key>(mut runs: Vec<FrameRun<K>>) -> Merged {
     Merged::new(runs)
 }
 
-/// Merge one window of frame runs into a single pre-sorted disk run. Value
-/// bytes are copied verbatim from the frame bodies — no decode/re-encode.
+/// Merge one window of frame runs into a single pre-sorted disk run. Key and
+/// value bytes are copied verbatim from the frame bodies — no decode or
+/// re-encode, so a key with bad content is found by the `recv()` that reads
+/// it back.
 fn spill_window<K: Key, V: Value>(
     table: &mut crate::extmerge::ExternalTable<K, V>,
     runs: Vec<FrameRun<K>>,
 ) -> Result<(), crate::extmerge::ExtMergeError> {
-    if runs.is_empty() {
-        return Ok(());
-    }
     let merged = Merged::new(runs);
     let mut rw = table.begin_sorted_run()?;
     for span in merged.spans::<K>() {
-        // A key that fails to decode mid-spill is a frame codec error;
-        // surface it through the extmerge error channel the caller maps.
-        let (key, n_values) = merged
-            .span_head::<K>(span)
-            .map_err(|e| crate::extmerge::ExtMergeError::Codec(codec_of(e)))?;
-        rw.begin_group(&key, n_values as u32);
+        let key_bytes = merged.frames[span[0].run as usize].key_bytes(&span[0]);
+        rw.begin_group_raw(key_bytes, merged.n_values(span) as u32);
         for e in span {
             let (frame, g) = merged.group(e);
             rw.push_raw(g.val_bytes(&frame.body));
@@ -1055,9 +1046,10 @@ mod tests {
     #[test]
     fn a_bad_key_or_value_names_its_source_rank() {
         // Framing is valid, content is not: mapper 2's third group, in key
-        // order the job's fourth of six, is not UTF-8 in its key or value.
+        // order the job's fourth of seven, is not UTF-8 in its key or value.
         let b = |x: &str| x.as_bytes().to_vec();
         let good = frame(&[(b("a"), vec![b("1")]), (b("e"), vec![b("5")])]);
+        let last = frame(&[(b("g"), vec![b("7")])]);
         let bad = |key: Vec<u8>, value: Vec<u8>| {
             frame(&[
                 (b("b"), vec![b("2")]),
@@ -1071,10 +1063,15 @@ mod tests {
             (s("b"), vec![s("2")]),
             (s("c"), vec![s("3")]),
         ];
+        // A budget of one byte spills every frame but the last to arrive,
+        // and the bad one is never that: its mapper sends `last` after it.
         for (bad, mem_budget) in [
             (bad(vec![b'd', 0xff], b("4")), None),
             (bad(b("d"), vec![0xff, 0xfe]), None),
             (bad(b("d"), vec![0xff, 0xfe]), Some(1 << 20)),
+            (bad(vec![b'd', 0xff], b("4")), Some(1 << 20)),
+            (bad(vec![b'd', 0xff], b("4")), Some(1)),
+            (bad(b("d"), vec![0xff, 0xfe]), Some(1)),
         ] {
             let pool = BlockPool::new(1 << 20);
             let cfg = MpidConfig {
@@ -1082,7 +1079,8 @@ mod tests {
                 pool: Some(pool.clone()),
                 ..Default::default()
             };
-            let sends = [vec![good.clone()], vec![bad]];
+            let all_held = good.len() + bad.len() + last.len();
+            let sends = [vec![good.clone()], vec![bad, last.clone()]];
             let (got, err) = reduce_frames(cfg, &sends, |mut recv| {
                 let mut got: Grouped<String, String> = Vec::new();
                 let err = loop {
@@ -1100,9 +1098,12 @@ mod tests {
                 (got, err)
             });
             assert_eq!(pool.stats().live, 0);
+            let spilled = pool.stats().high_water < all_held;
+            assert_eq!(spilled, mem_budget == Some(1), "windows went to disk");
             // Decoded span by span: everything before the bad group came
             // out, and the error names the mapper that sent it — on the
-            // bounded tail through `ExtMergeError::Codec`.
+            // bounded path, from the tail or from a disk run the window's
+            // key bytes were copied into, through `ExtMergeError::Codec`.
             assert_eq!(got, before);
             match mem_budget {
                 None => assert!(matches!(
@@ -1210,33 +1211,104 @@ mod tests {
         }
     }
 
-    #[test]
-    fn hostile_group_count_is_a_codec_error_naming_the_mapper() {
-        // One real group under a count header claiming u32::MAX of them.
-        let mut wire = vec![MARKER_PLAIN];
-        wire.extend_from_slice(&frame(&[(s("k"), vec![7u64])]));
-        wire[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
-        let wire = Bytes::from(wire);
+    /// What the reducer's first `recv()` makes of one wire frame (marker
+    /// byte included) from mapper rank 1, on the unbounded or bounded path.
+    fn recv_wire(wire: &[u8], mem_budget: Option<usize>) -> MpidResult<Option<(String, Vec<u64>)>> {
+        let wire = Bytes::copy_from_slice(wire);
         let results = Universe::run(2, move |comm| {
             if comm.rank() == 1 {
                 comm.send_bytes(0, tags::DATA, wire.clone()).unwrap();
-                // The reducer fails on the frame above and may be gone by now.
+                // The reducer may have failed on the frame above and be gone.
                 let _ = comm.send_bytes(0, tags::DATA, Bytes::new());
                 return None;
             }
             let cfg = MpidConfig {
                 n_mappers: 1,
                 n_reducers: 1,
+                mem_budget,
                 ..Default::default()
             };
             Some(MpidReceiver::<String, u64>::new(comm, cfg).recv())
         });
-        assert_eq!(
-            results[0],
-            Some(Err(MpidError::Codec {
-                source_rank: 1,
-                err: CodecError::Truncated,
-            }))
-        );
+        results.into_iter().next().flatten().unwrap()
+    }
+
+    /// ROADMAP 5a: every way a frame's count word can lie — the layout bit
+    /// included — is a codec error naming the mapper, on both paths.
+    #[test]
+    fn hostile_group_count_is_a_codec_error_naming_the_mapper() {
+        use crate::realign::SINGLE_VALUED;
+        let plain = |body: &[u8]| [&[MARKER_PLAIN][..], body].concat();
+        let lz = |body: &[u8]| [&[MARKER_LZ][..], &crate::compress::compress(body)].concat();
+        let with_count = |body: &[u8], count: u32| [&count.to_le_bytes(), &body[4..]].concat();
+        let mut b = FrameBuilder::new(1 << 20).single_valued(true);
+        b.push_group(&s("k"), &[7u64]);
+        b.push_group(&s("kk"), &[8u64]);
+        let flagged = b.finish().pop().unwrap();
+        let multi = frame(&[(s("k"), vec![7u64, 8])]);
+        let n_rest = (flagged.len() - 4) as u32;
+        let trailing = CodecError::Corrupt("trailing bytes after last group");
+        let cases: Vec<(&str, Vec<u8>, CodecError)> = vec![
+            // One real group under a count word claiming u32::MAX of them.
+            (
+                "all ones",
+                plain(&with_count(&multi, u32::MAX)),
+                CodecError::Truncated,
+            ),
+            (
+                "count past the flagged body",
+                plain(&with_count(&flagged, SINGLE_VALUED | (n_rest + 1))),
+                CodecError::Truncated,
+            ),
+            (
+                "count the length allows, the groups do not",
+                plain(&with_count(&flagged, SINGLE_VALUED | n_rest)),
+                CodecError::Truncated,
+            ),
+            (
+                "cut mid-value",
+                plain(&flagged[..flagged.len() - 3]),
+                CodecError::Truncated,
+            ),
+            (
+                "trailing byte",
+                plain(&[&flagged[..], &[0]].concat()),
+                trailing.clone(),
+            ),
+            (
+                "bit set on two values",
+                plain(&with_count(&multi, SINGLE_VALUED | 1)),
+                trailing,
+            ),
+            (
+                "bit cleared on one value",
+                plain(&with_count(&flagged, 2)),
+                CodecError::Truncated,
+            ),
+            (
+                "flagged count past the body, compressed",
+                lz(&with_count(&flagged, SINGLE_VALUED | (n_rest + 1))),
+                CodecError::Truncated,
+            ),
+            (
+                "flagged and compressed, cut mid-value",
+                lz(&flagged[..flagged.len() - 3]),
+                CodecError::Truncated,
+            ),
+        ];
+        for mem_budget in [None, Some(1 << 20)] {
+            for (what, wire, err) in &cases {
+                let want = Err(MpidError::Codec {
+                    source_rank: 1,
+                    err: err.clone(),
+                });
+                assert_eq!(recv_wire(wire, mem_budget), want, "{what}");
+            }
+            // Honest flagged frames, plain and compressed, read back.
+            for wire in [plain(&flagged), lz(&flagged)] {
+                let first = Ok(Some((s("k"), vec![7u64])));
+                assert_eq!(recv_wire(&wire, mem_budget), first);
+            }
+        }
     }
 }

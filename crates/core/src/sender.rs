@@ -31,7 +31,7 @@ use crate::error::MpidResult;
 use crate::kv::{Key, Kv, Value};
 use crate::partition::{HashPartitioner, Partitioner};
 use crate::pool::PoolCharge;
-use crate::realign::{FrameBuilder, MARKER_LZ};
+use crate::realign::{fits_single_valued, FrameBuilder, MARKER_LZ};
 use crate::shuffle::{self, ShipCtx, ShuffleKind, ShuffleStrategy};
 use crate::stats::SenderStats;
 use bytes::{Bytes, BytesMut};
@@ -316,10 +316,11 @@ impl WireShop {
     }
 }
 
-/// Reusable per-spill scratch: per-partition entry lists and (for the
+/// Reusable per-spill scratch: per-partition entry lists, each with whether
+/// all its groups fit the single-valued frame layout, and (for the
 /// decoded-sort fallback) typed keys. Steady state allocates nothing.
 pub(crate) struct SpillScratch<K> {
-    parts: Vec<Vec<u32>>,
+    parts: Vec<(Vec<u32>, bool)>,
     keys: Vec<K>,
 }
 
@@ -369,9 +370,14 @@ pub(crate) fn realign_table<K: Key, V: Value>(
     // Hash-mod partition selection over entry indices, straight from the
     // partition stored at insert; the per-reducer index lists persist across
     // spills so steady state allocates nothing here.
-    scratch.parts.resize_with(n_red, Vec::new);
+    // The same pass picks each partition's frame layout: single-valued
+    // (no per-group count on the wire) when every group bound for it is —
+    // what a combiner leaves, and what distinct keys produce.
+    scratch.parts.resize_with(n_red, || (Vec::new(), true));
     for (i, e) in table.entries.iter().enumerate() {
-        scratch.parts[e.part as usize].push(i as u32);
+        let (ids, single) = &mut scratch.parts[e.part as usize];
+        ids.push(i as u32);
+        *single &= fits_single_valued((e.key_end - e.key_off) as usize, e.n_values);
     }
     // The optional key sort prefers the encoded-bytes comparator; only key
     // types without one pay a per-distinct-key decode.
@@ -384,7 +390,7 @@ pub(crate) fn realign_table<K: Key, V: Value>(
             scratch.keys.push(k);
         }
     }
-    for (p, entry_ids) in scratch.parts.iter_mut().enumerate() {
+    for (p, (entry_ids, single)) in scratch.parts.iter_mut().enumerate() {
         if entry_ids.is_empty() {
             continue;
         }
@@ -402,7 +408,7 @@ pub(crate) fn realign_table<K: Key, V: Value>(
             }
         }
         out.groups += entry_ids.len() as u64;
-        let mut builder = FrameBuilder::new_wire(frame_bytes);
+        let mut builder = FrameBuilder::new_wire(frame_bytes).single_valued(*single);
         for &i in entry_ids.iter() {
             let e = &table.entries[i as usize];
             builder.begin_group_raw(table.key_bytes(e), e.n_values);
@@ -419,6 +425,7 @@ pub(crate) fn realign_table<K: Key, V: Value>(
             builder.end_group();
         }
         entry_ids.clear();
+        *single = true;
         let mut wires = Vec::new();
         for frame in builder.finish() {
             out.frames += 1;

@@ -252,30 +252,22 @@ impl<K: Key, V: Value> InNodeShip<K, V> {
         part: u32,
         wire: &Bytes,
     ) -> MpidResult<()> {
+        let codec_err = |err| MpidError::Codec {
+            source_rank: src,
+            err,
+        };
         let inflated;
         let body: &[u8] = match wire.first() {
             Some(&MARKER_LZ) => {
-                inflated = compress::decompress(&wire[1..]).map_err(|err| MpidError::Codec {
-                    source_rank: src,
-                    err,
-                })?;
+                inflated = compress::decompress(&wire[1..]).map_err(codec_err)?;
                 &inflated
             }
             Some(_) => &wire[1..],
             None => return Ok(()),
         };
-        let mut reader = FrameReader::new(body).map_err(|err| MpidError::Codec {
-            source_rank: src,
-            err,
-        })?;
-        loop {
-            let group = reader
-                .next_group::<K, V>()
-                .map_err(|err| MpidError::Codec {
-                    source_rank: src,
-                    err,
-                })?;
-            let Some((key, values)) = group else { break };
+        // Either group layout; what ships is laid out afresh from the table.
+        let mut reader = FrameReader::new(body).map_err(codec_err)?;
+        while let Some((key, values)) = reader.next_group::<K, V>().map_err(codec_err)? {
             self.report.host_groups_in += 1;
             for v in values {
                 match &self.combiner {

@@ -19,9 +19,11 @@
 //! is what makes spill epochs a pure function of the input stream and the
 //! threshold, independent of combiner shrinkage or thread count.
 
+mod common;
+
 use mpi_rt::Universe;
 use mpid::combine::FnCombiner;
-use mpid::{HashPartitioner, Kv, MpidConfig, MpidWorld, Partitioner, Role};
+use mpid::{HashPartitioner, Kv, MpidConfig, MpidWorld, Partitioner, Role, SenderStats};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -83,6 +85,15 @@ fn reference_groups(
 /// Run the real pipeline (1 mapper so arrival order is deterministic) and
 /// collect each reducer's group sequence exactly as `recv()` yields it.
 fn run_pipeline(cfg: MpidConfig, pairs: Vec<(String, Vec<u8>)>, combine: bool) -> Vec<Groups> {
+    run_pipeline_with_stats(cfg, pairs, combine).0
+}
+
+/// [`run_pipeline`], plus the one mapper's sender statistics.
+fn run_pipeline_with_stats(
+    cfg: MpidConfig,
+    pairs: Vec<(String, Vec<u8>)>,
+    combine: bool,
+) -> (Vec<Groups>, SenderStats) {
     let splits: Vec<u64> = (0..pairs.len().div_ceil(16).max(1) as u64).collect();
     let n_reducers = cfg.n_reducers;
     let results = Universe::run(cfg.required_ranks(), move |comm| {
@@ -106,8 +117,7 @@ fn run_pipeline(cfg: MpidConfig, pairs: Vec<(String, Vec<u8>)>, combine: bool) -
                         send.send(k.clone(), v.clone()).unwrap();
                     }
                 }
-                send.finish().unwrap();
-                None
+                Some(Err(send.finish().unwrap()))
             }
             Role::Reducer(r) => {
                 let mut recv = world.receiver::<String, Vec<u8>>();
@@ -115,15 +125,19 @@ fn run_pipeline(cfg: MpidConfig, pairs: Vec<(String, Vec<u8>)>, combine: bool) -
                 while let Some((k, vs)) = recv.recv().unwrap() {
                     out.push((k, vs));
                 }
-                Some((r, out))
+                Some(Ok((r, out)))
             }
         }
     });
     let mut per_reducer: Vec<Groups> = vec![Vec::new(); n_reducers];
-    for (r, out) in results.into_iter().flatten() {
-        per_reducer[r] = out;
+    let mut sender = SenderStats::default();
+    for result in results.into_iter().flatten() {
+        match result {
+            Ok((r, out)) => per_reducer[r] = out,
+            Err(stats) => sender = stats,
+        }
     }
-    per_reducer
+    (per_reducer, sender)
 }
 
 proptest! {
@@ -184,5 +198,56 @@ proptest! {
         prop_assert!(runs >= 64, "only {} runs", runs);
         let got = run_pipeline(cfg, pairs.clone(), combine);
         prop_assert_eq!(got, reference_groups(&pairs, 1, spill, combine));
+    }
+
+    /// Both frame layouts in one job, to one reducer: no combiner, one spill
+    /// per epoch, and only some epochs repeat a key — those partitions'
+    /// frames carry value counts, every other frame omits them. Output is
+    /// the per-record reference's, and the frame bytes built are exactly the
+    /// payload plus four per frame plus four per group of a counted frame.
+    #[test]
+    fn mixed_layouts_match_per_record_reference(
+        epochs in common::arb_epochs(),
+        frame in 8usize..512,
+        reducers in 1usize..4,
+        compress: bool,
+    ) {
+        let pairs: Vec<(String, Vec<u8>)> = common::mixed_layout_pairs(&epochs, 1)
+            .into_iter()
+            .map(|(k, v)| (k, v.to_le_bytes().to_vec()))
+            .collect();
+        let record = pairs[0].0.wire_size() + pairs[0].1.wire_size();
+        let spill = common::EPOCH * record;
+        let cfg = MpidConfig {
+            n_mappers: 1,
+            n_reducers: reducers,
+            spill_threshold_bytes: spill,
+            frame_bytes: frame,
+            compress,
+            ..Default::default()
+        };
+        let (got, sender) = run_pipeline_with_stats(cfg, pairs.clone(), false);
+        prop_assert_eq!(got, reference_groups(&pairs, reducers, spill, false));
+
+        let mut want_bytes = 4 * sender.frames;
+        let mut layouts = [0u32; 2];
+        for epoch in pairs.chunks(common::EPOCH) {
+            // Partition → key → encoded bytes of the group's values.
+            let mut parts: BTreeMap<usize, BTreeMap<&str, Vec<usize>>> = BTreeMap::new();
+            for (k, v) in epoch {
+                let part = parts.entry(HashPartitioner.partition(k, reducers)).or_default();
+                part.entry(k).or_default().push(v.wire_size());
+            }
+            for groups in parts.values() {
+                let counted = groups.values().any(|vs| vs.len() > 1);
+                layouts[counted as usize] += 1;
+                for (k, vs) in groups {
+                    let head = 4 + k.len() + if counted { 4 } else { 0 };
+                    want_bytes += (head + vs.iter().sum::<usize>()) as u64;
+                }
+            }
+        }
+        prop_assert!(layouts[0] > 0 && layouts[1] > 0, "one layout only: {:?}", layouts);
+        prop_assert_eq!(sender.bytes_precompress, want_bytes);
     }
 }

@@ -3,7 +3,9 @@
 //! and failure injection.
 
 use mpi_rt::{MpiError, Universe};
-use mpid::{ConstPartitioner, MpidConfig, MpidError, MpidWorld, Role, SumCombiner};
+use mpid::{
+    ConstPartitioner, Kv, MpidConfig, MpidError, MpidWorld, Role, SenderStats, SumCombiner,
+};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -199,6 +201,81 @@ fn combiner_shrinks_traffic() {
         bytes_with * 20 < bytes_without,
         "combiner should cut traffic >20x here: {bytes_with} vs {bytes_without}"
     );
+}
+
+/// One mapper sends `pairs` to one reducer, which streams the groups off the
+/// wire as they were framed: returns the sender's statistics, and the count
+/// and the `Kv::wire_size` bytes (keys and values, nothing else) of those
+/// groups.
+fn wire_of(pairs: Vec<(String, u64)>, combine: bool, spill: usize) -> (SenderStats, u64, u64) {
+    let cfg = MpidConfig {
+        spill_threshold_bytes: spill,
+        frame_bytes: 256,
+        ..MpidConfig::with_workers(1, 1)
+    };
+    let results = Universe::run(cfg.required_ranks(), move |comm| {
+        let world = MpidWorld::init(comm, cfg.clone()).unwrap();
+        match world.role() {
+            Role::Master => {
+                world.run_master(vec![0u64]).unwrap();
+                None
+            }
+            Role::Mapper(_) => {
+                let mut send = world.sender::<String, u64>();
+                if combine {
+                    send = send.with_combiner(SumCombiner);
+                }
+                while world.next_split::<u64>().unwrap().is_some() {
+                    for (k, v) in &pairs {
+                        send.send(k.clone(), *v).unwrap();
+                    }
+                }
+                Some((send.finish().unwrap(), 0, 0))
+            }
+            Role::Reducer(_) => {
+                let mut stream = world.receiver::<String, u64>().into_streaming();
+                let (mut groups, mut payload) = (0, 0);
+                while let Some((k, vs)) = stream.next_group().unwrap() {
+                    groups += 1;
+                    payload += (k.wire_size() + vs.iter().map(Kv::wire_size).sum::<usize>()) as u64;
+                }
+                Some((SenderStats::default(), groups, payload))
+            }
+        }
+    });
+    let mut results = results.into_iter().flatten();
+    let (sender, ..) = results.next().unwrap();
+    let (_, groups, payload) = results.next().unwrap();
+    assert_eq!(sender.groups_out, groups);
+    (sender, groups, payload)
+}
+
+/// The wire carries the keys, the values and five bytes a frame — and a
+/// four-byte value count per group only where some group of the frame's
+/// spill has more than one value. Exact and machine-independent (one mapper,
+/// one reducer), so CI can gate on it.
+#[test]
+fn wire_bytes_are_payload_plus_five_per_frame_when_groups_are_single_valued() {
+    // Word count with a combiner: 64 words recur through five spills, and
+    // each spill ships one accumulator per word it saw.
+    let words = (0..2000u64).map(|i| (format!("w{:02}", i * 7 % 64), 1));
+    let (sender, groups, payload) = wire_of(words.collect(), true, 6000);
+    assert_eq!(sender.spills, 5);
+    assert!(sender.frames > 5 && groups > 64 && sender.pairs_combined > 1000);
+    assert_eq!(sender.bytes_sent, payload + 5 * sender.frames);
+
+    // Distinct keys, no combiner: every group has its one value.
+    let distinct = (0..500u64).map(|i| (format!("key-{i:04}"), i));
+    let (sender, groups, payload) = wire_of(distinct.collect(), false, 2000);
+    assert_eq!((groups, sender.spills), (500, 5));
+    assert_eq!(payload, 500 * (4 + 8 + 8));
+    assert_eq!(sender.bytes_sent, payload + 5 * sender.frames);
+
+    // One key sent twice, no combiner, one spill: its frames count values.
+    let repeated = (0..500u64).map(|i| (format!("key-{:04}", i % 499), i));
+    let (sender, groups, payload) = wire_of(repeated.collect(), false, 1 << 20);
+    assert_eq!((groups, sender.spills), (499, 1));
+    assert_eq!(sender.bytes_sent, payload + 4 * groups + 5 * sender.frames);
 }
 
 #[test]

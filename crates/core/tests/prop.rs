@@ -1,6 +1,7 @@
 //! Property-based tests for MPI-D invariants:
 //!
-//! * realignment round-trips arbitrary key/value streams;
+//! * realignment round-trips arbitrary key/value streams, in both group
+//!   layouts;
 //! * job output is independent of combiner use, spill threshold, frame
 //!   size, transport mode, and topology (for an associative+commutative
 //!   combine function);
@@ -11,7 +12,7 @@
 use bytes::BytesMut;
 use mpi_rt::Universe;
 use mpid::compress::{compress, decompress};
-use mpid::realign::{decode_frames, FrameBuilder};
+use mpid::realign::{decode_frames, FrameBuilder, SINGLE_VALUED};
 use mpid::{HashPartitioner, Kv, MpidConfig, MpidWorld, Partitioner, Role, SumCombiner};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -36,6 +37,37 @@ proptest! {
         }
         let frames = b.finish();
         let back: Vec<(String, Vec<u64>)> = decode_frames(&frames).unwrap();
+        prop_assert_eq!(back, groups);
+        for f in &frames {
+            prop_assert_eq!(u32::from_le_bytes(f[..4].try_into().unwrap()) & SINGLE_VALUED, 0);
+        }
+    }
+
+    /// The same through the single-valued layout: a stream of one-value
+    /// groups comes back flagged, frame by frame, and byte-exact — the count
+    /// words, the keys and the values, nothing else.
+    #[test]
+    fn realign_round_trip_single_valued(
+        pairs in proptest::collection::vec(("[a-z]{0,12}", any::<u64>()), 0..40),
+        target in 1usize..4096,
+    ) {
+        let mut b = FrameBuilder::new(target).single_valued(true);
+        for (k, v) in &pairs {
+            b.push_group(k, std::slice::from_ref(v));
+        }
+        let frames = b.finish();
+        let mut n_groups = 0;
+        for f in &frames {
+            let count = u32::from_le_bytes(f[..4].try_into().unwrap());
+            prop_assert!(count & SINGLE_VALUED != 0, "frame not flagged");
+            n_groups += (count & !SINGLE_VALUED) as usize;
+        }
+        prop_assert_eq!(n_groups, pairs.len());
+        let payload: usize = pairs.iter().map(|(k, v)| k.wire_size() + v.wire_size()).sum();
+        let built: usize = frames.iter().map(|f| f.len()).sum();
+        prop_assert_eq!(built, 4 * frames.len() + payload);
+        let back: Vec<(String, Vec<u64>)> = decode_frames(&frames).unwrap();
+        let groups: Vec<(String, Vec<u64>)> = pairs.into_iter().map(|(k, v)| (k, vec![v])).collect();
         prop_assert_eq!(back, groups);
     }
 

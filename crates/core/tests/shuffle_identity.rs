@@ -13,8 +13,10 @@
 //! frames in arrival order, so value order is normalized there — grouping
 //! and key order must still match exactly.
 
+mod common;
+
 use mpi_rt::Universe;
-use mpid::{MpidConfig, MpidWorld, Role, ShuffleKind, SumCombiner};
+use mpid::{Kv, MpidConfig, MpidWorld, Role, ShuffleKind, SumCombiner};
 use proptest::prelude::*;
 
 fn arb_pairs() -> impl Strategy<Value = Vec<(String, u64)>> {
@@ -169,5 +171,43 @@ proptest! {
             ..base.clone()
         };
         prop_assert_eq!(normalized(&run_job(cfg, &pairs, false)), oracle);
+    }
+
+    /// Both frame layouts in one job (see `common::mixed_layout_pairs`): an
+    /// in-node leader reads its members' frames in either layout and picks
+    /// the layout of what it ships from the merged table — counted wherever
+    /// two members sent the same key, single-valued again behind a combiner.
+    #[test]
+    fn mixed_layouts_identical_across_strategies(
+        epochs in common::arb_epochs(),
+        mappers in 2usize..5,
+        reducers in 1usize..3,
+        compress: bool,
+    ) {
+        let pairs = common::mixed_layout_pairs(&epochs, mappers);
+        let base = MpidConfig {
+            spill_threshold_bytes: common::EPOCH * (pairs[0].0.wire_size() + 8),
+            frame_bytes: 64,
+            compress,
+            ..base_cfg(mappers, reducers)
+        };
+        let oracle = run_job(base.clone(), &pairs, false);
+        let combined = summed(&run_job(base.clone(), &pairs, true));
+        prop_assert_eq!(summed(&oracle), combined.clone());
+        for shuffle in strategies() {
+            let cfg = MpidConfig { shuffle, ..base.clone() };
+            prop_assert_eq!(
+                run_job(cfg.clone(), &pairs, false),
+                oracle.clone(),
+                "strategy = {:?}",
+                shuffle
+            );
+            prop_assert_eq!(
+                summed(&run_job(cfg, &pairs, true)),
+                combined.clone(),
+                "strategy = {:?}, combiner",
+                shuffle
+            );
+        }
     }
 }

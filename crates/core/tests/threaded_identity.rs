@@ -13,8 +13,10 @@
 //! runs are compared with value order normalized (grouping and key order
 //! must still match exactly).
 
+mod common;
+
 use mpi_rt::Universe;
-use mpid::{MpidConfig, MpidWorld, Role};
+use mpid::{Kv, MpidConfig, MpidWorld, Role};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -210,6 +212,39 @@ proptest! {
                 budget,
                 threads
             );
+        }
+    }
+
+    /// Both frame layouts in one job (see `common::mixed_layout_pairs`):
+    /// unbounded output is bit-identical at every thread count; bounded
+    /// output at budgets forcing zero, a few and many window spills — whose
+    /// disk-run records take either layout per group — matches bit for bit
+    /// with one mapper and with value order normalized with several.
+    #[test]
+    fn mixed_layouts_identical_across_threads_and_budgets(
+        epochs in common::arb_epochs(),
+        mappers in 1usize..4,
+        reducers in 1usize..3,
+    ) {
+        let pairs = common::mixed_layout_pairs(&epochs, mappers);
+        let base = MpidConfig {
+            spill_threshold_bytes: common::EPOCH * (pairs[0].0.wire_size() + 8),
+            frame_bytes: 64,
+            ..base_cfg(mappers, reducers)
+        };
+        let oracle = run_job(base.clone(), &pairs);
+        prop_assert_eq!(output_sums(&oracle), reference_sums(&pairs));
+        for threads in [2usize, 4] {
+            let cfg = MpidConfig { threads, ..base.clone() };
+            prop_assert_eq!(run_job(cfg, &pairs), oracle.clone(), "threads = {}", threads);
+        }
+        let view = |groups: &[(String, Vec<u64>)]| match mappers {
+            1 => groups.to_vec(),
+            _ => normalized(groups),
+        };
+        for budget in [1usize << 20, 1 << 10, 128] {
+            let cfg = MpidConfig { mem_budget: Some(budget), ..base.clone() };
+            prop_assert_eq!(view(&run_job(cfg, &pairs)), view(&oracle), "budget = {}", budget);
         }
     }
 }
