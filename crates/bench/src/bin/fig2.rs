@@ -8,7 +8,8 @@
 //! >100× beyond 256 KB, 123× at 1 MB).
 //!
 //! For latency curves of the *real* Rust reimplementations on loopback TCP
-//! (shape-only, modern hardware) see `cargo bench -p mpid-bench`.
+//! (shape-only, modern hardware) see
+//! `cargo run --release --example latency_compare`.
 
 use mpid_bench::{fmt_secs, size_sweep};
 use netsim::{HadoopRpcModel, MpiModel, Transport};

@@ -2,9 +2,11 @@
 //!
 //! One binary per paper table/figure (see `src/bin/`): each regenerates the
 //! corresponding result on the simulated testbed and prints the paper's
-//! reported values alongside for comparison. Criterion benches (see
-//! `benches/`) measure the *real* implementations (loopback RPC/HTTP vs the
-//! `mpi-rt` runtime, MPI-D pipeline ablations).
+//! reported values alongside for comparison. `perf` writes deterministic
+//! run profiles and runs the bounded-memory check. Nothing here reads a
+//! clock: wall time is measured by the `benchmark/` package, and the *real*
+//! transports (loopback RPC/HTTP vs the `mpi-rt` runtime) by
+//! `examples/latency_compare.rs`.
 
 #![warn(missing_docs)]
 

@@ -37,7 +37,7 @@ pub struct MpidConfig {
     /// present: the sender never used it, and the receiver decodes each
     /// group on the reducer's own thread in the `recv()` that returns it
     /// (decoding key ranges ahead on scoped threads measured no faster, see
-    /// EXPERIMENTS.md "Receiver merge, streamed product"). Any value `>= 1`
+    /// EXPERIMENTS_LOG.md "Receiver merge, streamed product"). Any value `>= 1`
     /// is accepted and grouped output is the same at every setting.
     pub threads: usize,
     /// Byte budget for the job's shared [`BlockPool`]. `Some(n)` routes

@@ -2,7 +2,7 @@
 //!
 //! The paper's MPI-D prototype runs each mapper/reducer/master as an MPI
 //! process; here ranks are threads sharing a process, which keeps the whole
-//! suite runnable as ordinary `cargo test` / `cargo bench` targets while
+//! suite runnable as ordinary `cargo test` / `cargo run` targets while
 //! exercising real concurrent message-passing.
 //!
 //! Every run family (`run`, `run_with`, `run_traced`, `try_run*`,

@@ -129,7 +129,7 @@ impl Metrics {
     }
 
     /// All counters in ascending name order — a stable snapshot for
-    /// serializers (e.g. the perf harness embedding counters in BENCH.json).
+    /// serializers (e.g. a run profile embedding its counters).
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, v)| (k.as_ref(), *v))
     }

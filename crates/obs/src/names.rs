@@ -13,9 +13,9 @@
 //!   `counter(`, `inc(`, …) anywhere in the workspace must be a name defined
 //!   in this file;
 //! * every span/counter/metric name referenced by the committed
-//!   `PROFILE_BASELINE.json` / `BENCH_BASELINE.json` must be defined here —
-//!   deleting or renaming a constant fails `analyze` with a file:line
-//!   finding instead of silently orphaning a baseline row.
+//!   `PROFILE_BASELINE.json` must be defined here — deleting or renaming
+//!   a constant fails `analyze` with a file:line finding instead of
+//!   silently orphaning a baseline row.
 //!
 //! The pass reads this file at the token level (it vendors no parser), so
 //! **every string literal in this module is a registered name** — do not add

@@ -4,8 +4,8 @@
 //! future work item (1) is "to compare the primitives between MPI and
 //! Socket over Java NIO, which is mainly used to transfer data blocks
 //! between datanodes in Hadoop"; this module is that primitive, real, so
-//! the comparison can actually run (see the `nio_stream` Criterion group
-//! and `netsim::protocol::NioSocketModel`).
+//! the comparison can actually run (see `netsim::protocol::NioSocketModel`
+//! for the projected GbE figure).
 //!
 //! Wire format (one op per connection, like `DataXceiver`):
 //!

@@ -17,9 +17,9 @@
 //!   per-packet CRC32 ([`crc`]), Hadoop's datanode-to-datanode data path
 //!   (the "Socket over Java NIO" primitive of the paper's future work).
 //!
-//! The Criterion benches in `mpid-bench` race these against the `mpi-rt`
-//! runtime to reproduce the *shape* of Figures 2–3 with real bytes on real
-//! sockets (see EXPERIMENTS.md for how laptop-loopback numbers relate to the
+//! `examples/latency_compare.rs` races these against the `mpi-rt` runtime
+//! to reproduce the *shape* of Figures 2–3 with real bytes on real sockets
+//! (see EXPERIMENTS.md for how laptop-loopback numbers relate to the
 //! paper's GbE numbers).
 
 #![warn(missing_docs)]

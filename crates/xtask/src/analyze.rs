@@ -3,13 +3,9 @@
 //! A [`Workspace`] snapshot (every `crates/*/src/**/*.rs`, lexed once by
 //! [`crate::lexer`]) is handed to each registered [`Pass`]; passes report
 //! [`Finding`]s with a file:line, the offending token, and an explanation.
-//! Findings are then filtered through the reviewed allowlists:
-//!
-//! * `crates/xtask/analyze-allow.txt` — `pass:<path-suffix>:<token>` per
-//!   line, `#` comments;
-//! * `crates/xtask/determinism-allow.txt` — the legacy
-//!   `<path-suffix>:<token>` format, applying to the determinism pass only
-//!   (kept so `cargo xtask lint` users keep their file).
+//! Findings are then filtered through the reviewed allowlist,
+//! `crates/xtask/analyze-allow.txt` — `pass:<path-suffix>:<token>` per
+//! line, `#` comments, every pass in the one file.
 //!
 //! Every allowlist entry must still suppress at least one finding: stale
 //! entries are themselves reported as findings, so the escape hatch can't
@@ -193,32 +189,33 @@ pub struct AllowEntry {
     pub suffix: String,
     /// Exact token matched against `Finding::token`.
     pub token: String,
-    /// Where the entry lives (`<file>:<line>`), for stale-entry findings.
-    pub origin_file: String,
-    /// 1-based line of the entry in its allowlist file.
+    /// 1-based line of the entry in the allowlist file, for stale-entry
+    /// findings.
     pub origin_line: usize,
 }
 
-/// All allowlist entries plus per-entry use counts.
+/// Workspace-relative path of the allowlist file.
+const ALLOWLIST: &str = "crates/xtask/analyze-allow.txt";
+
+/// All allowlist entries.
 pub struct Allowlist {
     /// Entries in file order.
     pub entries: Vec<AllowEntry>,
 }
 
 impl Allowlist {
-    /// Load `analyze-allow.txt` (3-field) and the legacy
-    /// `determinism-allow.txt` (2-field, determinism pass implied).
+    /// Load `analyze-allow.txt`.
     pub fn load(root: &Path) -> Allowlist {
         let mut entries = Vec::new();
-        let three = root.join("crates/xtask/analyze-allow.txt");
-        for (line_no, line) in read_lines(&three) {
+        let path = root.join(ALLOWLIST);
+        for (line_no, line) in read_lines(&path) {
             let mut parts = line.splitn(3, ':');
             let (Some(pass), Some(suffix), Some(token)) =
                 (parts.next(), parts.next(), parts.next())
             else {
                 eprintln!(
                     "warning: malformed allowlist entry {}:{line_no}: `{line}`",
-                    three.display()
+                    path.display()
                 );
                 continue;
             };
@@ -226,24 +223,6 @@ impl Allowlist {
                 pass: pass.trim().to_string(),
                 suffix: suffix.trim().to_string(),
                 token: token.trim().to_string(),
-                origin_file: "crates/xtask/analyze-allow.txt".to_string(),
-                origin_line: line_no,
-            });
-        }
-        let two = root.join("crates/xtask/determinism-allow.txt");
-        for (line_no, line) in read_lines(&two) {
-            let Some((suffix, token)) = line.split_once(':') else {
-                eprintln!(
-                    "warning: malformed allowlist entry {}:{line_no}: `{line}`",
-                    two.display()
-                );
-                continue;
-            };
-            entries.push(AllowEntry {
-                pass: "determinism".to_string(),
-                suffix: suffix.trim().to_string(),
-                token: token.trim().to_string(),
-                origin_file: "crates/xtask/determinism-allow.txt".to_string(),
                 origin_line: line_no,
             });
         }
@@ -268,7 +247,7 @@ impl Allowlist {
             if used[i] == 0 {
                 kept.push(Finding {
                     pass: "allowlist",
-                    file: e.origin_file.clone(),
+                    file: ALLOWLIST.to_string(),
                     line: e.origin_line,
                     token: format!("{}:{}:{}", e.pass, e.suffix, e.token),
                     why: "stale allowlist entry: no current finding matches it; \
@@ -336,11 +315,10 @@ pub fn run_passes(
     (findings, ws.files.len(), names)
 }
 
-/// CLI entry point for `cargo xtask analyze` (and, with
-/// `selected = Some(["determinism"])`, the `cargo xtask lint` alias).
-pub fn cli(args: &[String], forced: Option<&[String]>) -> ExitCode {
+/// CLI entry point for `cargo xtask analyze`.
+pub fn cli(args: &[String]) -> ExitCode {
     let mut json_path: Option<String> = None;
-    let mut selected: Vec<String> = forced.map(|f| f.to_vec()).unwrap_or_default();
+    let mut selected: Vec<String> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {

@@ -32,7 +32,7 @@ const MINI_NAMES: &str = "pub const CAT_MPID_PHASE: &str = \"mpid.phase\";\n\
                           pub const SPAN_MAP: &str = \"map\";\n\
                           pub const M_MAPPERS: &str = \"mpid.mappers_done\";\n";
 
-/// The old `cargo xtask lint` scanner, reproduced so the regression
+/// The original line-grep lint scanner, reproduced so the regression
 /// fixtures can prove each of its bugs: skip lines *starting* with `//`,
 /// strip everything after the first `//`, then substring-match.
 fn legacy_scan(text: &str, token: &str) -> Vec<usize> {
@@ -107,7 +107,7 @@ fn determinism_flags_real_uses_with_identifier_boundaries() {
 
 #[test]
 fn determinism_allowlist_suppresses_and_stale_entries_fail() {
-    let root = fixture_root("determinism-allow");
+    let root = fixture_root("allow-determinism");
     write(
         &root,
         "crates/desim/src/lib.rs",
@@ -115,23 +115,23 @@ fn determinism_allowlist_suppresses_and_stale_entries_fail() {
     );
     // Unsuppressed: one finding.
     assert_eq!(run(&root, &["determinism"]).len(), 1);
-    // Suppressed by a legacy-format entry: clean.
+    // Suppressed by a reviewed entry: clean.
     write(
         &root,
-        "crates/xtask/determinism-allow.txt",
-        "# reviewed\ndesim/src/lib.rs: SystemTime\n",
+        "crates/xtask/analyze-allow.txt",
+        "# reviewed\ndeterminism:desim/src/lib.rs: SystemTime\n",
     );
     assert!(run(&root, &["determinism"]).is_empty());
     // An entry matching nothing is itself a finding naming its own line.
     write(
         &root,
-        "crates/xtask/determinism-allow.txt",
-        "desim/src/lib.rs: SystemTime\ndesim/src/lib.rs: thread_rng\n",
+        "crates/xtask/analyze-allow.txt",
+        "determinism:desim/src/lib.rs: SystemTime\ndeterminism:desim/src/lib.rs: thread_rng\n",
     );
     let findings = run(&root, &["determinism"]);
     assert_eq!(findings.len(), 1, "{findings:?}");
     assert_eq!(findings[0].pass, "allowlist");
-    assert_eq!(findings[0].file, "crates/xtask/determinism-allow.txt");
+    assert_eq!(findings[0].file, "crates/xtask/analyze-allow.txt");
     assert_eq!(findings[0].line, 2);
     assert!(findings[0].why.contains("remove this entry"));
 }
@@ -284,7 +284,7 @@ fn json_report_roundtrips_through_the_vendored_parser() {
     );
     let (findings, files, names) = run_passes(&root, None);
     let json = to_json(&findings, files, &names);
-    let parsed = crate::bench_diff::parse_json(&json).expect("valid JSON");
+    let parsed = crate::json::parse_json(&json).expect("valid JSON");
     let obj = parsed.as_object().unwrap();
     assert_eq!(
         obj.get("schema").and_then(|s| s.as_str()),

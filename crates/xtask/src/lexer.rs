@@ -1,7 +1,7 @@
 //! A small lossless Rust lexer for static-analysis passes.
 //!
 //! `cargo xtask` vendors no parser — the same precedent as the hand-rolled
-//! JSON reader in [`crate::bench_diff`] — so the analysis passes work on a
+//! JSON reader in [`crate::json`] — so the analysis passes work on a
 //! token stream produced here. The lexer does not understand Rust grammar;
 //! it only separates **code** from the regions where arbitrary text is
 //! legal: line comments, (nested) block comments, string literals

@@ -10,17 +10,13 @@
 //!   modules), and `blocking` (no untimed waits in `mpi-rt`). Findings
 //!   can be suppressed by reviewed allowlist entries; stale entries are
 //!   themselves findings.
-//! * `lint` — alias for `analyze --pass determinism`, kept for
-//!   muscle memory and the legacy `determinism-allow.txt` workflow.
-//! * `bench-diff` (see [`bench_diff`]) compares two `BENCH.json` perf
-//!   reports and fails on wall-clock regressions; CI runs it against the
-//!   committed `BENCH_BASELINE.json`.
 //! * `trace-diff` (see [`trace_diff`]) compares two `mpid-profile/1` run
 //!   profiles and prints a ranked "what changed" table; CI runs it
-//!   against the committed `PROFILE_BASELINE.json` as advisory triage.
+//!   against the committed `PROFILE_BASELINE.json` to explain a failure of
+//!   the byte-identity test that gates that file.
 
 mod analyze;
-mod bench_diff;
+mod json;
 mod lexer;
 mod passes;
 mod trace_diff;
@@ -34,15 +30,7 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("analyze") => analyze::cli(&args[1..], None),
-        Some("lint") => analyze::cli(&args[1..], Some(&["determinism".to_string()])),
-        Some("bench-diff") => match (args.get(1), args.get(2)) {
-            (Some(old), Some(new)) => bench_diff::bench_diff(old, new),
-            _ => {
-                eprintln!("usage: cargo xtask bench-diff <old BENCH.json> <new BENCH.json>");
-                ExitCode::FAILURE
-            }
-        },
+        Some("analyze") => analyze::cli(&args[1..]),
         Some("trace-diff") => match (args.get(1), args.get(2)) {
             (Some(a), Some(b)) => trace_diff::trace_diff(a, b),
             _ => {
@@ -63,10 +51,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() {
-    eprintln!(
-        "usage: cargo xtask analyze [--json <path>] [--pass <name>]... \
-         | lint | bench-diff <old> <new> | trace-diff <a> <b>"
-    );
+    eprintln!("usage: cargo xtask analyze [--json <path>] [--pass <name>]... | trace-diff <a> <b>");
 }
 
 /// All `.rs` files under `dir`, recursively, sorted.

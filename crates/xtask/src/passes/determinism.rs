@@ -1,5 +1,5 @@
-//! Determinism pass: the banned-token table from the original
-//! `cargo xtask lint`, re-implemented on real tokens.
+//! Determinism pass: the banned-token table from the original line-grep
+//! lint, re-implemented on real tokens.
 //!
 //! The whole reproduction rests on simulations being replayable — same
 //! seed, same virtual-time schedule, same report — so sources of real-world
@@ -23,8 +23,8 @@
 use crate::analyze::{token_matches, Finding, Pass, Workspace};
 
 /// Crates whose `src/` trees must stay deterministic. The runtime crates
-/// (`mpi-rt`, `obs`, `transports`, `bench`) legitimately read wall clocks —
-/// they measure real execution — so only the simulation substrate is
+/// (`mpi-rt`, `obs`, `transports`) legitimately read wall clocks — they
+/// run and trace real execution — so only the simulation substrate is
 /// linted, plus `xtask` itself.
 pub const LINTED_CRATES: &[&str] = &[
     "desim", "netsim", "hadoop", "mapred", "faults", "serve", "xtask",

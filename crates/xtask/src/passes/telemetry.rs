@@ -1,6 +1,6 @@
 //! Telemetry-registry pass: every span/counter/gauge name the workspace
 //! emits must be a constant in `crates/obs/src/names.rs`, and every name
-//! the committed baselines reference must still exist there.
+//! the committed profile baseline references must still exist there.
 //!
 //! Two directions of drift are caught:
 //!
@@ -9,11 +9,10 @@
 //!   non-test context must be a registered name. Renaming an emitter
 //!   literal without updating the registry fails here with the call site's
 //!   file:line.
-//! * **registry → baselines**: every span/counter name referenced by
+//! * **registry → baseline**: every span/counter name referenced by
 //!   `PROFILE_BASELINE.json` (segments, by_category keys, attribution,
-//!   memory, utilization, counters) and every dotted metric key in
-//!   `BENCH_BASELINE.json` must be a registered name. Deleting a constant
-//!   that a baseline still depends on fails here with the baseline's
+//!   memory, utilization, counters) must be a registered name. Deleting a
+//!   constant the baseline still depends on fails here with the baseline's
 //!   file:line — `cargo xtask analyze` compiles only `xtask`, so this is a
 //!   finding rather than a build error.
 //!
@@ -22,7 +21,7 @@
 //! that module keeps unrelated literals out).
 
 use crate::analyze::{Finding, Pass, SourceFile, Workspace};
-use crate::bench_diff::{parse_json, Json};
+use crate::json::{parse_json, Json};
 use crate::lexer::TokKind;
 use std::collections::BTreeSet;
 
@@ -98,7 +97,6 @@ impl Pass for TelemetryRegistry {
         }
 
         check_profile_baseline(ws, &registry, self.name(), out);
-        check_bench_baseline(ws, &registry, self.name(), out);
     }
 }
 
@@ -325,55 +323,6 @@ fn check_profile_baseline(
     if let Some(counters) = obj.get("counters").and_then(Json::as_object) {
         for name in counters.keys() {
             check(name, "counters entry", out);
-        }
-    }
-}
-
-/// Cross-check dotted metric keys in `BENCH_BASELINE.json`. Plain bench
-/// metrics (`wall_ms`, `mb_per_sec`, …) are bench-local and undotted;
-/// a dotted key means a telemetry name leaked into the report and must be
-/// registered.
-fn check_bench_baseline(
-    ws: &Workspace,
-    registry: &BTreeSet<String>,
-    pass: &'static str,
-    out: &mut Vec<Finding>,
-) {
-    let baseline = "BENCH_BASELINE.json";
-    let path = ws.root.join(baseline);
-    let Ok(text) = std::fs::read_to_string(&path) else {
-        return;
-    };
-    let Ok(json) = parse_json(&text) else {
-        return; // bench-diff already gates malformed reports
-    };
-    let Some(benches) = json
-        .as_object()
-        .and_then(|o| o.get("benches"))
-        .and_then(Json::as_array)
-    else {
-        return;
-    };
-    for bench in benches {
-        let Some(metrics) = bench
-            .as_object()
-            .and_then(|b| b.get("metrics"))
-            .and_then(Json::as_object)
-        else {
-            continue;
-        };
-        for key in metrics.keys() {
-            if key.contains('.') {
-                check_baseline_name(
-                    registry,
-                    pass,
-                    baseline,
-                    &text,
-                    key,
-                    "bench metric key",
-                    out,
-                );
-            }
         }
     }
 }

@@ -11,11 +11,14 @@
 //! wall clock that drifted 3 %. Two profiles of the same seeded sim run
 //! are byte-identical, so the self-diff is empty.
 //!
-//! The diff is a triage tool, not a gate: it exits nonzero only when a
-//! profile cannot be read. When `$GITHUB_STEP_SUMMARY` is set the table is
-//! also appended there as markdown (mirroring `bench-diff`).
+//! The diff explains, it does not gate: the gate is
+//! `tests/run_profile.rs::committed_profile_baseline_is_current`, which
+//! compares the fresh `fig6_mpid_1gb` profile with `PROFILE_BASELINE.json`
+//! byte for byte, and this table is how to read a failure of it. It exits
+//! nonzero only when a profile cannot be read. When `$GITHUB_STEP_SUMMARY`
+//! is set the table is also appended there as markdown.
 
-use crate::bench_diff::{parse_json, Json};
+use crate::json::{parse_json, Json};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 

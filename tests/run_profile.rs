@@ -3,21 +3,31 @@
 //! fixed config + spec must produce a **bit-identical** profile — critical
 //! path, attribution table, overlap ratio, JSON bytes — on every run and
 //! every machine. These tests are the contract behind the committed
-//! `PROFILE_BASELINE.json` and `cargo xtask trace-diff`.
+//! `PROFILE_BASELINE.json`: it is gated here, byte for byte, and
+//! `cargo xtask trace-diff` is the tool that explains a failure.
 
 use mpid_suite::hadoop_sim::{self, HadoopConfig};
 use mpid_suite::mapred::{run_sim_mpid_traced, SimMpidConfig};
+use mpid_suite::netsim::JobSpec;
 use mpid_suite::obs::analysis::RunProfile;
 use mpid_suite::obs::Tracer;
 use mpid_suite::workloads::wordcount_spec;
+use std::sync::OnceLock;
 
 const GB: u64 = 1 << 30;
+
+/// The 1 GB WordCount spec, measured once per test binary: `wordcount_spec`
+/// runs the real mapper over an 8 MB sample, seconds in a debug build.
+fn spec() -> JobSpec {
+    static SPEC: OnceLock<JobSpec> = OnceLock::new();
+    SPEC.get_or_init(|| wordcount_spec(GB)).clone()
+}
 
 fn mpid_profile() -> RunProfile {
     let tracer = Tracer::new();
     let _ = run_sim_mpid_traced(
         SimMpidConfig::icpp2011_fig6().with_auto_splits(GB),
-        wordcount_spec(GB),
+        spec(),
         tracer.clone(),
     );
     let trace = tracer.take_trace();
@@ -27,11 +37,7 @@ fn mpid_profile() -> RunProfile {
 
 fn hadoop_profile() -> RunProfile {
     let tracer = Tracer::new();
-    let _ = hadoop_sim::run_job_traced(
-        HadoopConfig::icpp2011(7, 7, 7),
-        wordcount_spec(GB),
-        tracer.clone(),
-    );
+    let _ = hadoop_sim::run_job_traced(HadoopConfig::icpp2011(7, 7, 7), spec(), tracer.clone());
     let trace = tracer.take_trace();
     let metrics = tracer.metrics();
     RunProfile::build(&trace, Some(&metrics), "fig6_hadoop_1gb")
@@ -45,6 +51,24 @@ fn profile_is_bit_identical_across_runs() {
     let ha = hadoop_profile().to_json();
     let hb = hadoop_profile().to_json();
     assert_eq!(ha, hb);
+}
+
+/// The committed baseline *is* this profile: critical path, attribution,
+/// overlap ratio and the 1 GB `net.solver.*` counters, byte for byte. When
+/// this fails, `cargo xtask trace-diff PROFILE_BASELINE.json <fresh>` ranks
+/// what moved. After a deliberate model change, regenerate with
+///
+/// ```sh
+/// cargo run --release -p mpid-bench --bin perf -- --quick --filter fig6_mpid_1gb --profile /tmp/p \
+///   && cp /tmp/p/fig6_mpid_1gb.profile.json PROFILE_BASELINE.json
+/// ```
+#[test]
+fn committed_profile_baseline_is_current() {
+    assert!(
+        mpid_profile().to_json() == include_str!("../PROFILE_BASELINE.json"),
+        "fig6_mpid_1gb profile differs from PROFILE_BASELINE.json; \
+         diff a fresh `perf --profile` against it with `cargo xtask trace-diff`"
+    );
 }
 
 #[test]
