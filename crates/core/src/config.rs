@@ -23,8 +23,10 @@ pub struct MpidConfig {
     /// Sort keys within each spilled frame ("it can also sort the value list
     /// for each key on demand" — key order makes reducer merging cheaper).
     pub sort_keys: bool,
-    /// Sort each key's value list on the reducer before handing it to the
-    /// reduce function.
+    /// Inert: nothing reads it. Sorting each key's value list on the
+    /// reducer is [`MpidReceiver::with_sorted_values`](crate::MpidReceiver::with_sorted_values).
+    /// Kept only because callers outside the workspace build this struct
+    /// with a full literal (ROADMAP item 9).
     pub sort_values: bool,
     /// Use `MPI_Isend` for spilled frames so map computation overlaps
     /// communication (listed as future work in the paper; implemented here

@@ -86,7 +86,7 @@ pub use error::{MpidError, MpidResult};
 pub use kv::{CodecError, Key, Kv, Value};
 pub use partition::{ConstPartitioner, HashPartitioner, Partitioner, RangePartitioner};
 pub use pool::{BlockPool, PoolStats};
-pub use receiver::{ExternalRecv, MpidReceiver, MpidStream};
+pub use receiver::MpidReceiver;
 pub use sender::MpidSender;
 pub use shuffle::ShuffleKind;
 pub use stats::{MasterStats, ReceiverStats, SenderStats};

@@ -2,18 +2,33 @@
 //! wildcard reception of frames from any mapper, reverse realignment, and
 //! sort-merge grouping of each key's value lists.
 //!
+//! One handle, [`MpidReceiver`], and one pull call, [`MpidReceiver::recv`],
+//! drain in one of three states:
+//!
+//! * **grouped** (the default): every frame is held, their key indexes
+//!   merge once, and each call decodes the one group it returns;
+//! * **bounded** ([`MpidConfig::mem_budget`], or
+//!   [`MpidReceiver::into_external`]): frames buffer up to a byte budget,
+//!   each full window merges into a pre-sorted disk run, and groups stream
+//!   out of a k-way merge over the runs and the last window;
+//! * **streaming** ([`MpidReceiver::into_streaming`], the paper's "streaming
+//!   mode to process the data for saving memory space"): one frame at a
+//!   time, its groups as framed, so a key comes once per frame that carried
+//!   it and the consumer must fold with an associative operation.
+//!
 //! Frames arrive as refcounted [`Bytes`] straight off the transport (plain
 //! frames are a zero-copy slice past the wire marker; only LZ frames are
 //! decompressed into a fresh buffer). Each frame body is indexed into
-//! per-group byte ranges ([`parse_group_index_raw`]) and sorted by key as it
-//! arrives; at end of stream the frames' run indexes go through *one* merge
-//! (`Merged`). Nothing has been decoded by then, and no table is ever
-//! built: the merged index over the held frames is the receiver's product,
-//! and each [`MpidReceiver::recv`] decodes the one group it returns — the
-//! equal-key span at a cursor (`Groups`). The bounded path's window spills
-//! walk the same spans, and its last window is pulled span by span by the
-//! disk merge. All of it runs on the reducer's own thread: the receiver does
-//! not read [`MpidConfig::threads`].
+//! per-group byte ranges ([`parse_group_index_raw`]) and, outside streaming,
+//! sorted by key as it arrives; at end of stream the frames' run indexes go
+//! through *one* merge (`Merged`). Nothing has been decoded by then, and no
+//! table is ever built: the merged index over the held frames is the
+//! receiver's product, and each [`MpidReceiver::recv`] decodes the one group
+//! it returns — the equal-key span at a cursor (`Groups`). The bounded
+//! path's window spills walk the same spans, its last window is pulled span
+//! by span by the disk merge, and a streamed frame is walked by the same
+//! cursor, one group a span. All of it runs on the reducer's own thread:
+//! the receiver does not read [`MpidConfig::threads`].
 //!
 //! ## Raw-key merge
 //!
@@ -44,45 +59,40 @@
 //!
 //! Frame buffering charges the job's [`BlockPool`](crate::pool::BlockPool)
 //! when one is configured, for as long as the frames are held: to the end
-//! of the stream or the drop of a half-drained receiver. The unbounded path
-//! charges the whole shuffle; with [`MpidConfig::mem_budget`] set,
-//! [`MpidReceiver::recv`] routes through the windowed external merge
-//! instead: frame runs buffer until the *next* frame would exceed the
-//! budget (charges are taken before buffering, so `high_water` stays at or
-//! under the budget), then the window merges into one pre-sorted disk run.
-//! Window boundaries never change grouping or key order — the disk merge
-//! absorbs equal keys run-first/tail-last. The windowed path streams frames
-//! as they arrive (it cannot reorder runs it has already spilled), so with
-//! a single mapper its output is bit-identical to the unbounded path; with
-//! several mappers, value order within a key follows arrival interleaving
-//! rather than mapper rank.
+//! of the stream (of the frame, when streaming), an error, or the drop of a
+//! half-drained receiver. The grouped drain charges the whole shuffle and
+//! the streaming drain one frame. The bounded drain buffers frame runs
+//! until the *next* frame would exceed the budget (charges are taken before
+//! buffering, so `high_water` stays at or under the budget), then merges
+//! the window into one pre-sorted disk run. Window boundaries never change
+//! grouping or key order — the disk merge absorbs equal keys
+//! run-first/tail-last. The windowed path streams frames as they arrive (it
+//! cannot reorder runs it has already spilled), so with a single mapper its
+//! output is bit-identical to the unbounded path; with several mappers,
+//! value order within a key follows arrival interleaving rather than mapper
+//! rank.
 
 use crate::config::{tags, MpidConfig};
 use crate::error::{MpidError, MpidResult};
+use crate::extmerge::{ExtMergeError, ExternalTable, MergeIter};
 use crate::kv::{CodecError, Key, Value};
 use crate::pool::PoolCharge;
-use crate::realign::{
-    parse_group_index_raw, FrameReader, KeyRef, RawGroup, MARKER_LZ, MARKER_PLAIN,
-};
+use crate::realign::{parse_group_index_raw, KeyRef, RawGroup, MARKER_LZ, MARKER_PLAIN};
 use crate::stats::ReceiverStats;
 use bytes::Bytes;
-use mpi_rt::{Comm, Rank, RankTrace};
+use mpi_rt::{Comm, Rank};
 use obs::ArgValue;
 use std::cmp::Ordering;
-use std::sync::Arc;
+use std::path::PathBuf;
 use std::time::Duration;
 
-/// Reducer-side handle.
+/// Reducer-side handle, in one of the three drain states of the
+/// [module docs](self).
 ///
 /// "Each reducer adopts the MPI_Recv primitive in the wildcard reception
 /// style to receive messages from any source. Multiple data flows in
 /// mappers' partitions are sent to the corresponding reducer concurrently,
 /// while reducers receive and combine them in memory."
-///
-/// The first call to [`MpidReceiver::recv`] ingests frames until an
-/// end-of-stream marker has arrived from every mapper and merges their key
-/// indexes; that call and every later one decode and return one
-/// `(key, values)` group, in ascending key order.
 pub struct MpidReceiver<'a, K: Key, V: Value> {
     comm: &'a Comm,
     cfg: MpidConfig,
@@ -90,23 +100,30 @@ pub struct MpidReceiver<'a, K: Key, V: Value> {
     value_sorter: Option<fn(&mut Vec<V>)>,
     state: RecvState<K, V>,
     stats: ReceiverStats,
+    /// End-of-stream markers received so far.
+    eos_seen: usize,
+    /// Windows the bounded drain spilled to disk.
+    spilled_runs: usize,
     /// When the drain began, on a traced rank.
     drain_t0: Option<u64>,
 }
 
 enum RecvState<K: Key, V: Value> {
     Ingesting,
+    /// Grouped: the merged index over every frame.
     Draining(Groups<K, V>),
-    /// Bounded-memory drain, entered automatically when
-    /// [`MpidConfig::mem_budget`] is set.
-    DrainingExt(Box<crate::extmerge::MergeIter<K, V>>),
+    /// Bounded: the k-way merge over the disk runs and the last window.
+    DrainingExt(Box<MergeIter<K, V>>),
+    /// Streaming: the frame at hand, its groups as framed; the next frame
+    /// is received when it runs out.
+    Streaming(Groups<K, V>),
     /// End of stream, or an error: nothing more is delivered.
     Done,
 }
 
 /// One received frame, held as bytes: the body buffer and its groups' byte
-/// ranges, in key order. Holds no decoded key, so the merged index is
-/// `Send` whatever `K` is.
+/// ranges. Holds no decoded key, so the merged index is `Send` whatever `K`
+/// is.
 struct Frame {
     body: Bytes,
     raw: Vec<RawGroup>,
@@ -173,6 +190,8 @@ impl<'a, K: Key, V: Value> MpidReceiver<'a, K, V> {
             value_sorter: None,
             state: RecvState::Ingesting,
             stats: ReceiverStats::default(),
+            eos_seen: 0,
+            spilled_runs: 0,
             drain_t0: None,
         }
     }
@@ -186,8 +205,8 @@ impl<'a, K: Key, V: Value> MpidReceiver<'a, K, V> {
         self
     }
 
-    /// Sort each key's value list before delivery ("it can also sort the
-    /// value list for each key on demand").
+    /// Sort each delivered value list before handing it out ("it can also
+    /// sort the value list for each key on demand"), in every drain state.
     pub fn with_sorted_values(mut self) -> Self
     where
         V: Ord,
@@ -205,194 +224,171 @@ impl<'a, K: Key, V: Value> MpidReceiver<'a, K, V> {
         &self.stats
     }
 
-    /// Receive one frame as a key-sorted run, or count an end-of-stream.
-    fn recv_one_run(&mut self) -> MpidResult<Option<FrameRun<K>>> {
-        let Some((body, src)) = recv_frame_body(self.comm, self.timeout, &mut self.stats)? else {
-            return Ok(None);
-        };
-        let run = sort_frame::<K, V>(body, src)?;
-        self.stats.groups_in += run.frame.raw.len() as u64;
-        Ok(Some(run))
+    /// Windows the bounded drain spilled to disk (0 in the other states).
+    pub fn spilled_runs(&self) -> usize {
+        self.spilled_runs
     }
 
+    /// The next data frame from any mapper, its groups indexed, or `None`
+    /// once every mapper's end-of-stream marker is in. Plain frames are a
+    /// zero-copy slice of the transport buffer.
+    #[inline(never)] // as for `ingest`
+    fn next_frame(&mut self) -> MpidResult<Option<Frame>> {
+        while self.eos_seen < self.cfg.n_mappers {
+            // Wildcard source, but tag-filtered to the MPI-D data stream: an
+            // unrestricted wildcard would intercept collective traffic (e.g.
+            // another rank's early `MPI_D_Finalize` barrier).
+            let (payload, status) =
+                self.comm
+                    .recv_bytes_timeout(None, Some(tags::DATA), self.timeout)?;
+            if payload.is_empty() {
+                self.eos_seen += 1; // end-of-stream (real frames are never empty)
+                continue;
+            }
+            self.stats.frames += 1;
+            self.stats.bytes_received += payload.len() as u64;
+            let codec_err = |err| MpidError::Codec {
+                source_rank: status.source,
+                err,
+            };
+            let body = match payload[0] {
+                MARKER_PLAIN => payload.slice(1..),
+                MARKER_LZ => {
+                    Bytes::from(crate::compress::decompress(&payload[1..]).map_err(codec_err)?)
+                }
+                _ => return Err(codec_err(CodecError::Corrupt("unknown frame marker"))),
+            };
+            let raw = parse_group_index_raw::<K, V>(&body).map_err(codec_err)?;
+            self.stats.groups_in += raw.len() as u64;
+            let src = status.source;
+            return Ok(Some(Frame { body, raw, src }));
+        }
+        Ok(None)
+    }
+
+    /// Receive every frame, sorting each by key, and merge them: with no
+    /// `window` budget into one index over all of them, in (mapper rank,
+    /// send order); with one, in arrival order, spilling each window that
+    /// would overflow the budget to a pre-sorted disk run under the given
+    /// directory and keeping the last window as the disk merge's tail.
     // Runs once per job. Out of line so that the size of the merge does not
     // sway how a caller's rank closure — the mapper's loop included — gets
     // compiled: inlined, `wc_zipf_1x1_*` measured 9 % slower end to end
     // with not one changed instruction in the sender.
     #[inline(never)]
-    fn ingest(&mut self) -> MpidResult<Groups<K, V>> {
+    fn ingest(&mut self, window: Option<(usize, PathBuf)>) -> MpidResult<RecvState<K, V>> {
         let t0 = self.comm.trace().map(|rt| rt.now_ns());
-        // Unbounded ingest holds every frame at once, through the drain;
-        // the charge records that honestly (`forced` counts any budget
-        // overrun) — bounded jobs route through `ingest_external` instead.
-        let mut charge = PoolCharge::new(self.cfg.pool.clone());
-        let mut runs: Vec<FrameRun<K>> = Vec::new();
-        let mut eos_seen = 0usize;
-        while eos_seen < self.cfg.n_mappers {
-            match self.recv_one_run()? {
-                None => eos_seen += 1,
-                Some(run) => {
-                    charge.grow(run.frame.body.len());
-                    runs.push(run);
-                }
-            }
-        }
-        let groups = Groups::new(merge_by_rank(runs), charge);
-        if let (Some(rt), Some(t0)) = (self.comm.trace(), t0) {
-            trace_merge(
-                rt,
-                t0,
-                &self.stats,
-                &self.cfg,
-                None,
-                self.stats.bytes_received,
-                0,
-            );
-        }
-        Ok(groups)
-    }
-
-    /// Windowed external ingest shared by [`MpidReceiver::into_external`]
-    /// and the automatic bounded path [`MpidReceiver::recv`] takes when
-    /// [`MpidConfig::mem_budget`] is set. Returns the streaming merge and
-    /// the number of runs spilled.
-    #[inline(never)] // as for `ingest`
-    fn ingest_external(
-        &mut self,
-        budget_bytes: usize,
-        spill_dir: std::path::PathBuf,
-    ) -> MpidResult<(crate::extmerge::MergeIter<K, V>, usize)> {
-        let t0 = self.comm.trace().map(|rt| rt.now_ns());
-        let spill_err = |e: crate::extmerge::ExtMergeError| MpidError::Spill(e.to_string());
-        let mut table = crate::extmerge::ExternalTable::<K, V>::new(budget_bytes, spill_dir)
+        // With no window budget there is no table to spill to: the window
+        // holds every frame through the drain, and the charge records that
+        // honestly (`forced` counts any budget overrun).
+        let budget = window.as_ref().map_or(usize::MAX, |(budget, _)| *budget);
+        let mut table = (window.map(|(budget, dir)| ExternalTable::new(budget, dir)))
+            .transpose()
             .map_err(|e| MpidError::Spill(e.to_string()))?;
         let mut charge = PoolCharge::new(self.cfg.pool.clone());
-        let mut window: Vec<FrameRun<K>> = Vec::new();
-        let mut window_bytes = 0usize;
-        let mut window_high_water = 0usize;
-        let mut eos_seen = 0usize;
-        while eos_seen < self.cfg.n_mappers {
-            match self.recv_one_run()? {
-                None => eos_seen += 1,
-                Some(run) => {
-                    let b = run.frame.body.len();
-                    // Charge *before* buffering: a frame that doesn't fit
-                    // spills the current window first, so the pool's
-                    // high-water mark stays at or under the budget unless
-                    // a single frame alone exceeds it (a forced charge).
-                    let charged = window_bytes + b <= budget_bytes && charge.try_grow(b);
-                    if !charged {
-                        if !window.is_empty() {
-                            spill_window(&mut table, std::mem::take(&mut window))
-                                .map_err(spill_err)?;
-                            window_bytes = 0;
-                            charge.clear();
-                        }
-                        if !charge.try_grow(b) {
-                            charge.grow(b);
-                        }
-                    }
-                    window_bytes += b;
-                    window_high_water = window_high_water.max(window_bytes);
-                    window.push(run);
+        let mut runs: Vec<FrameRun<K>> = Vec::new();
+        let (mut window_bytes, mut window_high_water) = (0usize, 0usize);
+        while let Some(frame) = self.next_frame()? {
+            let run = sort_frame::<K>(frame)?;
+            let b = run.frame.body.len();
+            // Charge *before* buffering: a frame that doesn't fit spills the
+            // current window first, so the pool's high-water mark stays at or
+            // under the budget unless a single frame alone exceeds it or
+            // there is no table (a forced charge).
+            if !(window_bytes + b <= budget && charge.try_grow(b)) {
+                if let Some(table) = table.as_mut().filter(|_| !runs.is_empty()) {
+                    spill_window(table, std::mem::take(&mut runs)).map_err(spill_err)?;
+                    window_bytes = 0;
+                    charge.clear();
+                }
+                if !charge.try_grow(b) {
+                    charge.grow(b);
                 }
             }
+            window_bytes += b;
+            window_high_water = window_high_water.max(window_bytes);
+            runs.push(run);
         }
-        // The final unspilled window becomes the merge tail — the position
-        // the resident table held in the insert path, so per-key value
-        // order stays run-order-then-tail = frame-arrival order. The merge
-        // pulls its groups as it reaches them, and the window's charge
-        // lives as long as its frames do.
-        let tail = Groups::new(Merged::new(window), charge);
-        let tail = tail.map(|g| g.map_err(|e| crate::extmerge::ExtMergeError::Codec(codec_of(e))));
-        let spilled_runs = table.spilled_runs();
-        if let (Some(rt), Some(t0)) = (self.comm.trace(), t0) {
-            trace_merge(
-                rt,
-                t0,
-                &self.stats,
-                &self.cfg,
-                Some(spilled_runs),
-                window_high_water as u64,
-                table.spilled_bytes(),
-            );
-        }
+        let Some(table) = table else {
+            let groups = Groups::new(merge_by_rank(runs), charge);
+            self.trace_merge(t0, None, self.stats.bytes_received, 0);
+            return Ok(RecvState::Draining(groups));
+        };
+        // The last window becomes the merge tail — after the disk runs, so
+        // per-key value order stays run-order-then-tail = frame-arrival
+        // order. The merge pulls its groups as it reaches them, and the
+        // window's charge lives as long as its frames do.
+        let tail = Groups::new(Merged::new(runs), charge);
+        let tail = tail.map(|g| g.map_err(|e| ExtMergeError::Codec(codec_of(e))));
+        self.spilled_runs = table.spilled_runs();
+        let spilled = Some(self.spilled_runs);
+        self.trace_merge(t0, spilled, window_high_water as u64, table.spilled_bytes());
         let merge = table.into_merge_with_tail(tail).map_err(spill_err)?;
-        Ok((merge, spilled_runs))
+        Ok(RecvState::DrainingExt(Box::new(merge)))
     }
 
-    /// Switch to bounded-memory consumption: buffer frame runs up to
-    /// `budget_bytes`, merge each full window into one pre-sorted disk run
-    /// of an [`ExternalTable`](crate::extmerge::ExternalTable) (no resident
-    /// resort — the window is already key-merged), then stream globally
-    /// key-ordered merged groups — the reducer-side external merge Hadoop
-    /// performs when reduce inputs exceed memory. An error here is an ingest
-    /// or spill-write error; a disk run that cannot be read back fails the
-    /// [`ExternalRecv::recv`] that needs it, the first call included.
-    pub fn into_external(
-        mut self,
-        budget_bytes: usize,
-        spill_dir: std::path::PathBuf,
-    ) -> MpidResult<ExternalRecv<K, V>> {
-        assert!(
-            matches!(self.state, RecvState::Ingesting),
-            "into_external after recv() started grouping"
-        );
-        let (merge, spilled_runs) = self.ingest_external(budget_bytes, spill_dir)?;
-        Ok(ExternalRecv {
-            merge,
-            spilled_runs,
-            stats: self.stats.clone(),
-        })
+    /// Enter a drain state; a traced rank's `drain` span starts here.
+    fn start_drain(&mut self, state: RecvState<K, V>) {
+        self.state = state;
+        self.drain_t0 = self.comm.trace().map(|rt| rt.now_ns());
     }
 
-    /// Switch to streaming consumption (see [`MpidStream`]).
-    pub fn into_streaming(self) -> MpidStream<'a, K, V> {
+    fn assert_ingesting(&self, switch: &str) {
         assert!(
             matches!(self.state, RecvState::Ingesting),
-            "into_streaming after recv() started grouping"
+            "{switch} after recv() started grouping"
         );
-        MpidStream {
-            comm: self.comm,
-            cfg: self.cfg,
-            timeout: self.timeout,
-            eos_seen: 0,
-            buffer: std::collections::VecDeque::new(),
-            stats: self.stats,
-        }
+    }
+
+    /// Switch to the bounded drain with a window of `budget_bytes` spilling
+    /// under `spill_dir` — the reducer-side external merge Hadoop performs
+    /// when reduce inputs exceed memory; [`MpidConfig::mem_budget`] selects
+    /// the same drain, under the system temporary directory, on the first
+    /// [`recv`](Self::recv). Eager: every frame is ingested here, so an
+    /// error here is an ingest or spill-write error.
+    pub fn into_external(mut self, budget_bytes: usize, spill_dir: PathBuf) -> MpidResult<Self> {
+        self.assert_ingesting("into_external");
+        let state = self.ingest(Some((budget_bytes, spill_dir)))?;
+        self.start_drain(state);
+        Ok(self)
+    }
+
+    /// Switch to the streaming drain: [`recv`](Self::recv) yields groups as
+    /// frames arrive, exactly as they were framed and **without** global
+    /// grouping — the same key may come several times (once per spill that
+    /// carried it), so the consumer must fold with an associative,
+    /// commutative operation. Memory use is bounded by one frame instead of
+    /// the whole key space.
+    pub fn into_streaming(mut self) -> Self {
+        self.assert_ingesting("into_streaming");
+        let no_frame = Groups::new(Merged::default(), PoolCharge::new(None));
+        self.start_drain(RecvState::Streaming(no_frame));
+        self
     }
 
     /// `MPI_D_Recv`: return the next `(key, value-list)` group, or `None`
     /// once every group has been delivered.
     ///
-    /// A group is decoded by the call that returns it. Malformed framing
-    /// (lengths, group counts) fails the first call, before any group is
-    /// delivered; malformed content (say, a key that is not UTF-8) fails
-    /// the call that reaches that group, after every group before it came
-    /// out intact — as [`MpidError::Codec`] naming the sending rank, or, on
-    /// the bounded path, as [`MpidError::Spill`]. The receiver is fused:
-    /// after `None` or an error every later call returns `Ok(None)`, and
-    /// the frames and their pool charge are released at that point (or
-    /// when a half-drained receiver is dropped).
+    /// The grouped and bounded drains deliver each key once, in ascending
+    /// key order; the first call ingests every frame (unless
+    /// [`into_external`](Self::into_external) already did). The streaming
+    /// drain receives a frame when it needs one and delivers its groups as
+    /// framed. In every state a group is decoded by the call that returns
+    /// it.
+    ///
+    /// Malformed framing (lengths, group counts) fails the call that
+    /// receives the frame — in the grouped and bounded drains the first
+    /// one, before any group is delivered. Malformed content (say, a key
+    /// that is not UTF-8) fails the call that reaches that group, after
+    /// every group before it came out intact. Errors are
+    /// [`MpidError::Codec`] naming the sending rank, except that the bounded
+    /// drain reports a group it cannot read back from disk or decode from
+    /// its last window, and a failed spill, as [`MpidError::Spill`]. The
+    /// receiver is fused: after `None` or an error every later call returns
+    /// `Ok(None)`, and the frames and their pool charge are released at that
+    /// point (or when a half-drained receiver is dropped).
     pub fn recv(&mut self) -> MpidResult<Option<(K, Vec<V>)>> {
-        let next = match &mut self.state {
-            RecvState::Ingesting => {
-                self.state = RecvState::Done; // for an error out of ingest
-                self.state = match self.cfg.mem_budget {
-                    Some(budget) => RecvState::DrainingExt(Box::new(
-                        self.ingest_external(budget, std::env::temp_dir())?.0,
-                    )),
-                    None => RecvState::Draining(self.ingest()?),
-                };
-                self.drain_t0 = self.comm.trace().map(|rt| rt.now_ns());
-                return self.recv();
-            }
-            RecvState::Draining(groups) => groups.next().transpose(),
-            RecvState::DrainingExt(merge) => merge
-                .next_group()
-                .map_err(|e| MpidError::Spill(e.to_string())),
-            RecvState::Done => return Ok(None),
-        };
+        let next = self.next_group();
         if let Ok(Some((k, mut vs))) = next {
             if let Some(sort) = self.value_sorter {
                 sort(&mut vs);
@@ -401,14 +397,42 @@ impl<'a, K: Key, V: Value> MpidReceiver<'a, K, V> {
             return Ok(Some((k, vs)));
         }
         self.state = RecvState::Done;
-        if let (Some(rt), Some(t0)) = (self.comm.trace(), self.drain_t0) {
+        if let (Some(rt), Some(t0)) = (self.comm.trace(), self.drain_t0.take()) {
             let args = vec![("distinct_keys", ArgValue::U64(self.stats.distinct_keys))];
             rt.complete_since(obs::names::SPAN_DRAIN, obs::names::CAT_MPID_STAGE, t0, args);
         }
         next
     }
 
-    /// Drain every remaining group into a vector (keys ascending).
+    /// The next group of the drain, ingesting first if none has begun.
+    fn next_group(&mut self) -> MpidResult<Option<(K, Vec<V>)>> {
+        loop {
+            match &mut self.state {
+                RecvState::Ingesting => {
+                    let window = self.cfg.mem_budget.map(|b| (b, std::env::temp_dir()));
+                    let state = self.ingest(window)?;
+                    self.start_drain(state);
+                }
+                RecvState::Draining(groups) => return groups.next().transpose(),
+                RecvState::DrainingExt(merge) => return merge.next_group().map_err(spill_err),
+                RecvState::Streaming(frame) => {
+                    if let Some(group) = frame.next() {
+                        return group.map(Some);
+                    }
+                    let Some(frame) = self.next_frame()? else {
+                        return Ok(None);
+                    };
+                    let mut charge = PoolCharge::new(self.cfg.pool.clone());
+                    charge.grow(frame.body.len());
+                    let groups = Groups::new(Merged::as_framed(frame), charge);
+                    self.state = RecvState::Streaming(groups);
+                }
+                RecvState::Done => return Ok(None),
+            }
+        }
+    }
+
+    /// Drain every remaining group into a vector.
     pub fn recv_all(&mut self) -> MpidResult<Vec<(K, Vec<V>)>> {
         let mut out = Vec::new();
         while let Some(g) = self.recv()? {
@@ -416,17 +440,77 @@ impl<'a, K: Key, V: Value> MpidReceiver<'a, K, V> {
         }
         Ok(out)
     }
+
+    /// Record the reducer-side "merge" stage span (cat `mpid.stage`) on a
+    /// traced rank: wildcard frame reception plus merging the run indexes
+    /// (or spilling windows), from `t0` to the index being ready, with the
+    /// ingest-side [`ReceiverStats`] counters as span args. Also publishes
+    /// the receiver's `mpid.mem.*` memory-accounting counters (frame-buffer
+    /// high-water, frames decoded, bytes spilled) and the `mpid.mem.pool.*`
+    /// pool snapshot when a pool is configured.
+    fn trace_merge(&self, t0: Option<u64>, runs: Option<usize>, high_water: u64, spilled: u64) {
+        let (Some(rt), Some(t0)) = (self.comm.trace(), t0) else {
+            return;
+        };
+        let stats = &self.stats;
+        let mut args = vec![
+            ("frames", ArgValue::U64(stats.frames)),
+            ("bytes_received", ArgValue::U64(stats.bytes_received)),
+            ("groups_in", ArgValue::U64(stats.groups_in)),
+        ];
+        if let Some(runs) = runs {
+            args.push(("spilled_runs", ArgValue::U64(runs as u64)));
+        }
+        rt.complete_since(obs::names::SPAN_MERGE, obs::names::CAT_MPID_STAGE, t0, args);
+        rt.counter(
+            obs::names::CTR_MEM_FRAME_BYTES,
+            obs::names::CAT_MPID_MEM,
+            high_water as f64,
+        );
+        rt.counter(
+            obs::names::CTR_MEM_FRAMES_DECODED,
+            obs::names::CAT_MPID_MEM,
+            stats.frames as f64,
+        );
+        rt.counter(
+            obs::names::CTR_MEM_SPILL_BYTES,
+            obs::names::CAT_MPID_MEM,
+            spilled as f64,
+        );
+        if let Some(pool) = &self.cfg.pool {
+            let ps = pool.stats();
+            rt.counter(
+                obs::names::CTR_MEM_POOL_LIVE,
+                obs::names::CAT_MPID_MEM,
+                ps.live as f64,
+            );
+            rt.counter(
+                obs::names::CTR_MEM_POOL_HIGH_WATER,
+                obs::names::CAT_MPID_MEM,
+                ps.high_water as f64,
+            );
+            rt.counter(
+                obs::names::CTR_MEM_POOL_BUDGET,
+                obs::names::CAT_MPID_MEM,
+                ps.budget as f64,
+            );
+            rt.counter(
+                obs::names::CTR_MEM_POOL_FORCED,
+                obs::names::CAT_MPID_MEM,
+                ps.forced as f64,
+            );
+        }
+    }
 }
 
-/// Index one frame body (count header + groups, from rank `src`) and sort
-/// it by key, decoding no value — and no key either when the key type has
-/// an encoded comparator.
-fn sort_frame<K: Key, V: Value>(body: Bytes, src: Rank) -> MpidResult<FrameRun<K>> {
+/// Sort one indexed frame by key, decoding no value — and no key either
+/// when the key type has an encoded comparator.
+fn sort_frame<K: Key>(frame: Frame) -> MpidResult<FrameRun<K>> {
+    let Frame { body, raw, src } = frame;
     let codec_err = |err| MpidError::Codec {
         source_rank: src,
         err,
     };
-    let raw = parse_group_index_raw::<K, V>(&body).map_err(codec_err)?;
     // Both sorts are stable: a frame carrying the same key twice keeps
     // its in-frame order, so the merge's send-order guarantee holds.
     let (raw, prefixes, keys) = match K::encoded_cmp() {
@@ -513,6 +597,23 @@ impl Merged {
         }
         Merged {
             frames: runs.into_iter().map(|r| r.frame).collect(),
+            index,
+        }
+    }
+
+    /// One frame's groups as framed, each its own span: every entry's
+    /// prefix is its position, so no two entries compare equal, whatever
+    /// their keys — the ordinals `new` gives distinct keys, one per group.
+    fn as_framed(frame: Frame) -> Self {
+        let index = (0..frame.raw.len() as u32)
+            .map(|group| KeyRef {
+                prefix: group.into(),
+                run: 0,
+                group,
+            })
+            .collect();
+        Merged {
+            frames: vec![frame],
             index,
         }
     }
@@ -630,9 +731,9 @@ fn merge_by_rank<K: Key>(mut runs: Vec<FrameRun<K>>) -> Merged {
 /// re-encode, so a key with bad content is found by the `recv()` that reads
 /// it back.
 fn spill_window<K: Key, V: Value>(
-    table: &mut crate::extmerge::ExternalTable<K, V>,
+    table: &mut ExternalTable<K, V>,
     runs: Vec<FrameRun<K>>,
-) -> Result<(), crate::extmerge::ExtMergeError> {
+) -> Result<(), ExtMergeError> {
     let merged = Merged::new(runs);
     let mut rw = table.begin_sorted_run()?;
     for span in merged.spans::<K>() {
@@ -648,193 +749,17 @@ fn spill_window<K: Key, V: Value>(
 }
 
 /// Extract the codec error from a receiver-side [`MpidError`], for routing
-/// through [`ExtMergeError`](crate::extmerge::ExtMergeError).
-fn codec_of(e: MpidError) -> crate::kv::CodecError {
+/// through [`ExtMergeError`].
+fn codec_of(e: MpidError) -> CodecError {
     match e {
         MpidError::Codec { err, .. } => err,
-        _ => crate::kv::CodecError::Corrupt("receiver merge error"),
+        _ => CodecError::Corrupt("receiver merge error"),
     }
 }
 
-/// Record the reducer-side "merge" stage span (cat `mpid.stage`): wildcard
-/// frame reception plus merging the run indexes (or spilling windows), from
-/// `t0` to the index being ready, with the ingest-side [`ReceiverStats`]
-/// counters as span args. Also publishes the receiver's `mpid.mem.*`
-/// memory-accounting counters (frame-buffer high-water, frames decoded,
-/// bytes spilled) and the `mpid.mem.pool.*` pool snapshot when a pool is
-/// configured.
-fn trace_merge(
-    rt: &Arc<RankTrace>,
-    t0: u64,
-    stats: &ReceiverStats,
-    cfg: &MpidConfig,
-    spilled_runs: Option<usize>,
-    frame_high_water: u64,
-    spill_bytes: u64,
-) {
-    let mut args = vec![
-        ("frames", ArgValue::U64(stats.frames)),
-        ("bytes_received", ArgValue::U64(stats.bytes_received)),
-        ("groups_in", ArgValue::U64(stats.groups_in)),
-    ];
-    if let Some(runs) = spilled_runs {
-        args.push(("spilled_runs", ArgValue::U64(runs as u64)));
-    }
-    rt.complete_since(obs::names::SPAN_MERGE, obs::names::CAT_MPID_STAGE, t0, args);
-    rt.counter(
-        obs::names::CTR_MEM_FRAME_BYTES,
-        obs::names::CAT_MPID_MEM,
-        frame_high_water as f64,
-    );
-    rt.counter(
-        obs::names::CTR_MEM_FRAMES_DECODED,
-        obs::names::CAT_MPID_MEM,
-        stats.frames as f64,
-    );
-    rt.counter(
-        obs::names::CTR_MEM_SPILL_BYTES,
-        obs::names::CAT_MPID_MEM,
-        spill_bytes as f64,
-    );
-    if let Some(pool) = &cfg.pool {
-        let ps = pool.stats();
-        rt.counter(
-            obs::names::CTR_MEM_POOL_LIVE,
-            obs::names::CAT_MPID_MEM,
-            ps.live as f64,
-        );
-        rt.counter(
-            obs::names::CTR_MEM_POOL_HIGH_WATER,
-            obs::names::CAT_MPID_MEM,
-            ps.high_water as f64,
-        );
-        rt.counter(
-            obs::names::CTR_MEM_POOL_BUDGET,
-            obs::names::CAT_MPID_MEM,
-            ps.budget as f64,
-        );
-        rt.counter(
-            obs::names::CTR_MEM_POOL_FORCED,
-            obs::names::CAT_MPID_MEM,
-            ps.forced as f64,
-        );
-    }
-}
-
-/// Receive one DATA frame body: `Ok(None)` = end-of-stream marker, otherwise
-/// the frame body (marker stripped, decompressed if needed) and its source
-/// rank. Plain frames are a zero-copy slice of the transport buffer.
-fn recv_frame_body(
-    comm: &Comm,
-    timeout: Duration,
-    stats: &mut ReceiverStats,
-) -> MpidResult<Option<(Bytes, Rank)>> {
-    // Wildcard source, but tag-filtered to the MPI-D data stream: an
-    // unrestricted wildcard would intercept collective traffic (e.g.
-    // another rank's early `MPI_D_Finalize` barrier).
-    let (payload, status) = comm.recv_bytes_timeout(None, Some(tags::DATA), timeout)?;
-    if payload.is_empty() {
-        return Ok(None); // end-of-stream (real frames are never empty)
-    }
-    stats.frames += 1;
-    stats.bytes_received += payload.len() as u64;
-    let codec_err = |err| MpidError::Codec {
-        source_rank: status.source,
-        err,
-    };
-    let body = match payload[0] {
-        MARKER_PLAIN => payload.slice(1..),
-        MARKER_LZ => Bytes::from(crate::compress::decompress(&payload[1..]).map_err(codec_err)?),
-        _ => {
-            return Err(codec_err(crate::kv::CodecError::Corrupt(
-                "unknown frame marker",
-            )))
-        }
-    };
-    Ok(Some((body, status.source)))
-}
-
-/// Bounded-memory reducer consumption: groups stream out of a k-way merge
-/// over disk-spilled runs (see [`MpidReceiver::into_external`]).
-pub struct ExternalRecv<K: Key, V: Value> {
-    merge: crate::extmerge::MergeIter<K, V>,
-    spilled_runs: usize,
-    stats: ReceiverStats,
-}
-
-impl<K: Key, V: Value> ExternalRecv<K, V> {
-    /// Next merged `(key, values)` group in ascending key order; errors and
-    /// fusing as for the bounded path of [`MpidReceiver::recv`].
-    pub fn recv(&mut self) -> MpidResult<Option<(K, Vec<V>)>> {
-        let next = self
-            .merge
-            .next_group()
-            .map_err(|e| MpidError::Spill(e.to_string()))?;
-        self.stats.distinct_keys += u64::from(next.is_some());
-        Ok(next)
-    }
-
-    /// Runs that were spilled to disk during ingestion.
-    pub fn spilled_runs(&self) -> usize {
-        self.spilled_runs
-    }
-
-    /// Ingestion statistics.
-    pub fn stats(&self) -> &ReceiverStats {
-        &self.stats
-    }
-}
-
-/// Streaming reducer consumption — the paper's memory-saving mode: "The
-/// reducer will adopt a streaming mode to process the data for saving
-/// memory space."
-///
-/// [`MpidStream::next_group`] yields `(key, values)` groups as frames
-/// arrive, in frame order, **without** global grouping: the same key may be
-/// yielded several times (once per spill that carried it), so the consumer
-/// must fold with an associative, commutative operation. Memory use is
-/// bounded by one frame instead of the whole key space.
-pub struct MpidStream<'a, K: Key, V: Value> {
-    comm: &'a mpi_rt::Comm,
-    cfg: MpidConfig,
-    timeout: Duration,
-    eos_seen: usize,
-    buffer: std::collections::VecDeque<(K, Vec<V>)>,
-    stats: ReceiverStats,
-}
-
-impl<K: Key, V: Value> MpidStream<'_, K, V> {
-    /// Next partially-merged group, or `None` after every mapper's
-    /// end-of-stream marker.
-    pub fn next_group(&mut self) -> MpidResult<Option<(K, Vec<V>)>> {
-        loop {
-            if let Some(g) = self.buffer.pop_front() {
-                return Ok(Some(g));
-            }
-            if self.eos_seen >= self.cfg.n_mappers {
-                return Ok(None);
-            }
-            match recv_frame_body(self.comm, self.timeout, &mut self.stats)? {
-                None => self.eos_seen += 1,
-                Some((body, src)) => {
-                    let codec_err = |err| MpidError::Codec {
-                        source_rank: src,
-                        err,
-                    };
-                    let mut reader = FrameReader::new(&body).map_err(codec_err)?;
-                    while let Some(g) = reader.next_group::<K, V>().map_err(codec_err)? {
-                        self.stats.groups_in += 1;
-                        self.buffer.push_back(g);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Statistics gathered so far.
-    pub fn stats(&self) -> &ReceiverStats {
-        &self.stats
-    }
+/// A spill-file failure, as the bounded drain reports it.
+fn spill_err(e: ExtMergeError) -> MpidError {
+    MpidError::Spill(e.to_string())
 }
 
 #[cfg(test)]
@@ -844,10 +769,40 @@ mod tests {
     use crate::pool::BlockPool;
     use crate::realign::FrameBuilder;
     use crate::{MpidWorld, Role};
-    use mpi_rt::{MpiConfig, Universe};
+    use mpi_rt::{Finding, MpiConfig, Universe};
 
     /// Merged grouped output: ascending keys, each with its value list.
     type Grouped<K, V> = Vec<(K, Vec<V>)>;
+
+    /// Which drain state a test puts the reducer's receiver in.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Drain {
+        /// `recv()` with no `mem_budget`: grouped.
+        Unbounded,
+        /// `recv()` with this `mem_budget`: bounded.
+        Bounded(usize),
+        /// `into_external` with this budget: bounded, entered eagerly.
+        External(usize),
+        /// `into_streaming()`.
+        Streaming,
+    }
+
+    impl Drain {
+        fn mem_budget(self) -> Option<usize> {
+            match self {
+                Drain::Bounded(b) => Some(b),
+                _ => None,
+            }
+        }
+
+        fn open<K: Key, V: Value>(self, recv: MpidReceiver<'_, K, V>) -> MpidReceiver<'_, K, V> {
+            match self {
+                Drain::External(b) => recv.into_external(b, std::env::temp_dir()).unwrap(),
+                Drain::Streaming => recv.into_streaming(),
+                Drain::Unbounded | Drain::Bounded(_) => recv,
+            }
+        }
+    }
 
     /// One frame body holding `groups` in the order given.
     fn frame<K: Key, V: Value>(groups: &[(K, Vec<V>)]) -> Bytes {
@@ -864,7 +819,11 @@ mod tests {
     fn merged<K: Key, V: Value>(arrivals: &[(Rank, Bytes)]) -> Grouped<K, V> {
         let runs = arrivals
             .iter()
-            .map(|(src, body)| sort_frame::<K, V>(body.clone(), *src).unwrap())
+            .map(|(src, body)| {
+                let raw = parse_group_index_raw::<K, V>(body).unwrap();
+                let (body, src) = (body.clone(), *src);
+                sort_frame::<K>(Frame { body, raw, src }).unwrap()
+            })
             .collect();
         let mut groups = Groups::<K, V>::new(merge_by_rank::<K>(runs), PoolCharge::new(None));
         let out = groups.by_ref().collect::<MpidResult<_>>().unwrap();
@@ -874,16 +833,20 @@ mod tests {
 
     /// A job of `sends.len()` mappers and one reducer over hand-built
     /// frames: mapper `i` ships `sends[i]` in order, then its end-of-stream
-    /// marker; `reduce` gets the reducer's receiver; every rank goes through
-    /// `MPI_D_Finalize`, whose leak audit must find nothing.
+    /// marker; `reduce` gets the reducer's receiver in the `drain` state;
+    /// every rank goes through `MPI_D_Finalize`, whose leak audit must find
+    /// nothing — except, for a streaming drain, what an error left
+    /// undelivered at the reducer.
     fn reduce_frames<K: Key, V: Value, R: Send>(
         cfg: MpidConfig,
+        drain: Drain,
         sends: &[Vec<Bytes>],
         reduce: impl Fn(MpidReceiver<'_, K, V>) -> R + Send + Sync,
     ) -> R {
         let cfg = MpidConfig {
             n_mappers: sends.len(),
             n_reducers: 1,
+            mem_budget: drain.mem_budget(),
             ..cfg
         };
         let reducer = 1 + sends.len();
@@ -900,13 +863,19 @@ mod tests {
                         comm.send_bytes(reducer, tags::DATA, Bytes::new()).unwrap();
                         None
                     }
-                    Role::Reducer(_) => Some(reduce(world.receiver())),
+                    Role::Reducer(_) => Some(reduce(drain.open(world.receiver()))),
                 };
                 world.finalize().unwrap();
                 out
             })
             .unwrap();
-        assert!(report.is_clean(), "{report}");
+        let undelivered = |f: &Finding| {
+            matches!(f, Finding::LeakedEager { to, .. } | Finding::ShutdownLeak { rank: to, .. }
+                if *to == reducer)
+        };
+        let streamed_past_an_error =
+            drain == Drain::Streaming && report.findings.iter().all(undelivered);
+        assert!(report.is_clean() || streamed_past_an_error, "{report}");
         results.pop().flatten().unwrap()
     }
 
@@ -1065,23 +1034,25 @@ mod tests {
         ];
         // A budget of one byte spills every frame but the last to arrive,
         // and the bad one is never that: its mapper sends `last` after it.
-        for (bad, mem_budget) in [
-            (bad(vec![b'd', 0xff], b("4")), None),
-            (bad(b("d"), vec![0xff, 0xfe]), None),
-            (bad(b("d"), vec![0xff, 0xfe]), Some(1 << 20)),
-            (bad(vec![b'd', 0xff], b("4")), Some(1 << 20)),
-            (bad(vec![b'd', 0xff], b("4")), Some(1)),
-            (bad(b("d"), vec![0xff, 0xfe]), Some(1)),
+        for (bad, drain) in [
+            (bad(vec![b'd', 0xff], b("4")), Drain::Unbounded),
+            (bad(b("d"), vec![0xff, 0xfe]), Drain::Unbounded),
+            (bad(b("d"), vec![0xff, 0xfe]), Drain::Bounded(1 << 20)),
+            (bad(vec![b'd', 0xff], b("4")), Drain::Bounded(1 << 20)),
+            (bad(vec![b'd', 0xff], b("4")), Drain::Bounded(1)),
+            (bad(b("d"), vec![0xff, 0xfe]), Drain::Bounded(1)),
+            (bad(vec![b'd', 0xff], b("4")), Drain::Streaming),
+            (bad(b("d"), vec![0xff, 0xfe]), Drain::Streaming),
         ] {
             let pool = BlockPool::new(1 << 20);
             let cfg = MpidConfig {
-                mem_budget,
                 pool: Some(pool.clone()),
                 ..Default::default()
             };
             let all_held = good.len() + bad.len() + last.len();
+            let bad_len = bad.len();
             let sends = [vec![good.clone()], vec![bad, last.clone()]];
-            let (got, err) = reduce_frames(cfg, &sends, |mut recv| {
+            let (got, err) = reduce_frames(cfg, drain, &sends, |mut recv| {
                 let mut got: Grouped<String, String> = Vec::new();
                 let err = loop {
                     match recv.recv() {
@@ -1098,22 +1069,35 @@ mod tests {
                 (got, err)
             });
             assert_eq!(pool.stats().live, 0);
-            let spilled = pool.stats().high_water < all_held;
-            assert_eq!(spilled, mem_budget == Some(1), "windows went to disk");
-            // Decoded span by span: everything before the bad group came
-            // out, and the error names the mapper that sent it — on the
-            // bounded path, from the tail or from a disk run the window's
-            // key bytes were copied into, through `ExtMergeError::Codec`.
-            assert_eq!(got, before);
-            match mem_budget {
-                None => assert!(matches!(
+            if drain == Drain::Streaming {
+                // One frame held at a time; groups as framed, the bad
+                // frame's first two after the good frame's when it came
+                // first; the error names the mapper as on the grouped path.
+                assert_eq!(pool.stats().high_water, bad_len);
+                let bad_first = vec![(s("b"), vec![s("2")]), (s("f"), vec![s("6")])];
+                let good = [(s("a"), vec![s("1")]), (s("e"), vec![s("5")])];
+                let good_first = [&good[..], &bad_first].concat();
+                assert!(got == bad_first || got == good_first, "{got:?}");
+            } else {
+                let spilled = pool.stats().high_water < all_held;
+                assert_eq!(spilled, drain == Drain::Bounded(1), "windows went to disk");
+                // Decoded span by span: everything before the bad group came
+                // out — on the bounded path, from the tail or from a disk run
+                // the window's key bytes were copied into, through
+                // `ExtMergeError::Codec`.
+                assert_eq!(got, before);
+            }
+            match drain {
+                Drain::Bounded(_) => {
+                    assert!(matches!(&err, MpidError::Spill(m) if m.contains("decode")))
+                }
+                _ => assert!(matches!(
                     err,
                     MpidError::Codec {
                         source_rank: 2,
                         err: CodecError::Corrupt(_)
                     }
                 )),
-                Some(_) => assert!(matches!(&err, MpidError::Spill(m) if m.contains("decode"))),
             }
         }
     }
@@ -1122,14 +1106,17 @@ mod tests {
     fn the_pool_charge_lives_exactly_as_long_as_the_frames() {
         let groups: Grouped<String, u64> = (0..50).map(|i| (format!("k{i:02}"), vec![i])).collect();
         let f = frame(&groups);
-        for (mem_budget, drain_all) in [(None, true), (None, false), (Some(1 << 20), true)] {
+        for (drain, drain_all) in [
+            (Drain::Unbounded, true),
+            (Drain::Unbounded, false),
+            (Drain::Bounded(1 << 20), true),
+        ] {
             let pool = BlockPool::new(1 << 20);
             let cfg = MpidConfig {
-                mem_budget,
                 pool: Some(pool.clone()),
                 ..Default::default()
             };
-            let got = reduce_frames(cfg, &[vec![f.clone(), f.clone()]], |mut recv| {
+            let got = reduce_frames(cfg, drain, &[vec![f.clone(), f.clone()]], |mut recv| {
                 let first = recv.recv().unwrap().unwrap();
                 assert_eq!(pool.stats().live, 2 * f.len(), "frames held while draining");
                 if !drain_all {
@@ -1165,13 +1152,12 @@ mod tests {
                 )
             })
             .collect();
-        let drain = |threads: usize, mem_budget: Option<usize>, sorted: bool| {
+        let drain = |threads: usize, drain: Drain, sorted: bool| {
             let cfg = MpidConfig {
                 threads,
-                mem_budget,
                 ..Default::default()
             };
-            reduce_frames(cfg, std::slice::from_ref(&frames), move |recv| {
+            reduce_frames(cfg, drain, std::slice::from_ref(&frames), move |recv| {
                 let mut recv: MpidReceiver<String, u64> = recv;
                 if sorted {
                     recv = recv.with_sorted_values();
@@ -1179,41 +1165,65 @@ mod tests {
                 recv.recv_all().unwrap()
             })
         };
-        let want = drain(1, None, false);
+        let want = drain(1, Drain::Unbounded, false);
         assert_eq!(want.len(), 800);
         assert!(want.windows(2).all(|w| w[0].0 < w[1].0));
         assert!(want.iter().all(|(_, vs)| vs.len() == 6));
         // A budget of four frames spills fourteen windows and leaves a tail.
         // (`threads` is read by nothing; 2 pins that it stays inert.)
-        let budget = Some(4 * frames[0].len() + 8);
-        assert_eq!(drain(2, None, false), want);
-        assert_eq!(drain(1, budget, false), want);
-        assert_eq!(drain(2, budget, false), want);
-        let mut sorted = want;
+        let budget = 4 * frames[0].len() + 8;
+        assert_eq!(drain(2, Drain::Unbounded, false), want);
+        assert_eq!(drain(1, Drain::Bounded(budget), false), want);
+        assert_eq!(drain(2, Drain::Bounded(budget), false), want);
+        assert_eq!(drain(1, Drain::External(budget), false), want);
+        let mut sorted = want.clone();
         sorted.iter_mut().for_each(|(_, vs)| vs.sort());
-        assert_eq!(drain(1, None, true), sorted);
-        assert_eq!(drain(1, budget, true), sorted);
+        assert_eq!(drain(1, Drain::Unbounded, true), sorted);
+        assert_eq!(drain(1, Drain::Bounded(budget), true), sorted);
+        assert_eq!(drain(1, Drain::External(budget), true), sorted);
+
+        // Streaming: every framed group once, in send order, so folding the
+        // partial groups by key gives the grouped values back; sorted values
+        // are sorted per partial group.
+        let streamed = drain(1, Drain::Streaming, false);
+        assert_eq!(streamed.len(), 60 * 40);
+        let mut folded = std::collections::BTreeMap::<String, Vec<u64>>::new();
+        for (k, vs) in &streamed {
+            folded.entry(k.clone()).or_default().extend(vs);
+        }
+        assert_eq!(folded.into_iter().collect::<Grouped<_, _>>(), want);
+        let mut streamed_sorted = streamed.clone();
+        streamed_sorted.iter_mut().for_each(|(_, vs)| vs.sort());
+        assert_ne!(streamed_sorted, streamed);
+        assert_eq!(drain(1, Drain::Streaming, true), streamed_sorted);
     }
 
     #[test]
     fn an_empty_stream_yields_none_forever() {
-        for mem_budget in [None, Some(1 << 20)] {
-            let cfg = MpidConfig {
-                mem_budget,
-                ..Default::default()
-            };
-            reduce_frames(cfg, &[vec![], vec![]], |mut recv| {
-                for _ in 0..3 {
-                    assert_eq!(recv.recv(), Ok(None::<(String, Vec<u64>)>));
-                }
-                assert_eq!(recv.stats().distinct_keys, 0);
-            });
+        for drain in [
+            Drain::Unbounded,
+            Drain::Bounded(1 << 20),
+            Drain::External(1 << 20),
+            Drain::Streaming,
+        ] {
+            reduce_frames(
+                MpidConfig::default(),
+                drain,
+                &[vec![], vec![]],
+                |mut recv| {
+                    for _ in 0..3 {
+                        assert_eq!(recv.recv(), Ok(None::<(String, Vec<u64>)>));
+                    }
+                    assert_eq!(recv.stats().distinct_keys, 0);
+                },
+            );
         }
     }
 
     /// What the reducer's first `recv()` makes of one wire frame (marker
-    /// byte included) from mapper rank 1, on the unbounded or bounded path.
-    fn recv_wire(wire: &[u8], mem_budget: Option<usize>) -> MpidResult<Option<(String, Vec<u64>)>> {
+    /// byte included) from mapper rank 1, in the `drain` state. After an
+    /// error the receiver must be fused and have released its pool charge.
+    fn recv_wire(wire: &[u8], drain: Drain) -> MpidResult<Option<(String, Vec<u64>)>> {
         let wire = Bytes::copy_from_slice(wire);
         let results = Universe::run(2, move |comm| {
             if comm.rank() == 1 {
@@ -1222,19 +1232,27 @@ mod tests {
                 let _ = comm.send_bytes(0, tags::DATA, Bytes::new());
                 return None;
             }
+            let pool = BlockPool::new(1 << 20);
             let cfg = MpidConfig {
                 n_mappers: 1,
                 n_reducers: 1,
-                mem_budget,
+                mem_budget: drain.mem_budget(),
+                pool: Some(pool.clone()),
                 ..Default::default()
             };
-            Some(MpidReceiver::<String, u64>::new(comm, cfg).recv())
+            let mut recv = drain.open(MpidReceiver::<String, u64>::new(comm, cfg));
+            let first = recv.recv();
+            if first.is_err() {
+                assert_eq!(recv.recv(), Ok(None));
+                assert_eq!(pool.stats().live, 0);
+            }
+            Some(first)
         });
         results.into_iter().next().flatten().unwrap()
     }
 
     /// ROADMAP 5a: every way a frame's count word can lie — the layout bit
-    /// included — is a codec error naming the mapper, on both paths.
+    /// included — is a codec error naming the mapper, in every drain state.
     #[test]
     fn hostile_group_count_is_a_codec_error_naming_the_mapper() {
         use crate::realign::SINGLE_VALUED;
@@ -1296,18 +1314,18 @@ mod tests {
                 CodecError::Truncated,
             ),
         ];
-        for mem_budget in [None, Some(1 << 20)] {
+        for drain in [Drain::Unbounded, Drain::Bounded(1 << 20), Drain::Streaming] {
             for (what, wire, err) in &cases {
                 let want = Err(MpidError::Codec {
                     source_rank: 1,
                     err: err.clone(),
                 });
-                assert_eq!(recv_wire(wire, mem_budget), want, "{what}");
+                assert_eq!(recv_wire(wire, drain), want, "{what} ({drain:?})");
             }
             // Honest flagged frames, plain and compressed, read back.
             for wire in [plain(&flagged), lz(&flagged)] {
                 let first = Ok(Some((s("k"), vec![7u64])));
-                assert_eq!(recv_wire(&wire, mem_budget), first);
+                assert_eq!(recv_wire(&wire, drain), first);
             }
         }
     }

@@ -88,7 +88,8 @@ pub struct ReceiverStats {
     pub bytes_received: u64,
     /// Key groups parsed out of frames (pre-merge).
     pub groups_in: u64,
-    /// Distinct keys delivered so far: counted as `recv()` hands each
+    /// Distinct keys delivered so far (in the streaming drain, groups — a
+    /// key once per frame that carried it): counted as `recv()` hands each
     /// group out, so final once `recv()` has returned `None`.
     pub distinct_keys: u64,
 }

@@ -162,7 +162,7 @@ fn streaming_mode_folds_to_the_same_totals() {
                 let mut stream = world.receiver::<String, u64>().into_streaming();
                 let mut acc: BTreeMap<String, u64> = BTreeMap::new();
                 let mut yields = 0u64;
-                while let Some((k, vs)) = stream.next_group().unwrap() {
+                while let Some((k, vs)) = stream.recv().unwrap() {
                     yields += 1;
                     *acc.entry(k).or_insert(0) += vs.iter().sum::<u64>();
                 }
@@ -220,7 +220,7 @@ fn streaming_and_grouped_receivers_have_matching_byte_counts() {
                 Role::Reducer(_) => {
                     if streaming {
                         let mut s = world.receiver::<String, u64>().into_streaming();
-                        while s.next_group().unwrap().is_some() {}
+                        while s.recv().unwrap().is_some() {}
                         s.stats().bytes_received
                     } else {
                         let mut r = world.receiver::<String, u64>();

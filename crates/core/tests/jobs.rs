@@ -235,7 +235,7 @@ fn wire_of(pairs: Vec<(String, u64)>, combine: bool, spill: usize) -> (SenderSta
             Role::Reducer(_) => {
                 let mut stream = world.receiver::<String, u64>().into_streaming();
                 let (mut groups, mut payload) = (0, 0);
-                while let Some((k, vs)) = stream.next_group().unwrap() {
+                while let Some((k, vs)) = stream.recv().unwrap() {
                     groups += 1;
                     payload += (k.wire_size() + vs.iter().map(Kv::wire_size).sum::<usize>()) as u64;
                 }

@@ -155,7 +155,6 @@ where
 {
     let mpid_cfg = cfg.mpid();
     let n_ranks = mpid_cfg.required_ranks();
-    let timeout = cfg.recv_timeout;
     let splits = chunk.to_vec();
     let app = app.clone();
     let input = input.clone();
@@ -182,7 +181,7 @@ where
                     Err(e) if is_loss_propagation(&e) => StepResult::Lost,
                     Err(e) => panic!("mapper failed: {e}"),
                 },
-                Role::Reducer(r) => match reducer_step::<A>(&world, timeout) {
+                Role::Reducer(r) => match reducer_step::<A>(&world, cfg) {
                     Ok(groups) => StepResult::Reducer(r, groups),
                     Err(e) if is_loss_propagation(&e) => StepResult::Lost,
                     Err(e) => panic!("MPI_D_Recv failed: {e}"),
@@ -254,14 +253,7 @@ where
 /// Reducer leg: drain `MPI_D_Recv` groups raw (the driver checkpoints them).
 fn reducer_step<A: MapReduceApp>(
     world: &MpidWorld,
-    timeout: std::time::Duration,
+    cfg: &MpidEngineConfig,
 ) -> Result<Groups<A>, mpid::MpidError> {
-    let mut recv = world
-        .receiver::<A::MidKey, A::MidVal>()
-        .with_timeout(timeout);
-    let mut groups = Vec::new();
-    while let Some((k, vs)) = recv.recv()? {
-        groups.push((k, vs));
-    }
-    Ok(groups)
+    cfg.receiver::<A::MidKey, A::MidVal>(world)?.recv_all()
 }

@@ -6,7 +6,7 @@ use crate::api::{InputFormat, MapReduceApp};
 use mpi_rt::{MpiConfig, Universe};
 use mpid::combine::FnCombiner;
 use mpid::partition::Partitioner;
-use mpid::{MpidConfig, MpidWorld, Role};
+use mpid::{Key, MpidConfig, MpidReceiver, MpidResult, MpidWorld, Role, Value};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -30,7 +30,8 @@ pub struct MpidEngineConfig {
     pub eager_threshold: usize,
     /// Bound on how long a reducer waits for the next frame.
     pub recv_timeout: Duration,
-    /// When set, reducers group through the bounded-memory external merge
+    /// When set, reducers — of plain and checkpointed runs alike — group
+    /// through the bounded-memory external merge
     /// ([`mpid::MpidReceiver::into_external`]) with this in-memory byte
     /// budget instead of holding the whole key space resident.
     pub reduce_budget_bytes: Option<usize>,
@@ -96,6 +97,20 @@ impl MpidEngineConfig {
             mem_budget: self.mem_budget,
             pool: None,
             shuffle: self.shuffle,
+        }
+    }
+
+    /// A reducer's `MPI_D_Recv` handle, built the one way every engine
+    /// builds it: [`recv_timeout`](Self::recv_timeout), and the bounded
+    /// drain when [`reduce_budget_bytes`](Self::reduce_budget_bytes) is set.
+    pub(crate) fn receiver<'w, K: Key, V: Value>(
+        &self,
+        world: &MpidWorld<'w>,
+    ) -> MpidResult<MpidReceiver<'w, K, V>> {
+        let recv = world.receiver().with_timeout(self.recv_timeout);
+        match self.reduce_budget_bytes {
+            Some(budget) => recv.into_external(budget, std::env::temp_dir()),
+            None => Ok(recv),
         }
     }
 }
@@ -186,8 +201,6 @@ where
     let pool = cfg.mem_budget.map(mpid::BlockPool::new);
     mpid_cfg.pool = pool.clone();
     let n_ranks = mpid_cfg.required_ranks();
-    let timeout = cfg.recv_timeout;
-    let reduce_budget = cfg.reduce_budget_bytes;
     let splits: Vec<u64> = (0..input.n_splits() as u64).collect();
     let mut universe_msgs = 0;
     let mut universe_bytes = 0;
@@ -238,22 +251,12 @@ where
                 RankResult::Mapper
             }
             Role::Reducer(_) => {
-                let recv = world
-                    .receiver::<A::MidKey, A::MidVal>()
-                    .with_timeout(timeout);
+                let mut recv = cfg
+                    .receiver::<A::MidKey, A::MidVal>(&world)
+                    .expect("external ingest failed");
                 let mut out = Vec::new();
-                if let Some(budget) = reduce_budget {
-                    let mut ext = recv
-                        .into_external(budget, std::env::temp_dir())
-                        .expect("external ingest failed");
-                    while let Some((k, vs)) = ext.recv().expect("MPI_D_Recv failed") {
-                        app.reduce(k, vs, &mut |ok, ov| out.push((ok, ov)));
-                    }
-                } else {
-                    let mut recv = recv;
-                    while let Some((k, vs)) = recv.recv().expect("MPI_D_Recv failed") {
-                        app.reduce(k, vs, &mut |ok, ov| out.push((ok, ov)));
-                    }
+                while let Some((k, vs)) = recv.recv().expect("MPI_D_Recv failed") {
+                    app.reduce(k, vs, &mut |ok, ov| out.push((ok, ov)));
                 }
                 RankResult::Reducer(out)
             }

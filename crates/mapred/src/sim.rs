@@ -66,11 +66,6 @@ pub struct SimMpidConfig {
     /// map computation on the producing mapper). `0` disables pipelining
     /// and ships the whole split output after the map completes.
     pub ship_frame_bytes: u64,
-    /// Key ranges the reducer's sort-merge runs in parallel — model only,
-    /// the real receiver runs on one thread: the reduce-side CPU divides across
-    /// them, idealized — no contention term. The mapper side (map function,
-    /// combiner, in-node combine) is serial per process and does not read it.
-    pub threads: usize,
     /// Deployment-level shuffle strategy ([`SimShuffle::resolve`]d against
     /// the job's own [`JobSpec::shuffle`]): in-node combining merges the
     /// spills of co-located mapper processes before framing; coded shuffle
@@ -98,7 +93,6 @@ impl SimMpidConfig {
             pressure_ref_bytes: 21 << 20,
             overlap_sends: false,
             ship_frame_bytes: 512 << 10,
-            threads: 1,
             shuffle: SimShuffle::Baseline,
             rack: None,
         }
@@ -121,7 +115,6 @@ impl SimMpidConfig {
         assert!(self.native_cpu_factor > 0.0);
         assert!(self.pressure_per_doubling >= 0.0);
         assert!(self.pressure_ref_bytes > 0);
-        assert!(self.threads >= 1, "threads must be at least 1");
         self.shuffle.validate().expect("invalid shuffle strategy");
     }
 }
@@ -571,10 +564,7 @@ impl MpidSim {
         }
         s.reduce_started = true;
         let per_red = s.shuffle_bytes / s.cfg.n_reducers as u64;
-        // The reducer's sort-merge splits into disjoint key ranges across
-        // worker threads (idealized: no merge-boundary overhead).
-        let total_cpu =
-            s.spec.reduce_cpu_secs(per_red) * s.cfg.native_cpu_factor / s.cfg.threads as f64;
+        let total_cpu = s.spec.reduce_cpu_secs(per_red) * s.cfg.native_cpu_factor;
         let overlapped = s
             .first_arrival
             .map(|t| (sc.now() - t).as_secs_f64())
@@ -1097,24 +1087,5 @@ mod tests {
         // Same data moved; the oversubscribed core can only cost time.
         assert_eq!(racked.wire_bytes, flat.wire_bytes);
         assert!(racked.makespan >= flat.makespan);
-    }
-
-    #[test]
-    fn worker_threads_shorten_the_makespan_monotonically() {
-        let run = |t: usize| {
-            let mut cfg = SimMpidConfig::icpp2011_fig6();
-            cfg.threads = t;
-            run_sim_mpid(cfg, wc_spec(1.0))
-        };
-        let t1 = run(1);
-        let t2 = run(2);
-        let t4 = run(4);
-        // Dividing the reducer's sort-merge across key ranges can only
-        // shave time off the tail; the map side does not see the knob.
-        assert!(t2.makespan <= t1.makespan);
-        assert!(t4.makespan <= t2.makespan);
-        assert!(t4.makespan > SimTime::ZERO);
-        assert_eq!(t2.map_finish, t1.map_finish);
-        assert_eq!(t4.map_finish, t1.map_finish);
     }
 }

@@ -173,39 +173,46 @@ fn mapper_crash_during_mpid_shuffle_is_rank_lost() {
 fn checkpoint_restart_completes_wordcount_with_correct_output() {
     // The same crash that kills a plain MPI-D job is absorbed by the
     // barrier-checkpoint engine: the interrupted superstep replays and the
-    // final output matches the crash-free run exactly.
-    let engine = MpidEngineConfig::with_workers(2, 2);
+    // final output matches the crash-free run exactly — with the reducers
+    // holding every frame, and through the bounded external merge.
     let input = Arc::new(corpus(8));
     let app = Arc::new(workloads::WordCount);
 
     let mut expected = run_local(&*app, &*input);
     expected.sort();
 
-    let crash = vec![RankFault {
-        rank: 1,
-        after_ops: 5,
-    }];
-    let (out, stats) = run_mpid_checkpointed(&engine, 2, crash, app.clone(), input.clone());
-    let mut got = out;
-    got.sort();
-    assert_eq!(got, expected, "recovered output must be correct");
-    assert!(
-        stats.restarts >= 1,
-        "the injected crash must have forced at least one replay: {stats:?}"
-    );
-    assert_eq!(
-        stats.supersteps, 4,
-        "8 splits at interval 2 = 4 committed supersteps"
-    );
+    for reduce_budget_bytes in [None, Some(256)] {
+        let engine = MpidEngineConfig {
+            reduce_budget_bytes,
+            ..MpidEngineConfig::with_workers(2, 2)
+        };
+        let crash = vec![RankFault {
+            rank: 1,
+            after_ops: 5,
+        }];
+        let (out, stats) = run_mpid_checkpointed(&engine, 2, crash, app.clone(), input.clone());
+        let mut got = out;
+        got.sort();
+        assert_eq!(got, expected, "recovered output must be correct");
+        assert!(
+            stats.restarts >= 1,
+            "the injected crash must have forced at least one replay: {stats:?}"
+        );
+        assert_eq!(
+            stats.supersteps, 4,
+            "8 splits at interval 2 = 4 committed supersteps"
+        );
 
-    // And the crash-free checkpointed run agrees with plain MPI-D.
-    let (out2, stats2) = run_mpid_checkpointed(&engine, 3, Vec::new(), app.clone(), input.clone());
-    let mut got2 = out2;
-    got2.sort();
-    assert_eq!(got2, expected);
-    assert_eq!(stats2.restarts, 0);
+        // And the crash-free checkpointed run agrees with plain MPI-D.
+        let (out2, stats2) =
+            run_mpid_checkpointed(&engine, 3, Vec::new(), app.clone(), input.clone());
+        let mut got2 = out2;
+        got2.sort();
+        assert_eq!(got2, expected);
+        assert_eq!(stats2.restarts, 0);
 
-    let mut plain = run_mpid(&engine, app, input).output;
-    plain.sort();
-    assert_eq!(plain, expected);
+        let mut plain = run_mpid(&engine, app.clone(), input.clone()).output;
+        plain.sort();
+        assert_eq!(plain, expected);
+    }
 }

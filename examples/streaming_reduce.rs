@@ -3,9 +3,10 @@
 //!
 //! This example runs the same aggregation twice — once with the grouped
 //! `MPI_D_Recv` (ingest everything, then iterate keys in order) and once
-//! with the streaming receiver (fold groups as frames arrive, bounded
-//! memory) — and shows they agree while the streaming side observes keys
-//! multiple times (once per mapper spill that carried them).
+//! with the same receiver in its streaming drain state (fold groups as
+//! frames arrive, bounded memory) — and shows they agree while the
+//! streaming side observes keys multiple times (once per mapper spill that
+//! carried them).
 //!
 //! ```sh
 //! cargo run --example streaming_reduce
@@ -48,7 +49,7 @@ fn run(streaming: bool) -> (BTreeMap<String, u64>, u64) {
                 let mut yields = 0u64;
                 if streaming {
                     let mut stream = world.receiver::<String, u64>().into_streaming();
-                    while let Some((k, vs)) = stream.next_group().unwrap() {
+                    while let Some((k, vs)) = stream.recv().unwrap() {
                         yields += 1;
                         *acc.entry(k).or_insert(0) += vs.iter().sum::<u64>();
                     }
