@@ -1,9 +1,12 @@
 //! Cross-crate integration: every workload produces identical output on the
 //! sequential reference engine and on the real distributed MPI-D engine,
-//! across topologies and pipeline configurations.
+//! across topologies and pipeline configurations — and a one-mapper job's
+//! sender counters over a round-robin input repeat exactly.
 
 use mpid_suite::mapred::{run_local, run_mpid, MpidEngineConfig, TextInput, VecInput};
-use mpid_suite::workloads::{Grep, InvertedIndex, JavaSort, SortGen, TextGen, WordCount};
+use mpid_suite::workloads::{
+    zipf_pairs, Grep, InvertedIndex, JavaSort, SortGen, TextGen, WordCount, WordCountPairs,
+};
 use std::sync::Arc;
 
 fn sorted<K: Ord + Clone, V: Ord + Clone>(mut v: Vec<(K, V)>) -> Vec<(K, V)> {
@@ -158,6 +161,60 @@ fn reduce_side_join_engines_agree() {
     );
     assert_eq!(sorted(job.output), reference);
     assert!(!reference.is_empty());
+}
+
+/// Many small records: the Zipf word pairs the benchmark's WordCount rows run.
+#[test]
+fn wordcount_pairs_over_zipf_splits_engines_agree() {
+    let pairs = zipf_pairs(7, 40_000, 2_000);
+    let reference = sorted(run_local(
+        &WordCountPairs,
+        &VecInput::round_robin(pairs.clone(), 8),
+    ));
+    let job = run_mpid(
+        &MpidEngineConfig::with_workers(2, 2),
+        Arc::new(WordCountPairs),
+        Arc::new(VecInput::round_robin(pairs, 8)),
+    );
+    assert_eq!(sorted(job.output), reference);
+    assert_eq!(job.sender_stats.pairs_in, 40_000);
+}
+
+/// Few large records: `JavaSort` over 4 KiB values.
+#[test]
+fn javasort_over_large_values_engines_agree() {
+    let records: Vec<(u64, Vec<u8>)> = (0..192u64)
+        .map(|i| {
+            let key = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            (key, vec![i as u8; 4096])
+        })
+        .collect();
+    let reference = run_local(&JavaSort, &VecInput::round_robin(records.clone(), 8));
+    let job = run_mpid(
+        &MpidEngineConfig::with_workers(2, 2),
+        Arc::new(JavaSort),
+        Arc::new(VecInput::round_robin(records, 8)),
+    );
+    assert_eq!(job.output, reference);
+    assert_eq!(reference.len(), 192);
+}
+
+/// A one-mapper job's sender counters are a pure function of the records
+/// it reads and their order, so they pin what each split of a
+/// `VecInput::round_robin` holds and the order it yields it in.
+#[test]
+fn one_mapper_sender_counts_over_round_robin_splits_are_pinned() {
+    let input = VecInput::round_robin(zipf_pairs(11, 262_144, 20_000), 8);
+    let cfg = MpidEngineConfig {
+        spill_threshold_bytes: 256 << 10,
+        ..MpidEngineConfig::with_workers(1, 1)
+    };
+    let job = run_mpid(&cfg, Arc::new(WordCountPairs), Arc::new(input));
+    let s = &job.sender_stats;
+    assert_eq!(
+        (s.pairs_in, s.spills, s.frames, s.bytes_sent),
+        (262_144, 17, 17, 1_300_840)
+    );
 }
 
 #[test]
