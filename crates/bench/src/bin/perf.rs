@@ -23,7 +23,8 @@
 //!   the shape name before the `.json` extension.
 //! * `--filter <substr>` keeps the shapes whose name contains the substring.
 //! * `--check-mem` runs the `pipe_extmerge` shape under a job block-pool
-//!   budget and fails if the pool's high-water mark exceeded it.
+//!   budget and fails if the pool's high-water mark exceeded it, or if the
+//!   job's output differs from the same shape run with no budget.
 //! * `--quick` shrinks the real-pipeline inputs 4× for CI; shape names are
 //!   the same in both modes.
 
@@ -210,9 +211,9 @@ fn extmerge_input(scale: usize) -> Vec<(String, u64)> {
 }
 
 /// `--check-mem`: run the `pipe_extmerge` shape with a job block-pool
-/// budget and assert the pool's high-water mark respected it. Prints a
-/// Markdown summary (append it to `$GITHUB_STEP_SUMMARY` in CI) and returns
-/// the process exit code.
+/// budget and assert the pool's high-water mark respected it and the output
+/// equals the unbudgeted run's. Prints a Markdown summary (append it to
+/// `$GITHUB_STEP_SUMMARY` in CI) and returns the process exit code.
 ///
 /// The budget must clear the sender side's deterministic peak — mappers
 /// charge their raw stream unconditionally (spilling on pool pressure
@@ -234,30 +235,49 @@ fn check_mem(quick: bool, scale: usize) -> i32 {
     let mut cfg = extmerge_cfg();
     cfg.mem_budget = Some(budget);
     let input = Arc::new(VecInput::round_robin(pairs, 8));
-    let job = run_mpid(&cfg, Arc::new(WordCountPairs), input);
+    let job = run_mpid(&cfg, Arc::new(WordCountPairs), input.clone());
     let stats = job.pool_stats.expect("mem_budget installs a job pool");
-    let ok = stats.high_water <= budget && stats.forced == 0;
+    let fits = stats.high_water <= budget && stats.forced == 0;
+    // The same shape with no budget at all: a budget may change memory
+    // use, never what the job produces.
+    let unbounded = run_mpid(&pipe_cfg(), Arc::new(WordCountPairs), input);
+    let same_output = job.output == unbounded.output;
+    let ok = fits && same_output;
     println!("## perf --check-mem");
     println!();
     println!(
         "| metric | value |\n|---|---|\n| wire bytes | {} |\n| pool budget | {} |\n\
          | pool high water | {} |\n| forced charges | {} |\n| output pairs | {} |\n\
-         | verdict | {} |",
+         | output ≡ unbounded | {} |\n| verdict | {} |",
         mpid_bench::fmt_size(wire_bytes),
         mpid_bench::fmt_size(budget as u64),
         mpid_bench::fmt_size(stats.high_water as u64),
         stats.forced,
         job.output.len(),
+        if same_output { "yes" } else { "**no**" },
         if ok { "PASS" } else { "**FAIL**" },
     );
-    if !ok {
+    if !fits {
         eprintln!(
             "check-mem: pool high water {} exceeded budget {} (forced charges: {})",
             stats.high_water, budget, stats.forced
         );
-        return 1;
     }
-    0
+    if !same_output {
+        let (bounded, unbounded) = (&job.output, &unbounded.output);
+        let at = (bounded.iter().zip(unbounded))
+            .position(|(a, b)| a != b)
+            .unwrap_or(bounded.len().min(unbounded.len()));
+        eprintln!(
+            "check-mem: bounded output ({} pairs) differs from unbounded ({} pairs) \
+             first at pair {at}: {:?} vs {:?}",
+            bounded.len(),
+            unbounded.len(),
+            bounded.get(at),
+            unbounded.get(at)
+        );
+    }
+    i32::from(!ok)
 }
 
 /// Per-shape Chrome-trace path: `base.json` + shape `s` → `base.s.json`.

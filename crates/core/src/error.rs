@@ -10,16 +10,19 @@ pub enum MpidError {
     /// The underlying MPI runtime reported an error (timeout, dead peer,
     /// bad rank/tag, type mismatch).
     Mpi(MpiError),
-    /// A received frame failed to parse.
+    /// Bytes a rank sent failed to decode — a frame, its content (whether
+    /// decoded from memory or read back from a reducer's spill file), or an
+    /// in-node relay payload.
     Codec {
-        /// Rank (within the communicator) whose frame was malformed.
+        /// Rank (within the communicator) whose bytes were malformed.
         source_rank: usize,
         /// The decode failure.
         err: CodecError,
     },
     /// Invalid configuration (rank-count mismatch, zero workers, …).
     Config(String),
-    /// Reduce-side spill file I/O or decoding failed (external merge).
+    /// A reducer's spill file could not be created, written or read: disk
+    /// I/O only, never the content of what was spilled.
     Spill(String),
 }
 

@@ -7,8 +7,12 @@
 //! that mechanism: an [`ExternalTable`] accumulates `(key, values)` groups,
 //! spills key-sorted runs to a temporary directory whenever the in-memory
 //! estimate crosses a budget, and finally streams globally key-ordered
-//! merged groups out of a k-way heap merge over the runs plus the resident
-//! tail.
+//! merged groups out of a k-way merge ([`MergeIter`]) over one ordered list
+//! of sources — here the runs, then the resident groups. A producer that
+//! already holds sorted data writes its own runs
+//! ([`ExternalTable::begin_sorted_run`]) and lists the sources itself
+//! ([`ExternalTable::into_merge_of`]), in the order an equal key's values
+//! are to come out.
 //!
 //! Run file format: a sequence of `u32 len , frame` records, each frame a
 //! one-group [`crate::realign`] frame body (`begin_record` writes it,
@@ -17,12 +21,12 @@
 //! no count), and runs are readable incrementally with bounded memory.
 
 use crate::kv::{CodecError, Key, Value};
-use crate::pool::{BlockPool, PoolCharge};
 use crate::realign::{begin_record, FrameReader};
 use bytes::BytesMut;
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
+use std::marker::PhantomData;
 use std::path::PathBuf;
 
 /// Errors from spill-file I/O and decoding.
@@ -30,7 +34,8 @@ use std::path::PathBuf;
 pub enum ExtMergeError {
     /// Filesystem failure.
     Io(std::io::Error),
-    /// A spilled run failed to decode (on-disk corruption).
+    /// A spilled run's group failed to decode: on-disk corruption, or bad
+    /// content a producer copied into the run verbatim.
     Codec(CodecError),
 }
 
@@ -62,11 +67,7 @@ pub struct ExternalTable<K: Key, V: Value> {
     budget_bytes: usize,
     spill_dir: PathBuf,
     runs: Vec<PathBuf>,
-    next_run: usize,
     spilled_bytes: u64,
-    /// Mirror of `resident_bytes` against the job's block pool (no-op
-    /// without one; see [`ExternalTable::with_pool`]).
-    charge: PoolCharge,
 }
 
 impl<K: Key, V: Value> ExternalTable<K, V> {
@@ -91,21 +92,8 @@ impl<K: Key, V: Value> ExternalTable<K, V> {
             budget_bytes,
             spill_dir,
             runs: Vec::new(),
-            next_run: 0,
             spilled_bytes: 0,
-            charge: PoolCharge::new(None),
         })
-    }
-
-    /// Charge the resident set to a job-wide [`BlockPool`]: pool pressure
-    /// becomes an additional spill trigger (spill-then-retry, forcing only
-    /// when a single insert exceeds what the pool has free), so the table's
-    /// buffering shows up in — and yields to — the job's byte budget. The
-    /// extra spills can change run *counts* under contention, never merged
-    /// output.
-    pub fn with_pool(mut self, pool: Option<std::sync::Arc<BlockPool>>) -> Self {
-        self.charge = PoolCharge::new(pool);
-        self
     }
 
     /// Number of runs spilled so far.
@@ -119,23 +107,10 @@ impl<K: Key, V: Value> ExternalTable<K, V> {
         self.spilled_bytes
     }
 
-    /// Current resident-memory estimate, bytes.
-    pub fn resident_bytes(&self) -> usize {
-        self.resident_bytes
-    }
-
     /// Add values for a key, spilling if the budget is exceeded.
     pub fn insert(&mut self, key: K, values: Vec<V>) -> Result<(), ExtMergeError> {
-        let added: usize = key.wire_size() + values.iter().map(|v| v.wire_size()).sum::<usize>();
-        if !self.charge.try_grow(added) {
-            // Pool exhausted: spill what we hold (releasing our charge) and
-            // retry; force only if the insert alone exceeds the free pool.
-            self.spill()?;
-            if !self.charge.try_grow(added) {
-                self.charge.grow(added);
-            }
-        }
-        self.resident_bytes += added;
+        self.resident_bytes +=
+            key.wire_size() + values.iter().map(|v| v.wire_size()).sum::<usize>();
         self.resident.entry(key).or_default().extend(values);
         if self.resident_bytes > self.budget_bytes {
             self.spill()?;
@@ -144,7 +119,7 @@ impl<K: Key, V: Value> ExternalTable<K, V> {
     }
 
     /// Force the resident table out as a sorted run.
-    pub fn spill(&mut self) -> Result<(), ExtMergeError> {
+    pub fn spill(&mut self) -> std::io::Result<()> {
         if self.resident.is_empty() {
             return Ok(());
         }
@@ -158,21 +133,19 @@ impl<K: Key, V: Value> ExternalTable<K, V> {
         }
         run.finish()?;
         self.resident_bytes = 0;
-        self.charge.clear();
         Ok(())
     }
 
     /// Start a run that the caller fills with groups in **ascending key
     /// order** — the path a producer that already holds sorted data (the
-    /// batched receiver's frame-run merge) uses to spill without the
-    /// resident `BTreeMap` resort. The run joins the merge set when
+    /// receiver's frame-run merge) uses to spill without the resident
+    /// `BTreeMap` resort. The run is numbered, in spill order, when
     /// [`RunWriter::finish`] is called; an unfinished writer's file is
     /// abandoned and swept with the spill directory.
-    pub fn begin_sorted_run(&mut self) -> Result<RunWriter<'_, K, V>, ExtMergeError> {
+    pub fn begin_sorted_run(&mut self) -> std::io::Result<RunWriter<'_, K, V>> {
         let path = self
             .spill_dir
-            .join(format!("run-{:05}.spill", self.next_run));
-        self.next_run += 1;
+            .join(format!("run-{:05}.spill", self.runs.len()));
         let w = BufWriter::new(File::create(&path)?);
         Ok(RunWriter {
             table: self,
@@ -182,53 +155,49 @@ impl<K: Key, V: Value> ExternalTable<K, V> {
         })
     }
 
-    /// Finish ingestion: returns an iterator of globally key-ordered merged
-    /// groups (k-way merge of all runs plus the resident tail). This opens
-    /// the run files and reads none of them: a run that cannot be read or
-    /// decoded fails the [`MergeIter::next_group`] that needs its next
-    /// group, the first call included.
+    /// Finish ingestion: the merge of every run, in spill order, and the
+    /// resident groups last. This opens the run files and reads none of
+    /// them: a run that cannot be read or decoded fails the
+    /// [`MergeIter::next_group`] that needs its next group, the first call
+    /// included.
     pub fn into_merge(mut self) -> Result<MergeIter<K, V>, ExtMergeError> {
-        let resident = std::mem::take(&mut self.resident);
-        self.merge_impl(Box::new(resident.into_iter().map(Ok)))
-    }
-
-    /// Like [`ExternalTable::into_merge`], but with a caller-supplied tail
-    /// of already-merged groups in ascending key order (the batched
-    /// receiver's final unspilled window), pulled one group at a time as
-    /// the merge reaches them; a group the tail fails to produce fails that
-    /// [`MergeIter::next_group`], as for a run. The merge owns the tail, so
-    /// it is `Send + 'static` like the rest of a [`MergeIter`]. The resident
-    /// table must be empty — a producer uses either `insert` or sorted runs
-    /// + tail, not both.
-    pub fn into_merge_with_tail(
-        mut self,
-        tail: impl Iterator<Item = Result<(K, Vec<V>), ExtMergeError>> + Send + 'static,
-    ) -> Result<MergeIter<K, V>, ExtMergeError> {
-        assert!(
-            self.resident.is_empty(),
-            "into_merge_with_tail with resident entries; use into_merge"
-        );
-        self.merge_impl(Box::new(tail))
-    }
-
-    fn merge_impl(&mut self, tail: Tail<K, V>) -> Result<MergeIter<K, V>, ExtMergeError> {
-        let mut readers = Vec::with_capacity(self.runs.len());
-        for path in &self.runs {
-            readers.push(RunReader::open(path)?);
+        let mut sources: Vec<Source<K, V, ExtMergeError>> = Vec::new();
+        for i in 0..self.runs.len() {
+            sources.push(Box::new(self.open_run(i)?));
         }
-        let n_sources = readers.len() + 1;
-        Ok(MergeIter {
-            readers,
-            tail,
+        let resident = std::mem::take(&mut self.resident);
+        sources.push(Box::new(resident.into_iter().map(Ok)));
+        Ok(self.into_merge_of(sources))
+    }
+
+    /// Run `i`, in spill order, opened to be read back as a merge source.
+    pub fn open_run(&self, i: usize) -> std::io::Result<RunReader<K, V>> {
+        Ok(RunReader {
+            r: BufReader::new(File::open(&self.runs[i])?),
+            buf: Vec::new(),
+            _groups: PhantomData,
+        })
+    }
+
+    /// The merge of `sources`, listed in the order an equal key's values
+    /// are to be collected in, whatever kind each is — a run from
+    /// [`open_run`](Self::open_run), groups a producer still holds in
+    /// memory. Each source reports its own errors; the merge passes the
+    /// first one on. The merge takes over the spill directory.
+    pub fn into_merge_of<E>(self, sources: Vec<Source<K, V, E>>) -> MergeIter<K, V, E> {
+        let n_sources = sources.len();
+        MergeIter {
+            sources,
             heads: std::iter::repeat_with(|| None).take(n_sources).collect(),
             taken: (0..n_sources).collect(),
             _cleanup: DirCleanup(self.spill_dir.clone()),
-        })
+        }
     }
 }
 
-/// A merge's last source: groups in ascending key order, each key once.
-type Tail<K, V> = Box<dyn Iterator<Item = Result<(K, Vec<V>), ExtMergeError>> + Send>;
+/// One source of a [`MergeIter`]: groups in ascending key order, each key
+/// once, or the error that ends them.
+pub type Source<K, V, E> = Box<dyn Iterator<Item = Result<(K, Vec<V>), E>> + Send>;
 
 /// Writer for one pre-sorted run (see [`ExternalTable::begin_sorted_run`]).
 /// Every record, a resident spill's included, is built here in one buffer
@@ -258,7 +227,7 @@ impl<K: Key, V: Value> RunWriter<'_, K, V> {
     }
 
     /// Write the open group's record to the run file.
-    pub fn end_group(&mut self) -> Result<(), ExtMergeError> {
+    pub fn end_group(&mut self) -> std::io::Result<()> {
         self.w.write_all(&(self.frame.len() as u32).to_le_bytes())?;
         self.w.write_all(&self.frame)?;
         self.table.spilled_bytes += 4 + self.frame.len() as u64;
@@ -266,7 +235,7 @@ impl<K: Key, V: Value> RunWriter<'_, K, V> {
     }
 
     /// Flush and register the run with the owning table.
-    pub fn finish(mut self) -> Result<(), ExtMergeError> {
+    pub fn finish(mut self) -> std::io::Result<()> {
         self.w.flush()?;
         self.table.runs.push(self.path);
         Ok(())
@@ -286,22 +255,18 @@ impl Drop for DirCleanup {
     }
 }
 
-struct RunReader {
+/// A spilled run, read back one group at a time
+/// ([`ExternalTable::open_run`]).
+pub struct RunReader<K, V> {
     r: BufReader<File>,
     /// Frame scratch, reused across records so streaming a run performs no
     /// per-record allocation.
     buf: Vec<u8>,
+    _groups: PhantomData<fn() -> (K, V)>,
 }
 
-impl RunReader {
-    fn open(path: &PathBuf) -> Result<Self, ExtMergeError> {
-        Ok(RunReader {
-            r: BufReader::new(File::open(path)?),
-            buf: Vec::new(),
-        })
-    }
-
-    fn next_group<K: Key, V: Value>(&mut self) -> Result<Option<(K, Vec<V>)>, ExtMergeError> {
+impl<K: Key, V: Value> RunReader<K, V> {
+    fn next_group(&mut self) -> Result<Option<(K, Vec<V>)>, ExtMergeError> {
         let mut len_buf = [0u8; 4];
         match self.r.read_exact(&mut len_buf) {
             Ok(()) => {}
@@ -318,26 +283,34 @@ impl RunReader {
     }
 }
 
-/// Streaming k-way merge over spilled runs and the tail: yields
-/// `(key, merged values)` in ascending key order, each key exactly once.
-pub struct MergeIter<K: Key, V: Value> {
-    readers: Vec<RunReader>,
-    tail: Tail<K, V>,
-    /// The next group of each source: the runs in spill order, the tail
-    /// last — the order an equal key's values are collected in.
+impl<K: Key, V: Value> Iterator for RunReader<K, V> {
+    type Item = Result<(K, Vec<V>), ExtMergeError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.next_group().transpose()
+    }
+}
+
+/// Streaming k-way merge over an ordered list of sources (see
+/// [`ExternalTable::into_merge_of`]): yields `(key, merged values)` in
+/// ascending key order, each key exactly once, its values collected source
+/// by source in list order.
+pub struct MergeIter<K: Key, V: Value, E = ExtMergeError> {
+    sources: Vec<Source<K, V, E>>,
+    /// The next group of each source, in list order.
     heads: Vec<Option<(K, Vec<V>)>>,
     /// Sources whose head the last call took (at first: all of them).
     taken: Vec<usize>,
     _cleanup: DirCleanup,
 }
 
-impl<K: Key, V: Value> MergeIter<K, V> {
+impl<K: Key, V: Value, E> MergeIter<K, V, E> {
     /// Next merged group, or `None` at end. A source that fails to produce
     /// a group fails the call that needs it as a head — every group
     /// delivered before is whole — and the merge is fused: after an error
     /// every later call returns `Ok(None)`.
     #[allow(clippy::type_complexity)]
-    pub fn next_group(&mut self) -> Result<Option<(K, Vec<V>)>, ExtMergeError> {
+    pub fn next_group(&mut self) -> Result<Option<(K, Vec<V>)>, E> {
         let next = self.merge_next();
         if next.is_err() {
             self.heads.clear();
@@ -347,14 +320,11 @@ impl<K: Key, V: Value> MergeIter<K, V> {
     }
 
     #[allow(clippy::type_complexity)]
-    fn merge_next(&mut self) -> Result<Option<(K, Vec<V>)>, ExtMergeError> {
+    fn merge_next(&mut self) -> Result<Option<(K, Vec<V>)>, E> {
         // Refill the heads the last call took: now rather than then, so
         // that a failing source costs no group that came before its own.
         while let Some(i) = self.taken.pop() {
-            self.heads[i] = match self.readers.get_mut(i) {
-                Some(run) => run.next_group()?,
-                None => self.tail.next().transpose()?,
-            };
+            self.heads[i] = self.sources[i].next().transpose()?;
         }
         // Locate the source holding the smallest key by index — comparisons
         // are by reference, so finding the minimum clones no key — the
@@ -383,7 +353,7 @@ impl<K: Key, V: Value> MergeIter<K, V> {
     }
 
     /// Drain everything into a vector (for tests / small outputs).
-    pub fn collect_all(mut self) -> Result<Vec<(K, Vec<V>)>, ExtMergeError> {
+    pub fn collect_all(mut self) -> Result<Vec<(K, Vec<V>)>, E> {
         let mut out = Vec::new();
         while let Some(g) = self.next_group()? {
             out.push(g);
@@ -435,21 +405,13 @@ mod tests {
             t.spilled_runs()
         );
         let got = t.into_merge().unwrap().collect_all().unwrap();
-        // Build the reference.
+        // Runs come out in spill order and the resident groups last, so
+        // each key's values are in insertion order.
         let mut m: BTreeMap<String, Vec<u64>> = BTreeMap::new();
         for (k, v) in pairs {
             m.entry(k).or_default().push(v);
         }
-        // Merge concatenates per-run value lists; order across runs is
-        // spill order, which here equals insertion order.
-        let want: Vec<(String, Vec<u64>)> = m.into_iter().collect();
-        assert_eq!(got.len(), want.len());
-        for ((gk, mut gv), (wk, mut wv)) in got.into_iter().zip(want) {
-            assert_eq!(gk, wk);
-            gv.sort_unstable();
-            wv.sort_unstable();
-            assert_eq!(gv, wv, "values for {gk}");
-        }
+        assert_eq!(got, m.into_iter().collect::<Vec<_>>());
     }
 
     #[test]
@@ -490,9 +452,9 @@ mod tests {
 
     #[test]
     fn sorted_runs_and_tail_merge_like_inserts() {
-        // Two pre-sorted runs plus a tail must merge to the same groups the
-        // insert path produces, with per-key value order = run order, tail
-        // last.
+        // Two pre-sorted runs plus a tail of groups held in memory merge to
+        // the same groups the insert path produces, with per-key value order
+        // = the order the sources are listed in.
         let with_two_runs = || {
             let mut t = table(1 << 20);
             for run in [
@@ -516,34 +478,53 @@ mod tests {
             assert_eq!(t.spilled_runs(), 2);
             t
         };
+        let run = |t: &ExternalTable<String, u64>, i| -> Source<String, u64, ExtMergeError> {
+            Box::new(t.open_run(i).unwrap())
+        };
         let tail = [("a".to_string(), vec![5u64]), ("b".to_string(), vec![6])];
         let merged_a = ("a".to_string(), vec![1, 2, 4, 5]);
-        let merge =
-            (with_two_runs().into_merge_with_tail(tail.clone().into_iter().map(Ok))).unwrap();
+        let t = with_two_runs();
+        let sources = vec![
+            run(&t, 0),
+            run(&t, 1),
+            Box::new(tail.clone().into_iter().map(Ok)),
+        ];
         assert_eq!(
-            merge.collect_all().unwrap(),
+            t.into_merge_of(sources).collect_all().unwrap(),
             vec![
                 merged_a.clone(),
                 ("b".to_string(), vec![6]),
                 ("c".to_string(), vec![3]),
             ]
         );
+        // Listed the other way round, the values come the other way round.
+        let t = with_two_runs();
+        let sources = vec![
+            Box::new(tail.clone().into_iter().map(Ok)),
+            run(&t, 1),
+            run(&t, 0),
+        ];
+        let merge = t.into_merge_of(sources);
+        assert_eq!(merge.collect_all().unwrap()[0].1, vec![5, 4, 1, 2]);
 
         // The tail is pulled a group at a time: one it fails to produce
         // costs no group before it, and ends the merge.
         let [a, b] = tail;
         let failing = [Ok(a), Err(CodecError::Truncated.into()), Ok(b)];
-        let mut merge = (with_two_runs().into_merge_with_tail(failing.into_iter())).unwrap();
+        let t = with_two_runs();
+        let sources = vec![run(&t, 0), run(&t, 1), Box::new(failing.into_iter())];
+        let mut merge = t.into_merge_of(sources);
         assert_eq!(merge.next_group().unwrap(), Some(merged_a));
         assert!(matches!(merge.next_group(), Err(ExtMergeError::Codec(_))));
         assert_eq!(merge.next_group().unwrap(), None);
 
         // So is a run: a first record cut short on disk fails the first
-        // call, not `into_merge_with_tail`.
+        // call, not the opening of the run.
         let t = with_two_runs();
-        let run = File::options().write(true).open(&t.runs[1]).unwrap();
-        run.set_len(6).unwrap();
-        let mut merge = t.into_merge_with_tail(std::iter::empty()).unwrap();
+        let file = File::options().write(true).open(&t.runs[1]).unwrap();
+        file.set_len(6).unwrap();
+        let sources = vec![run(&t, 0), run(&t, 1)];
+        let mut merge = t.into_merge_of(sources);
         assert!(matches!(merge.next_group(), Err(ExtMergeError::Io(_))));
         assert_eq!(merge.next_group().unwrap(), None);
     }

@@ -6,8 +6,8 @@
 //! out-of-core spilling when the pool runs dry. We keep the *accounting*
 //! half of that design and skip the fixed-block allocator: Rust's growable
 //! buffers already amortize allocation well, so the pool tracks live bytes
-//! against a budget and the stages (sender table, receiver frame window,
-//! external-merge resident set) ask it when to spill. The invariant that
+//! against a budget and the stages (sender table, receiver frame window)
+//! ask it when to spill. The invariant that
 //! matters for the CI gate is that `high_water` never exceeds the budget as
 //! long as every stage charges *before* it buffers and spills when a charge
 //! is refused.
@@ -183,6 +183,17 @@ impl PoolCharge {
     pub fn held(&self) -> usize {
         self.bytes
     }
+
+    /// Move `n` of this charge's bytes into a new charge on the same pool;
+    /// the pool sees no release and no new charge.
+    pub fn split_off(&mut self, n: usize) -> PoolCharge {
+        assert!(n <= self.bytes, "split of {n} bytes from {}", self.bytes);
+        self.bytes -= n;
+        PoolCharge {
+            pool: self.pool.as_ref().map(Arc::clone),
+            bytes: n,
+        }
+    }
 }
 
 impl Drop for PoolCharge {
@@ -233,6 +244,19 @@ mod tests {
         assert_eq!(p.live(), 0, "drop released everything");
         assert_eq!(p.high_water(), 110);
         assert_eq!(p.forced(), 1);
+    }
+
+    #[test]
+    fn a_split_charge_releases_its_own_bytes() {
+        let p = BlockPool::new(100);
+        let mut whole = PoolCharge::new(Some(p.clone()));
+        assert!(whole.try_grow(90));
+        let part = whole.split_off(30);
+        assert_eq!((whole.held(), part.held(), p.live()), (60, 30, 90));
+        drop(whole);
+        assert_eq!(p.live(), 30);
+        drop(part);
+        assert_eq!((p.live(), p.high_water(), p.forced()), (0, 90, 0));
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //!   merge once, and each call decodes the one group it returns;
 //! * **bounded** ([`MpidConfig::mem_budget`], or
 //!   [`MpidReceiver::into_external`]): frames buffer up to a byte budget,
-//!   each full window merges into a pre-sorted disk run, and groups stream
-//!   out of a k-way merge over the runs and the last window;
+//!   each full window merges into one pre-sorted disk run per source rank,
+//!   and groups stream out of a k-way merge over the runs and the last
+//!   window — the same groups, in the same order, as the grouped drain;
 //! * **streaming** ([`MpidReceiver::into_streaming`], the paper's "streaming
 //!   mode to process the data for saving memory space"): one frame at a
 //!   time, its groups as framed, so a key comes once per frame that carried
@@ -40,15 +41,14 @@
 //! entries is comparing two registers, and only a tie on a prefix that is
 //! not [a whole key](crate::kv::Kv::prefix_is_exact) follows the entries
 //! into the frame bytes. The merge concatenates the run indexes in the
-//! order values must come out — (mapper rank, send order) on the unbounded
-//! path, which stably sorts its runs by source rank first, so the
-//! scheduler-dependent interleaving of *frame arrival* across mappers never
-//! reaches the output — and stably sorts the concatenation. std's merge
-//! sort finds the k presorted runs and merges them in about log k
-//! comparisons per entry, whatever k is, and stability is the value-order
-//! guarantee. Equal keys then sit next to each other: a span's key is
-//! decoded *once*, from its first entry, and its values once, straight
-//! into an exact-capacity `Vec`, when the drain reaches it.
+//! order values must come out — (mapper rank, send order): runs are grouped
+//! by source rank first, so the scheduler-dependent interleaving of *frame
+//! arrival* across mappers never reaches the output — and stably sorts the
+//! concatenation. std's merge sort finds the k presorted runs and merges
+//! them in about log k comparisons per entry, whatever k is, and stability
+//! is the value-order guarantee. Equal keys then sit next to each other: a
+//! span's key is decoded *once*, from its first entry, and its values once,
+//! straight into an exact-capacity `Vec`, when the drain reaches it.
 //!
 //! Other key types decode each frame's keys up front and compare decoded
 //! values (their prefix is `0`); once the merged index is sorted its
@@ -63,18 +63,17 @@
 //! half-drained receiver. The grouped drain charges the whole shuffle and
 //! the streaming drain one frame. The bounded drain buffers frame runs
 //! until the *next* frame would exceed the budget (charges are taken before
-//! buffering, so `high_water` stays at or under the budget), then merges
-//! the window into one pre-sorted disk run. Window boundaries never change
-//! grouping or key order — the disk merge absorbs equal keys
-//! run-first/tail-last. The windowed path streams frames as they arrive (it
-//! cannot reorder runs it has already spilled), so with a single mapper its
-//! output is bit-identical to the unbounded path; with several mappers,
-//! value order within a key follows arrival interleaving rather than mapper
-//! rank.
+//! buffering, so `high_water` stays at or under the budget), then writes
+//! the window out as one pre-sorted disk run per source rank. The disk
+//! merge lists its sources in (rank, window) order, each rank's share of
+//! the last window last among its own, and collects an equal key's values
+//! source by source: the budget changes how much is held, never what comes
+//! out — the bounded drain delivers, byte for byte, what the grouped one
+//! does.
 
 use crate::config::{tags, MpidConfig};
 use crate::error::{MpidError, MpidResult};
-use crate::extmerge::{ExtMergeError, ExternalTable, MergeIter};
+use crate::extmerge::{ExtMergeError, ExternalTable, MergeIter, Source};
 use crate::kv::{CodecError, Key, Value};
 use crate::pool::PoolCharge;
 use crate::realign::{parse_group_index_raw, KeyRef, RawGroup, MARKER_LZ, MARKER_PLAIN};
@@ -83,6 +82,7 @@ use bytes::Bytes;
 use mpi_rt::{Comm, Rank};
 use obs::ArgValue;
 use std::cmp::Ordering;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -102,7 +102,7 @@ pub struct MpidReceiver<'a, K: Key, V: Value> {
     stats: ReceiverStats,
     /// End-of-stream markers received so far.
     eos_seen: usize,
-    /// Windows the bounded drain spilled to disk.
+    /// Disk runs the bounded drain spilled.
     spilled_runs: usize,
     /// When the drain began, on a traced rank.
     drain_t0: Option<u64>,
@@ -113,7 +113,7 @@ enum RecvState<K: Key, V: Value> {
     /// Grouped: the merged index over every frame.
     Draining(Groups<K, V>),
     /// Bounded: the k-way merge over the disk runs and the last window.
-    DrainingExt(Box<MergeIter<K, V>>),
+    DrainingExt(Box<MergeIter<K, V, MpidError>>),
     /// Streaming: the frame at hand, its groups as framed; the next frame
     /// is received when it runs out.
     Streaming(Groups<K, V>),
@@ -135,13 +135,12 @@ impl Frame {
     fn key_bytes(&self, e: &KeyRef) -> &[u8] {
         self.raw[e.group as usize].key_bytes(&self.body)
     }
+}
 
-    fn codec_err(&self, err: CodecError) -> MpidError {
-        MpidError::Codec {
-            source_rank: self.src,
-            err,
-        }
-    }
+/// Bytes from `source_rank` that failed to decode, as every drain reports
+/// them.
+fn codec_err(source_rank: Rank) -> impl Fn(CodecError) -> MpidError + Copy {
+    move |err| MpidError::Codec { source_rank, err }
 }
 
 /// A frame whose groups (`frame.raw`) are in key order, with what comparing
@@ -224,7 +223,8 @@ impl<'a, K: Key, V: Value> MpidReceiver<'a, K, V> {
         &self.stats
     }
 
-    /// Windows the bounded drain spilled to disk (0 in the other states).
+    /// Disk runs the bounded drain spilled, one per source rank per window
+    /// (0 in the other states).
     pub fn spilled_runs(&self) -> usize {
         self.spilled_runs
     }
@@ -247,10 +247,7 @@ impl<'a, K: Key, V: Value> MpidReceiver<'a, K, V> {
             }
             self.stats.frames += 1;
             self.stats.bytes_received += payload.len() as u64;
-            let codec_err = |err| MpidError::Codec {
-                source_rank: status.source,
-                err,
-            };
+            let codec_err = codec_err(status.source);
             let body = match payload[0] {
                 MARKER_PLAIN => payload.slice(1..),
                 MARKER_LZ => {
@@ -266,11 +263,11 @@ impl<'a, K: Key, V: Value> MpidReceiver<'a, K, V> {
         Ok(None)
     }
 
-    /// Receive every frame, sorting each by key, and merge them: with no
-    /// `window` budget into one index over all of them, in (mapper rank,
-    /// send order); with one, in arrival order, spilling each window that
-    /// would overflow the budget to a pre-sorted disk run under the given
-    /// directory and keeping the last window as the disk merge's tail.
+    /// Receive every frame, sorting each by key, and merge them in (mapper
+    /// rank, send order): with no `window` budget into one index over all
+    /// of them; with one, spilling each window that would overflow the
+    /// budget as one pre-sorted disk run per source rank under the given
+    /// directory, and merging those runs with the last window's frames.
     // Runs once per job. Out of line so that the size of the merge does not
     // sway how a caller's rank closure — the mapper's loop included — gets
     // compiled: inlined, `wc_zipf_1x1_*` measured 9 % slower end to end
@@ -284,9 +281,11 @@ impl<'a, K: Key, V: Value> MpidReceiver<'a, K, V> {
         let budget = window.as_ref().map_or(usize::MAX, |(budget, _)| *budget);
         let mut table = (window.map(|(budget, dir)| ExternalTable::new(budget, dir)))
             .transpose()
-            .map_err(|e| MpidError::Spill(e.to_string()))?;
+            .map_err(spill_err)?;
         let mut charge = PoolCharge::new(self.cfg.pool.clone());
         let mut runs: Vec<FrameRun<K>> = Vec::new();
+        // The source rank of each disk run, in spill order.
+        let mut run_ranks: Vec<Rank> = Vec::new();
         let (mut window_bytes, mut window_high_water) = (0usize, 0usize);
         while let Some(frame) = self.next_frame()? {
             let run = sort_frame::<K>(frame)?;
@@ -297,7 +296,10 @@ impl<'a, K: Key, V: Value> MpidReceiver<'a, K, V> {
             // there is no table (a forced charge).
             if !(window_bytes + b <= budget && charge.try_grow(b)) {
                 if let Some(table) = table.as_mut().filter(|_| !runs.is_empty()) {
-                    spill_window(table, std::mem::take(&mut runs)).map_err(spill_err)?;
+                    for (src, runs) in by_rank(std::mem::take(&mut runs)) {
+                        spill_run(table, runs).map_err(spill_err)?;
+                        run_ranks.push(src);
+                    }
                     window_bytes = 0;
                     charge.clear();
                 }
@@ -314,16 +316,31 @@ impl<'a, K: Key, V: Value> MpidReceiver<'a, K, V> {
             self.trace_merge(t0, None, self.stats.bytes_received, 0);
             return Ok(RecvState::Draining(groups));
         };
-        // The last window becomes the merge tail — after the disk runs, so
-        // per-key value order stays run-order-then-tail = frame-arrival
-        // order. The merge pulls its groups as it reaches them, and the
-        // window's charge lives as long as its frames do.
-        let tail = Groups::new(Merged::new(runs), charge);
-        let tail = tail.map(|g| g.map_err(|e| ExtMergeError::Codec(codec_of(e))));
+        // The merge's sources in (rank, window) order: each rank's disk runs,
+        // then its share of the last window, pulled span by span with its
+        // share of the window's charge. The merge collects an equal key's
+        // values source by source, so they come out in (mapper rank, send
+        // order), as from the unbounded merge. Every source names its rank
+        // in a decode error.
+        let mut sources = BTreeMap::<Rank, Vec<Source<K, V, MpidError>>>::new();
+        for (i, &src) in run_ranks.iter().enumerate() {
+            let run = table.open_run(i).map_err(spill_err)?.map(move |g| {
+                g.map_err(|e| match e {
+                    ExtMergeError::Io(e) => spill_err(e),
+                    ExtMergeError::Codec(err) => codec_err(src)(err),
+                })
+            });
+            sources.entry(src).or_default().push(Box::new(run));
+        }
+        for (src, runs) in by_rank(runs) {
+            let held = runs.iter().map(|r| r.frame.body.len()).sum();
+            let tail = Groups::new(Merged::new(runs), charge.split_off(held));
+            sources.entry(src).or_default().push(Box::new(tail));
+        }
         self.spilled_runs = table.spilled_runs();
-        let spilled = Some(self.spilled_runs);
-        self.trace_merge(t0, spilled, window_high_water as u64, table.spilled_bytes());
-        let merge = table.into_merge_with_tail(tail).map_err(spill_err)?;
+        let (runs, disk) = (Some(self.spilled_runs), table.spilled_bytes());
+        self.trace_merge(t0, runs, window_high_water as u64, disk);
+        let merge = table.into_merge_of(sources.into_values().flatten().collect());
         Ok(RecvState::DrainingExt(Box::new(merge)))
     }
 
@@ -379,14 +396,15 @@ impl<'a, K: Key, V: Value> MpidReceiver<'a, K, V> {
     /// Malformed framing (lengths, group counts) fails the call that
     /// receives the frame — in the grouped and bounded drains the first
     /// one, before any group is delivered. Malformed content (say, a key
-    /// that is not UTF-8) fails the call that reaches that group, after
-    /// every group before it came out intact. Errors are
-    /// [`MpidError::Codec`] naming the sending rank, except that the bounded
-    /// drain reports a group it cannot read back from disk or decode from
-    /// its last window, and a failed spill, as [`MpidError::Spill`]. The
-    /// receiver is fused: after `None` or an error every later call returns
-    /// `Ok(None)`, and the frames and their pool charge are released at that
-    /// point (or when a half-drained receiver is dropped).
+    /// that is not UTF-8) fails the call that reaches that group — in the
+    /// bounded drain, the call that reads it back from its rank's disk run
+    /// or share of the last window — and every group delivered before it is
+    /// intact. Both are [`MpidError::Codec`] naming the sending rank, in
+    /// every drain state; [`MpidError::Spill`] is a spill file the bounded
+    /// drain could not create, write or read. The receiver is fused: after
+    /// `None` or an error every later call returns `Ok(None)`, and the
+    /// frames and their pool charge are released at that point (or when a
+    /// half-drained receiver is dropped).
     pub fn recv(&mut self) -> MpidResult<Option<(K, Vec<V>)>> {
         let next = self.next_group();
         if let Ok(Some((k, mut vs))) = next {
@@ -414,7 +432,7 @@ impl<'a, K: Key, V: Value> MpidReceiver<'a, K, V> {
                     self.start_drain(state);
                 }
                 RecvState::Draining(groups) => return groups.next().transpose(),
-                RecvState::DrainingExt(merge) => return merge.next_group().map_err(spill_err),
+                RecvState::DrainingExt(merge) => return merge.next_group(),
                 RecvState::Streaming(frame) => {
                     if let Some(group) = frame.next() {
                         return group.map(Some);
@@ -462,43 +480,25 @@ impl<'a, K: Key, V: Value> MpidReceiver<'a, K, V> {
             args.push(("spilled_runs", ArgValue::U64(runs as u64)));
         }
         rt.complete_since(obs::names::SPAN_MERGE, obs::names::CAT_MPID_STAGE, t0, args);
-        rt.counter(
-            obs::names::CTR_MEM_FRAME_BYTES,
-            obs::names::CAT_MPID_MEM,
-            high_water as f64,
-        );
-        rt.counter(
-            obs::names::CTR_MEM_FRAMES_DECODED,
-            obs::names::CAT_MPID_MEM,
-            stats.frames as f64,
-        );
-        rt.counter(
-            obs::names::CTR_MEM_SPILL_BYTES,
-            obs::names::CAT_MPID_MEM,
-            spilled as f64,
-        );
+        let mut counters = vec![
+            (obs::names::CTR_MEM_FRAME_BYTES, high_water),
+            (obs::names::CTR_MEM_FRAMES_DECODED, stats.frames),
+            (obs::names::CTR_MEM_SPILL_BYTES, spilled),
+        ];
         if let Some(pool) = &self.cfg.pool {
             let ps = pool.stats();
-            rt.counter(
-                obs::names::CTR_MEM_POOL_LIVE,
-                obs::names::CAT_MPID_MEM,
-                ps.live as f64,
+            counters.extend(
+                [
+                    (obs::names::CTR_MEM_POOL_LIVE, ps.live),
+                    (obs::names::CTR_MEM_POOL_HIGH_WATER, ps.high_water),
+                    (obs::names::CTR_MEM_POOL_BUDGET, ps.budget),
+                    (obs::names::CTR_MEM_POOL_FORCED, ps.forced),
+                ]
+                .map(|(name, n)| (name, n as u64)),
             );
-            rt.counter(
-                obs::names::CTR_MEM_POOL_HIGH_WATER,
-                obs::names::CAT_MPID_MEM,
-                ps.high_water as f64,
-            );
-            rt.counter(
-                obs::names::CTR_MEM_POOL_BUDGET,
-                obs::names::CAT_MPID_MEM,
-                ps.budget as f64,
-            );
-            rt.counter(
-                obs::names::CTR_MEM_POOL_FORCED,
-                obs::names::CAT_MPID_MEM,
-                ps.forced as f64,
-            );
+        }
+        for (name, value) in counters {
+            rt.counter(name, obs::names::CAT_MPID_MEM, value as f64);
         }
     }
 }
@@ -507,10 +507,6 @@ impl<'a, K: Key, V: Value> MpidReceiver<'a, K, V> {
 /// when the key type has an encoded comparator.
 fn sort_frame<K: Key>(frame: Frame) -> MpidResult<FrameRun<K>> {
     let Frame { body, raw, src } = frame;
-    let codec_err = |err| MpidError::Codec {
-        source_rank: src,
-        err,
-    };
     // Both sorts are stable: a frame carrying the same key twice keeps
     // its in-frame order, so the merge's send-order guarantee holds.
     let (raw, prefixes, keys) = match K::encoded_cmp() {
@@ -541,7 +537,7 @@ fn sort_frame<K: Key>(frame: Frame) -> MpidResult<FrameRun<K>> {
             let mut pairs: Vec<(K, RawGroup)> = Vec::with_capacity(raw.len());
             for g in raw {
                 let mut kb = g.key_bytes(&body);
-                pairs.push((K::decode(&mut kb).map_err(codec_err)?, g));
+                pairs.push((K::decode(&mut kb).map_err(codec_err(src))?, g));
             }
             pairs.sort_by(|a, b| a.0.cmp(&b.0));
             let (keys, sorted): (Vec<K>, Vec<RawGroup>) = pairs.into_iter().unzip();
@@ -557,7 +553,7 @@ fn sort_frame<K: Key>(frame: Frame) -> MpidResult<FrameRun<K>> {
 
 /// Every group of a set of frame runs under one key-ordered index — the
 /// one merge behind the in-memory table, the bounded path's window spills
-/// and its tail. Equal keys sit next to each other in (run, in-frame)
+/// and its last window. Equal keys sit next to each other in (run, in-frame)
 /// order, so walking [`Merged::spans`] yields each distinct key once with
 /// its contributions already in delivery order.
 #[derive(Default)]
@@ -664,13 +660,13 @@ impl Merged {
     /// its first entry, each value once, into an exact-capacity list.
     fn decode_span<K: Key, V: Value>(&self, span: &[KeyRef]) -> MpidResult<(K, Vec<V>)> {
         let first = &self.frames[span[0].run as usize];
-        let key = K::decode(&mut first.key_bytes(&span[0])).map_err(|e| first.codec_err(e))?;
+        let key = K::decode(&mut first.key_bytes(&span[0])).map_err(codec_err(first.src))?;
         let mut values: Vec<V> = Vec::with_capacity(self.n_values(span));
         for e in span {
             let (frame, g) = self.group(e);
             let mut slice = g.val_bytes(&frame.body);
             for _ in 0..g.n_values {
-                values.push(V::decode(&mut slice).map_err(|e| frame.codec_err(e))?);
+                values.push(V::decode(&mut slice).map_err(codec_err(frame.src))?);
             }
         }
         Ok((key, values))
@@ -716,24 +712,32 @@ impl<K: Key, V: Value> Iterator for Groups<K, V> {
     }
 }
 
-/// The unbounded path's merge: in (mapper rank, send order), not
-/// frame-arrival order. Wildcard reception interleaves mappers however the
-/// scheduler ran them, and an equal key's values come out run by run, so
-/// arrival order would leak scheduling into each key's value order; a
-/// stable sort of the runs by source rank pins it.
-fn merge_by_rank<K: Key>(mut runs: Vec<FrameRun<K>>) -> Merged {
-    runs.sort_by_key(|r| r.frame.src);
-    Merged::new(runs)
+/// Frame runs by source rank, ranks ascending, each rank's in arrival order
+/// — its send order, since messages between two ranks stay in order.
+/// Wildcard reception interleaves mappers however the scheduler ran them,
+/// and an equal key's values come out run by run, so arrival order across
+/// ranks would leak scheduling into each key's value order.
+fn by_rank<K>(runs: Vec<FrameRun<K>>) -> BTreeMap<Rank, Vec<FrameRun<K>>> {
+    let mut by_rank = BTreeMap::<Rank, Vec<_>>::new();
+    for run in runs {
+        by_rank.entry(run.frame.src).or_default().push(run);
+    }
+    by_rank
 }
 
-/// Merge one window of frame runs into a single pre-sorted disk run. Key and
-/// value bytes are copied verbatim from the frame bodies — no decode or
-/// re-encode, so a key with bad content is found by the `recv()` that reads
-/// it back.
-fn spill_window<K: Key, V: Value>(
+/// The unbounded path's merge: in (mapper rank, send order).
+fn merge_by_rank<K: Key>(runs: Vec<FrameRun<K>>) -> Merged {
+    Merged::new(by_rank(runs).into_values().flatten().collect())
+}
+
+/// Merge one rank's frame runs from one window into a single pre-sorted disk
+/// run. Key and value bytes are copied verbatim from the frame bodies — no
+/// decode or re-encode, so a key with bad content is found by the `recv()`
+/// that reads it back.
+fn spill_run<K: Key, V: Value>(
     table: &mut ExternalTable<K, V>,
     runs: Vec<FrameRun<K>>,
-) -> Result<(), ExtMergeError> {
+) -> std::io::Result<()> {
     let merged = Merged::new(runs);
     let mut rw = table.begin_sorted_run()?;
     for span in merged.spans::<K>() {
@@ -748,18 +752,9 @@ fn spill_window<K: Key, V: Value>(
     rw.finish()
 }
 
-/// Extract the codec error from a receiver-side [`MpidError`], for routing
-/// through [`ExtMergeError`].
-fn codec_of(e: MpidError) -> CodecError {
-    match e {
-        MpidError::Codec { err, .. } => err,
-        _ => CodecError::Corrupt("receiver merge error"),
-    }
-}
-
 /// A spill-file failure, as the bounded drain reports it.
-fn spill_err(e: ExtMergeError) -> MpidError {
-    MpidError::Spill(e.to_string())
+fn spill_err(e: std::io::Error) -> MpidError {
+    MpidError::Spill(ExtMergeError::Io(e).to_string())
 }
 
 #[cfg(test)]
@@ -1082,23 +1077,100 @@ mod tests {
                 let spilled = pool.stats().high_water < all_held;
                 assert_eq!(spilled, drain == Drain::Bounded(1), "windows went to disk");
                 // Decoded span by span: everything before the bad group came
-                // out — on the bounded path, from the tail or from a disk run
-                // the window's key bytes were copied into, through
-                // `ExtMergeError::Codec`.
+                // out — on the bounded path, from the last window or from a
+                // disk run the frame's bytes were copied into verbatim.
                 assert_eq!(got, before);
             }
-            match drain {
-                Drain::Bounded(_) => {
-                    assert!(matches!(&err, MpidError::Spill(m) if m.contains("decode")))
-                }
-                _ => assert!(matches!(
+            // The same error on every path, disk runs included.
+            assert!(
+                matches!(
                     err,
                     MpidError::Codec {
                         source_rank: 2,
                         err: CodecError::Corrupt(_)
                     }
-                )),
+                ),
+                "{err:?} ({drain:?})"
+            );
+        }
+    }
+
+    /// What the reducer (rank 0) makes of mapper rank `m` sending
+    /// `sends[m - 1]`, in the `drain` state, with the frames arriving in
+    /// *reverse* rank order: each mapper waits for the rank above it to
+    /// finish sending before it starts. Returns the groups and the disk runs.
+    fn reverse_rank_arrivals(sends: &[Vec<Bytes>], drain: Drain) -> (Grouped<String, u64>, usize) {
+        const GO: mpi_rt::Tag = 99;
+        let (n, sends) = (sends.len(), sends.to_vec());
+        let results = Universe::run(1 + n, move |comm| {
+            let me = comm.rank();
+            if me > 0 {
+                if me < n {
+                    let t = MpidConfig::DEFAULT_RECV_TIMEOUT;
+                    comm.recv_bytes_timeout(Some(me + 1), Some(GO), t).unwrap();
+                }
+                for body in &sends[me - 1] {
+                    let wire = [&[MARKER_PLAIN][..], &body[..]].concat();
+                    comm.send_bytes(0, tags::DATA, wire.into()).unwrap();
+                }
+                comm.send_bytes(0, tags::DATA, Bytes::new()).unwrap();
+                if me > 1 {
+                    comm.send_bytes(me - 1, GO, Bytes::new()).unwrap();
+                }
+                return None;
             }
+            let cfg = MpidConfig {
+                n_mappers: n,
+                n_reducers: 1,
+                mem_budget: drain.mem_budget(),
+                ..Default::default()
+            };
+            let mut recv = drain.open(MpidReceiver::<String, u64>::new(comm, cfg));
+            let got = recv.recv_all().unwrap();
+            Some((got, recv.spilled_runs()))
+        });
+        results.into_iter().next().flatten().unwrap()
+    }
+
+    #[test]
+    fn bounded_drains_deliver_the_grouped_drains_bytes_with_several_mappers() {
+        // Three mappers, four frames each, arriving highest rank first;
+        // every key in every frame, and "k" twice in a frame. Budgets of one
+        // byte (a window a frame), two frames and everything: runs per rank
+        // and window, then each rank's share of the last window.
+        let sends: Vec<Vec<Bytes>> = (1..4u64)
+            .map(|m| {
+                (0..4u64)
+                    .map(|i| {
+                        let mut groups: Grouped<String, u64> = (0..30u64)
+                            .map(|j| (format!("w{j:02}"), vec![m, i, j]))
+                            .collect();
+                        groups.push((s("k"), vec![m * 10 + i]));
+                        groups.push((s("k"), vec![m * 10 + i + 100]));
+                        frame(&groups)
+                    })
+                    .collect()
+            })
+            .collect();
+        let (want, no_runs) = reverse_rank_arrivals(&sends, Drain::Unbounded);
+        assert_eq!(no_runs, 0);
+        let rank_then_send: Vec<u64> = (1..4u64)
+            .flat_map(|m| (0..4).flat_map(move |i| [m * 10 + i, m * 10 + i + 100]))
+            .collect();
+        assert_eq!(
+            want.iter().find(|(k, _)| k == "k").unwrap().1,
+            rank_then_send
+        );
+        let two_frames = 2 * sends[0][0].len();
+        for (drain, min_runs) in [
+            (Drain::Bounded(1), 11),
+            (Drain::External(1), 11),
+            (Drain::Bounded(two_frames), 4),
+            (Drain::Bounded(1 << 20), 0),
+        ] {
+            let (got, runs) = reverse_rank_arrivals(&sends, drain);
+            assert_eq!(got, want, "{drain:?}");
+            assert!(runs >= min_runs, "{drain:?}: {runs} runs");
         }
     }
 
@@ -1140,8 +1212,7 @@ mod tests {
 
     #[test]
     fn one_thread_and_two_deliver_the_same_groups_on_both_paths() {
-        // Sixty frames, every key in three of them; one mapper, so the
-        // bounded path's arrival order is the unbounded path's send order.
+        // Sixty frames from one mapper, every key in three of them.
         let frames: Vec<Bytes> = (0..60u64)
             .map(|i| {
                 let keys = (0..40u64).map(|j| (i % 20) * 40 + j);

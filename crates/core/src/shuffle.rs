@@ -43,12 +43,12 @@ use crate::combine::Combiner;
 use crate::compress;
 use crate::config::{tags, MpidConfig, Role};
 use crate::error::{MpidError, MpidResult};
-use crate::kv::{Key, Value};
+use crate::kv::{CodecError, Key, Value};
 use crate::pool::PoolCharge;
-use crate::realign::{FrameReader, MARKER_LZ};
+use crate::realign::{FrameReader, MARKER_LZ, MARKER_PLAIN};
 use crate::sender::{realign_table, ByteTable, SpillOutput, SpillScratch, WireShop};
 use bytes::{BufMut, Bytes, BytesMut};
-use mpi_rt::{Comm, Rank, SendRequest};
+use mpi_rt::{Comm, Rank, SendRequest, Tag};
 use obs::ArgValue;
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
@@ -151,20 +151,26 @@ pub(crate) fn build_strategy<K: Key, V: Value>(
     }
 }
 
+/// Send one payload, non-blocking when `use_isend` is set.
+fn post(ctx: &mut ShipCtx<'_>, dst: Rank, tag: Tag, payload: Bytes) -> MpidResult<()> {
+    if ctx.cfg.use_isend {
+        let req = ctx.comm.isend_bytes(dst, tag, payload)?;
+        ctx.pending.push(req);
+    } else {
+        ctx.comm.send_bytes(dst, tag, payload)?;
+    }
+    Ok(())
+}
+
 /// The shared reducer-bound send loop: frames go out in ascending partition
-/// order on [`tags::DATA`], non-blocking when `use_isend` is set.
+/// order on [`tags::DATA`].
 fn ship_to_reducers(ctx: &mut ShipCtx<'_>, out: &SpillOutput) -> MpidResult<()> {
     for (p, wires) in &out.shipments {
         let dst = Role::reducer_rank(ctx.cfg, *p as usize);
         for wire in wires {
             // `Bytes` handles are refcounted; this clone is a pointer bump,
             // not a payload copy.
-            if ctx.cfg.use_isend {
-                let req = ctx.comm.isend_bytes(dst, tags::DATA, wire.clone())?;
-                ctx.pending.push(req);
-            } else {
-                ctx.comm.send_bytes(dst, tags::DATA, wire.clone())?;
-            }
+            post(ctx, dst, tags::DATA, wire.clone())?;
         }
     }
     Ok(())
@@ -262,8 +268,8 @@ impl<K: Key, V: Value> InNodeShip<K, V> {
                 inflated = compress::decompress(&wire[1..]).map_err(codec_err)?;
                 &inflated
             }
-            Some(_) => &wire[1..],
-            None => return Ok(()),
+            Some(&MARKER_PLAIN) => &wire[1..],
+            _ => return Err(codec_err(CodecError::Corrupt("unknown frame marker"))),
         };
         // Either group layout; what ships is laid out afresh from the table.
         let mut reader = FrameReader::new(body).map_err(codec_err)?;
@@ -310,14 +316,7 @@ impl<K: Key, V: Value> ShuffleStrategy<K, V> for InNodeShip<K, V> {
                         let mut payload = BytesMut::with_capacity(4 + wire.len());
                         payload.put_u32_le(p);
                         payload.put_slice(&wire);
-                        if ctx.cfg.use_isend {
-                            let req =
-                                ctx.comm
-                                    .isend_bytes(leader, tags::RELAY, payload.freeze())?;
-                            ctx.pending.push(req);
-                        } else {
-                            ctx.comm.send_bytes(leader, tags::RELAY, payload.freeze())?;
-                        }
+                        post(ctx, leader, tags::RELAY, payload.freeze())?;
                     }
                 }
             }
@@ -347,14 +346,17 @@ impl<K: Key, V: Value> ShuffleStrategy<K, V> for InNodeShip<K, V> {
                 awaiting -= 1;
                 continue;
             }
+            let codec_err = |err| MpidError::Codec {
+                source_rank: status.source,
+                err,
+            };
             if payload.len() < 5 {
-                return Err(MpidError::Spill(format!(
-                    "in-node relay frame from rank {} too short ({} bytes)",
-                    status.source,
-                    payload.len()
-                )));
+                return Err(codec_err(CodecError::Truncated));
             }
             let part = u32::from_le_bytes([payload[0], payload[1], payload[2], payload[3]]);
+            if part as usize >= ctx.cfg.n_reducers {
+                return Err(codec_err(CodecError::Corrupt("partition out of range")));
+            }
             let wire = payload.slice(4..);
             self.report.wire_in += wire.len() as u64;
             self.charge.grow(wire.len());
@@ -445,5 +447,67 @@ mod tests {
             .label(),
             "innode"
         );
+    }
+
+    /// A member that relays what no sender builds — a partition past the
+    /// last reducer, a payload too short to hold one, a frame marker that
+    /// does not exist — fails the leader's flush with a codec error naming
+    /// the member: no panic, no hang.
+    #[test]
+    fn hostile_relay_payloads_are_codec_errors_naming_the_member() {
+        use crate::realign::FrameBuilder;
+        let mut b = FrameBuilder::new(1 << 10);
+        b.push_group(&"k".to_string(), &[1u64]);
+        let frame = [&[MARKER_PLAIN][..], &b.finish().pop().unwrap()].concat();
+        let relay = |part: u32, wire: &[u8]| [&part.to_le_bytes()[..], wire].concat();
+        let cases = [
+            (
+                relay(1, &frame),
+                CodecError::Corrupt("partition out of range"),
+            ),
+            (vec![1, 2, 3], CodecError::Truncated),
+            (
+                relay(0, &[&[0x7f][..], &frame[1..]].concat()),
+                CodecError::Corrupt("unknown frame marker"),
+            ),
+        ];
+        let cfg = MpidConfig {
+            n_mappers: 2,
+            n_reducers: 1,
+            shuffle: ShuffleKind::InNodeCombine {
+                mappers_per_host: 2,
+            },
+            ..Default::default()
+        };
+        // Rank 1 is mapper 0, its host's leader; rank 2 is its member.
+        for (payload, err) in cases {
+            let (cfg, payload) = (cfg.clone(), Bytes::from(payload));
+            let results = mpi_rt::Universe::run(3, move |comm| match comm.rank() {
+                1 => {
+                    let mut leader = InNodeShip::<String, u64>::new(&cfg, 0, 2, None);
+                    let mut pending = Vec::new();
+                    let cfg = &cfg;
+                    let mut ctx = ShipCtx {
+                        comm,
+                        cfg,
+                        pending: &mut pending,
+                    };
+                    Some(leader.flush(&mut ctx).map(|_| ()))
+                }
+                2 => {
+                    comm.send_bytes(1, tags::RELAY, payload.clone()).unwrap();
+                    // The leader may have failed on the payload and be gone.
+                    let _ = comm.send_bytes(1, tags::RELAY, Bytes::new());
+                    None
+                }
+                _ => None,
+            });
+            let got = results.into_iter().flatten().next().unwrap();
+            let want = MpidError::Codec {
+                source_rank: 2,
+                err,
+            };
+            assert_eq!(got, Err(want));
+        }
     }
 }

@@ -1,17 +1,17 @@
 //! Property tests for the memory-bounded hot path: grouped job output must
 //! be byte-for-byte independent of `MpidConfig::threads` (which the data
-//! path no longer reads; the sweep pins that it stays inert) and — for a
-//! single mapper — of the block-pool budget.
+//! path no longer reads; the sweep pins that it stays inert) and of the
+//! reducers' memory budget, at every mapper count.
 //!
 //! The oracle is always the same job at `threads = 1` with `mem_budget =
 //! None`: the original single-threaded unbounded pipeline. Each mapper's
 //! input is sharded statically (pair index mod mapper count) so its send
-//! stream is deterministic, and the receiver's in-memory merge sorts runs
-//! by source rank, so the full ordered output — key order *and* value
-//! order — is reproducible at every thread count. The windowed external
-//! path streams frames in arrival order instead, so bounded multi-mapper
-//! runs are compared with value order normalized (grouping and key order
-//! must still match exactly).
+//! stream is deterministic, and every drain delivers an equal key's values
+//! in (mapper rank, send order) — the in-memory merge by grouping its runs
+//! by source rank, the windowed external merge by spilling one run per
+//! source rank and merging them in (rank, window) order — so the full
+//! ordered output, key order *and* value order, is reproducible at every
+//! thread count and budget.
 
 mod common;
 
@@ -83,19 +83,6 @@ fn run_job_counting_frames(
     (groups, min_frames)
 }
 
-/// Value-order-insensitive view: keys and grouping stay exact, each value
-/// list is sorted.
-fn normalized(groups: &[(String, Vec<u64>)]) -> Vec<(String, Vec<u64>)> {
-    groups
-        .iter()
-        .map(|(k, vs)| {
-            let mut vs = vs.clone();
-            vs.sort_unstable();
-            (k.clone(), vs)
-        })
-        .collect()
-}
-
 fn reference_sums(pairs: &[(String, u64)]) -> BTreeMap<String, u64> {
     let mut m: BTreeMap<String, u64> = BTreeMap::new();
     for (k, v) in pairs {
@@ -152,12 +139,36 @@ proptest! {
         }
     }
 
+    /// With several mappers the windowed path spills one run per source
+    /// rank and merges them in (rank, window) order, so key order,
+    /// grouping *and* value order match the unbounded oracle byte for byte
+    /// at any budget/thread combination.
+    #[test]
+    fn bounded_grouping_identical_multi_mapper(
+        pairs in arb_pairs(),
+        mappers in 2usize..4,
+        reducers in 1usize..3,
+        threads in 1usize..5,
+    ) {
+        let base = base_cfg(mappers, reducers);
+        let oracle = run_job(base.clone(), &pairs);
+        for budget in [1usize << 20, 8 << 10, 512] {
+            let cfg = MpidConfig { threads, mem_budget: Some(budget), ..base.clone() };
+            prop_assert_eq!(
+                run_job(cfg, &pairs),
+                oracle.clone(),
+                "budget = {} threads = {}",
+                budget,
+                threads
+            );
+        }
+    }
+
     /// Many runs per reducer: a frame per group (`frame_bytes` below any
     /// group's size) and a spill every dozen pairs, so one reducer merges
-    /// 64+ runs in which most keys recur. Unbounded output is bit-identical
-    /// at every thread count; bounded output (arrival-ordered, so compared
-    /// with value order normalized) matches at budgets forcing zero, a few
-    /// and many window spills, at every thread count.
+    /// 64+ runs in which most keys recur. Output is bit-identical at every
+    /// thread count, and at budgets forcing zero, a few and many window
+    /// spills.
     #[test]
     fn many_runs_identical_across_threads_and_budgets(
         pairs in proptest::collection::vec(("[a-e]{1,3}", 0u64..1000), 150..300),
@@ -175,12 +186,11 @@ proptest! {
             let cfg = MpidConfig { threads, ..base.clone() };
             prop_assert_eq!(run_job(cfg, &pairs), oracle.clone(), "threads = {}", threads);
         }
-        let oracle = normalized(&oracle);
         for budget in [1usize << 20, 2 << 10, 64] {
             for threads in [1usize, 2, 4, 8] {
                 let cfg = MpidConfig { threads, mem_budget: Some(budget), ..base.clone() };
                 prop_assert_eq!(
-                    normalized(&run_job(cfg, &pairs)),
+                    run_job(cfg, &pairs),
                     oracle.clone(),
                     "budget = {} threads = {}",
                     budget,
@@ -190,36 +200,10 @@ proptest! {
         }
     }
 
-    /// With several mappers the windowed path consumes frames in arrival
-    /// order, so only value order within a key may differ from the oracle:
-    /// key order, grouping, and value multisets must all survive any
-    /// budget/thread combination.
-    #[test]
-    fn bounded_grouping_identical_multi_mapper(
-        pairs in arb_pairs(),
-        mappers in 2usize..4,
-        reducers in 1usize..3,
-        threads in 1usize..5,
-    ) {
-        let base = base_cfg(mappers, reducers);
-        let oracle = normalized(&run_job(base.clone(), &pairs));
-        for budget in [8usize << 10, 512] {
-            let cfg = MpidConfig { threads, mem_budget: Some(budget), ..base.clone() };
-            prop_assert_eq!(
-                normalized(&run_job(cfg, &pairs)),
-                oracle.clone(),
-                "budget = {} threads = {}",
-                budget,
-                threads
-            );
-        }
-    }
-
     /// Both frame layouts in one job (see `common::mixed_layout_pairs`):
-    /// unbounded output is bit-identical at every thread count; bounded
-    /// output at budgets forcing zero, a few and many window spills — whose
-    /// disk-run records take either layout per group — matches bit for bit
-    /// with one mapper and with value order normalized with several.
+    /// output is bit-identical at every thread count, and at budgets forcing
+    /// zero, a few and many window spills — whose disk-run records take
+    /// either layout per group.
     #[test]
     fn mixed_layouts_identical_across_threads_and_budgets(
         epochs in common::arb_epochs(),
@@ -238,13 +222,9 @@ proptest! {
             let cfg = MpidConfig { threads, ..base.clone() };
             prop_assert_eq!(run_job(cfg, &pairs), oracle.clone(), "threads = {}", threads);
         }
-        let view = |groups: &[(String, Vec<u64>)]| match mappers {
-            1 => groups.to_vec(),
-            _ => normalized(groups),
-        };
         for budget in [1usize << 20, 1 << 10, 128] {
             let cfg = MpidConfig { mem_budget: Some(budget), ..base.clone() };
-            prop_assert_eq!(view(&run_job(cfg, &pairs)), view(&oracle), "budget = {}", budget);
+            prop_assert_eq!(run_job(cfg, &pairs), oracle.clone(), "budget = {}", budget);
         }
     }
 }

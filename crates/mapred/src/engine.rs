@@ -39,8 +39,8 @@ pub struct MpidEngineConfig {
     /// nothing on the data path reads it at present).
     pub threads: usize,
     /// Job-wide byte budget for MPI-D buffering. One [`mpid::BlockPool`]
-    /// is shared across every rank of the job; sender tables, receiver
-    /// frame windows, and external-merge resident sets charge it, and the
+    /// is shared across every rank of the job; sender tables, in-node
+    /// leaders' stashes and receiver frame windows charge it, and the
     /// pool's high-water mark is reported in [`JobOutput::pool_stats`].
     pub mem_budget: Option<usize>,
     /// Run the universe under the mpiverify correctness checker (deadlock
