@@ -349,7 +349,7 @@ fn main() {
         MAPPERS_PER_HOST,
     );
     println!(
-        "(strategy resolved per job through SimShuffle::resolve; wire = \
+        "(strategy set per job through JobSpec::shuffle; wire = \
          shuffle payload that crossed disk/network after strategy savings; \
          input {} MB per map wave; coded_r<r> rows are a model with no \
          real-path counterpart)",

@@ -1,7 +1,7 @@
 //! Hadoop 0.20.2 configuration knobs that matter to the paper's experiments.
 
 use desim::SimTime;
-use netsim::{ClusterSpec, RackLayout, SimShuffle};
+use netsim::{ClusterSpec, RackLayout};
 
 /// Simulated Hadoop deployment parameters.
 ///
@@ -69,13 +69,6 @@ pub struct HadoopConfig {
     /// Attempts per map task before the whole job is failed
     /// (`mapred.map.max.attempts`, default 4).
     pub max_task_attempts: usize,
-    /// Deployment-level shuffle strategy ([`SimShuffle::resolve`]d against
-    /// the job's [`netsim::JobSpec::shuffle`]): in-node combining merges
-    /// the spills of a tasktracker's co-running map tasks before they are
-    /// served; coded shuffle replicates map work `r`× to cut copy-phase
-    /// wire volume `r`×. Baseline is bit-identical to the pre-strategy
-    /// simulator.
-    pub shuffle: SimShuffle,
     /// Rack topology layered over the flat cluster (rack uplinks +
     /// oversubscribed core). `None` keeps the single non-blocking switch.
     pub rack: Option<RackLayout>,
@@ -107,7 +100,6 @@ impl HadoopConfig {
             straggler_factor: 4.0,
             task_failure_prob: 0.0,
             max_task_attempts: 4,
-            shuffle: SimShuffle::Baseline,
             rack: None,
         }
     }
@@ -153,7 +145,6 @@ impl HadoopConfig {
         if !(0.0..=1.0).contains(&self.task_failure_prob) || self.max_task_attempts == 0 {
             return Err("task failure parameters out of range".into());
         }
-        self.shuffle.validate()?;
         Ok(())
     }
 }

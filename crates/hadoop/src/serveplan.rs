@@ -24,11 +24,11 @@ pub fn serve_plan(cfg: &HadoopConfig, spec: &JobSpec, n_hosts: usize) -> JobPlan
     // for its slot assignments, then pays a JVM launch.
     let wave_overhead = cfg.jvm_start.as_secs_f64() + cfg.heartbeat.as_secs_f64() / 2.0;
 
-    // Per-job shuffle strategy (deployment knob wins): in-node combining
-    // shrinks both wire and reducer-input volume by merging the spills of
-    // the `map_slots` co-located map tasks; coded multicast shrinks only
-    // the wire, at `r`× the map work.
-    let strat = SimShuffle::resolve(cfg.shuffle, spec.shuffle);
+    // The job's shuffle strategy: in-node combining shrinks both wire and
+    // reducer-input volume by merging the spills of the `map_slots`
+    // co-located map tasks; coded multicast shrinks only the wire, at `r`×
+    // the map work.
+    let strat = spec.shuffle;
     let data = strat.data_factor(cfg.map_slots, spec.combine_ratio);
     let shuffle = ((spec.shuffle_bytes(spec.input_bytes) as f64) * data).round() as u64;
     let shuffle = shuffle.max(1);
@@ -141,12 +141,6 @@ mod tests {
         assert!(coded.phases[0].cpu_secs > base.phases[0].cpu_secs);
         // ...but reducers still decode (and reduce) the full volume.
         assert_eq!(coded.phases[2].cpu_secs, base.phases[2].cpu_secs);
-
-        // A deployment-level knob overrides the per-job baseline.
-        let mut cfg2 = HadoopConfig::icpp2011(8, 4, 14);
-        cfg2.shuffle = SimShuffle::InNodeCombine;
-        let forced = serve_plan(&cfg2, &wc_like(1 << 30), 8);
-        assert_eq!(forced.phases[1].bytes, innode.phases[1].bytes);
     }
 
     #[test]

@@ -60,10 +60,9 @@ pub struct HadoopSim {
     blocks: Vec<BlockId>, // map m reads blocks[m]
     map_input: Vec<u64>,
     per_reduce_partition: Vec<u64>, // shuffled bytes of map m going to each reducer
-    // Resolved shuffle strategy and its factors (1.0 at baseline, keeping
-    // that path bit-identical). `data_factor` is already folded into
+    // Factors of the job's shuffle strategy (1.0 at baseline, keeping that
+    // path bit-identical). `data_factor` is already folded into
     // `per_reduce_partition`; `code_factor` deflates only the fetch flows.
-    shuffle: SimShuffle,
     data_factor: f64,
     code_factor: f64,
 
@@ -143,12 +142,11 @@ impl HadoopSim {
         let blocks = hdfs.load_dataset(spec.input_bytes, cfg.block_bytes);
         let n_maps = blocks.len();
         let map_input: Vec<u64> = blocks.iter().map(|&b| hdfs.block(b).bytes).collect();
-        // Shuffle strategy (deployment knob wins over the job's spec).
-        // Co-location for in-node combining is a tasktracker's `map_slots`
-        // co-running map tasks, whose spills merge before being served.
-        let shuffle = SimShuffle::resolve(cfg.shuffle, spec.shuffle);
-        let data_factor = shuffle.data_factor(cfg.map_slots, spec.combine_ratio);
-        let code_factor = shuffle.code_factor();
+        // The job's shuffle strategy. Co-location for in-node combining is
+        // a tasktracker's `map_slots` co-running map tasks, whose spills
+        // merge before being served.
+        let data_factor = spec.shuffle.data_factor(cfg.map_slots, spec.combine_ratio);
+        let code_factor = spec.shuffle.code_factor();
         let per_reduce_partition: Vec<u64> = map_input
             .iter()
             .map(|&b| ((spec.shuffle_bytes(b) as f64) * data_factor) as u64 / cfg.n_reduces as u64)
@@ -167,7 +165,6 @@ impl HadoopSim {
             blocks,
             map_input,
             per_reduce_partition,
-            shuffle,
             data_factor,
             code_factor,
             setup_done: false,
@@ -567,8 +564,8 @@ impl HadoopSim {
         // Coded shuffle replicates the map work `r`×; in-node combining
         // pays a second combine pass over the slot group's merged spills.
         // Both terms are 1.0/absent at baseline.
-        let strategy_cpu = s.spec.map_cpu_secs(bytes) * (s.shuffle.map_work_factor() - 1.0)
-            + if s.shuffle == SimShuffle::InNodeCombine {
+        let strategy_cpu = s.spec.map_cpu_secs(bytes) * (s.spec.shuffle.map_work_factor() - 1.0)
+            + if s.spec.shuffle == SimShuffle::InNodeCombine {
                 s.spec.shuffle_bytes(bytes) as f64 * s.spec.combine_cpu_ns_per_byte * 1e-9
             } else {
                 0.0

@@ -19,9 +19,8 @@
 //! `crates/mpirt/tests/faults.rs`).
 
 use crate::api::{InputFormat, MapReduceApp};
-use crate::engine::{AppPartitioner, MpidEngineConfig};
+use crate::engine::{mapper_step, master_step, MpidEngineConfig};
 use mpi_rt::{MpiConfig, MpiError, RankFault, Universe, VerifyConfig};
-use mpid::combine::FnCombiner;
 use mpid::{MpidWorld, Role};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -172,7 +171,7 @@ where
             let world = MpidWorld::init(comm, mpid_cfg.clone()).expect("valid config");
             let result = match world.role() {
                 Role::Master => match master_step(&world, &splits) {
-                    Ok(()) => StepResult::Driver,
+                    Ok(_) => StepResult::Driver,
                     Err(e) if is_loss_propagation(&e) => StepResult::Lost,
                     Err(e) => panic!("master failed: {e}"),
                 },
@@ -209,45 +208,6 @@ where
             StepResult::Reducer(i, groups) => Some((i, groups)),
         })
         .collect())
-}
-
-/// Master leg of one superstep: distribute `splits`, gather stats.
-fn master_step(world: &MpidWorld, splits: &[u64]) -> Result<(), mpid::MpidError> {
-    world.run_master(splits.to_vec())?;
-    world.collect_stats()?;
-    Ok(())
-}
-
-/// Mapper leg: pull splits, map, shuffle-send, report stats.
-fn mapper_step<A, I>(world: &MpidWorld, app: &Arc<A>, input: &Arc<I>) -> Result<(), mpid::MpidError>
-where
-    A: MapReduceApp,
-    I: InputFormat<Key = A::InKey, Val = A::InVal>,
-{
-    let mut sender = world
-        .sender::<A::MidKey, A::MidVal>()
-        .with_partitioner(AppPartitioner(app.clone()));
-    if let Some(c) = app.combine() {
-        sender = sender.with_combiner(FnCombiner(c));
-    }
-    while let Some(split) = world.next_split::<u64>()? {
-        for (k, v) in input.records(split as usize) {
-            let mut err = None;
-            app.map(k, v, &mut |mk, mv| {
-                if err.is_none() {
-                    if let Err(e) = sender.send(mk, mv) {
-                        err = Some(e);
-                    }
-                }
-            });
-            if let Some(e) = err {
-                return Err(e);
-            }
-        }
-    }
-    let st = sender.finish()?;
-    world.report_stats(&st)?;
-    Ok(())
 }
 
 /// Reducer leg: drain `MPI_D_Recv` groups raw (the driver checkpoints them).

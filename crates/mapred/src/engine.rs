@@ -151,6 +151,48 @@ impl<A: MapReduceApp> Partitioner<A::MidKey> for AppPartitioner<A> {
     }
 }
 
+/// Master leg: hand out `splits`, then gather every mapper's pipeline
+/// counters over MPI (the STATS leg of the wire protocol).
+pub(crate) fn master_step(
+    world: &MpidWorld,
+    splits: &[u64],
+) -> MpidResult<(mpid::MasterStats, mpid::SenderStats)> {
+    let master = world.run_master(splits.to_vec())?;
+    Ok((master, world.collect_stats()?))
+}
+
+/// Mapper leg: pull splits, map each record, `MPI_D_Send` the pairs, then
+/// finish the sender and report its stats to the master.
+pub(crate) fn mapper_step<A, I>(world: &MpidWorld, app: &Arc<A>, input: &Arc<I>) -> MpidResult<()>
+where
+    A: MapReduceApp,
+    I: InputFormat<Key = A::InKey, Val = A::InVal>,
+{
+    let mut sender = world
+        .sender::<A::MidKey, A::MidVal>()
+        .with_partitioner(AppPartitioner(app.clone()));
+    if let Some(c) = app.combine() {
+        sender = sender.with_combiner(FnCombiner(c));
+    }
+    while let Some(split) = world.next_split::<u64>()? {
+        for (k, v) in input.records(split as usize) {
+            let mut err = None;
+            app.map(k, v, &mut |mk, mv| {
+                if err.is_none() {
+                    if let Err(e) = sender.send(mk, mv) {
+                        err = Some(e);
+                    }
+                }
+            });
+            if let Some(e) = err {
+                return Err(e);
+            }
+        }
+    }
+    let stats = sender.finish()?;
+    world.report_stats(&stats)
+}
+
 /// Run `app` over `input` on a fresh MPI universe (1 master +
 /// `n_mappers` + `n_reducers` ranks as threads).
 pub fn run_mpid<A, I>(
@@ -218,36 +260,12 @@ where
         let world = MpidWorld::init(comm, mpid_cfg.clone()).expect("valid config");
         let result = match world.role() {
             Role::Master => {
-                let stats = world.run_master(splits.clone()).expect("master failed");
-                // Gather every mapper's pipeline counters over MPI
-                // (exercises the STATS leg of the wire protocol).
-                let sender = world.collect_stats().expect("stats gather failed");
-                RankResult::Master(stats, sender)
+                let (master, sender) =
+                    master_step(&world, &splits).unwrap_or_else(|e| panic!("master failed: {e}"));
+                RankResult::Master(master, sender)
             }
             Role::Mapper(_) => {
-                let mut sender = world
-                    .sender::<A::MidKey, A::MidVal>()
-                    .with_partitioner(AppPartitioner(app.clone()));
-                if let Some(c) = app.combine() {
-                    sender = sender.with_combiner(FnCombiner(c));
-                }
-                while let Some(split) = world.next_split::<u64>().expect("split fetch") {
-                    for (k, v) in input.records(split as usize) {
-                        let mut err = None;
-                        app.map(k, v, &mut |mk, mv| {
-                            if err.is_none() {
-                                if let Err(e) = sender.send(mk, mv) {
-                                    err = Some(e);
-                                }
-                            }
-                        });
-                        if let Some(e) = err {
-                            panic!("MPI_D_Send failed: {e}");
-                        }
-                    }
-                }
-                let stats = sender.finish().expect("finish failed");
-                world.report_stats(&stats).expect("stats report failed");
+                mapper_step(&world, &app, &input).unwrap_or_else(|e| panic!("mapper failed: {e}"));
                 RankResult::Mapper
             }
             Role::Reducer(_) => {

@@ -33,10 +33,10 @@ pub fn serve_plan(cfg: &SimMpidConfig, spec: &JobSpec, n_hosts: usize) -> JobPla
         1.0
     };
 
-    // Per-job shuffle strategy (deployment knob wins). Co-location for the
-    // in-node combine stage is the run of consecutive splits a host maps —
-    // their spills merge through one per-host combine before framing.
-    let strat = SimShuffle::resolve(cfg.shuffle, spec.shuffle);
+    // The job's shuffle strategy. Co-location for the in-node combine stage
+    // is the run of consecutive splits a host maps — their spills merge
+    // through one per-host combine before framing.
+    let strat = spec.shuffle;
     let colocated = n_splits.div_ceil(n_hosts as u64) as usize;
     let data = strat.data_factor(colocated, spec.combine_ratio);
     let shuffle = (((spec.shuffle_bytes(spec.input_bytes) as f64) * data).round() as u64).max(1);
@@ -142,12 +142,6 @@ mod tests {
         let half = base.phases[0].bytes / 2;
         assert!(coded.phases[0].bytes.abs_diff(half) <= 1);
         assert!(coded.phases[0].cpu_secs > base.phases[0].cpu_secs);
-
-        // A deployment-level knob overrides the per-job baseline.
-        let mut cfg2 = SimMpidConfig::icpp2011_fig6();
-        cfg2.shuffle = SimShuffle::Coded { r: 2 };
-        let forced = serve_plan(&cfg2, &wc_like(1 << 30), 8);
-        assert_eq!(forced.phases[0].bytes, coded.phases[0].bytes);
     }
 
     #[test]

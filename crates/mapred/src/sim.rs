@@ -66,12 +66,6 @@ pub struct SimMpidConfig {
     /// map computation on the producing mapper). `0` disables pipelining
     /// and ships the whole split output after the map completes.
     pub ship_frame_bytes: u64,
-    /// Deployment-level shuffle strategy ([`SimShuffle::resolve`]d against
-    /// the job's own [`JobSpec::shuffle`]): in-node combining merges the
-    /// spills of co-located mapper processes before framing; coded shuffle
-    /// replicates map work `r`× to cut wire volume `r`×. Baseline is
-    /// bit-identical to the pre-strategy simulator.
-    pub shuffle: SimShuffle,
     /// Rack topology layered over the flat cluster (rack uplinks +
     /// oversubscribed core). `None` keeps the single non-blocking switch.
     pub rack: Option<RackLayout>,
@@ -93,7 +87,6 @@ impl SimMpidConfig {
             pressure_ref_bytes: 21 << 20,
             overlap_sends: false,
             ship_frame_bytes: 512 << 10,
-            shuffle: SimShuffle::Baseline,
             rack: None,
         }
     }
@@ -115,7 +108,6 @@ impl SimMpidConfig {
         assert!(self.native_cpu_factor > 0.0);
         assert!(self.pressure_per_doubling >= 0.0);
         assert!(self.pressure_ref_bytes > 0);
-        self.shuffle.validate().expect("invalid shuffle strategy");
     }
 }
 
@@ -179,9 +171,8 @@ struct MpidSim {
     wire_bytes: u64,
     cpu_multiplier: f64,
     mpi_efficiency: f64,
-    // Resolved shuffle strategy and its volume factors (all 1.0 at
-    // baseline, keeping that path bit-identical).
-    shuffle: SimShuffle,
+    // Volume factors of the job's shuffle strategy (all 1.0 at baseline,
+    // keeping that path bit-identical).
     data_factor: f64,
     code_factor: f64,
     report_makespan: SimTime,
@@ -241,13 +232,12 @@ impl MpidSim {
             let m = MpiModel::default();
             m.stream_bandwidth(512 * 1024) / m.peak_bw
         };
-        // Shuffle strategy: the deployment knob wins over the job's spec.
-        // Co-location for in-node combining is the round-robin mapper
-        // placement above — `ceil(M / workers)` mapper processes per host.
-        let shuffle = SimShuffle::resolve(cfg.shuffle, spec.shuffle);
+        // The job's shuffle strategy. Co-location for in-node combining is
+        // the round-robin mapper placement above — `ceil(M / workers)`
+        // mapper processes per host.
         let colocated = cfg.n_mappers.div_ceil(workers);
-        let data_factor = shuffle.data_factor(colocated, spec.combine_ratio);
-        let code_factor = shuffle.code_factor();
+        let data_factor = spec.shuffle.data_factor(colocated, spec.combine_ratio);
+        let code_factor = spec.shuffle.code_factor();
         let cluster = match &cfg.rack {
             Some(l) => Cluster::with_racks(cfg.cluster.clone(), l.clone()),
             None => Cluster::new(cfg.cluster.clone()),
@@ -269,7 +259,6 @@ impl MpidSim {
             wire_bytes: 0,
             cpu_multiplier,
             mpi_efficiency,
-            shuffle,
             data_factor,
             code_factor,
             report_makespan: SimTime::ZERO,
@@ -409,9 +398,9 @@ impl MpidSim {
         // placement); in-node combining pays a second combine pass over the
         // host's merged post-combine spills. Both factors are 1.0/absent at
         // baseline.
-        let map_ns = bytes as f64 * s.spec.map_cpu_ns_per_byte * s.shuffle.map_work_factor();
+        let map_ns = bytes as f64 * s.spec.map_cpu_ns_per_byte * s.spec.shuffle.map_work_factor();
         let comb_ns = s.spec.map_output_bytes(bytes) as f64 * s.spec.combine_cpu_ns_per_byte;
-        let innode_ns = if s.shuffle == SimShuffle::InNodeCombine {
+        let innode_ns = if s.spec.shuffle == SimShuffle::InNodeCombine {
             s.spec.shuffle_bytes(bytes) as f64 * s.spec.combine_cpu_ns_per_byte
         } else {
             0.0
@@ -1039,9 +1028,9 @@ mod tests {
 
         // In-node combining: 49 mappers on 7 workers = 7 co-located spill
         // sets merged per host; WordCount combines well, so wire collapses.
-        let mut cfg = SimMpidConfig::icpp2011_fig6();
-        cfg.shuffle = SimShuffle::InNodeCombine;
-        let innode = run_sim_mpid(cfg, wc_spec(1.0));
+        let mut spec = wc_spec(1.0);
+        spec.shuffle = SimShuffle::InNodeCombine;
+        let innode = run_sim_mpid(SimMpidConfig::icpp2011_fig6(), spec);
         assert!(
             innode.wire_bytes < base.wire_bytes / 2,
             "in-node combine should collapse duplicate keys: {} vs {}",
@@ -1052,9 +1041,9 @@ mod tests {
 
         // Coded r=2: roughly half the wire, same reducer-input volume, and
         // the replicated map work shows up in the mapper spans.
-        let mut cfg = SimMpidConfig::icpp2011_fig6();
-        cfg.shuffle = SimShuffle::Coded { r: 2 };
-        let coded = run_sim_mpid(cfg, wc_spec(1.0));
+        let mut spec = wc_spec(1.0);
+        spec.shuffle = SimShuffle::Coded { r: 2 };
+        let coded = run_sim_mpid(SimMpidConfig::icpp2011_fig6(), spec);
         let ratio = coded.wire_bytes as f64 / base.wire_bytes as f64;
         assert!(
             (0.45..=0.55).contains(&ratio),
@@ -1062,16 +1051,6 @@ mod tests {
         );
         assert_eq!(coded.shuffle_bytes, base.shuffle_bytes);
         assert!(coded.map_finish > base.map_finish);
-
-        // The per-job knob works too, and the deployment knob wins.
-        let mut spec = wc_spec(1.0);
-        spec.shuffle = SimShuffle::Coded { r: 2 };
-        let per_job = run_sim_mpid(SimMpidConfig::icpp2011_fig6(), spec.clone());
-        assert_eq!(per_job.wire_bytes, coded.wire_bytes);
-        let mut cfg = SimMpidConfig::icpp2011_fig6();
-        cfg.shuffle = SimShuffle::InNodeCombine;
-        let overridden = run_sim_mpid(cfg, spec);
-        assert_eq!(overridden.wire_bytes, innode.wire_bytes);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! from the reserved internal range, so concurrent user point-to-point
 //! traffic (tags `0..=MAX_USER_TAG`) can never match collective messages.
 
-use crate::comm::{wire_sig, Comm};
+use crate::comm::{wire_sig, Comm, SendMode, SendRequest};
 use crate::data::MpiType;
 use crate::types::{MpiResult, Rank, Tag, MAX_USER_TAG};
 use crate::verify::{CollSig, LabelGuard};
@@ -49,11 +49,23 @@ impl Comm {
         }
     }
 
-    /// Internal send that allows reserved tags.
-    fn coll_send<T: MpiType>(&self, dst: Rank, tag: Tag, data: &[T]) -> MpiResult<()> {
-        self.send_bytes_internal(dst, tag, T::to_bytes(data), Some(wire_sig(data)))
+    /// Post a send on a reserved collective tag.
+    fn coll_post<T: MpiType>(
+        &self,
+        dst: Rank,
+        tag: Tag,
+        data: &[T],
+        mode: SendMode,
+    ) -> MpiResult<SendRequest> {
+        self.post(dst, tag, T::to_bytes(data), wire_sig(data), mode)
     }
 
+    fn coll_send<T: MpiType>(&self, dst: Rank, tag: Tag, data: &[T]) -> MpiResult<()> {
+        self.coll_post(dst, tag, data, SendMode::Blocking).map(drop)
+    }
+
+    /// Send `data` to `dst` without blocking, receive from `src`, then
+    /// complete the send.
     fn coll_sendrecv<T: MpiType>(
         &self,
         dst: Rank,
@@ -61,7 +73,7 @@ impl Comm {
         tag: Tag,
         data: &[T],
     ) -> MpiResult<Vec<T>> {
-        let req = self.isend_bytes_internal(dst, tag, T::to_bytes(data), Some(wire_sig(data)))?;
+        let req = self.coll_post(dst, tag, data, SendMode::Immediate)?;
         let (got, _) = self.recv_internal::<T>(Some(src), Some(tag))?;
         req.wait();
         Ok(got)
@@ -289,15 +301,7 @@ impl Comm {
         for step in 0..n.saturating_sub(1) {
             let send_idx = (self.rank + n - step) % n;
             let recv_idx = (self.rank + n - step - 1) % n;
-            let req = self.isend_bytes_internal(
-                right,
-                tag,
-                T::to_bytes(&blocks[send_idx]),
-                Some(wire_sig(&blocks[send_idx])),
-            )?;
-            let (data, _) = self.recv_internal::<T>(Some(left), Some(tag))?;
-            blocks[recv_idx] = data;
-            req.wait();
+            blocks[recv_idx] = self.coll_sendrecv(right, left, tag, &blocks[send_idx])?;
         }
         Ok(blocks)
     }
@@ -340,12 +344,7 @@ impl Comm {
                 if r == root {
                     mine = chunk;
                 } else {
-                    reqs.push(self.isend_bytes_internal(
-                        r,
-                        tag,
-                        T::to_bytes(&chunk),
-                        Some(wire_sig(&chunk)),
-                    )?);
+                    reqs.push(self.coll_post(r, tag, &chunk, SendMode::Immediate)?);
                 }
             }
             for req in reqs {
@@ -382,15 +381,7 @@ impl Comm {
         for step in 1..n {
             let dst = (self.rank + step) % n;
             let src = (self.rank + n - step) % n;
-            let req = self.isend_bytes_internal(
-                dst,
-                tag,
-                T::to_bytes(&send[dst]),
-                Some(wire_sig(&send[dst])),
-            )?;
-            let (data, _) = self.recv_internal::<T>(Some(src), Some(tag))?;
-            out[src] = data;
-            req.wait();
+            out[src] = self.coll_sendrecv(dst, src, tag, &send[dst])?;
         }
         Ok(out)
     }

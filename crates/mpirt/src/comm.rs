@@ -1,17 +1,27 @@
 //! Communicators and point-to-point operations.
+//!
+//! Every send — blocking, non-blocking, buffered, collective — goes through
+//! one private post (`Comm::post`): count the message, pick eager or
+//! rendezvous, deliver the envelope, and return the [`SendRequest`] that
+//! completes it. Every blocking wait — a blocking or timed receive, a
+//! rendezvous send, a request's `wait` — goes through one poll loop
+//! (`block_on`), in checked and unchecked universes alike; only what the
+//! loop checks between polls differs.
 
 use crate::data::MpiType;
+use crate::lock;
 use crate::matching::{ContextId, Envelope, Mailbox, PayloadSlot, RecvSlot, Rendezvous};
 use crate::trace::RankTrace;
 use crate::types::{MpiError, MpiResult, Rank, Status, Tag, MAX_USER_TAG};
 use crate::verify::{BlockedOp, Finding, Verifier, WaitHandle, WireSig, ABORT_POLL};
 use bytes::Bytes;
+use obs::names::{MPI_BSEND, MPI_ISEND, MPI_RECV, MPI_SEND};
 use obs::ArgValue;
-use parking_lot::Mutex;
 use std::cell::Cell;
 use std::collections::BTreeSet;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Panic payload of an injected fault-plan crash — lets the universe tell
@@ -64,27 +74,72 @@ impl WorldState {
     }
 }
 
-/// Wait on a posted receive slot, polling the abort flag so a universe
-/// abort (deadlock / collective mismatch elsewhere) surfaces as an error
-/// instead of a hang.
-fn wait_slot_checked(slot: &RecvSlot, v: &Verifier) -> MpiResult<Envelope> {
-    loop {
-        if let Some(env) = slot.wait_timeout(ABORT_POLL) {
-            return Ok(env);
-        }
-        if let Some(e) = v.abort_error() {
-            return Err(e);
-        }
+/// How a send completes: the `MPI_Send`, `MPI_Isend` and `MPI_Bsend` modes
+/// of the one post.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SendMode {
+    /// Return once the payload is queued (eager) or claimed (rendezvous).
+    Blocking,
+    /// Return the request at once; the caller completes it.
+    Immediate,
+    /// Always eager, so it never blocks; not a fault-injection point.
+    Buffered,
+}
+
+/// Checker context of a blocking wait: the universe's verifier, and the
+/// node this rank occupies in its wait-for graph while an untimed wait
+/// blocks. Pending requests carry one, so their `wait()` needs no `Comm`.
+#[derive(Debug, Clone)]
+struct Checked {
+    verifier: Arc<Verifier>,
+    rank: Rank,
+    op: BlockedOp,
+}
+
+impl Checked {
+    /// The `(verifier, receiving rank)` pair typed receives check against.
+    fn ctx(&self) -> (&Verifier, Rank) {
+        (self.verifier.as_ref(), self.rank)
     }
 }
 
-/// Wait for a rendezvous payload to be claimed, polling the abort flag.
-fn wait_rv_checked(rv: &Rendezvous, v: &Verifier) -> MpiResult<()> {
+/// The one blocking wait of the point-to-point layer. `poll` waits up to
+/// the given slice for `handle` to complete. Between `ABORT_POLL` slices the
+/// loop checks the universe's abort flag (checked runs only) and the
+/// timeout (timed receives only), whose expiry is [`MpiError::Timeout`].
+///
+/// An untimed wait in a checked run sits in the wait-for graph as
+/// `checked.op` while it blocks. A timed wait never does — timing out IS
+/// progress, e.g. a failure detector legitimately waits on a dead peer —
+/// but it still checks the abort flag, so that when the watchdog kills the
+/// universe for ranks that ARE deadlocked, this rank exits promptly instead
+/// of sleeping out its timeout.
+fn block_on<R>(
+    checked: Option<&Checked>,
+    handle: WaitHandle,
+    timeout: Option<Duration>,
+    mut poll: impl FnMut(Duration) -> Option<R>,
+) -> MpiResult<R> {
+    let deadline = timeout.map(|t| (t, Instant::now() + t));
+    let _block = match (checked, deadline) {
+        (Some(c), None) => Some(c.verifier.block_guard(c.rank, c.op.clone(), handle)),
+        _ => None,
+    };
     loop {
-        if rv.wait_taken_timeout(ABORT_POLL) {
-            return Ok(());
+        let slice = match deadline {
+            None => ABORT_POLL,
+            Some((timeout, at)) => {
+                let left = at.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    return Err(MpiError::Timeout(timeout));
+                }
+                ABORT_POLL.min(left)
+            }
+        };
+        if let Some(out) = poll(slice) {
+            return Ok(out);
         }
-        if let Some(e) = v.abort_error() {
+        if let Some(e) = checked.and_then(|c| c.verifier.abort_error()) {
             return Err(e);
         }
     }
@@ -195,6 +250,25 @@ impl Comm {
         self.world.verifier.as_ref()
     }
 
+    /// Checker context for a wait this rank may block in as `op` (`None`
+    /// in unchecked universes).
+    fn checked(&self, op: BlockedOp) -> Option<Checked> {
+        self.verifier().map(|v| Checked {
+            verifier: v.clone(),
+            rank: self.world_rank(),
+            op,
+        })
+    }
+
+    /// [`Comm::checked`] for a receive from comm rank `src`.
+    fn checked_recv(&self, src: Option<Rank>, tag: Option<Tag>) -> Option<Checked> {
+        self.checked(BlockedOp::Recv {
+            ctx: self.ctx,
+            src: src.map(|s| self.group[s]),
+            tag,
+        })
+    }
+
     /// The error for a send that found `dst`'s mailbox closed. After a
     /// universe abort (deadlock / collective mismatch) the peer left
     /// *because* of the abort, so the sender reports that — the same error
@@ -236,7 +310,7 @@ impl Comm {
         if let Some(after) = self.world.fault_after[me] {
             let n = self.world.op_counts[me].fetch_add(1, Ordering::Relaxed);
             if n >= after {
-                self.world.injected_crashes.lock().insert(me);
+                lock(&self.world.injected_crashes).insert(me);
                 // resume_unwind (not panic_any) so the planned crash unwinds
                 // the rank without tripping the global panic hook — the loss
                 // is reported structurally as MpiError::RankLost, not as
@@ -263,118 +337,169 @@ impl Comm {
         Ok(())
     }
 
-    /// Raw byte send with an explicit (possibly internal) tag.
-    pub(crate) fn send_bytes_internal(
+    /// The one send path, under every user and collective send: count the
+    /// message, pick eager or rendezvous (`Buffered` forces eager), deliver
+    /// the envelope — a closed mailbox maps through [`Comm::peer_gone`] —
+    /// and return the request that completes it. A `Blocking` send
+    /// completes it before returning. Internal tags are allowed.
+    pub(crate) fn post(
         &self,
         dst: Rank,
         tag: Tag,
         data: Bytes,
-        sig: Option<WireSig>,
-    ) -> MpiResult<()> {
-        self.fault_check();
+        sig: WireSig,
+        mode: SendMode,
+    ) -> MpiResult<SendRequest> {
+        if mode != SendMode::Buffered {
+            self.fault_check();
+        }
         self.check_rank(dst)?;
-        let mailbox = &self.world.mailboxes[self.group[dst]];
+        let to = self.group[dst];
         self.world.msgs_sent.fetch_add(1, Ordering::Relaxed);
         self.world
             .bytes_sent
             .fetch_add(data.len() as u64, Ordering::Relaxed);
-        if data.len() <= self.world.eager_threshold {
-            mailbox
-                .deliver(Envelope {
-                    ctx: self.ctx,
-                    src: self.rank,
-                    tag,
-                    payload: PayloadSlot::Eager(data),
-                    sig,
-                })
-                .map_err(|_| self.peer_gone(dst))
-        } else {
-            let rv = Rendezvous::new(data);
-            mailbox
-                .deliver(Envelope {
-                    ctx: self.ctx,
-                    src: self.rank,
-                    tag,
-                    payload: PayloadSlot::Rendezvous(rv.clone()),
-                    sig,
-                })
-                .map_err(|_| self.peer_gone(dst))?;
-            // MPI_Send above the eager threshold blocks until the receiver
-            // has matched (rendezvous protocol).
-            match self.verifier() {
-                Some(v) => {
-                    let _block = v.block_guard(
-                        self.world_rank(),
-                        BlockedOp::RendezvousSend {
-                            ctx: self.ctx,
-                            dst: self.group[dst],
-                            tag,
-                            bytes: rv.size,
-                        },
-                        WaitHandle::Rv(rv.clone()),
-                    );
-                    wait_rv_checked(&rv, v)?;
-                }
-                None => rv.wait_taken(),
-            }
-            Ok(())
+        let (payload, rv) =
+            if mode == SendMode::Buffered || data.len() <= self.world.eager_threshold {
+                (PayloadSlot::Eager(data), None)
+            } else {
+                let rv = Rendezvous::new(data);
+                (PayloadSlot::Rendezvous(rv.clone()), Some(rv))
+            };
+        self.world.mailboxes[to]
+            .deliver(Envelope {
+                ctx: self.ctx,
+                src: self.rank,
+                tag,
+                payload,
+                sig: Some(sig),
+            })
+            .map_err(|_| self.peer_gone(dst))?;
+        // Completing a rendezvous send blocks until the receiver has
+        // matched; that wait is what the checker needs to know about.
+        let checked = rv.as_ref().and_then(|rv| {
+            self.checked(BlockedOp::RendezvousSend {
+                ctx: self.ctx,
+                dst: to,
+                tag,
+                bytes: rv.size,
+            })
+        });
+        let req = SendRequest { rv, checked };
+        match mode {
+            SendMode::Blocking => req.complete().map(|()| SendRequest {
+                rv: None,
+                checked: None,
+            }),
+            SendMode::Immediate | SendMode::Buffered => Ok(req),
         }
     }
 
-    pub(crate) fn isend_bytes_internal(
+    /// Shell of the public sends: validate the user tag, post, and trace
+    /// the call as `name`.
+    fn user_send(
         &self,
+        name: &'static str,
         dst: Rank,
         tag: Tag,
         data: Bytes,
-        sig: Option<WireSig>,
+        sig: WireSig,
+        mode: SendMode,
     ) -> MpiResult<SendRequest> {
-        self.fault_check();
-        self.check_rank(dst)?;
-        let mailbox = &self.world.mailboxes[self.group[dst]];
-        self.world.msgs_sent.fetch_add(1, Ordering::Relaxed);
-        self.world
-            .bytes_sent
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
-        if data.len() <= self.world.eager_threshold {
-            mailbox
-                .deliver(Envelope {
-                    ctx: self.ctx,
-                    src: self.rank,
-                    tag,
-                    payload: PayloadSlot::Eager(data),
-                    sig,
-                })
-                .map_err(|_| self.peer_gone(dst))?;
-            Ok(SendRequest {
-                rv: None,
-                verify: None,
-            })
-        } else {
-            let rv = Rendezvous::new(data);
-            mailbox
-                .deliver(Envelope {
-                    ctx: self.ctx,
-                    src: self.rank,
-                    tag,
-                    payload: PayloadSlot::Rendezvous(rv.clone()),
-                    sig,
-                })
-                .map_err(|_| self.peer_gone(dst))?;
-            let verify = self.verifier().map(|v| SendVerify {
-                verifier: v.clone(),
-                rank: self.world_rank(),
-                op: BlockedOp::RendezvousSend {
-                    ctx: self.ctx,
-                    dst: self.group[dst],
-                    tag,
-                    bytes: rv.size,
-                },
-            });
-            Ok(SendRequest {
-                rv: Some(rv),
-                verify,
-            })
+        self.check_tag(tag)?;
+        let start = self.trace_start();
+        let len = data.len() as u64;
+        let out = self.post(dst, tag, data, sig, mode);
+        self.trace_p2p(name, start, dst as i64, tag, len);
+        out
+    }
+
+    /// Match the earliest unexpected message or post a receive slot: the
+    /// body of `MPI_Irecv`, which the blocking receive then waits on.
+    fn post_recv<T: MpiType>(
+        &self,
+        src: Option<Rank>,
+        tag: Option<Tag>,
+    ) -> MpiResult<RecvRequest<T>> {
+        if let Some(s) = src {
+            self.check_rank(s)?;
         }
+        let checked = self.checked_recv(src, tag);
+        let state = match self.world.mailboxes[self.world_rank()].match_or_post(self.ctx, src, tag)
+        {
+            Ok(env) => RecvReqState::Ready(env),
+            Err((slot, _)) => RecvReqState::Waiting(slot),
+        };
+        Ok(RecvRequest {
+            state,
+            checked,
+            _marker: PhantomData,
+        })
+    }
+
+    /// Blocking receive that allows internal tags: post, then wait.
+    pub(crate) fn recv_internal<T: MpiType>(
+        &self,
+        src: Option<Rank>,
+        tag: Option<Tag>,
+    ) -> MpiResult<(Vec<T>, Status)> {
+        self.fault_check();
+        self.post_recv(src, tag)?.wait()
+    }
+
+    /// Wait for one matching envelope with a deadline (the shared body of
+    /// the timed receives). It never joins the wait-for graph; see
+    /// `block_on`.
+    fn recv_env_timeout(
+        &self,
+        src: Option<Rank>,
+        tag: Option<Tag>,
+        timeout: Duration,
+    ) -> MpiResult<Envelope> {
+        if let Some(s) = src {
+            self.check_rank(s)?;
+        }
+        let mailbox = &self.world.mailboxes[self.world_rank()];
+        let (slot, posted_id) = match mailbox.match_or_post(self.ctx, src, tag) {
+            Ok(env) => return Ok(env),
+            Err(posted) => posted,
+        };
+        let checked = self.checked_recv(src, tag);
+        let handle = WaitHandle::Slot(slot.clone());
+        let poll = |slice| slot.wait_timeout(slice);
+        match block_on(checked.as_ref(), handle.clone(), Some(timeout), poll) {
+            Err(MpiError::Timeout(t)) => {
+                if mailbox.cancel_posted(posted_id) {
+                    return Err(MpiError::Timeout(t));
+                }
+                // Lost the race: the message arrived between the timeout
+                // and the cancellation, and is being delivered to the slot.
+                block_on(None, handle, None, poll)
+            }
+            Err(e) => {
+                mailbox.cancel_posted(posted_id);
+                Err(e)
+            }
+            ok => ok,
+        }
+    }
+
+    /// Shell of the public receives: validate the user tag, receive, and
+    /// trace a successful receive.
+    fn user_recv<R>(
+        &self,
+        tag: Option<Tag>,
+        recv: impl FnOnce() -> MpiResult<(R, Status)>,
+    ) -> MpiResult<(R, Status)> {
+        if let Some(t) = tag {
+            self.check_tag(t)?;
+        }
+        let start = self.trace_start();
+        let out = recv();
+        if let Ok((_, st)) = &out {
+            self.trace_p2p(MPI_RECV, start, st.source as i64, st.tag, st.bytes as u64);
+        }
+        out
     }
 
     /// Checker context for typed-receive signature checks.
@@ -382,51 +507,14 @@ impl Comm {
         self.verifier().map(|v| (v.as_ref(), self.world_rank()))
     }
 
-    pub(crate) fn recv_internal<T: MpiType>(
-        &self,
-        src: Option<Rank>,
-        tag: Option<Tag>,
-    ) -> MpiResult<(Vec<T>, Status)> {
-        self.fault_check();
-        if let Some(s) = src {
-            self.check_rank(s)?;
-        }
-        let mailbox = &self.world.mailboxes[self.world_rank()];
-        match mailbox.match_or_post(self.ctx, src, tag) {
-            Ok(env) => env_into_typed(env, self.verify_ctx()),
-            Err((slot, _)) => {
-                let env = match self.verifier() {
-                    Some(v) => {
-                        let _block = v.block_guard(
-                            self.world_rank(),
-                            BlockedOp::Recv {
-                                ctx: self.ctx,
-                                src: src.map(|s| self.group[s]),
-                                tag,
-                            },
-                            WaitHandle::Slot(slot.clone()),
-                        );
-                        wait_slot_checked(&slot, v)?
-                    }
-                    None => slot.wait(),
-                };
-                env_into_typed(env, self.verify_ctx())
-            }
-        }
-    }
-
     // ----- public point-to-point API (the MPI_Send/MPI_Recv analogs) -----
 
     /// Blocking send (`MPI_Send`): eager-copies small payloads, performs a
     /// rendezvous for payloads above [`Comm::eager_threshold`].
     pub fn send<T: MpiType>(&self, dst: Rank, tag: Tag, data: &[T]) -> MpiResult<()> {
-        self.check_tag(tag)?;
-        let start = self.trace_start();
-        let bytes = T::to_bytes(data);
-        let len = bytes.len() as u64;
-        let out = self.send_bytes_internal(dst, tag, bytes, Some(wire_sig::<T>(data)));
-        self.trace_p2p(obs::names::MPI_SEND, start, dst as i64, tag, len);
-        out
+        let (bytes, sig) = (T::to_bytes(data), wire_sig(data));
+        self.user_send(MPI_SEND, dst, tag, bytes, sig, SendMode::Blocking)
+            .map(drop)
     }
 
     /// Blocking receive (`MPI_Recv`). `src`/`tag` of `None` are the
@@ -436,21 +524,7 @@ impl Comm {
         src: Option<Rank>,
         tag: Option<Tag>,
     ) -> MpiResult<(Vec<T>, Status)> {
-        if let Some(t) = tag {
-            self.check_tag(t)?;
-        }
-        let start = self.trace_start();
-        let out = self.recv_internal(src, tag);
-        if let Ok((_, st)) = &out {
-            self.trace_p2p(
-                obs::names::MPI_RECV,
-                start,
-                st.source as i64,
-                st.tag,
-                st.bytes as u64,
-            );
-        }
-        out
+        self.user_recv(tag, || self.recv_internal(src, tag))
     }
 
     /// Receive with a deadline — not part of MPI, but essential for tests
@@ -462,24 +536,10 @@ impl Comm {
         tag: Option<Tag>,
         timeout: Duration,
     ) -> MpiResult<(Vec<T>, Status)> {
-        if let Some(t) = tag {
-            self.check_tag(t)?;
-        }
-        if let Some(s) = src {
-            self.check_rank(s)?;
-        }
-        let start = self.trace_start();
-        let out = self.recv_timeout_inner(src, tag, timeout);
-        if let Ok((_, st)) = &out {
-            self.trace_p2p(
-                obs::names::MPI_RECV,
-                start,
-                st.source as i64,
-                st.tag,
-                st.bytes as u64,
-            );
-        }
-        out
+        self.user_recv(tag, || {
+            let env = self.recv_env_timeout(src, tag, timeout)?;
+            env_into_typed(env, self.verify_ctx())
+        })
     }
 
     // ----- zero-copy raw-byte variants -----
@@ -493,32 +553,15 @@ impl Comm {
     /// Blocking send of a raw byte payload. Protocol and semantics match
     /// [`Comm::send`] of `u8` elements, minus the staging copy.
     pub fn send_bytes(&self, dst: Rank, tag: Tag, data: Bytes) -> MpiResult<()> {
-        self.check_tag(tag)?;
-        let start = self.trace_start();
-        let len = data.len();
-        let sig = WireSig {
-            type_name: "u8",
-            elem_size: 1,
-            count: len,
-        };
-        let out = self.send_bytes_internal(dst, tag, data, Some(sig));
-        self.trace_p2p(obs::names::MPI_SEND, start, dst as i64, tag, len as u64);
-        out
+        let sig = wire_sig::<u8>(&data);
+        self.user_send(MPI_SEND, dst, tag, data, sig, SendMode::Blocking)
+            .map(drop)
     }
 
     /// Non-blocking send of a raw byte payload (see [`Comm::send_bytes`]).
     pub fn isend_bytes(&self, dst: Rank, tag: Tag, data: Bytes) -> MpiResult<SendRequest> {
-        self.check_tag(tag)?;
-        let start = self.trace_start();
-        let len = data.len();
-        let sig = WireSig {
-            type_name: "u8",
-            elem_size: 1,
-            count: len,
-        };
-        let out = self.isend_bytes_internal(dst, tag, data, Some(sig));
-        self.trace_p2p(obs::names::MPI_ISEND, start, dst as i64, tag, len as u64);
-        out
+        let sig = wire_sig::<u8>(&data);
+        self.user_send(MPI_ISEND, dst, tag, data, sig, SendMode::Immediate)
     }
 
     /// Timed receive handing back the payload as refcounted [`Bytes`]
@@ -530,98 +573,10 @@ impl Comm {
         tag: Option<Tag>,
         timeout: Duration,
     ) -> MpiResult<(Bytes, Status)> {
-        if let Some(t) = tag {
-            self.check_tag(t)?;
-        }
-        if let Some(s) = src {
-            self.check_rank(s)?;
-        }
-        let start = self.trace_start();
-        let out = self.recv_env_timeout(src, tag, timeout).map(|env| {
-            let (src, tag) = (env.src, env.tag);
-            let bytes = match env.payload {
-                PayloadSlot::Eager(b) => b,
-                PayloadSlot::Rendezvous(rv) => rv.take(),
-            };
-            let status = Status {
-                source: src,
-                tag,
-                bytes: bytes.len(),
-            };
-            (bytes, status)
-        });
-        if let Ok((_, st)) = &out {
-            self.trace_p2p(
-                obs::names::MPI_RECV,
-                start,
-                st.source as i64,
-                st.tag,
-                st.bytes as u64,
-            );
-        }
-        out
-    }
-
-    fn recv_timeout_inner<T: MpiType>(
-        &self,
-        src: Option<Rank>,
-        tag: Option<Tag>,
-        timeout: Duration,
-    ) -> MpiResult<(Vec<T>, Status)> {
-        let env = self.recv_env_timeout(src, tag, timeout)?;
-        env_into_typed(env, self.verify_ctx())
-    }
-
-    /// Wait for one matching envelope with a deadline (the shared body of
-    /// the timed receives).
-    fn recv_env_timeout(
-        &self,
-        src: Option<Rank>,
-        tag: Option<Tag>,
-        timeout: Duration,
-    ) -> MpiResult<Envelope> {
-        let mailbox = &self.world.mailboxes[self.world_rank()];
-        match mailbox.match_or_post(self.ctx, src, tag) {
-            Ok(env) => Ok(env),
-            Err((slot, posted_id)) => {
-                // A timed receive is a *bounded* wait, so it is never part
-                // of the wait-for graph (timing out IS progress — e.g. a
-                // failure detector legitimately waits on a dead peer). It
-                // still polls the abort flag so that when the watchdog
-                // kills the universe for ranks that ARE deadlocked, this
-                // rank exits promptly instead of sleeping out its timeout.
-                let waited = if self.verifier().is_some() {
-                    let deadline = Instant::now() + timeout;
-                    loop {
-                        let now = Instant::now();
-                        if now >= deadline {
-                            break None;
-                        }
-                        if let Some(env) = slot.wait_timeout(ABORT_POLL.min(deadline - now)) {
-                            break Some(env);
-                        }
-                        if let Some(e) = self.verifier().and_then(|v| v.abort_error()) {
-                            mailbox.cancel_posted(posted_id);
-                            return Err(e);
-                        }
-                    }
-                } else {
-                    slot.wait_timeout(timeout)
-                };
-                match waited {
-                    Some(env) => Ok(env),
-                    None => {
-                        if mailbox.cancel_posted(posted_id) {
-                            Err(MpiError::Timeout(timeout))
-                        } else {
-                            // Lost the race: the message arrived between the
-                            // timeout and the cancellation.
-                            Ok(slot.wait())
-                        }
-                    }
-                }
-            }
-        }
+        self.user_recv(tag, || {
+            self.recv_env_timeout(src, tag, timeout)
+                .map(Envelope::into_bytes)
+        })
     }
 
     /// Buffered send (`MPI_Bsend`): always copies the payload into the
@@ -629,40 +584,17 @@ impl Comm {
     /// rendezvous, no blocking. Trades memory (the copy lives in the
     /// destination mailbox until received) for decoupling.
     pub fn bsend<T: MpiType>(&self, dst: Rank, tag: Tag, data: &[T]) -> MpiResult<()> {
-        self.check_tag(tag)?;
-        self.check_rank(dst)?;
-        let start = self.trace_start();
-        let payload = T::to_bytes(data);
-        let len = payload.len() as u64;
-        let mailbox = &self.world.mailboxes[self.group[dst]];
-        self.world.msgs_sent.fetch_add(1, Ordering::Relaxed);
-        self.world
-            .bytes_sent
-            .fetch_add(payload.len() as u64, Ordering::Relaxed);
-        let out = mailbox
-            .deliver(Envelope {
-                ctx: self.ctx,
-                src: self.rank,
-                tag,
-                payload: PayloadSlot::Eager(payload),
-                sig: Some(wire_sig::<T>(data)),
-            })
-            .map_err(|_| self.peer_gone(dst));
-        self.trace_p2p(obs::names::MPI_BSEND, start, dst as i64, tag, len);
-        out
+        let (bytes, sig) = (T::to_bytes(data), wire_sig(data));
+        self.user_send(MPI_BSEND, dst, tag, bytes, sig, SendMode::Buffered)
+            .map(drop)
     }
 
     /// Non-blocking send (`MPI_Isend`). The returned request completes
     /// immediately for eager payloads and when the receiver matches for
     /// rendezvous payloads.
     pub fn isend<T: MpiType>(&self, dst: Rank, tag: Tag, data: &[T]) -> MpiResult<SendRequest> {
-        self.check_tag(tag)?;
-        let start = self.trace_start();
-        let bytes = T::to_bytes(data);
-        let len = bytes.len() as u64;
-        let out = self.isend_bytes_internal(dst, tag, bytes, Some(wire_sig::<T>(data)));
-        self.trace_p2p(obs::names::MPI_ISEND, start, dst as i64, tag, len);
-        out
+        let (bytes, sig) = (T::to_bytes(data), wire_sig(data));
+        self.user_send(MPI_ISEND, dst, tag, bytes, sig, SendMode::Immediate)
     }
 
     /// Non-blocking receive (`MPI_Irecv`).
@@ -674,31 +606,7 @@ impl Comm {
         if let Some(t) = tag {
             self.check_tag(t)?;
         }
-        if let Some(s) = src {
-            self.check_rank(s)?;
-        }
-        let mailbox = self.world.mailboxes[self.world_rank()].clone();
-        let verify = self.verifier().map(|v| RecvVerify {
-            verifier: v.clone(),
-            rank: self.world_rank(),
-            op: BlockedOp::Recv {
-                ctx: self.ctx,
-                src: src.map(|s| self.group[s]),
-                tag,
-            },
-        });
-        match mailbox.match_or_post(self.ctx, src, tag) {
-            Ok(env) => Ok(RecvRequest {
-                state: RecvReqState::Ready(env),
-                verify,
-                _marker: std::marker::PhantomData,
-            }),
-            Err((slot, _)) => Ok(RecvRequest {
-                state: RecvReqState::Waiting(slot),
-                verify,
-                _marker: std::marker::PhantomData,
-            }),
-        }
+        self.post_recv(src, tag)
     }
 
     /// Combined exchange (`MPI_Sendrecv`): posts the send without blocking,
@@ -722,13 +630,13 @@ impl Comm {
     /// receiving it. (Implemented with a generous timeout; a probe that
     /// waits an hour is a deadlock in every workload in this suite.)
     pub fn probe(&self, src: Option<Rank>, tag: Option<Tag>) -> MpiResult<Status> {
-        let mailbox = &self.world.mailboxes[self.group[self.rank]];
+        let mailbox = &self.world.mailboxes[self.world_rank()];
         mailbox.probe_timeout(self.ctx, src, tag, Duration::from_secs(3600))
     }
 
     /// Non-blocking probe (`MPI_Iprobe`).
     pub fn iprobe(&self, src: Option<Rank>, tag: Option<Tag>) -> Option<Status> {
-        let mailbox = &self.world.mailboxes[self.group[self.rank]];
+        let mailbox = &self.world.mailboxes[self.world_rank()];
         mailbox.iprobe(self.ctx, src, tag)
     }
 }
@@ -751,49 +659,45 @@ fn env_into_typed<T: MpiType>(
     env: Envelope,
     verify: Option<(&Verifier, Rank)>,
 ) -> MpiResult<(Vec<T>, Status)> {
-    let (src, tag) = (env.src, env.tag);
     if let (Some((v, me)), Some(sig)) = (verify, env.sig) {
         if !sig.compatible_with(T::NAME) {
             v.finding(Finding::TypeMismatch {
                 rank: me,
-                src,
-                tag,
+                src: env.src,
+                tag: env.tag,
                 sent: sig,
                 expected: T::NAME,
             });
         }
     }
-    let bytes = match env.payload {
-        PayloadSlot::Eager(b) => b,
-        PayloadSlot::Rendezvous(rv) => rv.take(),
-    };
-    let status = Status {
-        source: src,
-        tag,
-        bytes: bytes.len(),
-    };
+    let (bytes, status) = env.into_bytes();
     Ok((T::from_bytes(&bytes)?, status))
 }
-
-/// Checker context a pending request carries so its `wait()` can register
-/// in the wait-for graph without a `Comm` handle.
-#[derive(Debug, Clone)]
-struct SendVerify {
-    verifier: Arc<Verifier>,
-    rank: Rank,
-    op: BlockedOp,
-}
-
-type RecvVerify = SendVerify;
 
 /// Handle for a non-blocking send.
 #[derive(Debug)]
 pub struct SendRequest {
+    /// The rendezvous payload still to be claimed (`None`: nothing to wait
+    /// for).
     rv: Option<Arc<Rendezvous>>,
-    verify: Option<SendVerify>,
+    checked: Option<Checked>,
 }
 
 impl SendRequest {
+    /// Block until the rendezvous payload, if any, is claimed. Fails only
+    /// when a checked universe is aborted meanwhile.
+    fn complete(self) -> MpiResult<()> {
+        let Some(rv) = &self.rv else {
+            return Ok(());
+        };
+        block_on(
+            self.checked.as_ref(),
+            WaitHandle::Rv(rv.clone()),
+            None,
+            |slice| rv.wait_taken_timeout(slice).then_some(()),
+        )
+    }
+
     /// Block until the transfer is complete (`MPI_Wait`).
     ///
     /// # Panics
@@ -801,18 +705,8 @@ impl SendRequest {
     /// universe is aborted (deadlock or collective mismatch) while this
     /// send is still waiting to rendezvous.
     pub fn wait(self) {
-        if let Some(rv) = self.rv {
-            match &self.verify {
-                Some(sv) => {
-                    let _block =
-                        sv.verifier
-                            .block_guard(sv.rank, sv.op.clone(), WaitHandle::Rv(rv.clone()));
-                    if let Err(e) = wait_rv_checked(&rv, &sv.verifier) {
-                        panic!("{e}");
-                    }
-                }
-                None => rv.wait_taken(),
-            }
+        if let Err(e) = self.complete() {
+            panic!("{e}");
         }
     }
 
@@ -839,40 +733,24 @@ enum RecvReqState {
 #[derive(Debug)]
 pub struct RecvRequest<T: MpiType> {
     state: RecvReqState,
-    verify: Option<RecvVerify>,
-    _marker: std::marker::PhantomData<fn() -> T>,
+    checked: Option<Checked>,
+    _marker: PhantomData<fn() -> T>,
 }
 
 impl<T: MpiType> RecvRequest<T> {
     /// Block until the message arrives (`MPI_Wait`). In a checked universe
     /// an abort (deadlock elsewhere) surfaces as the watchdog's error.
     pub fn wait(self) -> MpiResult<(Vec<T>, Status)> {
-        let vctx = self
-            .verify
-            .as_ref()
-            .map(|rv| (rv.verifier.as_ref(), rv.rank));
-        match self.state {
-            RecvReqState::Ready(env) => env_into_typed(env, vctx),
-            RecvReqState::Waiting(slot) => {
-                let env = match &self.verify {
-                    Some(rv) => {
-                        let _block = rv.verifier.block_guard(
-                            rv.rank,
-                            rv.op.clone(),
-                            WaitHandle::Slot(slot.clone()),
-                        );
-                        wait_slot_checked(&slot, &rv.verifier)?
-                    }
-                    None => slot.wait(),
-                };
-                env_into_typed(
-                    env,
-                    self.verify
-                        .as_ref()
-                        .map(|rv| (rv.verifier.as_ref(), rv.rank)),
-                )
-            }
-        }
+        let env = match self.state {
+            RecvReqState::Ready(env) => env,
+            RecvReqState::Waiting(slot) => block_on(
+                self.checked.as_ref(),
+                WaitHandle::Slot(slot.clone()),
+                None,
+                |slice| slot.wait_timeout(slice),
+            )?,
+        };
+        env_into_typed(env, self.checked.as_ref().map(Checked::ctx))
     }
 
     /// True once a matching message has arrived (`MPI_Test`); `wait` will
@@ -887,9 +765,9 @@ impl<T: MpiType> RecvRequest<T> {
     /// True when the universe has been aborted by the checker; `wait` will
     /// return the abort error promptly.
     fn aborted(&self) -> bool {
-        self.verify
+        self.checked
             .as_ref()
-            .is_some_and(|rv| rv.verifier.abort_error().is_some())
+            .is_some_and(|c| c.verifier.abort_error().is_some())
     }
 }
 

@@ -66,3 +66,27 @@ pub use verify::{
     BlockedOp, CollMismatch, CollSig, DeadlockReport, Finding, RankLostReport, RankSnapshot,
     RanksFailure, VerifyConfig, VerifyReport, WireSig,
 };
+
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
+
+/// Lock `m`, recovering the guard when a panicking rank poisoned it. No
+/// lock in this crate re-panics: a rank that unwinds still closes its
+/// mailbox (`RankGuard::drop`), and a second panic there would abort the
+/// process.
+fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Wait on `cv` while `cond` holds, for at most `timeout`, under the poison
+/// rule of [`lock`]. Every condvar wait in this crate is timed.
+fn wait_while<'a, T>(
+    cv: &Condvar,
+    guard: MutexGuard<'a, T>,
+    timeout: Duration,
+    cond: impl FnMut(&mut T) -> bool,
+) -> MutexGuard<'a, T> {
+    cv.wait_timeout_while(guard, timeout, cond)
+        .unwrap_or_else(PoisonError::into_inner)
+        .0
+}

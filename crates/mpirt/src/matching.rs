@@ -11,14 +11,20 @@
 //! communicator context is equal, and each of source/tag is either equal or a
 //! wildcard on the receive side. Among candidates, the *earliest sent*
 //! message wins; among posted receives, the *earliest posted* wins.
+//!
+//! Each handle a rank can block on has exactly one wait, and it is timed:
+//! [`RecvSlot::wait_timeout`] for a posted receive,
+//! [`Rendezvous::wait_taken_timeout`] for a parked rendezvous payload. The
+//! blocking operations in [`comm`](crate::comm) poll them in slices, so one
+//! loop serves checked and unchecked universes alike.
 
 use crate::types::{MpiError, MpiResult, Rank, Status, Tag};
 use crate::verify::WireSig;
+use crate::{lock, wait_while};
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 /// Communicator context id: separates traffic of different communicators.
 pub type ContextId = u64;
@@ -63,12 +69,29 @@ impl PayloadSlot {
     }
 }
 
+impl Envelope {
+    /// The payload bytes (claiming a rendezvous payload, which completes
+    /// its sender) and the receive status describing them.
+    pub(crate) fn into_bytes(self) -> (Bytes, Status) {
+        let bytes = match self.payload {
+            PayloadSlot::Eager(b) => b,
+            PayloadSlot::Rendezvous(rv) => rv.take(),
+        };
+        let status = Status {
+            source: self.src,
+            tag: self.tag,
+            bytes: bytes.len(),
+        };
+        (bytes, status)
+    }
+}
+
 /// Sender-side parking spot for a large message (rendezvous protocol).
 ///
-/// The sender deposits the bytes and blocks in [`Rendezvous::wait_taken`];
-/// the receiver claims them with [`Rendezvous::take`], which unblocks the
-/// sender. This reproduces MPI_Send's synchronous behaviour above the eager
-/// threshold.
+/// The sender deposits the bytes and waits on
+/// [`Rendezvous::wait_taken_timeout`]; the receiver claims them with
+/// [`Rendezvous::take`], which wakes the sender. This reproduces MPI_Send's
+/// synchronous behaviour above the eager threshold.
 #[derive(Debug)]
 pub struct Rendezvous {
     /// Payload size (the RTS header content).
@@ -99,41 +122,21 @@ impl Rendezvous {
     /// Receiver side: claim the payload (panics on double take — a matching
     /// engine bug, not a user error).
     pub fn take(&self) -> Bytes {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         let data = st.data.take().expect("rendezvous payload taken twice");
         st.taken = true;
         self.cond.notify_all();
         data
     }
 
-    /// Sender side: block until the receiver has claimed the payload.
-    pub fn wait_taken(&self) {
-        let mut st = self.state.lock();
-        while !st.taken {
-            self.cond.wait(&mut st);
-        }
-    }
-
     /// Sender side: block until claimed or `timeout`; true once claimed.
-    /// (Used by checked universes to poll the abort flag between waits.)
     pub fn wait_taken_timeout(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.state.lock();
-        loop {
-            if st.taken {
-                return true;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            self.cond.wait_for(&mut st, deadline - now);
-        }
+        wait_while(&self.cond, lock(&self.state), timeout, |st| !st.taken).taken
     }
 
     /// Sender side: non-blocking completion check.
     pub fn is_taken(&self) -> bool {
-        self.state.lock().taken
+        lock(&self.state).taken
     }
 }
 
@@ -152,49 +155,22 @@ impl RecvSlot {
         })
     }
 
-    /// Deliver an envelope (called by the sender under the mailbox lock).
+    /// Deliver an envelope (called by the sender that unposted this slot).
     pub fn deliver(&self, env: Envelope) {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         debug_assert!(st.is_none(), "recv slot delivered twice");
         *st = Some(env);
         self.cond.notify_all();
     }
 
-    /// Block until delivery.
-    pub fn wait(&self) -> Envelope {
-        let mut st = self.state.lock();
-        loop {
-            if let Some(env) = st.take() {
-                return env;
-            }
-            self.cond.wait(&mut st);
-        }
-    }
-
-    /// Block until delivery or `timeout`.
+    /// Block until delivery or `timeout`, consuming the envelope.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Envelope> {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.state.lock();
-        loop {
-            if let Some(env) = st.take() {
-                return Some(env);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            self.cond.wait_for(&mut st, deadline - now);
-        }
-    }
-
-    /// Non-blocking delivery check (consumes the envelope if present).
-    pub fn try_take(&self) -> Option<Envelope> {
-        self.state.lock().take()
+        wait_while(&self.cond, lock(&self.state), timeout, |st| st.is_none()).take()
     }
 
     /// True if an envelope has been delivered and not yet consumed.
     pub fn is_ready(&self) -> bool {
-        self.state.lock().is_some()
+        lock(&self.state).is_some()
     }
 }
 
@@ -228,6 +204,20 @@ struct MailboxInner {
     closed: bool,
 }
 
+impl MailboxInner {
+    /// Status of the earliest unexpected message matching `(ctx, src, tag)`.
+    fn probe(&self, ctx: ContextId, src: Option<Rank>, tag: Option<Tag>) -> Option<Status> {
+        self.unexpected
+            .iter()
+            .find(|e| matches(e.ctx, e.src, e.tag, ctx, src, tag))
+            .map(|e| Status {
+                source: e.src,
+                tag: e.tag,
+                bytes: e.payload.len(),
+            })
+    }
+}
+
 /// One rank's incoming-message state.
 #[derive(Debug, Default)]
 pub struct Mailbox {
@@ -248,7 +238,7 @@ impl Mailbox {
     ///
     /// Returns `Err(PeerGone)` if the mailbox is closed (its rank finished).
     pub fn deliver(&self, env: Envelope) -> MpiResult<()> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         if inner.closed {
             return Err(MpiError::PeerGone { rank: env.src });
         }
@@ -279,7 +269,7 @@ impl Mailbox {
         src: Option<Rank>,
         tag: Option<Tag>,
     ) -> Result<Envelope, (Arc<RecvSlot>, u64)> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let pos = inner
             .unexpected
             .iter()
@@ -303,7 +293,7 @@ impl Mailbox {
     /// Remove a posted receive (used when a timed receive gives up). Returns
     /// false if it was already matched.
     pub fn cancel_posted(&self, id: u64) -> bool {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let before = inner.posted.len();
         inner.posted.retain(|p| p.id != id);
         inner.posted.len() != before
@@ -311,16 +301,7 @@ impl Mailbox {
 
     /// Non-destructive scan of the unexpected queue (`MPI_Iprobe`).
     pub fn iprobe(&self, ctx: ContextId, src: Option<Rank>, tag: Option<Tag>) -> Option<Status> {
-        let inner = self.inner.lock();
-        inner
-            .unexpected
-            .iter()
-            .find(|e| matches(e.ctx, e.src, e.tag, ctx, src, tag))
-            .map(|e| Status {
-                source: e.src,
-                tag: e.tag,
-                bytes: e.payload.len(),
-            })
+        lock(&self.inner).probe(ctx, src, tag)
     }
 
     /// Blocking probe with timeout (`MPI_Probe`): waits until a matching
@@ -332,41 +313,22 @@ impl Mailbox {
         tag: Option<Tag>,
         timeout: Duration,
     ) -> MpiResult<Status> {
-        let deadline = Instant::now() + timeout;
-        let mut inner = self.inner.lock();
-        loop {
-            if let Some(st) = inner
-                .unexpected
-                .iter()
-                .find(|e| matches(e.ctx, e.src, e.tag, ctx, src, tag))
-                .map(|e| Status {
-                    source: e.src,
-                    tag: e.tag,
-                    bytes: e.payload.len(),
-                })
-            {
-                return Ok(st);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(MpiError::Timeout(timeout));
-            }
-            self.arrived.wait_for(&mut inner, deadline - now);
-        }
+        let inner = wait_while(&self.arrived, lock(&self.inner), timeout, |i| {
+            i.probe(ctx, src, tag).is_none()
+        });
+        inner.probe(ctx, src, tag).ok_or(MpiError::Timeout(timeout))
     }
 
     /// Mark this rank as finished; subsequent deliveries fail with
     /// `PeerGone`.
     pub fn close(&self) {
-        let mut inner = self.inner.lock();
-        inner.closed = true;
-        drop(inner);
+        lock(&self.inner).closed = true;
         self.arrived.notify_all();
     }
 
     /// Count of unexpected (unclaimed) messages — diagnostics.
     pub fn unexpected_len(&self) -> usize {
-        self.inner.lock().unexpected.len()
+        lock(&self.inner).unexpected.len()
     }
 
     /// Count of unexpected messages matching `(ctx, src, tag)` (wildcards
@@ -377,8 +339,7 @@ impl Mailbox {
         src: Option<Rank>,
         tag: Option<Tag>,
     ) -> usize {
-        let inner = self.inner.lock();
-        inner
+        lock(&self.inner)
             .unexpected
             .iter()
             .filter(|e| matches(e.ctx, e.src, e.tag, ctx, src, tag))
@@ -392,7 +353,7 @@ impl Mailbox {
     pub(crate) fn drain_leftovers(
         &self,
     ) -> (Vec<Envelope>, Vec<(ContextId, Option<Rank>, Option<Tag>)>) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let unexpected = inner.unexpected.drain(..).collect();
         let posted = inner
             .posted
@@ -474,7 +435,7 @@ mod tests {
         let (slot, _) = mb.match_or_post(1, Some(2), None).unwrap_err();
         assert!(!slot.is_ready());
         mb.deliver(env(1, 2, 4, b"hello")).unwrap();
-        let got = slot.wait();
+        let got = slot.wait_timeout(Duration::ZERO).expect("delivered");
         assert_eq!(payload(&got), b"hello");
         assert_eq!(mb.unexpected_len(), 0);
     }
@@ -495,7 +456,9 @@ mod tests {
         let mb2 = mb.clone();
         let h = std::thread::spawn(move || match mb2.match_or_post(1, None, Some(3)) {
             Ok(e) => e,
-            Err((slot, _)) => slot.wait(),
+            Err((slot, _)) => slot
+                .wait_timeout(Duration::from_secs(10))
+                .expect("delivered"),
         });
         std::thread::sleep(Duration::from_millis(20));
         mb.deliver(env(1, 5, 3, b"late")).unwrap();
@@ -553,11 +516,11 @@ mod tests {
         let rv = Rendezvous::new(Bytes::from_static(b"big payload"));
         assert!(!rv.is_taken());
         let rv2 = rv.clone();
-        let sender = std::thread::spawn(move || rv2.wait_taken());
+        let sender = std::thread::spawn(move || rv2.wait_taken_timeout(Duration::from_secs(10)));
         std::thread::sleep(Duration::from_millis(10));
         let data = rv.take();
         assert_eq!(&data[..], b"big payload");
-        sender.join().unwrap();
+        assert!(sender.join().unwrap(), "the sender saw the claim");
         assert!(rv.is_taken());
     }
 }

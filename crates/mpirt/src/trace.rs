@@ -11,9 +11,9 @@
 //!
 //! Cost when tracing is off: one `Option` check per operation.
 
+use crate::lock;
 use obs::{ArgValue, SharedTrace, TraceBuffer, WallClock};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Per-rank tracing handle: an event buffer plus the shared clock and sink.
 ///
@@ -51,7 +51,7 @@ impl RankTrace {
         end_ns: u64,
         args: Vec<(&'static str, ArgValue)>,
     ) {
-        self.buf.lock().complete(name, cat, start_ns, end_ns, args);
+        lock(&self.buf).complete(name, cat, start_ns, end_ns, args);
     }
 
     /// Record a complete span from `start_ns` to now.
@@ -63,13 +63,13 @@ impl RankTrace {
         args: Vec<(&'static str, ArgValue)>,
     ) {
         let end = self.clock.now_ns();
-        self.buf.lock().complete(name, cat, start_ns, end, args);
+        lock(&self.buf).complete(name, cat, start_ns, end, args);
     }
 
     /// Record a point-in-time marker at the current clock reading.
     pub fn instant(&self, name: &'static str, cat: &'static str) {
         let now = self.clock.now_ns();
-        self.buf.lock().instant(name, cat, now);
+        lock(&self.buf).instant(name, cat, now);
     }
 
     /// Record a counter sample at the current clock reading. Used by the
@@ -77,13 +77,13 @@ impl RankTrace {
     /// that `obs::analysis` rolls into a run profile.
     pub fn counter(&self, name: &'static str, cat: &'static str, value: f64) {
         let now = self.clock.now_ns();
-        self.buf.lock().counter(name, cat, now, value);
+        lock(&self.buf).counter(name, cat, now, value);
     }
 
     /// Drain the rank's buffer into the shared sink. Called by the universe
     /// after the rank function returns; safe to call more than once.
     pub fn flush(&self) {
-        let mut guard = self.buf.lock();
+        let mut guard = lock(&self.buf);
         let pid = guard.pid();
         let full = std::mem::replace(&mut *guard, TraceBuffer::new(pid, 0));
         drop(guard);

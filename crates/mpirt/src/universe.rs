@@ -13,6 +13,7 @@
 //! [`Universe::run_unchecked`] is the escape hatch.
 
 use crate::comm::{Comm, InjectedCrash, WorldState, WORLD_CTX};
+use crate::lock;
 use crate::matching::{Mailbox, PayloadSlot};
 use crate::trace::RankTrace;
 use crate::types::{MpiError, MpiResult, Rank};
@@ -253,7 +254,7 @@ impl Universe {
             // report *which ranks were lost*, not a bag of panics. Peers
             // that also unwound did so only because the loss propagated to
             // them (PeerGone / watchdog abort), so injection subsumes them.
-            let injected = world.injected_crashes.lock().clone();
+            let injected = lock(&world.injected_crashes).clone();
             if !injected.is_empty() {
                 return Err(MpiError::RankLost(Arc::new(RankLostReport {
                     lost: injected.into_iter().collect(),

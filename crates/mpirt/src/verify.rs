@@ -53,14 +53,15 @@
 
 use crate::matching::{ContextId, RecvSlot, Rendezvous};
 use crate::types::{MpiError, MpiResult, Rank, Tag};
-use parking_lot::{Condvar, Mutex};
+use crate::{lock, wait_while};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-/// How often blocked waits re-check the abort flag.
+/// Poll slice of every blocking wait in `comm`: how often a blocked rank
+/// wakes to re-check the abort flag and its deadline.
 pub(crate) const ABORT_POLL: Duration = Duration::from_millis(25);
 
 /// Checker configuration, part of [`MpiConfig`](crate::MpiConfig).
@@ -583,11 +584,11 @@ impl Verifier {
         if !self.aborted.load(Ordering::Acquire) {
             return None;
         }
-        self.abort.lock().clone()
+        lock(&self.abort).clone()
     }
 
     fn abort_with(&self, err: MpiError) {
-        let mut slot = self.abort.lock();
+        let mut slot = lock(&self.abort);
         if slot.is_none() {
             *slot = Some(err);
             self.aborted.store(true, Ordering::Release);
@@ -602,21 +603,21 @@ impl Verifier {
         op: BlockedOp,
         handle: WaitHandle,
     ) -> BlockGuard<'_> {
-        let mut st = self.ranks[rank].lock();
+        let mut st = lock(&self.ranks[rank]);
         st.seq = st.seq.wrapping_add(1);
         st.blocked = Some((op, handle));
         BlockGuard { v: self, rank }
     }
 
     fn unblock(&self, rank: Rank) {
-        let mut st = self.ranks[rank].lock();
+        let mut st = lock(&self.ranks[rank]);
         st.seq = st.seq.wrapping_add(1);
         st.blocked = None;
     }
 
     /// Set/clear the "inside collective X" label for a rank.
     pub(crate) fn set_label(&self, rank: Rank, label: Option<&'static str>) {
-        let mut st = self.ranks[rank].lock();
+        let mut st = lock(&self.ranks[rank]);
         st.seq = st.seq.wrapping_add(1);
         st.label = label;
     }
@@ -626,12 +627,12 @@ impl Verifier {
     /// being marked done, so the report shows who it left hanging.
     pub(crate) fn mark_done(&self, rank: Rank, panicked: bool) {
         if panicked {
-            let mut snap_slot = self.failure_snapshot.lock();
+            let mut snap_slot = lock(&self.failure_snapshot);
             if snap_slot.is_none() {
                 *snap_slot = Some(self.snapshot());
             }
         }
-        let mut st = self.ranks[rank].lock();
+        let mut st = lock(&self.ranks[rank]);
         st.seq = st.seq.wrapping_add(1);
         st.done = true;
         st.panicked = panicked;
@@ -640,16 +641,16 @@ impl Verifier {
 
     /// Snapshot taken when the first rank panicked (empty if none did).
     pub(crate) fn failure_snapshot(&self) -> Vec<RankSnapshot> {
-        self.failure_snapshot.lock().clone().unwrap_or_default()
+        lock(&self.failure_snapshot).clone().unwrap_or_default()
     }
 
     /// Record a non-fatal observation.
     pub(crate) fn finding(&self, f: Finding) {
-        self.findings.lock().push(f);
+        lock(&self.findings).push(f);
     }
 
     pub(crate) fn take_findings(&self) -> Vec<Finding> {
-        std::mem::take(&mut *self.findings.lock())
+        std::mem::take(&mut *lock(&self.findings))
     }
 
     /// Collective-consistency check: the `seq`-th collective on context
@@ -668,7 +669,7 @@ impl Verifier {
         if comm_size <= 1 {
             return Ok(());
         }
-        let mut colls = self.colls.lock();
+        let mut colls = lock(&self.colls);
         use std::collections::btree_map::Entry;
         match colls.entry((ctx, seq)) {
             Entry::Vacant(e) => {
@@ -708,7 +709,7 @@ impl Verifier {
             .iter()
             .enumerate()
             .map(|(rank, st)| {
-                let st = st.lock();
+                let st = lock(st);
                 RankSnapshot {
                     rank,
                     seq: st.seq,
@@ -728,7 +729,7 @@ impl Verifier {
             .iter()
             .enumerate()
             .map(|(rank, st)| {
-                let st = st.lock();
+                let st = lock(st);
                 let blocked = match &st.blocked {
                     Some((_, h)) if h.completed() => None,
                     other => other.as_ref().map(|(op, _)| op.clone()),
@@ -747,7 +748,7 @@ impl Verifier {
 
     /// Stop the watchdog (universe teardown) and wake it right away.
     pub(crate) fn request_shutdown(&self) {
-        *self.shutdown.lock() = true;
+        *lock(&self.shutdown) = true;
         self.shutdown_cv.notify_all();
     }
 
@@ -755,14 +756,9 @@ impl Verifier {
     pub(crate) fn run_watchdog(&self, interval: Duration) {
         let mut prev: Option<(Vec<Rank>, Vec<u64>)> = None;
         loop {
-            {
-                let mut stop = self.shutdown.lock();
-                if !*stop {
-                    self.shutdown_cv.wait_for(&mut stop, interval);
-                }
-                if *stop {
-                    return;
-                }
+            let stopped = *wait_while(&self.shutdown_cv, lock(&self.shutdown), interval, |s| !*s);
+            if stopped {
+                return;
             }
             if self.aborted.load(Ordering::Acquire) {
                 return;

@@ -70,7 +70,7 @@ fn rank_crash_during_ping_pong_is_rank_lost_not_a_hang() {
 fn survivor_sees_rank_lost_error_on_its_blocked_receive() {
     // The surviving rank's own `recv` must return the structured error
     // (failure propagation), not just the universe teardown.
-    let seen = Arc::new(parking_lot::Mutex::new(None));
+    let seen = Arc::new(std::sync::Mutex::new(None));
     let seen2 = seen.clone();
     let res = Universe::try_run_with(
         faulty(vec![RankFault {
@@ -81,7 +81,7 @@ fn survivor_sees_rank_lost_error_on_its_blocked_receive() {
         move |comm| {
             if comm.rank() == 0 {
                 let e = comm.recv::<u8>(Some(1), Some(0)).unwrap_err();
-                *seen2.lock() = Some(e);
+                *seen2.lock().unwrap() = Some(e);
             } else {
                 // First p2p op crashes immediately.
                 let _ = comm.send(0, 0, &[1u8]);
@@ -89,7 +89,7 @@ fn survivor_sees_rank_lost_error_on_its_blocked_receive() {
         },
     );
     assert!(matches!(res, Err(MpiError::RankLost(_))));
-    let observed = seen.lock().take();
+    let observed = seen.lock().unwrap().take();
     match observed {
         Some(MpiError::RankLost(report)) => assert_eq!(report.lost, vec![1]),
         other => panic!("survivor should see RankLost on its recv, got {other:?}"),

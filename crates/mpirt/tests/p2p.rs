@@ -1,8 +1,8 @@
 //! Point-to-point semantics tests: matching, ordering, wildcards, both wire
 //! protocols, non-blocking requests, timeouts and failure visibility.
 
-use mpi_rt::{MpiConfig, MpiError, Universe};
-use std::time::Duration;
+use mpi_rt::{MpiConfig, MpiError, Universe, VerifyConfig};
+use std::time::{Duration, Instant};
 
 #[test]
 fn ping_pong_various_sizes() {
@@ -363,4 +363,42 @@ fn wait_any_returns_first_completion() {
             comm.send(0, 0, &[me]).unwrap();
         }
     });
+}
+
+#[test]
+fn blocking_waits_longer_than_a_poll_slice_in_both_verification_modes() {
+    // Blocking waits poll in 25 ms slices whether or not the universe is
+    // checked. Each wait here outlasts several slices: the peer holds back
+    // for 60 ms after it can see the waiter is blocked.
+    const HOLD: Duration = Duration::from_millis(60);
+    for verify in [VerifyConfig::default(), VerifyConfig::disabled()] {
+        let cfg = MpiConfig {
+            eager_threshold: 64,
+            verify,
+            ..MpiConfig::default()
+        };
+        Universe::run_with(cfg, 2, |comm| {
+            let big = vec![0x5au8; 4096];
+            if comm.rank() == 0 {
+                // Blocking receive: the reply comes HOLD after the go signal.
+                let started = Instant::now();
+                comm.send(1, 0, &[1u8]).unwrap();
+                let (reply, _) = comm.recv::<u8>(Some(1), Some(1)).unwrap();
+                assert_eq!(reply, vec![2]);
+                assert!(started.elapsed() >= HOLD);
+                // Rendezvous send: claimed HOLD after its envelope arrives.
+                let started = Instant::now();
+                comm.send(1, 2, &big).unwrap();
+                assert!(started.elapsed() >= HOLD);
+            } else {
+                comm.recv::<u8>(Some(0), Some(0)).unwrap();
+                std::thread::sleep(HOLD);
+                comm.send(0, 1, &[2u8]).unwrap();
+                comm.probe(Some(0), Some(2)).unwrap();
+                std::thread::sleep(HOLD);
+                let (data, _) = comm.recv::<u8>(Some(0), Some(2)).unwrap();
+                assert_eq!(data, big);
+            }
+        });
+    }
 }

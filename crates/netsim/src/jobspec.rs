@@ -59,16 +59,6 @@ impl SimShuffle {
         }
     }
 
-    /// The effective strategy for a job: a non-baseline deployment-level
-    /// knob wins; otherwise the job's own spec decides.
-    pub fn resolve(cfg_level: SimShuffle, job_level: SimShuffle) -> SimShuffle {
-        if cfg_level != SimShuffle::Baseline {
-            cfg_level
-        } else {
-            job_level
-        }
-    }
-
     /// Fraction of the post-combine map output that survives in-node
     /// combining when `colocated` map tasks share a host.
     ///
@@ -135,9 +125,8 @@ pub struct JobSpec {
     pub reduce_cpu_ns_per_byte: f64,
     /// Final output volume as a fraction of reduce input volume.
     pub output_ratio: f64,
-    /// Per-job shuffle strategy. [`SimShuffle::resolve`]d against the
-    /// deployment-level knob by each simulator, so a serving mix can run
-    /// strategies job by job.
+    /// Shuffle strategy of this job. It is the only strategy knob the
+    /// simulators read, so a serving mix can run strategies job by job.
     pub shuffle: SimShuffle,
 }
 
@@ -263,11 +252,6 @@ mod tests {
         assert_eq!(coded.data_factor(4, 0.0), 1.0);
         assert_eq!(coded.code_factor(), 0.5);
         assert_eq!(coded.map_work_factor(), 2.0);
-        assert_eq!(SimShuffle::resolve(coded, SimShuffle::InNodeCombine), coded);
-        assert_eq!(
-            SimShuffle::resolve(SimShuffle::Baseline, SimShuffle::InNodeCombine),
-            SimShuffle::InNodeCombine
-        );
         assert_eq!(coded.label(), "coded_r2");
     }
 }

@@ -495,23 +495,9 @@ impl RunProfile {
     }
 }
 
-/// JSON string literal with the escapes our names can contain.
+/// JSON string literal (the Chrome exporter's escaper, quoted).
 fn json_str(s: &str) -> String {
-    let mut o = String::with_capacity(s.len() + 2);
-    o.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => o.push_str("\\\""),
-            '\\' => o.push_str("\\\\"),
-            '\n' => o.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(o, "\\u{:04x}", c as u32);
-            }
-            c => o.push(c),
-        }
-    }
-    o.push('"');
-    o
+    format!("\"{}\"", crate::chrome::escape(s))
 }
 
 /// Fixed-precision float so the document is byte-stable.

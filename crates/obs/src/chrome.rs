@@ -118,7 +118,8 @@ fn write_f64(out: &mut String, v: f64) {
     }
 }
 
-fn escape(s: &str) -> String {
+/// Escape `s` for the inside of a JSON string literal.
+pub(crate) fn escape(s: &str) -> String {
     let mut e = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -83,11 +83,10 @@ pub struct ArrivalConfig {
     /// `0..=max_doublings` — most jobs minimal, a heavy tail up to
     /// `min_bytes << max_doublings`.
     pub max_doublings: usize,
-    /// Shuffle strategy stamped on every generated job's spec. The serving
-    /// master resolves it against the backend's deployment-level knob
-    /// ([`SimShuffle::resolve`]), so a stream can opt whole workloads into
-    /// in-node combining or coded shuffle without touching the cluster
-    /// config.
+    /// Shuffle strategy stamped on every generated job's spec
+    /// ([`JobSpec::shuffle`]), so a stream can
+    /// opt whole workloads into in-node combining or coded shuffle without
+    /// touching the cluster config.
     pub shuffle: SimShuffle,
 }
 

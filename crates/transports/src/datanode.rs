@@ -23,12 +23,11 @@
 
 use crate::crc::crc32;
 use bytes::Bytes;
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 
 /// Streaming packet payload size (64 KiB, Hadoop's packet default).
@@ -51,19 +50,29 @@ impl BlockStore {
     }
     /// Store a block.
     pub fn put(&self, id: u64, data: Bytes) {
-        self.blocks.write().insert(id, data);
+        self.blocks
+            .write()
+            .expect("block store lock poisoned")
+            .insert(id, data);
     }
     /// Fetch a block.
     pub fn get(&self, id: u64) -> Option<Bytes> {
-        self.blocks.read().get(&id).cloned()
+        self.blocks
+            .read()
+            .expect("block store lock poisoned")
+            .get(&id)
+            .cloned()
     }
     /// Number of stored blocks.
     pub fn len(&self) -> usize {
-        self.blocks.read().len()
+        self.blocks.read().expect("block store lock poisoned").len()
     }
     /// True when no blocks are stored.
     pub fn is_empty(&self) -> bool {
-        self.blocks.read().is_empty()
+        self.blocks
+            .read()
+            .expect("block store lock poisoned")
+            .is_empty()
     }
 }
 

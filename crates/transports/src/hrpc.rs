@@ -15,12 +15,11 @@
 //! Transport is a plain TCP connection with u32-length-prefixed frames.
 
 use crate::framing::{frame, DataReader, DataWriter, ObjectWritable};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// Errors surfaced by RPC calls.
@@ -301,7 +300,7 @@ impl RpcClient {
         }
         let request = w.freeze();
 
-        let mut guard = self.reader.lock();
+        let mut guard = self.reader.lock().expect("RPC connection lock poisoned");
         let (reader, writer) = &mut *guard;
         frame::write_frame(writer, &request)?;
         let Some(resp) = frame::read_frame(reader)? else {

@@ -10,12 +10,11 @@
 //! write chunks.
 
 use bytes::Bytes;
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 
 /// Serves immutable byte buffers by name, like a tasktracker's map-output
@@ -32,15 +31,25 @@ impl ContentStore {
     }
     /// Insert (or replace) a named buffer.
     pub fn put(&self, name: &str, data: Bytes) {
-        self.items.write().insert(name.to_string(), data);
+        self.items
+            .write()
+            .expect("content store lock poisoned")
+            .insert(name.to_string(), data);
     }
     /// Fetch a named buffer.
     pub fn get(&self, name: &str) -> Option<Bytes> {
-        self.items.read().get(name).cloned()
+        self.items
+            .read()
+            .expect("content store lock poisoned")
+            .get(name)
+            .cloned()
     }
     /// Remove a named buffer.
     pub fn remove(&self, name: &str) -> Option<Bytes> {
-        self.items.write().remove(name)
+        self.items
+            .write()
+            .expect("content store lock poisoned")
+            .remove(name)
     }
 }
 

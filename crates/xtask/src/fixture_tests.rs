@@ -251,8 +251,16 @@ fn blocking_flags_untimed_waits_in_mpirt_and_core_only() {
         "}\n",
     );
     write(&root, "crates/mpirt/src/comm.rs", body);
-    // The core crate spawns its own merge workers, so its untimed joins
-    // are findings too.
+    // A raw std condvar wait takes the guard by value; its timed twin is
+    // fine.
+    let condvar = concat!(
+        "pub fn park(cv: &Condvar, m: &Mutex<bool>) {\n",
+        "    let g = cv.wait_timeout(m.lock().unwrap(), POLL).unwrap().0;\n",
+        "    let _g = cv.wait(g).unwrap();\n",
+        "}\n",
+    );
+    write(&root, "crates/mpirt/src/matching.rs", condvar);
+    // The core crate is scanned too: an untimed join there is a finding.
     write(
         &root,
         "crates/core/src/receiver.rs",
@@ -260,15 +268,19 @@ fn blocking_flags_untimed_waits_in_mpirt_and_core_only() {
     );
     // The same tokens outside mpi-rt and core are not this pass's business.
     write(&root, "crates/mapred/src/lib.rs", body);
+    write(&root, "crates/mapred/src/park.rs", condvar);
     let mut findings = run(&root, &["blocking"]);
     findings.sort_by(|a, b| a.file.cmp(&b.file));
-    assert_eq!(findings.len(), 2, "{findings:?}");
+    assert_eq!(findings.len(), 3, "{findings:?}");
     assert_eq!(findings[0].token, ".join()");
     assert_eq!(findings[0].file, "crates/core/src/receiver.rs");
     assert_eq!(findings[0].line, 2);
     assert_eq!(findings[1].token, ".wait()");
     assert_eq!(findings[1].file, "crates/mpirt/src/comm.rs");
     assert_eq!(findings[1].line, 4);
+    assert_eq!(findings[2].token, ".wait(<guard>)");
+    assert_eq!(findings[2].file, "crates/mpirt/src/matching.rs");
+    assert_eq!(findings[2].line, 3);
 }
 
 // --- output ---------------------------------------------------------------

@@ -1,21 +1,23 @@
 //! Blocking-call pass: in `mpi-rt` and the `mpid` core, flag untimed
 //! blocking primitives that bypass the timeout-carrying APIs.
 //!
-//! The runtime exposes `recv_timeout` / `recv_bytes_timeout` /
-//! `wait_timeout` / `wait_taken_timeout` / `probe_timeout` so callers (and
-//! the deadlock verifier) can bound every wait. An untimed wait is a
-//! potential infinite hang that the verifier cannot attribute: a process
-//! stuck in `slot.wait()` looks identical to a scheduled-but-slow peer.
-//! The same goes for the core's thread-sync primitives now that the MPI-D
-//! hot path spawns its own workers: an untimed `JoinHandle::join` (or a
-//! raw condvar wait) on a worker that never exits is the same unattributed
-//! hang one layer up. New call sites should thread a deadline, or close
-//! the worker's input channel *before* joining so the join is bounded by
-//! drained work; the deliberate fast-path primitives and reviewed
-//! close-then-join shutdowns are allowlist entries
-//! (`blocking:<path-suffix>:<token>`).
+//! The runtime's handles expose only timed waits (`wait_timeout`,
+//! `wait_taken_timeout`, `probe_timeout`), and its blocking operations poll
+//! them in slices so callers (and the deadlock verifier) can bound and
+//! attribute every wait. An untimed wait is a potential infinite hang that
+//! the verifier cannot attribute: a rank stuck in a raw
+//! `Condvar::wait(guard)` looks identical to a scheduled-but-slow peer. The
+//! same goes for the request-level `.wait()` and for an untimed
+//! `JoinHandle::join`: new call sites should thread a deadline, or close a
+//! worker's input channel *before* joining so the join is bounded by
+//! drained work. The reviewed request waits and teardown joins are
+//! allowlist entries (`blocking:<path-suffix>:<token>`).
 
 use crate::analyze::{token_matches, Finding, Pass, Workspace};
+
+/// Token under which a raw `Condvar::wait(guard)` is reported: a `.wait(`
+/// call with an argument (the argument-less `.wait()` is its own token).
+const CONDVAR_WAIT: &str = ".wait(<guard>)";
 
 /// Untimed blocking token → why it is suspect.
 pub const UNTIMED: &[(&str, &str)] = &[
@@ -25,13 +27,8 @@ pub const UNTIMED: &[(&str, &str)] = &[
          attributable timeouts",
     ),
     (
-        ".wait_taken()",
-        "untimed rendezvous wait; use wait_taken_timeout so hangs become \
-         attributable timeouts",
-    ),
-    (
-        ".wait(&mut",
-        "raw untimed condvar wait; loop on wait_for with a deadline",
+        CONDVAR_WAIT,
+        "raw untimed condvar wait; use wait_timeout_while with a deadline",
     ),
     (
         ".join()",
@@ -40,9 +37,15 @@ pub const UNTIMED: &[(&str, &str)] = &[
     ),
 ];
 
-/// Crates the pass scans: the MPI runtime and the MPI-D core (which spawns
-/// merge workers).
+/// Crates the pass scans: the MPI runtime and the MPI-D core (whose sender
+/// waits on the requests of its own sends).
 const SCANNED: &[&str] = &["mpirt", "core"];
+
+/// True when `code` calls `.wait(` with an argument.
+fn condvar_wait(code: &str) -> bool {
+    code.match_indices(".wait(")
+        .any(|(at, tok)| !code[at + tok.len()..].trim_start().starts_with(')'))
+}
 
 /// The blocking-call pass; see the module docs.
 pub struct BlockingCalls;
@@ -59,7 +62,11 @@ impl Pass for BlockingCalls {
                     continue;
                 }
                 for &(token, why) in UNTIMED {
-                    if token_matches(code, token) {
+                    let hit = match token {
+                        CONDVAR_WAIT => condvar_wait(code),
+                        _ => token_matches(code, token),
+                    };
+                    if hit {
                         out.push(Finding {
                             pass: self.name(),
                             file: file.rel.clone(),
