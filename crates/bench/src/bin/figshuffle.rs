@@ -97,7 +97,7 @@ fn sort_spec(input_bytes: u64, strategy: SimShuffle) -> JobSpec {
 
 fn run_hadoop(scale: &Scale, oversub: f64, strategy: SimShuffle) -> Cell {
     let mut cfg = HadoopConfig::icpp2011(MAPPERS_PER_HOST, 4, 8);
-    cfg.rack = Some(rack(oversub));
+    cfg.cluster.rack = Some(rack(oversub));
     cfg.straggler_prob = 0.0; // keep the strategy comparison noise-free
     cfg.speculative = false;
     let report = hadoop_sim::run_job(cfg, wc_spec(scale.input_bytes, strategy));
@@ -127,7 +127,7 @@ fn run_mpid_spec(oversub: f64, strategy: SimShuffle, spec: JobSpec) -> Cell {
     let mut cfg = SimMpidConfig::icpp2011_fig6();
     cfg.n_mappers = 7 * MAPPERS_PER_HOST;
     cfg.n_reducers = 4;
-    cfg.rack = Some(rack(oversub));
+    cfg.cluster.rack = Some(rack(oversub));
     let cfg = cfg.with_auto_splits(spec.input_bytes);
     let report = run_sim_mpid(cfg, spec);
     let map_start = report

@@ -1,7 +1,7 @@
 //! Hadoop 0.20.2 configuration knobs that matter to the paper's experiments.
 
 use desim::SimTime;
-use netsim::{ClusterSpec, RackLayout};
+use netsim::ClusterSpec;
 
 /// Simulated Hadoop deployment parameters.
 ///
@@ -10,8 +10,9 @@ use netsim::{ClusterSpec, RackLayout};
 /// everything the paper doesn't override.
 #[derive(Debug, Clone)]
 pub struct HadoopConfig {
-    /// Cluster hardware (host 0 runs the JobTracker/NameNode; the rest are
-    /// worker nodes running TaskTrackers/DataNodes).
+    /// Cluster hardware and rack layout (host 0 runs the
+    /// JobTracker/NameNode; the rest are worker nodes running
+    /// TaskTrackers/DataNodes).
     pub cluster: ClusterSpec,
     /// HDFS block size ("the block size adopts the default value of 64 MB").
     pub block_bytes: u64,
@@ -69,9 +70,6 @@ pub struct HadoopConfig {
     /// Attempts per map task before the whole job is failed
     /// (`mapred.map.max.attempts`, default 4).
     pub max_task_attempts: usize,
-    /// Rack topology layered over the flat cluster (rack uplinks +
-    /// oversubscribed core). `None` keeps the single non-blocking switch.
-    pub rack: Option<RackLayout>,
 }
 
 impl HadoopConfig {
@@ -100,7 +98,6 @@ impl HadoopConfig {
             straggler_factor: 4.0,
             task_failure_prob: 0.0,
             max_task_attempts: 4,
-            rack: None,
         }
     }
 

@@ -124,7 +124,7 @@ mod tests {
         let flat = run_job(HadoopConfig::icpp2011(4, 4, 8), wc_spec(1.0));
         let mut cfg = HadoopConfig::icpp2011(4, 4, 8);
         let nic = cfg.cluster.nic_bytes_per_sec;
-        cfg.rack = Some(netsim::RackLayout::oversubscribed(4, nic, 8.0));
+        cfg.cluster.rack = Some(netsim::RackLayout::oversubscribed(4, nic, 8.0));
         let racked = run_job(cfg, wc_spec(1.0));
         // Same logical volume crosses the wire; the oversubscribed core
         // only slows it down.

@@ -9,9 +9,9 @@ pub struct HostId(pub usize);
 
 /// Physical parameters of the simulated cluster.
 ///
-/// The switch is modelled as non-blocking (as a datacenter ToR GbE switch
-/// effectively is for 8 hosts), so the only network resources are each host's
-/// uplink and downlink.
+/// Without a [`RackLayout`] the switch is modelled as non-blocking (as a
+/// datacenter ToR GbE switch effectively is for 8 hosts), so the only
+/// network resources are each host's uplink and downlink.
 #[derive(Debug, Clone)]
 pub struct ClusterSpec {
     /// Number of hosts.
@@ -26,6 +26,9 @@ pub struct ClusterSpec {
     pub disk_write_bytes_per_sec: f64,
     /// Average seek penalty charged before a non-sequential disk access.
     pub disk_seek: SimTime,
+    /// Rack topology layered over the hosts (rack uplinks + oversubscribed
+    /// core). `None` keeps the single non-blocking switch.
+    pub rack: Option<RackLayout>,
 }
 
 impl ClusterSpec {
@@ -45,6 +48,7 @@ impl ClusterSpec {
             disk_read_bytes_per_sec: 80.0e6,
             disk_write_bytes_per_sec: 65.0e6,
             disk_seek: SimTime::from_millis(8),
+            rack: None,
         }
     }
 }
@@ -121,7 +125,7 @@ pub enum Route {
 /// proceeds at the write rate while mixed read/write still contends on one
 /// resource.
 ///
-/// With a [`RackLayout`], rack resources follow the host block: for rack `r`
+/// With a [`ClusterSpec::rack`] layout, rack resources follow the host block: for rack `r`
 /// of `R` racks over `H` hosts, `4H + 2r` = rack uplink, `4H + 2r + 1` =
 /// rack downlink, and `4H + 2R` = the shared core. Only cross-rack routes
 /// touch these, so intra-rack traffic keeps its solver components rack-local
@@ -129,29 +133,21 @@ pub enum Route {
 #[derive(Debug, Clone)]
 pub struct Cluster {
     spec: ClusterSpec,
-    racks: Option<RackLayout>,
 }
 
 impl Cluster {
-    /// Wrap a spec (flat topology: one non-blocking switch).
+    /// Wrap a spec: one non-blocking switch, or racks behind an
+    /// oversubscribed core when the spec carries a [`RackLayout`].
     pub fn new(spec: ClusterSpec) -> Self {
         assert!(spec.hosts > 0, "cluster needs at least one host");
-        Cluster { spec, racks: None }
-    }
-
-    /// A rack-aware cluster: hosts grouped into racks behind an
-    /// oversubscribed core. See [`RackLayout`].
-    pub fn with_racks(spec: ClusterSpec, racks: RackLayout) -> Self {
-        assert!(spec.hosts > 0, "cluster needs at least one host");
-        assert!(racks.hosts_per_rack > 0, "rack needs at least one host");
-        assert!(
-            racks.rack_uplink_bytes_per_sec > 0.0 && racks.core_bytes_per_sec > 0.0,
-            "rack and core bandwidth must be positive"
-        );
-        Cluster {
-            spec,
-            racks: Some(racks),
+        if let Some(l) = &spec.rack {
+            assert!(l.hosts_per_rack > 0, "rack needs at least one host");
+            assert!(
+                l.rack_uplink_bytes_per_sec > 0.0 && l.core_bytes_per_sec > 0.0,
+                "rack and core bandwidth must be positive"
+            );
         }
+        Cluster { spec }
     }
 
     /// The physical parameters.
@@ -159,14 +155,9 @@ impl Cluster {
         &self.spec
     }
 
-    /// The rack layout, if this cluster is rack-aware.
-    pub fn rack_layout(&self) -> Option<&RackLayout> {
-        self.racks.as_ref()
-    }
-
     /// Number of racks (1 for a flat cluster).
     pub fn n_racks(&self) -> usize {
-        match &self.racks {
+        match &self.spec.rack {
             Some(l) => self.spec.hosts.div_ceil(l.hosts_per_rack),
             None => 1,
         }
@@ -175,7 +166,7 @@ impl Cluster {
     /// Rack index of a host (0 for a flat cluster).
     pub fn rack_of(&self, h: HostId) -> usize {
         self.check(h);
-        match &self.racks {
+        match &self.spec.rack {
             Some(l) => h.0 / l.hosts_per_rack,
             None => 0,
         }
@@ -183,21 +174,30 @@ impl Cluster {
 
     /// Uplink resource of rack `r` into the core. Rack-aware clusters only.
     pub fn rack_uplink(&self, r: usize) -> ResourceId {
-        assert!(self.racks.is_some(), "flat cluster has no rack resources");
+        assert!(
+            self.spec.rack.is_some(),
+            "flat cluster has no rack resources"
+        );
         assert!(r < self.n_racks(), "rack {r} out of range");
         ResourceId(4 * self.spec.hosts + 2 * r)
     }
 
     /// Downlink resource of rack `r` from the core. Rack-aware clusters only.
     pub fn rack_downlink(&self, r: usize) -> ResourceId {
-        assert!(self.racks.is_some(), "flat cluster has no rack resources");
+        assert!(
+            self.spec.rack.is_some(),
+            "flat cluster has no rack resources"
+        );
         assert!(r < self.n_racks(), "rack {r} out of range");
         ResourceId(4 * self.spec.hosts + 2 * r + 1)
     }
 
     /// The shared core-fabric resource. Rack-aware clusters only.
     pub fn core(&self) -> ResourceId {
-        assert!(self.racks.is_some(), "flat cluster has no rack resources");
+        assert!(
+            self.spec.rack.is_some(),
+            "flat cluster has no rack resources"
+        );
         ResourceId(4 * self.spec.hosts + 2 * self.n_racks())
     }
 
@@ -237,7 +237,7 @@ impl Cluster {
             e.add_resource(self.spec.disk_read_bytes_per_sec); // disk
             e.add_resource(self.spec.loopback_bytes_per_sec); // loopback
         }
-        if let Some(l) = &self.racks {
+        if let Some(l) = &self.spec.rack {
             for _ in 0..self.n_racks() {
                 e.add_resource(l.rack_uplink_bytes_per_sec); // rack uplink
                 e.add_resource(l.rack_uplink_bytes_per_sec); // rack downlink
@@ -251,7 +251,7 @@ impl Cluster {
     /// rack (the ToR is non-blocking), else source rack uplink → core →
     /// destination rack downlink.
     fn rack_hops(&self, src: HostId, dst: HostId) -> Vec<ResourceId> {
-        if self.racks.is_none() {
+        if self.spec.rack.is_none() {
             return Vec::new();
         }
         let (sr, dr) = (self.rack_of(src), self.rack_of(dst));
@@ -376,8 +376,12 @@ mod tests {
     fn racked(hosts: usize, per_rack: usize) -> Cluster {
         let mut spec = ClusterSpec::icpp2011_testbed();
         spec.hosts = hosts;
-        let layout = RackLayout::oversubscribed(per_rack, spec.nic_bytes_per_sec, 4.0);
-        Cluster::with_racks(spec, layout)
+        spec.rack = Some(RackLayout::oversubscribed(
+            per_rack,
+            spec.nic_bytes_per_sec,
+            4.0,
+        ));
+        Cluster::new(spec)
     }
 
     #[test]

@@ -617,6 +617,7 @@ mod tests {
             disk_read_bytes_per_sec: 50.0,
             disk_write_bytes_per_sec: 40.0,
             disk_seek: SimTime::from_millis(8),
+            rack: None,
         }
     }
 

@@ -165,6 +165,7 @@ proptest! {
             disk_read_bytes_per_sec: 5e5,
             disk_write_bytes_per_sec: 4e5,
             disk_seek: SimTime::from_millis(1),
+            rack: None,
         };
         let done = Rc::new(RefCell::new(Vec::new()));
         let mut sim = Sim::new(St {

@@ -51,9 +51,13 @@ impl ServeConfig {
     pub fn rackscale(n_racks: usize, hosts_per_rack: usize, oversub: f64) -> Self {
         let mut spec = ClusterSpec::icpp2011_testbed();
         spec.hosts = n_racks * hosts_per_rack;
-        let layout = RackLayout::oversubscribed(hosts_per_rack, spec.nic_bytes_per_sec, oversub);
+        spec.rack = Some(RackLayout::oversubscribed(
+            hosts_per_rack,
+            spec.nic_bytes_per_sec,
+            oversub,
+        ));
         ServeConfig {
-            cluster: Cluster::with_racks(spec, layout),
+            cluster: Cluster::new(spec),
             bytes_per_host: 256 << 20,
             min_hosts: 2,
             max_hosts: 16,
