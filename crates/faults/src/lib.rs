@@ -13,10 +13,13 @@
 //!   generated from a seed ([`FaultPlan::random`]) via `desim`'s
 //!   deterministic [`SplitMix64`] — the same seed always yields the same
 //!   plan, and the same plan drives bit-identical simulations;
-//! * the injectors live in the simulators themselves (they own the event
-//!   loops); this crate only describes *what* fails *when*, plus the pure
-//!   queries the injectors need ([`FaultPlan::cpu_factor`],
-//!   [`FaultPlan::after`], [`FaultPlan::crashed_before`]).
+//! * [`FaultPlan::arm`] schedules the events on a simulation embedding a
+//!   `netsim::Net`, the one injector both simulators use: degradations and
+//!   partitions act on the network there, and crashes go to the
+//!   simulator's own handler (each stack recovers its own way). Straggler
+//!   windows are queried where CPU is charged ([`FaultPlan::cpu_factor`]);
+//!   restart drivers re-base plans with [`FaultPlan::after`] and
+//!   [`FaultPlan::crashed_before`].
 //!
 //! ## Determinism contract
 //!
@@ -28,7 +31,8 @@
 #![warn(missing_docs)]
 
 use desim::rng::SplitMix64;
-use desim::SimTime;
+use desim::{Scheduler, Sim, SimTime};
+use netsim::{HasNet, HostId, Net};
 
 /// What fails. The `host` it happens to lives on the enclosing
 /// [`FaultEvent`].
@@ -385,6 +389,59 @@ impl FaultPlan {
                 .filter(|e| e.kind != FaultKind::NodeCrash)
                 .cloned()
                 .collect(),
+        }
+    }
+
+    /// Schedule the plan's events on `sim`, in plan order (a partition's
+    /// heal right after its cut), since same-instant events run FIFO.
+    ///
+    /// Disk and NIC degradations and partition cuts fire only while
+    /// `running` holds and their hosts are alive; heals fire only while
+    /// `running` holds. Crashes go to `crash`, which guards itself; a
+    /// simulator without one takes crash-free plans only. Straggler windows
+    /// are not events: CPU charges query [`FaultPlan::cpu_factor`].
+    pub fn arm<S: HasNet>(
+        &self,
+        sim: &mut Sim<S>,
+        running: fn(&S) -> bool,
+        crash: Option<fn(&mut S, &mut Scheduler<S>, HostId)>,
+    ) {
+        for ev in &self.events {
+            let host = HostId(ev.host);
+            match ev.kind {
+                FaultKind::NodeCrash => {
+                    let crash = crash.expect("a plan with crashes needs a crash handler");
+                    sim.schedule(ev.at, move |s, sc| crash(s, sc, host));
+                }
+                FaultKind::DiskSlowdown { factor } => {
+                    sim.schedule(ev.at, move |s: &mut S, sc| {
+                        if running(s) && s.net().host_alive(host) {
+                            Net::set_disk_factor(s, sc, host, factor);
+                        }
+                    });
+                }
+                FaultKind::NicDegrade { factor } => {
+                    sim.schedule(ev.at, move |s: &mut S, sc| {
+                        if running(s) && s.net().host_alive(host) {
+                            Net::set_nic_factor(s, sc, host, factor);
+                        }
+                    });
+                }
+                FaultKind::LinkPartition { peer, heal_at } => {
+                    let peer = HostId(peer);
+                    sim.schedule(ev.at, move |s: &mut S, sc| {
+                        if running(s) && s.net().host_alive(host) && s.net().host_alive(peer) {
+                            Net::cut_link(s, sc, host, peer);
+                        }
+                    });
+                    sim.schedule(heal_at, move |s: &mut S, sc| {
+                        if running(s) {
+                            Net::heal_link(s, sc, host, peer);
+                        }
+                    });
+                }
+                FaultKind::StragglerCpu { .. } => {}
+            }
         }
     }
 

@@ -11,7 +11,7 @@
 
 use crate::HadoopConfig;
 use desim::SimTime;
-use netsim::{JobPhase, JobPlan, JobSpec, PhaseFlows, SimShuffle};
+use netsim::{JobPhase, JobPlan, JobSpec, PhaseFlows};
 
 /// The serving-master plan for running `spec` on `n_hosts` granted worker
 /// hosts under this configuration. Phase labels are `obs::names` constants.
@@ -28,16 +28,12 @@ pub fn serve_plan(cfg: &HadoopConfig, spec: &JobSpec, n_hosts: usize) -> JobPlan
     // reducer-input volume by merging the spills of the `map_slots`
     // co-located map tasks; coded multicast shrinks only the wire, at `r`×
     // the map work.
-    let strat = spec.shuffle;
-    let data = strat.data_factor(cfg.map_slots, spec.combine_ratio);
-    let shuffle = ((spec.shuffle_bytes(spec.input_bytes) as f64) * data).round() as u64;
-    let shuffle = shuffle.max(1);
-    let wire = (((shuffle as f64) * strat.code_factor()).round() as u64).max(1);
-    let innode_cpu = if strat == SimShuffle::InNodeCombine {
-        spec.shuffle_bytes(spec.input_bytes) as f64 * spec.combine_cpu_ns_per_byte * 1e-9 / n
-    } else {
-        0.0
-    };
+    let shuffle = (spec
+        .strategy_shuffle_bytes(spec.input_bytes, cfg.map_slots)
+        .round() as u64)
+        .max(1);
+    let wire = (spec.wire_bytes(shuffle as f64).round() as u64).max(1);
+    let innode_cpu = spec.innode_combine_ns(spec.input_bytes) * 1e-9 / n;
     let n_reduces = (cfg.n_reduces.max(1) as u64).min(n_hosts as u64 * cfg.reduce_slots as u64);
     // Every reducer fetches a partition of every map output: a short seek
     // into the spill file plus the HTTP round, divided over the hosts
@@ -51,7 +47,7 @@ pub fn serve_plan(cfg: &HadoopConfig, spec: &JobSpec, n_hosts: usize) -> JobPlan
         phases: vec![
             JobPhase {
                 label: obs::names::SPAN_MAP,
-                cpu_secs: spec.map_cpu_secs(spec.input_bytes) * strat.map_work_factor() / n
+                cpu_secs: spec.map_cpu_secs(spec.input_bytes) * spec.shuffle.map_work_factor() / n
                     + innode_cpu
                     + map_waves as f64 * wave_overhead,
                 bytes: spec.input_bytes.max(1),
@@ -88,6 +84,7 @@ pub fn detect_delay(cfg: &HadoopConfig) -> SimTime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::SimShuffle;
 
     fn wc_like(input_bytes: u64) -> JobSpec {
         JobSpec {
