@@ -49,27 +49,6 @@ use std::collections::{BTreeSet, BinaryHeap};
 /// Boxed event handler: runs against the user state and may schedule more events.
 pub type Handler<S> = Box<dyn FnOnce(&mut S, &mut Scheduler<S>)>;
 
-/// Observability hook into the scheduler. All methods have empty default
-/// bodies; implement only what you need. Installed with
-/// [`Scheduler::set_probe`], the probe sees every schedule/cancel/execute.
-/// When no probe is installed the hooks cost one branch on a `None`.
-pub trait SchedProbe {
-    /// An event was scheduled at `at` while the clock read `now`.
-    fn on_schedule(&mut self, now: SimTime, at: SimTime, id: EventId) {
-        let _ = (now, at, id);
-    }
-    /// A pending event was cancelled (called only on the first, successful
-    /// cancellation).
-    fn on_cancel(&mut self, now: SimTime, id: EventId) {
-        let _ = (now, id);
-    }
-    /// An event is about to execute at `at`; `pending` is the queue depth
-    /// after removing this event.
-    fn on_execute(&mut self, at: SimTime, id: EventId, pending: usize) {
-        let _ = (at, id, pending);
-    }
-}
-
 /// Identifier of a scheduled event, usable for cancellation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventId(u64);
@@ -108,7 +87,6 @@ pub struct Scheduler<S> {
     heap: BinaryHeap<Entry<S>>,
     cancelled: BTreeSet<u64>,
     executed: u64,
-    probe: Option<Box<dyn SchedProbe>>,
 }
 
 impl<S> Default for Scheduler<S> {
@@ -126,18 +104,7 @@ impl<S> Scheduler<S> {
             heap: BinaryHeap::new(),
             cancelled: BTreeSet::new(),
             executed: 0,
-            probe: None,
         }
-    }
-
-    /// Install an observability probe (replacing any previous one).
-    pub fn set_probe(&mut self, probe: Box<dyn SchedProbe>) {
-        self.probe = Some(probe);
-    }
-
-    /// Remove and return the installed probe, if any.
-    pub fn take_probe(&mut self) -> Option<Box<dyn SchedProbe>> {
-        self.probe.take()
     }
 
     /// Current simulated time.
@@ -178,9 +145,6 @@ impl<S> Scheduler<S> {
             seq,
             handler: Box::new(handler),
         });
-        if let Some(p) = self.probe.as_mut() {
-            p.on_schedule(self.now, at, EventId(seq));
-        }
         EventId(seq)
     }
 
@@ -200,13 +164,7 @@ impl<S> Scheduler<S> {
         if id.0 >= self.seq {
             return false;
         }
-        let fresh = self.cancelled.insert(id.0);
-        if fresh {
-            if let Some(p) = self.probe.as_mut() {
-                p.on_cancel(self.now, id);
-            }
-        }
-        fresh
+        self.cancelled.insert(id.0)
     }
 
     /// Pop the next runnable (non-cancelled) event, advancing the clock.
@@ -218,10 +176,6 @@ impl<S> Scheduler<S> {
             debug_assert!(e.at >= self.now);
             self.now = e.at;
             self.executed += 1;
-            if let Some(p) = self.probe.as_mut() {
-                let pending = self.heap.len() - self.cancelled.len();
-                p.on_execute(e.at, EventId(e.seq), pending);
-            }
             return Some(e);
         }
         None
@@ -440,39 +394,6 @@ mod tests {
         assert_eq!(sim.scheduler().pending(), 1);
         sim.run();
         assert_eq!(sim.executed(), 1);
-    }
-
-    #[test]
-    fn probe_sees_schedule_cancel_execute() {
-        #[derive(Default)]
-        struct Counts {
-            scheduled: u32,
-            cancelled: u32,
-            executed: u32,
-        }
-        impl SchedProbe for Rc<RefCell<Counts>> {
-            fn on_schedule(&mut self, _now: SimTime, _at: SimTime, _id: EventId) {
-                self.borrow_mut().scheduled += 1;
-            }
-            fn on_cancel(&mut self, _now: SimTime, _id: EventId) {
-                self.borrow_mut().cancelled += 1;
-            }
-            fn on_execute(&mut self, _at: SimTime, _id: EventId, _pending: usize) {
-                self.borrow_mut().executed += 1;
-            }
-        }
-        let counts = Rc::new(RefCell::new(Counts::default()));
-        let mut sim = Sim::new(());
-        sim.scheduler().set_probe(Box::new(counts.clone()));
-        let a = sim.schedule(SimTime::from_nanos(1), |_, _| {});
-        sim.schedule(SimTime::from_nanos(2), |_, sc| {
-            sc.schedule_in(SimTime::from_nanos(1), |_, _| {});
-        });
-        sim.scheduler().cancel(a);
-        sim.scheduler().cancel(a); // double cancel: not reported twice
-        sim.run();
-        let c = counts.borrow();
-        assert_eq!((c.scheduled, c.cancelled, c.executed), (3, 1, 2));
     }
 
     #[test]

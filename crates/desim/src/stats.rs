@@ -190,60 +190,6 @@ impl Samples {
     }
 }
 
-/// Power-of-two bucketed histogram for byte/size distributions.
-#[derive(Debug, Clone)]
-pub struct Log2Histogram {
-    buckets: Vec<u64>,
-}
-
-impl Default for Log2Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Log2Histogram {
-    /// Empty histogram covering the full `u64` range (65 buckets).
-    pub fn new() -> Self {
-        Log2Histogram {
-            buckets: vec![0; 65],
-        }
-    }
-
-    /// Record a value. Bucket `i` holds values in `[2^(i-1), 2^i)`, with
-    /// bucket 0 holding exactly zero.
-    pub fn add(&mut self, v: u64) {
-        let idx = if v == 0 {
-            0
-        } else {
-            64 - v.leading_zeros() as usize
-        };
-        self.buckets[idx] += 1;
-    }
-
-    /// Count in one bucket.
-    pub fn bucket(&self, idx: usize) -> u64 {
-        self.buckets.get(idx).copied().unwrap_or(0)
-    }
-
-    /// Total number of recorded values.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum()
-    }
-
-    /// Iterate over `(bucket_upper_bound, count)` pairs for non-empty buckets.
-    pub fn nonzero(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| {
-                let bound = if i == 0 { 0 } else { 1u64 << (i - 1).min(63) };
-                (bound, c)
-            })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,22 +272,5 @@ mod tests {
         let mut s = Samples::new();
         assert_eq!(s.percentile(50.0), 0.0);
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn log2_histogram_buckets() {
-        let mut h = Log2Histogram::new();
-        h.add(0);
-        h.add(1);
-        h.add(2);
-        h.add(3);
-        h.add(1024);
-        assert_eq!(h.bucket(0), 1); // zero
-        assert_eq!(h.bucket(1), 1); // [1,2)
-        assert_eq!(h.bucket(2), 2); // [2,4)
-        assert_eq!(h.bucket(11), 1); // [1024, 2048)
-        assert_eq!(h.total(), 5);
-        let nz: Vec<_> = h.nonzero().collect();
-        assert!(nz.contains(&(1024, 1)));
     }
 }

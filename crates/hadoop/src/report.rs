@@ -175,28 +175,6 @@ impl JobReport {
         out
     }
 
-    /// Successful map executions that were plain first-time runs: total
-    /// committed map spans minus crash-forced re-executions. Speculative
-    /// duplicates are counted separately (`speculative_launched` /
-    /// `speculative_wasted`) and never appear in `maps` unless they won.
-    pub fn first_attempt_maps(&self) -> u64 {
-        (self.maps.len() as u64).saturating_sub(self.maps_reexecuted)
-    }
-
-    /// One-line recovery summary for fault-injection reports.
-    pub fn recovery_summary(&self) -> String {
-        format!(
-            "crashed_workers={} maps_reexecuted={} restarted_reduces={} \
-             speculative={}(+{} wasted) failed_attempts={}",
-            self.crashed_workers,
-            self.maps_reexecuted,
-            self.restarted_reduces,
-            self.speculative_launched,
-            self.speculative_wasted,
-            self.failed_map_attempts,
-        )
-    }
-
     /// Fraction of map tasks that read their block locally.
     pub fn map_locality(&self) -> f64 {
         if self.maps.is_empty() {

@@ -189,15 +189,9 @@ impl FluidEngine {
         self.capacities[r.0]
     }
 
-    /// Solver work counters accumulated since construction (or
-    /// [`Self::reset_stats`]).
+    /// Solver work counters accumulated since construction.
     pub fn stats(&self) -> SolverStats {
         self.stats
-    }
-
-    /// Zero the solver work counters.
-    pub fn reset_stats(&mut self) {
-        self.stats = SolverStats::default();
     }
 
     /// Route every future mutation through the from-scratch recompute

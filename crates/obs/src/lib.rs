@@ -44,9 +44,6 @@ pub mod names;
 pub mod quantile;
 pub mod report;
 
-mod probe;
-pub use probe::SchedTraceProbe;
-
 use std::borrow::Cow;
 use std::cell::{Ref, RefCell, RefMut};
 use std::collections::BTreeMap;

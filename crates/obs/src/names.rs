@@ -68,8 +68,6 @@ pub const CAT_FAULTS_INJECT: &str = "faults.inject";
 pub const CAT_SERVE: &str = "serve";
 /// Per-job spans on the serving master (queue wait, execution).
 pub const CAT_SERVE_JOB: &str = "serve.job";
-/// Discrete-event scheduler probe samples.
-pub const CAT_DESIM: &str = "desim";
 /// Shuffle-strategy spans and counters (in-node combine).
 pub const CAT_MPID_SHUFFLE: &str = "mpid.shuffle";
 
@@ -260,10 +258,6 @@ pub const CTR_NET_ACTIVE_FLOWS: &str = "net.active_flows";
 pub const CTR_SERVE_QUEUE_DEPTH: &str = "serve.queue_depth";
 /// Jobs concurrently running on the serving master's cluster.
 pub const CTR_SERVE_RUNNING: &str = "serve.running_jobs";
-/// Scheduler events pending (sampled by [`crate::SchedTraceProbe`]).
-pub const CTR_DESIM_PENDING: &str = "desim.pending";
-/// Scheduler events executed (sampled by [`crate::SchedTraceProbe`]).
-pub const CTR_DESIM_EXECUTED: &str = "desim.executed";
 /// Prefix of the shuffle-strategy counter streams.
 pub const SHUFFLE_COUNTER_PREFIX: &str = "mpid.shuffle.";
 /// Which shuffle strategy ran (0 = baseline, 1 = in-node).
@@ -315,12 +309,6 @@ pub const M_SERVE_JOBS_DONE: &str = "serve.jobs_done";
 pub const M_SERVE_JOBS_RECOVERED: &str = "serve.jobs_recovered";
 /// Whole-job restarts after a fatal host loss.
 pub const M_SERVE_JOB_RESTARTS: &str = "serve.job_restarts";
-/// Scheduler events scheduled.
-pub const M_DESIM_SCHEDULED: &str = "desim.scheduled";
-/// Scheduler events cancelled.
-pub const M_DESIM_CANCELLED: &str = "desim.cancelled";
-/// Scheduler events executed.
-pub const M_DESIM_EXECUTED: &str = "desim.executed";
 
 // --- Classification tables consumed by `crate::analysis` -------------------
 
