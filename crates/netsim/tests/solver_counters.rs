@@ -5,6 +5,9 @@
 //! recompute sweeps, and that difference is the solver's whole claim
 //! (EXPERIMENTS.md: 128× fewer sweeps on the churn, 5.1× on the 100 GB
 //! MPI-D sim). The counters are deterministic, so they are pinned exactly.
+//! So is the churn's outcome — its final clock, event count and
+//! completions — which both modes must reach identically, and the flows
+//! each mode re-rates.
 //!
 //! One `#[test]` in its own file: `set_force_full_default` is a
 //! process-wide static, so nothing else may build a `Net` in this process
@@ -17,11 +20,19 @@ use workloads::wordcount_spec;
 
 const GB: u64 = 1 << 30;
 
+/// What one churn run ended with.
+struct ChurnOut {
+    end_ns: u64,
+    executed: u64,
+    flows_completed: u64,
+    stats: SolverStats,
+}
+
 /// `total` flows churned through the network driver as four disjoint
 /// host-pair chains (so the scoped solver has component structure to
 /// exploit). Every completion starts the next flow, keeping the
 /// reallocation path hot.
-fn flow_churn(total: u64) -> SolverStats {
+fn flow_churn(total: u64) -> ChurnOut {
     struct St {
         net: Net<St>,
         to_start: u64,
@@ -62,9 +73,13 @@ fn flow_churn(total: u64) -> SolverStats {
             launch(s, sc);
         }
     });
-    sim.run();
-    assert_eq!(sim.state.net.flows_completed(), total);
-    sim.state.net.solver_stats()
+    let end = sim.run();
+    ChurnOut {
+        end_ns: end.as_nanos(),
+        executed: sim.executed(),
+        flows_completed: sim.state.net.flows_completed(),
+        stats: sim.state.net.solver_stats(),
+    }
 }
 
 /// `net.solver.resources_swept` of the traced 100 GB Figure-6 MPI-D sim.
@@ -81,20 +96,31 @@ fn fig6_mpid_100gb_sweeps(spec: netsim::JobSpec) -> u64 {
     sweeps
 }
 
+/// The 20 000-flow churn's `(final SimTime in ns, Sim::executed(),
+/// flows_completed)`: the same under both solver modes.
+const CHURN_OUTCOME: (u64, u64, u64) = (612_754_767, 29_914, 20_000);
+
 #[test]
 fn solver_work_is_pinned_under_both_modes() {
     let spec = wordcount_spec(100 * GB);
-    // (forced full, churn (recomputes, resources swept), 100 GB sim sweeps)
+    // (forced full, churn (recomputes, resources swept, flows re-rated),
+    // 100 GB sim sweeps)
     for (force_full, churn, sim_sweeps) in [
-        (false, (39_975, 80_114), 390_155),
-        (true, (39_975, 10_230_784), 1_978_272),
+        (false, (39_975, 80_114, 315_864), 390_155),
+        (true, (39_975, 10_230_784, 2_534_299), 1_978_272),
     ] {
         netsim::set_force_full_default(force_full);
-        let stats = flow_churn(20_000);
+        let out = flow_churn(20_000);
         let sweeps = fig6_mpid_100gb_sweeps(spec.clone());
         netsim::set_force_full_default(false);
+        let stats = out.stats;
         assert_eq!(
-            (stats.recomputes, stats.resources_swept),
+            (out.end_ns, out.executed, out.flows_completed),
+            CHURN_OUTCOME,
+            "20 000-flow churn outcome (end ns, events, completions), force_full = {force_full}"
+        );
+        assert_eq!(
+            (stats.recomputes, stats.resources_swept, stats.flows_rerated),
             churn,
             "20 000-flow churn, force_full = {force_full}"
         );
