@@ -18,7 +18,9 @@
 //!   simulation state) *and* `&mut Scheduler<S>` so it can schedule follow-up
 //!   events while mutating state — without fighting the borrow checker.
 //! * **Cancellation.** [`Scheduler::schedule`] returns an [`EventId`] that can
-//!   be cancelled in O(1) amortized time (lazy deletion at pop).
+//!   be cancelled in O(1) time (lazy deletion at pop). One bit per scheduled
+//!   event records whether it has run or been cancelled, so cancelling an
+//!   event that already ran is refused rather than miscounted.
 //!
 //! ```
 //! use desim::{Sim, SimTime};
@@ -44,7 +46,7 @@ mod time;
 pub use time::SimTime;
 
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 
 /// Boxed event handler: runs against the user state and may schedule more events.
 pub type Handler<S> = Box<dyn FnOnce(&mut S, &mut Scheduler<S>)>;
@@ -85,7 +87,10 @@ pub struct Scheduler<S> {
     now: SimTime,
     seq: u64,
     heap: BinaryHeap<Entry<S>>,
-    cancelled: BTreeSet<u64>,
+    /// Bit `seq` is set once event `seq` has run or been cancelled.
+    retired: Vec<u64>,
+    /// Cancelled events still in the heap, dropped when they surface.
+    cancelled: usize,
     executed: u64,
 }
 
@@ -102,7 +107,8 @@ impl<S> Scheduler<S> {
             now: SimTime::ZERO,
             seq: 0,
             heap: BinaryHeap::new(),
-            cancelled: BTreeSet::new(),
+            retired: Vec::new(),
+            cancelled: 0,
             executed: 0,
         }
     }
@@ -119,7 +125,15 @@ impl<S> Scheduler<S> {
 
     /// Number of events currently pending (excluding lazily-cancelled ones).
     pub fn pending(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
+        self.heap.len() - self.cancelled
+    }
+
+    fn is_retired(&self, seq: u64) -> bool {
+        self.retired[(seq >> 6) as usize] & (1 << (seq & 63)) != 0
+    }
+
+    fn retire(&mut self, seq: u64) {
+        self.retired[(seq >> 6) as usize] |= 1 << (seq & 63);
     }
 
     /// Schedule `handler` to run at absolute time `at`.
@@ -140,6 +154,9 @@ impl<S> Scheduler<S> {
         );
         let seq = self.seq;
         self.seq += 1;
+        if seq & 63 == 0 {
+            self.retired.push(0);
+        }
         self.heap.push(Entry {
             at,
             seq,
@@ -159,20 +176,25 @@ impl<S> Scheduler<S> {
     }
 
     /// Cancel a previously scheduled event. Returns `true` the first time a
-    /// not-yet-executed event is cancelled, `false` otherwise.
+    /// not-yet-executed event is cancelled, `false` otherwise (unknown id,
+    /// already cancelled, or already run).
     pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.0 >= self.seq {
+        if id.0 >= self.seq || self.is_retired(id.0) {
             return false;
         }
-        self.cancelled.insert(id.0)
+        self.retire(id.0);
+        self.cancelled += 1;
+        true
     }
 
     /// Pop the next runnable (non-cancelled) event, advancing the clock.
     fn pop(&mut self) -> Option<Entry<S>> {
         while let Some(e) = self.heap.pop() {
-            if self.cancelled.remove(&e.seq) {
+            if self.is_retired(e.seq) {
+                self.cancelled -= 1;
                 continue;
             }
+            self.retire(e.seq);
             debug_assert!(e.at >= self.now);
             self.now = e.at;
             self.executed += 1;
@@ -184,9 +206,9 @@ impl<S> Scheduler<S> {
     /// Time of the next runnable event, if any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         while let Some(e) = self.heap.peek() {
-            if self.cancelled.contains(&e.seq) {
-                let e = self.heap.pop().unwrap();
-                self.cancelled.remove(&e.seq);
+            if self.is_retired(e.seq) {
+                self.heap.pop();
+                self.cancelled -= 1;
                 continue;
             }
             return Some(e.at);
@@ -394,6 +416,20 @@ mod tests {
         assert_eq!(sim.scheduler().pending(), 1);
         sim.run();
         assert_eq!(sim.executed(), 1);
+    }
+
+    #[test]
+    fn cancelling_an_event_that_already_ran_is_refused() {
+        let mut sim = Sim::new(0u32);
+        let ran = sim.schedule(SimTime::from_nanos(1), |s: &mut u32, _| *s += 1);
+        sim.schedule(SimTime::from_nanos(2), |s: &mut u32, _| *s += 10);
+        assert!(sim.step());
+        assert!(!sim.scheduler().cancel(ran), "the event already ran");
+        assert_eq!(sim.scheduler().pending(), 1);
+        sim.run();
+        assert_eq!(sim.state, 11);
+        assert_eq!(sim.scheduler().pending(), 0);
+        assert!(!sim.scheduler().cancel(ran));
     }
 
     #[test]
