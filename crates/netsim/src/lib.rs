@@ -26,6 +26,7 @@
 
 pub mod calibrate;
 pub mod cluster;
+mod flowtable;
 pub mod jobspec;
 pub mod net;
 pub mod plan;

@@ -1,13 +1,22 @@
 //! DES driver for the fluid engine: flows with completion callbacks, embedded
 //! in a `desim` simulation.
+//!
+//! Everything the driver keeps per live flow — its completion callback, its
+//! route (so faults can find the flows they hit) and its trace bookkeeping —
+//! is one record in a [`FlowTable`], the same ascending-`FlowId` table the
+//! fluid engine keeps its flow states in. A completion is one lookup, and
+//! every walk over live flows (completion batches, partition cuts and
+//! heals) runs in ascending `FlowId` order, the order the engine's
+//! arithmetic and the event sequence it schedules depend on.
 
 use crate::cluster::{Cluster, HostId, Route};
+use crate::flowtable::FlowTable;
 use crate::resource::{FlowId, FluidEngine, SolverStats};
 use desim::{EventId, Scheduler, SimTime};
 use obs::{ArgValue, Tracer};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-/// Per-flow bookkeeping kept only while a tracer is installed.
+/// Trace bookkeeping of one flow, kept only while a tracer is installed.
 struct FlowMeta {
     start_ns: u64,
     kind: &'static str,
@@ -58,6 +67,14 @@ pub trait HasNet: Sized + 'static {
 
 type DoneFn<S> = Box<dyn FnOnce(&mut S, &mut Scheduler<S>)>;
 
+/// What the driver keeps per live flow.
+struct FlowRecord<S> {
+    done: DoneFn<S>,
+    route: Route,
+    /// `Some` iff a tracer was installed when the flow started.
+    meta: Option<FlowMeta>,
+}
+
 /// Fluid network embedded in a discrete-event simulation.
 ///
 /// Start flows with [`Net::start_flow`]; the provided callback fires at the
@@ -66,7 +83,7 @@ type DoneFn<S> = Box<dyn FnOnce(&mut S, &mut Scheduler<S>)>;
 pub struct Net<S> {
     fluid: FluidEngine,
     cluster: Cluster,
-    callbacks: BTreeMap<FlowId, DoneFn<S>>,
+    flows: FlowTable<FlowRecord<S>>,
     timer: Option<EventId>,
     last_sync: SimTime,
     flows_completed: u64,
@@ -75,7 +92,6 @@ pub struct Net<S> {
     util_every: Option<SimTime>,
     /// When utilization was last sampled.
     last_util_sample: Option<SimTime>,
-    flow_meta: BTreeMap<FlowId, FlowMeta>,
     /// Solver counters already published to the tracer's metrics, so each
     /// reallocation point publishes only the delta.
     published_stats: SolverStats,
@@ -83,8 +99,6 @@ pub struct Net<S> {
     host_alive: Vec<bool>,
     /// Cut links as normalized `(min, max)` host pairs.
     partitions: BTreeSet<(usize, usize)>,
-    /// Route of every live flow, kept so faults can find the flows they hit.
-    flow_route: BTreeMap<FlowId, Route>,
 }
 
 impl<S: HasNet> Net<S> {
@@ -94,18 +108,16 @@ impl<S: HasNet> Net<S> {
         Net {
             fluid: cluster.build_engine(),
             cluster,
-            callbacks: BTreeMap::new(),
+            flows: FlowTable::default(),
             timer: None,
             last_sync: SimTime::ZERO,
             flows_completed: 0,
             tracer: None,
             util_every: None,
             last_util_sample: None,
-            flow_meta: BTreeMap::new(),
             published_stats: SolverStats::default(),
             host_alive: vec![true; hosts],
             partitions: BTreeSet::new(),
-            flow_route: BTreeMap::new(),
         }
     }
 
@@ -233,18 +245,22 @@ impl<S: HasNet> Net<S> {
         {
             net.fluid.stall_flow(id);
         }
-        net.flow_route.insert(id, route.clone());
-        net.callbacks.insert(id, Box::new(done));
-        if net.tracer.is_some() {
-            net.flow_meta.insert(
-                id,
-                FlowMeta {
-                    start_ns: sched.now().as_nanos(),
-                    kind,
-                    host,
-                    bytes,
-                },
-            );
+        let meta = net.tracer.is_some().then(|| FlowMeta {
+            start_ns: sched.now().as_nanos(),
+            kind,
+            host,
+            bytes,
+        });
+        let traced = meta.is_some();
+        net.flows.insert(
+            id,
+            FlowRecord {
+                done: Box::new(done),
+                route,
+                meta,
+            },
+        );
+        if traced {
             net.trace_flow_change(sched.now());
         }
         Self::arm_timer(state, sched);
@@ -257,9 +273,8 @@ impl<S: HasNet> Net<S> {
         Self::sync(state, sched);
         let net = state.net();
         let left = net.fluid.cancel_flow(id)?;
-        net.callbacks.remove(&id);
-        net.flow_route.remove(&id);
-        if let Some(meta) = net.flow_meta.remove(&id) {
+        let rec = net.flows.remove(id).expect("cancelled flow has a record");
+        if let Some(meta) = rec.meta {
             if let Some(t) = &net.tracer {
                 t.instant(
                     meta.host as u32,
@@ -289,11 +304,9 @@ impl<S: HasNet> Net<S> {
         }
         let mut cbs = Vec::with_capacity(done.len());
         for id in done {
-            net.flow_route.remove(&id);
-            if let Some(cb) = net.callbacks.remove(&id) {
-                cbs.push(cb);
-            }
-            if let Some(meta) = net.flow_meta.remove(&id) {
+            let rec = net.flows.remove(id).expect("completed flow has a record");
+            cbs.push(rec.done);
+            if let Some(meta) = rec.meta {
                 if let Some(t) = &net.tracer {
                     t.complete(
                         meta.host as u32,
@@ -373,9 +386,8 @@ impl<S: HasNet> Net<S> {
         let killed = net.fluid.kill_flows_crossing(&rs);
         let mut ids = Vec::with_capacity(killed.len());
         for (id, _left) in killed {
-            net.callbacks.remove(&id);
-            net.flow_route.remove(&id);
-            if let Some(meta) = net.flow_meta.remove(&id) {
+            let rec = net.flows.remove(id).expect("killed flow has a record");
+            if let Some(meta) = rec.meta {
                 if let Some(t) = &net.tracer {
                     t.instant(
                         meta.host as u32,
@@ -463,10 +475,10 @@ impl<S: HasNet> Net<S> {
         let net = state.net();
         net.partitions.insert((a.0.min(b.0), a.0.max(b.0)));
         let hit: Vec<FlowId> = net
-            .flow_route
+            .flows
             .iter()
-            .filter(|(_, r)| route_crosses_link(r, a.0, b.0))
-            .map(|(&id, _)| id)
+            .filter(|(_, rec)| route_crosses_link(&rec.route, a.0, b.0))
+            .map(|(id, _)| id)
             .collect();
         for id in &hit {
             net.fluid.stall_flow(*id);
@@ -499,16 +511,16 @@ impl<S: HasNet> Net<S> {
             return;
         }
         let resumable: Vec<FlowId> = net
-            .flow_route
+            .flows
             .iter()
-            .filter(|(&id, r)| {
+            .filter(|&(id, rec)| {
                 net.fluid.is_stalled(id) == Some(true)
                     && !net
                         .partitions
                         .iter()
-                        .any(|&(x, y)| route_crosses_link(r, x, y))
+                        .any(|&(x, y)| route_crosses_link(&rec.route, x, y))
             })
-            .map(|(&id, _)| id)
+            .map(|(id, _)| id)
             .collect();
         for id in &resumable {
             net.fluid.resume_flow(*id);
