@@ -1,6 +1,6 @@
 //! Exact pins of the two cluster simulators beyond Figure 6's fault-free
 //! baseline: every shuffle strategy on `figshuffle`'s 4:1 rack shape, and
-//! one faulty run per stack. Like `fig6_makespans_are_pinned_to_the_nanosecond`
+//! faulty runs of each stack. Like `fig6_makespans_are_pinned_to_the_nanosecond`
 //! these are deterministic functions of (config, spec, plan), so they hold
 //! on every machine. A refactor that claims "byte-identical sims" is held to
 //! them; a deliberate model change updates the row it moved and says so in
@@ -122,6 +122,50 @@ fn hadoop_faulty_run_is_pinned() {
         got,
         (112_485_644_680, 18, 1, 2, 1, 0, 0, 97_904_751),
         "the faulty Hadoop run moved"
+    );
+}
+
+#[test]
+fn hadoop_crash_during_shuffle_is_pinned() {
+    // 10 GB WordCount (160 maps) with host 4 crashing at 112.112 s. In the
+    // fault-free run host 4 commits a map output at ~112.05 s and all seven
+    // reducers fetch it for ~117 ms, so the crash lands on six fetch batches
+    // of surviving reducers (their claims are released) and on eight
+    // committed outputs stored on host 4 (invalidated and re-executed).
+    let spec = JobSpec {
+        input_bytes: 10 * GB,
+        ..wordcount(SimShuffle::Baseline)
+    };
+    let plan = FaultPlan::builder()
+        .crash(SimTime::from_nanos(112_112_000_000), 4)
+        .build();
+    let r = hadoop_sim::run_job_faulty(HadoopConfig::icpp2011(7, 7, 7), spec, plan);
+    assert!(!r.job_failed);
+    // (makespan ns, maps re-executed, reduces restarted, shuffle wire bytes)
+    let got = (
+        r.makespan.as_nanos(),
+        r.maps_reexecuted,
+        r.restarted_reduces,
+        r.shuffle_wire_bytes,
+    );
+    assert_eq!(
+        got,
+        (352_919_891_361, 8, 1, 976_579_323),
+        "the crash-during-shuffle Hadoop run moved"
+    );
+    let copies: Vec<u64> = r.reduces.iter().map(|s| s.copy.as_nanos()).collect();
+    assert_eq!(
+        copies,
+        [
+            213_873_961_168,
+            270_654_311_831,
+            270_181_076_833,
+            269_636_068_252,
+            269_361_771_307,
+            268_995_366_013,
+            268_365_736_210,
+        ],
+        "a reducer's copy stage moved"
     );
 }
 
