@@ -98,6 +98,15 @@ fn fig1_first_wave_reducers_are_outliers() {
     // Sort stage is in-memory and near-instant.
     let sort = trimmed.reduce_phase_stats(|r| r.sort);
     assert!(sort.mean() < 0.05);
+    // Exact pins: most of the 300 copiers start after many map outputs are
+    // already ready, a shuffle path the 7-reducer Figure 6 jobs never take.
+    assert_eq!(
+        report.makespan.as_nanos(),
+        209_372_775_210,
+        "makespan moved"
+    );
+    let copy_ns: u64 = report.reduces.iter().map(|r| r.copy.as_nanos()).sum();
+    assert_eq!(copy_ns, 3_389_176_478_055, "summed copy time moved");
 }
 
 // ---------- Figure 6: MPI-D wins, advantage narrows ----------
