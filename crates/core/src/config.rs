@@ -20,8 +20,10 @@ pub struct MpidConfig {
     /// Target size of each realigned partition frame — the "continuous
     /// arrays with fixed size" data is packed into before `MPI_Send`.
     pub frame_bytes: usize,
-    /// Sort keys within each spilled frame ("it can also sort the value list
-    /// for each key on demand" — key order makes reducer merging cheaper).
+    /// Inert: nothing reads it. Every spilled frame already leaves the
+    /// sender in ascending key order, whatever this says (see
+    /// [`crate::sender`]'s "Key order"). Kept only because callers outside
+    /// the workspace build this struct with a full literal (ROADMAP item 12).
     pub sort_keys: bool,
     /// Inert: nothing reads it. Sorting each key's value list on the
     /// reducer is [`MpidReceiver::with_sorted_values`](crate::MpidReceiver::with_sorted_values).

@@ -33,6 +33,13 @@
 //!
 //! ## Raw-key merge
 //!
+//! Frames from MPI-D senders arrive key-sorted already (every spill leaves
+//! the sender in key order, see [`crate::sender`]), but nothing on the wire
+//! vouches for that, so each frame is still sorted as it arrives. On a
+//! sorted frame that sort finds one presorted run and is a linear check;
+//! the merge then combines a few disjoint runs, and the drain reads every
+//! frame body front to back.
+//!
 //! For key types with an [`encoded_cmp`](crate::kv::Kv::encoded_cmp)
 //! comparator (integers, strings, blobs — every common MapReduce key) no
 //! key is decoded to be compared. A frame's groups are sorted through a

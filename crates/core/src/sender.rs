@@ -7,11 +7,24 @@
 //! values are appended to a second arena as encoded bytes. Typed work per
 //! record is one `Kv::encode` of the key and value plus one partition hash
 //! at first sight of each key; the partition index is stored on the entry,
-//! so a spill never decodes keys (the only exception is `sort_keys` with a
-//! key type that lacks [`Kv::encoded_cmp`]). Frame building is a straight
-//! memcpy of already-encoded bytes ([`FrameBuilder::begin_group_raw`]), and
-//! frames are born in wire form (`new_wire`) so an uncompressed spill ships
-//! each frame as a refcounted [`Bytes`] with no marker-prefix copy.
+//! so a spill never decodes keys (the one exception: comparator-less keys,
+//! those without [`Kv::encoded_cmp`], are decoded at spill to be sorted).
+//! Frame building is a straight memcpy of already-encoded bytes
+//! ([`FrameBuilder::begin_group_raw`]), and frames are born in wire form
+//! (`new_wire`) so an uncompressed spill ships each frame as a refcounted
+//! [`Bytes`] with no marker-prefix copy.
+//!
+//! ## Key order
+//!
+//! Every partition of every spill leaves in ascending key order, as a
+//! Hadoop map-side spill does after its sort. The table holds keys in
+//! insertion order, so `realign_table` sorts a compact `(prefix, entry)`
+//! index per partition, the prefix being the key's
+//! [`Kv::encoded_prefix`]: an LSD radix sort over the prefix bytes that
+//! skips every byte all entries share, then one pass that orders by their
+//! bytes only the runs of equal prefixes [`Kv::prefix_is_exact`] does not
+//! vouch for. A sorted frame lets the reducer's drain read each frame body
+//! front to back instead of jumping around it once per group.
 //!
 //! ## Spill accounting and determinism
 //!
@@ -325,11 +338,13 @@ impl WireShop {
     }
 }
 
-/// Reusable per-spill scratch: per-partition entry lists, each with whether
-/// all its groups fit the single-valued frame layout, and (for the
-/// decoded-sort fallback) typed keys. Steady state allocates nothing.
+/// Reusable per-spill scratch: per-partition `(key prefix, entry)` indexes,
+/// each with whether all its groups fit the single-valued frame layout; the
+/// radix sort's second buffer; and, for key types without an encoded
+/// comparator, the decoded keys. Steady state allocates nothing.
 pub(crate) struct SpillScratch<K> {
-    parts: Vec<(Vec<u32>, bool)>,
+    parts: Vec<(Vec<(u64, u32)>, bool)>,
+    radix: Vec<(u64, u32)>,
     keys: Vec<K>,
 }
 
@@ -337,7 +352,67 @@ impl<K> SpillScratch<K> {
     pub(crate) fn new() -> Self {
         SpillScratch {
             parts: Vec::new(),
+            radix: Vec::new(),
             keys: Vec::new(),
+        }
+    }
+}
+
+/// Sort `index` by prefix: an LSD radix sort, one counting pass per prefix
+/// byte, low byte first, with `buf` as its second buffer. One histogram
+/// pass counts every byte at once, and a byte that every entry shares is
+/// skipped, since a pass over it would leave the order as it is: short
+/// string keys vary in only a few of their eight bytes.
+fn radix_sort_by_prefix(index: &mut Vec<(u64, u32)>, buf: &mut Vec<(u64, u32)>) {
+    let n = index.len();
+    let mut counts = [[0u32; 256]; 8];
+    for &(prefix, _) in index.iter() {
+        for (byte, count) in counts.iter_mut().enumerate() {
+            count[usize::from((prefix >> (8 * byte)) as u8)] += 1;
+        }
+    }
+    // Every pass writes each of the `n` slots once: size `buf` once here.
+    buf.clear();
+    buf.resize(n, (0, 0));
+    for (byte, count) in counts.iter_mut().enumerate() {
+        if count.iter().any(|&c| c as usize == n) {
+            continue;
+        }
+        // Counts become each digit's first slot.
+        let mut at = 0;
+        for c in count.iter_mut() {
+            let k = *c;
+            *c = at;
+            at += k;
+        }
+        for &entry in index.iter() {
+            let slot = &mut count[usize::from((entry.0 >> (8 * byte)) as u8)];
+            buf[*slot as usize] = entry;
+            *slot += 1;
+        }
+        std::mem::swap(index, buf);
+    }
+}
+
+/// Put one partition's `(prefix, entry)` index in ascending key order. With
+/// an encoded comparator: radix-sort the prefixes, then order by the key
+/// bytes each run of equal prefixes that is not a whole key. Without one:
+/// compare the decoded `keys`, indexed by entry.
+fn sort_partition<K: Key, V>(
+    table: &ByteTable<V>,
+    index: &mut Vec<(u64, u32)>,
+    radix: &mut Vec<(u64, u32)>,
+    keys: &[K],
+) {
+    let Some(cmp) = K::encoded_cmp() else {
+        index.sort_by(|a, b| keys[a.1 as usize].cmp(&keys[b.1 as usize]));
+        return;
+    };
+    radix_sort_by_prefix(index, radix);
+    let key_bytes = |e: &(u64, u32)| table.key_bytes(&table.entries[e.1 as usize]);
+    for tie in index.chunk_by_mut(|a, b| a.0 == b.0) {
+        if tie.len() > 1 && !K::prefix_is_exact(tie[0].0) {
+            tie.sort_unstable_by(|a, b| cmp(key_bytes(a), key_bytes(b)));
         }
     }
 }
@@ -356,15 +431,14 @@ pub(crate) struct SpillOutput {
 }
 
 /// Realign a table into per-partition wire frames: the spill core shared by
-/// the sender and the in-node combine leader. Entries are grouped by
-/// their stored partition in insertion order (optionally key-sorted), built
+/// the sender and the in-node combine leader. Entries are grouped by their
+/// stored partition, put in ascending key order (see the module doc), built
 /// into fixed-size wire frames, and compressed when configured and
 /// profitable. Partitions come out ascending — the ship order.
 pub(crate) fn realign_table<K: Key, V: Value>(
     table: &ByteTable<V>,
     n_red: usize,
     frame_bytes: usize,
-    sort_keys: bool,
     do_compress: bool,
     shop: &mut WireShop,
     scratch: &mut SpillScratch<K>,
@@ -377,21 +451,22 @@ pub(crate) fn realign_table<K: Key, V: Value>(
         wire_bytes: 0,
     };
     // Hash-mod partition selection over entry indices, straight from the
-    // partition stored at insert; the per-reducer index lists persist across
-    // spills so steady state allocates nothing here.
+    // partition stored at insert; the per-reducer indexes persist across
+    // spills so steady state allocates nothing here. Each entry carries its
+    // key's prefix into the sort (`0` for comparator-less keys).
     // The same pass picks each partition's frame layout: single-valued
     // (no per-group count on the wire) when every group bound for it is —
     // what a combiner leaves, and what distinct keys produce.
     scratch.parts.resize_with(n_red, || (Vec::new(), true));
     for (i, e) in table.entries.iter().enumerate() {
-        let (ids, single) = &mut scratch.parts[e.part as usize];
-        ids.push(i as u32);
-        *single &= fits_single_valued((e.key_end - e.key_off) as usize, e.n_values);
+        let key = table.key_bytes(e);
+        let (index, single) = &mut scratch.parts[e.part as usize];
+        index.push((K::encoded_prefix(key), i as u32));
+        *single &= fits_single_valued(key.len(), e.n_values);
     }
-    // The optional key sort prefers the encoded-bytes comparator; only key
-    // types without one pay a per-distinct-key decode.
+    // Only key types without an encoded comparator pay a per-key decode.
     scratch.keys.clear();
-    if sort_keys && K::encoded_cmp().is_none() {
+    if K::encoded_cmp().is_none() {
         scratch.keys.reserve(table.len());
         for e in &table.entries {
             let mut slice = table.key_bytes(e);
@@ -399,26 +474,14 @@ pub(crate) fn realign_table<K: Key, V: Value>(
             scratch.keys.push(k);
         }
     }
-    for (p, (entry_ids, single)) in scratch.parts.iter_mut().enumerate() {
-        if entry_ids.is_empty() {
+    for (p, (index, single)) in scratch.parts.iter_mut().enumerate() {
+        if index.is_empty() {
             continue;
         }
-        if sort_keys {
-            if let Some(cmp) = K::encoded_cmp() {
-                entry_ids.sort_by(|&a, &b| {
-                    cmp(
-                        table.key_bytes(&table.entries[a as usize]),
-                        table.key_bytes(&table.entries[b as usize]),
-                    )
-                });
-            } else {
-                let keys = &scratch.keys;
-                entry_ids.sort_by(|&a, &b| keys[a as usize].cmp(&keys[b as usize]));
-            }
-        }
-        out.groups += entry_ids.len() as u64;
+        sort_partition(table, index, &mut scratch.radix, &scratch.keys);
+        out.groups += index.len() as u64;
         let mut builder = FrameBuilder::new_wire(frame_bytes).single_valued(*single);
-        for &i in entry_ids.iter() {
+        for &(_, i) in index.iter() {
             let e = &table.entries[i as usize];
             builder.begin_group_raw(table.key_bytes(e), e.n_values);
             if let Some(acc) = &e.acc {
@@ -433,7 +496,7 @@ pub(crate) fn realign_table<K: Key, V: Value>(
             }
             builder.end_group();
         }
-        entry_ids.clear();
+        index.clear();
         *single = true;
         let mut wires = Vec::new();
         for frame in builder.finish() {
@@ -675,7 +738,6 @@ impl<'a, K: Key, V: Value> MpidSender<'a, K, V> {
             &self.table,
             self.cfg.n_reducers,
             self.cfg.frame_bytes,
-            self.cfg.sort_keys,
             self.cfg.compress,
             &mut self.shop,
             &mut self.scratch,

@@ -384,7 +384,6 @@ impl<K: Key, V: Value> ShuffleStrategy<K, V> for InNodeShip<K, V> {
             &table,
             ctx.cfg.n_reducers,
             ctx.cfg.frame_bytes,
-            ctx.cfg.sort_keys,
             ctx.cfg.compress,
             &mut shop,
             &mut scratch,
