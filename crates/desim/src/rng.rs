@@ -70,31 +70,11 @@ impl SplitMix64 {
         lo + self.next_below(hi - lo)
     }
 
-    /// Exponentially distributed value with the given mean.
-    pub fn next_exp(&mut self, mean: f64) -> f64 {
-        assert!(mean > 0.0);
-        let u = loop {
-            let u = self.next_f64();
-            if u > 0.0 {
-                break u;
-            }
-        };
-        -mean * u.ln()
-    }
-
     /// Value uniform in `[mean*(1-jitter), mean*(1+jitter)]`, for modelling
     /// bounded service-time noise.
     pub fn jittered(&mut self, mean: f64, jitter: f64) -> f64 {
         assert!((0.0..=1.0).contains(&jitter));
         mean * (1.0 + jitter * (2.0 * self.next_f64() - 1.0))
-    }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.next_below(i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
     }
 }
 
@@ -157,30 +137,11 @@ mod tests {
     }
 
     #[test]
-    fn exponential_mean_close() {
-        let mut r = SplitMix64::new(11);
-        let n = 100_000;
-        let sum: f64 = (0..n).map(|_| r.next_exp(3.0)).sum();
-        let mean = sum / n as f64;
-        assert!((mean - 3.0).abs() < 0.1, "mean {mean}");
-    }
-
-    #[test]
     fn jitter_bounds() {
         let mut r = SplitMix64::new(13);
         for _ in 0..1000 {
             let v = r.jittered(100.0, 0.2);
             assert!((80.0..=120.0).contains(&v));
         }
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = SplitMix64::new(17);
-        let mut xs: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 }

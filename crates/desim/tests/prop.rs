@@ -1,6 +1,6 @@
 //! Property tests for the desim kernel: ordering, determinism, statistics.
 
-use desim::stats::{OnlineStats, Samples};
+use desim::stats::OnlineStats;
 use desim::{Sim, SimTime};
 use proptest::prelude::*;
 use std::cell::RefCell;
@@ -80,52 +80,5 @@ proptest! {
         prop_assert!((s.mean() - naive_mean).abs() < 1e-6 * (1.0 + naive_mean.abs()));
         prop_assert_eq!(s.min(), xs.iter().cloned().fold(f64::INFINITY, f64::min));
         prop_assert_eq!(s.max(), xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max));
-    }
-
-    /// Merging summaries of any split of a sample stream is equivalent to
-    /// summarizing the whole stream (the parallel Welford combine is exact
-    /// up to float round-off) — the property per-actor trace aggregation
-    /// relies on when per-rank statistics are folded into job totals.
-    #[test]
-    fn online_stats_merge_of_splits_equals_whole(
-        xs in proptest::collection::vec(-1e6f64..1e6, 1..400),
-        cut in 0usize..400,
-    ) {
-        let cut = cut.min(xs.len());
-        let mut whole = OnlineStats::new();
-        for &x in &xs { whole.add(x); }
-        let mut left = OnlineStats::new();
-        for &x in &xs[..cut] { left.add(x); }
-        let mut right = OnlineStats::new();
-        for &x in &xs[cut..] { right.add(x); }
-        left.merge(&right);
-        prop_assert_eq!(left.count(), whole.count());
-        prop_assert_eq!(left.min(), whole.min());
-        prop_assert_eq!(left.max(), whole.max());
-        let scale = 1.0 + whole.mean().abs();
-        prop_assert!((left.mean() - whole.mean()).abs() < 1e-9 * scale,
-            "mean {} vs {}", left.mean(), whole.mean());
-        let vscale = 1.0 + whole.variance().abs();
-        prop_assert!((left.variance() - whole.variance()).abs() < 1e-6 * vscale,
-            "variance {} vs {}", left.variance(), whole.variance());
-        // Merging an empty summary is the identity in both directions.
-        let mut id = whole.clone();
-        id.merge(&OnlineStats::new());
-        prop_assert_eq!(id.count(), whole.count());
-        prop_assert_eq!(id.mean(), whole.mean());
-    }
-
-    /// Percentile is always one of the samples, and monotone in p.
-    #[test]
-    fn percentile_monotone(xs in proptest::collection::vec(0f64..1e6, 1..300)) {
-        let mut s = Samples::new();
-        for &x in &xs { s.add(x); }
-        let mut last = f64::NEG_INFINITY;
-        for p in [0.0, 10.0, 25.0, 50.0, 75.0, 90.0, 99.0, 100.0] {
-            let v = s.percentile(p);
-            prop_assert!(xs.contains(&v));
-            prop_assert!(v >= last);
-            last = v;
-        }
     }
 }

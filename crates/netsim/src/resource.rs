@@ -25,10 +25,11 @@
 //! (weight accumulation over flows in ascending `FlowId` order, bottleneck
 //! scan over resources in ascending index order, freeze batches, residual
 //! clamps) is exactly the sequence the full solver would execute restricted
-//! to that component. [`FluidEngine::recompute_full`] keeps the from-scratch
-//! path alive, and `set_force_full` lets tests and benchmarks run every
-//! mutation through it to prove `incremental ≡ full` (see
-//! `tests/incremental.rs`).
+//! to that component. A component that spans the whole graph (an
+//! all-to-one shuffle) takes the same scoped path.
+//! [`FluidEngine::recompute_full`] keeps the from-scratch path alive as the
+//! oracle, and `set_force_full` lets tests run every mutation through it to
+//! prove `incremental ≡ full` (see `tests/incremental.rs`).
 //!
 //! # Flow storage
 //!
@@ -70,22 +71,16 @@ struct FlowState {
 /// (Fluid arithmetic is f64; one byte of slack absorbs rounding.)
 const DONE_EPS: f64 = 1e-6;
 
-/// Below this many active flows a scoped recompute never aborts to the
-/// full sweep: the graph is so small that even a whole-graph component is
-/// cheaper to rate via the scoped path than to pessimize into a full
-/// recompute (and tiny graphs would otherwise *always* trip the
-/// half-the-flows cutoff — a singleton component is "more than half" of a
-/// one-flow graph).
-const SCOPED_ABORT_MIN_FLOWS: usize = 8;
-
-/// Work counters for the max-min solver, for perf tracking and the
-/// incremental-vs-full acceptance metric (`perf` binary, obs
-/// `net.solver.*` counters).
+/// Work counters for the max-min solver, published as the obs
+/// `net.solver.*` counters and pinned per solver mode by
+/// `tests/solver_counters.rs`.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SolverStats {
     /// Rate recomputations performed (scoped or full).
     pub recomputes: u64,
-    /// Recomputations that ran the from-scratch path over every resource.
+    /// Recomputations that ran the from-scratch path over every resource
+    /// (nonzero only under [`FluidEngine::set_force_full`] or a direct
+    /// [`FluidEngine::recompute_full`] call).
     pub full_recomputes: u64,
     /// Resource fair-share evaluations across all bottleneck scans — the
     /// dominant cost of progressive filling. A full recompute sweeps every
@@ -108,14 +103,14 @@ impl SolverStats {
 }
 
 /// Process-wide default for [`FluidEngine::set_force_full`], read once at
-/// engine construction. Lets the `perf` harness A/B the incremental solver
-/// against the from-scratch one through simulators that build their own
-/// engines internally. Set it *before* constructing a simulation; it is a
-/// static mode switch, not a source of nondeterminism.
+/// engine construction. It exists for `tests/solver_counters.rs`, which
+/// pins the work of both solver modes through simulators that build their
+/// own engines internally. Set it *before* constructing a simulation; it is
+/// a static mode switch, not a source of nondeterminism.
 static FORCE_FULL_DEFAULT: AtomicBool = AtomicBool::new(false);
 
 /// Make newly constructed engines recompute from scratch on every mutation
-/// (benchmark/verification knob; see [`FORCE_FULL_DEFAULT`]).
+/// (verification knob; see [`FORCE_FULL_DEFAULT`]).
 pub fn set_force_full_default(on: bool) {
     FORCE_FULL_DEFAULT.store(on, Ordering::SeqCst);
 }
@@ -208,8 +203,8 @@ impl FluidEngine {
 
     /// Route every future mutation through the from-scratch recompute
     /// (`true`) instead of the scoped incremental one (`false`, default).
-    /// Rates are bit-identical either way; this exists so tests and the
-    /// perf harness can prove and measure exactly that.
+    /// Rates are bit-identical either way; this exists so tests can prove
+    /// exactly that and count the work each mode does.
     pub fn set_force_full(&mut self, on: bool) {
         self.force_full = on;
     }
@@ -456,16 +451,9 @@ impl FluidEngine {
     }
 
     /// Recompute only the connected component(s) of the flow↔resource graph
-    /// reachable from `seeds` (duplicates allowed). Falls back to
-    /// [`Self::recompute_full`] when forced, or when component discovery
-    /// finds a *single* connected component covering more than half of all
-    /// active flows — at that size the scoped path would redo (nearly) the
-    /// whole graph anyway, and the traversal + sort bookkeeping makes it
-    /// *slower* than the plain full sweep (the all-to-all shuffle phase
-    /// couples every flow into one component, which is exactly the
-    /// `solver_ab_mpid` anomaly). Many small seeded components never
-    /// trigger the cutoff, however large their union: each one individually
-    /// is cheap and the full path would pessimize the disjoint case.
+    /// reachable from `seeds` (duplicates allowed) — however large, up to
+    /// the whole graph. Only [`Self::set_force_full`] routes a mutation to
+    /// [`Self::recompute_full`] instead.
     fn recompute_scoped(&mut self, seeds: &[ResourceId]) {
         if self.force_full {
             self.recompute_full();
@@ -484,23 +472,14 @@ impl FluidEngine {
         // cannot couple two resources' allocations — but it still belongs
         // to the component for the rate-zeroing pass below). Flow
         // membership is an epoch stamp on the flow itself, not a set
-        // insert. One traversal per unvisited seed, so each seed's
-        // component size is known individually for the cutoff.
-        let n_flows = self.flows.len();
-        let abort_at = if n_flows >= SCOPED_ABORT_MIN_FLOWS {
-            n_flows / 2
-        } else {
-            usize::MAX
-        };
-        let mut oversized = false;
-        'seeds: for seed in seeds {
+        // insert.
+        for seed in seeds {
             if scr.res_epoch[seed.0] == epoch {
                 continue;
             }
             scr.res_epoch[seed.0] = epoch;
             scr.queue.push(seed.0);
             scr.comp_res.push(seed.0);
-            let comp_start = scr.comp_flows.len();
             while let Some(r) = scr.queue.pop() {
                 for &fid in &self.res_flows[r] {
                     let slot = self.flows.slot(fid).expect("indexed flow present");
@@ -510,10 +489,6 @@ impl FluidEngine {
                     }
                     f.visit_epoch = epoch;
                     scr.comp_flows.push(slot);
-                    if scr.comp_flows.len() - comp_start > abort_at {
-                        oversized = true;
-                        break 'seeds;
-                    }
                     if !f.stalled {
                         for rr in &f.resources {
                             if scr.res_epoch[rr.0] != epoch {
@@ -526,12 +501,6 @@ impl FluidEngine {
                 }
             }
         }
-        if oversized {
-            scr.queue.clear();
-            self.scratch = scr;
-            self.recompute_full();
-            return;
-        }
         self.next_cache = None;
         self.stats.recomputes += 1;
         scr.comp_res.sort_unstable();
@@ -541,8 +510,8 @@ impl FluidEngine {
     }
 
     /// From-scratch recompute over every resource and flow — the reference
-    /// the scoped path is proven against, kept callable for tests and the
-    /// perf harness's A/B mode.
+    /// the scoped path is proven against (`tests/incremental.rs`,
+    /// `tests/long_history.rs`), kept callable for those tests.
     pub fn recompute_full(&mut self) {
         self.next_cache = None;
         self.stats.recomputes += 1;

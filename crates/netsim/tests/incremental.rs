@@ -129,6 +129,7 @@ fn assert_identical(p: &mut Pair) {
         p.inc.total_bytes_completed().to_bits(),
         p.full.total_bytes_completed().to_bits()
     );
+    prop_assert_eq!(p.inc.stats().full_recomputes, 0);
 }
 
 fn apply(p: &mut Pair, op: &Op) {

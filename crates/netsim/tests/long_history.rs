@@ -194,6 +194,7 @@ impl Lockstep {
             self.full.total_bytes_completed().to_bits(),
             "op {op}: delivered bytes diverged"
         );
+        assert_eq!(self.inc.stats().full_recomputes, 0, "op {op}");
     }
 }
 

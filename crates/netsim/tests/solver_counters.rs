@@ -3,7 +3,7 @@
 //! the *same* number of recomputes and — `tests/incremental.rs` proves —
 //! reach bit-identical states; what differs is how many resources each
 //! recompute sweeps, and that difference is the solver's whole claim
-//! (EXPERIMENTS.md: 128× fewer sweeps on the churn, 5.1× on the 100 GB
+//! (EXPERIMENTS.md: 128× fewer sweeps on the churn, 8.6× on the 100 GB
 //! MPI-D sim). The counters are deterministic, so they are pinned exactly.
 //! So is the churn's outcome — its final clock, event count and
 //! completions — which both modes must reach identically, and the flows
@@ -106,7 +106,7 @@ fn solver_work_is_pinned_under_both_modes() {
     // (forced full, churn (recomputes, resources swept, flows re-rated),
     // 100 GB sim sweeps)
     for (force_full, churn, sim_sweeps) in [
-        (false, (39_975, 80_114, 315_864), 390_155),
+        (false, (39_975, 80_114, 315_864), 229_202),
         (true, (39_975, 10_230_784, 2_534_299), 1_978_272),
     ] {
         netsim::set_force_full_default(force_full);

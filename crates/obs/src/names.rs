@@ -287,9 +287,9 @@ pub const M_HADOOP_FAILED_MAP_ATTEMPTS: &str = "hadoop.failed_map_attempts";
 pub const M_MPID_MAPPERS_DONE: &str = "mpid.mappers_done";
 /// Fluid-solver rate reallocations.
 pub const M_NET_REALLOCS: &str = "net.reallocs";
-/// Scoped solver recomputations.
+/// Solver recomputations (scoped or full).
 pub const M_NET_SOLVER_RECOMPUTES: &str = "net.solver.recomputes";
-/// Recomputations that fell back to a full sweep.
+/// Recomputations that swept every resource (forced-full solver mode only).
 pub const M_NET_SOLVER_FULL_RECOMPUTES: &str = "net.solver.full_recomputes";
 /// Resources visited across all solver sweeps.
 pub const M_NET_SOLVER_RESOURCES_SWEPT: &str = "net.solver.resources_swept";
