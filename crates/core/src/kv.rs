@@ -10,8 +10,13 @@
 //! Integers are little-endian fixed-width; byte strings are u32-length-
 //! prefixed. Types must be self-delimiting: `decode` must consume exactly
 //! the bytes `encode` produced.
+//!
+//! A key type adds one thing, its order, and states it once, on the encoded
+//! bytes ([`Key`]): the sender sorts each spill with it and the receiver
+//! merges with it, so no key is decoded to be compared on either side.
 
 use bytes::{BufMut, BytesMut};
+use std::cmp::Ordering;
 use std::fmt;
 
 /// Decoding failure.
@@ -52,31 +57,44 @@ pub trait Kv: Sized {
     fn skip(buf: &mut &[u8]) -> Result<(), CodecError> {
         Self::decode(buf).map(|_| ())
     }
-    /// Compare two *encoded* values without decoding them, or `None` if this
-    /// type can't. Each slice must hold exactly one encoded value.
+}
+
+/// An MPI-D key: a [`Kv`] that is hashable, cloneable and ordered, and
+/// that defines its order on the *encoded* bytes too, so the sender's spill
+/// sort and the receiver's merge compare byte ranges and never decode a key
+/// to compare it. A key is decoded once per output group, when the
+/// receiver delivers it.
+///
+/// A user key type implements it with [`Key::encoded_cmp`], which must
+/// order exactly as `Ord` does, equality included: the sender sorts with it
+/// and the receiver groups with it, and the grouped output is the `Ord`
+/// order. A struct key that encodes its fields one after another compares
+/// field by field, splitting each slice after a field with that field's
+/// [`Kv::skip`], as the pair impl does. [`Key::encoded_prefix`] and
+/// [`Key::prefix_is_exact`] are optional speed-ups; their defaults claim
+/// nothing and are always valid.
+///
+/// Implemented for the ordered integers, `String`, `Vec<u8>`, `()` and
+/// pairs of keys. Floats are not `Ord`, so they are never keys.
+pub trait Key: Kv + std::hash::Hash + Eq + Ord + Clone + Send + 'static {
+    /// Compare two *encoded* keys, each slice holding exactly one key that
+    /// [`Kv::skip`] accepted.
     ///
-    /// When `Self: Ord`, an implementation must order exactly as `Ord` does
-    /// (including equality), because the receiver's sort-merge grouping uses
-    /// it in place of decode-then-`cmp`: the sort and k-way merge then touch
-    /// only byte ranges, and each key is decoded once per output group
-    /// instead of once per comparison. Strings and blobs compare their
-    /// payload bytes (lexicographic over UTF-8 bytes *is* `str`'s `Ord`);
-    /// fixed-width integers decode on the spot — little-endian bytes don't
-    /// memcmp in numeric order, but a register load + compare is still far
-    /// cheaper than materializing an owned key.
-    fn encoded_cmp() -> Option<EncodedCmp> {
-        None
-    }
-    /// Order-preserving 8-byte abbreviation of one *encoded* value, so a
+    /// It must order exactly as `Ord` does (including equality). Strings
+    /// and blobs compare their payload bytes (lexicographic over UTF-8
+    /// bytes *is* `str`'s `Ord`); fixed-width integers decode on the spot —
+    /// little-endian bytes don't memcmp in numeric order, but a register
+    /// load + compare is still far cheaper than materializing an owned key.
+    fn encoded_cmp(a: &[u8], b: &[u8]) -> Ordering;
+    /// Order-preserving 8-byte abbreviation of one *encoded* key, so a
     /// sort can keep the abbreviation beside each index entry and reach for
     /// the bytes only on a tie. The contract, for slices `a` and `b` that
-    /// each hold exactly one encoded value:
+    /// each hold exactly one encoded key:
     ///
     /// `encoded_prefix(a) < encoded_prefix(b)` ⟹ `encoded_cmp(a, b) == Less`
     ///
     /// Equal prefixes say nothing by themselves (see
-    /// [`Kv::prefix_is_exact`]), so the default `0` is always valid. It is
-    /// consulted only for types that also provide [`Kv::encoded_cmp`].
+    /// [`Key::prefix_is_exact`]), so the default `0` is always valid.
     /// Strings and blobs give their first seven payload bytes big-endian,
     /// zero-padded, then `min(len, 8)` — the length byte orders `"a"`
     /// before `"a\0"` and marks the prefixes that hold a whole key; the
@@ -85,8 +103,8 @@ pub trait Kv: Sized {
     fn encoded_prefix(_encoded: &[u8]) -> u64 {
         0
     }
-    /// Whether `prefix` pins down the whole value: `true` promises that any
-    /// two encoded values of this type with this [`Kv::encoded_prefix`] are
+    /// Whether `prefix` pins down the whole key: `true` promises that any
+    /// two encoded keys of this type with this [`Key::encoded_prefix`] are
     /// equal, so a tie on it needs no look at the bytes. The default
     /// `false` is always valid. This is what keeps a merge of heavily
     /// repeated short keys (word count) off the frame bodies entirely.
@@ -95,11 +113,11 @@ pub trait Kv: Sized {
     }
 }
 
-/// Comparator over *encoded* byte slices — what [`Kv::encoded_cmp`] hands
-/// out. Each slice must hold exactly one encoded value.
-pub type EncodedCmp = fn(&[u8], &[u8]) -> std::cmp::Ordering;
+/// Marker bundle for MPI-D values.
+pub trait Value: Kv + Clone + Send + 'static {}
+impl<T: Kv + Clone + Send + 'static> Value for T {}
 
-/// [`Kv::encoded_prefix`] of a `u32`-length-prefixed byte string: its first
+/// [`Key::encoded_prefix`] of a `u32`-length-prefixed byte string: its first
 /// seven payload bytes, big-endian and zero-padded, then `min(len, 8)`. A
 /// payload of at most seven bytes is fully determined by its prefix
 /// ([`bytes_prefix_is_exact`]).
@@ -126,30 +144,7 @@ fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], CodecError> {
 }
 
 macro_rules! impl_kv_int {
-    // Ordered integers get an encoded comparator (decode-and-compare: LE
-    // bytes don't memcmp in numeric order). Floats don't — they aren't
-    // `Ord`, so they can never be keys and the consistency contract wouldn't
-    // apply.
-    (@cmp ord, $t:ty) => {
-        fn encoded_cmp() -> Option<fn(&[u8], &[u8]) -> std::cmp::Ordering> {
-            Some(|a, b| {
-                let x = <$t>::from_le_bytes(a.try_into().expect("exact encoded width"));
-                let y = <$t>::from_le_bytes(b.try_into().expect("exact encoded width"));
-                x.cmp(&y)
-            })
-        }
-        fn encoded_prefix(encoded: &[u8]) -> u64 {
-            let x = <$t>::from_le_bytes(encoded.try_into().expect("exact encoded width"));
-            // Distance from the type's minimum: 0..=u64::MAX in value order
-            // for signed and unsigned alike.
-            (x as i128 - <$t>::MIN as i128) as u64
-        }
-        fn prefix_is_exact(_prefix: u64) -> bool {
-            true
-        }
-    };
-    (@cmp unord, $t:ty) => {};
-    ($($ord:ident $t:ty),*) => {$(
+    ($($t:ty),*) => {$(
         impl Kv for $t {
             fn encode(&self, out: &mut BytesMut) {
                 out.put_slice(&self.to_le_bytes());
@@ -164,15 +159,34 @@ macro_rules! impl_kv_int {
             fn skip(buf: &mut &[u8]) -> Result<(), CodecError> {
                 take(buf, std::mem::size_of::<$t>()).map(|_| ())
             }
-            impl_kv_int!(@cmp $ord, $t);
         }
     )*};
 }
 
-impl_kv_int!(
-    ord u8, ord u16, ord u32, ord u64, ord i8, ord i16, ord i32, ord i64,
-    unord f64, unord f32
-);
+impl_kv_int!(u8, u16, u32, u64, i8, i16, i32, i64, f64, f32);
+
+macro_rules! impl_key_int {
+    ($($t:ty),*) => {$(
+        impl Key for $t {
+            fn encoded_cmp(a: &[u8], b: &[u8]) -> Ordering {
+                let x = <$t>::from_le_bytes(a.try_into().expect("exact encoded width"));
+                let y = <$t>::from_le_bytes(b.try_into().expect("exact encoded width"));
+                x.cmp(&y)
+            }
+            fn encoded_prefix(encoded: &[u8]) -> u64 {
+                let x = <$t>::from_le_bytes(encoded.try_into().expect("exact encoded width"));
+                // Distance from the type's minimum: 0..=u64::MAX in value order
+                // for signed and unsigned alike.
+                (x as i128 - <$t>::MIN as i128) as u64
+            }
+            fn prefix_is_exact(_prefix: u64) -> bool {
+                true
+            }
+        }
+    )*};
+}
+
+impl_key_int!(u8, u16, u32, u64, i8, i16, i32, i64);
 
 impl Kv for String {
     fn encode(&self, out: &mut BytesMut) {
@@ -190,17 +204,6 @@ impl Kv for String {
     fn skip(buf: &mut &[u8]) -> Result<(), CodecError> {
         let len = u32::decode(buf)? as usize;
         take(buf, len).map(|_| ())
-    }
-    fn encoded_cmp() -> Option<fn(&[u8], &[u8]) -> std::cmp::Ordering> {
-        // `str`'s Ord is lexicographic over UTF-8 bytes, so comparing the
-        // payload past the 4-byte length prefix matches `String::cmp`.
-        Some(|a, b| a[4..].cmp(&b[4..]))
-    }
-    fn encoded_prefix(encoded: &[u8]) -> u64 {
-        bytes_prefix(encoded)
-    }
-    fn prefix_is_exact(prefix: u64) -> bool {
-        bytes_prefix_is_exact(prefix)
     }
 }
 
@@ -220,16 +223,28 @@ impl Kv for Vec<u8> {
         let len = u32::decode(buf)? as usize;
         take(buf, len).map(|_| ())
     }
-    fn encoded_cmp() -> Option<fn(&[u8], &[u8]) -> std::cmp::Ordering> {
-        Some(|a, b| a[4..].cmp(&b[4..]))
-    }
-    fn encoded_prefix(encoded: &[u8]) -> u64 {
-        bytes_prefix(encoded)
-    }
-    fn prefix_is_exact(prefix: u64) -> bool {
-        bytes_prefix_is_exact(prefix)
-    }
 }
+
+macro_rules! impl_key_bytes {
+    ($($t:ty),*) => {$(
+        impl Key for $t {
+            fn encoded_cmp(a: &[u8], b: &[u8]) -> Ordering {
+                // `str`'s Ord is lexicographic over UTF-8 bytes, so comparing
+                // the payload past the 4-byte length prefix matches
+                // `String::cmp` as well as `Vec<u8>::cmp`.
+                a[4..].cmp(&b[4..])
+            }
+            fn encoded_prefix(encoded: &[u8]) -> u64 {
+                bytes_prefix(encoded)
+            }
+            fn prefix_is_exact(prefix: u64) -> bool {
+                bytes_prefix_is_exact(prefix)
+            }
+        }
+    )*};
+}
+
+impl_key_bytes!(String, Vec<u8>);
 
 impl<A: Kv, B: Kv> Kv for (A, B) {
     fn encode(&self, out: &mut BytesMut) {
@@ -248,6 +263,23 @@ impl<A: Kv, B: Kv> Kv for (A, B) {
     }
 }
 
+/// Split one encoded pair into its two encoded components.
+fn split_pair<A: Kv>(encoded: &[u8]) -> (&[u8], &[u8]) {
+    let mut rest = encoded;
+    // The pair's own `skip` ran over these bytes when they were indexed.
+    A::skip(&mut rest).expect("encoded pair skipped when indexed");
+    encoded.split_at(encoded.len() - rest.len())
+}
+
+/// Pairs compare component by component, as tuples' `Ord` does, and keep
+/// the default prefix.
+impl<A: Key, B: Key> Key for (A, B) {
+    fn encoded_cmp(a: &[u8], b: &[u8]) -> Ordering {
+        let ((a0, a1), (b0, b1)) = (split_pair::<A>(a), split_pair::<A>(b));
+        A::encoded_cmp(a0, b0).then_with(|| B::encoded_cmp(a1, b1))
+    }
+}
+
 impl Kv for () {
     fn encode(&self, _out: &mut BytesMut) {}
     fn decode(_buf: &mut &[u8]) -> Result<Self, CodecError> {
@@ -258,14 +290,11 @@ impl Kv for () {
     }
 }
 
-/// Marker bundle for MPI-D keys: encodable, hashable, ordered, cloneable.
-/// Blanket-implemented; user key types only need the component traits.
-pub trait Key: Kv + std::hash::Hash + Eq + Ord + Clone + Send + 'static {}
-impl<T: Kv + std::hash::Hash + Eq + Ord + Clone + Send + 'static> Key for T {}
-
-/// Marker bundle for MPI-D values.
-pub trait Value: Kv + Clone + Send + 'static {}
-impl<T: Kv + Clone + Send + 'static> Value for T {}
+impl Key for () {
+    fn encoded_cmp(_a: &[u8], _b: &[u8]) -> Ordering {
+        Ordering::Equal
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -348,12 +377,11 @@ mod tests {
         assert_eq!(u64::decode(&mut empty), Err(CodecError::Truncated));
     }
 
-    fn cmp_encoded<T: Kv + Ord>(a: &T, b: &T) -> std::cmp::Ordering {
-        let f = T::encoded_cmp().expect("type advertises an encoded comparator");
+    fn cmp_encoded<T: Key>(a: &T, b: &T) -> Ordering {
         let (mut ea, mut eb) = (BytesMut::new(), BytesMut::new());
         a.encode(&mut ea);
         b.encode(&mut eb);
-        f(&ea, &eb)
+        T::encoded_cmp(&ea, &eb)
     }
 
     #[test]
@@ -378,12 +406,33 @@ mod tests {
                 assert_eq!(cmp_encoded(&a, &b), a.cmp(&b), "{a:?} vs {b:?}");
             }
         }
-        // Tuples keep the conservative default: no encoded comparator.
-        assert!(<(String, u64)>::encoded_cmp().is_none());
-        assert!(f64::encoded_cmp().is_none());
+        // Pairs compare component by component: the first decides unless
+        // it ties, a shorter first string included.
+        let pairs = [
+            (s(""), 9u64),
+            (s("a"), 2),
+            (s("a"), 10),
+            (s("a\0"), 0),
+            (s("ab"), 1),
+        ];
+        for a in &pairs {
+            for b in &pairs {
+                assert_eq!(cmp_encoded(a, b), a.cmp(b), "{a:?} vs {b:?}");
+            }
+        }
+        let nested = [(1u32, (2u32, s("x"))), (1, (2, s(""))), (0, (9, s("z")))];
+        for a in &nested {
+            for b in &nested {
+                assert_eq!(cmp_encoded(a, b), a.cmp(b), "{a:?} vs {b:?}");
+            }
+        }
     }
 
-    fn prefix_of<T: Kv>(v: &T) -> u64 {
+    fn s(x: &str) -> String {
+        x.to_string()
+    }
+
+    fn prefix_of<T: Key>(v: &T) -> u64 {
         let mut e = BytesMut::new();
         v.encode(&mut e);
         T::encoded_prefix(&e)

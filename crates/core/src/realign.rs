@@ -325,8 +325,8 @@ pub fn decode_frames<K: Kv, V: Kv>(frames: &[Bytes]) -> Result<Vec<(K, Vec<V>)>,
 
 /// One group's location inside a frame body with the key *not* decoded:
 /// both the key and the value list stay as byte ranges. Produced by
-/// [`parse_group_index_raw`] for key types with [`Kv::encoded_cmp`], where
-/// the receiver's sort and merge compare encoded bytes directly and decode
+/// [`parse_group_index_raw`], so that the receiver's merge compares encoded
+/// keys ([`Key::encoded_cmp`](crate::kv::Key::encoded_cmp)) and decodes
 /// each key only once, at output time.
 #[derive(Debug, Clone, Copy)]
 pub struct RawGroup {
@@ -355,9 +355,10 @@ impl RawGroup {
 }
 
 /// One entry of a key-sorted index over the groups of one or more frames:
-/// the key's [`Kv::encoded_prefix`] held inline, so sorting and merging
-/// compare a register and touch the frame bytes only on a tie, plus where
-/// the group lives. Sixteen bytes, so a sort moves entries, not groups.
+/// the key's [`Key::encoded_prefix`](crate::kv::Key::encoded_prefix) held
+/// inline, so sorting and merging compare a register and touch the frame
+/// bytes only on a tie, plus where the group lives. Sixteen bytes, so a
+/// sort moves entries, not groups.
 #[derive(Debug, Clone, Copy)]
 pub struct KeyRef {
     /// Order-preserving abbreviation of the group's encoded key.
@@ -395,6 +396,7 @@ pub fn parse_group_index_raw<K: Kv, V: Kv>(body: &[u8]) -> Result<Vec<RawGroup>,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kv::Key;
 
     fn build(groups: &[(String, Vec<u64>)], target: usize) -> Vec<Bytes> {
         let mut b = FrameBuilder::new(target);
@@ -541,10 +543,9 @@ mod tests {
         assert_eq!(via_raw_index(&frames[0]), groups);
         // The byte-range comparator on raw keys orders like the typed keys.
         let raw = parse_group_index_raw::<String, u64>(&frames[0]).unwrap();
-        let cmp = String::encoded_cmp().unwrap();
         for w in raw.windows(2) {
             assert_eq!(
-                cmp(w[0].key_bytes(&frames[0]), w[1].key_bytes(&frames[0])),
+                String::encoded_cmp(w[0].key_bytes(&frames[0]), w[1].key_bytes(&frames[0])),
                 std::cmp::Ordering::Less
             );
         }

@@ -20,47 +20,41 @@
 //! Frames arrive as refcounted [`Bytes`] straight off the transport (plain
 //! frames are a zero-copy slice past the wire marker; only LZ frames are
 //! decompressed into a fresh buffer). Each frame body is indexed into
-//! per-group byte ranges ([`parse_group_index_raw`]) and, outside streaming,
-//! sorted by key as it arrives; at end of stream the frames' run indexes go
-//! through *one* merge (`Merged`). Nothing has been decoded by then, and no
-//! table is ever built: the merged index over the held frames is the
-//! receiver's product, and each [`MpidReceiver::recv`] decodes the one group
-//! it returns — the equal-key span at a cursor (`Groups`). The bounded
-//! path's window spills walk the same spans, its last window is pulled span
-//! by span by the disk merge, and a streamed frame is walked by the same
-//! cursor, one group a span. All of it runs on the reducer's own thread:
-//! the receiver does not read [`MpidConfig::threads`].
+//! per-group byte ranges ([`parse_group_index_raw`]) as it arrives, and,
+//! outside streaming, the held frames go through *one* merge (`Merged`) at
+//! end of stream. Nothing has been decoded by then, and no table is ever
+//! built: the merged index over the held frames is the receiver's product,
+//! and each [`MpidReceiver::recv`] decodes the one group it returns — the
+//! equal-key span at a cursor (`Groups`). The bounded path's window spills
+//! walk the same spans, its last window is pulled span by span by the disk
+//! merge, and a streamed frame is walked by the same cursor, one group a
+//! span. All of it runs on the reducer's own thread: the receiver does not
+//! read [`MpidConfig::threads`].
 //!
 //! ## Raw-key merge
 //!
-//! Frames from MPI-D senders arrive key-sorted already (every spill leaves
-//! the sender in key order, see [`crate::sender`]), but nothing on the wire
-//! vouches for that, so each frame is still sorted as it arrives. On a
-//! sorted frame that sort finds one presorted run and is a linear check;
-//! the merge then combines a few disjoint runs, and the drain reads every
-//! frame body front to back.
+//! The sender sorts; the receiver only merges. Every frame from an MPI-D
+//! sender is key-sorted already (every spill leaves the sender in key
+//! order, see [`crate::sender`]), so no frame is sorted on arrival. The
+//! merge indexes the groups of the held frames in the order values must
+//! come out — (mapper rank, send order): frames are grouped by source rank
+//! first, so the scheduler-dependent interleaving of *frame arrival* across
+//! mappers never reaches the output — and stably sorts that one index.
+//! std's merge sort finds the k sorted frames as k presorted runs and
+//! merges them in about log k comparisons per entry, whatever k is, and
+//! stability is the value-order guarantee. Nothing on the wire vouches for
+//! the order, and nothing has to: a frame out of key order is merged as
+//! correctly, only more slowly.
 //!
-//! For key types with an [`encoded_cmp`](crate::kv::Kv::encoded_cmp)
-//! comparator (integers, strings, blobs — every common MapReduce key) no
-//! key is decoded to be compared. A frame's groups are sorted through a
-//! compact index of 16-byte [`KeyRef`]s, each holding the key's
-//! [`encoded_prefix`](crate::kv::Kv::encoded_prefix) inline: comparing two
-//! entries is comparing two registers, and only a tie on a prefix that is
-//! not [a whole key](crate::kv::Kv::prefix_is_exact) follows the entries
-//! into the frame bytes. The merge concatenates the run indexes in the
-//! order values must come out — (mapper rank, send order): runs are grouped
-//! by source rank first, so the scheduler-dependent interleaving of *frame
-//! arrival* across mappers never reaches the output — and stably sorts the
-//! concatenation. std's merge sort finds the k presorted runs and merges
-//! them in about log k comparisons per entry, whatever k is, and stability
-//! is the value-order guarantee. Equal keys then sit next to each other: a
-//! span's key is decoded *once*, from its first entry, and its values once,
-//! straight into an exact-capacity `Vec`, when the drain reaches it.
-//!
-//! Other key types decode each frame's keys up front and compare decoded
-//! values (their prefix is `0`); once the merged index is sorted its
-//! prefixes are overwritten with the ordinal of each distinct key, and from
-//! there on they take the same walk.
+//! No key is decoded to be compared. The index holds 16-byte [`KeyRef`]s,
+//! each with the key's [`encoded_prefix`](crate::kv::Key::encoded_prefix)
+//! inline: comparing two entries is comparing two registers, and only a tie
+//! on a prefix that is not [a whole key](crate::kv::Key::prefix_is_exact)
+//! follows the entries into the frame bytes
+//! ([`encoded_cmp`](crate::kv::Key::encoded_cmp)). Equal keys then sit next
+//! to each other: a span's key is decoded *once*, from its first entry, and
+//! its values once, straight into an exact-capacity `Vec`, when the drain
+//! reaches it.
 //!
 //! ## Memory
 //!
@@ -68,8 +62,8 @@
 //! when one is configured, for as long as the frames are held: to the end
 //! of the stream (of the frame, when streaming), an error, or the drop of a
 //! half-drained receiver. The grouped drain charges the whole shuffle and
-//! the streaming drain one frame. The bounded drain buffers frame runs
-//! until the *next* frame would exceed the budget (charges are taken before
+//! the streaming drain one frame. The bounded drain buffers frames until
+//! the *next* frame would exceed the budget (charges are taken before
 //! buffering, so `high_water` stays at or under the budget), then writes
 //! the window out as one pre-sorted disk run per source rank. The disk
 //! merge lists its sources in (rank, window) order, each rank's share of
@@ -150,41 +144,18 @@ fn codec_err(source_rank: Rank) -> impl Fn(CodecError) -> MpidError + Copy {
     move |err| MpidError::Codec { source_rank, err }
 }
 
-/// A frame whose groups (`frame.raw`) are in key order, with what comparing
-/// them needs, both parallel to `frame.raw`: each key's
-/// [`encoded_prefix`](crate::kv::Kv::encoded_prefix) and — only when the key
-/// type has no encoded comparator — the decoded keys. With a comparator
-/// `keys` stays empty and comparisons run on prefixes and raw bytes;
-/// without one the prefixes are all `0`.
-struct FrameRun<K> {
-    frame: Frame,
-    prefixes: Vec<u64>,
-    keys: Vec<K>,
-}
-
-/// Order of two keys that have an encoded comparator, from their prefixes:
-/// the prefixes decide, and only a tie on a prefix that is not a whole key
-/// calls `bytes_order` to fetch and compare the encoded bytes.
-fn prefix_order<K: Key>(a: u64, b: u64, bytes_order: impl FnOnce() -> Ordering) -> Ordering {
-    a.cmp(&b).then_with(|| {
-        if K::prefix_is_exact(a) {
+/// Key order of two index entries over `frames`: the prefixes decide, and
+/// only a tie on a prefix that is not a whole key compares the encoded
+/// bytes.
+fn key_order<K: Key>(frames: &[Frame], a: &KeyRef, b: &KeyRef) -> Ordering {
+    a.prefix.cmp(&b.prefix).then_with(|| {
+        if K::prefix_is_exact(a.prefix) {
             Ordering::Equal
         } else {
-            bytes_order()
+            let key_bytes = |e: &KeyRef| frames[e.run as usize].key_bytes(e);
+            K::encoded_cmp(key_bytes(a), key_bytes(b))
         }
     })
-}
-
-/// Key order of two index entries over `runs`: by prefix and encoded bytes
-/// with a comparator, by decoded key without one.
-fn key_order<K: Key>(runs: &[FrameRun<K>], a: &KeyRef, b: &KeyRef) -> Ordering {
-    let run_of = |e: &KeyRef| &runs[e.run as usize];
-    match K::encoded_cmp() {
-        Some(cmp) => prefix_order::<K>(a.prefix, b.prefix, || {
-            cmp(run_of(a).frame.key_bytes(a), run_of(b).frame.key_bytes(b))
-        }),
-        None => run_of(a).keys[a.group as usize].cmp(&run_of(b).keys[b.group as usize]),
-    }
 }
 
 impl<'a, K: Key, V: Value> MpidReceiver<'a, K, V> {
@@ -270,8 +241,8 @@ impl<'a, K: Key, V: Value> MpidReceiver<'a, K, V> {
         Ok(None)
     }
 
-    /// Receive every frame, sorting each by key, and merge them in (mapper
-    /// rank, send order): with no `window` budget into one index over all
+    /// Receive every frame and merge them in (mapper rank, send order):
+    /// with no `window` budget into one index over all
     /// of them; with one, spilling each window that would overflow the
     /// budget as one pre-sorted disk run per source rank under the given
     /// directory, and merging those runs with the last window's frames.
@@ -290,21 +261,20 @@ impl<'a, K: Key, V: Value> MpidReceiver<'a, K, V> {
             .transpose()
             .map_err(spill_err)?;
         let mut charge = PoolCharge::new(self.cfg.pool.clone());
-        let mut runs: Vec<FrameRun<K>> = Vec::new();
+        let mut frames: Vec<Frame> = Vec::new();
         // The source rank of each disk run, in spill order.
         let mut run_ranks: Vec<Rank> = Vec::new();
         let (mut window_bytes, mut window_high_water) = (0usize, 0usize);
         while let Some(frame) = self.next_frame()? {
-            let run = sort_frame::<K>(frame)?;
-            let b = run.frame.body.len();
+            let b = frame.body.len();
             // Charge *before* buffering: a frame that doesn't fit spills the
             // current window first, so the pool's high-water mark stays at or
             // under the budget unless a single frame alone exceeds it or
             // there is no table (a forced charge).
             if !(window_bytes + b <= budget && charge.try_grow(b)) {
-                if let Some(table) = table.as_mut().filter(|_| !runs.is_empty()) {
-                    for (src, runs) in by_rank(std::mem::take(&mut runs)) {
-                        spill_run(table, runs).map_err(spill_err)?;
+                if let Some(table) = table.as_mut().filter(|_| !frames.is_empty()) {
+                    for (src, frames) in by_rank(std::mem::take(&mut frames)) {
+                        spill_run(table, frames).map_err(spill_err)?;
                         run_ranks.push(src);
                     }
                     window_bytes = 0;
@@ -316,10 +286,10 @@ impl<'a, K: Key, V: Value> MpidReceiver<'a, K, V> {
             }
             window_bytes += b;
             window_high_water = window_high_water.max(window_bytes);
-            runs.push(run);
+            frames.push(frame);
         }
         let Some(table) = table else {
-            let groups = Groups::new(merge_by_rank(runs), charge);
+            let groups = Groups::new(merge_by_rank::<K>(frames), charge);
             self.trace_merge(t0, None, self.stats.bytes_received, 0);
             return Ok(RecvState::Draining(groups));
         };
@@ -339,9 +309,9 @@ impl<'a, K: Key, V: Value> MpidReceiver<'a, K, V> {
             });
             sources.entry(src).or_default().push(Box::new(run));
         }
-        for (src, runs) in by_rank(runs) {
-            let held = runs.iter().map(|r| r.frame.body.len()).sum();
-            let tail = Groups::new(Merged::new(runs), charge.split_off(held));
+        for (src, frames) in by_rank(frames) {
+            let held = frames.iter().map(|f| f.body.len()).sum();
+            let tail = Groups::new(Merged::new::<K>(frames), charge.split_off(held));
             sources.entry(src).or_default().push(Box::new(tail));
         }
         self.spilled_runs = table.spilled_runs();
@@ -467,7 +437,7 @@ impl<'a, K: Key, V: Value> MpidReceiver<'a, K, V> {
     }
 
     /// Record the reducer-side "merge" stage span (cat `mpid.stage`) on a
-    /// traced rank: wildcard frame reception plus merging the run indexes
+    /// traced rank: wildcard frame reception plus merging the frames' indexes
     /// (or spilling windows), from `t0` to the index being ready, with the
     /// ingest-side [`ReceiverStats`] counters as span args. Also publishes
     /// the receiver's `mpid.mem.*` memory-accounting counters (frame-buffer
@@ -510,57 +480,9 @@ impl<'a, K: Key, V: Value> MpidReceiver<'a, K, V> {
     }
 }
 
-/// Sort one indexed frame by key, decoding no value — and no key either
-/// when the key type has an encoded comparator.
-fn sort_frame<K: Key>(frame: Frame) -> MpidResult<FrameRun<K>> {
-    let Frame { body, raw, src } = frame;
-    // Both sorts are stable: a frame carrying the same key twice keeps
-    // its in-frame order, so the merge's send-order guarantee holds.
-    let (raw, prefixes, keys) = match K::encoded_cmp() {
-        Some(cmp) => {
-            // Sort a compact (prefix, group) index, then put the byte
-            // ranges in that order too, so the merge reads each run's
-            // ranges front to back.
-            let key_bytes = |e: &KeyRef| raw[e.group as usize].key_bytes(&body);
-            let mut index: Vec<KeyRef> = (raw.iter().zip(0u32..))
-                .map(|(g, group)| KeyRef {
-                    prefix: K::encoded_prefix(g.key_bytes(&body)),
-                    run: 0,
-                    group,
-                })
-                .collect();
-            // A key recurs inside one frame only when the frame spans two
-            // spills, so ties here are rare and go straight to the bytes:
-            // asking `prefix_is_exact` in this comparator too made the
-            // tie-free sort of `distinct_keys` ~1.6x slower (measured).
-            index.sort_by(|a, b| {
-                (a.prefix.cmp(&b.prefix)).then_with(|| cmp(key_bytes(a), key_bytes(b)))
-            });
-            let sorted = index.iter().map(|e| raw[e.group as usize]).collect();
-            let prefixes = index.iter().map(|e| e.prefix).collect();
-            (sorted, prefixes, Vec::new())
-        }
-        None => {
-            let mut pairs: Vec<(K, RawGroup)> = Vec::with_capacity(raw.len());
-            for g in raw {
-                let mut kb = g.key_bytes(&body);
-                pairs.push((K::decode(&mut kb).map_err(codec_err(src))?, g));
-            }
-            pairs.sort_by(|a, b| a.0.cmp(&b.0));
-            let (keys, sorted): (Vec<K>, Vec<RawGroup>) = pairs.into_iter().unzip();
-            (sorted, vec![0; keys.len()], keys)
-        }
-    };
-    Ok(FrameRun {
-        frame: Frame { body, raw, src },
-        prefixes,
-        keys,
-    })
-}
-
-/// Every group of a set of frame runs under one key-ordered index — the
-/// one merge behind the in-memory table, the bounded path's window spills
-/// and its last window. Equal keys sit next to each other in (run, in-frame)
+/// Every group of a set of frames under one key-ordered index — the one
+/// merge behind the in-memory table, the bounded path's window spills and
+/// its last window. Equal keys sit next to each other in (frame, in-frame)
 /// order, so walking [`Merged::spans`] yields each distinct key once with
 /// its contributions already in delivery order.
 #[derive(Default)]
@@ -570,43 +492,28 @@ struct Merged {
 }
 
 impl Merged {
-    /// Merge `runs`, given in the order their values must come out for an
-    /// equal key. The run indexes are concatenated in that order and
-    /// stably sorted: std's merge sort is run-adaptive, so k presorted runs
-    /// cost about log k comparisons per entry, and stability *is* the
-    /// value-order guarantee.
-    fn new<K: Key>(runs: Vec<FrameRun<K>>) -> Self {
-        let mut index = Vec::with_capacity(runs.iter().map(|r| r.prefixes.len()).sum());
-        for (run, r) in (0u32..).zip(&runs) {
-            index.extend(
-                (r.prefixes.iter().zip(0u32..)).map(|(&prefix, group)| KeyRef {
-                    prefix,
-                    run,
-                    group,
-                }),
-            );
+    /// Merge `frames`, given in the order their values must come out for an
+    /// equal key. Their groups are indexed in that order, each entry with
+    /// its key's prefix, and the index is stably sorted: std's merge sort
+    /// is run-adaptive, so k key-sorted frames cost about log k comparisons
+    /// per entry, and stability *is* the value-order guarantee. A frame out
+    /// of key order is merged as correctly, only more slowly.
+    fn new<K: Key>(frames: Vec<Frame>) -> Self {
+        let mut index = Vec::with_capacity(frames.iter().map(|f| f.raw.len()).sum());
+        for (run, f) in (0u32..).zip(&frames) {
+            index.extend((f.raw.iter().zip(0u32..)).map(|(g, group)| KeyRef {
+                prefix: K::encoded_prefix(g.key_bytes(&f.body)),
+                run,
+                group,
+            }));
         }
-        index.sort_by(|a, b| key_order(&runs, a, b));
-        if K::encoded_cmp().is_none() {
-            // No comparator on bytes: number the distinct keys while the
-            // decoded ones are still here, so that from now on an equal
-            // prefix alone means an equal key and the keys can go.
-            let key = |e: &KeyRef| &runs[e.run as usize].keys[e.group as usize];
-            let mut ordinal = 0u64;
-            for i in 1..index.len() {
-                ordinal += u64::from(key(&index[i - 1]) != key(&index[i]));
-                index[i].prefix = ordinal;
-            }
-        }
-        Merged {
-            frames: runs.into_iter().map(|r| r.frame).collect(),
-            index,
-        }
+        index.sort_by(|a, b| key_order::<K>(&frames, a, b));
+        Merged { frames, index }
     }
 
     /// One frame's groups as framed, each its own span: every entry's
     /// prefix is its position, so no two entries compare equal, whatever
-    /// their keys — the ordinals `new` gives distinct keys, one per group.
+    /// their keys.
     fn as_framed(frame: Frame) -> Self {
         let index = (0..frame.raw.len() as u32)
             .map(|group| KeyRef {
@@ -622,13 +529,7 @@ impl Merged {
     }
 
     fn same_key<K: Key>(&self, a: &KeyRef, b: &KeyRef) -> bool {
-        let key_bytes = |e: &KeyRef| self.frames[e.run as usize].key_bytes(e);
-        match K::encoded_cmp() {
-            Some(cmp) => {
-                prefix_order::<K>(a.prefix, b.prefix, || cmp(key_bytes(a), key_bytes(b))).is_eq()
-            }
-            None => a.prefix == b.prefix,
-        }
+        key_order::<K>(&self.frames, a, b).is_eq()
     }
 
     /// The equal-key span that starts at `index[at]` (a span boundary), or
@@ -719,33 +620,33 @@ impl<K: Key, V: Value> Iterator for Groups<K, V> {
     }
 }
 
-/// Frame runs by source rank, ranks ascending, each rank's in arrival order
-/// — its send order, since messages between two ranks stay in order.
+/// Frames by source rank, ranks ascending, each rank's in arrival order —
+/// its send order, since messages between two ranks stay in order.
 /// Wildcard reception interleaves mappers however the scheduler ran them,
-/// and an equal key's values come out run by run, so arrival order across
-/// ranks would leak scheduling into each key's value order.
-fn by_rank<K>(runs: Vec<FrameRun<K>>) -> BTreeMap<Rank, Vec<FrameRun<K>>> {
+/// and an equal key's values come out frame by frame, so arrival order
+/// across ranks would leak scheduling into each key's value order.
+fn by_rank(frames: Vec<Frame>) -> BTreeMap<Rank, Vec<Frame>> {
     let mut by_rank = BTreeMap::<Rank, Vec<_>>::new();
-    for run in runs {
-        by_rank.entry(run.frame.src).or_default().push(run);
+    for frame in frames {
+        by_rank.entry(frame.src).or_default().push(frame);
     }
     by_rank
 }
 
 /// The unbounded path's merge: in (mapper rank, send order).
-fn merge_by_rank<K: Key>(runs: Vec<FrameRun<K>>) -> Merged {
-    Merged::new(by_rank(runs).into_values().flatten().collect())
+fn merge_by_rank<K: Key>(frames: Vec<Frame>) -> Merged {
+    Merged::new::<K>(by_rank(frames).into_values().flatten().collect())
 }
 
-/// Merge one rank's frame runs from one window into a single pre-sorted disk
+/// Merge one rank's frames from one window into a single pre-sorted disk
 /// run. Key and value bytes are copied verbatim from the frame bodies — no
 /// decode or re-encode, so a key with bad content is found by the `recv()`
 /// that reads it back.
 fn spill_run<K: Key, V: Value>(
     table: &mut ExternalTable<K, V>,
-    runs: Vec<FrameRun<K>>,
+    frames: Vec<Frame>,
 ) -> std::io::Result<()> {
-    let merged = Merged::new(runs);
+    let merged = Merged::new::<K>(frames);
     let mut rw = table.begin_sorted_run()?;
     for span in merged.spans::<K>() {
         let key_bytes = merged.frames[span[0].run as usize].key_bytes(&span[0]);
@@ -767,7 +668,6 @@ fn spill_err(e: std::io::Error) -> MpidError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kv::Kv;
     use crate::pool::BlockPool;
     use crate::realign::FrameBuilder;
     use crate::{MpidWorld, Role};
@@ -819,15 +719,15 @@ mod tests {
     /// `(source rank, frame)` list, in arrival order, through the unbounded
     /// path's merge, every group pulled from the stream the drain pulls.
     fn merged<K: Key, V: Value>(arrivals: &[(Rank, Bytes)]) -> Grouped<K, V> {
-        let runs = arrivals
+        let frames = arrivals
             .iter()
             .map(|(src, body)| {
                 let raw = parse_group_index_raw::<K, V>(body).unwrap();
                 let (body, src) = (body.clone(), *src);
-                sort_frame::<K>(Frame { body, raw, src }).unwrap()
+                Frame { body, raw, src }
             })
             .collect();
-        let mut groups = Groups::<K, V>::new(merge_by_rank::<K>(runs), PoolCharge::new(None));
+        let mut groups = Groups::<K, V>::new(merge_by_rank::<K>(frames), PoolCharge::new(None));
         let out = groups.by_ref().collect::<MpidResult<_>>().unwrap();
         assert!(groups.next().is_none() && groups.next().is_none());
         out
@@ -992,8 +892,7 @@ mod tests {
         assert_eq!(keys, vec![i64::MIN, -7, 0, 3, i64::MAX]);
         assert_eq!(got[1].1, vec![-7i64 as u64; 4]);
 
-        // Tuples have no encoded comparator: the decoded-key fallback.
-        assert!(<(String, u64)>::encoded_cmp().is_none());
+        // Tuples compare component by component, on their encoded bytes.
         let t = |a: &str, b: u64| (s(a), b);
         let f1 = frame(&[
             (t("b", 1), vec![1u64]),
@@ -1089,6 +988,60 @@ mod tests {
                 assert_eq!(got, before);
             }
             // The same error on every path, disk runs included.
+            assert!(
+                matches!(
+                    err,
+                    MpidError::Codec {
+                        source_rank: 2,
+                        err: CodecError::Corrupt(_)
+                    }
+                ),
+                "{err:?} ({drain:?})"
+            );
+        }
+    }
+
+    #[test]
+    fn a_bad_string_inside_a_tuple_key_fails_only_its_own_group() {
+        // Mapper 2's fourth group has a `(String, u64)` key whose string is
+        // not UTF-8; in key order it comes after four good groups, one of
+        // them shared with mapper 1. The frames are framed as blob keys,
+        // which encode as strings do.
+        let t = |k: &[u8], n: u64| (k.to_vec(), n);
+        let good = frame(&[
+            (t(b"a", 1), vec![1u64]),
+            (t(b"c", 2), vec![32]),
+            (t(b"e", 1), vec![5]),
+        ]);
+        let bad = frame(&[
+            (t(b"b", 1), vec![2u64]),
+            (t(b"c", 1), vec![31]),
+            (t(b"c", 2), vec![33]),
+            (t(b"d\xff", 1), vec![4]),
+            (t(b"f", 1), vec![6]),
+        ]);
+        let last = frame(&[(t(b"g", 1), vec![7u64])]);
+        let before = vec![
+            ((s("a"), 1), vec![1u64]),
+            ((s("b"), 1), vec![2]),
+            ((s("c"), 1), vec![31]),
+            ((s("c"), 2), vec![32, 33]),
+        ];
+        let sends = [vec![good], vec![bad, last]];
+        for drain in [Drain::Unbounded, Drain::Bounded(1 << 20), Drain::Bounded(1)] {
+            let (got, err) = reduce_frames(MpidConfig::default(), drain, &sends, |mut recv| {
+                let mut got: Grouped<(String, u64), u64> = Vec::new();
+                let err = loop {
+                    match recv.recv() {
+                        Ok(Some(g)) => got.push(g),
+                        Ok(None) => panic!("the bad group was skipped"),
+                        Err(e) => break e,
+                    }
+                };
+                assert_eq!(recv.recv(), Ok(None));
+                (got, err)
+            });
+            assert_eq!(got, before, "{drain:?}");
             assert!(
                 matches!(
                     err,

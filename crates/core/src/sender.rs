@@ -2,13 +2,12 @@
 //! hash-table buffering → local combining → hash-mod partition selection →
 //! data realignment → `MPI_Send`/`MPI_Isend` of contiguous frames.
 //!
-//! The buffer is a byte table ([`ByteTable`]): keys live as encoded bytes in
+//! The buffer is a byte table (`ByteTable`): keys live as encoded bytes in
 //! a flat arena, hashed and compared as raw slices, and (without a combiner)
 //! values are appended to a second arena as encoded bytes. Typed work per
 //! record is one `Kv::encode` of the key and value plus one partition hash
 //! at first sight of each key; the partition index is stored on the entry,
-//! so a spill never decodes keys (the one exception: comparator-less keys,
-//! those without [`Kv::encoded_cmp`], are decoded at spill to be sorted).
+//! so a spill never decodes a key, to route it or to sort it.
 //! Frame building is a straight memcpy of already-encoded bytes
 //! ([`FrameBuilder::begin_group_raw`]), and frames are born in wire form
 //! (`new_wire`) so an uncompressed spill ships each frame as a refcounted
@@ -20,11 +19,15 @@
 //! Hadoop map-side spill does after its sort. The table holds keys in
 //! insertion order, so `realign_table` sorts a compact `(prefix, entry)`
 //! index per partition, the prefix being the key's
-//! [`Kv::encoded_prefix`]: an LSD radix sort over the prefix bytes that
+//! [`Key::encoded_prefix`]: an LSD radix sort over the prefix bytes that
 //! skips every byte all entries share, then one pass that orders by their
-//! bytes only the runs of equal prefixes [`Kv::prefix_is_exact`] does not
-//! vouch for. A sorted frame lets the reducer's drain read each frame body
-//! front to back instead of jumping around it once per group.
+//! bytes ([`Key::encoded_cmp`]) only the runs of equal prefixes
+//! [`Key::prefix_is_exact`] does not vouch for. A key type that keeps the
+//! default prefix (pairs) is one such run, sorted by its bytes alone. This
+//! is the only sort of the shuffle: the receiver merges the sorted frames
+//! (see [`crate::receiver`]) and re-sorts none of them, and its drain
+//! reads each frame body front to back instead of jumping around it once
+//! per group.
 //!
 //! ## Spill accounting and determinism
 //!
@@ -339,21 +342,18 @@ impl WireShop {
 }
 
 /// Reusable per-spill scratch: per-partition `(key prefix, entry)` indexes,
-/// each with whether all its groups fit the single-valued frame layout; the
-/// radix sort's second buffer; and, for key types without an encoded
-/// comparator, the decoded keys. Steady state allocates nothing.
-pub(crate) struct SpillScratch<K> {
+/// each with whether all its groups fit the single-valued frame layout, and
+/// the radix sort's second buffer. Steady state allocates nothing.
+pub(crate) struct SpillScratch {
     parts: Vec<(Vec<(u64, u32)>, bool)>,
     radix: Vec<(u64, u32)>,
-    keys: Vec<K>,
 }
 
-impl<K> SpillScratch<K> {
+impl SpillScratch {
     pub(crate) fn new() -> Self {
         SpillScratch {
             parts: Vec::new(),
             radix: Vec::new(),
-            keys: Vec::new(),
         }
     }
 }
@@ -394,25 +394,19 @@ fn radix_sort_by_prefix(index: &mut Vec<(u64, u32)>, buf: &mut Vec<(u64, u32)>) 
     }
 }
 
-/// Put one partition's `(prefix, entry)` index in ascending key order. With
-/// an encoded comparator: radix-sort the prefixes, then order by the key
-/// bytes each run of equal prefixes that is not a whole key. Without one:
-/// compare the decoded `keys`, indexed by entry.
+/// Put one partition's `(prefix, entry)` index in ascending key order:
+/// radix-sort the prefixes, then order by the key bytes each run of equal
+/// prefixes that is not a whole key.
 fn sort_partition<K: Key, V>(
     table: &ByteTable<V>,
     index: &mut Vec<(u64, u32)>,
     radix: &mut Vec<(u64, u32)>,
-    keys: &[K],
 ) {
-    let Some(cmp) = K::encoded_cmp() else {
-        index.sort_by(|a, b| keys[a.1 as usize].cmp(&keys[b.1 as usize]));
-        return;
-    };
     radix_sort_by_prefix(index, radix);
     let key_bytes = |e: &(u64, u32)| table.key_bytes(&table.entries[e.1 as usize]);
     for tie in index.chunk_by_mut(|a, b| a.0 == b.0) {
         if tie.len() > 1 && !K::prefix_is_exact(tie[0].0) {
-            tie.sort_unstable_by(|a, b| cmp(key_bytes(a), key_bytes(b)));
+            tie.sort_unstable_by(|a, b| K::encoded_cmp(key_bytes(a), key_bytes(b)));
         }
     }
 }
@@ -441,7 +435,7 @@ pub(crate) fn realign_table<K: Key, V: Value>(
     frame_bytes: usize,
     do_compress: bool,
     shop: &mut WireShop,
-    scratch: &mut SpillScratch<K>,
+    scratch: &mut SpillScratch,
 ) -> SpillOutput {
     let mut out = SpillOutput {
         shipments: Vec::new(),
@@ -453,7 +447,7 @@ pub(crate) fn realign_table<K: Key, V: Value>(
     // Hash-mod partition selection over entry indices, straight from the
     // partition stored at insert; the per-reducer indexes persist across
     // spills so steady state allocates nothing here. Each entry carries its
-    // key's prefix into the sort (`0` for comparator-less keys).
+    // key's prefix into the sort.
     // The same pass picks each partition's frame layout: single-valued
     // (no per-group count on the wire) when every group bound for it is —
     // what a combiner leaves, and what distinct keys produce.
@@ -464,21 +458,11 @@ pub(crate) fn realign_table<K: Key, V: Value>(
         index.push((K::encoded_prefix(key), i as u32));
         *single &= fits_single_valued(key.len(), e.n_values);
     }
-    // Only key types without an encoded comparator pay a per-key decode.
-    scratch.keys.clear();
-    if K::encoded_cmp().is_none() {
-        scratch.keys.reserve(table.len());
-        for e in &table.entries {
-            let mut slice = table.key_bytes(e);
-            let k = K::decode(&mut slice).expect("table holds keys this sender encoded");
-            scratch.keys.push(k);
-        }
-    }
     for (p, (index, single)) in scratch.parts.iter_mut().enumerate() {
         if index.is_empty() {
             continue;
         }
-        sort_partition(table, index, &mut scratch.radix, &scratch.keys);
+        sort_partition::<K, V>(table, index, &mut scratch.radix);
         out.groups += index.len() as u64;
         let mut builder = FrameBuilder::new_wire(frame_bytes).single_valued(*single);
         for &(_, i) in index.iter() {
@@ -568,7 +552,7 @@ pub struct MpidSender<'a, K: Key, V: Value> {
     stats: SenderStats,
     finished: bool,
     trace: Option<SenderTrace>,
-    scratch: SpillScratch<K>,
+    scratch: SpillScratch,
     /// The sender→wire policy (see [`crate::shuffle`]), built lazily at the
     /// first spill so `with_combiner` can run first.
     strategy: Option<Box<dyn ShuffleStrategy<K, V>>>,
@@ -734,7 +718,7 @@ impl<'a, K: Key, V: Value> MpidSender<'a, K, V> {
         self.stats.spills += 1;
         self.buffered_bytes = 0;
         // Realign into per-partition wire frames.
-        let out = realign_table(
+        let out = realign_table::<K, V>(
             &self.table,
             self.cfg.n_reducers,
             self.cfg.frame_bytes,

@@ -5,8 +5,8 @@
 //! and in-node combining (Lee et al., arXiv:1511.04861) attacks the same
 //! path by merging the outputs of co-located map tasks *before* anything
 //! hits the wire. It is a policy over one seam — what happens to a
-//! [`SpillOutput`] after realignment — so the sender routes every spill
-//! through a [`ShuffleStrategy`] selected by [`MpidConfig::shuffle`]:
+//! `SpillOutput` after realignment — so the sender routes every spill
+//! through a `ShuffleStrategy` selected by [`MpidConfig::shuffle`]:
 //!
 //! * [`ShuffleKind::Baseline`] — the unmodified ship loop: every wire frame
 //!   goes straight to its partition's reducer on [`tags::DATA`]. Selecting
@@ -17,7 +17,7 @@
 //!   to the group leader (lowest rank) on [`tags::RELAY`] instead of
 //!   shipping them; the leader stashes everything (metered through the
 //!   job's [`crate::pool::BlockPool`]), then at finish merges all co-located
-//!   spill runs through one [`ByteTable`] — folding with the job's combiner
+//!   spill runs through one `ByteTable` — folding with the job's combiner
 //!   when one is installed — and ships the pre-combined frames.
 //!
 //! Both change what crosses the wire. Coded MapReduce (Li et al.,
@@ -379,7 +379,7 @@ impl<K: Key, V: Value> ShuffleStrategy<K, V> for InNodeShip<K, V> {
         drop(stash);
         // One-time flush scratch; this is teardown, not the per-spill path.
         let mut shop = WireShop::new();
-        let mut scratch: SpillScratch<K> = SpillScratch::new();
+        let mut scratch = SpillScratch::new();
         let out = realign_table::<K, V>(
             &table,
             ctx.cfg.n_reducers,

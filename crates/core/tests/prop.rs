@@ -13,7 +13,7 @@ use bytes::BytesMut;
 use mpi_rt::Universe;
 use mpid::compress::{compress, decompress};
 use mpid::realign::{decode_frames, FrameBuilder, SINGLE_VALUED};
-use mpid::{HashPartitioner, Kv, MpidConfig, MpidWorld, Partitioner, Role, SumCombiner};
+use mpid::{HashPartitioner, Key, Kv, MpidConfig, MpidWorld, Partitioner, Role, SumCombiner};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -118,8 +118,7 @@ proptest! {
 /// The receiver's sort order — prefix first, encoded comparator on a tie —
 /// must be the key type's `Ord`, and a prefix that claims to be the whole
 /// key must not be shared by two different values.
-fn prefix_sort_matches_ord<T: Kv + Ord + Clone + std::fmt::Debug>(mut vals: Vec<T>) {
-    let cmp = T::encoded_cmp().expect("ordered key types compare encoded");
+fn prefix_sort_matches_ord<T: Key + std::fmt::Debug>(mut vals: Vec<T>) {
     let mut encoded: Vec<(u64, BytesMut)> = vals
         .iter()
         .map(|v| {
@@ -128,7 +127,7 @@ fn prefix_sort_matches_ord<T: Kv + Ord + Clone + std::fmt::Debug>(mut vals: Vec<
             (T::encoded_prefix(&e), e)
         })
         .collect();
-    encoded.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| cmp(&a.1, &b.1)));
+    encoded.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| T::encoded_cmp(&a.1, &b.1)));
     vals.sort();
     let back: Vec<T> = encoded
         .iter()
@@ -184,6 +183,18 @@ proptest! {
         prefix_sort_matches_ord(g);
         prefix_sort_matches_ord(h);
         prefix_sort_matches_ord(near);
+    }
+
+    /// Pairs compare component by component on their bytes: small alphabets
+    /// with NUL and the empty string, so first components often tie, one
+    /// often a prefix of the other, and the second component decides.
+    #[test]
+    fn prefix_sort_matches_ord_pairs(
+        flat in proptest::collection::vec(("[ab\0]{0,4}", 0u64..4), 0..60),
+        nested in proptest::collection::vec((0u32..3, (0u32..3, "[a\0]{0,3}")), 0..60),
+    ) {
+        prefix_sort_matches_ord(flat);
+        prefix_sort_matches_ord(nested);
     }
 
     /// Types that keep the trait defaults abbreviate nothing.

@@ -3,7 +3,7 @@
 //!
 //! Everything the driver keeps per live flow — its completion callback, its
 //! route (so faults can find the flows they hit) and its trace bookkeeping —
-//! is one record in a [`FlowTable`], the same ascending-`FlowId` table the
+//! is one record in a `FlowTable`, the same ascending-`FlowId` table the
 //! fluid engine keeps its flow states in. A completion is one lookup, and
 //! every walk over live flows (completion batches, partition cuts and
 //! heals) runs in ascending `FlowId` order, the order the engine's

@@ -33,7 +33,7 @@
 //!
 //! # Flow storage
 //!
-//! Flows live in a [`FlowTable`] — a `Vec` sorted by [`FlowId`], appended
+//! Flows live in a `FlowTable` — a `Vec` sorted by [`FlowId`], appended
 //! to on start and binary-searched on lookup — and each resource keeps the
 //! ids of the flows crossing it as one ascending `Vec<FlowId>`. Ascending
 //! `FlowId` is the arithmetic-order contract: every sum over flows (fair
@@ -110,7 +110,8 @@ impl SolverStats {
 static FORCE_FULL_DEFAULT: AtomicBool = AtomicBool::new(false);
 
 /// Make newly constructed engines recompute from scratch on every mutation
-/// (verification knob; see [`FORCE_FULL_DEFAULT`]).
+/// (verification knob, read once at each engine's construction; it exists
+/// for `tests/solver_counters.rs`).
 pub fn set_force_full_default(on: bool) {
     FORCE_FULL_DEFAULT.store(on, Ordering::SeqCst);
 }
