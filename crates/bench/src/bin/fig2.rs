@@ -7,9 +7,7 @@
 //! models reproduce the paper's anchor ratios: 2.49× at 1 B, 15.1× at 1 KB,
 //! >100× beyond 256 KB, 123× at 1 MB).
 //!
-//! For latency curves of the *real* Rust reimplementations on loopback TCP
-//! (shape-only, modern hardware) see
-//! `cargo run --release --example latency_compare`.
+//! The models are `netsim::HadoopRpcModel` and `netsim::MpiModel`.
 
 use mpid_bench::{fmt_secs, size_sweep};
 use netsim::{HadoopRpcModel, MpiModel, Transport};

@@ -81,7 +81,7 @@ fn main() {
     println!();
     println!(
         "* Socket/NIO is the paper's FUTURE-WORK comparison (datanode block \
-         streaming), projected from the real `transports::datanode` \
-         implementation — not a paper-reported series."
+         streaming), projected by `netsim::NioSocketModel` from the \
+         mechanism alone — not a paper-reported series."
     );
 }

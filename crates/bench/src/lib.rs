@@ -4,9 +4,8 @@
 //! corresponding result on the simulated testbed and prints the paper's
 //! reported values alongside for comparison. `perf` writes deterministic
 //! run profiles and runs the bounded-memory check. Nothing here reads a
-//! clock: wall time is measured by the `benchmark/` package, and the *real*
-//! transports (loopback RPC/HTTP vs the `mpi-rt` runtime) by
-//! `examples/latency_compare.rs`.
+//! clock: wall time is measured by the `benchmark/` package. Figures 2–3
+//! evaluate the `netsim::protocol` models fitted to the paper's anchors.
 
 #![warn(missing_docs)]
 

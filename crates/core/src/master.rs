@@ -62,3 +62,86 @@ pub fn next_split<S: Kv>(comm: &Comm) -> MpidResult<Option<S>> {
         }),
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mpi_rt::{MpiConfig, Universe};
+
+    /// Rank 0 answers rank 1's one request with `reply`; rank 1's
+    /// `next_split` result comes back, and the run must leave no message
+    /// behind.
+    fn split_from_reply(reply: Vec<u8>) -> MpidResult<Option<u64>> {
+        let (mut results, report) = Universe::run_verified(MpiConfig::default(), 2, |comm| {
+            if comm.rank() == 0 {
+                let (_, status) = comm.recv::<u8>(None, Some(tags::REQ)).unwrap();
+                comm.send(status.source, tags::ASSIGN, &reply[..]).unwrap();
+                None
+            } else {
+                Some(next_split::<u64>(comm))
+            }
+        })
+        .unwrap();
+        assert!(report.is_clean(), "{report}");
+        results.pop().flatten().unwrap()
+    }
+
+    fn assert_codec_from_master(got: MpidResult<Option<u64>>) {
+        assert!(
+            matches!(got, Err(MpidError::Codec { source_rank: 0, .. })),
+            "{got:?}"
+        );
+    }
+
+    #[test]
+    fn empty_reply_is_a_codec_error() {
+        assert_codec_from_master(split_from_reply(Vec::new()));
+    }
+
+    #[test]
+    fn unknown_marker_is_a_codec_error() {
+        assert_codec_from_master(split_from_reply(vec![7, 0, 0, 0, 0, 0, 0, 0, 0]));
+    }
+
+    #[test]
+    fn truncated_split_is_a_codec_error() {
+        let mut split = vec![MARK_SPLIT];
+        split.extend_from_slice(&7u64.to_le_bytes());
+        assert_eq!(split_from_reply(split.clone()), Ok(Some(7)));
+        split.truncate(4);
+        assert_codec_from_master(split_from_reply(split));
+    }
+
+    #[test]
+    fn more_mappers_than_splits_each_split_once_one_done_each() {
+        let (mappers, splits) = (4usize, 2u64);
+        let cfg = MpidConfig::with_workers(mappers, 1);
+        let (results, report) = Universe::run_verified(MpiConfig::default(), 1 + mappers, |comm| {
+            if comm.rank() == 0 {
+                let stats = run_master(comm, &cfg, (0..splits).collect()).unwrap();
+                (Some(stats), Vec::new())
+            } else {
+                // The loop ends at the first done marker; a second one
+                // would stay in the mailbox and fail the leak audit.
+                let mut got = Vec::new();
+                while let Some(s) = next_split::<u64>(comm).unwrap() {
+                    got.push(s);
+                }
+                (None, got)
+            }
+        })
+        .unwrap();
+        assert!(report.is_clean(), "{report}");
+        let stats = results[0].0.clone().unwrap();
+        assert_eq!(
+            stats,
+            MasterStats {
+                splits_assigned: splits,
+                requests_served: splits + mappers as u64,
+            }
+        );
+        let mut handed: Vec<u64> = results.iter().flat_map(|(_, got)| got.clone()).collect();
+        handed.sort_unstable();
+        assert_eq!(handed, (0..splits).collect::<Vec<_>>());
+    }
+}

@@ -234,7 +234,8 @@ fn blob_keys_ship_in_ascending_order() {
     check_key_type::<Vec<u8>>(pairs);
 }
 
-/// Tuples have no encoded comparator: the spill decodes and compares them.
+/// Tuple keys all share prefix 0, so the spill's fix-up pass orders them
+/// with `(A, B)::encoded_cmp`, component by component.
 #[test]
 fn tuple_keys_ship_in_ascending_order() {
     let pairs = walk(300, 1500)
@@ -320,7 +321,8 @@ fn receiver_groups_descending_string_frames_like_sorted_ones() {
     descending_frames_group_like_sorted(|k| format!("key{k}"));
 }
 
-/// The comparator-less branch of the receiver's per-frame sort.
+/// Tuple keys: the receiver's one index sort compares them with
+/// `(A, B)::encoded_cmp`, component by component.
 #[test]
 fn receiver_groups_descending_tuple_frames_like_sorted_ones() {
     descending_frames_group_like_sorted(|k| (k / 4, format!("{k}")));

@@ -186,7 +186,7 @@ impl Transport for JettyHttpModel {
 ///
 /// **This is an extension, not a paper result** — the paper never measured
 /// it, so there are no anchors to calibrate against. The constants follow
-/// the mechanism of the real `transports::datanode` implementation: a bare
+/// the mechanism of Hadoop's datanode block transfer: a bare
 /// TCP stream (no HTTP parsing, no per-call serialization) with per-packet
 /// CRC32 checksumming on both ends (2010-era Java CRC32 runs ~300 MB/s per
 /// core, stealing a few percent of the wire rate) and a one-op-per-

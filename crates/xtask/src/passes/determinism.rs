@@ -23,9 +23,9 @@
 use crate::analyze::{token_matches, Finding, Pass, Workspace};
 
 /// Crates whose `src/` trees must stay deterministic. The runtime crates
-/// (`mpi-rt`, `obs`, `transports`) legitimately read wall clocks — they
-/// run and trace real execution — so only the simulation substrate is
-/// linted, plus `xtask` itself.
+/// (`mpi-rt`, `obs`, `mpid`) legitimately read wall clocks — they run and
+/// trace real execution — so only the simulation substrate is linted, plus
+/// `xtask` itself.
 pub const LINTED_CRATES: &[&str] = &[
     "desim", "netsim", "hadoop", "mapred", "faults", "serve", "xtask",
 ];

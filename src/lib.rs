@@ -9,5 +9,4 @@ pub use mpi_rt;
 pub use mpid;
 pub use netsim;
 pub use obs;
-pub use transports;
 pub use workloads;
