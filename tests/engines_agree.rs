@@ -1,9 +1,11 @@
 //! Cross-crate integration: every workload produces identical output on the
 //! sequential reference engine and on the real distributed MPI-D engine,
 //! across topologies and pipeline configurations — and a one-mapper job's
-//! sender counters over a round-robin input repeat exactly.
+//! sender counters and MPI traffic repeat exactly.
 
-use mpid_suite::mapred::{run_local, run_mpid, MpidEngineConfig, TextInput, VecInput};
+use mpid_suite::mapred::{
+    run_local, run_mpid, run_mpid_traced, MpidEngineConfig, TextInput, VecInput,
+};
 use mpid_suite::workloads::{
     zipf_pairs, Grep, InvertedIndex, JavaSort, SortGen, TextGen, WordCount, WordCountPairs,
 };
@@ -214,6 +216,44 @@ fn one_mapper_sender_counts_over_round_robin_splits_are_pinned() {
     assert_eq!(
         (s.pairs_in, s.spills, s.frames, s.bytes_sent),
         (262_144, 17, 17, 1_300_840)
+    );
+}
+
+/// A one-mapper, one-reducer WordCount sends the same MPI messages every
+/// run. Pinned exactly: the universe's byte total and the count of each
+/// `mpi.*` span of the traced run (13 sends, 13 receives, one `barrier`
+/// per rank at `MPI_D_Finalize`). The message total is the 13 sends plus
+/// however many of the barrier's 6 empty messages were sent before the
+/// last rank read the counters, which it does just before finalizing.
+#[test]
+fn one_mapper_wordcount_mpi_traffic_is_pinned() {
+    let make_input = || Arc::new(TextGen::new(0x7AFF, 32 * 1024, 4, 200));
+    let cfg = MpidEngineConfig::with_workers(1, 1);
+    let plain = run_mpid(&cfg, Arc::new(WordCount), make_input());
+    let sink = mpid_suite::obs::SharedTrace::new();
+    let traced = run_mpid_traced(&cfg, Arc::new(WordCount), make_input(), sink.clone());
+    for job in [&plain, &traced] {
+        assert_eq!(job.universe_bytes, 2872);
+        let msgs = job.universe_msgs;
+        assert!((13..=13 + 6).contains(&msgs), "{msgs} messages");
+    }
+    let mut spans = std::collections::BTreeMap::new();
+    for e in sink.take_trace().events() {
+        if e.cat.starts_with("mpi.") {
+            *spans.entry((e.cat, e.name.to_string())).or_insert(0u64) += 1;
+        }
+    }
+    let spans: Vec<(&str, &str, u64)> = spans
+        .iter()
+        .map(|((cat, name), n)| (*cat, name.as_str(), *n))
+        .collect();
+    assert_eq!(
+        spans,
+        vec![
+            ("mpi.coll", "barrier", 3),
+            ("mpi.p2p", "recv", 13),
+            ("mpi.p2p", "send", 13),
+        ]
     );
 }
 
