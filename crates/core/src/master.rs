@@ -10,7 +10,7 @@
 
 use crate::config::{tags, MpidConfig};
 use crate::error::{MpidError, MpidResult};
-use crate::kv::Kv;
+use crate::kv::{CodecError, Kv};
 use crate::stats::MasterStats;
 use bytes::BytesMut;
 use mpi_rt::Comm;
@@ -47,19 +47,17 @@ pub fn run_master<S: Kv>(comm: &Comm, cfg: &MpidConfig, splits: Vec<S>) -> MpidR
 pub fn next_split<S: Kv>(comm: &Comm) -> MpidResult<Option<S>> {
     comm.send::<u8>(0, tags::REQ, &[])?;
     let (reply, _) = comm.recv::<u8>(Some(0), Some(tags::ASSIGN))?;
+    let from_master = |err| MpidError::Codec {
+        source_rank: 0,
+        err,
+    };
     match reply.split_first() {
         Some((&MARK_DONE, _)) => Ok(None),
-        Some((&MARK_SPLIT, mut rest)) => {
-            let split = S::decode(&mut rest).map_err(|err| MpidError::Codec {
-                source_rank: 0,
-                err,
-            })?;
-            Ok(Some(split))
-        }
-        _ => Err(MpidError::Codec {
-            source_rank: 0,
-            err: crate::kv::CodecError::Corrupt("empty assignment reply"),
-        }),
+        Some((&MARK_SPLIT, mut rest)) => S::decode(&mut rest).map(Some).map_err(from_master),
+        Some(_) => Err(from_master(CodecError::Corrupt(
+            "unknown assignment marker",
+        ))),
+        None => Err(from_master(CodecError::Corrupt("empty assignment reply"))),
     }
 }
 
@@ -86,21 +84,30 @@ mod tests {
         results.pop().flatten().unwrap()
     }
 
-    fn assert_codec_from_master(got: MpidResult<Option<u64>>) {
-        assert!(
-            matches!(got, Err(MpidError::Codec { source_rank: 0, .. })),
-            "{got:?}"
+    fn assert_codec_from_master(got: MpidResult<Option<u64>>, err: CodecError) {
+        assert_eq!(
+            got,
+            Err(MpidError::Codec {
+                source_rank: 0,
+                err
+            })
         );
     }
 
     #[test]
     fn empty_reply_is_a_codec_error() {
-        assert_codec_from_master(split_from_reply(Vec::new()));
+        assert_codec_from_master(
+            split_from_reply(Vec::new()),
+            CodecError::Corrupt("empty assignment reply"),
+        );
     }
 
     #[test]
     fn unknown_marker_is_a_codec_error() {
-        assert_codec_from_master(split_from_reply(vec![7, 0, 0, 0, 0, 0, 0, 0, 0]));
+        assert_codec_from_master(
+            split_from_reply(vec![7, 0, 0, 0, 0, 0, 0, 0, 0]),
+            CodecError::Corrupt("unknown assignment marker"),
+        );
     }
 
     #[test]
@@ -109,7 +116,7 @@ mod tests {
         split.extend_from_slice(&7u64.to_le_bytes());
         assert_eq!(split_from_reply(split.clone()), Ok(Some(7)));
         split.truncate(4);
-        assert_codec_from_master(split_from_reply(split));
+        assert_codec_from_master(split_from_reply(split), CodecError::Truncated);
     }
 
     #[test]

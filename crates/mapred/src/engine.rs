@@ -44,7 +44,7 @@ pub struct MpidEngineConfig {
     /// pool's high-water mark is reported in [`JobOutput::pool_stats`].
     pub mem_budget: Option<usize>,
     /// Run the universe under the mpiverify correctness checker (deadlock
-    /// watchdog, collective signature checks, teardown leak audit). On by
+    /// watchdog, typed-receive signature checks, teardown leak audit). On by
     /// default; observation-only, so results are identical either way.
     pub verify: bool,
     /// How spilled frames travel to the reducers (see [`mpid::shuffle`]):

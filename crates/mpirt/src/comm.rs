@@ -1,6 +1,6 @@
-//! Communicators and point-to-point operations.
+//! The world communicator and its point-to-point operations.
 //!
-//! Every send — blocking, non-blocking, buffered, collective — goes through
+//! Every send — blocking, non-blocking, or a barrier round — goes through
 //! one private post (`Comm::post`): count the message, pick eager or
 //! rendezvous, deliver the envelope, and return the [`SendRequest`] that
 //! completes it. Every blocking wait — a blocking or timed receive, a
@@ -10,12 +10,12 @@
 
 use crate::data::MpiType;
 use crate::lock;
-use crate::matching::{ContextId, Envelope, Mailbox, PayloadSlot, RecvSlot, Rendezvous};
+use crate::matching::{Envelope, Mailbox, PayloadSlot, RecvSlot, Rendezvous};
 use crate::trace::RankTrace;
 use crate::types::{MpiError, MpiResult, Rank, Status, Tag, MAX_USER_TAG};
 use crate::verify::{BlockedOp, Finding, Verifier, WaitHandle, WireSig, ABORT_POLL};
 use bytes::Bytes;
-use obs::names::{MPI_BSEND, MPI_ISEND, MPI_RECV, MPI_SEND};
+use obs::names::{MPI_ISEND, MPI_RECV, MPI_SEND};
 use obs::ArgValue;
 use std::cell::Cell;
 use std::collections::BTreeSet;
@@ -74,16 +74,14 @@ impl WorldState {
     }
 }
 
-/// How a send completes: the `MPI_Send`, `MPI_Isend` and `MPI_Bsend` modes
-/// of the one post.
+/// How a send completes: the `MPI_Send` and `MPI_Isend` modes of the one
+/// post.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SendMode {
     /// Return once the payload is queued (eager) or claimed (rendezvous).
     Blocking,
     /// Return the request at once; the caller completes it.
     Immediate,
-    /// Always eager, so it never blocks; not a fault-injection point.
-    Buffered,
 }
 
 /// Checker context of a blocking wait: the universe's verifier, and the
@@ -145,38 +143,32 @@ fn block_on<R>(
     }
 }
 
-/// Context id of the world communicator.
-pub(crate) const WORLD_CTX: ContextId = 1;
-
-/// A communicator: a context plus an ordered group of ranks.
+/// The world communicator (`MPI_COMM_WORLD`), the only one there is: every
+/// rank of the universe, ranked `0..size()`.
 ///
-/// Each rank's function receives its own `Comm` handle (the analog of
-/// `MPI_COMM_WORLD`); derived communicators come from [`Comm::split`] and
-/// [`Comm::dup`]. The handle is `Send` but intentionally not `Sync` — a rank
-/// is a single logical thread of execution.
+/// Each rank's function receives its own `Comm` handle. The handle is
+/// `Send` but intentionally not `Sync` — a rank is a single logical thread
+/// of execution.
 pub struct Comm {
     pub(crate) world: Arc<WorldState>,
-    pub(crate) ctx: ContextId,
-    /// Map comm rank → world rank.
-    pub(crate) group: Arc<Vec<Rank>>,
     pub(crate) rank: Rank,
-    /// Per-rank collective sequence number; collectives must be invoked in
-    /// the same order by all ranks of the communicator (an MPI requirement),
-    /// which keeps these counters in lockstep without communication.
+    /// Per-rank barrier sequence number; every rank calls the barrier the
+    /// same number of times (an MPI requirement), which keeps these
+    /// counters in lockstep without communication.
     pub(crate) coll_seq: Cell<u64>,
     /// Optional per-rank tracing handle (set by `Universe::run_traced`).
     pub(crate) trace: Option<Arc<RankTrace>>,
 }
 
 impl Comm {
-    /// This process's rank within the communicator.
+    /// This process's rank.
     pub fn rank(&self) -> Rank {
         self.rank
     }
 
-    /// Number of ranks in the communicator.
+    /// Number of ranks in the universe.
     pub fn size(&self) -> usize {
-        self.group.len()
+        self.world.mailboxes.len()
     }
 
     /// Configured eager/rendezvous protocol switch-over, in bytes.
@@ -208,7 +200,7 @@ impl Comm {
         self.trace.as_ref().map(|t| t.now_ns())
     }
 
-    /// Close a collective span opened by [`Comm::trace_start`].
+    /// Close a barrier span opened by [`Comm::trace_start`].
     #[inline]
     pub(crate) fn trace_coll(&self, name: &'static str, start: Option<u64>) {
         if let (Some(t), Some(start)) = (&self.trace, start) {
@@ -238,12 +230,6 @@ impl Comm {
         }
     }
 
-    /// This rank's world rank (checker state and reports use world ranks).
-    #[inline]
-    pub(crate) fn world_rank(&self) -> Rank {
-        self.group[self.rank]
-    }
-
     /// The universe's checker, when this run is verified.
     #[inline]
     pub(crate) fn verifier(&self) -> Option<&Arc<Verifier>> {
@@ -255,22 +241,18 @@ impl Comm {
     fn checked(&self, op: BlockedOp) -> Option<Checked> {
         self.verifier().map(|v| Checked {
             verifier: v.clone(),
-            rank: self.world_rank(),
+            rank: self.rank,
             op,
         })
     }
 
-    /// [`Comm::checked`] for a receive from comm rank `src`.
+    /// [`Comm::checked`] for a receive from `src`.
     fn checked_recv(&self, src: Option<Rank>, tag: Option<Tag>) -> Option<Checked> {
-        self.checked(BlockedOp::Recv {
-            ctx: self.ctx,
-            src: src.map(|s| self.group[s]),
-            tag,
-        })
+        self.checked(BlockedOp::Recv { src, tag })
     }
 
     /// The error for a send that found `dst`'s mailbox closed. After a
-    /// universe abort (deadlock / collective mismatch) the peer left
+    /// universe abort (deadlock or rank loss) the peer left
     /// *because* of the abort, so the sender reports that — the same error
     /// a blocked receive would — rather than the bare departure.
     fn peer_gone(&self, dst: Rank) -> MpiError {
@@ -279,12 +261,11 @@ impl Comm {
             .unwrap_or(MpiError::PeerGone { rank: dst })
     }
 
-    /// Number of messages that have arrived in this rank's queue (within
-    /// this communicator, optionally filtered by tag) but have not been
-    /// received. Clean-shutdown audits in layers above MPI (e.g. MPI-D's
+    /// Number of messages that have arrived in this rank's queue
+    /// (optionally filtered by tag) but have not been received. Clean-shutdown audits in layers above MPI (e.g. MPI-D's
     /// `MPI_D_Finalize`) use this to detect dropped traffic.
     pub fn pending_messages(&self, tag: Option<Tag>) -> usize {
-        self.world.mailboxes[self.world_rank()].unexpected_matching(self.ctx, None, tag)
+        self.world.mailboxes[self.rank].unexpected_matching(None, tag)
     }
 
     /// Report an application-level unclean-shutdown observation to the
@@ -293,7 +274,7 @@ impl Comm {
     pub fn report_shutdown_leak(&self, detail: String) {
         if let Some(v) = self.verifier() {
             v.finding(Finding::ShutdownLeak {
-                rank: self.world_rank(),
+                rank: self.rank,
                 detail,
             });
         }
@@ -306,7 +287,7 @@ impl Comm {
     /// [`MpiError::RankLost`] rather than a genuine rank bug.
     #[inline]
     fn fault_check(&self) {
-        let me = self.world_rank();
+        let me = self.rank;
         if let Some(after) = self.world.fault_after[me] {
             let n = self.world.op_counts[me].fetch_add(1, Ordering::Relaxed);
             if n >= after {
@@ -321,10 +302,10 @@ impl Comm {
     }
 
     fn check_rank(&self, r: Rank) -> MpiResult<()> {
-        if r >= self.group.len() {
+        if r >= self.size() {
             return Err(MpiError::RankOutOfRange {
                 rank: r,
-                size: self.group.len(),
+                size: self.size(),
             });
         }
         Ok(())
@@ -337,11 +318,11 @@ impl Comm {
         Ok(())
     }
 
-    /// The one send path, under every user and collective send: count the
-    /// message, pick eager or rendezvous (`Buffered` forces eager), deliver
-    /// the envelope — a closed mailbox maps through [`Comm::peer_gone`] —
-    /// and return the request that completes it. A `Blocking` send
-    /// completes it before returning. Internal tags are allowed.
+    /// The one send path, under every user send and every barrier round:
+    /// count the message, pick eager or rendezvous, deliver the envelope —
+    /// a closed mailbox maps through [`Comm::peer_gone`] — and return the
+    /// request that completes it. A `Blocking` send completes it before
+    /// returning. Internal tags are allowed.
     pub(crate) fn post(
         &self,
         dst: Rank,
@@ -350,25 +331,20 @@ impl Comm {
         sig: WireSig,
         mode: SendMode,
     ) -> MpiResult<SendRequest> {
-        if mode != SendMode::Buffered {
-            self.fault_check();
-        }
+        self.fault_check();
         self.check_rank(dst)?;
-        let to = self.group[dst];
         self.world.msgs_sent.fetch_add(1, Ordering::Relaxed);
         self.world
             .bytes_sent
             .fetch_add(data.len() as u64, Ordering::Relaxed);
-        let (payload, rv) =
-            if mode == SendMode::Buffered || data.len() <= self.world.eager_threshold {
-                (PayloadSlot::Eager(data), None)
-            } else {
-                let rv = Rendezvous::new(data);
-                (PayloadSlot::Rendezvous(rv.clone()), Some(rv))
-            };
-        self.world.mailboxes[to]
+        let (payload, rv) = if data.len() <= self.world.eager_threshold {
+            (PayloadSlot::Eager(data), None)
+        } else {
+            let rv = Rendezvous::new(data);
+            (PayloadSlot::Rendezvous(rv.clone()), Some(rv))
+        };
+        self.world.mailboxes[dst]
             .deliver(Envelope {
-                ctx: self.ctx,
                 src: self.rank,
                 tag,
                 payload,
@@ -379,8 +355,7 @@ impl Comm {
         // matched; that wait is what the checker needs to know about.
         let checked = rv.as_ref().and_then(|rv| {
             self.checked(BlockedOp::RendezvousSend {
-                ctx: self.ctx,
-                dst: to,
+                dst,
                 tag,
                 bytes: rv.size,
             })
@@ -391,7 +366,7 @@ impl Comm {
                 rv: None,
                 checked: None,
             }),
-            SendMode::Immediate | SendMode::Buffered => Ok(req),
+            SendMode::Immediate => Ok(req),
         }
     }
 
@@ -425,8 +400,7 @@ impl Comm {
             self.check_rank(s)?;
         }
         let checked = self.checked_recv(src, tag);
-        let state = match self.world.mailboxes[self.world_rank()].match_or_post(self.ctx, src, tag)
-        {
+        let state = match self.world.mailboxes[self.rank].match_or_post(src, tag) {
             Ok(env) => RecvReqState::Ready(env),
             Err((slot, _)) => RecvReqState::Waiting(slot),
         };
@@ -459,8 +433,8 @@ impl Comm {
         if let Some(s) = src {
             self.check_rank(s)?;
         }
-        let mailbox = &self.world.mailboxes[self.world_rank()];
-        let (slot, posted_id) = match mailbox.match_or_post(self.ctx, src, tag) {
+        let mailbox = &self.world.mailboxes[self.rank];
+        let (slot, posted_id) = match mailbox.match_or_post(src, tag) {
             Ok(env) => return Ok(env),
             Err(posted) => posted,
         };
@@ -504,7 +478,7 @@ impl Comm {
 
     /// Checker context for typed-receive signature checks.
     fn verify_ctx(&self) -> Option<(&Verifier, Rank)> {
-        self.verifier().map(|v| (v.as_ref(), self.world_rank()))
+        self.verifier().map(|v| (v.as_ref(), self.rank))
     }
 
     // ----- public point-to-point API (the MPI_Send/MPI_Recv analogs) -----
@@ -579,16 +553,6 @@ impl Comm {
         })
     }
 
-    /// Buffered send (`MPI_Bsend`): always copies the payload into the
-    /// receiver's queue and returns immediately, regardless of size — no
-    /// rendezvous, no blocking. Trades memory (the copy lives in the
-    /// destination mailbox until received) for decoupling.
-    pub fn bsend<T: MpiType>(&self, dst: Rank, tag: Tag, data: &[T]) -> MpiResult<()> {
-        let (bytes, sig) = (T::to_bytes(data), wire_sig(data));
-        self.user_send(MPI_BSEND, dst, tag, bytes, sig, SendMode::Buffered)
-            .map(drop)
-    }
-
     /// Non-blocking send (`MPI_Isend`). The returned request completes
     /// immediately for eager payloads and when the receiver matches for
     /// rendezvous payloads.
@@ -607,37 +571,6 @@ impl Comm {
             self.check_tag(t)?;
         }
         self.post_recv(src, tag)
-    }
-
-    /// Combined exchange (`MPI_Sendrecv`): posts the send without blocking,
-    /// receives, then completes the send. Deadlock-free for symmetric
-    /// exchange patterns regardless of payload size.
-    pub fn sendrecv<T: MpiType, U: MpiType>(
-        &self,
-        dst: Rank,
-        send_tag: Tag,
-        data: &[T],
-        src: Option<Rank>,
-        recv_tag: Option<Tag>,
-    ) -> MpiResult<(Vec<U>, Status)> {
-        let req = self.isend(dst, send_tag, data)?;
-        let got = self.recv::<U>(src, recv_tag)?;
-        req.wait();
-        Ok(got)
-    }
-
-    /// Blocking probe: wait until a matching message is enqueued, without
-    /// receiving it. (Implemented with a generous timeout; a probe that
-    /// waits an hour is a deadlock in every workload in this suite.)
-    pub fn probe(&self, src: Option<Rank>, tag: Option<Tag>) -> MpiResult<Status> {
-        let mailbox = &self.world.mailboxes[self.world_rank()];
-        mailbox.probe_timeout(self.ctx, src, tag, Duration::from_secs(3600))
-    }
-
-    /// Non-blocking probe (`MPI_Iprobe`).
-    pub fn iprobe(&self, src: Option<Rank>, tag: Option<Tag>) -> Option<Status> {
-        let mailbox = &self.world.mailboxes[self.world_rank()];
-        mailbox.iprobe(self.ctx, src, tag)
     }
 }
 
@@ -702,8 +635,8 @@ impl SendRequest {
     ///
     /// # Panics
     /// In a checked universe, panics with the watchdog's report if the
-    /// universe is aborted (deadlock or collective mismatch) while this
-    /// send is still waiting to rendezvous.
+    /// universe is aborted (deadlock or rank loss) while this send is still
+    /// waiting to rendezvous.
     pub fn wait(self) {
         if let Err(e) = self.complete() {
             panic!("{e}");
@@ -713,13 +646,6 @@ impl SendRequest {
     /// Completion check without blocking (`MPI_Test`).
     pub fn test(&self) -> bool {
         self.rv.as_ref().is_none_or(|rv| rv.is_taken())
-    }
-}
-
-/// Wait for every send request (`MPI_Waitall` for sends).
-pub fn wait_all_sends(reqs: Vec<SendRequest>) {
-    for r in reqs {
-        r.wait();
     }
 }
 
@@ -760,49 +686,5 @@ impl<T: MpiType> RecvRequest<T> {
             RecvReqState::Ready(_) => true,
             RecvReqState::Waiting(slot) => slot.is_ready(),
         }
-    }
-
-    /// True when the universe has been aborted by the checker; `wait` will
-    /// return the abort error promptly.
-    fn aborted(&self) -> bool {
-        self.checked
-            .as_ref()
-            .is_some_and(|c| c.verifier.abort_error().is_some())
-    }
-}
-
-/// Wait for every receive request, in order (`MPI_Waitall` for receives).
-pub fn wait_all_recvs<T: MpiType>(reqs: Vec<RecvRequest<T>>) -> MpiResult<Vec<(Vec<T>, Status)>> {
-    reqs.into_iter().map(|r| r.wait()).collect()
-}
-
-/// Outcome of [`wait_any_recv`]: the completed request's index and payload,
-/// plus the still-pending requests in their original relative order.
-pub type WaitAnyOutcome<T> = (usize, MpiResult<(Vec<T>, Status)>, Vec<RecvRequest<T>>);
-
-/// Wait for *one* receive request to complete (`MPI_Waitany`): returns the
-/// index of the completed request, its payload, and the remaining requests
-/// (order preserved). Polls with a short park between sweeps.
-///
-/// # Panics
-/// Panics if `reqs` is empty.
-pub fn wait_any_recv<T: MpiType>(mut reqs: Vec<RecvRequest<T>>) -> WaitAnyOutcome<T> {
-    assert!(!reqs.is_empty(), "wait_any on empty request list");
-    loop {
-        if let Some(i) = reqs.iter().position(|r| r.test()) {
-            let req = reqs.remove(i);
-            return (i, req.wait(), reqs);
-        }
-        // A universe abort (deadlock among other ranks) means no request
-        // here may ever complete; surface the abort error through the
-        // first request instead of polling forever.
-        if let Some(i) = reqs.iter().position(|r| r.aborted()) {
-            let req = reqs.remove(i);
-            return (i, req.wait(), reqs);
-        }
-        // No completion yet: park briefly. (A condvar-per-request-set would
-        // avoid the poll; the sleep keeps the implementation simple and the
-        // latency bounded to ~50 µs.)
-        std::thread::sleep(std::time::Duration::from_micros(50));
     }
 }

@@ -9,11 +9,9 @@
 //!   wildcards, MPI's non-overtaking ordering guarantee, and both wire
 //!   protocols — **eager** (copy-and-go) below a configurable threshold and
 //!   **rendezvous** (sender blocks until matched) above it.
-//! * **Collectives** ([`coll`]): barrier, bcast, reduce, allreduce, gather,
-//!   allgather, scatter, alltoall, scan — the classic binomial-tree /
-//!   dissemination / ring / pairwise MPICH algorithms.
-//! * **Communicators**: `split` and `dup` with context isolation, so derived
-//!   communicators never intercept each other's traffic.
+//! * **Barrier** ([`coll`]): the one collective MPI-D calls (in
+//!   `MPI_D_Finalize`), with MPICH's dissemination algorithm. Every
+//!   [`Comm`] is the world communicator.
 //! * **Failure visibility**: ranks that return close their mailboxes, so a
 //!   send to a dead rank errors ([`MpiError::PeerGone`]) instead of hanging,
 //!   and timed receives ([`Comm::recv_timeout`]) let callers bound waits.
@@ -23,9 +21,9 @@
 //!   report — the substrate for checkpoint/restart experiments.
 //! * **Verification** ([`verify`]): every run is checked by default — a
 //!   wait-for-graph watchdog aborts deadlocks with per-rank reports instead
-//!   of hanging, collectives are call-signature-checked across ranks, typed
-//!   sends/receives are signature-matched, and teardown audits mailboxes
-//!   for leaked messages. [`Universe::run_unchecked`] opts out.
+//!   of hanging, typed sends/receives are signature-matched, and teardown
+//!   audits mailboxes for leaked messages. [`Universe::run_unchecked`]
+//!   opts out.
 //!
 //! ```
 //! use mpi_rt::Universe;
@@ -57,14 +55,14 @@ pub mod types;
 pub mod universe;
 pub mod verify;
 
-pub use comm::{wait_all_recvs, wait_all_sends, wait_any_recv, Comm, RecvRequest, SendRequest};
+pub use comm::{Comm, RecvRequest, SendRequest};
 pub use data::MpiType;
 pub use trace::RankTrace;
 pub use types::{MpiError, MpiResult, Rank, Status, Tag, ANY_SOURCE, ANY_TAG, MAX_USER_TAG};
 pub use universe::{MpiConfig, RankFault, Universe};
 pub use verify::{
-    BlockedOp, CollMismatch, CollSig, DeadlockReport, Finding, RankLostReport, RankSnapshot,
-    RanksFailure, VerifyConfig, VerifyReport, WireSig,
+    BlockedOp, DeadlockReport, Finding, RankLostReport, RankSnapshot, RanksFailure, VerifyConfig,
+    VerifyReport, WireSig,
 };
 
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};

@@ -3,12 +3,12 @@
 //!
 //! This is the heart of any MPI implementation. Every rank owns a mailbox;
 //! a send locks the *destination* mailbox and either completes a posted
-//! receive that matches `(context, source, tag)` or parks the envelope on the
+//! receive that matches `(source, tag)` or parks the envelope on the
 //! unexpected queue. A receive first scans the unexpected queue (in arrival
 //! order — MPI's non-overtaking guarantee), then posts itself and blocks.
 //!
-//! Matching rules (MPI 3.1 §3.5): a receive matches a message if the
-//! communicator context is equal, and each of source/tag is either equal or a
+//! Matching rules (MPI 3.1 §3.5, for the one communicator there is): a
+//! receive matches a message if each of source/tag is either equal or a
 //! wildcard on the receive side. Among candidates, the *earliest sent*
 //! message wins; among posted receives, the *earliest posted* wins.
 //!
@@ -26,15 +26,10 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-/// Communicator context id: separates traffic of different communicators.
-pub type ContextId = u64;
-
 /// A message in flight (header + payload or rendezvous token).
 #[derive(Debug, Clone)]
 pub struct Envelope {
-    /// Communicator context.
-    pub ctx: ContextId,
-    /// World rank of the sender (translated to comm rank by the caller).
+    /// Rank of the sender.
     pub src: Rank,
     /// Tag.
     pub tag: Tag,
@@ -177,7 +172,6 @@ impl RecvSlot {
 /// A receive that has been posted and is waiting for a matching send.
 #[derive(Debug)]
 struct PostedRecv {
-    ctx: ContextId,
     src: Option<Rank>,
     tag: Option<Tag>,
     slot: Arc<RecvSlot>,
@@ -185,15 +179,8 @@ struct PostedRecv {
     id: u64,
 }
 
-fn matches(
-    ctx: ContextId,
-    src: Rank,
-    tag: Tag,
-    want_ctx: ContextId,
-    want_src: Option<Rank>,
-    want_tag: Option<Tag>,
-) -> bool {
-    ctx == want_ctx && want_src.is_none_or(|s| s == src) && want_tag.is_none_or(|t| t == tag)
+fn matches(src: Rank, tag: Tag, want_src: Option<Rank>, want_tag: Option<Tag>) -> bool {
+    want_src.is_none_or(|s| s == src) && want_tag.is_none_or(|t| t == tag)
 }
 
 #[derive(Debug, Default)]
@@ -204,27 +191,10 @@ struct MailboxInner {
     closed: bool,
 }
 
-impl MailboxInner {
-    /// Status of the earliest unexpected message matching `(ctx, src, tag)`.
-    fn probe(&self, ctx: ContextId, src: Option<Rank>, tag: Option<Tag>) -> Option<Status> {
-        self.unexpected
-            .iter()
-            .find(|e| matches(e.ctx, e.src, e.tag, ctx, src, tag))
-            .map(|e| Status {
-                source: e.src,
-                tag: e.tag,
-                bytes: e.payload.len(),
-            })
-    }
-}
-
 /// One rank's incoming-message state.
 #[derive(Debug, Default)]
 pub struct Mailbox {
     inner: Mutex<MailboxInner>,
-    /// Signalled whenever an unexpected message arrives or the box closes
-    /// (for blocking probe).
-    arrived: Condvar,
 }
 
 impl Mailbox {
@@ -245,18 +215,14 @@ impl Mailbox {
         let pos = inner
             .posted
             .iter()
-            .position(|p| matches(env.ctx, env.src, env.tag, p.ctx, p.src, p.tag));
+            .position(|p| matches(env.src, env.tag, p.src, p.tag));
         match pos {
             Some(i) => {
                 let posted = inner.posted.remove(i);
                 drop(inner);
                 posted.slot.deliver(env);
             }
-            None => {
-                inner.unexpected.push_back(env);
-                drop(inner);
-                self.arrived.notify_all();
-            }
+            None => inner.unexpected.push_back(env),
         }
         Ok(())
     }
@@ -265,7 +231,6 @@ impl Mailbox {
     /// receive slot to block on. Returns either the envelope or the slot.
     pub fn match_or_post(
         &self,
-        ctx: ContextId,
         src: Option<Rank>,
         tag: Option<Tag>,
     ) -> Result<Envelope, (Arc<RecvSlot>, u64)> {
@@ -273,7 +238,7 @@ impl Mailbox {
         let pos = inner
             .unexpected
             .iter()
-            .position(|e| matches(e.ctx, e.src, e.tag, ctx, src, tag));
+            .position(|e| matches(e.src, e.tag, src, tag));
         if let Some(i) = pos {
             return Ok(inner.unexpected.remove(i).expect("indexed"));
         }
@@ -281,7 +246,6 @@ impl Mailbox {
         let id = inner.next_posted_id;
         inner.next_posted_id += 1;
         inner.posted.push(PostedRecv {
-            ctx,
             src,
             tag,
             slot: slot.clone(),
@@ -299,31 +263,10 @@ impl Mailbox {
         inner.posted.len() != before
     }
 
-    /// Non-destructive scan of the unexpected queue (`MPI_Iprobe`).
-    pub fn iprobe(&self, ctx: ContextId, src: Option<Rank>, tag: Option<Tag>) -> Option<Status> {
-        lock(&self.inner).probe(ctx, src, tag)
-    }
-
-    /// Blocking probe with timeout (`MPI_Probe`): waits until a matching
-    /// message is queued (without consuming it).
-    pub fn probe_timeout(
-        &self,
-        ctx: ContextId,
-        src: Option<Rank>,
-        tag: Option<Tag>,
-        timeout: Duration,
-    ) -> MpiResult<Status> {
-        let inner = wait_while(&self.arrived, lock(&self.inner), timeout, |i| {
-            i.probe(ctx, src, tag).is_none()
-        });
-        inner.probe(ctx, src, tag).ok_or(MpiError::Timeout(timeout))
-    }
-
     /// Mark this rank as finished; subsequent deliveries fail with
     /// `PeerGone`.
     pub fn close(&self) {
         lock(&self.inner).closed = true;
-        self.arrived.notify_all();
     }
 
     /// Count of unexpected (unclaimed) messages — diagnostics.
@@ -331,35 +274,24 @@ impl Mailbox {
         lock(&self.inner).unexpected.len()
     }
 
-    /// Count of unexpected messages matching `(ctx, src, tag)` (wildcards
+    /// Count of unexpected messages matching `(src, tag)` (wildcards
     /// allowed) — used by clean-shutdown audits above the MPI layer.
-    pub fn unexpected_matching(
-        &self,
-        ctx: ContextId,
-        src: Option<Rank>,
-        tag: Option<Tag>,
-    ) -> usize {
+    pub fn unexpected_matching(&self, src: Option<Rank>, tag: Option<Tag>) -> usize {
         lock(&self.inner)
             .unexpected
             .iter()
-            .filter(|e| matches(e.ctx, e.src, e.tag, ctx, src, tag))
+            .filter(|e| matches(e.src, e.tag, src, tag))
             .count()
     }
 
     /// Teardown audit: drain everything still parked in this mailbox —
     /// unclaimed unexpected envelopes and never-matched posted receives
-    /// (as `(ctx, src, tag)` descriptors).
+    /// (as `(src, tag)` descriptors).
     #[allow(clippy::type_complexity)]
-    pub(crate) fn drain_leftovers(
-        &self,
-    ) -> (Vec<Envelope>, Vec<(ContextId, Option<Rank>, Option<Tag>)>) {
+    pub(crate) fn drain_leftovers(&self) -> (Vec<Envelope>, Vec<(Option<Rank>, Option<Tag>)>) {
         let mut inner = lock(&self.inner);
         let unexpected = inner.unexpected.drain(..).collect();
-        let posted = inner
-            .posted
-            .drain(..)
-            .map(|p| (p.ctx, p.src, p.tag))
-            .collect();
+        let posted = inner.posted.drain(..).map(|p| (p.src, p.tag)).collect();
         (unexpected, posted)
     }
 }
@@ -368,9 +300,8 @@ impl Mailbox {
 mod tests {
     use super::*;
 
-    fn env(ctx: ContextId, src: Rank, tag: Tag, data: &[u8]) -> Envelope {
+    fn env(src: Rank, tag: Tag, data: &[u8]) -> Envelope {
         Envelope {
-            ctx,
             src,
             tag,
             payload: PayloadSlot::Eager(Bytes::copy_from_slice(data)),
@@ -388,19 +319,19 @@ mod tests {
     #[test]
     fn unexpected_then_matched_in_arrival_order() {
         let mb = Mailbox::new();
-        mb.deliver(env(1, 0, 5, b"first")).unwrap();
-        mb.deliver(env(1, 0, 5, b"second")).unwrap();
-        let got = mb.match_or_post(1, Some(0), Some(5)).unwrap();
+        mb.deliver(env(0, 5, b"first")).unwrap();
+        mb.deliver(env(0, 5, b"second")).unwrap();
+        let got = mb.match_or_post(Some(0), Some(5)).unwrap();
         assert_eq!(payload(&got), b"first");
-        let got = mb.match_or_post(1, Some(0), Some(5)).unwrap();
+        let got = mb.match_or_post(Some(0), Some(5)).unwrap();
         assert_eq!(payload(&got), b"second");
     }
 
     #[test]
     fn wildcard_source_and_tag_match_anything() {
         let mb = Mailbox::new();
-        mb.deliver(env(1, 3, 9, b"x")).unwrap();
-        let got = mb.match_or_post(1, None, None).unwrap();
+        mb.deliver(env(3, 9, b"x")).unwrap();
+        let got = mb.match_or_post(None, None).unwrap();
         assert_eq!(got.src, 3);
         assert_eq!(got.tag, 9);
     }
@@ -408,33 +339,20 @@ mod tests {
     #[test]
     fn non_matching_messages_are_skipped() {
         let mb = Mailbox::new();
-        mb.deliver(env(1, 0, 1, b"wrong-tag")).unwrap();
-        mb.deliver(env(1, 0, 2, b"right")).unwrap();
-        let got = mb.match_or_post(1, Some(0), Some(2)).unwrap();
+        mb.deliver(env(0, 1, b"wrong-tag")).unwrap();
+        mb.deliver(env(0, 2, b"right")).unwrap();
+        let got = mb.match_or_post(Some(0), Some(2)).unwrap();
         assert_eq!(payload(&got), b"right");
         // The skipped message is still there.
         assert_eq!(mb.unexpected_len(), 1);
     }
 
     #[test]
-    fn context_separates_traffic() {
-        let mb = Mailbox::new();
-        mb.deliver(env(7, 0, 1, b"ctx7")).unwrap();
-        assert!(
-            mb.match_or_post(8, None, None).is_err(),
-            "ctx 8 sees nothing"
-        );
-        // The posted recv for ctx 8 must not swallow a ctx 7 message.
-        mb.deliver(env(7, 0, 1, b"ctx7-again")).unwrap();
-        assert_eq!(mb.unexpected_len(), 2);
-    }
-
-    #[test]
     fn posted_receive_completed_by_delivery() {
         let mb = Arc::new(Mailbox::new());
-        let (slot, _) = mb.match_or_post(1, Some(2), None).unwrap_err();
+        let (slot, _) = mb.match_or_post(Some(2), None).unwrap_err();
         assert!(!slot.is_ready());
-        mb.deliver(env(1, 2, 4, b"hello")).unwrap();
+        mb.deliver(env(2, 4, b"hello")).unwrap();
         let got = slot.wait_timeout(Duration::ZERO).expect("delivered");
         assert_eq!(payload(&got), b"hello");
         assert_eq!(mb.unexpected_len(), 0);
@@ -443,9 +361,9 @@ mod tests {
     #[test]
     fn earliest_posted_receive_wins() {
         let mb = Mailbox::new();
-        let (slot_a, _) = mb.match_or_post(1, None, None).unwrap_err();
-        let (slot_b, _) = mb.match_or_post(1, None, None).unwrap_err();
-        mb.deliver(env(1, 0, 0, b"for-a")).unwrap();
+        let (slot_a, _) = mb.match_or_post(None, None).unwrap_err();
+        let (slot_b, _) = mb.match_or_post(None, None).unwrap_err();
+        mb.deliver(env(0, 0, b"for-a")).unwrap();
         assert!(slot_a.is_ready());
         assert!(!slot_b.is_ready());
     }
@@ -454,14 +372,14 @@ mod tests {
     fn cross_thread_blocking_receive() {
         let mb = Arc::new(Mailbox::new());
         let mb2 = mb.clone();
-        let h = std::thread::spawn(move || match mb2.match_or_post(1, None, Some(3)) {
+        let h = std::thread::spawn(move || match mb2.match_or_post(None, Some(3)) {
             Ok(e) => e,
             Err((slot, _)) => slot
                 .wait_timeout(Duration::from_secs(10))
                 .expect("delivered"),
         });
         std::thread::sleep(Duration::from_millis(20));
-        mb.deliver(env(1, 5, 3, b"late")).unwrap();
+        mb.deliver(env(5, 3, b"late")).unwrap();
         let got = h.join().unwrap();
         assert_eq!(payload(&got), b"late");
     }
@@ -469,45 +387,19 @@ mod tests {
     #[test]
     fn timed_receive_expires_and_cancels() {
         let mb = Mailbox::new();
-        let (slot, id) = mb.match_or_post(1, Some(0), Some(0)).unwrap_err();
+        let (slot, id) = mb.match_or_post(Some(0), Some(0)).unwrap_err();
         assert!(slot.wait_timeout(Duration::from_millis(30)).is_none());
         assert!(mb.cancel_posted(id));
         // Late delivery now goes to unexpected instead of the dead slot.
-        mb.deliver(env(1, 0, 0, b"late")).unwrap();
+        mb.deliver(env(0, 0, b"late")).unwrap();
         assert_eq!(mb.unexpected_len(), 1);
-    }
-
-    #[test]
-    fn iprobe_does_not_consume() {
-        let mb = Mailbox::new();
-        assert!(mb.iprobe(1, None, None).is_none());
-        mb.deliver(env(1, 2, 7, b"abc")).unwrap();
-        let st = mb.iprobe(1, None, Some(7)).unwrap();
-        assert_eq!(
-            st,
-            Status {
-                source: 2,
-                tag: 7,
-                bytes: 3
-            }
-        );
-        assert_eq!(mb.unexpected_len(), 1);
-    }
-
-    #[test]
-    fn probe_timeout_expires() {
-        let mb = Mailbox::new();
-        let err = mb
-            .probe_timeout(1, None, None, Duration::from_millis(20))
-            .unwrap_err();
-        assert!(matches!(err, MpiError::Timeout(_)));
     }
 
     #[test]
     fn closed_mailbox_rejects_delivery() {
         let mb = Mailbox::new();
         mb.close();
-        let err = mb.deliver(env(1, 4, 0, b"x")).unwrap_err();
+        let err = mb.deliver(env(4, 0, b"x")).unwrap_err();
         assert_eq!(err, MpiError::PeerGone { rank: 4 });
     }
 

@@ -18,7 +18,7 @@ use std::sync::{Arc, Mutex};
 /// Per-rank tracing handle: an event buffer plus the shared clock and sink.
 ///
 /// The buffer is behind a mutex only so the handle stays `Send + Sync`
-/// (communicators move across threads); a rank is a single logical thread,
+/// (a `Comm` moves across threads); a rank is a single logical thread,
 /// so the lock is never contended.
 pub struct RankTrace {
     buf: Mutex<TraceBuffer>,

@@ -1,19 +1,19 @@
 //! Common types: ranks, tags, statuses, errors.
 
-use crate::verify::{CollMismatch, DeadlockReport, RankLostReport, RanksFailure};
+use crate::verify::{DeadlockReport, RankLostReport, RanksFailure};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Rank of a process within a communicator (0-based).
+/// Rank of a process within the universe (0-based).
 pub type Rank = usize;
 
 /// Message tag. User tags must be in `0..=MAX_USER_TAG`; the runtime reserves
-/// the space above for collectives.
+/// the space above for the barrier.
 pub type Tag = i32;
 
 /// Largest tag available to applications (the range above is reserved for
-/// internal collective operations).
+/// the barrier's internal messages).
 pub const MAX_USER_TAG: Tag = i32::MAX / 2;
 
 /// Wildcard source for receive operations (`MPI_ANY_SOURCE`).
@@ -25,7 +25,7 @@ pub const ANY_TAG: Option<Tag> = None;
 /// Completion information of a receive (`MPI_Status`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Status {
-    /// Rank the message came from (within the communicator).
+    /// Rank the message came from.
     pub source: Rank,
     /// Tag the message was sent with.
     pub tag: Tag,
@@ -33,10 +33,10 @@ pub struct Status {
     pub bytes: usize,
 }
 
-/// Errors from point-to-point and collective operations.
+/// Errors from point-to-point operations and the barrier.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MpiError {
-    /// Destination/source rank outside the communicator.
+    /// Destination/source rank outside the universe.
     RankOutOfRange {
         /// Offending rank.
         rank: Rank,
@@ -64,9 +64,6 @@ pub enum MpiError {
     /// The mpiverify watchdog proved no execution can unblock this rank
     /// and aborted the universe (see [`DeadlockReport`]).
     Deadlock(Arc<DeadlockReport>),
-    /// Two ranks invoked different collectives (or the same collective with
-    /// different signatures) at the same sequence slot.
-    CollectiveMismatch(Arc<CollMismatch>),
     /// One or more rank functions panicked; carries per-rank payloads and
     /// the wait-for-graph snapshot at first failure.
     RanksFailed(Arc<RanksFailure>),
@@ -95,7 +92,6 @@ impl fmt::Display for MpiError {
                 "payload of {payload} bytes is not a whole number of {elem}-byte elements"
             ),
             MpiError::Deadlock(report) => write!(f, "{report}"),
-            MpiError::CollectiveMismatch(mm) => write!(f, "{mm}"),
             MpiError::RanksFailed(failure) => write!(f, "{failure}"),
             MpiError::RankLost(report) => write!(f, "{report}"),
         }

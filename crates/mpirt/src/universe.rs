@@ -8,11 +8,11 @@
 //! Every run family (`run`, `run_with`, `run_traced`, `try_run*`,
 //! `run_verified`) launches the [`mpiverify`](crate::verify) checker by
 //! default: a watchdog thread turns communication deadlocks into structured
-//! per-rank reports instead of hangs, collectives are signature-checked,
+//! per-rank reports instead of hangs, typed receives are signature-checked,
 //! and teardown audits every mailbox for leaked traffic.
 //! [`Universe::run_unchecked`] is the escape hatch.
 
-use crate::comm::{Comm, InjectedCrash, WorldState, WORLD_CTX};
+use crate::comm::{Comm, InjectedCrash, WorldState};
 use crate::lock;
 use crate::matching::{Mailbox, PayloadSlot};
 use crate::trace::RankTrace;
@@ -92,7 +92,7 @@ impl Universe {
     /// Run with the correctness checker disabled — no watchdog thread, no
     /// signature checks, no teardown audit. The escape hatch for
     /// measurements where even the checker's bounded overhead (a poll flag
-    /// on blocked waits, one map lookup per collective) is unwanted.
+    /// on blocked waits) is unwanted.
     pub fn run_unchecked<R, F>(n: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -319,7 +319,6 @@ fn audit_mailbox(owner: Rank, mb: &Mailbox) -> Vec<Finding> {
                 to: owner,
                 src: env.src,
                 tag: env.tag,
-                ctx: env.ctx,
                 bytes,
             }),
             PayloadSlot::Rendezvous(rv) => {
@@ -328,19 +327,17 @@ fn audit_mailbox(owner: Rank, mb: &Mailbox) -> Vec<Finding> {
                         to: owner,
                         src: env.src,
                         tag: env.tag,
-                        ctx: env.ctx,
                         bytes,
                     });
                 }
             }
         }
     }
-    for (ctx, src, tag) in posted {
+    for (src, tag) in posted {
         findings.push(Finding::UnmatchedRecv {
             rank: owner,
             src,
             tag,
-            ctx,
         });
     }
     findings
@@ -357,11 +354,8 @@ fn finding_lane(f: &Finding) -> Rank {
 }
 
 fn world_comm(world: Arc<WorldState>, rank: Rank, trace: Option<Arc<RankTrace>>) -> Comm {
-    let n = world.mailboxes.len();
     Comm {
         world,
-        ctx: WORLD_CTX,
-        group: Arc::new((0..n).collect()),
         rank,
         coll_seq: Cell::new(0),
         trace,

@@ -2,18 +2,13 @@
 //!
 //! MUST/ISP-style dynamic verification, adapted to the threads-as-ranks
 //! runtime: every *unbounded* blocking operation (blocking receive,
-//! rendezvous send, and the point-to-point waits inside collectives)
+//! rendezvous send, and the point-to-point waits inside the barrier)
 //! registers a blocked-on edge in a shared wait-for graph; a watchdog
 //! thread periodically computes which ranks can still make progress and
 //! aborts the universe with a per-rank report instead of letting a
-//! communication cycle hang the process. Three more checks ride on the same
+//! communication cycle hang the process. Two more checks ride on the same
 //! shared state:
 //!
-//! * **Collective consistency** — the per-communicator `coll_seq` lockstep
-//!   counter is extended to a full call-signature comparison (kind, root,
-//!   element type, reduce operator), so `barrier()` on one rank meeting
-//!   `bcast()` on another fails fast with both call signatures instead of
-//!   deadlocking inside the collective's tree exchanges.
 //! * **Type signatures** — typed sends stamp their envelope with a
 //!   [`WireSig`]; a typed receive that matches it with an incompatible
 //!   element type records a [`Finding`] (`u8` is the byte-stream wildcard,
@@ -27,7 +22,7 @@
 //! The checker is **observation-only**: it never alters matching order,
 //! payloads or results (property-tested in `tests/verify.rs` and the fig6
 //! pipeline identity test). Its only interventions are *aborts* of runs
-//! that would otherwise hang or have already diverged.
+//! that would otherwise hang or have lost a rank.
 //!
 //! ## Deadlock detection
 //!
@@ -51,10 +46,9 @@
 //! as progressing, and an abort requires two consecutive sweeps observing
 //! the identical stuck set with identical per-rank sequence numbers.
 
-use crate::matching::{ContextId, RecvSlot, Rendezvous};
-use crate::types::{MpiError, MpiResult, Rank, Tag};
+use crate::matching::{RecvSlot, Rendezvous};
+use crate::types::{MpiError, Rank, Tag};
 use crate::{lock, wait_while};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -126,21 +120,16 @@ impl fmt::Display for WireSig {
 /// The operation a rank is blocked in (one wait-for-graph node payload).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BlockedOp {
-    /// Blocking receive; `src`/`tag` of `None` are wildcards. Ranks are
-    /// world ranks.
+    /// Blocking receive; `src`/`tag` of `None` are wildcards.
     Recv {
-        /// Communicator context the receive was posted in.
-        ctx: ContextId,
-        /// Expected source (world rank), or any.
+        /// Expected source, or any.
         src: Option<Rank>,
         /// Expected tag, or any.
         tag: Option<Tag>,
     },
     /// Rendezvous send blocked until the destination claims the payload.
     RendezvousSend {
-        /// Communicator context of the send.
-        ctx: ContextId,
-        /// Destination world rank.
+        /// Destination rank.
         dst: Rank,
         /// Message tag.
         tag: Tag,
@@ -155,18 +144,12 @@ impl fmt::Display for BlockedOp {
             v.as_ref().map_or("ANY".to_string(), |x| x.to_string())
         }
         match self {
-            BlockedOp::Recv { ctx, src, tag } => {
-                write!(f, "recv(src={}, tag={}, ctx={ctx:#x})", opt(src), opt(tag))
+            BlockedOp::Recv { src, tag } => {
+                write!(f, "recv(src={}, tag={})", opt(src), opt(tag))
             }
-            BlockedOp::RendezvousSend {
-                ctx,
-                dst,
-                tag,
-                bytes,
-            } => write!(
-                f,
-                "rendezvous-send(dst={dst}, tag={tag}, {bytes}B, ctx={ctx:#x})"
-            ),
+            BlockedOp::RendezvousSend { dst, tag, bytes } => {
+                write!(f, "rendezvous-send(dst={dst}, tag={tag}, {bytes}B)")
+            }
         }
     }
 }
@@ -279,79 +262,11 @@ impl fmt::Display for RankLostReport {
     }
 }
 
-/// Full call signature of one collective invocation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CollSig {
-    /// Collective kind (`"barrier"`, `"bcast"`, ...).
-    pub kind: &'static str,
-    /// Root rank (comm-relative), for rooted collectives.
-    pub root: Option<Rank>,
-    /// Element type name, where the collective carries data.
-    pub elem: Option<&'static str>,
-    /// Reduce-operator identity (the closure's type name), for reductions.
-    pub op: Option<&'static str>,
-}
-
-impl CollSig {
-    /// Signature of a data-less collective (`barrier`, `split`, `dup`).
-    pub(crate) fn plain(kind: &'static str) -> Self {
-        CollSig {
-            kind,
-            root: None,
-            elem: None,
-            op: None,
-        }
-    }
-}
-
-impl fmt::Display for CollSig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.kind)?;
-        let mut parts = Vec::new();
-        if let Some(r) = self.root {
-            parts.push(format!("root={r}"));
-        }
-        if let Some(e) = self.elem {
-            parts.push(format!("elem={e}"));
-        }
-        if let Some(o) = self.op {
-            parts.push(format!("op={o}"));
-        }
-        if !parts.is_empty() {
-            write!(f, "({})", parts.join(", "))?;
-        }
-        Ok(())
-    }
-}
-
-/// Two ranks disagreeing on the `seq`-th collective of a communicator.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CollMismatch {
-    /// Communicator context.
-    pub ctx: ContextId,
-    /// Collective sequence number within the communicator.
-    pub seq: u64,
-    /// First signature registered for this slot (world rank, call).
-    pub first: (Rank, CollSig),
-    /// The conflicting signature (world rank, call).
-    pub conflicting: (Rank, CollSig),
-}
-
-impl fmt::Display for CollMismatch {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "collective mismatch at ctx={:#x} seq={}: rank {} called {} but rank {} called {}",
-            self.ctx, self.seq, self.first.0, self.first.1, self.conflicting.0, self.conflicting.1
-        )
-    }
-}
-
 /// One or more rank functions panicked: per-rank payloads plus the
 /// verifier's wait-for-graph snapshot taken when the first panic unwound.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RanksFailure {
-    /// `(world rank, panic payload)` for every failed rank.
+    /// `(rank, panic payload)` for every failed rank.
     pub failed: Vec<(Rank, String)>,
     /// Rank states at the moment the first failure was recorded (empty when
     /// the universe ran unchecked).
@@ -388,47 +303,41 @@ pub enum Finding {
     /// An eagerly-delivered payload was still sitting unclaimed in a
     /// mailbox at universe teardown.
     LeakedEager {
-        /// Mailbox owner (world rank) the message was addressed to.
+        /// Mailbox owner the message was addressed to.
         to: Rank,
-        /// Sender (world rank).
+        /// Sender.
         src: Rank,
         /// Message tag.
         tag: Tag,
-        /// Communicator context.
-        ctx: ContextId,
         /// Payload size.
         bytes: usize,
     },
     /// A rendezvous handshake was still in flight (envelope delivered,
     /// payload never claimed) at universe teardown.
     LeakedRendezvous {
-        /// Mailbox owner (world rank) the message was addressed to.
+        /// Mailbox owner the message was addressed to.
         to: Rank,
-        /// Sender (world rank).
+        /// Sender.
         src: Rank,
         /// Message tag.
         tag: Tag,
-        /// Communicator context.
-        ctx: ContextId,
         /// Payload size.
         bytes: usize,
     },
     /// A posted receive never matched any message (e.g. a dropped `irecv`).
     UnmatchedRecv {
-        /// The rank that posted it (world rank).
+        /// The rank that posted it.
         rank: Rank,
         /// Expected source, or any.
         src: Option<Rank>,
         /// Expected tag, or any.
         tag: Option<Tag>,
-        /// Communicator context.
-        ctx: ContextId,
     },
     /// A typed receive matched a send with an incompatible element type.
     TypeMismatch {
-        /// Receiving world rank.
+        /// Receiving rank.
         rank: Rank,
-        /// Sending world rank.
+        /// Sending rank.
         src: Rank,
         /// Message tag.
         tag: Tag,
@@ -440,7 +349,7 @@ pub enum Finding {
     /// A layer above MPI (e.g. MPI-D's `finalize`) reported unclean
     /// shutdown state.
     ShutdownLeak {
-        /// Reporting world rank.
+        /// Reporting rank.
         rank: Rank,
         /// Human-readable description.
         detail: String,
@@ -454,32 +363,25 @@ impl fmt::Display for Finding {
                 to,
                 src,
                 tag,
-                ctx,
                 bytes,
             } => write!(
                 f,
                 "leaked eager message: {bytes}B from rank {src} to rank {to} \
-                 (tag={tag}, ctx={ctx:#x}) never received"
+                 (tag={tag}) never received"
             ),
             Finding::LeakedRendezvous {
                 to,
                 src,
                 tag,
-                ctx,
                 bytes,
             } => write!(
                 f,
                 "in-flight rendezvous at teardown: {bytes}B from rank {src} to rank {to} \
-                 (tag={tag}, ctx={ctx:#x}) never claimed"
+                 (tag={tag}) never claimed"
             ),
-            Finding::UnmatchedRecv {
-                rank,
-                src,
-                tag,
-                ctx,
-            } => write!(
+            Finding::UnmatchedRecv { rank, src, tag } => write!(
                 f,
-                "unmatched posted receive on rank {rank} (src={src:?}, tag={tag:?}, ctx={ctx:#x})"
+                "unmatched posted receive on rank {rank} (src={src:?}, tag={tag:?})"
             ),
             Finding::TypeMismatch {
                 rank,
@@ -540,13 +442,6 @@ struct RankState {
     panicked: bool,
 }
 
-#[derive(Debug)]
-struct CollEntry {
-    sig: CollSig,
-    first_rank: Rank,
-    seen: usize,
-}
-
 /// Shared checker state for one universe (one instance per checked run).
 #[derive(Debug)]
 pub(crate) struct Verifier {
@@ -559,7 +454,6 @@ pub(crate) struct Verifier {
     /// fixed ~`watchdog_interval` per run, dominating short universes.
     shutdown: Mutex<bool>,
     shutdown_cv: Condvar,
-    colls: Mutex<BTreeMap<(ContextId, u64), CollEntry>>,
     findings: Mutex<Vec<Finding>>,
     failure_snapshot: Mutex<Option<Vec<RankSnapshot>>>,
 }
@@ -572,7 +466,6 @@ impl Verifier {
             abort: Mutex::new(None),
             shutdown: Mutex::new(false),
             shutdown_cv: Condvar::new(),
-            colls: Mutex::new(BTreeMap::new()),
             findings: Mutex::new(Vec::new()),
             failure_snapshot: Mutex::new(None),
         }
@@ -615,7 +508,7 @@ impl Verifier {
         st.blocked = None;
     }
 
-    /// Set/clear the "inside collective X" label for a rank.
+    /// Set/clear the "inside barrier" label for a rank.
     pub(crate) fn set_label(&self, rank: Rank, label: Option<&'static str>) {
         let mut st = lock(&self.ranks[rank]);
         st.seq = st.seq.wrapping_add(1);
@@ -651,57 +544,6 @@ impl Verifier {
 
     pub(crate) fn take_findings(&self) -> Vec<Finding> {
         std::mem::take(&mut *lock(&self.findings))
-    }
-
-    /// Collective-consistency check: the `seq`-th collective on context
-    /// `ctx` must have an identical call signature on every rank.
-    pub(crate) fn check_collective(
-        &self,
-        rank: Rank,
-        ctx: ContextId,
-        seq: u64,
-        comm_size: usize,
-        sig: CollSig,
-    ) -> MpiResult<()> {
-        if let Some(e) = self.abort_error() {
-            return Err(e);
-        }
-        if comm_size <= 1 {
-            return Ok(());
-        }
-        let mut colls = lock(&self.colls);
-        use std::collections::btree_map::Entry;
-        match colls.entry((ctx, seq)) {
-            Entry::Vacant(e) => {
-                e.insert(CollEntry {
-                    sig,
-                    first_rank: rank,
-                    seen: 1,
-                });
-                Ok(())
-            }
-            Entry::Occupied(mut e) => {
-                if e.get().sig != sig {
-                    let ent = e.get();
-                    let err = MpiError::CollectiveMismatch(Arc::new(CollMismatch {
-                        ctx,
-                        seq,
-                        first: (ent.first_rank, ent.sig.clone()),
-                        conflicting: (rank, sig),
-                    }));
-                    drop(colls);
-                    // Abort so peers blocked inside the first collective's
-                    // tree exchanges fail too instead of hanging.
-                    self.abort_with(err.clone());
-                    return Err(err);
-                }
-                e.get_mut().seen += 1;
-                if e.get().seen == comm_size {
-                    e.remove();
-                }
-                Ok(())
-            }
-        }
     }
 
     pub(crate) fn snapshot(&self) -> Vec<RankSnapshot> {
@@ -805,7 +647,7 @@ impl Drop for BlockGuard<'_> {
     }
 }
 
-/// Clears a rank's collective label when dropped.
+/// Clears a rank's "inside barrier" label when dropped.
 pub(crate) struct LabelGuard<'a> {
     pub(crate) v: &'a Verifier,
     pub(crate) rank: Rank,
@@ -868,7 +710,6 @@ mod tests {
 
     fn recv_from(src: Rank) -> Option<BlockedOp> {
         Some(BlockedOp::Recv {
-            ctx: 1,
             src: Some(src),
             tag: Some(0),
         })
@@ -910,7 +751,6 @@ mod tests {
     #[test]
     fn wildcard_recv_survives_while_any_peer_lives() {
         let wildcard = Some(BlockedOp::Recv {
-            ctx: 1,
             src: None,
             tag: None,
         });
@@ -926,7 +766,6 @@ mod tests {
         // Classic send/send: both parked in rendezvous toward each other.
         let rv = |dst| {
             Some(BlockedOp::RendezvousSend {
-                ctx: 1,
                 dst,
                 tag: 0,
                 bytes: 1 << 20,

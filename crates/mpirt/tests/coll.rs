@@ -1,8 +1,7 @@
-//! Collective-operation tests, validated against single-process reference
-//! computations for a range of communicator sizes (including non powers of
-//! two, which exercise the tree/ring edge cases).
+//! Barrier tests over a range of universe sizes (including non powers of
+//! two, which exercise the dissemination rounds' edge cases).
 
-use mpi_rt::{MpiConfig, Universe};
+use mpi_rt::Universe;
 
 const SIZES: &[usize] = &[1, 2, 3, 4, 5, 7, 8];
 
@@ -32,312 +31,4 @@ fn barrier_actually_synchronizes() {
         // After the barrier, every rank must have arrived.
         assert_eq!(a.load(Ordering::SeqCst), n);
     });
-}
-
-#[test]
-fn bcast_from_every_root() {
-    for &n in SIZES {
-        for root in 0..n {
-            let results = Universe::run(n, move |comm| {
-                let mut buf = if comm.rank() == root {
-                    vec![13u64, 17, 19, root as u64]
-                } else {
-                    Vec::new()
-                };
-                comm.bcast(root, &mut buf).unwrap();
-                buf
-            });
-            for r in results {
-                assert_eq!(r, vec![13, 17, 19, root as u64]);
-            }
-        }
-    }
-}
-
-#[test]
-fn bcast_large_payload_uses_rendezvous() {
-    let cfg = MpiConfig {
-        eager_threshold: 128,
-        ..MpiConfig::default()
-    };
-    let results = Universe::run_with(cfg, 5, |comm| {
-        let mut buf = if comm.rank() == 2 {
-            (0..50_000u32).collect()
-        } else {
-            Vec::new()
-        };
-        comm.bcast(2, &mut buf).unwrap();
-        (buf.len(), buf[49_999])
-    });
-    for (len, last) in results {
-        assert_eq!(len, 50_000);
-        assert_eq!(last, 49_999);
-    }
-}
-
-#[test]
-fn reduce_sum_matches_reference() {
-    for &n in SIZES {
-        for root in 0..n {
-            let results = Universe::run(n, move |comm| {
-                let local: Vec<u64> = (0..4).map(|i| (comm.rank() as u64 + 1) * (i + 1)).collect();
-                comm.reduce(root, &local, |a, b| a + b).unwrap()
-            });
-            let total: u64 = (1..=n as u64).sum();
-            for (rank, r) in results.into_iter().enumerate() {
-                if rank == root {
-                    let got = r.expect("root gets the result");
-                    assert_eq!(got, vec![total, 2 * total, 3 * total, 4 * total]);
-                } else {
-                    assert!(r.is_none(), "non-root must get None");
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn reduce_min_max() {
-    let n = 7;
-    let results = Universe::run(n, |comm| {
-        let x = [comm.rank() as i64 - 3];
-        let min = comm.reduce(0, &x, i64::min).unwrap();
-        let max = comm.reduce(0, &x, i64::max).unwrap();
-        (min, max)
-    });
-    assert_eq!(results[0].0.as_ref().unwrap(), &vec![-3]);
-    assert_eq!(results[0].1.as_ref().unwrap(), &vec![3]);
-}
-
-#[test]
-fn allreduce_everyone_gets_the_sum() {
-    for &n in SIZES {
-        let results = Universe::run(n, |comm| {
-            comm.allreduce(&[comm.rank() as u64, 1], |a, b| a + b)
-                .unwrap()
-        });
-        let sum: u64 = (0..n as u64).sum();
-        for r in results {
-            assert_eq!(r, vec![sum, n as u64]);
-        }
-    }
-}
-
-#[test]
-fn gather_variable_lengths() {
-    let n = 6;
-    let results = Universe::run(n, |comm| {
-        // Rank r contributes r elements — gatherv semantics.
-        let mine: Vec<u32> = (0..comm.rank() as u32).collect();
-        comm.gather(3, &mine).unwrap()
-    });
-    let gathered = results[3].as_ref().unwrap();
-    for (r, block) in gathered.iter().enumerate() {
-        assert_eq!(block, &(0..r as u32).collect::<Vec<_>>());
-    }
-    for (r, res) in results.iter().enumerate() {
-        if r != 3 {
-            assert!(res.is_none());
-        }
-    }
-}
-
-#[test]
-fn allgather_ring_all_sizes() {
-    for &n in SIZES {
-        let results = Universe::run(n, |comm| {
-            let mine = vec![comm.rank() as u64 * 10, comm.rank() as u64];
-            comm.allgather(&mine).unwrap()
-        });
-        for blocks in results {
-            assert_eq!(blocks.len(), n);
-            for (r, b) in blocks.iter().enumerate() {
-                assert_eq!(b, &vec![r as u64 * 10, r as u64]);
-            }
-        }
-    }
-}
-
-#[test]
-fn scatter_delivers_per_rank_chunks() {
-    let n = 5;
-    let results = Universe::run(n, |comm| {
-        let chunks = if comm.rank() == 1 {
-            Some((0..n).map(|r| vec![r as u16; r + 1]).collect())
-        } else {
-            None
-        };
-        comm.scatter::<u16>(1, chunks).unwrap()
-    });
-    for (r, chunk) in results.into_iter().enumerate() {
-        assert_eq!(chunk, vec![r as u16; r + 1]);
-    }
-}
-
-#[test]
-fn alltoall_transpose() {
-    for &n in SIZES {
-        let results = Universe::run(n, |comm| {
-            // send[j] = [rank, j]
-            let send: Vec<Vec<u32>> = (0..n).map(|j| vec![comm.rank() as u32, j as u32]).collect();
-            comm.alltoall(send).unwrap()
-        });
-        for (i, recv) in results.into_iter().enumerate() {
-            for (j, block) in recv.into_iter().enumerate() {
-                assert_eq!(block, vec![j as u32, i as u32], "rank {i} from {j}");
-            }
-        }
-    }
-}
-
-#[test]
-fn scan_inclusive_prefix() {
-    let n = 6;
-    let results = Universe::run(n, |comm| {
-        comm.scan(&[comm.rank() as u64 + 1], |a, b| a + b).unwrap()
-    });
-    for (r, v) in results.into_iter().enumerate() {
-        let expect: u64 = (1..=r as u64 + 1).sum();
-        assert_eq!(v, vec![expect]);
-    }
-}
-
-#[test]
-fn collectives_with_large_rendezvous_payloads() {
-    let cfg = MpiConfig {
-        eager_threshold: 100,
-        ..MpiConfig::default()
-    };
-    let n = 4;
-    let results = Universe::run_with(cfg, n, |comm| {
-        let mine = vec![comm.rank() as u64; 5000];
-        let all = comm.allgather(&mine).unwrap();
-        let sum = comm
-            .allreduce(&[mine.iter().sum::<u64>()], |a, b| a + b)
-            .unwrap();
-        (all, sum)
-    });
-    let expect_sum: u64 = (0..n as u64).map(|r| r * 5000).sum();
-    for (all, sum) in results {
-        assert_eq!(sum, vec![expect_sum]);
-        for (r, block) in all.iter().enumerate() {
-            assert_eq!(block.len(), 5000);
-            assert!(block.iter().all(|&v| v == r as u64));
-        }
-    }
-}
-
-#[test]
-fn split_by_parity() {
-    let n = 7;
-    let results = Universe::run(n, |comm| {
-        let color = (comm.rank() % 2) as i64;
-        let sub = comm.split(color, comm.rank() as i64).unwrap().unwrap();
-        // Sum ranks within each parity class.
-        let sum = sub.allreduce(&[comm.rank() as u64], |a, b| a + b).unwrap()[0];
-        (sub.rank(), sub.size(), sum)
-    });
-    // Evens: 0,2,4,6 → sum 12, size 4. Odds: 1,3,5 → sum 9, size 3.
-    for (world_rank, (sub_rank, sub_size, sum)) in results.into_iter().enumerate() {
-        if world_rank % 2 == 0 {
-            assert_eq!(sub_size, 4);
-            assert_eq!(sum, 12);
-            assert_eq!(sub_rank, world_rank / 2);
-        } else {
-            assert_eq!(sub_size, 3);
-            assert_eq!(sum, 9);
-            assert_eq!(sub_rank, world_rank / 2);
-        }
-    }
-}
-
-#[test]
-fn split_key_reverses_rank_order() {
-    let n = 4;
-    let results = Universe::run(n, |comm| {
-        // Same color, descending key → reversed ranks.
-        let sub = comm.split(0, -(comm.rank() as i64)).unwrap().unwrap();
-        sub.rank()
-    });
-    assert_eq!(results, vec![3, 2, 1, 0]);
-}
-
-#[test]
-fn split_negative_color_is_undefined() {
-    let results = Universe::run(4, |comm| {
-        let color = if comm.rank() == 0 { -1 } else { 0 };
-        comm.split(color, 0).unwrap().is_none()
-    });
-    assert_eq!(results, vec![true, false, false, false]);
-}
-
-#[test]
-fn dup_isolates_traffic_from_parent() {
-    Universe::run(2, |comm| {
-        let dup = comm.dup().unwrap();
-        if comm.rank() == 0 {
-            // Send on the parent, then on the dup, with the same tag.
-            comm.send(1, 5, &[1u8]).unwrap();
-            dup.send(1, 5, &[2u8]).unwrap();
-        } else {
-            // Receive from the dup first: must get the dup message, not the
-            // parent one, even though the parent message arrived first.
-            let (d, _) = dup.recv::<u8>(Some(0), Some(5)).unwrap();
-            assert_eq!(d, vec![2]);
-            let (p, _) = comm.recv::<u8>(Some(0), Some(5)).unwrap();
-            assert_eq!(p, vec![1]);
-        }
-    });
-}
-
-#[test]
-fn nested_split_of_split() {
-    let n = 8;
-    Universe::run(n, |comm| {
-        let half = comm.split((comm.rank() / 4) as i64, 0).unwrap().unwrap();
-        assert_eq!(half.size(), 4);
-        let quarter = half.split((half.rank() / 2) as i64, 0).unwrap().unwrap();
-        assert_eq!(quarter.size(), 2);
-        let sum = quarter
-            .allreduce(&[comm.rank() as u64], |a, b| a + b)
-            .unwrap()[0];
-        // Pairs: (0,1), (2,3), (4,5), (6,7).
-        let base = comm.rank() / 2 * 2;
-        assert_eq!(sum, (base + base + 1) as u64);
-    });
-}
-
-#[test]
-fn reduce_scatter_blocks() {
-    let n = 4;
-    let block = 3;
-    let results = Universe::run(n, move |comm| {
-        // Rank r contributes value (r+1) in every slot.
-        let send = vec![(comm.rank() + 1) as u64; n * block];
-        comm.reduce_scatter(&send, block, |a, b| a + b).unwrap()
-    });
-    let total: u64 = (1..=4).sum(); // 10
-    for chunk in results {
-        assert_eq!(chunk, vec![total; block]);
-    }
-}
-
-#[test]
-fn exscan_exclusive_prefix() {
-    let n = 6;
-    let results = Universe::run(n, |comm| {
-        comm.exscan(&[comm.rank() as u64 + 1], |a, b| a + b)
-            .unwrap()
-    });
-    assert!(results[0].is_none(), "rank 0 gets no prefix");
-    for (r, v) in results.into_iter().enumerate().skip(1) {
-        let expect: u64 = (1..=r as u64).sum();
-        assert_eq!(v.unwrap(), vec![expect]);
-    }
-}
-
-#[test]
-fn exscan_single_rank() {
-    let results = Universe::run(1, |comm| comm.exscan(&[7u64], |a, b| a + b).unwrap());
-    assert!(results[0].is_none());
 }

@@ -49,7 +49,7 @@ pub const CAT_HADOOP_SCHED: &str = "hadoop.sched";
 pub const CAT_HADOOP: &str = "hadoop";
 /// MPI point-to-point operation spans.
 pub const CAT_MPI_P2P: &str = "mpi.p2p";
-/// MPI collective operation spans.
+/// MPI collective operation spans (the barrier).
 pub const CAT_MPI_COLL: &str = "mpi.coll";
 /// Runtime-verification findings (deadlocks, signature mismatches, leaks).
 pub const CAT_MPI_VERIFY: &str = "mpi.verify";
@@ -83,7 +83,7 @@ pub const SPAN_SHIP: &str = "ship";
 pub const SPAN_COPY: &str = "copy";
 /// Hadoop reduce-side merge sort.
 pub const SPAN_SORT: &str = "sort";
-/// Reduce compute (Hadoop phase; also the `mpi.coll` reduce op).
+/// Reduce compute (Hadoop phase).
 pub const SPAN_REDUCE: &str = "reduce";
 /// Input split read.
 pub const SPAN_READ: &str = "read";
@@ -121,32 +121,8 @@ pub const MPI_SEND: &str = "send";
 pub const MPI_RECV: &str = "recv";
 /// Nonblocking send.
 pub const MPI_ISEND: &str = "isend";
-/// Buffered send.
-pub const MPI_BSEND: &str = "bsend";
 /// Barrier collective.
 pub const MPI_BARRIER: &str = "barrier";
-/// Broadcast collective.
-pub const MPI_BCAST: &str = "bcast";
-/// All-reduce collective.
-pub const MPI_ALLREDUCE: &str = "allreduce";
-/// Gather collective.
-pub const MPI_GATHER: &str = "gather";
-/// All-gather collective.
-pub const MPI_ALLGATHER: &str = "allgather";
-/// Scatter collective.
-pub const MPI_SCATTER: &str = "scatter";
-/// All-to-all collective.
-pub const MPI_ALLTOALL: &str = "alltoall";
-/// Reduce-scatter collective.
-pub const MPI_REDUCE_SCATTER: &str = "reduce_scatter";
-/// Exclusive prefix scan collective.
-pub const MPI_EXSCAN: &str = "exscan";
-/// Inclusive prefix scan collective.
-pub const MPI_SCAN: &str = "scan";
-/// Communicator split.
-pub const MPI_SPLIT: &str = "split";
-/// Communicator duplication.
-pub const MPI_DUP: &str = "dup";
 
 // --- `net.flow` resource-occupancy span names ------------------------------
 
