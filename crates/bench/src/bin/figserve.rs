@@ -17,7 +17,6 @@
 use desim::SimTime;
 use faults::FaultPlan;
 use mpid_bench::fmt_secs;
-use netsim::SimShuffle;
 use serve::{
     arrival_stream, hadoop_backend, mpid_backend, run_serve, Arrival, ArrivalConfig, Capacity,
     FairShare, Fifo, JobBackend, Scheduler, ServeConfig, ServeReport,
@@ -39,8 +38,6 @@ struct Scale {
     crash_at: SimTime,
     cut_at: SimTime,
     heal_at: SimTime,
-    /// Shuffle strategy stamped on every job in the stream (`--shuffle`).
-    shuffle: SimShuffle,
 }
 
 impl Scale {
@@ -54,7 +51,6 @@ impl Scale {
             crash_at: SimTime::from_secs(30),
             cut_at: SimTime::from_secs(90),
             heal_at: SimTime::from_secs(210),
-            shuffle: SimShuffle::Baseline,
         }
     }
 
@@ -68,7 +64,6 @@ impl Scale {
             crash_at: SimTime::from_secs(8),
             cut_at: SimTime::from_secs(20),
             heal_at: SimTime::from_secs(60),
-            shuffle: SimShuffle::Baseline,
         }
     }
 
@@ -88,7 +83,6 @@ impl Scale {
         };
         let mut cfg = ArrivalConfig::new(self.n_jobs, gap);
         cfg.n_tenants = TENANTS;
-        cfg.shuffle = self.shuffle;
         arrival_stream(SEED, &cfg)
     }
 
@@ -309,38 +303,10 @@ fn run_check(scale: &Scale) {
     println!("  outputs identical across stacks, with and without faults");
 }
 
-/// Parse `--shuffle baseline|innode|coded:<r>` (also accepts `coded_r<r>`,
-/// the label form the reports print). `coded:<r>` selects the simulator's
-/// volume model; it has no real-path counterpart.
-fn parse_shuffle(s: &str) -> SimShuffle {
-    match s {
-        "baseline" => SimShuffle::Baseline,
-        "innode" => SimShuffle::InNodeCombine,
-        other => {
-            let r = other
-                .strip_prefix("coded:")
-                .or_else(|| other.strip_prefix("coded_r"))
-                .and_then(|r| r.parse::<usize>().ok())
-                .filter(|&r| r >= 1);
-            match r {
-                Some(r) => SimShuffle::Coded { r },
-                None => panic!(
-                    "unknown --shuffle value {other:?} \
-                     (expected baseline | innode | coded:<r>)"
-                ),
-            }
-        }
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let check = args.iter().any(|a| a == "--check");
-    let mut scale = if check { Scale::check() } else { Scale::full() };
-    if let Some(i) = args.iter().position(|a| a == "--shuffle") {
-        let v = args.get(i + 1).expect("--shuffle needs a value");
-        scale.shuffle = parse_shuffle(v);
-    }
+    let scale = if check { Scale::check() } else { Scale::full() };
 
     println!(
         "Serving under contention — {} jobs streamed onto {} hosts \
@@ -353,11 +319,9 @@ fn main() {
     );
     println!(
         "(seed {SEED:#x}; light load = {} mean gap, heavy = {}; \
-         40% wordcount, 20% each sort/index/grep, 64MB-4GB zipf sizes; \
-         shuffle strategy {})",
+         40% wordcount, 20% each sort/index/grep, 64MB-4GB zipf sizes)",
         fmt_secs(scale.light_gap.as_secs_f64()),
         fmt_secs(scale.heavy_gap.as_secs_f64()),
-        scale.shuffle.label(),
     );
     println!();
 

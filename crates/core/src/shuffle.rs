@@ -20,9 +20,8 @@
 //!   spill runs through one `ByteTable` — folding with the job's combiner
 //!   when one is installed — and ships the pre-combined frames.
 //!
-//! Both change what crosses the wire. Coded MapReduce (Li et al.,
-//! arXiv:1512.01625) has no real-path implementation: it exists only as
-//! `netsim::SimShuffle::Coded`, a volume model in the simulators.
+//! Both change what crosses the wire. The simulators price the same two
+//! strategies as `netsim::SimShuffle`.
 //!
 //! ## Why grouped output stays identical (the determinism argument)
 //!
@@ -55,8 +54,7 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 
 /// Which shuffle strategy a job runs (see the module docs). The simulators'
-/// `netsim::SimShuffle` models these two plus a coded-multicast variant that
-/// has no real-path counterpart.
+/// `netsim::SimShuffle` models the same two.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShuffleKind {
     /// Ship every wire frame straight to its reducer (the paper's path).

@@ -4,7 +4,7 @@
 
 use mpi_rt::{MpiConfig, Universe};
 use mpid::{MpidConfig, MpidWorld, Role, SumCombiner};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn docs() -> Vec<String> {
     let words = ["alpha", "beta", "gamma", "delta"];
@@ -92,13 +92,34 @@ fn traced_job_records_stage_spans_and_matches_untraced_output() {
             .filter(|e| e.name == name && e.cat == "mpid.stage")
             .count()
     };
-    // 2 mappers × ≥1 spill each; combining is active, so each mapper's
-    // buffering interval has a combine sub-span.
-    assert!(stage("buffer") >= 2, "buffer spans: {}", stage("buffer"));
-    assert!(stage("combine") >= 2, "combine spans: {}", stage("combine"));
-    assert!(stage("realign") >= 2);
-    assert!(stage("ship") >= 2);
+    // Every spill emits one buffer, realign and ship span, so each count
+    // equals the spills the two senders report, however the master split
+    // the input between them.
     assert_eq!(stage("sender_finish"), 2);
+    let spills: u64 = (trace.events().iter())
+        .filter(|e| e.name == "sender_finish")
+        .map(|e| {
+            (e.args.iter())
+                .find_map(|(k, v)| match (*k, v) {
+                    ("spills", obs::ArgValue::U64(n)) => Some(*n),
+                    _ => None,
+                })
+                .expect("sender_finish carries spills")
+        })
+        .sum();
+    assert!(spills >= 1, "no spills");
+    for name in ["buffer", "realign", "ship"] {
+        assert_eq!(stage(name) as u64, spills, "{name} spans");
+    }
+    // Combining is active, so every mapper lane that buffered also has a
+    // combine sub-span.
+    let lanes = |name: &str| -> BTreeSet<(u32, u32)> {
+        (trace.events().iter())
+            .filter(|e| e.name == name && e.cat == "mpid.stage")
+            .map(|e| (e.pid, e.tid))
+            .collect()
+    };
+    assert_eq!(lanes("combine"), lanes("buffer"));
     // 2 reducers, one merge each.
     assert_eq!(stage("merge"), 2);
     // The merge span subsumes ReceiverStats: frames + received bytes ride

@@ -72,8 +72,8 @@ pub struct JobReport {
     /// their host crashed.
     pub restarted_reduces: u64,
     /// Shuffle payload bytes that actually crossed the disk/network during
-    /// the copy phase (after any in-node combining and coded-multicast
-    /// savings; excludes per-fetch seek/HTTP overhead bytes).
+    /// the copy phase (after any in-node combining; excludes per-fetch
+    /// seek/HTTP overhead bytes).
     pub shuffle_wire_bytes: u64,
 }
 

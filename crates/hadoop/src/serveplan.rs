@@ -26,13 +26,11 @@ pub fn serve_plan(cfg: &HadoopConfig, spec: &JobSpec, n_hosts: usize) -> JobPlan
 
     // The job's shuffle strategy: in-node combining shrinks both wire and
     // reducer-input volume by merging the spills of the `map_slots`
-    // co-located map tasks; coded multicast shrinks only the wire, at `r`×
-    // the map work.
+    // co-located map tasks.
     let shuffle = (spec
         .strategy_shuffle_bytes(spec.input_bytes, cfg.map_slots)
         .round() as u64)
         .max(1);
-    let wire = (spec.wire_bytes(shuffle as f64).round() as u64).max(1);
     let innode_cpu = spec.innode_combine_ns(spec.input_bytes) * 1e-9 / n;
     let n_reduces = (cfg.n_reduces.max(1) as u64).min(n_hosts as u64 * cfg.reduce_slots as u64);
     // Every reducer fetches a partition of every map output: a short seek
@@ -47,7 +45,7 @@ pub fn serve_plan(cfg: &HadoopConfig, spec: &JobSpec, n_hosts: usize) -> JobPlan
         phases: vec![
             JobPhase {
                 label: obs::names::SPAN_MAP,
-                cpu_secs: spec.map_cpu_secs(spec.input_bytes) * spec.shuffle.map_work_factor() / n
+                cpu_secs: spec.map_cpu_secs(spec.input_bytes) / n
                     + innode_cpu
                     + map_waves as f64 * wave_overhead,
                 bytes: spec.input_bytes.max(1),
@@ -56,7 +54,7 @@ pub fn serve_plan(cfg: &HadoopConfig, spec: &JobSpec, n_hosts: usize) -> JobPlan
             JobPhase {
                 label: obs::names::SPAN_COPY,
                 cpu_secs: fetch_overhead,
-                bytes: wire,
+                bytes: shuffle,
                 flows: PhaseFlows::ShuffleAllToAll,
             },
             JobPhase {
@@ -128,16 +126,6 @@ mod tests {
         assert!(innode.phases[1].bytes < base.phases[1].bytes);
         // The reducer input shrank too: less reduce CPU.
         assert!(innode.phases[2].cpu_secs < base.phases[2].cpu_secs);
-
-        let mut spec = wc_like(1 << 30);
-        spec.shuffle = SimShuffle::Coded { r: 2 };
-        let coded = serve_plan(&cfg, &spec, 8);
-        let half = base.phases[1].bytes / 2;
-        assert!(coded.phases[1].bytes.abs_diff(half) <= 1);
-        // Coded pays the wire savings back as replicated map work.
-        assert!(coded.phases[0].cpu_secs > base.phases[0].cpu_secs);
-        // ...but reducers still decode (and reduce) the full volume.
-        assert_eq!(coded.phases[2].cpu_secs, base.phases[2].cpu_secs);
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub struct HadoopSim {
     blocks: Vec<BlockId>, // map m reads blocks[m]
     map_input: Vec<u64>,
     // Shuffled bytes of map m going to each reducer, after the strategy's
-    // in-node combining; coded multicast deflates only the fetch flows.
+    // in-node combining.
     per_reduce_partition: Vec<u64>,
 
     // Scheduling state.
@@ -530,11 +530,9 @@ impl HadoopSim {
         // variance (applied after the RNG draws, so an empty plan leaves
         // the random sequence untouched).
         let injected = s.plan.cpu_factor(1 + worker, sc.now());
-        // Coded shuffle replicates the map work `r`×; in-node combining
-        // pays a second combine pass over the slot group's merged spills.
-        // Both terms are 1.0/absent at baseline.
-        let strategy_cpu = s.spec.map_cpu_secs(bytes) * (s.spec.shuffle.map_work_factor() - 1.0)
-            + s.spec.innode_combine_ns(bytes) * 1e-9;
+        // In-node combining pays a second combine pass over the slot
+        // group's merged spills (0 at baseline).
+        let strategy_cpu = s.spec.innode_combine_ns(bytes) * 1e-9;
         let cpu = SimTime::from_secs_f64(
             (s.rng.jittered(s.spec.map_cpu_secs(bytes), 0.35) + strategy_cpu) * straggle * injected,
         );
@@ -738,11 +736,8 @@ impl HadoopSim {
                 Route::RemoteRead { from, to }
             };
             let n_batch = batch.len();
-            // Coded multicast deflates what crosses the disk/wire; the
-            // reducer still accounts the full decoded payload below.
-            let wire = s.spec.wire_bytes(payload as f64) as u64;
-            s.report.shuffle_wire_bytes += wire;
-            let id = Net::start_flow(s, sc, route, wire + overhead_bytes, 1.0, move |s, sc| {
+            s.report.shuffle_wire_bytes += payload;
+            let id = Net::start_flow(s, sc, route, payload + overhead_bytes, 1.0, move |s, sc| {
                 let cs = s.copiers[r].as_mut().expect("copier");
                 cs.in_flight -= 1;
                 cs.completed += n_batch;

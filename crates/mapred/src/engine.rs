@@ -279,8 +279,11 @@ where
                 RankResult::Reducer(out)
             }
         };
-        let stats = (comm.universe_msgs_sent(), comm.universe_bytes_sent());
         world.finalize().expect("finalize failed");
+        // Read after the finalize barrier, when this rank has sent all of
+        // its messages: the last rank to read sees every rank's, so the max
+        // over ranks is the job's exact total.
+        let stats = (comm.universe_msgs_sent(), comm.universe_bytes_sent());
         (result, stats)
     };
     let results = match sink {

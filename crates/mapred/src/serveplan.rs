@@ -44,7 +44,6 @@ pub fn serve_plan(cfg: &SimMpidConfig, spec: &JobSpec, n_hosts: usize) -> JobPla
         .strategy_shuffle_bytes(spec.input_bytes, colocated)
         .round() as u64)
         .max(1);
-    let wire = (spec.wire_bytes(shuffle as f64).round() as u64).max(1);
     let innode_cpu = spec.innode_combine_ns(spec.input_bytes) * 1e-9 * cfg.native_cpu_factor / n;
     let output = spec.output_bytes(shuffle).max(1);
     JobPlan {
@@ -52,13 +51,10 @@ pub fn serve_plan(cfg: &SimMpidConfig, spec: &JobSpec, n_hosts: usize) -> JobPla
         phases: vec![
             JobPhase {
                 label: obs::names::SPAN_MAP,
-                cpu_secs: spec.map_cpu_secs(spec.input_bytes)
-                    * spec.shuffle.map_work_factor()
-                    * cfg.native_cpu_factor
-                    * pressure
+                cpu_secs: spec.map_cpu_secs(spec.input_bytes) * cfg.native_cpu_factor * pressure
                     / n
                     + innode_cpu,
-                bytes: wire,
+                bytes: shuffle,
                 flows: PhaseFlows::ShuffleAllToAll,
             },
             JobPhase {
@@ -132,13 +128,6 @@ mod tests {
         spec.shuffle = SimShuffle::InNodeCombine;
         let innode = serve_plan(&cfg, &spec, 8);
         assert!(innode.phases[0].bytes < base.phases[0].bytes);
-
-        let mut spec = wc_like(1 << 30);
-        spec.shuffle = SimShuffle::Coded { r: 2 };
-        let coded = serve_plan(&cfg, &spec, 8);
-        let half = base.phases[0].bytes / 2;
-        assert!(coded.phases[0].bytes.abs_diff(half) <= 1);
-        assert!(coded.phases[0].cpu_secs > base.phases[0].cpu_secs);
     }
 
     #[test]

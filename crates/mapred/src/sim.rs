@@ -116,7 +116,7 @@ pub struct SimMpidReport {
     pub shuffle_bytes: u64,
     /// Bytes that actually crossed the network (or loopback) for the
     /// shuffle: reducer-input volume inflated by the MPI streaming
-    /// efficiency, deflated by coded multicast.
+    /// efficiency.
     pub wire_bytes: u64,
     /// Per-mapper busy spans `(start, end)`.
     pub mapper_spans: Vec<(SimTime, SimTime)>,
@@ -337,10 +337,9 @@ impl MpidSim {
         let injected = s.plan.cpu_factor(s.mapper_host[m].0, sc.now());
         // Map function and combiner are serial per mapper process (at
         // baseline the sum equals `spec.map_cpu_secs(bytes)`).
-        // Coded shuffle runs the map function `r` times (replicated
-        // placement); in-node combining pays a second combine pass over the
-        // host's merged post-combine spills. Both are 1.0/0 at baseline.
-        let map_ns = bytes as f64 * s.spec.map_cpu_ns_per_byte * s.spec.shuffle.map_work_factor();
+        // In-node combining pays a second combine pass over the host's
+        // merged post-combine spills (0 at baseline).
+        let map_ns = bytes as f64 * s.spec.map_cpu_ns_per_byte;
         let comb_ns = s.spec.map_output_bytes(bytes) as f64 * s.spec.combine_cpu_ns_per_byte;
         let innode_ns = s.spec.innode_combine_ns(bytes);
         let cpu_secs = (map_ns + comb_ns + innode_ns) * 1e-9 * s.cpu_multiplier * injected;
@@ -408,9 +407,7 @@ impl MpidSim {
         // frame-sized messages.
         for r in 0..n_red {
             let dst = s.reducer_host[r];
-            // Coded multicast deflates what crosses the wire (the reducer
-            // decodes the full volume back out of the coded stream).
-            let wire = s.spec.wire_bytes(per_red as f64 / s.mpi_efficiency) as u64;
+            let wire = (per_red as f64 / s.mpi_efficiency) as u64;
             s.wire_bytes += wire;
             let route = if dst == my_host {
                 Route::Loopback(my_host)
@@ -977,19 +974,6 @@ mod tests {
             base.wire_bytes
         );
         assert!(innode.shuffle_bytes < base.shuffle_bytes);
-
-        // Coded r=2: roughly half the wire, same reducer-input volume, and
-        // the replicated map work shows up in the mapper spans.
-        let mut spec = wc_spec(1.0);
-        spec.shuffle = SimShuffle::Coded { r: 2 };
-        let coded = run_sim_mpid(SimMpidConfig::icpp2011_fig6(), spec);
-        let ratio = coded.wire_bytes as f64 / base.wire_bytes as f64;
-        assert!(
-            (0.45..=0.55).contains(&ratio),
-            "coded r=2 should halve wire bytes, got ratio {ratio}"
-        );
-        assert_eq!(coded.shuffle_bytes, base.shuffle_bytes);
-        assert!(coded.map_finish > base.map_finish);
     }
 
     #[test]

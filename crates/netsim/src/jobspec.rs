@@ -8,35 +8,24 @@
 //! implementations on small samples).
 //!
 //! The job's shuffle strategy ([`SimShuffle`]) is priced here and only
-//! here. Both simulators and both serve plans take three composed terms
+//! here. Both simulators and both serve plans take two composed terms
 //! from the spec and add only their own rounding and co-location count:
 //!
 //! * [`JobSpec::strategy_shuffle_bytes`] — reducer-input bytes of `input`
 //!   map-input bytes when `colocated` map tasks share a host (post-combiner
-//!   volume × `data_factor`);
-//! * [`JobSpec::wire_bytes`] — the part of a payload that crosses the wire
-//!   (× `code_factor`);
+//!   volume × `data_factor`); this is also what crosses the wire;
 //! * [`JobSpec::innode_combine_ns`] — CPU of the in-node stage's extra
 //!   combine pass (post-combiner volume × combine cost; 0 off in-node).
-//!
-//! The coded model's `map_work_factor` scales map CPU where each caller
-//! charges it.
 
 /// Shuffle strategy knob for the simulators — the cost-model mirror of the
 /// real runtime's `mpid::ShuffleKind`.
 ///
 /// The real data path implements these as `ShuffleStrategy` objects moving
-/// actual bytes; the simulators apply the same strategies as three scalar
-/// factors on the volume pipeline:
-///
-/// * [`SimShuffle::data_factor`] — how much of the post-combine map output
-///   survives the strategy's *extra* combining (in-node merge of co-located
-///   mappers' spills). This shrinks both wire traffic and reducer input.
-/// * [`SimShuffle::code_factor`] — wire-only multiplier from coded
-///   multicast: the reducers still decode the full volume, but only `1/r`
-///   of it crosses the network.
-/// * [`SimShuffle::map_work_factor`] — map-side CPU overhead of `r`×
-///   replicated map placement (coded shuffle trades map work for wire).
+/// actual bytes; the simulators apply the same strategies as one scalar
+/// factor on the volume pipeline, [`SimShuffle::data_factor`]: how much of
+/// the post-combine map output survives the strategy's *extra* combining
+/// (in-node merge of co-located mappers' spills). This shrinks both wire
+/// traffic and reducer input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimShuffle {
     /// Direct ship of each mapper's combined output (the current path).
@@ -46,31 +35,14 @@ pub enum SimShuffle {
     /// stage before framing, so duplicate keys cross the wire once per host
     /// instead of once per mapper.
     InNodeCombine,
-    /// `r`×-replicated map placement with coded multicast ship: every map
-    /// runs on `r` hosts, and the redundancy lets each shuffled byte serve
-    /// `r` reducers' decodes, cutting wire volume `r`×.
-    Coded {
-        /// Map replication factor (1 = degenerate, identical to baseline
-        /// volumes but still exercising the coded path).
-        r: usize,
-    },
 }
 
 impl SimShuffle {
     /// Stable label for report tables and bench ids.
-    pub fn label(&self) -> String {
+    pub fn label(&self) -> &'static str {
         match self {
-            SimShuffle::Baseline => "baseline".into(),
-            SimShuffle::InNodeCombine => "innode".into(),
-            SimShuffle::Coded { r } => format!("coded_r{r}"),
-        }
-    }
-
-    /// Reject degenerate parameterizations.
-    pub fn validate(&self) -> Result<(), String> {
-        match self {
-            SimShuffle::Coded { r: 0 } => Err("coded shuffle needs r >= 1".into()),
-            _ => Ok(()),
+            SimShuffle::Baseline => "baseline",
+            SimShuffle::InNodeCombine => "innode",
         }
     }
 
@@ -92,24 +64,7 @@ impl SimShuffle {
                 let rho = (1.0 - combine_ratio).clamp(0.0, 1.0);
                 (1.0 - rho) + rho / c
             }
-            _ => 1.0,
-        }
-    }
-
-    /// Wire-only multiplier from coded multicast (reducer input volume is
-    /// unchanged — the redundancy is decoded back out).
-    pub fn code_factor(&self) -> f64 {
-        match self {
-            SimShuffle::Coded { r } => 1.0 / (*r).max(1) as f64,
-            _ => 1.0,
-        }
-    }
-
-    /// Map-side CPU multiplier (coded shuffle runs every map `r` times).
-    pub fn map_work_factor(&self) -> f64 {
-        match self {
-            SimShuffle::Coded { r } => (*r).max(1) as f64,
-            _ => 1.0,
+            SimShuffle::Baseline => 1.0,
         }
     }
 }
@@ -140,8 +95,8 @@ pub struct JobSpec {
     pub reduce_cpu_ns_per_byte: f64,
     /// Final output volume as a fraction of reduce input volume.
     pub output_ratio: f64,
-    /// Shuffle strategy of this job. It is the only strategy knob the
-    /// simulators read, so a serving mix can run strategies job by job.
+    /// Shuffle strategy of this job: the only strategy knob the simulators
+    /// read.
     pub shuffle: SimShuffle,
 }
 
@@ -164,12 +119,6 @@ impl JobSpec {
         self.shuffle_bytes(input) as f64 * self.shuffle.data_factor(colocated, self.combine_ratio)
     }
 
-    /// Bytes of a `payload` that cross the wire under the job's strategy
-    /// ([`SimShuffle::code_factor`]: coded multicast moves `1/r` of it).
-    pub fn wire_bytes(&self, payload: f64) -> f64 {
-        payload * self.shuffle.code_factor()
-    }
-
     /// CPU ns of the in-node combine stage for `input` bytes of map input:
     /// one more combine pass over the post-combine output, 0 for every
     /// other strategy.
@@ -178,7 +127,7 @@ impl JobSpec {
             SimShuffle::InNodeCombine => {
                 self.shuffle_bytes(input) as f64 * self.combine_cpu_ns_per_byte
             }
-            _ => 0.0,
+            SimShuffle::Baseline => 0.0,
         }
     }
 
@@ -219,7 +168,6 @@ impl JobSpec {
                 return Err(format!("{label} must be finite and nonnegative, got {v}"));
             }
         }
-        self.shuffle.validate()?;
         Ok(())
     }
 }
@@ -268,17 +216,12 @@ mod tests {
         let mut s = spec();
         s.input_bytes = 0;
         assert!(s.validate().is_err());
-        let mut s = spec();
-        s.shuffle = SimShuffle::Coded { r: 0 };
-        assert!(s.validate().is_err());
     }
 
     #[test]
     fn shuffle_factors_model_the_strategies() {
         let b = SimShuffle::Baseline;
         assert_eq!(b.data_factor(8, 0.0), 1.0);
-        assert_eq!(b.code_factor(), 1.0);
-        assert_eq!(b.map_work_factor(), 1.0);
 
         // Fully combinable job on 4 co-located mappers: ~4x cut.
         let inn = SimShuffle::InNodeCombine;
@@ -287,12 +230,5 @@ mod tests {
         assert_eq!(inn.data_factor(4, 1.0), 1.0);
         // One mapper per host degenerates to baseline volumes.
         assert_eq!(inn.data_factor(1, 0.0), 1.0);
-        assert_eq!(inn.map_work_factor(), 1.0);
-
-        let coded = SimShuffle::Coded { r: 2 };
-        assert_eq!(coded.data_factor(4, 0.0), 1.0);
-        assert_eq!(coded.code_factor(), 0.5);
-        assert_eq!(coded.map_work_factor(), 2.0);
-        assert_eq!(coded.label(), "coded_r2");
     }
 }

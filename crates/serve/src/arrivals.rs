@@ -9,7 +9,7 @@
 
 use desim::rng::SplitMix64;
 use desim::SimTime;
-use netsim::{JobSpec, SimShuffle};
+use netsim::JobSpec;
 use workloads::{grep_spec, index_spec, javasort_spec, wordcount_spec, SeededZipf};
 
 /// The four application classes in the serving mix.
@@ -83,11 +83,6 @@ pub struct ArrivalConfig {
     /// `0..=max_doublings` — most jobs minimal, a heavy tail up to
     /// `min_bytes << max_doublings`.
     pub max_doublings: usize,
-    /// Shuffle strategy stamped on every generated job's spec
-    /// ([`JobSpec::shuffle`]), so a stream can
-    /// opt whole workloads into in-node combining or coded shuffle without
-    /// touching the cluster config.
-    pub shuffle: SimShuffle,
 }
 
 impl ArrivalConfig {
@@ -99,7 +94,6 @@ impl ArrivalConfig {
             n_tenants: 3,
             min_bytes: 64 << 20,
             max_doublings: 6,
-            shuffle: SimShuffle::Baseline,
         }
     }
 }
@@ -134,7 +128,6 @@ pub fn arrival_stream(seed: u64, cfg: &ArrivalConfig) -> Vec<Arrival> {
             let input_bytes = cfg.min_bytes << sizes.next_rank();
             let mut spec = templates[class as usize].clone();
             spec.input_bytes = input_bytes;
-            spec.shuffle = cfg.shuffle;
             Arrival {
                 id,
                 at,
@@ -197,26 +190,6 @@ mod tests {
             JobClass::Grep,
         ] {
             assert!(s.iter().any(|a| a.class == class), "{class:?} missing");
-        }
-    }
-
-    #[test]
-    fn stream_stamps_the_shuffle_strategy_per_job() {
-        let mut c = cfg();
-        assert!(arrival_stream(7, &c)
-            .iter()
-            .all(|a| a.spec.shuffle == SimShuffle::Baseline));
-        c.shuffle = SimShuffle::Coded { r: 2 };
-        let coded = arrival_stream(7, &c);
-        assert!(coded
-            .iter()
-            .all(|a| a.spec.shuffle == SimShuffle::Coded { r: 2 }));
-        // Strategy changes only the spec, never the schedule shape.
-        let base = arrival_stream(7, &cfg());
-        for (x, y) in base.iter().zip(&coded) {
-            assert_eq!(x.at, y.at);
-            assert_eq!(x.class, y.class);
-            assert_eq!(x.spec.input_bytes, y.spec.input_bytes);
         }
     }
 }

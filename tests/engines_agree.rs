@@ -220,11 +220,11 @@ fn one_mapper_sender_counts_over_round_robin_splits_are_pinned() {
 }
 
 /// A one-mapper, one-reducer WordCount sends the same MPI messages every
-/// run. Pinned exactly: the universe's byte total and the count of each
-/// `mpi.*` span of the traced run (13 sends, 13 receives, one `barrier`
-/// per rank at `MPI_D_Finalize`). The message total is the 13 sends plus
-/// however many of the barrier's 6 empty messages were sent before the
-/// last rank read the counters, which it does just before finalizing.
+/// run. Pinned exactly: the universe's byte and message totals and the
+/// count of each `mpi.*` span of the traced run (13 sends, 13 receives,
+/// one `barrier` per rank at `MPI_D_Finalize`). The message total is the
+/// 13 sends plus the barrier's 6 empty messages, all sent before the last
+/// rank leaves the barrier and reads the counters.
 #[test]
 fn one_mapper_wordcount_mpi_traffic_is_pinned() {
     let make_input = || Arc::new(TextGen::new(0x7AFF, 32 * 1024, 4, 200));
@@ -234,8 +234,7 @@ fn one_mapper_wordcount_mpi_traffic_is_pinned() {
     let traced = run_mpid_traced(&cfg, Arc::new(WordCount), make_input(), sink.clone());
     for job in [&plain, &traced] {
         assert_eq!(job.universe_bytes, 2872);
-        let msgs = job.universe_msgs;
-        assert!((13..=13 + 6).contains(&msgs), "{msgs} messages");
+        assert_eq!(job.universe_msgs, 13 + 6);
     }
     let mut spans = std::collections::BTreeMap::new();
     for e in sink.take_trace().events() {

@@ -5,8 +5,8 @@
 //!
 //! Both descriptions take their volume from the same `JobSpec` terms, so
 //! where they agree on co-location they differ only by rounding: the
-//! simulators round per split (and Hadoop per reducer partition and per
-//! fetch), the plans round the job total. Where they do not agree on
+//! simulators round per split (and Hadoop per reducer partition), the
+//! plans round the job total. Where they do not agree on
 //! co-location, the gap is pinned as a named constant until item 9 picks
 //! one model.
 
@@ -19,11 +19,7 @@ use std::sync::OnceLock;
 
 const GB: u64 = 1 << 30;
 
-const STRATEGIES: [SimShuffle; 3] = [
-    SimShuffle::Baseline,
-    SimShuffle::Coded { r: 2 },
-    SimShuffle::InNodeCombine,
-];
+const STRATEGIES: [SimShuffle; 2] = [SimShuffle::Baseline, SimShuffle::InNodeCombine];
 
 /// MPI-D in-node combining: serve-plan map-phase bytes ÷ the simulator's
 /// shuffled bytes, per input size. The plan takes co-location as
@@ -61,12 +57,10 @@ fn hadoop_plan_copies_what_the_simulator_fetches() {
             let sim = hadoop_sim::run_job(cfg.clone(), spec.clone());
             // Rounding bound. Per map: `shuffle_bytes` rounds (½ B), the
             // strategy volume truncates (1 B) and the per-reducer partition
-            // truncates (< 1 B per reducer). Per fetch, at most one per
-            // (map, reducer): the wire volume truncates (< 1 B). The plan
-            // rounds twice (1 B).
+            // truncates (< 1 B per reducer). The plan rounds once (½ B).
             let maps = spec.input_bytes.div_ceil(cfg.block_bytes);
             let reducers = cfg.n_reduces as u64;
-            let bound = maps * (2 * reducers + 2) + 1;
+            let bound = maps * (reducers + 2) + 1;
             let copy = phase_bytes(&plan, SPAN_COPY);
             assert!(
                 copy.abs_diff(sim.shuffle_wire_bytes) <= bound,
@@ -89,8 +83,8 @@ fn mpid_plan_ships_what_the_simulator_shuffles() {
             let sim = run_sim_mpid(cfg.clone(), spec.clone());
             // The sim's `wire_bytes` also carries the MPI streaming
             // efficiency, which the plan does not model: compare the
-            // reducer-input volume under the strategy's wire factor.
-            let sim_wire = spec.wire_bytes(sim.shuffle_bytes as f64);
+            // reducer-input volume.
+            let shuffled = sim.shuffle_bytes as f64;
             let shipped = phase_bytes(&plan, SPAN_MAP) as f64;
             if shuffle == SimShuffle::InNodeCombine {
                 let (_, want) = MPID_INNODE_PLAN_OVER_SIM
@@ -98,7 +92,7 @@ fn mpid_plan_ships_what_the_simulator_shuffles() {
                     .copied()
                     .find(|&(g, _)| g == gb)
                     .expect("gap pinned for every size");
-                let ratio = shipped / sim_wire;
+                let ratio = shipped / shuffled;
                 assert!(
                     (ratio - want).abs() < 1e-4,
                     "mpid {gb} GB innode: plan/sim {ratio:.6}, pinned {want}"
@@ -106,13 +100,13 @@ fn mpid_plan_ships_what_the_simulator_shuffles() {
                 continue;
             }
             // Rounding bound. Per split: `shuffle_bytes` rounds (½ B) and
-            // the strategy volume truncates (1 B). The plan rounds twice
-            // (1 B).
+            // the strategy volume truncates (1 B). The plan rounds once
+            // (½ B).
             let splits = spec.input_bytes.div_ceil(cfg.split_bytes);
             let bound = (2 * splits + 1) as f64;
             assert!(
-                (shipped - sim_wire).abs() <= bound,
-                "mpid {gb} GB {}: plan ships {shipped} B, sim {sim_wire} B (bound {bound})",
+                (shipped - shuffled).abs() <= bound,
+                "mpid {gb} GB {}: plan ships {shipped} B, sim {shuffled} B (bound {bound})",
                 shuffle.label(),
             );
         }
