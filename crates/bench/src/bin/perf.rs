@@ -217,8 +217,8 @@ fn extmerge_input(scale: usize) -> Vec<(String, u64)> {
 ///
 /// The budget must clear the sender side's deterministic peak — mappers
 /// charge their raw stream unconditionally (spilling on pool pressure
-/// would make spill cadence timing-dependent) and are bounded by
-/// `min(raw bytes, spill_threshold_bytes)` per mapper — plus the
+/// would make spill cadence timing-dependent), a 64 KiB block at a time,
+/// and hold at most `max(raw bytes, spill_threshold_bytes)` each — plus the
 /// receivers' windowed ingest, which is the *checked* part: it spills
 /// through the external merge rather than exceed the pool. Quick mode
 /// moves ~8 MB of wire through 4 mappers (no mapper crosses the 4 MB

@@ -14,13 +14,22 @@
 //!
 //! The pool is shared across the ranks of one job via `Arc`, so the budget
 //! bounds the job's aggregate buffering, not one rank's. Charges are plain
-//! atomics: a refused [`BlockPool::try_charge`] never blocks — the caller's
-//! remedy is to spill its own buffers, which releases its own charge;
-//! waiting on *other* ranks to release theirs could deadlock a rank that
-//! holds nothing.
+//! atomics on one cache line every rank touches, so a stage that buffers
+//! pair by pair charges by the block, as Mimir counts its budget: a sender
+//! charges [`BLOCK_BYTES`] ahead of its raw bytes, and never past its
+//! spill threshold, so one mapper holds at most
+//! `max(raw bytes, spill_threshold_bytes)` and the atomics run once per
+//! block. A receiver charges whole frames. A refused
+//! [`BlockPool::try_charge`] never blocks — the caller's remedy is to
+//! spill its own buffers, which releases its own charge; waiting on
+//! *other* ranks to release theirs could deadlock a rank that holds
+//! nothing.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+
+/// The granularity of a sender's pool charge (see the module doc).
+pub const BLOCK_BYTES: usize = 64 << 10;
 
 /// Byte-budget accountant shared by all buffering stages of one job.
 #[derive(Debug)]

@@ -18,12 +18,12 @@
 //! what a combiner leaves per key per spill, and what distinct keys produce —
 //! so none carries a count. It sits in the body's own count word, not beside
 //! the wire's compression marker, because plain [`FrameBuilder::new`] frames,
-//! disk-run records and LZ bodies after decompression have no marker byte;
+//! disk-run frames and LZ bodies after decompression have no marker byte;
 //! clear, it is the only layout there was before it. The builder of a frame
 //! picks its layout ([`FrameBuilder::single_valued`]): `realign_table` in
-//! [`crate::sender`] per (spill, partition), a disk run per record. One
-//! function writes the group layout (`put_group_head`), one reads it
-//! (`split_group`).
+//! [`crate::sender`] per (spill, partition); a disk run keeps the clear
+//! one. One function writes the group layout (`put_group_head`), one reads
+//! it (`split_group`).
 //!
 //! Frames are capped near a configured size; one logical spill can produce
 //! several frames per partition. The reverse direction ([`FrameReader`])
@@ -73,28 +73,13 @@ fn put_group_head(
     }
 }
 
-/// Start a one-group frame body in `buf` (cleared first) — the record format
-/// of [`crate::extmerge`]'s disk runs — in the single-valued layout when the
-/// group fits it. The caller appends the `n_values` encoded values.
-pub(crate) fn begin_record(
-    buf: &mut BytesMut,
-    key_len: usize,
-    put_key: impl FnOnce(&mut BytesMut),
-    n_values: u32,
-) {
-    let single = fits_single_valued(key_len, n_values);
-    buf.clear();
-    buf.put_u32_le(count_word(1, single));
-    put_group_head(buf, single, put_key, n_values);
-}
-
 /// Builds frames of bounded size from `(key, values)` groups.
 #[derive(Debug)]
 pub struct FrameBuilder {
     target_bytes: usize,
     /// Bytes of header before the first group: 4 for plain frames, 5 for
-    /// wire frames (compression marker first). The count word lives at
-    /// `hdr - 4 .. hdr`.
+    /// wire frames (compression marker first), 8 for run records (body
+    /// length first). The count word lives at `hdr - 4 .. hdr`.
     hdr: usize,
     /// Whether frames are built in the single-valued layout.
     single: bool,
@@ -118,6 +103,13 @@ impl FrameBuilder {
         Self::with_header(target_bytes, 5)
     }
 
+    /// Like [`FrameBuilder::new`] but each frame is prefixed with the
+    /// `u32` length of its body: the record of an [`crate::extmerge`] disk
+    /// run, written with one call.
+    pub fn new_record(target_bytes: usize) -> Self {
+        Self::with_header(target_bytes, 8)
+    }
+
     fn with_header(target_bytes: usize, hdr: usize) -> Self {
         assert!(target_bytes > 0);
         FrameBuilder {
@@ -132,8 +124,10 @@ impl FrameBuilder {
 
     fn open_frame(target_bytes: usize, hdr: usize) -> BytesMut {
         let mut buf = BytesMut::with_capacity(target_bytes + 64);
-        if hdr == 5 {
-            buf.put_u8(MARKER_PLAIN);
+        match hdr {
+            5 => buf.put_u8(MARKER_PLAIN),
+            8 => buf.put_u32_le(0), // body-length placeholder
+            _ => {}
         }
         buf.put_u32_le(0); // count-word placeholder
         buf
@@ -192,6 +186,10 @@ impl FrameBuilder {
         }
         let count = count_word(self.n_groups, self.single);
         self.buf[self.hdr - 4..self.hdr].copy_from_slice(&count.to_le_bytes());
+        if self.hdr == 8 {
+            let body_len = (self.buf.len() - 4) as u32;
+            self.buf[..4].copy_from_slice(&body_len.to_le_bytes());
+        }
         let next = Self::open_frame(self.target_bytes, self.hdr);
         self.frames
             .push(std::mem::replace(&mut self.buf, next).freeze());
@@ -202,6 +200,12 @@ impl FrameBuilder {
     pub fn finish(mut self) -> Vec<Bytes> {
         self.seal();
         self.frames
+    }
+
+    /// Hand over the frames sealed so far, in build order, so that a
+    /// writer can stream them out as the groups come.
+    pub fn take_sealed(&mut self) -> std::vec::Drain<'_, Bytes> {
+        self.frames.drain(..)
     }
 
     /// Number of sealed frames so far.
@@ -648,22 +652,27 @@ mod tests {
     }
 
     #[test]
-    fn one_group_records_take_the_layout_their_group_fits() {
-        let mut buf = BytesMut::from(b"stale".to_vec());
-        let k = "k".to_string();
-        begin_record(&mut buf, k.wire_size(), |b| k.encode(b), 1);
-        7u64.encode(&mut buf);
-        assert_eq!(buf.len(), 4 + 5 + 8);
-        assert_eq!(&buf[..], &build_single(&[(k.clone(), 7)], 64)[0][..]);
-        begin_record(&mut buf, k.wire_size(), |b| k.encode(b), 2);
-        7u64.encode(&mut buf);
-        8u64.encode(&mut buf);
-        assert_eq!(&buf[..], &build(&[(k, vec![7, 8])], 64)[0][..]);
-        // An empty key never takes the flag: its group could be zero bytes.
-        begin_record(&mut buf, 0, |_| {}, 1);
-        assert_eq!(&buf[..], &[1, 0, 0, 0, 1, 0, 0, 0]);
-        let back = FrameReader::new(&buf).unwrap().read_all::<(), ()>();
-        assert_eq!(back.unwrap(), vec![((), vec![()])]);
+    fn run_records_are_frames_behind_their_body_length() {
+        let groups: Vec<(String, Vec<u64>)> = (0..40)
+            .map(|i| (format!("key-{i:02}"), vec![i; 1 + i as usize % 3]))
+            .collect();
+        let mut b = FrameBuilder::new_record(64);
+        let mut records = Vec::new();
+        for (k, vs) in &groups {
+            b.push_group(k, vs);
+            records.extend(b.take_sealed());
+        }
+        assert!(b.take_sealed().next().is_none(), "taken as sealed");
+        records.extend(b.finish());
+        // Each record is `u32 len , body`, the bodies plain frames that
+        // hold the groups in order.
+        assert!(records.len() > 1);
+        let bodies: Vec<Bytes> = records.iter().map(|r| r.slice(4..)).collect();
+        for (r, body) in records.iter().zip(&bodies) {
+            let len = u32::from_le_bytes(r[..4].try_into().unwrap());
+            assert_eq!(len as usize, body.len());
+        }
+        assert_eq!(decode_frames::<String, u64>(&bodies).unwrap(), groups);
     }
 
     /// ROADMAP 5a: a new header bit is a new way to lie to the decoder.

@@ -9,9 +9,11 @@
 //!   merge once, and each call decodes the one group it returns;
 //! * **bounded** ([`MpidConfig::mem_budget`], or
 //!   [`MpidReceiver::into_external`]): frames buffer up to a byte budget,
-//!   each full window merges into one pre-sorted disk run per source rank,
-//!   and groups stream out of a k-way merge over the runs and the last
-//!   window — the same groups, in the same order, as the grouped drain;
+//!   each full window merges into one disk run of key-sorted frames per
+//!   source rank, and groups stream out of a k-way merge by raw key
+//!   ([`crate::extmerge`]) over the runs, read back a frame at a time, and
+//!   the last window, held in memory with its pool charge — the same
+//!   groups, in the same order, as the grouped drain;
 //! * **streaming** ([`MpidReceiver::into_streaming`], the paper's "streaming
 //!   mode to process the data for saving memory space"): one frame at a
 //!   time, its groups as framed, so a key comes once per frame that carried
@@ -74,7 +76,7 @@
 
 use crate::config::{tags, MpidConfig};
 use crate::error::{MpidError, MpidResult};
-use crate::extmerge::{ExtMergeError, ExternalTable, MergeIter, Source};
+use crate::extmerge::{ExtMergeError, ExternalTable, MergeIter, RawSource, Source};
 use crate::kv::{CodecError, Key, Value};
 use crate::pool::PoolCharge;
 use crate::realign::{parse_group_index_raw, KeyRef, RawGroup, MARKER_LZ, MARKER_PLAIN};
@@ -84,6 +86,7 @@ use mpi_rt::{Comm, Rank};
 use obs::ArgValue;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -301,18 +304,22 @@ impl<'a, K: Key, V: Value> MpidReceiver<'a, K, V> {
         // in a decode error.
         let mut sources = BTreeMap::<Rank, Vec<Source<K, V, MpidError>>>::new();
         for (i, &src) in run_ranks.iter().enumerate() {
-            let run = table.open_run(i).map_err(spill_err)?.map(move |g| {
-                g.map_err(|e| match e {
+            let run = table
+                .open_run(i)
+                .map_err(spill_err)?
+                .map_err(move |e| match e {
                     ExtMergeError::Io(e) => spill_err(e),
                     ExtMergeError::Codec(err) => codec_err(src)(err),
-                })
-            });
+                });
             sources.entry(src).or_default().push(Box::new(run));
         }
         for (src, frames) in by_rank(frames) {
             let held = frames.iter().map(|f| f.body.len()).sum();
-            let tail = Groups::new(Merged::new::<K>(frames), charge.split_off(held));
-            sources.entry(src).or_default().push(Box::new(tail));
+            let groups = Groups::new(Merged::new::<K>(frames), charge.split_off(held));
+            sources
+                .entry(src)
+                .or_default()
+                .push(Box::new(Window { groups, head: 0 }));
         }
         self.spilled_runs = table.spilled_runs();
         let (runs, disk) = (Some(self.spilled_runs), table.spilled_bytes());
@@ -564,20 +571,34 @@ impl Merged {
         span.iter().map(|e| self.group(e).1.n_values as usize).sum()
     }
 
+    /// The encoded key of a span, from its first entry.
+    fn span_key(&self, span: &[KeyRef]) -> &[u8] {
+        self.frames[span[0].run as usize].key_bytes(&span[0])
+    }
+
     /// Decode one span into its `(key, values)` group: the key once, from
     /// its first entry, each value once, into an exact-capacity list.
     fn decode_span<K: Key, V: Value>(&self, span: &[KeyRef]) -> MpidResult<(K, Vec<V>)> {
-        let first = &self.frames[span[0].run as usize];
-        let key = K::decode(&mut first.key_bytes(&span[0])).map_err(codec_err(first.src))?;
+        let key = self.decode_key(span)?;
         let mut values: Vec<V> = Vec::with_capacity(self.n_values(span));
+        self.decode_values(span, &mut values)?;
+        Ok((key, values))
+    }
+
+    fn decode_key<K: Key>(&self, span: &[KeyRef]) -> MpidResult<K> {
+        let src = self.frames[span[0].run as usize].src;
+        K::decode(&mut self.span_key(span)).map_err(codec_err(src))
+    }
+
+    fn decode_values<V: Value>(&self, span: &[KeyRef], out: &mut Vec<V>) -> MpidResult<()> {
         for e in span {
             let (frame, g) = self.group(e);
             let mut slice = g.val_bytes(&frame.body);
             for _ in 0..g.n_values {
-                values.push(V::decode(&mut slice).map_err(codec_err(frame.src))?);
+                out.push(V::decode(&mut slice).map_err(codec_err(frame.src))?);
             }
         }
-        Ok((key, values))
+        Ok(())
     }
 }
 
@@ -606,17 +627,65 @@ impl<K: Key, V: Value> Iterator for Groups<K, V> {
     type Item = MpidResult<(K, Vec<V>)>;
 
     fn next(&mut self) -> Option<Self::Item> {
+        let span = self.next_span()?;
+        Some(self.merged.decode_span(&self.merged.index[span]))
+    }
+}
+
+impl<K: Key, V: Value> Groups<K, V> {
+    /// Step the cursor past the next span and return where it lies in the
+    /// index, or release the frames and their charge at the end. Past the
+    /// span before it is decoded, so that an error skips its group and no
+    /// pull ever delivers one twice.
+    fn next_span(&mut self) -> Option<Range<usize>> {
         let Some(span) = self.merged.span_at::<K>(self.cursor) else {
-            // End of stream: the frames and their charge go now.
             self.merged = Merged::default();
             self.cursor = 0;
             self.charge.clear();
             return None;
         };
-        // Past the span before decoding it, so that an error skips its
-        // group and no pull ever delivers one twice.
+        let at = self.cursor;
         self.cursor += span.len();
-        Some(self.merged.decode_span(span))
+        Some(at..self.cursor)
+    }
+}
+
+/// One rank's share of the bounded drain's last window, as a source of the
+/// disk merge: its spans in key order, each the merge's head in turn. The
+/// frames and their charge go when the last span has been taken.
+struct Window<K, V> {
+    groups: Groups<K, V>,
+    /// Where the head span starts in the index; it ends at the cursor.
+    head: usize,
+}
+
+impl<K: Key, V: Value> Window<K, V> {
+    fn span(&self) -> &[KeyRef] {
+        &self.groups.merged.index[self.head..self.groups.cursor]
+    }
+}
+
+impl<K: Key, V: Value> RawSource<K, V, MpidError> for Window<K, V> {
+    fn advance(&mut self) -> MpidResult<bool> {
+        let span = self.groups.next_span();
+        self.head = span.as_ref().map_or(0, |span| span.start);
+        Ok(span.is_some())
+    }
+
+    fn key_bytes(&self) -> &[u8] {
+        self.groups.merged.span_key(self.span())
+    }
+
+    fn n_values(&self) -> usize {
+        self.groups.merged.n_values(self.span())
+    }
+
+    fn take_key(&mut self) -> MpidResult<K> {
+        self.groups.merged.decode_key(self.span())
+    }
+
+    fn take_values(&mut self, out: &mut Vec<V>) -> MpidResult<()> {
+        self.groups.merged.decode_values(self.span(), out)
     }
 }
 
@@ -649,8 +718,7 @@ fn spill_run<K: Key, V: Value>(
     let merged = Merged::new::<K>(frames);
     let mut rw = table.begin_sorted_run()?;
     for span in merged.spans::<K>() {
-        let key_bytes = merged.frames[span[0].run as usize].key_bytes(&span[0]);
-        rw.begin_group_raw(key_bytes, merged.n_values(span) as u32);
+        rw.begin_group_raw(merged.span_key(span), merged.n_values(span) as u32);
         for e in span {
             let (frame, g) = merged.group(e);
             rw.push_raw(g.val_bytes(&frame.body));
@@ -1052,6 +1120,93 @@ mod tests {
                 ),
                 "{err:?} ({drain:?})"
             );
+        }
+    }
+
+    /// ROADMAP 10a: a disk run is read back from bytes anything could have
+    /// changed. Cut short, given a length word past the end of the file or
+    /// a group count no frame could hold, it fails the drain with a codec
+    /// error naming the mapper whose frames it holds: no panic, and no
+    /// buffer sized by the length word.
+    #[test]
+    fn a_broken_disk_run_is_a_codec_error_naming_its_mapper() {
+        let sends: Vec<Vec<Bytes>> = (1..3)
+            .map(|m| {
+                (0..3)
+                    .map(|i| {
+                        let keys = (0..50u64).map(|j| (format!("m{m}-{i}{j:02}"), vec![j]));
+                        frame(&keys.collect::<Grouped<String, u64>>())
+                    })
+                    .collect()
+            })
+            .collect();
+        type Corrupt = fn(&std::path::Path);
+        fn write_at(path: &std::path::Path, at: u64, word: u32) {
+            use std::io::{Seek, SeekFrom, Write};
+            let mut f = std::fs::File::options().write(true).open(path).unwrap();
+            f.seek(SeekFrom::Start(at)).unwrap();
+            f.write_all(&word.to_le_bytes()).unwrap();
+        }
+        let cases: [(&str, Corrupt); 3] = [
+            ("cut mid-frame", |path| {
+                let f = std::fs::File::options().write(true).open(path).unwrap();
+                f.set_len(f.metadata().unwrap().len() - 3).unwrap();
+            }),
+            ("length word past the end of the file", |path| {
+                write_at(path, 0, u32::MAX)
+            }),
+            ("group count no frame could hold", |path| {
+                write_at(path, 4, u32::MAX >> 1)
+            }),
+        ];
+        for (what, corrupt) in cases {
+            let dir = std::env::temp_dir().join(format!(
+                "mpid-broken-run-{}-{}",
+                std::process::id(),
+                what.replace(' ', "-")
+            ));
+            std::fs::create_dir_all(&dir).unwrap();
+            let pool = BlockPool::new(1 << 20);
+            let cfg = MpidConfig {
+                pool: Some(pool.clone()),
+                ..Default::default()
+            };
+            let err = reduce_frames(cfg, Drain::Unbounded, &sends, |recv| {
+                // A one-byte window: every frame but the last to arrive
+                // goes to a run of its own. Break each of mapper 2's.
+                let mut recv = recv.into_external(1, dir.clone()).unwrap();
+                assert!(recv.spilled_runs() >= 5);
+                let mut broken = 0;
+                for table_dir in std::fs::read_dir(&dir).unwrap() {
+                    for run in std::fs::read_dir(table_dir.unwrap().path()).unwrap() {
+                        let path = run.unwrap().path();
+                        let bytes = std::fs::read(&path).unwrap();
+                        if bytes.windows(3).any(|w| w == b"m2-") {
+                            corrupt(&path);
+                            broken += 1;
+                        }
+                    }
+                }
+                assert!(broken >= 2, "{what}: {broken} runs of mapper 2");
+                let mut got: Grouped<String, u64> = Vec::new();
+                let err = loop {
+                    match recv.recv() {
+                        Ok(Some(g)) => got.push(g),
+                        Ok(None) => panic!("{what}: the broken run was skipped"),
+                        Err(e) => break e,
+                    }
+                };
+                assert_eq!(recv.recv(), Ok(None));
+                assert_eq!(recv.recv_all(), Ok(Vec::new()));
+                err
+            });
+            std::fs::remove_dir_all(&dir).unwrap();
+            assert_eq!(pool.stats().live, 0, "{what}");
+            let want = MpidError::Codec {
+                source_rank: 2,
+                err: CodecError::Truncated,
+            };
+            assert_eq!(err, want, "{what}");
         }
     }
 

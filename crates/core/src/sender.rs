@@ -39,6 +39,13 @@
 //! observable downstream (each epoch emits one accumulator per key), so
 //! this purity is exactly what keeps grouped output bit-identical across
 //! memory budgets.
+//!
+//! The job's block pool, when there is one, is charged for the same raw
+//! bytes a block ([`BLOCK_BYTES`]) at a time, so the atomics every mapper
+//! shares run once per block rather than once per pair. The charge runs at
+//! most a block ahead of `buffered_bytes` and never past
+//! `spill_threshold_bytes`: an epoch that fills up holds exactly its raw
+//! bytes when it spills, and every spill releases the charge to zero.
 
 use crate::combine::Combiner;
 use crate::compress;
@@ -46,7 +53,7 @@ use crate::config::{tags, MpidConfig, Role};
 use crate::error::MpidResult;
 use crate::kv::{Key, Kv, Value};
 use crate::partition::{HashPartitioner, Partitioner};
-use crate::pool::PoolCharge;
+use crate::pool::{PoolCharge, BLOCK_BYTES};
 use crate::realign::{fits_single_valued, FrameBuilder, MARKER_LZ};
 use crate::shuffle::{self, ShipCtx, ShuffleKind, ShuffleStrategy};
 use crate::stats::SenderStats;
@@ -545,8 +552,9 @@ pub struct MpidSender<'a, K: Key, V: Value> {
     /// Raw encoded bytes accepted this epoch (see the module doc on
     /// accounting); reset at spill.
     buffered_bytes: usize,
-    /// The epoch's raw bytes charged against the job's block pool (no-op
-    /// without one); released at spill.
+    /// The epoch's charge against the job's block pool (no-op without
+    /// one): `buffered_bytes` rounded up a block at a time
+    /// (`charge_block`); released at spill.
     charge: PoolCharge,
     pending: Vec<SendRequest>,
     stats: SenderStats,
@@ -636,11 +644,13 @@ impl<'a, K: Key, V: Value> MpidSender<'a, K, V> {
                 ts.buffer_start = Some(ts.rt.now_ns());
             }
         }
-        // Raw stream accounting: every pair charges its full encoded size,
-        // whether or not the combiner folds it away (see module doc).
-        let added = key.wire_size() + value.wire_size();
-        self.buffered_bytes += added;
-        self.charge.grow(added);
+        // Raw stream accounting: every pair counts its full encoded size,
+        // whether or not the combiner folds it away (see module doc). The
+        // pool is charged ahead of it, a block at a time.
+        self.buffered_bytes += key.wire_size() + value.wire_size();
+        if self.buffered_bytes > self.charge.held() {
+            self.charge_block();
+        }
         let n_red = self.cfg.n_reducers;
         let table = &mut self.table;
         let partitioner = &self.partitioner;
@@ -668,6 +678,18 @@ impl<'a, K: Key, V: Value> MpidSender<'a, K, V> {
             self.spill()?;
         }
         Ok(())
+    }
+
+    /// Charge the pool up to the epoch's raw bytes or one block past what
+    /// is held, whichever is more, but no block past the spill threshold:
+    /// the charge never exceeds `max(raw, spill_threshold_bytes)`, and when
+    /// a full epoch spills it is exactly the epoch's raw bytes.
+    #[inline(never)] // once per block, off the per-pair path
+    fn charge_block(&mut self) {
+        let held = self.charge.held();
+        let block_ahead = (held + BLOCK_BYTES).min(self.cfg.spill_threshold_bytes);
+        self.charge
+            .grow(self.buffered_bytes.max(block_ahead) - held);
     }
 
     /// Raw bytes accepted since the last spill (diagnostics; spilling resets
@@ -960,6 +982,73 @@ mod tests {
             })
             .sum();
         walked as f64 / table.len() as f64
+    }
+
+    /// The pool sees the epoch's raw bytes a block at a time, never more
+    /// than `max(raw, spill_threshold_bytes)`, exactly the raw bytes when
+    /// a full epoch spills, and nothing after any spill.
+    #[test]
+    fn the_pool_is_charged_a_block_at_a_time_up_to_the_spill_threshold() {
+        use crate::pool::BlockPool;
+        use crate::{MpidWorld, Role};
+        use mpi_rt::Universe;
+        // Not a whole number of blocks, nor of 20-byte pairs.
+        let threshold = 5 * BLOCK_BYTES / 2 + 1010;
+        let pool = BlockPool::new(usize::MAX);
+        Universe::run(3, |comm| {
+            let mut cfg = MpidConfig {
+                spill_threshold_bytes: threshold,
+                ..MpidConfig::with_workers(1, 1)
+            };
+            let world = MpidWorld::init(comm, cfg.clone()).unwrap();
+            match world.role() {
+                Role::Mapper(_) => {
+                    // Only the mapper charges this pool.
+                    cfg.pool = Some(pool.clone());
+                    let mut sender = MpidSender::<u64, Vec<u8>>::new(comm, cfg);
+                    let (mut raw, mut held, mut peak, mut spills) = (0, 0, 0, 0);
+                    let mut charges = 0;
+                    for i in 0..30_000u64 {
+                        // 8 + 4 + 8 bytes a pair, and one pair past a block.
+                        let value = vec![0u8; if i == 100 { 100_000 } else { 8 }];
+                        raw += 8 + value.wire_size();
+                        sender.send(i, value).unwrap();
+                        let now = pool.live();
+                        if sender.buffered_bytes() == 0 {
+                            assert!(raw >= threshold);
+                            assert_eq!(now, 0, "a spill releases the charge");
+                            (peak, spills, raw, held) = (peak.max(raw), spills + 1, 0, 0);
+                            continue;
+                        }
+                        assert_eq!(raw, sender.buffered_bytes());
+                        assert!(raw <= now && now <= raw.max(threshold), "{raw} {now}");
+                        // A block at a time, clamped at the threshold,
+                        // unless one pair outgrows the block.
+                        let want = match raw > held {
+                            true => raw.max((held + BLOCK_BYTES).min(threshold)),
+                            false => held,
+                        };
+                        assert_eq!(now, want, "{held} -> {now} at {raw} raw");
+                        (held, charges) = (now, charges + usize::from(raw > held));
+                    }
+                    assert_eq!(spills, 4);
+                    // Two blocks, the clamp and the overshoot an epoch (and
+                    // one more for the big pair), not a charge a pair.
+                    let per_epoch = threshold / BLOCK_BYTES + 2;
+                    assert!(charges <= (spills + 1) * per_epoch, "{charges}");
+                    // A full epoch holds exactly its raw bytes as it spills.
+                    assert_eq!(pool.high_water(), peak);
+                    sender.finish().unwrap();
+                    assert_eq!(pool.live(), 0);
+                }
+                Role::Reducer(_) => {
+                    let got = world.receiver::<u64, Vec<u8>>().recv_all().unwrap();
+                    assert_eq!(got.len(), 30_000);
+                }
+                Role::Master => {}
+            }
+            world.finalize().unwrap();
+        });
     }
 
     /// Keys that differ only in a few bytes of one 8-byte word (short

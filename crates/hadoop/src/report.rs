@@ -134,47 +134,6 @@ impl JobReport {
         }
     }
 
-    /// Aggregate phase timeline: for each of `map`/`copy`/`sort`/`reduce`,
-    /// the earliest start and latest end across all tasks. Per-reduce phase
-    /// boundaries are reconstructed backwards from each task's `end` (the
-    /// copy stage runs first, then sort, then reduce), so the timeline is
-    /// derivable from the report alone. Phases with no tasks are omitted.
-    pub fn phase_timeline(&self) -> Vec<(&'static str, SimTime, SimTime)> {
-        let mut out = Vec::new();
-        let extent = |iter: &mut dyn Iterator<Item = (SimTime, SimTime)>| {
-            let mut lo: Option<SimTime> = None;
-            let mut hi: Option<SimTime> = None;
-            for (s, e) in iter {
-                lo = Some(lo.map_or(s, |l| l.min(s)));
-                hi = Some(hi.map_or(e, |h| h.max(e)));
-            }
-            lo.zip(hi)
-        };
-        if let Some((s, e)) = extent(&mut self.maps.iter().map(|m| (m.start, m.end))) {
-            out.push(("map", s, e));
-        }
-        let copy = |r: &ReduceSpan| {
-            let reduce_start = r.end - r.reduce;
-            let sort_start = reduce_start - r.sort;
-            (sort_start - r.copy, sort_start)
-        };
-        if let Some((s, e)) = extent(&mut self.reduces.iter().map(copy)) {
-            out.push(("copy", s, e));
-        }
-        if let Some((s, e)) = extent(
-            &mut self
-                .reduces
-                .iter()
-                .map(|r| (r.end - r.reduce - r.sort, r.end - r.reduce)),
-        ) {
-            out.push(("sort", s, e));
-        }
-        if let Some((s, e)) = extent(&mut self.reduces.iter().map(|r| (r.end - r.reduce, r.end))) {
-            out.push(("reduce", s, e));
-        }
-        out
-    }
-
     /// Fraction of map tasks that read their block locally.
     pub fn map_locality(&self) -> f64 {
         if self.maps.is_empty() {
@@ -236,41 +195,5 @@ mod tests {
         let r = JobReport::default();
         assert_eq!(r.copy_fraction(), 0.0);
         assert_eq!(r.map_locality(), 0.0);
-        assert!(r.phase_timeline().is_empty());
-    }
-
-    #[test]
-    fn phase_timeline_reconstructs_stage_extents() {
-        let report = JobReport {
-            makespan: SimTime::from_secs(100),
-            maps: vec![MapSpan {
-                start: SimTime::from_secs(1),
-                end: SimTime::from_secs(11),
-                local: true,
-            }],
-            // One reduce ending at t=41 with copy=20, sort=4, reduce=6:
-            // copy [11,31], sort [31,35], reduce [35,41].
-            reduces: vec![ReduceSpan {
-                start: SimTime::from_secs(5),
-                end: SimTime::from_secs(41),
-                copy: SimTime::from_secs(20),
-                sort: SimTime::from_secs(4),
-                reduce: SimTime::from_secs(6),
-            }],
-            ..Default::default()
-        };
-        let tl = report.phase_timeline();
-        let names: Vec<_> = tl.iter().map(|p| p.0).collect();
-        assert_eq!(names, vec!["map", "copy", "sort", "reduce"]);
-        let copy = tl.iter().find(|p| p.0 == "copy").unwrap();
-        assert_eq!(
-            (copy.1, copy.2),
-            (SimTime::from_secs(11), SimTime::from_secs(31))
-        );
-        let reduce = tl.iter().find(|p| p.0 == "reduce").unwrap();
-        assert_eq!(
-            (reduce.1, reduce.2),
-            (SimTime::from_secs(35), SimTime::from_secs(41))
-        );
     }
 }

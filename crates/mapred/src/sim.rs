@@ -124,25 +124,6 @@ pub struct SimMpidReport {
     pub cpu_multiplier: f64,
 }
 
-impl SimMpidReport {
-    /// Aggregate phase timeline derived from the report: startup, the map
-    /// phase (earliest mapper start to last mapper finish, which includes
-    /// reads and shuffle sends), and the reducer tail.
-    pub fn phase_timeline(&self) -> Vec<(&'static str, SimTime, SimTime)> {
-        let map_start = self
-            .mapper_spans
-            .iter()
-            .map(|&(s, _)| s)
-            .min()
-            .unwrap_or(SimTime::ZERO);
-        vec![
-            ("startup", SimTime::ZERO, map_start),
-            (obs::names::SPAN_MAP, map_start, self.map_finish),
-            (obs::names::SPAN_REDUCE_TAIL, self.map_finish, self.makespan),
-        ]
-    }
-}
-
 struct MpidSim {
     net: Net<MpidSim>,
     cfg: SimMpidConfig,
@@ -843,10 +824,6 @@ mod tests {
         assert!(r.map_finish <= r.makespan);
         assert!(r.mapper_spans.iter().all(|&(s, e)| e >= s));
         assert!(r.shuffle_bytes > 0);
-        let tl = r.phase_timeline();
-        assert_eq!(tl.len(), 3);
-        assert_eq!(tl[2].0, "reduce_tail");
-        assert_eq!(tl[2].2, r.makespan);
     }
 
     #[test]
