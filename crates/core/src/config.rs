@@ -37,12 +37,14 @@ pub struct MpidConfig {
     /// LZ-compress realigned frames before sending (the paper's
     /// "compressing data" realignment improvement; see [`crate::compress`]).
     pub compress: bool,
-    /// Worker threads inside one rank. Read by nothing on the data path at
-    /// present: the sender never used it, and the receiver decodes each
-    /// group on the reducer's own thread in the `recv()` that returns it
-    /// (decoding key ranges ahead on scoped threads measured no faster, see
-    /// EXPERIMENTS_LOG.md "Receiver merge, streamed product"). Any value `>= 1`
-    /// is accepted and grouped output is the same at every setting.
+    /// Threads a mapper rank's sender runs on. At 1 it buffers each pair
+    /// on the rank's own thread; at 2 or more, the rank's thread encodes
+    /// the pairs into blocks and one table thread hashes, probes and folds
+    /// them and realigns each spill, while the map function goes on (see
+    /// [`crate::sender`]'s "Two stages"). Values above 2 run the same two
+    /// stages. It pays on a rank with a core to spare for the table
+    /// thread. Frames, sender counters and grouped output are the same at
+    /// every setting; the receiver does not read it.
     pub threads: usize,
     /// Byte budget for the job's shared [`BlockPool`]. `Some(n)` routes
     /// sender, receiver, and external-merge buffering through one pool of
@@ -144,6 +146,12 @@ impl MpidConfig {
         Ok(())
     }
 }
+
+/// The receive timeout of every unit test that starts a universe: a rank
+/// that panics fails its test in seconds, not after its peers have waited
+/// out [`MpidConfig::DEFAULT_RECV_TIMEOUT`].
+#[cfg(test)]
+pub(crate) const TEST_RECV_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// What a rank does in the simulation system: "we use rank 0 process ... to
 /// simulate the master process, like the jobtracker process in Hadoop.

@@ -19,6 +19,9 @@
 //! A run file is a sequence of `u32 len , frame` records, each frame an
 //! ordinary multi-group [`crate::realign`] frame body of about
 //! [`RUN_FRAME_BYTES`], its keys ascending and each key once in the run.
+//! The writer picks the layout for the whole run: single-valued when every
+//! group has one value and a non-empty key, as a window of distinct keys
+//! does, the counted layout otherwise.
 //! A run is written as the sender writes its frames, key and value bytes
 //! copied in ([`FrameBuilder::begin_group_raw`]), one write per record
 //! ([`FrameBuilder::new_record`]); it is read back a frame at a time
@@ -42,7 +45,7 @@
 //! list.
 
 use crate::kv::{CodecError, Key, Value};
-use crate::realign::{parse_group_index_raw, FrameBuilder, RawGroup};
+use crate::realign::{fits_single_valued, parse_group_index_raw, FrameBuilder, RawGroup};
 use bytes::{Bytes, BytesMut};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -151,7 +154,9 @@ impl<K: Key, V: Value> ExternalTable<K, V> {
             return Ok(());
         }
         let resident = std::mem::take(&mut self.resident);
-        let mut run = self.begin_sorted_run()?;
+        let single =
+            (resident.iter()).all(|(k, vs)| fits_single_valued(k.wire_size(), vs.len() as u32));
+        let mut run = self.begin_sorted_run(single)?;
         // BTreeMap iterates in ascending key order — runs are sorted.
         for (k, vs) in &resident {
             run.frames.push_group(k, vs);
@@ -165,10 +170,13 @@ impl<K: Key, V: Value> ExternalTable<K, V> {
     /// Start a run that the caller fills with groups in **ascending key
     /// order** — the path a producer that already holds sorted data (the
     /// receiver's frame-run merge) uses to spill without the resident
-    /// `BTreeMap` resort. The run is numbered, in spill order, when
-    /// [`RunWriter::finish`] is called; an unfinished writer's file is
-    /// abandoned and swept with the spill directory.
-    pub fn begin_sorted_run(&mut self) -> std::io::Result<RunWriter<'_, K, V>> {
+    /// `BTreeMap` resort. With `single` set, its frames take the
+    /// single-valued layout ([`FrameBuilder::single_valued`]): every group
+    /// must then have one value and a key of at least one byte. The run is
+    /// numbered, in spill order, when [`RunWriter::finish`] is called; an
+    /// unfinished writer's file is abandoned and swept with the spill
+    /// directory.
+    pub fn begin_sorted_run(&mut self, single: bool) -> std::io::Result<RunWriter<'_, K, V>> {
         let path = self
             .spill_dir
             .join(format!("run-{:05}.spill", self.runs.len()));
@@ -177,7 +185,7 @@ impl<K: Key, V: Value> ExternalTable<K, V> {
             table: self,
             w,
             path,
-            frames: FrameBuilder::new_record(RUN_FRAME_BYTES),
+            frames: FrameBuilder::new_record(RUN_FRAME_BYTES).single_valued(single),
         })
     }
 
@@ -658,7 +666,9 @@ mod tests {
 
     /// Write `groups` (ascending keys) to `t` as one pre-sorted run.
     fn write_run<K: Key, V: Value>(t: &mut ExternalTable<K, V>, groups: &[(K, Vec<V>)]) {
-        let mut rw = t.begin_sorted_run().unwrap();
+        let single =
+            (groups.iter()).all(|(k, vs)| fits_single_valued(k.wire_size(), vs.len() as u32));
+        let mut rw = t.begin_sorted_run(single).unwrap();
         let mut b = BytesMut::new();
         for (k, vs) in groups {
             b.clear();

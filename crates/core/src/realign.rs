@@ -21,9 +21,10 @@
 //! disk-run frames and LZ bodies after decompression have no marker byte;
 //! clear, it is the only layout there was before it. The builder of a frame
 //! picks its layout ([`FrameBuilder::single_valued`]): `realign_table` in
-//! [`crate::sender`] per (spill, partition); a disk run keeps the clear
-//! one. One function writes the group layout (`put_group_head`), one reads
-//! it (`split_group`).
+//! [`crate::sender`] per (spill, partition), and the receiver's window
+//! spill per disk run ([`crate::extmerge::ExternalTable::begin_sorted_run`]).
+//! One function writes the group layout (`put_group_head`), one reads it
+//! (`split_group`).
 //!
 //! Frames are capped near a configured size; one logical spill can produce
 //! several frames per partition. The reverse direction ([`FrameReader`])

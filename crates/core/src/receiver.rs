@@ -79,7 +79,9 @@ use crate::error::{MpidError, MpidResult};
 use crate::extmerge::{ExtMergeError, ExternalTable, MergeIter, RawSource, Source};
 use crate::kv::{CodecError, Key, Value};
 use crate::pool::PoolCharge;
-use crate::realign::{parse_group_index_raw, KeyRef, RawGroup, MARKER_LZ, MARKER_PLAIN};
+use crate::realign::{
+    fits_single_valued, parse_group_index_raw, KeyRef, RawGroup, MARKER_LZ, MARKER_PLAIN,
+};
 use crate::stats::ReceiverStats;
 use bytes::Bytes;
 use mpi_rt::{Comm, Rank};
@@ -716,8 +718,13 @@ fn spill_run<K: Key, V: Value>(
     frames: Vec<Frame>,
 ) -> std::io::Result<()> {
     let merged = Merged::new::<K>(frames);
-    let mut rw = table.begin_sorted_run()?;
-    for span in merged.spans::<K>() {
+    let spans: Vec<&[KeyRef]> = merged.spans::<K>().collect();
+    // The run's layout, picked as `realign_table` picks a partition's:
+    // single-valued when every group of the run is.
+    let single = (spans.iter())
+        .all(|&span| fits_single_valued(merged.span_key(span).len(), merged.n_values(span) as u32));
+    let mut rw = table.begin_sorted_run(single)?;
+    for span in spans {
         rw.begin_group_raw(merged.span_key(span), merged.n_values(span) as u32);
         for e in span {
             let (frame, g) = merged.group(e);
@@ -736,6 +743,7 @@ fn spill_err(e: std::io::Error) -> MpidError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::TEST_RECV_TIMEOUT;
     use crate::pool::BlockPool;
     use crate::realign::FrameBuilder;
     use crate::{MpidWorld, Role};
@@ -833,7 +841,9 @@ mod tests {
                         comm.send_bytes(reducer, tags::DATA, Bytes::new()).unwrap();
                         None
                     }
-                    Role::Reducer(_) => Some(reduce(drain.open(world.receiver()))),
+                    Role::Reducer(_) => Some(reduce(
+                        drain.open(world.receiver().with_timeout(TEST_RECV_TIMEOUT)),
+                    )),
                 };
                 world.finalize().unwrap();
                 out
@@ -1221,7 +1231,7 @@ mod tests {
             let me = comm.rank();
             if me > 0 {
                 if me < n {
-                    let t = MpidConfig::DEFAULT_RECV_TIMEOUT;
+                    let t = TEST_RECV_TIMEOUT;
                     comm.recv_bytes_timeout(Some(me + 1), Some(GO), t).unwrap();
                 }
                 for body in &sends[me - 1] {
@@ -1240,7 +1250,8 @@ mod tests {
                 mem_budget: drain.mem_budget(),
                 ..Default::default()
             };
-            let mut recv = drain.open(MpidReceiver::<String, u64>::new(comm, cfg));
+            let recv = MpidReceiver::<String, u64>::new(comm, cfg).with_timeout(TEST_RECV_TIMEOUT);
+            let mut recv = drain.open(recv);
             let got = recv.recv_all().unwrap();
             Some((got, recv.spilled_runs()))
         });
@@ -1356,7 +1367,7 @@ mod tests {
         assert!(want.windows(2).all(|w| w[0].0 < w[1].0));
         assert!(want.iter().all(|(_, vs)| vs.len() == 6));
         // A budget of four frames spills fourteen windows and leaves a tail.
-        // (`threads` is read by nothing; 2 pins that it stays inert.)
+        // (The receiver reads no `threads`; 2 pins that.)
         let budget = 4 * frames[0].len() + 8;
         assert_eq!(drain(2, Drain::Unbounded, false), want);
         assert_eq!(drain(1, Drain::Bounded(budget), false), want);
@@ -1426,7 +1437,8 @@ mod tests {
                 pool: Some(pool.clone()),
                 ..Default::default()
             };
-            let mut recv = drain.open(MpidReceiver::<String, u64>::new(comm, cfg));
+            let recv = MpidReceiver::<String, u64>::new(comm, cfg).with_timeout(TEST_RECV_TIMEOUT);
+            let mut recv = drain.open(recv);
             let first = recv.recv();
             if first.is_err() {
                 assert_eq!(recv.recv(), Ok(None));
@@ -1435,6 +1447,64 @@ mod tests {
             Some(first)
         });
         results.into_iter().next().flatten().unwrap()
+    }
+
+    /// One rank's window of frame bodies spilled as one disk run: the bytes
+    /// the run took on disk, and its groups read back.
+    fn spill_one_run(bodies: &[Bytes]) -> (u64, Grouped<String, u64>) {
+        let frames = (bodies.iter())
+            .map(|body| Frame {
+                raw: parse_group_index_raw::<String, u64>(body).unwrap(),
+                body: body.clone(),
+                src: 1,
+            })
+            .collect();
+        let mut table = ExternalTable::<String, u64>::new(1 << 20, std::env::temp_dir()).unwrap();
+        spill_run(&mut table, frames).unwrap();
+        let spilled = table.spilled_bytes();
+        let run: Source<String, u64, ExtMergeError> = Box::new(table.open_run(0).unwrap());
+        (
+            spilled,
+            table.into_merge_of(vec![run]).collect_all().unwrap(),
+        )
+    }
+
+    /// A window whose every group has one value and a non-empty key spills
+    /// in the single-valued layout: a length word and a count word a
+    /// record, then each group's key and value, with no value count.
+    #[test]
+    fn a_window_of_single_valued_groups_spills_without_value_counts() {
+        let groups = |parity: u64| -> Grouped<String, u64> {
+            (0..90u64)
+                .filter(|k| k % 2 == parity)
+                .map(|k| (format!("k{k:03}"), vec![k]))
+                .collect()
+        };
+        let (even, odd) = (groups(0), groups(1));
+        let (spilled, got) = spill_one_run(&[frame(&even), frame(&odd)]);
+        // One record: 8 bytes of header, then 4 + 4 of key and 8 of value
+        // a group, where the counted layout would take 20.
+        assert_eq!(spilled, 8 + 90 * 16);
+        let mut want = [even, odd].concat();
+        want.sort();
+        assert_eq!(got, want);
+    }
+
+    /// A key that two frames of one rank both hold has two values in the
+    /// run, so the whole run keeps the counted layout.
+    #[test]
+    fn a_key_in_two_frames_of_one_rank_keeps_the_count_layout() {
+        let first = [(s("k000"), vec![1u64]), (s("k001"), vec![2])];
+        let second = [(s("k001"), vec![3u64]), (s("k002"), vec![4])];
+        let (spilled, got) = spill_one_run(&[frame(&first), frame(&second)]);
+        // 8 bytes of header, then key 8 + count 4 + 8 a value per group.
+        assert_eq!(spilled, 8 + 20 + 28 + 20);
+        let want = [
+            (s("k000"), vec![1]),
+            (s("k001"), vec![2, 3]),
+            (s("k002"), vec![4]),
+        ];
+        assert_eq!(got, want);
     }
 
     /// ROADMAP 5a: every way a frame's count word can lie — the layout bit

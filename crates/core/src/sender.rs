@@ -46,6 +46,30 @@
 //! most a block ahead of `buffered_bytes` and never past
 //! `spill_threshold_bytes`: an epoch that fills up holds exactly its raw
 //! bytes when it spills, and every spill releases the charge to zero.
+//!
+//! ## Two stages
+//!
+//! At [`MpidConfig::threads`] `>= 2` the sender is a two-stage pipeline.
+//! The rank's own thread — the one that runs the map function — keeps
+//! everything up to the table: the raw-byte accounting, the pool charge and
+//! the spill decision. It encodes each pair into a block of about
+//! [`BLOCK_BYTES`] (the key, and the value too unless a combiner wants it
+//! typed) and hands full blocks over a bounded channel to one table thread,
+//! which hashes, probes and folds each pair into the `ByteTable` and
+//! decodes a key only to ask the partitioner, once per new key. Drained
+//! blocks come back for reuse, so every key the map function allocates is
+//! freed on the thread that allocated it. At a spill the rank thread hands
+//! off the block in hand and asks for the table; the table thread realigns
+//! it after the last block of the epoch and sends back the frames with its
+//! counters, and the rank thread ships them, so the `Comm` never leaves
+//! the rank's thread. The table sees the same pairs in the same order with
+//! the same spill points as at `threads = 1`, so every frame and every
+//! [`SenderStats`] counter is the same. Blocks in flight hold pairs already
+//! charged by their raw bytes, and the charge is released only once the
+//! table thread has drained them all. A panic on the table thread (a user
+//! combiner's or partitioner's) resumes on the rank thread at its next
+//! hand-off, spill or `finish`. Any value above 2 runs the same two
+//! stages; it pays on a rank with a core to spare for the table.
 
 use crate::combine::Combiner;
 use crate::compress;
@@ -60,7 +84,10 @@ use crate::stats::SenderStats;
 use bytes::{Bytes, BytesMut};
 use mpi_rt::{Comm, RankTrace, SendRequest};
 use obs::ArgValue;
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Instant;
 
 /// Retired compression scratch buffers kept for reuse; anything beyond this
 /// is dropped so a burst of large spills doesn't pin memory forever.
@@ -165,10 +192,6 @@ impl<V> ByteTable<V> {
         }
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
@@ -182,37 +205,40 @@ impl<V> ByteTable<V> {
         &self.keys[e.key_off as usize..e.key_end as usize]
     }
 
-    /// Find the entry whose key bytes are `keys[key_off..]` (the probe key
-    /// encoded at the arena tail), or insert a fresh entry for it. Returns
-    /// `(entry_index, inserted)`; on a hit the probe key is truncated away.
-    fn probe(&mut self, key_off: usize) -> (usize, bool) {
-        let hash = hash_bytes(&self.keys[key_off..]);
+    /// Look a key up by its encoded bytes and its [`hash_bytes`]: `Ok` with
+    /// the index of the entry that holds it, or `Err` with the empty slot a
+    /// new entry for it takes. The one probe of both ways in:
+    /// [`ByteTable::push`], whose key is encoded at the arena tail, and
+    /// [`ByteTable::find_or_add`], whose key sits in a sender block.
+    fn probe(&self, key: &[u8], hash: u64) -> Result<usize, usize> {
         let tag = (hash >> 32) << 32;
         let mask = self.buckets.len() - 1;
         let mut slot = bucket_of(hash, mask);
         loop {
             let b = self.buckets[slot];
             if b == 0 {
-                break;
+                return Err(slot);
             }
             if (b >> 32) << 32 == tag {
                 let idx = (b as u32 as usize) - 1;
                 let e = &self.entries[idx];
-                if e.hash == hash
-                    && self.keys[e.key_off as usize..e.key_end as usize] == self.keys[key_off..]
-                {
-                    self.keys.truncate(key_off);
-                    return (idx, false);
+                if e.hash == hash && self.key_bytes(e) == key {
+                    return Ok(idx);
                 }
             }
             slot = (slot + 1) & mask;
         }
+    }
+
+    /// Add an entry, bound for partition `part`, in the empty `slot` that
+    /// [`ByteTable::probe`] found for the key at `keys[key_off..]`.
+    fn insert(&mut self, slot: usize, hash: u64, key_off: usize, part: u32) -> usize {
         let idx = self.entries.len();
         self.entries.push(Entry {
             hash,
             key_off: key_off as u32,
             key_end: self.keys.len() as u32,
-            part: 0,
+            part,
             acc: None,
             head: 0,
             tail: 0,
@@ -222,7 +248,29 @@ impl<V> ByteTable<V> {
         if self.entries.len() * 2 >= self.buckets.len() {
             self.grow();
         }
-        (idx, true)
+        idx
+    }
+
+    /// The entry of an already-encoded key: found, or added with its bytes
+    /// copied into the arena and its partition from `part_of`, which sees
+    /// the key only when it is new. Returns `(entry_index, inserted)`.
+    fn find_or_add(&mut self, key: &[u8], part_of: impl FnOnce(&[u8]) -> u32) -> (usize, bool) {
+        let hash = hash_bytes(key);
+        match self.probe(key, hash) {
+            Ok(idx) => (idx, false),
+            Err(slot) => {
+                let key_off = self.keys.len();
+                self.keys.extend_from_slice(key);
+                (self.insert(slot, hash, key_off, part_of(key)), true)
+            }
+        }
+    }
+
+    /// Append already-encoded value bytes to entry `idx`'s chain.
+    fn push_encoded_value(&mut self, idx: usize, value: &[u8]) {
+        let val_off = self.vals.len();
+        self.vals.extend_from_slice(value);
+        self.link_value(idx, val_off);
     }
 }
 
@@ -247,34 +295,47 @@ impl<V: Kv> ByteTable<V> {
         // duplicate key costs a hash + memcmp, never an owned-key insert.
         let key_off = self.keys.len();
         key.encode(&mut self.keys);
-        let (idx, inserted) = self.probe(key_off);
-        if inserted {
-            self.entries[idx].part = part_of();
-            if combine.is_some() {
+        let hash = hash_bytes(&self.keys[key_off..]);
+        let (idx, inserted) = match self.probe(&self.keys[key_off..], hash) {
+            Ok(idx) => {
+                self.keys.truncate(key_off);
+                (idx, false)
+            }
+            Err(slot) => (self.insert(slot, hash, key_off, part_of()), true),
+        };
+        self.push_value(idx, inserted, value, combine)
+    }
+
+    /// Give entry `idx` (just `inserted`, or found) one typed value: with a
+    /// combiner, a new entry's accumulator or a fold into an old one's;
+    /// without, the next encoded value of its chain. Returns `true` when
+    /// the value was folded away.
+    fn push_value(
+        &mut self,
+        idx: usize,
+        inserted: bool,
+        value: V,
+        combine: Option<CombineFold<'_, V>>,
+    ) -> bool {
+        match combine {
+            Some(f) if !inserted => {
+                let acc = self.entries[idx]
+                    .acc
+                    .as_mut()
+                    .expect("combiner entry without accumulator");
+                f(acc, value);
+                true
+            }
+            Some(_) => {
                 self.entries[idx].acc = Some(value);
                 self.entries[idx].n_values = 1;
-            } else {
+                false
+            }
+            None => {
                 let val_off = self.vals.len();
                 value.encode(&mut self.vals);
                 self.link_value(idx, val_off);
-            }
-            false
-        } else {
-            match combine {
-                Some(f) => {
-                    let acc = self.entries[idx]
-                        .acc
-                        .as_mut()
-                        .expect("combiner entry without accumulator");
-                    f(acc, value);
-                    true
-                }
-                None => {
-                    let val_off = self.vals.len();
-                    value.encode(&mut self.vals);
-                    self.link_value(idx, val_off);
-                    false
-                }
+                false
             }
         }
     }
@@ -536,6 +597,246 @@ pub(crate) fn realign_table<K: Key, V: Value>(
     out
 }
 
+/// Blocks a two-stage sender lets wait for its table thread before a hand-off
+/// waits too: enough to ride out a slow block, few enough that what is in
+/// flight stays a small share of a spill.
+const BLOCKS_IN_FLIGHT: usize = 4;
+
+/// Pairs on their way from the rank thread to the table thread (see "Two
+/// stages"): about [`BLOCK_BYTES`] of them by raw size, recycled once
+/// drained.
+struct Block<V> {
+    /// Each pair's encoded key, then, without a combiner, its encoded value.
+    bytes: BytesMut,
+    /// Where each pair's key and value end in `bytes` (the same offset
+    /// twice with a combiner).
+    ends: Vec<(u32, u32)>,
+    /// Each pair's value, typed, with a combiner.
+    values: Vec<V>,
+    /// Raw encoded size of the pairs held.
+    raw: usize,
+}
+
+impl<V> Block<V> {
+    fn new() -> Self {
+        Block {
+            bytes: BytesMut::with_capacity(BLOCK_BYTES),
+            ends: Vec::new(),
+            values: Vec::new(),
+            raw: 0,
+        }
+    }
+}
+
+/// What the rank thread hands the table thread.
+enum ToTable<V> {
+    Block(Block<V>),
+    /// Realign and clear the table, with the rank's wire pool and sort
+    /// scratch on loan.
+    Spill(WireShop, SpillScratch),
+}
+
+/// The table thread's answer to [`ToTable::Spill`].
+struct Spilled {
+    out: SpillOutput,
+    shop: WireShop,
+    scratch: SpillScratch,
+    /// Pairs the combiner folded away this epoch.
+    pairs_combined: u64,
+    /// The table's arena bytes and entries as it spilled.
+    table_bytes: u64,
+    table_entries: u64,
+    /// Traced with a combiner: the table thread's time on this epoch's
+    /// blocks, one clock reading per block.
+    combine_ns: u64,
+}
+
+/// What the table thread needs of its sender.
+struct TableJob<K, V> {
+    combiner: Option<Arc<dyn Combiner<V>>>,
+    partitioner: Arc<dyn Partitioner<K>>,
+    n_reducers: usize,
+    frame_bytes: usize,
+    compress: bool,
+    traced: bool,
+}
+
+/// The table thread: hash, probe and fold each pair of each block into the
+/// table, in arrival order, and realign the table at each spill. It ends
+/// when the rank thread hangs up, and a panic (a user combiner's or
+/// partitioner's) ends it too, closing its channels for the rank thread to
+/// notice.
+fn run_table<K: Key, V: Value>(
+    job: TableJob<K, V>,
+    blocks: Receiver<ToTable<V>>,
+    spilled: Sender<Spilled>,
+    empties: Sender<Block<V>>,
+) {
+    let mut table = ByteTable::<V>::new();
+    let (mut pairs_combined, mut combine_ns) = (0, 0);
+    // A key is decoded only to ask the partitioner, once, when it is new.
+    let part_of = |key: &[u8]| {
+        let key = K::decode(&mut &key[..]).expect("a block's key decodes as encoded");
+        job.partitioner.partition(&key, job.n_reducers) as u32
+    };
+    let clocked = job.traced && job.combiner.is_some();
+    for msg in blocks {
+        match msg {
+            ToTable::Block(mut block) => {
+                let t0 = clocked.then(Instant::now);
+                let mut values = block.values.drain(..);
+                let mut at = 0;
+                for &(key_end, val_end) in &block.ends {
+                    let (key_end, val_end) = (key_end as usize, val_end as usize);
+                    let (idx, inserted) = table.find_or_add(&block.bytes[at..key_end], part_of);
+                    match &job.combiner {
+                        Some(c) => {
+                            let value = values.next().expect("a typed value a pair");
+                            let mut fold = |acc: &mut V, v: V| c.combine(acc, v);
+                            if table.push_value(idx, inserted, value, Some(&mut fold)) {
+                                pairs_combined += 1;
+                            }
+                        }
+                        None => table.push_encoded_value(idx, &block.bytes[key_end..val_end]),
+                    }
+                    at = val_end;
+                }
+                drop(values);
+                if let Some(t0) = t0 {
+                    combine_ns += t0.elapsed().as_nanos() as u64;
+                }
+                block.bytes.clear();
+                block.ends.clear();
+                block.raw = 0;
+                // The rank thread may be gone already; then so are we.
+                let _ = empties.send(block);
+            }
+            ToTable::Spill(mut shop, mut scratch) => {
+                let out = realign_table::<K, V>(
+                    &table,
+                    job.n_reducers,
+                    job.frame_bytes,
+                    job.compress,
+                    &mut shop,
+                    &mut scratch,
+                );
+                let reply = Spilled {
+                    out,
+                    shop,
+                    scratch,
+                    pairs_combined: std::mem::take(&mut pairs_combined),
+                    table_bytes: table.arena_bytes() as u64,
+                    table_entries: table.len() as u64,
+                    combine_ns: std::mem::take(&mut combine_ns),
+                };
+                table.clear();
+                if spilled.send(reply).is_err() {
+                    return;
+                }
+            }
+        }
+    }
+}
+
+/// The rank thread's side of a two-stage sender: the block it fills, its
+/// ends of the table thread's channels, and the thread itself.
+struct Stages<V> {
+    block: Block<V>,
+    /// Pairs sent since the last spill, in blocks or in the table.
+    epoch_pairs: u64,
+    /// Full blocks and spills, in order. `None` once hung up.
+    to_table: Option<SyncSender<ToTable<V>>>,
+    /// Drained blocks coming back for reuse.
+    empties: Receiver<Block<V>>,
+    spilled: Receiver<Spilled>,
+    table: Option<JoinHandle<()>>,
+}
+
+impl<V: Value> Stages<V> {
+    fn start<K: Key>(job: TableJob<K, V>) -> Self {
+        let (to_table, blocks) = mpsc::sync_channel(BLOCKS_IN_FLIGHT);
+        let (empty_tx, empties) = mpsc::channel();
+        let (spilled_tx, spilled) = mpsc::channel();
+        let table = std::thread::Builder::new()
+            .name("mpid-table".into())
+            .spawn(move || run_table(job, blocks, spilled_tx, empty_tx))
+            .expect("spawn the sender's table thread");
+        Stages {
+            block: Block::new(),
+            epoch_pairs: 0,
+            to_table: Some(to_table),
+            empties,
+            spilled,
+            table: Some(table),
+        }
+    }
+
+    /// Append one pair of `raw` encoded bytes to the block, handing the
+    /// block off once it holds a block's worth.
+    fn push<K: Kv>(&mut self, key: K, value: V, raw: usize, typed_value: bool) {
+        let block = &mut self.block;
+        key.encode(&mut block.bytes);
+        let key_end = block.bytes.len() as u32;
+        if typed_value {
+            block.values.push(value);
+        } else {
+            value.encode(&mut block.bytes);
+        }
+        block.ends.push((key_end, block.bytes.len() as u32));
+        block.raw += raw;
+        self.epoch_pairs += 1;
+        if block.raw >= BLOCK_BYTES {
+            self.hand_off();
+        }
+    }
+
+    /// Send the block to the table thread and go on with a drained one.
+    fn hand_off(&mut self) {
+        let next = self.empties.try_recv().unwrap_or_else(|_| Block::new());
+        let full = std::mem::replace(&mut self.block, next);
+        self.send(ToTable::Block(full));
+    }
+
+    fn send(&mut self, msg: ToTable<V>) {
+        let to_table = self.to_table.as_ref().expect("open until dropped");
+        if to_table.send(msg).is_err() {
+            self.table_failed();
+        }
+    }
+
+    /// End the epoch: the table thread drains every block sent and the
+    /// one in hand, then realigns the table.
+    fn spill(&mut self, shop: WireShop, scratch: SpillScratch) -> Spilled {
+        if !self.block.ends.is_empty() {
+            self.hand_off();
+        }
+        self.epoch_pairs = 0;
+        self.send(ToTable::Spill(shop, scratch));
+        match self.spilled.recv() {
+            Ok(spilled) => spilled,
+            Err(_) => self.table_failed(),
+        }
+    }
+
+    /// The table thread hung up, which it does only by panicking: resume
+    /// its panic on the rank's thread.
+    fn table_failed(&mut self) -> ! {
+        self.to_table = None;
+        let panic = self.table.take().and_then(|table| table.join().err());
+        std::panic::resume_unwind(panic.unwrap_or_else(|| Box::new("the table thread hung up")))
+    }
+}
+
+impl<V> Drop for Stages<V> {
+    fn drop(&mut self) {
+        // Hang up, and wait for the table thread to see it.
+        self.to_table = None;
+        if let Some(table) = self.table.take() {
+            let _ = table.join();
+        }
+    }
+}
+
 /// Mapper-side handle: buffer, combine, partition, realign, send.
 ///
 /// `MPI_D_Send(key, value)` is [`MpidSender::send`]; it "will buffer the
@@ -560,6 +861,9 @@ pub struct MpidSender<'a, K: Key, V: Value> {
     stats: SenderStats,
     finished: bool,
     trace: Option<SenderTrace>,
+    /// The table thread and its channels when `threads >= 2` (see "Two
+    /// stages"), started at the first send; `table` is then unused.
+    stages: Option<Stages<V>>,
     scratch: SpillScratch,
     /// The sender→wire policy (see [`crate::shuffle`]), built lazily at the
     /// first spill so `with_combiner` can run first.
@@ -603,6 +907,7 @@ impl<'a, K: Key, V: Value> MpidSender<'a, K, V> {
                 combine_ns: 0,
                 prev: SenderStats::default(),
             }),
+            stages: None,
             scratch: SpillScratch::new(),
             strategy: None,
             shop: WireShop::new(),
@@ -621,7 +926,7 @@ impl<'a, K: Key, V: Value> MpidSender<'a, K, V> {
     /// the reduce function" in Hadoop practice). Must be called before the
     /// first [`MpidSender::send`].
     pub fn with_combiner(mut self, c: impl Combiner<V> + 'static) -> Self {
-        assert!(self.table.is_empty(), "with_combiner after sends began");
+        assert!(self.stats.pairs_in == 0, "with_combiner after sends began");
         self.combiner = Some(Arc::new(c));
         self
     }
@@ -629,7 +934,10 @@ impl<'a, K: Key, V: Value> MpidSender<'a, K, V> {
     /// Replace the default [`HashPartitioner`]. Must be called before the
     /// first [`MpidSender::send`] — entries memoize their partition.
     pub fn with_partitioner(mut self, p: impl Partitioner<K> + 'static) -> Self {
-        assert!(self.table.is_empty(), "with_partitioner after sends began");
+        assert!(
+            self.stats.pairs_in == 0,
+            "with_partitioner after sends began"
+        );
         self.partitioner = Arc::new(p);
         self
     }
@@ -638,19 +946,10 @@ impl<'a, K: Key, V: Value> MpidSender<'a, K, V> {
     /// spilling realigned frames to reducers when the buffer is full.
     pub fn send(&mut self, key: K, value: V) -> MpidResult<()> {
         assert!(!self.finished, "send after finish");
-        self.stats.pairs_in += 1;
-        if let Some(ts) = &mut self.trace {
-            if ts.buffer_start.is_none() {
-                ts.buffer_start = Some(ts.rt.now_ns());
-            }
+        if self.cfg.threads > 1 {
+            return self.send_staged(key, value);
         }
-        // Raw stream accounting: every pair counts its full encoded size,
-        // whether or not the combiner folds it away (see module doc). The
-        // pool is charged ahead of it, a block at a time.
-        self.buffered_bytes += key.wire_size() + value.wire_size();
-        if self.buffered_bytes > self.charge.held() {
-            self.charge_block();
-        }
+        self.accept(key.wire_size() + value.wire_size());
         let n_red = self.cfg.n_reducers;
         let table = &mut self.table;
         let partitioner = &self.partitioner;
@@ -680,6 +979,60 @@ impl<'a, K: Key, V: Value> MpidSender<'a, K, V> {
         Ok(())
     }
 
+    /// Count one pair into the epoch: `pairs_in`, the start of the
+    /// buffering interval, and the pair's raw encoded size — every pair
+    /// counts in full, whether or not the combiner folds it away (see the
+    /// module doc) — with the pool charged ahead of it a block at a time.
+    #[inline(always)]
+    fn accept(&mut self, raw: usize) {
+        self.stats.pairs_in += 1;
+        if let Some(ts) = &mut self.trace {
+            if ts.buffer_start.is_none() {
+                ts.buffer_start = Some(ts.rt.now_ns());
+            }
+        }
+        self.buffered_bytes += raw;
+        if self.buffered_bytes > self.charge.held() {
+            self.charge_block();
+        }
+    }
+
+    /// [`MpidSender::send`] at `threads >= 2` (see "Two stages"): the same
+    /// accounting, then the pair is encoded into the block bound for the
+    /// table thread. Out of line, so that the `threads = 1` path compiles
+    /// as it would without it.
+    #[inline(never)]
+    fn send_staged(&mut self, key: K, value: V) -> MpidResult<()> {
+        let raw = key.wire_size() + value.wire_size();
+        self.accept(raw);
+        if self.stages.is_none() {
+            self.stages = Some(Stages::start(TableJob {
+                combiner: self.combiner.clone(),
+                partitioner: self.partitioner.clone(),
+                n_reducers: self.cfg.n_reducers,
+                frame_bytes: self.cfg.frame_bytes,
+                compress: self.cfg.compress,
+                traced: self.trace.is_some(),
+            }));
+        }
+        let stages = self.stages.as_mut().expect("started above");
+        stages.push(key, value, raw, self.combiner.is_some());
+        if self.buffered_bytes >= self.cfg.spill_threshold_bytes {
+            self.spill()?;
+        }
+        Ok(())
+    }
+
+    /// What the sender holds that no spill has sent: `(count, what)`, or
+    /// `None` when that is nothing.
+    fn unsent(&self) -> Option<(u64, &'static str)> {
+        let unsent = match &self.stages {
+            Some(stages) => (stages.epoch_pairs, "pairs in flight"),
+            None => (self.table.len() as u64, "buffered keys"),
+        };
+        (unsent.0 > 0).then_some(unsent)
+    }
+
     /// Charge the pool up to the epoch's raw bytes or one block past what
     /// is held, whichever is more, but no block past the spill threshold:
     /// the charge never exceeds `max(raw, spill_threshold_bytes)`, and when
@@ -700,12 +1053,13 @@ impl<'a, K: Key, V: Value> MpidSender<'a, K, V> {
 
     /// Force a spill of the current buffer contents.
     pub fn spill(&mut self) -> MpidResult<()> {
-        if self.table.is_empty() {
+        if self.unsent().is_none() {
             return Ok(());
         }
+        let spill_start = self.trace.as_ref().map(|ts| ts.rt.now_ns());
+        let staged = self.spill_stages();
         // Close the buffering interval: one "buffer" span per spill, with a
         // nested "combine" span for the time spent folding values.
-        let spill_start = self.trace.as_ref().map(|ts| ts.rt.now_ns());
         if let (Some(ts), Some(now)) = (&mut self.trace, spill_start) {
             if let Some(b0) = ts.buffer_start.take() {
                 ts.rt.complete(
@@ -740,19 +1094,21 @@ impl<'a, K: Key, V: Value> MpidSender<'a, K, V> {
         self.stats.spills += 1;
         self.buffered_bytes = 0;
         // Realign into per-partition wire frames.
-        let out = realign_table::<K, V>(
-            &self.table,
-            self.cfg.n_reducers,
-            self.cfg.frame_bytes,
-            self.cfg.compress,
-            &mut self.shop,
-            &mut self.scratch,
-        );
-        // Arena high-water for this spill, captured before the clear: the
-        // table is at its fullest right here.
-        let table_bytes = self.table.arena_bytes() as u64;
-        let table_entries = self.table.len() as u64;
-        self.table.clear();
+        let (out, table_bytes, table_entries) = staged.unwrap_or_else(|| {
+            let out = realign_table::<K, V>(
+                &self.table,
+                self.cfg.n_reducers,
+                self.cfg.frame_bytes,
+                self.cfg.compress,
+                &mut self.shop,
+                &mut self.scratch,
+            );
+            // Arena high-water for this spill, captured before the clear:
+            // the table is at its fullest right here.
+            let fullest = (self.table.arena_bytes() as u64, self.table.len() as u64);
+            self.table.clear();
+            (out, fullest.0, fullest.1)
+        });
         self.stats.groups_out += out.groups;
         self.stats.frames += out.frames;
         self.stats.bytes_precompress += out.precompress;
@@ -859,11 +1215,30 @@ impl<'a, K: Key, V: Value> MpidSender<'a, K, V> {
         Ok(())
     }
 
+    /// Two stages: the table thread drains every block in flight and
+    /// realigns the table, and its counters join the rank's. Returns the
+    /// realigned table with its arena bytes and entries as it spilled, or
+    /// `None` at `threads = 1`.
+    fn spill_stages(&mut self) -> Option<(SpillOutput, u64, u64)> {
+        let stages = self.stages.as_mut()?;
+        let shop = std::mem::replace(&mut self.shop, WireShop::new());
+        let scratch = std::mem::replace(&mut self.scratch, SpillScratch::new());
+        let s = stages.spill(shop, scratch);
+        (self.shop, self.scratch) = (s.shop, s.scratch);
+        self.stats.pairs_combined += s.pairs_combined;
+        if let Some(ts) = &mut self.trace {
+            ts.combine_ns += s.combine_ns;
+        }
+        Some((s.out, s.table_bytes, s.table_entries))
+    }
+
     /// Flush everything, wait for outstanding `Isend`s, and deliver an
     /// end-of-stream marker to every reducer. Returns the sender statistics.
     pub fn finish(mut self) -> MpidResult<SenderStats> {
         let t0 = self.trace.as_ref().map(|ts| ts.rt.now_ns());
         self.spill()?;
+        // Every pair is out: the table thread, if any, ends here.
+        self.stages = None;
         // Flush the shuffle strategy before end-of-stream: in-node leaders
         // drain their members' relay streams and ship the merged frames
         // here (isends land in `pending`, waited below).
@@ -941,9 +1316,11 @@ impl<K: Key, V: Value> Drop for MpidSender<'_, K, V> {
         // A sender dropped without finish() would leave reducers waiting for
         // an EOS forever in larger jobs; make the bug loud in tests. (Panics
         // in flight take precedence — don't double-panic.)
-        let buffered = self.table.len();
-        if !self.finished && !std::thread::panicking() && buffered > 0 {
-            eprintln!("warning: MpidSender dropped with {buffered} buffered keys and no finish()");
+        if self.finished || std::thread::panicking() {
+            return;
+        }
+        if let Some((n, what)) = self.unsent() {
+            eprintln!("warning: MpidSender dropped with {n} {what} and no finish()");
         }
     }
 }
@@ -951,6 +1328,7 @@ impl<K: Key, V: Value> Drop for MpidSender<'_, K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::TEST_RECV_TIMEOUT;
 
     /// Base-26 lowercase spelling of `r` ("a", …, "z", "ba", …).
     fn word(mut r: usize) -> String {
@@ -989,15 +1367,23 @@ mod tests {
     /// a full epoch spills, and nothing after any spill.
     #[test]
     fn the_pool_is_charged_a_block_at_a_time_up_to_the_spill_threshold() {
+        // Not a whole number of blocks, nor of 20-byte pairs.
+        let threshold = 5 * BLOCK_BYTES / 2 + 1010;
+        for threads in [1, 2] {
+            pool_charge_case(threshold, threads);
+        }
+    }
+
+    /// One sender at `threads` checked against the charge rule above.
+    fn pool_charge_case(threshold: usize, threads: usize) {
         use crate::pool::BlockPool;
         use crate::{MpidWorld, Role};
         use mpi_rt::Universe;
-        // Not a whole number of blocks, nor of 20-byte pairs.
-        let threshold = 5 * BLOCK_BYTES / 2 + 1010;
         let pool = BlockPool::new(usize::MAX);
         Universe::run(3, |comm| {
             let mut cfg = MpidConfig {
                 spill_threshold_bytes: threshold,
+                threads,
                 ..MpidConfig::with_workers(1, 1)
             };
             let world = MpidWorld::init(comm, cfg.clone()).unwrap();
@@ -1031,7 +1417,7 @@ mod tests {
                         assert_eq!(now, want, "{held} -> {now} at {raw} raw");
                         (held, charges) = (now, charges + usize::from(raw > held));
                     }
-                    assert_eq!(spills, 4);
+                    assert_eq!(spills, 4, "threads = {threads}");
                     // Two blocks, the clamp and the overshoot an epoch (and
                     // one more for the big pair), not a charge a pair.
                     let per_epoch = threshold / BLOCK_BYTES + 2;
@@ -1042,7 +1428,8 @@ mod tests {
                     assert_eq!(pool.live(), 0);
                 }
                 Role::Reducer(_) => {
-                    let got = world.receiver::<u64, Vec<u8>>().recv_all().unwrap();
+                    let recv = world.receiver::<u64, Vec<u8>>();
+                    let got = recv.with_timeout(TEST_RECV_TIMEOUT).recv_all().unwrap();
                     assert_eq!(got.len(), 30_000);
                 }
                 Role::Master => {}

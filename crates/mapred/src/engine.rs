@@ -35,8 +35,9 @@ pub struct MpidEngineConfig {
     /// ([`mpid::MpidReceiver::into_external`]) with this in-memory byte
     /// budget instead of holding the whole key space resident.
     pub reduce_budget_bytes: Option<usize>,
-    /// Passed through as [`mpid::MpidConfig::threads`] (documented there;
-    /// nothing on the data path reads it at present).
+    /// Passed through as [`mpid::MpidConfig::threads`] (documented there):
+    /// at 2 or more each mapper's sender hashes and folds its pairs on a
+    /// second thread, which pays when a mapper rank has a core to spare.
     pub threads: usize,
     /// Job-wide byte budget for MPI-D buffering. One [`mpid::BlockPool`]
     /// is shared across every rank of the job; sender tables, in-node

@@ -15,14 +15,20 @@
 //! Unlike the `quickstart` example (which goes through the `mapred` engine,
 //! the "context collector" route the paper describes for legacy Hadoop
 //! apps), here every rank drives the MPI-D calls itself: `MPI_D_Init`,
-//! `MPI_D_Send`, `MPI_D_Recv`, `MPI_D_Finalize`.
+//! `MPI_D_Send`, `MPI_D_Recv`, `MPI_D_Finalize`. Each mapper's sender runs
+//! in two stages (`threads = 2`): the mapping thread encodes the pairs and
+//! a table thread combines them.
 
 use mpid_suite::mpi_rt::Universe;
 use mpid_suite::mpid::{MpidConfig, MpidWorld, Role, SumCombiner};
 
 fn main() {
-    // 3 mappers, 2 reducers, 1 master — 6 MPI ranks.
-    let cfg = MpidConfig::with_workers(3, 2);
+    // 3 mappers, 2 reducers, 1 master — 6 MPI ranks; two sender threads a
+    // mapper.
+    let cfg = MpidConfig {
+        threads: 2,
+        ..MpidConfig::with_workers(3, 2)
+    };
 
     // Input splits: one document each, served by the rank-0 master.
     let documents: Vec<String> = vec![
