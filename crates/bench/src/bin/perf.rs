@@ -23,8 +23,9 @@
 //!   the shape name before the `.json` extension.
 //! * `--filter <substr>` keeps the shapes whose name contains the substring.
 //! * `--check-mem` runs the `pipe_extmerge` shape under a job block-pool
-//!   budget and fails if the pool's high-water mark exceeded it, or if the
-//!   job's output differs from the same shape run with no budget.
+//!   budget, at sender `threads` 1 and 2, and fails if at either the
+//!   pool's high-water mark exceeded it, or the job's output differs from
+//!   the same shape run with no budget.
 //! * `--quick` shrinks the real-pipeline inputs 4× for CI; shape names are
 //!   the same in both modes.
 
@@ -211,20 +212,24 @@ fn extmerge_input(scale: usize) -> Vec<(String, u64)> {
 }
 
 /// `--check-mem`: run the `pipe_extmerge` shape with a job block-pool
-/// budget and assert the pool's high-water mark respected it and the output
-/// equals the unbudgeted run's. Prints a Markdown summary (append it to
-/// `$GITHUB_STEP_SUMMARY` in CI) and returns the process exit code.
+/// budget, at sender `threads` 1 and 2, and assert at each that the pool's
+/// high-water mark respected it and the output equals the unbudgeted run's.
+/// Prints a Markdown summary (append it to `$GITHUB_STEP_SUMMARY` in CI)
+/// and returns the process exit code.
 ///
 /// The budget must clear the sender side's deterministic peak — mappers
 /// charge their raw stream unconditionally (spilling on pool pressure
 /// would make spill cadence timing-dependent), a 64 KiB block at a time,
-/// and hold at most `max(raw bytes, spill_threshold_bytes)` each — plus the
-/// receivers' windowed ingest, which is the *checked* part: it spills
-/// through the external merge rather than exceed the pool. Quick mode
-/// moves ~8 MB of wire through 4 mappers (no mapper crosses the 4 MB
-/// spill threshold), full mode ~32 MB (every mapper spills at 4 MB), so
-/// high-water ≤ budget holds exactly when the spill-before-exceed
-/// discipline works and nothing forced a charge.
+/// and hold at most `max(raw bytes, spill_threshold_bytes)` each at one
+/// thread; at two, a spilled epoch keeps its charge until its frames ship
+/// (`mpid::sender`'s "Spill a late"), so a mapper holds up to
+/// `spill_threshold_bytes` plus six blocks — plus the receivers' windowed
+/// ingest, which is the *checked* part: it spills through the external
+/// merge rather than exceed the pool. Quick mode moves ~8 MB of wire
+/// through 4 mappers (no mapper crosses the 4 MB spill threshold), full
+/// mode ~32 MB (every mapper spills at 4 MB), so high-water ≤ budget holds
+/// exactly when the spill-before-exceed discipline works and nothing
+/// forced a charge.
 fn check_mem(quick: bool, scale: usize) -> i32 {
     let budget = if quick { 12 << 20 } else { 24 << 20 };
     let pairs = extmerge_input(scale);
@@ -232,52 +237,61 @@ fn check_mem(quick: bool, scale: usize) -> i32 {
         .iter()
         .map(|(k, v)| (k.wire_size() + v.wire_size()) as u64)
         .sum();
-    let mut cfg = extmerge_cfg();
-    cfg.mem_budget = Some(budget);
     let input = Arc::new(VecInput::round_robin(pairs, 8));
-    let job = run_mpid(&cfg, Arc::new(WordCountPairs), input.clone());
-    let stats = job.pool_stats.expect("mem_budget installs a job pool");
-    let fits = stats.high_water <= budget && stats.forced == 0;
     // The same shape with no budget at all: a budget may change memory
     // use, never what the job produces.
-    let unbounded = run_mpid(&pipe_cfg(), Arc::new(WordCountPairs), input);
-    let same_output = job.output == unbounded.output;
-    let ok = fits && same_output;
+    let unbounded = run_mpid(&pipe_cfg(), Arc::new(WordCountPairs), input.clone());
+    let runs = [1, 2].map(|threads| {
+        let mut cfg = extmerge_cfg();
+        cfg.mem_budget = Some(budget);
+        cfg.threads = threads;
+        let job = run_mpid(&cfg, Arc::new(WordCountPairs), input.clone());
+        let stats = job.pool_stats.expect("mem_budget installs a job pool");
+        let fits = stats.high_water <= budget && stats.forced == 0;
+        let same_output = job.output == unbounded.output;
+        if !fits {
+            eprintln!(
+                "check-mem: threads = {threads}: pool high water {} exceeded budget {} \
+                 (forced charges: {})",
+                stats.high_water, budget, stats.forced
+            );
+        }
+        if !same_output {
+            let (bounded, unbounded) = (&job.output, &unbounded.output);
+            let at = (bounded.iter().zip(unbounded))
+                .position(|(a, b)| a != b)
+                .unwrap_or(bounded.len().min(unbounded.len()));
+            eprintln!(
+                "check-mem: threads = {threads}: bounded output ({} pairs) differs from \
+                 unbounded ({} pairs) first at pair {at}: {:?} vs {:?}",
+                bounded.len(),
+                unbounded.len(),
+                bounded.get(at),
+                unbounded.get(at)
+            );
+        }
+        (stats, job.output.len(), same_output, fits && same_output)
+    });
+    let row = |name: &str, cell: &dyn Fn(usize) -> String| {
+        println!("| {name} | {} | {} |", cell(0), cell(1));
+    };
     println!("## perf --check-mem");
     println!();
-    println!(
-        "| metric | value |\n|---|---|\n| wire bytes | {} |\n| pool budget | {} |\n\
-         | pool high water | {} |\n| forced charges | {} |\n| output pairs | {} |\n\
-         | output ≡ unbounded | {} |\n| verdict | {} |",
-        mpid_bench::fmt_size(wire_bytes),
-        mpid_bench::fmt_size(budget as u64),
-        mpid_bench::fmt_size(stats.high_water as u64),
-        stats.forced,
-        job.output.len(),
-        if same_output { "yes" } else { "**no**" },
-        if ok { "PASS" } else { "**FAIL**" },
-    );
-    if !fits {
-        eprintln!(
-            "check-mem: pool high water {} exceeded budget {} (forced charges: {})",
-            stats.high_water, budget, stats.forced
-        );
-    }
-    if !same_output {
-        let (bounded, unbounded) = (&job.output, &unbounded.output);
-        let at = (bounded.iter().zip(unbounded))
-            .position(|(a, b)| a != b)
-            .unwrap_or(bounded.len().min(unbounded.len()));
-        eprintln!(
-            "check-mem: bounded output ({} pairs) differs from unbounded ({} pairs) \
-             first at pair {at}: {:?} vs {:?}",
-            bounded.len(),
-            unbounded.len(),
-            bounded.get(at),
-            unbounded.get(at)
-        );
-    }
-    i32::from(!ok)
+    println!("| metric | threads = 1 | threads = 2 |\n|---|---|---|");
+    row("wire bytes", &|_| mpid_bench::fmt_size(wire_bytes));
+    row("pool budget", &|_| mpid_bench::fmt_size(budget as u64));
+    row("pool high water", &|i| {
+        mpid_bench::fmt_size(runs[i].0.high_water as u64)
+    });
+    row("forced charges", &|i| runs[i].0.forced.to_string());
+    row("output pairs", &|i| runs[i].1.to_string());
+    row("output ≡ unbounded", &|i| {
+        (if runs[i].2 { "yes" } else { "**no**" }).to_string()
+    });
+    row("verdict", &|i| {
+        (if runs[i].3 { "PASS" } else { "**FAIL**" }).to_string()
+    });
+    i32::from(!runs.iter().all(|run| run.3))
 }
 
 /// Per-shape Chrome-trace path: `base.json` + shape `s` → `base.s.json`.

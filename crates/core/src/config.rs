@@ -37,14 +37,15 @@ pub struct MpidConfig {
     /// LZ-compress realigned frames before sending (the paper's
     /// "compressing data" realignment improvement; see [`crate::compress`]).
     pub compress: bool,
-    /// Threads a mapper rank's sender runs on. At 1 it buffers each pair
-    /// on the rank's own thread; at 2 or more, the rank's thread encodes
-    /// the pairs into blocks and one table thread hashes, probes and folds
-    /// them and realigns each spill, while the map function goes on (see
-    /// [`crate::sender`]'s "Two stages"). Values above 2 run the same two
-    /// stages. It pays on a rank with a core to spare for the table
-    /// thread. Frames, sender counters and grouped output are the same at
-    /// every setting; the receiver does not read it.
+    /// Threads a mapper rank's sender runs on. At 1 it folds each pair
+    /// into its table on the rank's own thread. At 2 or more the rank's
+    /// thread appends the pairs to blocks, and one table thread hashes,
+    /// probes and folds each full block and realigns each spill while the
+    /// map function goes on (see [`crate::sender`]'s "Two stages" and
+    /// "Spill a late"). Values above 2 run the same one table thread. It
+    /// pays on a rank with a core to spare for the table thread. Frames,
+    /// sender counters and grouped output are the same at every setting;
+    /// the receiver does not read it.
     pub threads: usize,
     /// Byte budget for the job's shared [`BlockPool`]. `Some(n)` routes
     /// sender, receiver, and external-merge buffering through one pool of

@@ -17,9 +17,13 @@
 //! atomics on one cache line every rank touches, so a stage that buffers
 //! pair by pair charges by the block, as Mimir counts its budget: a sender
 //! charges [`BLOCK_BYTES`] ahead of its raw bytes, and never past its
-//! spill threshold, so one mapper holds at most
+//! spill threshold, so one mapper's epoch holds at most
 //! `max(raw bytes, spill_threshold_bytes)` and the atomics run once per
-//! block. A receiver charges whole frames. A refused
+//! block. At `threads = 1` that is all a mapper holds. At `threads >= 2` a
+//! spilled epoch keeps its charge until its frames ship, a few blocks into
+//! the next epoch ([`crate::sender`]'s "Spill a late"), so a mapper holds
+//! up to `spill_threshold_bytes` plus six blocks. A receiver charges whole
+//! frames. A refused
 //! [`BlockPool::try_charge`] never blocks — the caller's remedy is to
 //! spill its own buffers, which releases its own charge; waiting on
 //! *other* ranks to release theirs could deadlock a rank that holds

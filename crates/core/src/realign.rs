@@ -676,7 +676,7 @@ mod tests {
         assert_eq!(decode_frames::<String, u64>(&bodies).unwrap(), groups);
     }
 
-    /// ROADMAP 5a: a new header bit is a new way to lie to the decoder.
+    /// ROADMAP 10: a new header bit is a new way to lie to the decoder.
     #[test]
     fn a_lying_layout_bit_is_an_error_never_a_panic() {
         let flagged = build_single(&[("k".to_string(), 7), ("kk".to_string(), 8)], 1 << 20);

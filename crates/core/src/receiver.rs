@@ -1507,7 +1507,7 @@ mod tests {
         assert_eq!(got, want);
     }
 
-    /// ROADMAP 5a: every way a frame's count word can lie — the layout bit
+    /// ROADMAP 10: every way a frame's count word can lie — the layout bit
     /// included — is a codec error naming the mapper, in every drain state.
     #[test]
     fn hostile_group_count_is_a_codec_error_naming_the_mapper() {

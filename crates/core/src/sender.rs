@@ -45,31 +45,43 @@
 //! shares run once per block rather than once per pair. The charge runs at
 //! most a block ahead of `buffered_bytes` and never past
 //! `spill_threshold_bytes`: an epoch that fills up holds exactly its raw
-//! bytes when it spills, and every spill releases the charge to zero.
+//! bytes when it spills. The spill takes that charge with the epoch, and
+//! it is released when the epoch's frames ship.
 //!
 //! ## Two stages
 //!
-//! At [`MpidConfig::threads`] `>= 2` the sender is a two-stage pipeline.
-//! The rank's own thread — the one that runs the map function — keeps
-//! everything up to the table: the raw-byte accounting, the pool charge and
-//! the spill decision. It encodes each pair into a block of about
-//! [`BLOCK_BYTES`] (the key, and the value too unless a combiner wants it
-//! typed) and hands full blocks over a bounded channel to one table thread,
-//! which hashes, probes and folds each pair into the `ByteTable` and
-//! decodes a key only to ask the partitioner, once per new key. Drained
-//! blocks come back for reuse, so every key the map function allocates is
-//! freed on the thread that allocated it. At a spill the rank thread hands
-//! off the block in hand and asks for the table; the table thread realigns
-//! it after the last block of the epoch and sends back the frames with its
-//! counters, and the rank thread ships them, so the `Comm` never leaves
-//! the rank's thread. The table sees the same pairs in the same order with
-//! the same spill points as at `threads = 1`, so every frame and every
-//! [`SenderStats`] counter is the same. Blocks in flight hold pairs already
-//! charged by their raw bytes, and the charge is released only once the
-//! table thread has drained them all. A panic on the table thread (a user
-//! combiner's or partitioner's) resumes on the rank thread at its next
-//! hand-off, spill or `finish`. Any value above 2 runs the same two
-//! stages; it pays on a rank with a core to spare for the table.
+//! At [`MpidConfig::threads`] `= 1` `MPI_D_Send` folds each pair as it
+//! comes, on the rank's own thread: it encodes the key at the key arena's
+//! tail, probes by those bytes, asks the partitioner with the typed key
+//! when the key is new, and folds or encodes the value. (Folding by blocks
+//! there read 5 % slower on distinct keys and large values.) At 2 or more
+//! the rank's thread keeps the accounting, the pool charge and the spill
+//! decision, and appends each pair to a block of about [`BLOCK_BYTES`] by
+//! raw size, key encoded and value typed. One table thread, fed full
+//! blocks over a bounded channel (`BLOCKS_IN_FLIGHT`), hashes a block's
+//! keys first, then probes with the stored hashes, decodes a key only to
+//! ask the partitioner, once per new key, and folds or encodes each value
+//! and drops it. Blocks come back empty for reuse, so a key is freed on
+//! the thread that allocated it. Any value above 2 runs the same one table
+//! thread. The table sees the same pairs in the same order with the same
+//! spill points at every thread count, so every frame and every
+//! [`SenderStats`] counter is the same.
+//!
+//! ## Spill a late
+//!
+//! At `threads = 1` a spill realigns the table and ships the frames before
+//! it returns. At 2 or more it hands off the block in hand, asks the table
+//! thread to realign after it, and returns to the map function. The rank
+//! thread picks the frames up at a later hand-off, or waits for them at
+//! the next spill or at `finish` (one epoch out at most), and ships them
+//! itself, so the `Comm` never leaves it. The epoch's pool charge travels
+//! with its frames, which come back before `BLOCKS_IN_FLIGHT + 1` blocks of
+//! the next epoch are handed off, so a mapper holds at most
+//! `spill_threshold_bytes` plus `BLOCKS_IN_FLIGHT + 2` blocks (and a pair's
+//! overshoot a block). Traced, the epoch's `realign` span is then only the
+//! rank thread's last hand-off: the realignment runs on the untraced table
+//! thread. A panic there (a user combiner's or partitioner's) resumes on
+//! the rank thread at its next hand-off, spill or `finish`.
 
 use crate::combine::Combiner;
 use crate::compress;
@@ -84,7 +96,7 @@ use crate::stats::SenderStats;
 use bytes::{Bytes, BytesMut};
 use mpi_rt::{Comm, RankTrace, SendRequest};
 use obs::ArgValue;
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TryRecvError, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -208,7 +220,7 @@ impl<V> ByteTable<V> {
     /// Look a key up by its encoded bytes and its [`hash_bytes`]: `Ok` with
     /// the index of the entry that holds it, or `Err` with the empty slot a
     /// new entry for it takes. The one probe of both ways in:
-    /// [`ByteTable::push`], whose key is encoded at the arena tail, and
+    /// [`ByteTable::entry`], whose key is encoded at the arena tail, and
     /// [`ByteTable::find_or_add`], whose key sits in a sender block.
     fn probe(&self, key: &[u8], hash: u64) -> Result<usize, usize> {
         let tag = (hash >> 32) << 32;
@@ -251,114 +263,71 @@ impl<V> ByteTable<V> {
         idx
     }
 
-    /// The entry of an already-encoded key: found, or added with its bytes
-    /// copied into the arena and its partition from `part_of`, which sees
-    /// the key only when it is new. Returns `(entry_index, inserted)`.
-    fn find_or_add(&mut self, key: &[u8], part_of: impl FnOnce(&[u8]) -> u32) -> (usize, bool) {
-        let hash = hash_bytes(key);
-        match self.probe(key, hash) {
-            Ok(idx) => (idx, false),
-            Err(slot) => {
-                let key_off = self.keys.len();
-                self.keys.extend_from_slice(key);
-                (self.insert(slot, hash, key_off, part_of(key)), true)
-            }
-        }
-    }
-
-    /// Append already-encoded value bytes to entry `idx`'s chain.
-    fn push_encoded_value(&mut self, idx: usize, value: &[u8]) {
-        let val_off = self.vals.len();
-        self.vals.extend_from_slice(value);
-        self.link_value(idx, val_off);
-    }
-}
-
-/// A combiner's fold step, type-erased for [`ByteTable::push`]: folds the
-/// incoming value into the stored accumulator.
-pub(crate) type CombineFold<'a, V> = &'a mut dyn FnMut(&mut V, V);
-
-impl<V: Kv> ByteTable<V> {
-    /// Buffer one record: insert or fold `(key, value)`. `part_of` is
-    /// invoked only when the key is first seen, to fix the entry's
-    /// partition. `combine` (present iff the sender has a combiner) folds
-    /// the value into an existing accumulator. Returns `true` when the pair
-    /// was combined away rather than stored.
-    pub(crate) fn push<K: Kv>(
-        &mut self,
-        key: &K,
-        value: V,
-        part_of: impl FnOnce() -> u32,
-        combine: Option<CombineFold<'_, V>>,
-    ) -> bool {
-        // Encode the key at the arena tail and probe by raw bytes: a
-        // duplicate key costs a hash + memcmp, never an owned-key insert.
+    /// The entry of a typed key: found, or added with its partition from
+    /// `part_of`, which runs only when the key is new. The key is encoded
+    /// at the arena tail and probed by those bytes, so a key already held
+    /// costs a hash and a compare, never an owned-key insert. Returns
+    /// `(entry_index, inserted)`.
+    pub(crate) fn entry<K: Kv>(&mut self, key: &K, part_of: impl FnOnce() -> u32) -> (usize, bool) {
         let key_off = self.keys.len();
         key.encode(&mut self.keys);
         let hash = hash_bytes(&self.keys[key_off..]);
-        let (idx, inserted) = match self.probe(&self.keys[key_off..], hash) {
+        match self.probe(&self.keys[key_off..], hash) {
             Ok(idx) => {
                 self.keys.truncate(key_off);
                 (idx, false)
             }
             Err(slot) => (self.insert(slot, hash, key_off, part_of()), true),
-        };
-        self.push_value(idx, inserted, value, combine)
+        }
     }
 
-    /// Give entry `idx` (just `inserted`, or found) one typed value: with a
-    /// combiner, a new entry's accumulator or a fold into an old one's;
-    /// without, the next encoded value of its chain. Returns `true` when
-    /// the value was folded away.
-    fn push_value(
+    /// [`ByteTable::entry`] for a key already encoded, whose
+    /// [`hash_bytes`] is `hash`: a new key's bytes are copied into the
+    /// arena.
+    fn find_or_add(
+        &mut self,
+        key: &[u8],
+        hash: u64,
+        part_of: impl FnOnce() -> u32,
+    ) -> (usize, bool) {
+        match self.probe(key, hash) {
+            Ok(idx) => (idx, false),
+            Err(slot) => {
+                let key_off = self.keys.len();
+                self.keys.extend_from_slice(key);
+                (self.insert(slot, hash, key_off, part_of()), true)
+            }
+        }
+    }
+
+    /// Give entry `idx` (just `inserted`, or found) one value for its
+    /// combiner: a new entry's accumulator, or a fold into an old one's.
+    /// Returns `true` when the value was folded away.
+    pub(crate) fn fold(
         &mut self,
         idx: usize,
         inserted: bool,
         value: V,
-        combine: Option<CombineFold<'_, V>>,
+        combiner: &dyn Combiner<V>,
     ) -> bool {
-        match combine {
-            Some(f) if !inserted => {
-                let acc = self.entries[idx]
-                    .acc
-                    .as_mut()
-                    .expect("combiner entry without accumulator");
-                f(acc, value);
-                true
-            }
-            Some(_) => {
-                self.entries[idx].acc = Some(value);
-                self.entries[idx].n_values = 1;
-                false
-            }
-            None => {
-                let val_off = self.vals.len();
-                value.encode(&mut self.vals);
-                self.link_value(idx, val_off);
-                false
-            }
+        let e = &mut self.entries[idx];
+        if inserted {
+            e.acc = Some(value);
+            e.n_values = 1;
+            return false;
         }
-    }
-}
-
-impl<V> ByteTable<V> {
-    fn grow(&mut self) {
-        let new_len = self.buckets.len() * 2;
-        let mask = new_len - 1;
-        let mut buckets = vec![0u64; new_len];
-        for (i, e) in self.entries.iter().enumerate() {
-            let mut slot = bucket_of(e.hash, mask);
-            while buckets[slot] != 0 {
-                slot = (slot + 1) & mask;
-            }
-            buckets[slot] = slot_value(e.hash, i);
-        }
-        self.buckets = buckets;
+        let acc = e.acc.as_mut().expect("combiner entry without accumulator");
+        combiner.combine(acc, value);
+        true
     }
 
-    /// Append encoded value bytes `vals[val_off..]` (already written at the
-    /// arena tail) to entry `idx`'s chain.
-    fn link_value(&mut self, idx: usize, val_off: usize) {
+    /// Append `value`, encoded, to entry `idx`'s chain.
+    pub(crate) fn push_value(&mut self, idx: usize, value: &V)
+    where
+        V: Kv,
+    {
+        let val_off = self.vals.len();
+        value.encode(&mut self.vals);
         let node = self.nodes.len() as u32 + 1;
         self.nodes.push(ValNode {
             off: val_off as u32,
@@ -373,6 +342,20 @@ impl<V> ByteTable<V> {
         }
         e.tail = node;
         e.n_values += 1;
+    }
+
+    fn grow(&mut self) {
+        let new_len = self.buckets.len() * 2;
+        let mask = new_len - 1;
+        let mut buckets = vec![0u64; new_len];
+        for (i, e) in self.entries.iter().enumerate() {
+            let mut slot = bucket_of(e.hash, mask);
+            while buckets[slot] != 0 {
+                slot = (slot + 1) & mask;
+            }
+            buckets[slot] = slot_value(e.hash, i);
+        }
+        self.buckets = buckets;
     }
 
     pub(crate) fn clear(&mut self) {
@@ -597,21 +580,21 @@ pub(crate) fn realign_table<K: Key, V: Value>(
     out
 }
 
-/// Blocks a two-stage sender lets wait for its table thread before a hand-off
+/// Blocks the rank thread lets wait for the table thread before a hand-off
 /// waits too: enough to ride out a slow block, few enough that what is in
-/// flight stays a small share of a spill.
+/// flight stays a small share of a spill. It also bounds how far the next
+/// epoch runs ahead of a late spill (see "Spill a late").
 const BLOCKS_IN_FLIGHT: usize = 4;
 
-/// Pairs on their way from the rank thread to the table thread (see "Two
-/// stages"): about [`BLOCK_BYTES`] of them by raw size, recycled once
-/// drained.
+/// Pairs on their way to the table thread (see "Two stages"): about
+/// [`BLOCK_BYTES`] of them by raw size. A value stays typed until the
+/// drain folds it or encodes it into the table, so it is copied once.
 struct Block<V> {
-    /// Each pair's encoded key, then, without a combiner, its encoded value.
-    bytes: BytesMut,
-    /// Where each pair's key and value end in `bytes` (the same offset
-    /// twice with a combiner).
-    ends: Vec<(u32, u32)>,
-    /// Each pair's value, typed, with a combiner.
+    /// Each pair's encoded key.
+    keys: BytesMut,
+    /// Where each pair's key ends in `keys`.
+    ends: Vec<u32>,
+    /// Each pair's value.
     values: Vec<V>,
     /// Raw encoded size of the pairs held.
     raw: usize,
@@ -620,117 +603,176 @@ struct Block<V> {
 impl<V> Block<V> {
     fn new() -> Self {
         Block {
-            bytes: BytesMut::with_capacity(BLOCK_BYTES),
+            keys: BytesMut::with_capacity(BLOCK_BYTES),
             ends: Vec::new(),
             values: Vec::new(),
             raw: 0,
         }
+    }
+
+    /// Empty a drained block for refilling (the drain took its values).
+    fn clear(&mut self) {
+        self.keys.clear();
+        self.ends.clear();
+        self.values.clear();
+        self.raw = 0;
+    }
+}
+
+/// A realigned epoch: its frames, and what the drain counted of it.
+struct Realigned {
+    out: SpillOutput,
+    /// Pairs the combiner folded away this epoch.
+    pairs_combined: u64,
+    /// The table's arena bytes and entries as it spilled.
+    table_bytes: u64,
+    table_entries: u64,
+    /// Traced with a combiner: the drain's time folding this epoch's pairs
+    /// (one clock pair per pair at `threads = 1`, per block at 2 or more).
+    combine_ns: u64,
+    /// The drain's compression scratch hits and misses so far.
+    wire_pool: (u64, u64),
+}
+
+/// The table side of the sender: the `ByteTable`, what folds pairs into
+/// it, and what realigns it, with the scratch each reuses.
+struct Drain<K, V> {
+    table: ByteTable<V>,
+    combiner: Option<Arc<dyn Combiner<V>>>,
+    partitioner: Arc<dyn Partitioner<K>>,
+    n_reducers: usize,
+    frame_bytes: usize,
+    compress: bool,
+    /// Traced with a combiner: clock the folds.
+    clocked: bool,
+    /// The hash of each key of the block being drained.
+    hashes: Vec<u64>,
+    scratch: SpillScratch,
+    shop: WireShop,
+    /// This epoch's pairs folded away, and its clocked drain time.
+    pairs_combined: u64,
+    combine_ns: u64,
+}
+
+impl<K: Key, V: Value> Drain<K, V> {
+    /// Fold one pair into the table (`threads = 1`).
+    fn push(&mut self, key: &K, value: V) {
+        let (partitioner, n_reducers) = (&self.partitioner, self.n_reducers);
+        let part_of = || partitioner.partition(key, n_reducers) as u32;
+        let (idx, inserted) = self.table.entry(key, part_of);
+        match &self.combiner {
+            Some(c) => {
+                let t0 = self.clocked.then(Instant::now);
+                if self.table.fold(idx, inserted, value, c.as_ref()) {
+                    self.pairs_combined += 1;
+                }
+                if let Some(t0) = t0 {
+                    self.combine_ns += t0.elapsed().as_nanos() as u64;
+                }
+            }
+            None => self.table.push_value(idx, &value),
+        }
+    }
+
+    /// Fold every pair of `block` into the table, in order, taking its
+    /// values (`threads >= 2`).
+    fn drain(&mut self, block: &mut Block<V>) {
+        let t0 = self.clocked.then(Instant::now);
+        let Drain {
+            table,
+            combiner,
+            partitioner,
+            n_reducers,
+            hashes,
+            pairs_combined,
+            ..
+        } = self;
+        let starts = std::iter::once(0).chain(block.ends.iter().copied());
+        let keys = (starts.zip(&block.ends))
+            .map(|(start, &end)| &block.keys[start as usize..end as usize]);
+        // Hash every key first, then probe: with no hashing between one
+        // probe and the next, their bucket loads overlap.
+        hashes.clear();
+        hashes.extend(keys.clone().map(hash_bytes));
+        let keys = keys.zip(hashes.iter().copied());
+        // A key is decoded only to ask the partitioner, once, when it is new.
+        let part_of = |mut key: &[u8]| {
+            let key = K::decode(&mut key).expect("a block's key decodes as encoded");
+            partitioner.partition(&key, *n_reducers) as u32
+        };
+        let values = block.values.drain(..);
+        match combiner {
+            Some(c) => {
+                for ((key, hash), value) in keys.zip(values) {
+                    let (idx, inserted) = table.find_or_add(key, hash, || part_of(key));
+                    if table.fold(idx, inserted, value, c.as_ref()) {
+                        *pairs_combined += 1;
+                    }
+                }
+            }
+            None => {
+                for ((key, hash), value) in keys.zip(values) {
+                    let (idx, _) = table.find_or_add(key, hash, || part_of(key));
+                    table.push_value(idx, &value);
+                }
+            }
+        }
+        if let Some(t0) = t0 {
+            self.combine_ns += t0.elapsed().as_nanos() as u64;
+        }
+    }
+
+    /// Realign the table into the epoch's frames and clear it.
+    fn realign(&mut self) -> Realigned {
+        let out = realign_table::<K, V>(
+            &self.table,
+            self.n_reducers,
+            self.frame_bytes,
+            self.compress,
+            &mut self.shop,
+            &mut self.scratch,
+        );
+        let realigned = Realigned {
+            out,
+            pairs_combined: std::mem::take(&mut self.pairs_combined),
+            // Captured before the clear: the table is at its fullest here.
+            table_bytes: self.table.arena_bytes() as u64,
+            table_entries: self.table.len() as u64,
+            combine_ns: std::mem::take(&mut self.combine_ns),
+            wire_pool: (self.shop.hits, self.shop.misses),
+        };
+        self.table.clear();
+        realigned
     }
 }
 
 /// What the rank thread hands the table thread.
 enum ToTable<V> {
     Block(Block<V>),
-    /// Realign and clear the table, with the rank's wire pool and sort
-    /// scratch on loan.
-    Spill(WireShop, SpillScratch),
+    /// Realign and clear the table.
+    Spill,
 }
 
-/// The table thread's answer to [`ToTable::Spill`].
-struct Spilled {
-    out: SpillOutput,
-    shop: WireShop,
-    scratch: SpillScratch,
-    /// Pairs the combiner folded away this epoch.
-    pairs_combined: u64,
-    /// The table's arena bytes and entries as it spilled.
-    table_bytes: u64,
-    table_entries: u64,
-    /// Traced with a combiner: the table thread's time on this epoch's
-    /// blocks, one clock reading per block.
-    combine_ns: u64,
-}
-
-/// What the table thread needs of its sender.
-struct TableJob<K, V> {
-    combiner: Option<Arc<dyn Combiner<V>>>,
-    partitioner: Arc<dyn Partitioner<K>>,
-    n_reducers: usize,
-    frame_bytes: usize,
-    compress: bool,
-    traced: bool,
-}
-
-/// The table thread: hash, probe and fold each pair of each block into the
-/// table, in arrival order, and realign the table at each spill. It ends
-/// when the rank thread hangs up, and a panic (a user combiner's or
-/// partitioner's) ends it too, closing its channels for the rank thread to
-/// notice.
+/// The table thread: drain each block, in arrival order, and realign the
+/// table at each spill. It ends when the rank thread hangs up, and a panic
+/// (a user combiner's or partitioner's) ends it too, closing its channels
+/// for the rank thread to notice.
 fn run_table<K: Key, V: Value>(
-    job: TableJob<K, V>,
+    mut drain: Drain<K, V>,
     blocks: Receiver<ToTable<V>>,
-    spilled: Sender<Spilled>,
+    realigned: Sender<Realigned>,
     empties: Sender<Block<V>>,
 ) {
-    let mut table = ByteTable::<V>::new();
-    let (mut pairs_combined, mut combine_ns) = (0, 0);
-    // A key is decoded only to ask the partitioner, once, when it is new.
-    let part_of = |key: &[u8]| {
-        let key = K::decode(&mut &key[..]).expect("a block's key decodes as encoded");
-        job.partitioner.partition(&key, job.n_reducers) as u32
-    };
-    let clocked = job.traced && job.combiner.is_some();
     for msg in blocks {
         match msg {
             ToTable::Block(mut block) => {
-                let t0 = clocked.then(Instant::now);
-                let mut values = block.values.drain(..);
-                let mut at = 0;
-                for &(key_end, val_end) in &block.ends {
-                    let (key_end, val_end) = (key_end as usize, val_end as usize);
-                    let (idx, inserted) = table.find_or_add(&block.bytes[at..key_end], part_of);
-                    match &job.combiner {
-                        Some(c) => {
-                            let value = values.next().expect("a typed value a pair");
-                            let mut fold = |acc: &mut V, v: V| c.combine(acc, v);
-                            if table.push_value(idx, inserted, value, Some(&mut fold)) {
-                                pairs_combined += 1;
-                            }
-                        }
-                        None => table.push_encoded_value(idx, &block.bytes[key_end..val_end]),
-                    }
-                    at = val_end;
-                }
-                drop(values);
-                if let Some(t0) = t0 {
-                    combine_ns += t0.elapsed().as_nanos() as u64;
-                }
-                block.bytes.clear();
-                block.ends.clear();
-                block.raw = 0;
+                drain.drain(&mut block);
+                block.clear();
                 // The rank thread may be gone already; then so are we.
                 let _ = empties.send(block);
             }
-            ToTable::Spill(mut shop, mut scratch) => {
-                let out = realign_table::<K, V>(
-                    &table,
-                    job.n_reducers,
-                    job.frame_bytes,
-                    job.compress,
-                    &mut shop,
-                    &mut scratch,
-                );
-                let reply = Spilled {
-                    out,
-                    shop,
-                    scratch,
-                    pairs_combined: std::mem::take(&mut pairs_combined),
-                    table_bytes: table.arena_bytes() as u64,
-                    table_entries: table.len() as u64,
-                    combine_ns: std::mem::take(&mut combine_ns),
-                };
-                table.clear();
-                if spilled.send(reply).is_err() {
+            ToTable::Spill => {
+                if realigned.send(drain.realign()).is_err() {
                     return;
                 }
             }
@@ -738,101 +780,174 @@ fn run_table<K: Key, V: Value>(
     }
 }
 
-/// The rank thread's side of a two-stage sender: the block it fills, its
-/// ends of the table thread's channels, and the thread itself.
-struct Stages<V> {
+/// A spilled epoch as the rank thread saw it, until its frames ship.
+struct Epoch {
+    /// Its pool charge: its raw bytes, released once its frames ship.
+    charge: PoolCharge,
+    /// Its spill's number, from 1.
+    spill: u64,
+    pairs_in: u64,
+    raw_bytes: u64,
+    /// Traced: when its buffering began, when its spill began, and when
+    /// the rank thread was done spilling it.
+    times: Option<[u64; 3]>,
+}
+
+/// The rank thread's side of a table thread (`threads >= 2`): its ends of
+/// the channels and the thread itself.
+struct TableThread<V> {
+    /// The block the pairs are encoded into.
     block: Block<V>,
-    /// Pairs sent since the last spill, in blocks or in the table.
-    epoch_pairs: u64,
     /// Full blocks and spills, in order. `None` once hung up.
     to_table: Option<SyncSender<ToTable<V>>>,
     /// Drained blocks coming back for reuse.
     empties: Receiver<Block<V>>,
-    spilled: Receiver<Spilled>,
-    table: Option<JoinHandle<()>>,
+    realigned: Receiver<Realigned>,
+    thread: Option<JoinHandle<()>>,
+    /// Traced: the rank thread's total wait on the table thread.
+    waited_ns: Option<u64>,
 }
 
-impl<V: Value> Stages<V> {
-    fn start<K: Key>(job: TableJob<K, V>) -> Self {
+impl<V: Value> TableThread<V> {
+    fn start<K: Key>(drain: Drain<K, V>, traced: bool) -> Self {
         let (to_table, blocks) = mpsc::sync_channel(BLOCKS_IN_FLIGHT);
         let (empty_tx, empties) = mpsc::channel();
-        let (spilled_tx, spilled) = mpsc::channel();
-        let table = std::thread::Builder::new()
+        let (realigned_tx, realigned) = mpsc::channel();
+        let thread = std::thread::Builder::new()
             .name("mpid-table".into())
-            .spawn(move || run_table(job, blocks, spilled_tx, empty_tx))
+            .spawn(move || run_table(drain, blocks, realigned_tx, empty_tx))
             .expect("spawn the sender's table thread");
-        Stages {
+        TableThread {
             block: Block::new(),
-            epoch_pairs: 0,
             to_table: Some(to_table),
             empties,
-            spilled,
-            table: Some(table),
+            realigned,
+            thread: Some(thread),
+            waited_ns: traced.then_some(0),
         }
     }
 
-    /// Append one pair of `raw` encoded bytes to the block, handing the
-    /// block off once it holds a block's worth.
-    fn push<K: Kv>(&mut self, key: K, value: V, raw: usize, typed_value: bool) {
+    /// Append one pair of `raw` bytes to the block, and hand the block off
+    /// if that filled it. Returns whether it did.
+    fn push<K: Kv>(&mut self, key: &K, value: V, raw: usize) -> bool {
         let block = &mut self.block;
-        key.encode(&mut block.bytes);
-        let key_end = block.bytes.len() as u32;
-        if typed_value {
-            block.values.push(value);
-        } else {
-            value.encode(&mut block.bytes);
-        }
-        block.ends.push((key_end, block.bytes.len() as u32));
+        key.encode(&mut block.keys);
+        block.ends.push(block.keys.len() as u32);
+        block.values.push(value);
         block.raw += raw;
-        self.epoch_pairs += 1;
-        if block.raw >= BLOCK_BYTES {
+        let full = block.raw >= BLOCK_BYTES;
+        if full {
             self.hand_off();
         }
+        full
     }
 
     /// Send the block to the table thread and go on with a drained one.
+    #[inline(never)] // once per block, off the per-pair path
     fn hand_off(&mut self) {
         let next = self.empties.try_recv().unwrap_or_else(|_| Block::new());
         let full = std::mem::replace(&mut self.block, next);
         self.send(ToTable::Block(full));
     }
 
-    fn send(&mut self, msg: ToTable<V>) {
-        let to_table = self.to_table.as_ref().expect("open until dropped");
-        if to_table.send(msg).is_err() {
-            self.table_failed();
-        }
-    }
-
-    /// End the epoch: the table thread drains every block sent and the
-    /// one in hand, then realigns the table.
-    fn spill(&mut self, shop: WireShop, scratch: SpillScratch) -> Spilled {
+    /// Hand off what the block holds, then ask for the table to be
+    /// realigned after it.
+    fn spill(&mut self) {
         if !self.block.ends.is_empty() {
             self.hand_off();
         }
-        self.epoch_pairs = 0;
-        self.send(ToTable::Spill(shop, scratch));
-        match self.spilled.recv() {
-            Ok(spilled) => spilled,
-            Err(_) => self.table_failed(),
+        self.send(ToTable::Spill);
+    }
+
+    fn send(&mut self, msg: ToTable<V>) {
+        let to_table = self.to_table.as_ref().expect("open until dropped");
+        let sent = match to_table.try_send(msg) {
+            Err(TrySendError::Full(msg)) => {
+                let t0 = self.waited_ns.is_some().then(Instant::now);
+                let sent = to_table.send(msg).is_ok();
+                self.waited(t0);
+                sent
+            }
+            sent => sent.is_ok(),
+        };
+        if !sent {
+            self.failed();
+        }
+    }
+
+    /// The late epoch's frames if they are back, or, with `wait`, once
+    /// they are.
+    fn collect(&mut self, wait: bool) -> Option<Realigned> {
+        match self.realigned.try_recv() {
+            Ok(realigned) => Some(realigned),
+            Err(TryRecvError::Empty) if !wait => None,
+            Err(TryRecvError::Empty) => {
+                let t0 = self.waited_ns.is_some().then(Instant::now);
+                let realigned = self.realigned.recv();
+                self.waited(t0);
+                Some(realigned.unwrap_or_else(|_| self.failed()))
+            }
+            Err(TryRecvError::Disconnected) => self.failed(),
+        }
+    }
+
+    fn waited(&mut self, t0: Option<Instant>) {
+        if let (Some(ns), Some(t0)) = (&mut self.waited_ns, t0) {
+            *ns += t0.elapsed().as_nanos() as u64;
         }
     }
 
     /// The table thread hung up, which it does only by panicking: resume
     /// its panic on the rank's thread.
-    fn table_failed(&mut self) -> ! {
+    fn failed(&mut self) -> ! {
         self.to_table = None;
-        let panic = self.table.take().and_then(|table| table.join().err());
+        let panic = self.thread.take().and_then(|thread| thread.join().err());
         std::panic::resume_unwind(panic.unwrap_or_else(|| Box::new("the table thread hung up")))
     }
 }
 
-impl<V> Drop for Stages<V> {
+impl<V> Drop for TableThread<V> {
     fn drop(&mut self) {
         // Hang up, and wait for the table thread to see it.
         self.to_table = None;
-        if let Some(table) = self.table.take() {
-            let _ = table.join();
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
+/// Where a sender's pairs are folded (see "Two stages").
+enum Stage<K, V> {
+    /// `threads = 1`: pair by pair, on the rank's own thread.
+    Inline(Drain<K, V>),
+    /// `threads >= 2`: on a table thread.
+    Thread(TableThread<V>),
+}
+
+impl<K: Key, V: Value> Stage<K, V> {
+    fn new(
+        cfg: &MpidConfig,
+        combiner: &Option<Arc<dyn Combiner<V>>>,
+        partitioner: &Arc<dyn Partitioner<K>>,
+        traced: bool,
+    ) -> Self {
+        let drain = Drain {
+            table: ByteTable::new(),
+            combiner: combiner.clone(),
+            partitioner: partitioner.clone(),
+            n_reducers: cfg.n_reducers,
+            frame_bytes: cfg.frame_bytes,
+            compress: cfg.compress,
+            clocked: traced && combiner.is_some(),
+            hashes: Vec::new(),
+            scratch: SpillScratch::new(),
+            shop: WireShop::new(),
+            pairs_combined: 0,
+            combine_ns: 0,
+        };
+        match cfg.threads {
+            1 => Stage::Inline(drain),
+            _ => Stage::Thread(TableThread::start(drain, traced)),
         }
     }
 }
@@ -849,42 +964,36 @@ pub struct MpidSender<'a, K: Key, V: Value> {
     cfg: MpidConfig,
     combiner: Option<Arc<dyn Combiner<V>>>,
     partitioner: Arc<dyn Partitioner<K>>,
-    table: ByteTable<V>,
+    /// Pairs accepted this epoch; reset at spill.
+    epoch_pairs: u64,
     /// Raw encoded bytes accepted this epoch (see the module doc on
     /// accounting); reset at spill.
     buffered_bytes: usize,
     /// The epoch's charge against the job's block pool (no-op without
     /// one): `buffered_bytes` rounded up a block at a time
-    /// (`charge_block`); released at spill.
+    /// (`charge_block`); the spill takes it with the epoch.
     charge: PoolCharge,
+    /// Where the pairs are folded, set up at the first `send`, once
+    /// `with_combiner` and `with_partitioner` have run.
+    stage: Option<Stage<K, V>>,
+    /// The spilled epoch whose frames are not back yet (see "Spill a late").
+    late: Option<Epoch>,
     pending: Vec<SendRequest>,
     stats: SenderStats,
     finished: bool,
-    trace: Option<SenderTrace>,
-    /// The table thread and its channels when `threads >= 2` (see "Two
-    /// stages"), started at the first send; `table` is then unused.
-    stages: Option<Stages<V>>,
-    scratch: SpillScratch,
+    /// Pipeline-stage tracing, active when the universe was launched with
+    /// [`mpi_rt::Universe::run_traced`]. Stage spans (`buffer` → `combine`
+    /// → `realign` → `ship`, cat `mpid.stage`) land on the rank's own trace
+    /// lane, each epoch's when its frames ship; span args carry the
+    /// epoch's [`SenderStats`] deltas, so the counters are recoverable from
+    /// the trace alone.
+    trace: Option<Arc<RankTrace>>,
+    /// Traced: when the current buffering interval started (first `send`
+    /// after the last spill).
+    buffer_start: Option<u64>,
     /// The sender→wire policy (see [`crate::shuffle`]), built lazily at the
     /// first spill so `with_combiner` can run first.
     strategy: Option<Box<dyn ShuffleStrategy<K, V>>>,
-    shop: WireShop,
-}
-
-/// Pipeline-stage tracing state, active when the universe was launched with
-/// [`mpi_rt::Universe::run_traced`]. Stage spans (`buffer` → `combine` →
-/// `realign` → `ship`, cat `mpid.stage`) land on the rank's own trace lane;
-/// span args carry the [`SenderStats`] deltas for the interval, so the
-/// counters are recoverable from the trace alone.
-struct SenderTrace {
-    rt: Arc<RankTrace>,
-    /// When the current buffering interval started (first `send` after the
-    /// last spill).
-    buffer_start: Option<u64>,
-    /// Wall time spent inside the combiner during the current interval.
-    combine_ns: u64,
-    /// Stats snapshot at the end of the previous spill, for deltas.
-    prev: SenderStats,
 }
 
 impl<'a, K: Key, V: Value> MpidSender<'a, K, V> {
@@ -895,22 +1004,17 @@ impl<'a, K: Key, V: Value> MpidSender<'a, K, V> {
             cfg,
             combiner: None,
             partitioner: Arc::new(HashPartitioner),
-            table: ByteTable::new(),
+            epoch_pairs: 0,
             buffered_bytes: 0,
             charge,
+            stage: None,
+            late: None,
             pending: Vec::new(),
             stats: SenderStats::default(),
             finished: false,
-            trace: comm.trace().map(|rt| SenderTrace {
-                rt: rt.clone(),
-                buffer_start: None,
-                combine_ns: 0,
-                prev: SenderStats::default(),
-            }),
-            stages: None,
-            scratch: SpillScratch::new(),
+            trace: comm.trace().cloned(),
+            buffer_start: None,
             strategy: None,
-            shop: WireShop::new(),
         }
     }
 
@@ -946,91 +1050,41 @@ impl<'a, K: Key, V: Value> MpidSender<'a, K, V> {
     /// spilling realigned frames to reducers when the buffer is full.
     pub fn send(&mut self, key: K, value: V) -> MpidResult<()> {
         assert!(!self.finished, "send after finish");
-        if self.cfg.threads > 1 {
-            return self.send_staged(key, value);
-        }
-        self.accept(key.wire_size() + value.wire_size());
-        let n_red = self.cfg.n_reducers;
-        let table = &mut self.table;
-        let partitioner = &self.partitioner;
-        let part_of = || partitioner.partition(&key, n_red) as u32;
-        match &self.combiner {
-            Some(c) => {
-                let trace = &mut self.trace;
-                let mut fold = |acc: &mut V, v: V| {
-                    let t0 = trace.as_ref().map(|ts| ts.rt.now_ns());
-                    c.combine(acc, v);
-                    if let Some(t0) = t0 {
-                        let ts = trace.as_mut().expect("trace checked above");
-                        ts.combine_ns += ts.rt.now_ns().saturating_sub(t0);
-                    }
-                };
-                if table.push(&key, value, part_of, Some(&mut fold)) {
-                    self.stats.pairs_combined += 1;
-                }
-            }
-            None => {
-                table.push(&key, value, part_of, None);
-            }
-        }
-        if self.buffered_bytes >= self.cfg.spill_threshold_bytes {
-            self.spill()?;
-        }
-        Ok(())
-    }
-
-    /// Count one pair into the epoch: `pairs_in`, the start of the
-    /// buffering interval, and the pair's raw encoded size — every pair
-    /// counts in full, whether or not the combiner folds it away (see the
-    /// module doc) — with the pool charged ahead of it a block at a time.
-    #[inline(always)]
-    fn accept(&mut self, raw: usize) {
+        // Every pair counts in full, whether or not the combiner folds it
+        // away (see the module doc), with the pool charged ahead of it a
+        // block at a time.
+        let raw = key.wire_size() + value.wire_size();
         self.stats.pairs_in += 1;
-        if let Some(ts) = &mut self.trace {
-            if ts.buffer_start.is_none() {
-                ts.buffer_start = Some(ts.rt.now_ns());
-            }
+        self.epoch_pairs += 1;
+        if let (Some(rt), None) = (&self.trace, self.buffer_start) {
+            self.buffer_start = Some(rt.now_ns());
         }
         self.buffered_bytes += raw;
         if self.buffered_bytes > self.charge.held() {
             self.charge_block();
         }
-    }
-
-    /// [`MpidSender::send`] at `threads >= 2` (see "Two stages"): the same
-    /// accounting, then the pair is encoded into the block bound for the
-    /// table thread. Out of line, so that the `threads = 1` path compiles
-    /// as it would without it.
-    #[inline(never)]
-    fn send_staged(&mut self, key: K, value: V) -> MpidResult<()> {
-        let raw = key.wire_size() + value.wire_size();
-        self.accept(raw);
-        if self.stages.is_none() {
-            self.stages = Some(Stages::start(TableJob {
-                combiner: self.combiner.clone(),
-                partitioner: self.partitioner.clone(),
-                n_reducers: self.cfg.n_reducers,
-                frame_bytes: self.cfg.frame_bytes,
-                compress: self.cfg.compress,
-                traced: self.trace.is_some(),
-            }));
+        let stage = self.stage.get_or_insert_with(|| {
+            Stage::new(
+                &self.cfg,
+                &self.combiner,
+                &self.partitioner,
+                self.trace.is_some(),
+            )
+        });
+        let handed_off = match stage {
+            Stage::Inline(drain) => {
+                drain.push(&key, value);
+                false
+            }
+            Stage::Thread(table) => table.push(&key, value, raw),
+        };
+        if handed_off {
+            self.ship_late(false)?;
         }
-        let stages = self.stages.as_mut().expect("started above");
-        stages.push(key, value, raw, self.combiner.is_some());
         if self.buffered_bytes >= self.cfg.spill_threshold_bytes {
             self.spill()?;
         }
         Ok(())
-    }
-
-    /// What the sender holds that no spill has sent: `(count, what)`, or
-    /// `None` when that is nothing.
-    fn unsent(&self) -> Option<(u64, &'static str)> {
-        let unsent = match &self.stages {
-            Some(stages) => (stages.epoch_pairs, "pairs in flight"),
-            None => (self.table.len() as u64, "buffered keys"),
-        };
-        (unsent.0 > 0).then_some(unsent)
     }
 
     /// Charge the pool up to the epoch's raw bytes or one block past what
@@ -1053,95 +1107,107 @@ impl<'a, K: Key, V: Value> MpidSender<'a, K, V> {
 
     /// Force a spill of the current buffer contents.
     pub fn spill(&mut self) -> MpidResult<()> {
-        if self.unsent().is_none() {
+        if self.epoch_pairs == 0 {
             return Ok(());
         }
-        let spill_start = self.trace.as_ref().map(|ts| ts.rt.now_ns());
-        let staged = self.spill_stages();
-        // Close the buffering interval: one "buffer" span per spill, with a
-        // nested "combine" span for the time spent folding values.
-        if let (Some(ts), Some(now)) = (&mut self.trace, spill_start) {
-            if let Some(b0) = ts.buffer_start.take() {
-                ts.rt.complete(
-                    obs::names::SPAN_BUFFER,
-                    obs::names::CAT_MPID_STAGE,
-                    b0,
-                    now,
-                    vec![
-                        (
-                            "pairs_in",
-                            ArgValue::U64(self.stats.pairs_in - ts.prev.pairs_in),
-                        ),
-                        (
-                            "pairs_combined",
-                            ArgValue::U64(self.stats.pairs_combined - ts.prev.pairs_combined),
-                        ),
-                        ("buffered_bytes", ArgValue::U64(self.buffered_bytes as u64)),
-                    ],
-                );
-                if ts.combine_ns > 0 {
-                    ts.rt.complete(
-                        obs::names::SPAN_COMBINE,
-                        obs::names::CAT_MPID_STAGE,
-                        now - ts.combine_ns.min(now - b0),
-                        now,
-                        Vec::new(),
-                    );
-                    ts.combine_ns = 0;
-                }
-            }
-        }
-        self.stats.spills += 1;
-        self.buffered_bytes = 0;
-        // Realign into per-partition wire frames.
-        let (out, table_bytes, table_entries) = staged.unwrap_or_else(|| {
-            let out = realign_table::<K, V>(
-                &self.table,
-                self.cfg.n_reducers,
-                self.cfg.frame_bytes,
-                self.cfg.compress,
-                &mut self.shop,
-                &mut self.scratch,
-            );
-            // Arena high-water for this spill, captured before the clear:
-            // the table is at its fullest right here.
-            let fullest = (self.table.arena_bytes() as u64, self.table.len() as u64);
-            self.table.clear();
-            (out, fullest.0, fullest.1)
+        // One epoch out at most: the late one ships before this one goes.
+        self.ship_late(true)?;
+        let times = self.trace.as_ref().map(|rt| {
+            let now = rt.now_ns();
+            [self.buffer_start.take().unwrap_or(now), now, now]
         });
+        self.stats.spills += 1;
+        let mut epoch = Epoch {
+            charge: self.charge.split_off(self.charge.held()),
+            spill: self.stats.spills,
+            pairs_in: std::mem::take(&mut self.epoch_pairs),
+            raw_bytes: std::mem::take(&mut self.buffered_bytes) as u64,
+            times,
+        };
+        let stage = self.stage.as_mut().expect("the epoch's pairs were sent");
+        let realigned = match stage {
+            Stage::Inline(drain) => Some(drain.realign()),
+            Stage::Thread(table) => {
+                table.spill();
+                None
+            }
+        };
+        if let (Some(rt), Some(times)) = (&self.trace, &mut epoch.times) {
+            times[2] = rt.now_ns();
+        }
+        let Some(realigned) = realigned else {
+            self.late = Some(epoch);
+            return Ok(());
+        };
+        self.ship(epoch, realigned)
+    }
+
+    /// Ship the late epoch if its frames are back, or, with `wait`, once
+    /// they are.
+    fn ship_late(&mut self, wait: bool) -> MpidResult<()> {
+        let (Some(Stage::Thread(table)), Some(epoch)) = (&mut self.stage, self.late.take()) else {
+            return Ok(());
+        };
+        let Some(realigned) = table.collect(wait) else {
+            self.late = Some(epoch);
+            return Ok(());
+        };
+        self.ship(epoch, realigned)
+    }
+
+    /// Ship an epoch's frames through the shuffle strategy, releasing the
+    /// epoch's pool charge as they go, and count them.
+    fn ship(&mut self, epoch: Epoch, realigned: Realigned) -> MpidResult<()> {
+        let Realigned { out, .. } = realigned;
+        let (frames, wire_bytes) = (out.frames, out.wire_bytes);
+        self.stats.pairs_combined += realigned.pairs_combined;
         self.stats.groups_out += out.groups;
-        self.stats.frames += out.frames;
+        self.stats.frames += frames;
         self.stats.bytes_precompress += out.precompress;
-        self.stats.bytes_sent += out.wire_bytes;
-        self.charge.clear();
-        let ship_start = if let (Some(ts), Some(t0)) = (&self.trace, spill_start) {
-            let now = ts.rt.now_ns();
-            ts.rt.complete(
-                obs::names::SPAN_REALIGN,
+        self.stats.bytes_sent += wire_bytes;
+        // The epoch's buffering interval, with a nested "combine" span for
+        // the drain's time on its blocks, and the rank thread's part of its
+        // spill.
+        if let (Some(rt), Some([b0, s0, s1])) = (&self.trace, epoch.times) {
+            rt.complete(
+                obs::names::SPAN_BUFFER,
                 obs::names::CAT_MPID_STAGE,
-                t0,
-                now,
+                b0,
+                s0,
                 vec![
-                    (
-                        "groups",
-                        ArgValue::U64(self.stats.groups_out - ts.prev.groups_out),
-                    ),
-                    ("frames", ArgValue::U64(self.stats.frames - ts.prev.frames)),
-                    (
-                        "frame_bytes",
-                        ArgValue::U64(self.stats.bytes_precompress - ts.prev.bytes_precompress),
-                    ),
+                    ("pairs_in", ArgValue::U64(epoch.pairs_in)),
+                    ("pairs_combined", ArgValue::U64(realigned.pairs_combined)),
+                    ("buffered_bytes", ArgValue::U64(epoch.raw_bytes)),
                 ],
             );
-            Some(now)
-        } else {
-            None
-        };
+            if realigned.combine_ns > 0 {
+                rt.complete(
+                    obs::names::SPAN_COMBINE,
+                    obs::names::CAT_MPID_STAGE,
+                    s0 - realigned.combine_ns.min(s0 - b0),
+                    s0,
+                    Vec::new(),
+                );
+            }
+            rt.complete(
+                obs::names::SPAN_REALIGN,
+                obs::names::CAT_MPID_STAGE,
+                s0,
+                s1,
+                vec![
+                    ("groups", ArgValue::U64(out.groups)),
+                    ("frames", ArgValue::U64(frames)),
+                    ("frame_bytes", ArgValue::U64(out.precompress)),
+                ],
+            );
+        }
+        let ship_start = self.trace.as_ref().map(|rt| rt.now_ns());
         // Hand the spill to the shuffle strategy: baseline ships straight to
         // the reducers (use_isend overlaps map computation with
         // communication — the paper's future-work item, as an ablation
         // switch); in-node members relay to their leader.
         let mut strategy = self.take_strategy();
+        drop(epoch.charge);
         {
             let mut ctx = ShipCtx {
                 comm: self.comm,
@@ -1151,94 +1217,55 @@ impl<'a, K: Key, V: Value> MpidSender<'a, K, V> {
             strategy.ship(&mut ctx, out)?;
         }
         self.strategy = Some(strategy);
-        if let (Some(ts), Some(t0)) = (&mut self.trace, ship_start) {
-            ts.rt.complete_since(
+        if let (Some(rt), Some(t0)) = (&self.trace, ship_start) {
+            rt.complete_since(
                 obs::names::SPAN_SHIP,
                 obs::names::CAT_MPID_STAGE,
                 t0,
                 vec![
-                    ("spill", ArgValue::U64(self.stats.spills)),
-                    ("frames", ArgValue::U64(self.stats.frames - ts.prev.frames)),
-                    (
-                        "bytes_sent",
-                        ArgValue::U64(self.stats.bytes_sent - ts.prev.bytes_sent),
-                    ),
+                    ("spill", ArgValue::U64(epoch.spill)),
+                    ("frames", ArgValue::U64(frames)),
+                    ("bytes_sent", ArgValue::U64(wire_bytes)),
                     ("isend", ArgValue::Bool(self.cfg.use_isend)),
                 ],
             );
-            ts.prev = self.stats.clone();
             // Memory-accounting samples, one set per spill: the profile's
             // high-water marks come from the max over these.
-            ts.rt.counter(
-                obs::names::CTR_MEM_TABLE_BYTES,
-                obs::names::CAT_MPID_MEM,
-                table_bytes as f64,
-            );
-            ts.rt.counter(
-                obs::names::CTR_MEM_TABLE_ENTRIES,
-                obs::names::CAT_MPID_MEM,
-                table_entries as f64,
-            );
-            ts.rt.counter(
-                obs::names::CTR_MEM_SPILLS,
-                obs::names::CAT_MPID_MEM,
-                self.stats.spills as f64,
-            );
-            ts.rt.counter(
-                obs::names::CTR_MEM_WIRE_POOL_HITS,
-                obs::names::CAT_MPID_MEM,
-                self.shop.hits as f64,
-            );
-            ts.rt.counter(
-                obs::names::CTR_MEM_WIRE_POOL_MISSES,
-                obs::names::CAT_MPID_MEM,
-                self.shop.misses as f64,
-            );
+            let (hits, misses) = realigned.wire_pool;
+            for (name, value) in [
+                (obs::names::CTR_MEM_TABLE_BYTES, realigned.table_bytes),
+                (obs::names::CTR_MEM_TABLE_ENTRIES, realigned.table_entries),
+                (obs::names::CTR_MEM_SPILLS, epoch.spill),
+                (obs::names::CTR_MEM_WIRE_POOL_HITS, hits),
+                (obs::names::CTR_MEM_WIRE_POOL_MISSES, misses),
+            ] {
+                rt.counter(name, obs::names::CAT_MPID_MEM, value as f64);
+            }
             if let Some(pool) = &self.cfg.pool {
-                ts.rt.counter(
-                    obs::names::CTR_MEM_POOL_LIVE,
-                    obs::names::CAT_MPID_MEM,
-                    pool.live() as f64,
-                );
-                ts.rt.counter(
-                    obs::names::CTR_MEM_POOL_HIGH_WATER,
-                    obs::names::CAT_MPID_MEM,
-                    pool.high_water() as f64,
-                );
-                ts.rt.counter(
-                    obs::names::CTR_MEM_POOL_BUDGET,
-                    obs::names::CAT_MPID_MEM,
-                    pool.budget() as f64,
-                );
+                for (name, value) in [
+                    (obs::names::CTR_MEM_POOL_LIVE, pool.live()),
+                    (obs::names::CTR_MEM_POOL_HIGH_WATER, pool.high_water()),
+                    (obs::names::CTR_MEM_POOL_BUDGET, pool.budget()),
+                ] {
+                    rt.counter(name, obs::names::CAT_MPID_MEM, value as f64);
+                }
             }
         }
         Ok(())
     }
 
-    /// Two stages: the table thread drains every block in flight and
-    /// realigns the table, and its counters join the rank's. Returns the
-    /// realigned table with its arena bytes and entries as it spilled, or
-    /// `None` at `threads = 1`.
-    fn spill_stages(&mut self) -> Option<(SpillOutput, u64, u64)> {
-        let stages = self.stages.as_mut()?;
-        let shop = std::mem::replace(&mut self.shop, WireShop::new());
-        let scratch = std::mem::replace(&mut self.scratch, SpillScratch::new());
-        let s = stages.spill(shop, scratch);
-        (self.shop, self.scratch) = (s.shop, s.scratch);
-        self.stats.pairs_combined += s.pairs_combined;
-        if let Some(ts) = &mut self.trace {
-            ts.combine_ns += s.combine_ns;
-        }
-        Some((s.out, s.table_bytes, s.table_entries))
-    }
-
     /// Flush everything, wait for outstanding `Isend`s, and deliver an
     /// end-of-stream marker to every reducer. Returns the sender statistics.
     pub fn finish(mut self) -> MpidResult<SenderStats> {
-        let t0 = self.trace.as_ref().map(|ts| ts.rt.now_ns());
+        let t0 = self.trace.as_ref().map(|rt| rt.now_ns());
         self.spill()?;
+        self.ship_late(true)?;
+        let spill_wait_ns = match &self.stage {
+            Some(Stage::Thread(table)) => table.waited_ns.unwrap_or(0),
+            _ => 0,
+        };
         // Every pair is out: the table thread, if any, ends here.
-        self.stages = None;
+        self.stage = None;
         // Flush the shuffle strategy before end-of-stream: in-node leaders
         // drain their members' relay streams and ship the merged frames
         // here (isends land in `pending`, waited below).
@@ -1266,8 +1293,10 @@ impl<'a, K: Key, V: Value> MpidSender<'a, K, V> {
         self.finished = true;
         // The closing span subsumes the SenderStats counters: the whole
         // sender life is recoverable from the trace without the struct.
-        if let (Some(ts), Some(t0)) = (&self.trace, t0) {
-            ts.rt.complete_since(
+        // `spill_wait_ns` is the rank thread's wait on a table thread: for
+        // room in its channel, for a late epoch's frames, and at finish.
+        if let (Some(rt), Some(t0)) = (&self.trace, t0) {
+            rt.complete_since(
                 obs::names::SPAN_SENDER_FINISH,
                 obs::names::CAT_MPID_STAGE,
                 t0,
@@ -1283,23 +1312,24 @@ impl<'a, K: Key, V: Value> MpidSender<'a, K, V> {
                         ArgValue::U64(self.stats.bytes_precompress),
                     ),
                     ("combine_ratio", ArgValue::F64(self.stats.combine_ratio())),
+                    ("spill_wait_ns", ArgValue::U64(spill_wait_ns)),
                 ],
             );
             // Shuffle-strategy counters, only off the baseline path so the
             // baseline trace stays bit-identical to the pre-strategy sender.
             if self.cfg.shuffle != ShuffleKind::Baseline {
-                ts.rt.counter(
+                rt.counter(
                     obs::names::CTR_SHUFFLE_STRATEGY,
                     obs::names::CAT_MPID_SHUFFLE,
                     report.kind_tag as f64,
                 );
-                ts.rt.counter(
+                rt.counter(
                     obs::names::CTR_SHUFFLE_WIRE_SAVED,
                     obs::names::CAT_MPID_SHUFFLE,
                     report.wire_in.saturating_sub(report.wire_out) as f64,
                 );
                 if report.host_groups_in > 0 {
-                    ts.rt.counter(
+                    rt.counter(
                         obs::names::CTR_SHUFFLE_COMBINE_RATIO,
                         obs::names::CAT_MPID_SHUFFLE,
                         report.host_groups_out as f64 / report.host_groups_in as f64,
@@ -1319,12 +1349,12 @@ impl<K: Key, V: Value> Drop for MpidSender<'_, K, V> {
         if self.finished || std::thread::panicking() {
             return;
         }
-        if let Some((n, what)) = self.unsent() {
-            eprintln!("warning: MpidSender dropped with {n} {what} and no finish()");
+        let unsent = self.epoch_pairs + self.late.as_ref().map_or(0, |e| e.pairs_in);
+        if unsent > 0 {
+            eprintln!("warning: MpidSender dropped with {unsent} pairs unsent and no finish()");
         }
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1348,7 +1378,7 @@ mod tests {
     fn mean_probe(keys: impl Iterator<Item = String>) -> f64 {
         let mut table = ByteTable::<u64>::new();
         for k in keys {
-            table.push(&k, 1, || 0, Some(&mut |acc: &mut u64, v| *acc += v));
+            table.entry(&k, || 0);
         }
         let mask = table.buckets.len() - 1;
         let walked: usize = (0..table.buckets.len())
@@ -1362,9 +1392,18 @@ mod tests {
         walked as f64 / table.len() as f64
     }
 
+    /// The charge a table thread's late epoch still holds (0 at one thread).
+    fn late_charge<K: Key, V: Value>(sender: &MpidSender<'_, K, V>) -> usize {
+        sender.late.as_ref().map_or(0, |e| e.charge.held())
+    }
+
     /// The pool sees the epoch's raw bytes a block at a time, never more
     /// than `max(raw, spill_threshold_bytes)`, exactly the raw bytes when
-    /// a full epoch spills, and nothing after any spill.
+    /// a full epoch spills, and nothing after any spill. At two threads the
+    /// spilled epoch takes its charge along: it holds exactly its raw bytes
+    /// until its frames ship, and is released as they ship, so the pool
+    /// holds at most the threshold plus `BLOCKS_IN_FLIGHT + 2` blocks (see
+    /// "Spill a late"), and each epoch's own charge keeps the rule above.
     #[test]
     fn the_pool_is_charged_a_block_at_a_time_up_to_the_spill_threshold() {
         // Not a whole number of blocks, nor of 20-byte pairs.
@@ -1394,12 +1433,30 @@ mod tests {
                     let mut sender = MpidSender::<u64, Vec<u8>>::new(comm, cfg);
                     let (mut raw, mut held, mut peak, mut spills) = (0, 0, 0, 0);
                     let mut charges = 0;
+                    // Two threads: the late epoch's raw bytes, and the
+                    // frames counted when it spilled.
+                    let (mut late_raw, mut frames_at_spill) = (0, 0);
+                    // 20-byte pairs after the big one, in an epoch's first
+                    // block: a pair's overshoot a block.
+                    let bound = threshold + (BLOCKS_IN_FLIGHT + 2) * (BLOCK_BYTES + 20);
                     for i in 0..30_000u64 {
                         // 8 + 4 + 8 bytes a pair, and one pair past a block.
                         let value = vec![0u8; if i == 100 { 100_000 } else { 8 }];
                         raw += 8 + value.wire_size();
                         sender.send(i, value).unwrap();
-                        let now = pool.live();
+                        let late = late_charge(&sender);
+                        if threads > 1 {
+                            assert!(pool.live() <= bound, "{} > {bound}", pool.live());
+                            let shipped = sender.stats.frames > frames_at_spill;
+                            if sender.buffered_bytes() == 0 {
+                                (late_raw, frames_at_spill) = (raw, sender.stats.frames);
+                                assert_eq!(late, raw, "the spilled epoch holds its raw bytes");
+                            } else {
+                                assert_eq!(late, if shipped { 0 } else { late_raw }, "{shipped}");
+                            }
+                        }
+                        // This epoch's own charge.
+                        let now = pool.live() - late;
                         if sender.buffered_bytes() == 0 {
                             assert!(raw >= threshold);
                             assert_eq!(now, 0, "a spill releases the charge");
@@ -1422,8 +1479,12 @@ mod tests {
                     // one more for the big pair), not a charge a pair.
                     let per_epoch = threshold / BLOCK_BYTES + 2;
                     assert!(charges <= (spills + 1) * per_epoch, "{charges}");
-                    // A full epoch holds exactly its raw bytes as it spills.
-                    assert_eq!(pool.high_water(), peak);
+                    if threads == 1 {
+                        // A full epoch holds exactly its raw bytes as it spills.
+                        assert_eq!(pool.high_water(), peak);
+                    } else {
+                        assert!(peak <= pool.high_water() && pool.high_water() <= bound);
+                    }
                     sender.finish().unwrap();
                     assert_eq!(pool.live(), 0);
                 }
@@ -1436,6 +1497,61 @@ mod tests {
             }
             world.finalize().unwrap();
         });
+    }
+
+    /// `spill()` and then at once `finish()`: at two threads the spilled
+    /// epoch is still out while no pair is unsent, and `finish` must ship
+    /// it, after the epoch before it and before end-of-stream.
+    #[test]
+    fn a_spill_then_finish_ships_every_epoch_in_order_before_end_of_stream() {
+        use crate::realign::decode_frames;
+        use crate::{MpidWorld, Role};
+        use mpi_rt::Universe;
+        for threads in [1, 2] {
+            Universe::run(3, |comm| {
+                let cfg = MpidConfig {
+                    threads,
+                    ..MpidConfig::with_workers(1, 1)
+                };
+                let world = MpidWorld::init(comm, cfg).unwrap();
+                match world.role() {
+                    Role::Mapper(_) => {
+                        let mut sender = world.sender::<String, u64>();
+                        for epoch in ["a", "b"] {
+                            for i in 0..3 {
+                                sender.send(format!("{epoch}{i}"), i).unwrap();
+                            }
+                            sender.spill().unwrap();
+                        }
+                        assert_eq!(sender.epoch_pairs, 0);
+                        let out = sender.late.as_ref().map(|e| e.spill);
+                        assert_eq!(out, (threads > 1).then_some(2), "the epoch still out");
+                        let stats = sender.finish().unwrap();
+                        assert_eq!((stats.spills, stats.frames), (2, 2));
+                    }
+                    Role::Reducer(_) => {
+                        let mut got = Vec::new();
+                        loop {
+                            let (wire, _) = comm
+                                .recv_bytes_timeout(None, Some(tags::DATA), TEST_RECV_TIMEOUT)
+                                .unwrap();
+                            if wire.is_empty() {
+                                break;
+                            }
+                            let groups = decode_frames::<String, u64>(&[wire.slice(1..)]).unwrap();
+                            got.extend(groups.into_iter().map(|(k, _)| k));
+                        }
+                        assert_eq!(
+                            got,
+                            ["a0", "a1", "a2", "b0", "b1", "b2"],
+                            "threads = {threads}"
+                        );
+                    }
+                    Role::Master => {}
+                }
+                world.finalize().unwrap();
+            });
+        }
     }
 
     /// Keys that differ only in a few bytes of one 8-byte word (short

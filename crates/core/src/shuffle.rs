@@ -274,14 +274,12 @@ impl<K: Key, V: Value> InNodeShip<K, V> {
         while let Some((key, values)) = reader.next_group::<K, V>().map_err(codec_err)? {
             self.report.host_groups_in += 1;
             for v in values {
+                let (idx, inserted) = table.entry(&key, || part);
                 match &self.combiner {
                     Some(c) => {
-                        let mut fold = |acc: &mut V, v: V| c.combine(acc, v);
-                        table.push(&key, v, || part, Some(&mut fold));
+                        table.fold(idx, inserted, v, c.as_ref());
                     }
-                    None => {
-                        table.push(&key, v, || part, None);
-                    }
+                    None => table.push_value(idx, &v),
                 }
             }
         }
