@@ -67,7 +67,7 @@ const EXPERIMENTS: &[Experiment] = &[
     },
     Experiment {
         bin: "ablation",
-        title: "Ablations — combiner, Isend, spills, pressure, compression, speculation",
+        title: "Ablations — combiner, spills, pressure, compression, speculation",
         takes_quick: false,
         takes_trace: false,
         takes_check: false,

@@ -4,7 +4,6 @@ use crate::pool::BlockPool;
 use crate::shuffle::ShuffleKind;
 use mpi_rt::{Comm, Rank};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Tunables of the MPI-D pipeline (paper §IV.A).
 #[derive(Debug, Clone)]
@@ -30,9 +29,10 @@ pub struct MpidConfig {
     /// Kept only because callers outside the workspace build this struct
     /// with a full literal (ROADMAP item 9).
     pub sort_values: bool,
-    /// Use `MPI_Isend` for spilled frames so map computation overlaps
-    /// communication (listed as future work in the paper; implemented here
-    /// as an ablation switch).
+    /// Inert: nothing reads it. Every frame ships with a blocking send;
+    /// the table thread (`threads >= 2`) is what overlaps mapping with
+    /// shipping. Kept only because callers outside the workspace build this
+    /// struct with a full literal (ROADMAP item 12).
     pub use_isend: bool,
     /// LZ-compress realigned frames before sending (the paper's
     /// "compressing data" realignment improvement; see [`crate::compress`]).
@@ -85,12 +85,6 @@ impl Default for MpidConfig {
 }
 
 impl MpidConfig {
-    /// Default reducer-side receive timeout. The single source of truth for
-    /// every layer that waits on [`tags::DATA`] traffic (receiver, engine,
-    /// checkpoint runner) — override per-call with
-    /// `MpidReceiver::with_timeout` or `MpidEngineConfig::recv_timeout`.
-    pub const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(300);
-
     /// Convenience: `m` mappers and `r` reducers, defaults elsewhere.
     pub fn with_workers(m: usize, r: usize) -> Self {
         MpidConfig {
@@ -147,12 +141,6 @@ impl MpidConfig {
         Ok(())
     }
 }
-
-/// The receive timeout of every unit test that starts a universe: a rank
-/// that panics fails its test in seconds, not after its peers have waited
-/// out [`MpidConfig::DEFAULT_RECV_TIMEOUT`].
-#[cfg(test)]
-pub(crate) const TEST_RECV_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// What a rank does in the simulation system: "we use rank 0 process ... to
 /// simulate the master process, like the jobtracker process in Hadoop.

@@ -21,9 +21,9 @@
 //! The pipeline between `Send` and `Recv` is the paper's Figure 4, one
 //! module per box: hash-table buffering with local [`combine`]-ing,
 //! hash-mod [`partition`] selection, data [`realign`]-ment into contiguous
-//! fixed-size frames, `MPI_Send` (or `MPI_Isend`) transport via `mpi-rt`,
-//! wildcard reception and in-memory merging in [`receiver`], and dynamic
-//! split assignment from the rank-0 [`master`].
+//! fixed-size frames, `MPI_Send` transport via `mpi-rt`, wildcard
+//! reception and in-memory merging in [`receiver`], and dynamic split
+//! assignment from the rank-0 [`master`].
 //!
 //! ```
 //! use mpid::{MpidConfig, MpidWorld, Role, SumCombiner};

@@ -102,7 +102,8 @@ use std::time::Duration;
 pub struct MpidReceiver<'a, K: Key, V: Value> {
     comm: &'a Comm,
     cfg: MpidConfig,
-    timeout: Duration,
+    /// Opt-in bound on the wait for the next frame (`None`: untimed).
+    timeout: Option<Duration>,
     value_sorter: Option<fn(&mut Vec<V>)>,
     state: RecvState<K, V>,
     stats: ReceiverStats,
@@ -168,7 +169,7 @@ impl<'a, K: Key, V: Value> MpidReceiver<'a, K, V> {
         MpidReceiver {
             comm,
             cfg,
-            timeout: MpidConfig::DEFAULT_RECV_TIMEOUT,
+            timeout: None,
             value_sorter: None,
             state: RecvState::Ingesting,
             stats: ReceiverStats::default(),
@@ -178,12 +179,13 @@ impl<'a, K: Key, V: Value> MpidReceiver<'a, K, V> {
         }
     }
 
-    /// Bound how long ingestion waits for the next frame before reporting
-    /// a timeout error — this is how a dead mapper becomes a visible
-    /// error instead of a hang. Default:
-    /// [`MpidConfig::DEFAULT_RECV_TIMEOUT`].
-    pub fn with_timeout(mut self, t: Duration) -> Self {
-        self.timeout = t;
+    /// Opt-in failure detector: report [`mpi_rt::MpiError::Timeout`] when
+    /// the next frame takes longer than `t`. `None`, the default, waits
+    /// untimed, in the checker's wait-for graph. A dead mapper needs no
+    /// timeout: a rank that panics aborts the universe, and the wait fails
+    /// at once with [`mpi_rt::MpiError::RankLost`].
+    pub fn with_timeout(mut self, t: impl Into<Option<Duration>>) -> Self {
+        self.timeout = t.into();
         self
     }
 
@@ -743,7 +745,6 @@ fn spill_err(e: std::io::Error) -> MpidError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::TEST_RECV_TIMEOUT;
     use crate::pool::BlockPool;
     use crate::realign::FrameBuilder;
     use crate::{MpidWorld, Role};
@@ -841,9 +842,7 @@ mod tests {
                         comm.send_bytes(reducer, tags::DATA, Bytes::new()).unwrap();
                         None
                     }
-                    Role::Reducer(_) => Some(reduce(
-                        drain.open(world.receiver().with_timeout(TEST_RECV_TIMEOUT)),
-                    )),
+                    Role::Reducer(_) => Some(reduce(drain.open(world.receiver()))),
                 };
                 world.finalize().unwrap();
                 out
@@ -1231,8 +1230,7 @@ mod tests {
             let me = comm.rank();
             if me > 0 {
                 if me < n {
-                    let t = TEST_RECV_TIMEOUT;
-                    comm.recv_bytes_timeout(Some(me + 1), Some(GO), t).unwrap();
+                    comm.recv::<u8>(Some(me + 1), Some(GO)).unwrap();
                 }
                 for body in &sends[me - 1] {
                     let wire = [&[MARKER_PLAIN][..], &body[..]].concat();
@@ -1250,7 +1248,7 @@ mod tests {
                 mem_budget: drain.mem_budget(),
                 ..Default::default()
             };
-            let recv = MpidReceiver::<String, u64>::new(comm, cfg).with_timeout(TEST_RECV_TIMEOUT);
+            let recv = MpidReceiver::<String, u64>::new(comm, cfg);
             let mut recv = drain.open(recv);
             let got = recv.recv_all().unwrap();
             Some((got, recv.spilled_runs()))
@@ -1437,7 +1435,7 @@ mod tests {
                 pool: Some(pool.clone()),
                 ..Default::default()
             };
-            let recv = MpidReceiver::<String, u64>::new(comm, cfg).with_timeout(TEST_RECV_TIMEOUT);
+            let recv = MpidReceiver::<String, u64>::new(comm, cfg);
             let mut recv = drain.open(recv);
             let first = recv.recv();
             if first.is_err() {

@@ -1,6 +1,6 @@
 //! The mapper-side `MPI_D_Send` pipeline (paper Figure 4, left half):
 //! hash-table buffering → local combining → hash-mod partition selection →
-//! data realignment → `MPI_Send`/`MPI_Isend` of contiguous frames.
+//! data realignment → `MPI_Send` of contiguous frames.
 //!
 //! The buffer is a byte table (`ByteTable`): keys live as encoded bytes in
 //! a flat arena, hashed and compared as raw slices, and (without a combiner)
@@ -94,7 +94,7 @@ use crate::realign::{fits_single_valued, FrameBuilder, MARKER_LZ};
 use crate::shuffle::{self, ShipCtx, ShuffleKind, ShuffleStrategy};
 use crate::stats::SenderStats;
 use bytes::{Bytes, BytesMut};
-use mpi_rt::{Comm, RankTrace, SendRequest};
+use mpi_rt::{Comm, RankTrace};
 use obs::ArgValue;
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TryRecvError, TrySendError};
 use std::sync::Arc;
@@ -978,7 +978,6 @@ pub struct MpidSender<'a, K: Key, V: Value> {
     stage: Option<Stage<K, V>>,
     /// The spilled epoch whose frames are not back yet (see "Spill a late").
     late: Option<Epoch>,
-    pending: Vec<SendRequest>,
     stats: SenderStats,
     finished: bool,
     /// Pipeline-stage tracing, active when the universe was launched with
@@ -1009,7 +1008,6 @@ impl<'a, K: Key, V: Value> MpidSender<'a, K, V> {
             charge,
             stage: None,
             late: None,
-            pending: Vec::new(),
             stats: SenderStats::default(),
             finished: false,
             trace: comm.trace().cloned(),
@@ -1203,19 +1201,14 @@ impl<'a, K: Key, V: Value> MpidSender<'a, K, V> {
         }
         let ship_start = self.trace.as_ref().map(|rt| rt.now_ns());
         // Hand the spill to the shuffle strategy: baseline ships straight to
-        // the reducers (use_isend overlaps map computation with
-        // communication — the paper's future-work item, as an ablation
-        // switch); in-node members relay to their leader.
+        // the reducers; in-node members relay to their leader.
         let mut strategy = self.take_strategy();
         drop(epoch.charge);
-        {
-            let mut ctx = ShipCtx {
-                comm: self.comm,
-                cfg: &self.cfg,
-                pending: &mut self.pending,
-            };
-            strategy.ship(&mut ctx, out)?;
-        }
+        let ctx = ShipCtx {
+            comm: self.comm,
+            cfg: &self.cfg,
+        };
+        strategy.ship(&ctx, out)?;
         self.strategy = Some(strategy);
         if let (Some(rt), Some(t0)) = (&self.trace, ship_start) {
             rt.complete_since(
@@ -1226,7 +1219,6 @@ impl<'a, K: Key, V: Value> MpidSender<'a, K, V> {
                     ("spill", ArgValue::U64(epoch.spill)),
                     ("frames", ArgValue::U64(frames)),
                     ("bytes_sent", ArgValue::U64(wire_bytes)),
-                    ("isend", ArgValue::Bool(self.cfg.use_isend)),
                 ],
             );
             // Memory-accounting samples, one set per spill: the profile's
@@ -1254,8 +1246,8 @@ impl<'a, K: Key, V: Value> MpidSender<'a, K, V> {
         Ok(())
     }
 
-    /// Flush everything, wait for outstanding `Isend`s, and deliver an
-    /// end-of-stream marker to every reducer. Returns the sender statistics.
+    /// Flush everything and deliver an end-of-stream marker to every
+    /// reducer. Returns the sender statistics.
     pub fn finish(mut self) -> MpidResult<SenderStats> {
         let t0 = self.trace.as_ref().map(|rt| rt.now_ns());
         self.spill()?;
@@ -1268,20 +1260,11 @@ impl<'a, K: Key, V: Value> MpidSender<'a, K, V> {
         self.stage = None;
         // Flush the shuffle strategy before end-of-stream: in-node leaders
         // drain their members' relay streams and ship the merged frames
-        // here (isends land in `pending`, waited below).
-        let mut strategy = self.take_strategy();
-        let report = {
-            let mut ctx = ShipCtx {
-                comm: self.comm,
-                cfg: &self.cfg,
-                pending: &mut self.pending,
-            };
-            strategy.flush(&mut ctx)?
-        };
-        drop(strategy);
-        for req in self.pending.drain(..) {
-            req.wait();
-        }
+        // here.
+        let report = self.take_strategy().flush(&ShipCtx {
+            comm: self.comm,
+            cfg: &self.cfg,
+        })?;
         // End-of-stream travels on the DATA tag as an empty payload (real
         // frames are never empty — they carry at least a group-count
         // header), so reducers can receive with a tag filter and never
@@ -1358,7 +1341,6 @@ impl<K: Key, V: Value> Drop for MpidSender<'_, K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::TEST_RECV_TIMEOUT;
 
     /// Base-26 lowercase spelling of `r` ("a", …, "z", "ba", …).
     fn word(mut r: usize) -> String {
@@ -1489,8 +1471,7 @@ mod tests {
                     assert_eq!(pool.live(), 0);
                 }
                 Role::Reducer(_) => {
-                    let recv = world.receiver::<u64, Vec<u8>>();
-                    let got = recv.with_timeout(TEST_RECV_TIMEOUT).recv_all().unwrap();
+                    let got = world.receiver::<u64, Vec<u8>>().recv_all().unwrap();
                     assert_eq!(got.len(), 30_000);
                 }
                 Role::Master => {}
@@ -1532,9 +1513,8 @@ mod tests {
                     Role::Reducer(_) => {
                         let mut got = Vec::new();
                         loop {
-                            let (wire, _) = comm
-                                .recv_bytes_timeout(None, Some(tags::DATA), TEST_RECV_TIMEOUT)
-                                .unwrap();
+                            let (wire, _) = comm.recv::<u8>(None, Some(tags::DATA)).unwrap();
+                            let wire = bytes::Bytes::from(wire);
                             if wire.is_empty() {
                                 break;
                             }

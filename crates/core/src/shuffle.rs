@@ -47,7 +47,7 @@ use crate::pool::PoolCharge;
 use crate::realign::{FrameReader, MARKER_LZ, MARKER_PLAIN};
 use crate::sender::{realign_table, ByteTable, SpillOutput, SpillScratch, WireShop};
 use bytes::{BufMut, Bytes, BytesMut};
-use mpi_rt::{Comm, Rank, SendRequest, Tag};
+use mpi_rt::{Comm, Rank};
 use obs::ArgValue;
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
@@ -101,8 +101,6 @@ impl ShuffleKind {
 pub(crate) struct ShipCtx<'a> {
     pub(crate) comm: &'a Comm,
     pub(crate) cfg: &'a MpidConfig,
-    /// Outstanding `Isend`s; the sender waits these before end-of-stream.
-    pub(crate) pending: &'a mut Vec<SendRequest>,
 }
 
 /// Per-sender totals a strategy hands back at flush, feeding the
@@ -125,11 +123,11 @@ pub(crate) struct ShuffleReport {
 /// through `ship`, and `flush` runs once before end-of-stream.
 pub(crate) trait ShuffleStrategy<K: Key, V: Value> {
     /// Dispose of one spill's wire frames (ship, relay, or stash).
-    fn ship(&mut self, ctx: &mut ShipCtx<'_>, out: SpillOutput) -> MpidResult<()>;
+    fn ship(&mut self, ctx: &ShipCtx<'_>, out: SpillOutput) -> MpidResult<()>;
     /// Flush buffered state (in-node leaders drain members and re-ship
     /// here) and report totals. Called exactly once, before the sender's
     /// end-of-stream markers.
-    fn flush(&mut self, ctx: &mut ShipCtx<'_>) -> MpidResult<ShuffleReport>;
+    fn flush(&mut self, ctx: &ShipCtx<'_>) -> MpidResult<ShuffleReport>;
 }
 
 /// Build the strategy for this rank from `cfg.shuffle`. Called lazily by
@@ -149,26 +147,15 @@ pub(crate) fn build_strategy<K: Key, V: Value>(
     }
 }
 
-/// Send one payload, non-blocking when `use_isend` is set.
-fn post(ctx: &mut ShipCtx<'_>, dst: Rank, tag: Tag, payload: Bytes) -> MpidResult<()> {
-    if ctx.cfg.use_isend {
-        let req = ctx.comm.isend_bytes(dst, tag, payload)?;
-        ctx.pending.push(req);
-    } else {
-        ctx.comm.send_bytes(dst, tag, payload)?;
-    }
-    Ok(())
-}
-
 /// The shared reducer-bound send loop: frames go out in ascending partition
 /// order on [`tags::DATA`].
-fn ship_to_reducers(ctx: &mut ShipCtx<'_>, out: &SpillOutput) -> MpidResult<()> {
+fn ship_to_reducers(ctx: &ShipCtx<'_>, out: &SpillOutput) -> MpidResult<()> {
     for (p, wires) in &out.shipments {
         let dst = Role::reducer_rank(ctx.cfg, *p as usize);
         for wire in wires {
             // `Bytes` handles are refcounted; this clone is a pointer bump,
             // not a payload copy.
-            post(ctx, dst, tags::DATA, wire.clone())?;
+            ctx.comm.send_bytes(dst, tags::DATA, wire.clone())?;
         }
     }
     Ok(())
@@ -178,11 +165,11 @@ fn ship_to_reducers(ctx: &mut ShipCtx<'_>, out: &SpillOutput) -> MpidResult<()> 
 struct BaselineShip;
 
 impl<K: Key, V: Value> ShuffleStrategy<K, V> for BaselineShip {
-    fn ship(&mut self, ctx: &mut ShipCtx<'_>, out: SpillOutput) -> MpidResult<()> {
+    fn ship(&mut self, ctx: &ShipCtx<'_>, out: SpillOutput) -> MpidResult<()> {
         ship_to_reducers(ctx, &out)
     }
 
-    fn flush(&mut self, _ctx: &mut ShipCtx<'_>) -> MpidResult<ShuffleReport> {
+    fn flush(&mut self, _ctx: &ShipCtx<'_>) -> MpidResult<ShuffleReport> {
         Ok(ShuffleReport::default())
     }
 }
@@ -288,7 +275,7 @@ impl<K: Key, V: Value> InNodeShip<K, V> {
 }
 
 impl<K: Key, V: Value> ShuffleStrategy<K, V> for InNodeShip<K, V> {
-    fn ship(&mut self, ctx: &mut ShipCtx<'_>, out: SpillOutput) -> MpidResult<()> {
+    fn ship(&mut self, ctx: &ShipCtx<'_>, out: SpillOutput) -> MpidResult<()> {
         self.report.wire_in += out.wire_bytes;
         match &self.role {
             HostRole::Leader { own_rank, .. } => {
@@ -312,7 +299,7 @@ impl<K: Key, V: Value> ShuffleStrategy<K, V> for InNodeShip<K, V> {
                         let mut payload = BytesMut::with_capacity(4 + wire.len());
                         payload.put_u32_le(p);
                         payload.put_slice(&wire);
-                        post(ctx, leader, tags::RELAY, payload.freeze())?;
+                        ctx.comm.send_bytes(leader, tags::RELAY, payload.freeze())?;
                     }
                 }
             }
@@ -320,7 +307,7 @@ impl<K: Key, V: Value> ShuffleStrategy<K, V> for InNodeShip<K, V> {
         Ok(())
     }
 
-    fn flush(&mut self, ctx: &mut ShipCtx<'_>) -> MpidResult<ShuffleReport> {
+    fn flush(&mut self, ctx: &ShipCtx<'_>) -> MpidResult<ShuffleReport> {
         let member_ranks = match &self.role {
             HostRole::Member { leader } => {
                 // End-of-relay marker: empty payload, like DATA's EOS.
@@ -331,13 +318,11 @@ impl<K: Key, V: Value> ShuffleStrategy<K, V> for InNodeShip<K, V> {
         };
         // Drain every member's relay stream (their EOS is an empty
         // payload); per-pair FIFO makes "EOS seen" mean "stream complete".
+        // Untimed: a member that dies aborts the universe, and this wait
+        // with it.
         let mut awaiting = member_ranks;
         while awaiting > 0 {
-            let (payload, status) = ctx.comm.recv_bytes_timeout(
-                None,
-                Some(tags::RELAY),
-                MpidConfig::DEFAULT_RECV_TIMEOUT,
-            )?;
+            let (payload, status) = ctx.comm.recv_bytes_timeout(None, Some(tags::RELAY), None)?;
             if payload.is_empty() {
                 awaiting -= 1;
                 continue;
@@ -480,14 +465,8 @@ mod tests {
             let results = mpi_rt::Universe::run(3, move |comm| match comm.rank() {
                 1 => {
                     let mut leader = InNodeShip::<String, u64>::new(&cfg, 0, 2, None);
-                    let mut pending = Vec::new();
-                    let cfg = &cfg;
-                    let mut ctx = ShipCtx {
-                        comm,
-                        cfg,
-                        pending: &mut pending,
-                    };
-                    Some(leader.flush(&mut ctx).map(|_| ()))
+                    let ctx = ShipCtx { comm, cfg: &cfg };
+                    Some(leader.flush(&ctx).map(|_| ()))
                 }
                 2 => {
                     comm.send_bytes(1, tags::RELAY, payload.clone()).unwrap();

@@ -1,6 +1,6 @@
 //! Statistics reported by the MPI-D pipeline stages — the observability
 //! hooks behind the ablation benchmarks (combiner on/off, spill thresholds,
-//! Isend overlap).
+//! frame sizes).
 
 use crate::kv::{CodecError, Kv};
 

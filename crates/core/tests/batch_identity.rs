@@ -120,9 +120,7 @@ fn run_pipeline_with_stats(
                 Some(Err(send.finish().unwrap()))
             }
             Role::Reducer(r) => {
-                let mut recv = world
-                    .receiver::<String, Vec<u8>>()
-                    .with_timeout(common::RECV_TIMEOUT);
+                let mut recv = world.receiver::<String, Vec<u8>>();
                 let mut out: Groups = Vec::new();
                 while let Some((k, vs)) = recv.recv().unwrap() {
                     out.push((k, vs));

@@ -1,14 +1,7 @@
-//! What the identity tests share: the receive timeout of their reducers,
-//! and a job shape with both frame layouts on the wire in one job, to one
-//! reducer, with no combiner.
+//! What the identity tests share: a job shape with both frame layouts on
+//! the wire in one job, to one reducer, with no combiner.
 
 use proptest::prelude::*;
-use std::time::Duration;
-
-/// The receive timeout of every reducer these tests start: a rank that
-/// panics fails its test in seconds, not after its peers have waited out
-/// `MpidConfig::DEFAULT_RECV_TIMEOUT`.
-pub const RECV_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Records a mapper sends between two spills of a [`mixed_layout_pairs`] job.
 pub const EPOCH: usize = 8;

@@ -87,20 +87,18 @@ fn compression_preserves_results_and_shrinks_wire_bytes() {
 }
 
 #[test]
-fn compression_with_tiny_frames_and_isend() {
+fn compression_with_tiny_frames() {
     let cfg = MpidConfig {
         n_mappers: 3,
         n_reducers: 2,
         spill_threshold_bytes: 256,
         frame_bytes: 128,
         compress: true,
-        use_isend: true,
         ..Default::default()
     };
     let (out, stats) = run_wordcount_cfg(cfg.clone());
     let (reference, _) = run_wordcount_cfg(MpidConfig {
         compress: false,
-        use_isend: false,
         ..cfg
     });
     assert_eq!(out, reference);

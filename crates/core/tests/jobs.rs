@@ -7,7 +7,7 @@ use mpid::{
     ConstPartitioner, Kv, MpidConfig, MpidError, MpidWorld, Role, SenderStats, SumCombiner,
 };
 use std::collections::BTreeMap;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Reference word count.
 fn expected_counts(docs: &[&str]) -> BTreeMap<String, u64> {
@@ -91,20 +91,6 @@ fn tiny_spill_threshold_still_correct() {
         n_reducers: 2,
         spill_threshold_bytes: 32,
         frame_bytes: 24,
-        ..Default::default()
-    };
-    assert_eq!(run_wordcount(cfg, docs), expected);
-}
-
-#[test]
-fn isend_overlap_mode_is_equivalent() {
-    let docs = sample_docs(10);
-    let expected = expected_counts(&docs.iter().map(|s| s.as_str()).collect::<Vec<_>>());
-    let cfg = MpidConfig {
-        n_mappers: 2,
-        n_reducers: 2,
-        spill_threshold_bytes: 64,
-        use_isend: true,
         ..Default::default()
     };
     assert_eq!(run_wordcount(cfg, docs), expected);
@@ -416,10 +402,13 @@ fn dynamic_split_assignment_balances_work() {
 }
 
 #[test]
-fn dead_mapper_surfaces_as_timeout_not_hang() {
-    // Mapper 1 dies before sending EOS; the reducer's bounded receive must
-    // report a timeout instead of hanging forever.
+fn a_mapper_that_exits_without_eos_fails_the_reducer() {
+    // Mapper 1 returns without sending EOS, and no timeout is set: the
+    // reducer's untimed receive sits in the checker's wait-for graph, so
+    // once every other rank has ended the watchdog reports the deadlock
+    // instead of letting the reducer hang.
     let cfg = MpidConfig::with_workers(2, 1);
+    let t0 = Instant::now();
     let results = Universe::run(cfg.required_ranks(), move |comm| {
         let world = MpidWorld::init(comm, cfg.clone()).unwrap();
         match world.role() {
@@ -436,21 +425,60 @@ fn dead_mapper_surfaces_as_timeout_not_hang() {
                 None
             }
             Role::Mapper(_) => {
-                // Simulated crash: exit without EOS.
+                // Exit without EOS.
                 None
             }
             Role::Reducer(_) => {
-                let mut recv = world
-                    .receiver::<String, u64>()
-                    .with_timeout(Duration::from_millis(200));
+                let mut recv = world.receiver::<String, u64>();
                 match recv.recv() {
-                    Err(MpidError::Mpi(MpiError::Timeout(_))) => Some(true),
-                    other => panic!("expected timeout, got {other:?}"),
+                    Err(MpidError::Mpi(MpiError::Deadlock(report))) => {
+                        Some(report.stuck.contains(&comm.rank()))
+                    }
+                    other => panic!("expected a deadlock report, got {other:?}"),
                 }
             }
         }
     });
     assert!(results.into_iter().flatten().any(|b| b));
+    let took = t0.elapsed();
+    assert!(took < Duration::from_secs(1), "took {took:?}");
+}
+
+/// The opt-in failure detector: a receiver given a timeout reports
+/// `Timeout` for a mapper that has not sent, while that mapper still runs.
+#[test]
+fn an_opt_in_receive_timeout_reports_a_silent_mapper() {
+    let cfg = MpidConfig::with_workers(1, 1);
+    Universe::run(cfg.required_ranks(), move |comm| {
+        let world = MpidWorld::init(comm, cfg.clone()).unwrap();
+        match world.role() {
+            Role::Master => {
+                world.run_master(Vec::<u64>::new()).unwrap();
+            }
+            Role::Mapper(_) => {
+                let send = world.sender::<String, u64>();
+                while world.next_split::<u64>().unwrap().is_some() {}
+                // Stay silent until the reducer has timed out.
+                comm.recv::<u8>(Some(2), Some(7)).unwrap();
+                send.finish().unwrap();
+            }
+            Role::Reducer(_) => {
+                let mut recv = world
+                    .receiver::<String, u64>()
+                    .with_timeout(Some(Duration::from_millis(50)));
+                match recv.recv() {
+                    Err(MpidError::Mpi(MpiError::Timeout(t))) => {
+                        assert_eq!(t, Duration::from_millis(50))
+                    }
+                    other => panic!("expected a timeout, got {other:?}"),
+                }
+                comm.send::<u8>(1, 7, &[]).unwrap();
+                // Drain the mapper's end-of-stream marker.
+                comm.recv::<u8>(Some(1), Some(mpid::config::tags::DATA))
+                    .unwrap();
+            }
+        }
+    });
 }
 
 #[test]

@@ -266,7 +266,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Job output equals the sequential reference regardless of combiner,
-    /// spill threshold, frame size, Isend mode, and topology.
+    /// spill threshold, frame size, and topology.
     #[test]
     fn job_invariant_under_pipeline_parameters(
         pairs in proptest::collection::vec(("[a-d]{1,3}", 0u64..1000), 0..120),
@@ -275,14 +275,12 @@ proptest! {
         mappers in 1usize..4,
         reducers in 1usize..4,
         combine: bool,
-        isend: bool,
     ) {
         let cfg = MpidConfig {
             n_mappers: mappers,
             n_reducers: reducers,
             spill_threshold_bytes: spill,
             frame_bytes: frame,
-            use_isend: isend,
             ..Default::default()
         };
         let got = run_sum_job(cfg, pairs.clone(), combine);

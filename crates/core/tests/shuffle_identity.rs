@@ -59,9 +59,7 @@ fn run_job(cfg: MpidConfig, pairs: &[(String, u64)], combine: bool) -> Vec<(Stri
                 None
             }
             Role::Reducer(_) => {
-                let mut recv = world
-                    .receiver::<String, u64>()
-                    .with_timeout(common::RECV_TIMEOUT);
+                let mut recv = world.receiver::<String, u64>();
                 Some(recv.recv_all().unwrap())
             }
         }

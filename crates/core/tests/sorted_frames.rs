@@ -16,9 +16,7 @@ use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::marker::PhantomData;
 use std::sync::Arc;
-use std::time::Duration;
 
-const TIMEOUT: Duration = Duration::from_secs(60);
 /// Small spills and frames, so every job ships many frames per reducer.
 const SPILL_BYTES: usize = 2 << 10;
 const FRAME_BYTES: usize = 512;
@@ -90,9 +88,7 @@ fn shipped<K: Key + Sync>(cfg: MpidConfig, pairs: &[(K, u64)], combine: bool) ->
                 };
                 let mut eos = 0;
                 while eos < cfg.n_mappers {
-                    let (payload, _) = comm
-                        .recv_bytes_timeout(None, Some(tags::DATA), TIMEOUT)
-                        .unwrap();
+                    let (payload, _) = comm.recv::<u8>(None, Some(tags::DATA)).unwrap();
                     let body = match payload.first() {
                         None => {
                             eos += 1;

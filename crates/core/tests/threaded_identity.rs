@@ -93,9 +93,7 @@ fn run_job_counting_frames(
                 None
             }
             Role::Reducer(_) => {
-                let mut recv = world
-                    .receiver::<String, u64>()
-                    .with_timeout(common::RECV_TIMEOUT);
+                let mut recv = world.receiver::<String, u64>();
                 let groups = recv.recv_all().unwrap();
                 Some((groups, recv.stats().frames))
             }
@@ -138,14 +136,11 @@ fn run_shipped(cfg: MpidConfig, pairs: &[(String, u64)], combine: bool) -> Shipp
                 let mut frames = BTreeMap::<Rank, Vec<Vec<u8>>>::new();
                 let mut ended = 0;
                 while ended < cfg.n_mappers {
-                    let (payload, status) = comm
-                        .recv_bytes_timeout(None, Some(tags::DATA), common::RECV_TIMEOUT)
-                        .unwrap();
+                    let (payload, status) = comm.recv::<u8>(None, Some(tags::DATA)).unwrap();
                     if payload.is_empty() {
                         ended += 1;
                     } else {
-                        let from = frames.entry(status.source).or_default();
-                        from.push(payload.to_vec());
+                        frames.entry(status.source).or_default().push(payload);
                     }
                 }
                 Seen::Frames(frames)
@@ -253,7 +248,9 @@ impl Combiner<u64> for GivesUp {
 
 /// The first fold runs on the table thread, when `finish` hands it the
 /// last block; its panic must come back through the mapper rank to
-/// `Universe::run` at once, with no hang and no frame sent.
+/// `Universe::run` at once, with no hang and no frame sent. The reducer
+/// waits in `MPI_D_Recv` with no timeout: the mapper rank's panic aborts
+/// the universe, and the reducer's wait with it.
 #[test]
 fn a_combiner_panic_on_the_table_thread_fails_the_job_in_seconds() {
     let cfg = MpidConfig {
@@ -276,11 +273,13 @@ fn a_combiner_panic_on_the_table_thread_fails_the_job_in_seconds() {
                     send.finish().unwrap();
                 }
                 Role::Reducer(_) => {
-                    // Untimed, so the checker sees this rank wait on a dead
-                    // peer and ends the job: a timed receive (the
-                    // receiver's) would sit out its timeout first.
-                    let (eos, _) = comm.recv::<u8>(None, Some(tags::DATA)).unwrap();
-                    assert!(eos.is_empty(), "no frame can get past the combiner");
+                    let mut recv = world.receiver::<String, u64>();
+                    match recv.recv() {
+                        Err(mpid::MpidError::Mpi(mpi_rt::MpiError::RankLost(lost))) => {
+                            assert_eq!(lost.lost, vec![1]);
+                        }
+                        other => panic!("expected the mapper's loss, got {other:?}"),
+                    }
                 }
             }
         })
@@ -290,8 +289,12 @@ fn a_combiner_panic_on_the_table_thread_fails_the_job_in_seconds() {
         .downcast_ref::<String>()
         .expect("Universe::run reports failed ranks as a string");
     assert!(report.contains("rank 1: the combiner gave up"), "{report}");
+    assert!(
+        report.starts_with("rank(s) [1] panicked"),
+        "the reducer fails cleanly: {report}"
+    );
     let took = t0.elapsed();
-    assert!(took < Duration::from_secs(10), "took {took:?}");
+    assert!(took < Duration::from_secs(1), "took {took:?}");
 }
 
 fn reference_sums(pairs: &[(String, u64)]) -> BTreeMap<String, u64> {

@@ -57,9 +57,9 @@ enum StepResult<K, V> {
     Reducer(usize, Vec<(K, Vec<V>)>),
 }
 
-/// True when `e` is the propagation of a lost peer into this rank — either
-/// the watchdog's structured verdict or the immediate closed-mailbox error
-/// a sender can hit before the watchdog confirms.
+/// True when `e` is the propagation of a lost peer into this rank: the
+/// universe's abort (`RankLost`), or the closed-mailbox error of a send to
+/// a peer that has ended.
 fn is_loss_propagation(e: &mpid::MpidError) -> bool {
     matches!(
         e,
@@ -74,8 +74,10 @@ fn is_loss_propagation(e: &mpid::MpidError) -> bool {
 /// at least 1). `faults` are injected into the universes *until the first
 /// rank loss* — the lost rank is then "restarted" healthy, modeling a
 /// process respawn, and the interrupted superstep replays from the last
-/// checkpoint. Because rank loss must be *detected* (not hung on), the
-/// mpiverify checker is always on here, regardless of `cfg.verify`.
+/// checkpoint. A lost rank aborts its universe with or without the
+/// mpiverify checker; the checker is always on here, regardless of
+/// `cfg.verify`, so that a superstep that hangs for any other reason is a
+/// `Deadlock` report rather than a hang.
 ///
 /// # Panics
 /// Panics if a superstep fails for any reason other than a planned rank
@@ -161,8 +163,8 @@ where
     let results = Universe::try_run_with(
         MpiConfig {
             eager_threshold: cfg.eager_threshold,
-            // Failure detection (the watchdog that turns a lost rank into
-            // MpiError::RankLost for the survivors) requires the checker.
+            // A lost rank aborts the universe either way; the checker
+            // turns any other hang into a Deadlock report.
             verify: VerifyConfig::default(),
             fault_injection: faults.to_vec(),
         },

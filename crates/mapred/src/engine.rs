@@ -21,15 +21,19 @@ pub struct MpidEngineConfig {
     pub spill_threshold_bytes: usize,
     /// Realigned frame target size, bytes.
     pub frame_bytes: usize,
-    /// Use `MPI_Isend` for spilled frames (computation/communication
-    /// overlap).
+    /// Inert: nothing reads it (see [`mpid::MpidConfig::use_isend`]). Kept
+    /// only because callers outside the workspace name it (ROADMAP item
+    /// 12).
     pub use_isend: bool,
     /// LZ-compress realigned frames on the wire.
     pub compress: bool,
     /// Eager/rendezvous switch-over in the MPI runtime.
     pub eager_threshold: usize,
-    /// Bound on how long a reducer waits for the next frame.
-    pub recv_timeout: Duration,
+    /// Opt-in bound on how long a reducer waits for the next frame
+    /// ([`mpid::MpidReceiver::with_timeout`]); `None`, the default, waits
+    /// untimed. A dead rank needs no timeout: it aborts the job, and every
+    /// reducer's wait fails at once with `mpi_rt::MpiError::RankLost`.
+    pub recv_timeout: Option<Duration>,
     /// When set, reducers — of plain and checkpointed runs alike — group
     /// through the bounded-memory external merge
     /// ([`mpid::MpidReceiver::into_external`]) with this in-memory byte
@@ -64,7 +68,7 @@ impl Default for MpidEngineConfig {
             use_isend: false,
             compress: false,
             eager_threshold: 64 * 1024,
-            recv_timeout: MpidConfig::DEFAULT_RECV_TIMEOUT,
+            recv_timeout: None,
             reduce_budget_bytes: None,
             threads: 1,
             mem_budget: None,
@@ -90,20 +94,18 @@ impl MpidEngineConfig {
             n_reducers: self.n_reducers,
             spill_threshold_bytes: self.spill_threshold_bytes,
             frame_bytes: self.frame_bytes,
-            sort_keys: false,
-            sort_values: false,
-            use_isend: self.use_isend,
             compress: self.compress,
             threads: self.threads,
             mem_budget: self.mem_budget,
-            pool: None,
             shuffle: self.shuffle,
+            ..MpidConfig::default()
         }
     }
 
     /// A reducer's `MPI_D_Recv` handle, built the one way every engine
-    /// builds it: [`recv_timeout`](Self::recv_timeout), and the bounded
-    /// drain when [`reduce_budget_bytes`](Self::reduce_budget_bytes) is set.
+    /// builds it: the opt-in [`recv_timeout`](Self::recv_timeout), and the
+    /// bounded drain when [`reduce_budget_bytes`](Self::reduce_budget_bytes)
+    /// is set.
     pub(crate) fn receiver<'w, K: Key, V: Value>(
         &self,
         world: &MpidWorld<'w>,

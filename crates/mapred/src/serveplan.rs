@@ -71,8 +71,9 @@ pub fn serve_plan(cfg: &SimMpidConfig, spec: &JobSpec, n_hosts: usize) -> JobPla
 /// rank drops its sockets and mpiexec tears the job down within a connection
 /// timeout — milliseconds, not Hadoop's missed-heartbeat seconds. The flip
 /// side (the paper's concession) is that detection kills the *whole job*.
+/// It is the detailed model's one constant, `sim::MPI_DETECT`.
 pub fn detect_delay(_cfg: &SimMpidConfig) -> SimTime {
-    SimTime::from_millis(100)
+    crate::sim::MPI_DETECT
 }
 
 #[cfg(test)]

@@ -25,15 +25,15 @@ impl Comm {
 
     /// `MPI_Barrier` — dissemination algorithm, ⌈log₂ n⌉ rounds.
     ///
-    /// In a checked universe a barrier called after an abort fails at
-    /// once, and the rank is labelled "inside barrier" in wait-for-graph
+    /// A barrier called after an abort fails at once. In a checked
+    /// universe the rank is labelled "inside barrier" in wait-for-graph
     /// reports until it returns.
     pub fn barrier(&self) -> MpiResult<()> {
+        if let Some(e) = self.world.abort_error() {
+            return Err(e);
+        }
         let _label = match self.verifier() {
             Some(v) => {
-                if let Some(e) = v.abort_error() {
-                    return Err(e);
-                }
                 v.set_label(self.rank, Some("barrier"));
                 Some(LabelGuard {
                     v: v.as_ref(),

@@ -5,22 +5,25 @@
 //! rendezvous, deliver the envelope, and return the [`SendRequest`] that
 //! completes it. Every blocking wait — a blocking or timed receive, a
 //! rendezvous send, a request's `wait` — goes through one poll loop
-//! (`block_on`), in checked and unchecked universes alike; only what the
-//! loop checks between polls differs.
+//! (`Waiter::block_on`), in checked and unchecked universes alike: between
+//! polls it checks the universe's abort flag, which a panicking rank sets,
+//! so no wait outlives a dead rank by more than one poll slice.
 
 use crate::data::MpiType;
 use crate::lock;
 use crate::matching::{Envelope, Mailbox, PayloadSlot, RecvSlot, Rendezvous};
 use crate::trace::RankTrace;
 use crate::types::{MpiError, MpiResult, Rank, Status, Tag, MAX_USER_TAG};
-use crate::verify::{BlockedOp, Finding, Verifier, WaitHandle, WireSig, ABORT_POLL};
+use crate::verify::{
+    BlockedOp, Finding, RankLostReport, Verifier, WaitHandle, WireSig, ABORT_POLL,
+};
 use bytes::Bytes;
 use obs::names::{MPI_ISEND, MPI_RECV, MPI_SEND};
 use obs::ArgValue;
 use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -51,6 +54,10 @@ pub struct WorldState {
     /// World ranks actually taken down by injection, recorded before the
     /// crash unwinds.
     pub(crate) injected_crashes: Mutex<BTreeSet<Rank>>,
+    /// Set once `abort` holds the universe's abort error: the first rank
+    /// that panicked, or the checker's deadlock verdict.
+    aborted: AtomicBool,
+    abort: Mutex<Option<MpiError>>,
 }
 
 impl WorldState {
@@ -70,7 +77,38 @@ impl WorldState {
             op_counts: (0..n).map(|_| AtomicU64::new(0)).collect(),
             fault_after,
             injected_crashes: Mutex::new(BTreeSet::new()),
+            aborted: AtomicBool::new(false),
+            abort: Mutex::new(None),
         })
+    }
+
+    /// The error every still-blocked wait returns, once the universe has
+    /// been aborted.
+    pub(crate) fn abort_error(&self) -> Option<MpiError> {
+        if !self.aborted.load(Ordering::Acquire) {
+            return None;
+        }
+        lock(&self.abort).clone()
+    }
+
+    /// Abort the universe with `err`; the first abort wins.
+    pub(crate) fn abort_with(&self, err: MpiError) {
+        let mut slot = lock(&self.abort);
+        if slot.is_none() {
+            *slot = Some(err);
+            self.aborted.store(true, Ordering::Release);
+        }
+    }
+
+    /// What `mpiexec` does when a process dies: abort the universe, so
+    /// every rank blocked now or later fails with [`MpiError::RankLost`]
+    /// naming `rank`, checked or not.
+    pub(crate) fn rank_lost(&self, rank: Rank) {
+        let ranks = self.verifier.as_ref().map_or(Vec::new(), |v| v.snapshot());
+        self.abort_with(MpiError::RankLost(Arc::new(RankLostReport {
+            lost: vec![rank],
+            ranks,
+        })));
     }
 }
 
@@ -84,61 +122,59 @@ pub(crate) enum SendMode {
     Immediate,
 }
 
-/// Checker context of a blocking wait: the universe's verifier, and the
-/// node this rank occupies in its wait-for graph while an untimed wait
-/// blocks. Pending requests carry one, so their `wait()` needs no `Comm`.
+/// What a blocking wait needs besides its handle: the world, whose abort
+/// flag it polls, and the node this rank occupies in the checker's
+/// wait-for graph while an untimed wait blocks (checked runs only).
+/// Pending requests carry one, so their `wait()` needs no `Comm`.
 #[derive(Debug, Clone)]
-struct Checked {
-    verifier: Arc<Verifier>,
+struct Waiter {
+    world: Arc<WorldState>,
     rank: Rank,
     op: BlockedOp,
 }
 
-impl Checked {
+impl Waiter {
     /// The `(verifier, receiving rank)` pair typed receives check against.
-    fn ctx(&self) -> (&Verifier, Rank) {
-        (self.verifier.as_ref(), self.rank)
+    fn verify_ctx(&self) -> Option<(&Verifier, Rank)> {
+        self.world.verifier.as_deref().map(|v| (v, self.rank))
     }
-}
 
-/// The one blocking wait of the point-to-point layer. `poll` waits up to
-/// the given slice for `handle` to complete. Between `ABORT_POLL` slices the
-/// loop checks the universe's abort flag (checked runs only) and the
-/// timeout (timed receives only), whose expiry is [`MpiError::Timeout`].
-///
-/// An untimed wait in a checked run sits in the wait-for graph as
-/// `checked.op` while it blocks. A timed wait never does — timing out IS
-/// progress, e.g. a failure detector legitimately waits on a dead peer —
-/// but it still checks the abort flag, so that when the watchdog kills the
-/// universe for ranks that ARE deadlocked, this rank exits promptly instead
-/// of sleeping out its timeout.
-fn block_on<R>(
-    checked: Option<&Checked>,
-    handle: WaitHandle,
-    timeout: Option<Duration>,
-    mut poll: impl FnMut(Duration) -> Option<R>,
-) -> MpiResult<R> {
-    let deadline = timeout.map(|t| (t, Instant::now() + t));
-    let _block = match (checked, deadline) {
-        (Some(c), None) => Some(c.verifier.block_guard(c.rank, c.op.clone(), handle)),
-        _ => None,
-    };
-    loop {
-        let slice = match deadline {
-            None => ABORT_POLL,
-            Some((timeout, at)) => {
-                let left = at.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    return Err(MpiError::Timeout(timeout));
-                }
-                ABORT_POLL.min(left)
-            }
+    /// The one blocking wait of the point-to-point layer. `poll` waits up
+    /// to the given slice for `handle` to complete. Between `ABORT_POLL`
+    /// slices the loop checks the universe's abort flag, and the timeout
+    /// (timed receives only), whose expiry is [`MpiError::Timeout`].
+    ///
+    /// An untimed wait in a checked run sits in the wait-for graph as
+    /// `self.op` while it blocks. A timed wait never does — timing out IS
+    /// progress, e.g. a failure detector legitimately waits on a dead peer.
+    fn block_on<R>(
+        &self,
+        handle: WaitHandle,
+        timeout: Option<Duration>,
+        mut poll: impl FnMut(Duration) -> Option<R>,
+    ) -> MpiResult<R> {
+        let deadline = timeout.map(|t| (t, Instant::now() + t));
+        let _block = match (&self.world.verifier, deadline) {
+            (Some(v), None) => Some(v.block_guard(self.rank, self.op.clone(), handle)),
+            _ => None,
         };
-        if let Some(out) = poll(slice) {
-            return Ok(out);
-        }
-        if let Some(e) = checked.and_then(|c| c.verifier.abort_error()) {
-            return Err(e);
+        loop {
+            let slice = match deadline {
+                None => ABORT_POLL,
+                Some((timeout, at)) => {
+                    let left = at.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return Err(MpiError::Timeout(timeout));
+                    }
+                    ABORT_POLL.min(left)
+                }
+            };
+            if let Some(out) = poll(slice) {
+                return Ok(out);
+            }
+            if let Some(e) = self.world.abort_error() {
+                return Err(e);
+            }
         }
     }
 }
@@ -236,19 +272,13 @@ impl Comm {
         self.world.verifier.as_ref()
     }
 
-    /// Checker context for a wait this rank may block in as `op` (`None`
-    /// in unchecked universes).
-    fn checked(&self, op: BlockedOp) -> Option<Checked> {
-        self.verifier().map(|v| Checked {
-            verifier: v.clone(),
+    /// The wait this rank may block in as `op`.
+    fn waiter(&self, op: BlockedOp) -> Waiter {
+        Waiter {
+            world: self.world.clone(),
             rank: self.rank,
             op,
-        })
-    }
-
-    /// [`Comm::checked`] for a receive from `src`.
-    fn checked_recv(&self, src: Option<Rank>, tag: Option<Tag>) -> Option<Checked> {
-        self.checked(BlockedOp::Recv { src, tag })
+        }
     }
 
     /// The error for a send that found `dst`'s mailbox closed. After a
@@ -256,8 +286,8 @@ impl Comm {
     /// *because* of the abort, so the sender reports that — the same error
     /// a blocked receive would — rather than the bare departure.
     fn peer_gone(&self, dst: Rank) -> MpiError {
-        self.verifier()
-            .and_then(|v| v.abort_error())
+        self.world
+            .abort_error()
             .unwrap_or(MpiError::PeerGone { rank: dst })
     }
 
@@ -353,19 +383,17 @@ impl Comm {
             .map_err(|_| self.peer_gone(dst))?;
         // Completing a rendezvous send blocks until the receiver has
         // matched; that wait is what the checker needs to know about.
-        let checked = rv.as_ref().and_then(|rv| {
-            self.checked(BlockedOp::RendezvousSend {
+        let rv = rv.map(|rv| {
+            let op = BlockedOp::RendezvousSend {
                 dst,
                 tag,
                 bytes: rv.size,
-            })
+            };
+            (rv, self.waiter(op))
         });
-        let req = SendRequest { rv, checked };
+        let req = SendRequest { rv };
         match mode {
-            SendMode::Blocking => req.complete().map(|()| SendRequest {
-                rv: None,
-                checked: None,
-            }),
+            SendMode::Blocking => req.complete().map(|()| SendRequest { rv: None }),
             SendMode::Immediate => Ok(req),
         }
     }
@@ -399,14 +427,14 @@ impl Comm {
         if let Some(s) = src {
             self.check_rank(s)?;
         }
-        let checked = self.checked_recv(src, tag);
+        let waiter = self.waiter(BlockedOp::Recv { src, tag });
         let state = match self.world.mailboxes[self.rank].match_or_post(src, tag) {
             Ok(env) => RecvReqState::Ready(env),
             Err((slot, _)) => RecvReqState::Waiting(slot),
         };
         Ok(RecvRequest {
             state,
-            checked,
+            waiter,
             _marker: PhantomData,
         })
     }
@@ -421,14 +449,15 @@ impl Comm {
         self.post_recv(src, tag)?.wait()
     }
 
-    /// Wait for one matching envelope with a deadline (the shared body of
-    /// the timed receives). It never joins the wait-for graph; see
-    /// `block_on`.
-    fn recv_env_timeout(
+    /// Wait for one matching envelope, with an optional deadline (the
+    /// shared body of the timed and zero-copy receives). An untimed wait
+    /// joins the wait-for graph like [`Comm::recv`]; a timed one never
+    /// does (see `Waiter::block_on`).
+    fn recv_env(
         &self,
         src: Option<Rank>,
         tag: Option<Tag>,
-        timeout: Duration,
+        timeout: Option<Duration>,
     ) -> MpiResult<Envelope> {
         if let Some(s) = src {
             self.check_rank(s)?;
@@ -438,17 +467,17 @@ impl Comm {
             Ok(env) => return Ok(env),
             Err(posted) => posted,
         };
-        let checked = self.checked_recv(src, tag);
+        let waiter = self.waiter(BlockedOp::Recv { src, tag });
         let handle = WaitHandle::Slot(slot.clone());
         let poll = |slice| slot.wait_timeout(slice);
-        match block_on(checked.as_ref(), handle.clone(), Some(timeout), poll) {
+        match waiter.block_on(handle.clone(), timeout, poll) {
             Err(MpiError::Timeout(t)) => {
                 if mailbox.cancel_posted(posted_id) {
                     return Err(MpiError::Timeout(t));
                 }
                 // Lost the race: the message arrived between the timeout
                 // and the cancellation, and is being delivered to the slot.
-                block_on(None, handle, None, poll)
+                waiter.block_on(handle, None, poll)
             }
             Err(e) => {
                 mailbox.cancel_posted(posted_id);
@@ -511,7 +540,7 @@ impl Comm {
         timeout: Duration,
     ) -> MpiResult<(Vec<T>, Status)> {
         self.user_recv(tag, || {
-            let env = self.recv_env_timeout(src, tag, timeout)?;
+            let env = self.recv_env(src, tag, Some(timeout))?;
             env_into_typed(env, self.verify_ctx())
         })
     }
@@ -532,24 +561,19 @@ impl Comm {
             .map(drop)
     }
 
-    /// Non-blocking send of a raw byte payload (see [`Comm::send_bytes`]).
-    pub fn isend_bytes(&self, dst: Rank, tag: Tag, data: Bytes) -> MpiResult<SendRequest> {
-        let sig = wire_sig::<u8>(&data);
-        self.user_send(MPI_ISEND, dst, tag, data, sig, SendMode::Immediate)
-    }
-
-    /// Timed receive handing back the payload as refcounted [`Bytes`]
-    /// (semantics of [`Comm::recv_timeout`] for `u8`, minus the copy out of
-    /// the envelope).
+    /// Receive handing back the payload as refcounted [`Bytes`], with an
+    /// optional deadline: `None` waits like [`Comm::recv`] (untimed, in the
+    /// checker's wait-for graph), a duration like [`Comm::recv_timeout`].
+    /// Either way minus the copy out of the envelope.
     pub fn recv_bytes_timeout(
         &self,
         src: Option<Rank>,
         tag: Option<Tag>,
-        timeout: Duration,
+        timeout: impl Into<Option<Duration>>,
     ) -> MpiResult<(Bytes, Status)> {
+        let timeout = timeout.into();
         self.user_recv(tag, || {
-            self.recv_env_timeout(src, tag, timeout)
-                .map(Envelope::into_bytes)
+            self.recv_env(src, tag, timeout).map(Envelope::into_bytes)
         })
     }
 
@@ -610,32 +634,28 @@ fn env_into_typed<T: MpiType>(
 /// Handle for a non-blocking send.
 #[derive(Debug)]
 pub struct SendRequest {
-    /// The rendezvous payload still to be claimed (`None`: nothing to wait
-    /// for).
-    rv: Option<Arc<Rendezvous>>,
-    checked: Option<Checked>,
+    /// The rendezvous payload still to be claimed, and the wait for it
+    /// (`None`: nothing to wait for).
+    rv: Option<(Arc<Rendezvous>, Waiter)>,
 }
 
 impl SendRequest {
     /// Block until the rendezvous payload, if any, is claimed. Fails only
-    /// when a checked universe is aborted meanwhile.
+    /// when the universe is aborted meanwhile.
     fn complete(self) -> MpiResult<()> {
-        let Some(rv) = &self.rv else {
+        let Some((rv, waiter)) = &self.rv else {
             return Ok(());
         };
-        block_on(
-            self.checked.as_ref(),
-            WaitHandle::Rv(rv.clone()),
-            None,
-            |slice| rv.wait_taken_timeout(slice).then_some(()),
-        )
+        waiter.block_on(WaitHandle::Rv(rv.clone()), None, |slice| {
+            rv.wait_taken_timeout(slice).then_some(())
+        })
     }
 
     /// Block until the transfer is complete (`MPI_Wait`).
     ///
     /// # Panics
-    /// In a checked universe, panics with the watchdog's report if the
-    /// universe is aborted (deadlock or rank loss) while this send is still
+    /// Panics with the abort's report if the universe is aborted (a lost
+    /// rank, or a deadlock in a checked universe) while this send is still
     /// waiting to rendezvous.
     pub fn wait(self) {
         if let Err(e) = self.complete() {
@@ -645,7 +665,7 @@ impl SendRequest {
 
     /// Completion check without blocking (`MPI_Test`).
     pub fn test(&self) -> bool {
-        self.rv.as_ref().is_none_or(|rv| rv.is_taken())
+        self.rv.as_ref().is_none_or(|(rv, _)| rv.is_taken())
     }
 }
 
@@ -659,24 +679,24 @@ enum RecvReqState {
 #[derive(Debug)]
 pub struct RecvRequest<T: MpiType> {
     state: RecvReqState,
-    checked: Option<Checked>,
+    waiter: Waiter,
     _marker: PhantomData<fn() -> T>,
 }
 
 impl<T: MpiType> RecvRequest<T> {
-    /// Block until the message arrives (`MPI_Wait`). In a checked universe
-    /// an abort (deadlock elsewhere) surfaces as the watchdog's error.
+    /// Block until the message arrives (`MPI_Wait`). An abort (a lost
+    /// rank, or a deadlock in a checked universe) surfaces as its error.
     pub fn wait(self) -> MpiResult<(Vec<T>, Status)> {
         let env = match self.state {
             RecvReqState::Ready(env) => env,
-            RecvReqState::Waiting(slot) => block_on(
-                self.checked.as_ref(),
-                WaitHandle::Slot(slot.clone()),
-                None,
-                |slice| slot.wait_timeout(slice),
-            )?,
+            RecvReqState::Waiting(slot) => {
+                self.waiter
+                    .block_on(WaitHandle::Slot(slot.clone()), None, |slice| {
+                        slot.wait_timeout(slice)
+                    })?
+            }
         };
-        env_into_typed(env, self.checked.as_ref().map(Checked::ctx))
+        env_into_typed(env, self.waiter.verify_ctx())
     }
 
     /// True once a matching message has arrived (`MPI_Test`); `wait` will

@@ -12,13 +12,16 @@
 //! * **Barrier** ([`coll`]): the one collective MPI-D calls (in
 //!   `MPI_D_Finalize`), with MPICH's dissemination algorithm. Every
 //!   [`Comm`] is the world communicator.
-//! * **Failure visibility**: ranks that return close their mailboxes, so a
-//!   send to a dead rank errors ([`MpiError::PeerGone`]) instead of hanging,
-//!   and timed receives ([`Comm::recv_timeout`]) let callers bound waits.
+//! * **Failure visibility**: a rank that panics aborts the universe, as
+//!   `mpiexec` does when a process dies, so every wait blocked then or
+//!   later fails with a structured [`MpiError::RankLost`] within one poll
+//!   slice, checked or not. Ranks that return close their mailboxes, so a
+//!   send to a finished rank errors ([`MpiError::PeerGone`]) instead of
+//!   hanging. Timed receives ([`Comm::recv_timeout`]) remain for callers
+//!   that want their own failure detector.
 //! * **Fault injection** ([`MpiConfig::fault_injection`]): kill a chosen
-//!   rank after its n-th point-to-point operation; the watchdog converts
-//!   the survivors' stuck waits into a structured [`MpiError::RankLost`]
-//!   report — the substrate for checkpoint/restart experiments.
+//!   rank after its n-th point-to-point operation — the substrate for
+//!   checkpoint/restart experiments.
 //! * **Verification** ([`verify`]): every run is checked by default — a
 //!   wait-for-graph watchdog aborts deadlocks with per-rank reports instead
 //!   of hanging, typed sends/receives are signature-matched, and teardown

@@ -67,9 +67,12 @@ pub enum MpiError {
     /// One or more rank functions panicked; carries per-rank payloads and
     /// the wait-for-graph snapshot at first failure.
     RanksFailed(Arc<RanksFailure>),
-    /// One or more ranks were lost to an injected crash
-    /// ([`MpiConfig::fault_injection`](crate::MpiConfig)) and the failure
-    /// was propagated to the survivors instead of letting them hang.
+    /// A rank was lost — it panicked, or an injected crash
+    /// ([`MpiConfig::fault_injection`](crate::MpiConfig)) took it down —
+    /// and the universe was aborted: this is what every survivor's wait
+    /// returns, instead of hanging. As a universe's result it names the
+    /// injected crashes; a run lost to a genuine panic reports
+    /// [`MpiError::RanksFailed`] instead.
     RankLost(Arc<RankLostReport>),
 }
 

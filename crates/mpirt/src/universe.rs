@@ -44,8 +44,7 @@ pub struct MpiConfig {
     pub verify: VerifyConfig,
     /// Planned rank crashes (empty by default). A run whose only failures
     /// are these injected crashes reports [`MpiError::RankLost`] instead of
-    /// [`MpiError::RanksFailed`], and the mpiverify watchdog propagates the
-    /// loss to blocked survivors instead of calling it a deadlock.
+    /// [`MpiError::RanksFailed`].
     pub fault_injection: Vec<RankFault>,
 }
 
@@ -90,9 +89,13 @@ impl Universe {
     }
 
     /// Run with the correctness checker disabled — no watchdog thread, no
-    /// signature checks, no teardown audit. The escape hatch for
-    /// measurements where even the checker's bounded overhead (a poll flag
-    /// on blocked waits) is unwanted.
+    /// wait-for graph, no signature checks, no teardown audit. The escape
+    /// hatch for measurements where even the checker's bookkeeping on
+    /// blocked waits is unwanted. A rank that panics still aborts the
+    /// universe, so its peers' waits fail with [`MpiError::RankLost`]; but
+    /// a rank that returns without sending what a peer waits for leaves
+    /// that peer hanging, as in MPI (a checked run reports it as a
+    /// [`MpiError::Deadlock`]).
     pub fn run_unchecked<R, F>(n: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -177,9 +180,10 @@ impl Universe {
         let world = WorldState::new(n, cfg.eager_threshold, verifier.clone(), fault_after);
         let watchdog = verifier.clone().map(|v| {
             let interval = cfg.verify.watchdog_interval;
+            let world = world.clone();
             std::thread::Builder::new()
                 .name("mpiverify-watchdog".into())
-                .spawn(move || v.run_watchdog(interval))
+                .spawn(move || v.run_watchdog(interval, &world))
                 .expect("spawn watchdog thread")
         });
         let tracing = &tracing;
@@ -187,15 +191,13 @@ impl Universe {
             let handles: Vec<_> = (0..n)
                 .map(|rank| {
                     let world = world.clone();
-                    let verifier = verifier.clone();
                     scope.spawn(move || {
                         // The guard closes the mailbox and marks the rank
-                        // done in the checker even when `f` unwinds, so a
-                        // panicking rank never leaves peers hanging on a
-                        // mailbox that will never close.
+                        // done in the checker even when `f` unwinds, and a
+                        // rank that unwinds aborts the universe, so a
+                        // panicking rank never leaves peers hanging.
                         let _guard = RankGuard {
-                            mailbox: world.mailboxes[rank].clone(),
-                            verifier,
+                            world: world.clone(),
                             rank,
                         };
                         let trace = tracing
@@ -253,7 +255,7 @@ impl Universe {
             // A run that lost ranks to the fault plan is a planned failure:
             // report *which ranks were lost*, not a bag of panics. Peers
             // that also unwound did so only because the loss propagated to
-            // them (PeerGone / watchdog abort), so injection subsumes them.
+            // them (the universe's abort), so injection subsumes them.
             let injected = lock(&world.injected_crashes).clone();
             if !injected.is_empty() {
                 return Err(MpiError::RankLost(Arc::new(RankLostReport {
@@ -274,23 +276,26 @@ impl Universe {
     }
 }
 
-/// Per-rank teardown ordering on both the normal and unwinding paths:
-/// mark the rank gone so sends to it fail fast instead of hanging, and
-/// tell the checker (a panicking rank captures the wait-for-graph
-/// snapshot for the failure report).
+/// Per-rank teardown ordering on both the normal and unwinding paths: a
+/// rank that unwinds aborts the universe first, as `mpiexec` does when a
+/// process dies; then the checker learns the rank is done (a panicking
+/// rank captures the wait-for-graph snapshot for the failure report), and
+/// its mailbox closes, so sends to it fail fast instead of hanging.
 struct RankGuard {
-    mailbox: Arc<Mailbox>,
-    verifier: Option<Arc<Verifier>>,
+    world: Arc<WorldState>,
     rank: Rank,
 }
 
 impl Drop for RankGuard {
     fn drop(&mut self) {
         let panicked = std::thread::panicking();
-        if let Some(v) = &self.verifier {
+        if panicked {
+            self.world.rank_lost(self.rank);
+        }
+        if let Some(v) = &self.world.verifier {
             v.mark_done(self.rank, panicked);
         }
-        self.mailbox.close();
+        self.world.mailboxes[self.rank].close();
     }
 }
 

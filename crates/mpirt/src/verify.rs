@@ -21,8 +21,9 @@
 //!
 //! The checker is **observation-only**: it never alters matching order,
 //! payloads or results (property-tested in `tests/verify.rs` and the fig6
-//! pipeline identity test). Its only interventions are *aborts* of runs
-//! that would otherwise hang or have lost a rank.
+//! pipeline identity test). Its only intervention is to *abort* a run
+//! that would otherwise hang. A lost rank needs no checker: the rank that
+//! panics aborts the universe itself, checked or not.
 //!
 //! ## Deadlock detection
 //!
@@ -46,11 +47,11 @@
 //! as progressing, and an abort requires two consecutive sweeps observing
 //! the identical stuck set with identical per-rank sequence numbers.
 
+use crate::comm::WorldState;
 use crate::matching::{RecvSlot, Rendezvous};
 use crate::types::{MpiError, Rank, Tag};
 use crate::{lock, wait_while};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -237,14 +238,16 @@ impl fmt::Display for DeadlockReport {
 }
 
 /// Report of a run torn down because one or more ranks were lost (crashed
-/// mid-communication — in this runtime, a rank function that unwound while
-/// peers still depended on it, e.g. an injected fault-plan crash). The
-/// structured alternative to hanging forever on a dead peer.
+/// mid-communication — in this runtime, a rank function that unwound, e.g.
+/// an injected fault-plan crash). The structured alternative to hanging
+/// forever on a dead peer: the first rank to unwind aborts the universe,
+/// and every wait blocked then or later returns this report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RankLostReport {
     /// World ranks that were lost.
     pub lost: Vec<Rank>,
-    /// Snapshot of every rank when the loss was detected.
+    /// Snapshot of every rank when the loss was detected (empty when the
+    /// universe ran unchecked).
     pub ranks: Vec<RankSnapshot>,
 }
 
@@ -258,7 +261,7 @@ impl fmt::Display for RankLostReport {
         for r in &self.ranks {
             writeln!(f, "  {r}")?;
         }
-        write!(f, "  (universe aborted by mpiverify failure propagation)")
+        write!(f, "  (universe aborted on rank loss)")
     }
 }
 
@@ -446,8 +449,6 @@ struct RankState {
 #[derive(Debug)]
 pub(crate) struct Verifier {
     ranks: Vec<Mutex<RankState>>,
-    aborted: AtomicBool,
-    abort: Mutex<Option<MpiError>>,
     /// Teardown flag, paired with a condvar so [`Verifier::request_shutdown`]
     /// wakes the watchdog immediately instead of letting it sleep out its
     /// current interval — universe teardown latency would otherwise be a
@@ -462,29 +463,10 @@ impl Verifier {
     pub(crate) fn new(n: usize) -> Self {
         Verifier {
             ranks: (0..n).map(|_| Mutex::new(RankState::default())).collect(),
-            aborted: AtomicBool::new(false),
-            abort: Mutex::new(None),
             shutdown: Mutex::new(false),
             shutdown_cv: Condvar::new(),
             findings: Mutex::new(Vec::new()),
             failure_snapshot: Mutex::new(None),
-        }
-    }
-
-    /// The error every still-blocked op should return, once the universe
-    /// has been aborted.
-    pub(crate) fn abort_error(&self) -> Option<MpiError> {
-        if !self.aborted.load(Ordering::Acquire) {
-            return None;
-        }
-        lock(&self.abort).clone()
-    }
-
-    fn abort_with(&self, err: MpiError) {
-        let mut slot = lock(&self.abort);
-        if slot.is_none() {
-            *slot = Some(err);
-            self.aborted.store(true, Ordering::Release);
         }
     }
 
@@ -594,15 +576,16 @@ impl Verifier {
         self.shutdown_cv.notify_all();
     }
 
-    /// Watchdog body: sweep, confirm, abort. Runs on its own thread.
-    pub(crate) fn run_watchdog(&self, interval: Duration) {
+    /// Watchdog body: sweep, confirm, abort `world`. Runs on its own
+    /// thread. A rank that panics aborts the universe itself (see
+    /// `WorldState::rank_lost`), before it is marked done; so a stuck set
+    /// the watchdog confirms is a communication deadlock among live or
+    /// returned ranks.
+    pub(crate) fn run_watchdog(&self, interval: Duration, world: &WorldState) {
         let mut prev: Option<(Vec<Rank>, Vec<u64>)> = None;
         loop {
             let stopped = *wait_while(&self.shutdown_cv, lock(&self.shutdown), interval, |s| !*s);
-            if stopped {
-                return;
-            }
-            if self.aborted.load(Ordering::Acquire) {
+            if stopped || world.abort_error().is_some() {
                 return;
             }
             let snap = self.live_snapshot();
@@ -614,20 +597,10 @@ impl Verifier {
             let seqs: Vec<u64> = snap.iter().map(|s| s.seq).collect();
             let key = (stuck, seqs);
             if prev.as_ref() == Some(&key) {
-                // A stuck set in a universe where some rank has already
-                // panicked is failure propagation, not a communication
-                // cycle: the survivors are blocked on a dead peer. Report
-                // the lost rank(s), not a deadlock among the blamed.
-                let lost: Vec<Rank> = snap.iter().filter(|s| s.panicked).map(|s| s.rank).collect();
-                let err = if lost.is_empty() {
-                    MpiError::Deadlock(Arc::new(DeadlockReport {
-                        stuck: key.0,
-                        ranks: snap,
-                    }))
-                } else {
-                    MpiError::RankLost(Arc::new(RankLostReport { lost, ranks: snap }))
-                };
-                self.abort_with(err);
+                world.abort_with(MpiError::Deadlock(Arc::new(DeadlockReport {
+                    stuck: key.0,
+                    ranks: snap,
+                })));
                 return;
             }
             prev = Some(key);

@@ -8,7 +8,8 @@ use mapred::{
     run_local, run_mpid, run_mpid_checkpointed, InputFormat, MapReduceApp, MpidEngineConfig,
     TextInput,
 };
-use mpi_rt::{MpiConfig, MpiError, MpiResult, RankFault, Universe, VerifyConfig};
+use mpi_rt::{Comm, MpiConfig, MpiError, MpiResult, RankFault, Universe, VerifyConfig};
+use mpid::{MpidConfig, MpidWorld, Role};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -96,6 +97,135 @@ fn survivor_sees_rank_lost_error_on_its_blocked_receive() {
     }
 }
 
+#[test]
+fn a_panicking_rank_ends_an_unchecked_universe_at_once() {
+    // Ranks 1–3 wait on ANY_SOURCE, so each could still be woken by another
+    // live rank and no receive ever has all of its sources ended. With no
+    // checker either, only rank 0's own abort can end their waits. Run the
+    // universe on a thread of its own so that a hang fails the test.
+    let (done, outcome) = std::sync::mpsc::channel();
+    let started = Instant::now();
+    std::thread::spawn(move || {
+        let unchecked = MpiConfig {
+            verify: VerifyConfig::disabled(),
+            ..MpiConfig::default()
+        };
+        let res = Universe::try_run_with(unchecked, 4, |comm| {
+            if comm.rank() == 0 {
+                panic!("rank 0 gave up");
+            }
+            match comm.recv::<u8>(None, None) {
+                Err(MpiError::RankLost(report)) => assert_eq!(report.lost, vec![0]),
+                other => panic!("expected RankLost, got {other:?}"),
+            }
+        });
+        let _ = done.send(res);
+    });
+    let res = outcome
+        .recv_timeout(Duration::from_secs(20))
+        .expect("the universe hung on its dead rank");
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "took {took:?}");
+    match res {
+        Err(MpiError::RanksFailed(failure)) => {
+            assert_eq!(failure.failed, vec![(0, "rank 0 gave up".to_string())]);
+        }
+        other => panic!("expected RanksFailed naming rank 0 alone, got {other:?}"),
+    }
+}
+
+/// A 1 + 1 WordCount, unchecked, with its mapper (rank 1) crashed at each
+/// of its point-to-point operations in turn — split requests, frames,
+/// end-of-stream, stats and the finalize barrier — until a crash point
+/// lies past its last one. Every crash is `RankLost` naming the mapper, at
+/// once: nothing but the crash itself ends the survivors' waits.
+#[test]
+fn a_mapper_crash_at_each_of_its_ops_is_rank_lost_at_once() {
+    let cfg = MpidConfig {
+        spill_threshold_bytes: 1 << 10,
+        frame_bytes: 256,
+        ..MpidConfig::with_workers(1, 1)
+    };
+    let input = corpus(3);
+    let mut crashes = 0;
+    for after_ops in 0..200 {
+        let unchecked = MpiConfig {
+            verify: VerifyConfig::disabled(),
+            fault_injection: vec![RankFault { rank: 1, after_ops }],
+            ..MpiConfig::default()
+        };
+        let started = Instant::now();
+        let res = Universe::try_run_with(unchecked, cfg.required_ranks(), |comm| {
+            wordcount_rank(comm, &cfg, &input)
+        });
+        let took = started.elapsed();
+        match res {
+            Ok(ranks) => {
+                assert!(ranks.iter().all(|r| r.is_ok()), "{ranks:?}");
+                break;
+            }
+            Err(MpiError::RankLost(report)) => assert_eq!(report.lost, vec![1]),
+            Err(other) => panic!("crash at op {after_ops}: expected RankLost, got {other}"),
+        }
+        assert!(
+            took < Duration::from_secs(1),
+            "crash at op {after_ops} took {took:?}"
+        );
+        crashes += 1;
+    }
+    // Two splits' requests, frames across several spills, end-of-stream,
+    // stats and the barrier.
+    assert!(crashes > 8, "the mapper made only {crashes} p2p operations");
+}
+
+/// WordCount whose `map` gives up at its first record.
+struct MapGivesUp;
+
+impl MapReduceApp for MapGivesUp {
+    type InKey = u64;
+    type InVal = String;
+    type MidKey = String;
+    type MidVal = u64;
+    type OutKey = String;
+    type OutVal = u64;
+
+    fn map(&self, _offset: u64, _line: String, _emit: &mut dyn FnMut(String, u64)) {
+        panic!("the map gave up");
+    }
+
+    fn reduce(&self, word: String, counts: Vec<u64>, emit: &mut dyn FnMut(String, u64)) {
+        emit(word, counts.iter().sum());
+    }
+}
+
+/// A panic in `map` fails `run_mpid` at once, with the checker on or off:
+/// the mapper rank's panic aborts the universe, so the master and the
+/// reducer fail with `RankLost` naming it instead of waiting on it.
+#[test]
+fn a_map_panic_fails_run_mpid_at_once_checked_or_not() {
+    for verify in [true, false] {
+        let cfg = MpidEngineConfig {
+            verify,
+            ..MpidEngineConfig::with_workers(1, 1)
+        };
+        let started = Instant::now();
+        let job = std::panic::catch_unwind(|| {
+            run_mpid(&cfg, Arc::new(MapGivesUp), Arc::new(corpus(2)));
+        });
+        let took = started.elapsed();
+        let panic = job.expect_err("the job must fail");
+        let report = panic
+            .downcast_ref::<String>()
+            .expect("run_mpid reports failed ranks as a string");
+        assert!(report.contains("rank 1: the map gave up"), "{report}");
+        assert!(report.contains("rank(s) [1] lost"), "{report}");
+        assert!(
+            took < Duration::from_secs(1),
+            "verify {verify}: took {took:?}"
+        );
+    }
+}
+
 /// A small WordCount corpus: `n_splits` documents of overlapping words.
 fn corpus(n_splits: usize) -> TextInput {
     TextInput::new(
@@ -110,16 +240,48 @@ fn corpus(n_splits: usize) -> TextInput {
     )
 }
 
+/// One rank of a WordCount over MPI-D: master, mapper or reducer by rank.
+/// Errors come back, as they would to a program that checks them.
+fn wordcount_rank(comm: &Comm, cfg: &MpidConfig, input: &TextInput) -> mpid::MpidResult<()> {
+    let world = MpidWorld::init(comm, cfg.clone())?;
+    match world.role() {
+        Role::Master => {
+            let splits: Vec<u64> = (0..input.n_splits() as u64).collect();
+            world.run_master(splits)?;
+            world.collect_stats()?;
+        }
+        Role::Mapper(_) => {
+            let mut sender = world.sender::<String, u64>();
+            while let Some(split) = world.next_split::<u64>()? {
+                for (k, v) in input.records(split as usize) {
+                    let mut sent = Ok(());
+                    workloads::WordCount.map(k, v, &mut |mk, mv| {
+                        if sent.is_ok() {
+                            sent = sender.send(mk, mv);
+                        }
+                    });
+                    sent?;
+                }
+            }
+            let stats = sender.finish()?;
+            world.report_stats(&stats)?;
+        }
+        Role::Reducer(_) => {
+            let mut recv = world.receiver::<String, u64>();
+            while let Some(_group) = recv.recv()? {}
+        }
+    }
+    world.finalize()
+}
+
 #[test]
 fn mapper_crash_during_mpid_shuffle_is_rank_lost() {
     // A full MPI-D pipeline (master + 2 mappers + 1 reducer) with mapper
     // rank 1 dying mid-shuffle: the master is blocked on split requests,
     // the reducer on frames. Everyone must come down with RankLost.
-    use mpid::{MpidWorld, Role};
-    let cfg = mpid::MpidConfig::with_workers(2, 1);
+    let cfg = MpidConfig::with_workers(2, 1);
     let n_ranks = cfg.required_ranks();
-    let input = Arc::new(corpus(6));
-    let app = Arc::new(workloads::WordCount);
+    let input = corpus(6);
     let started = Instant::now();
     let res = Universe::try_run_with(
         faulty(vec![RankFault {
@@ -127,35 +289,7 @@ fn mapper_crash_during_mpid_shuffle_is_rank_lost() {
             after_ops: 4,
         }]),
         n_ranks,
-        move |comm| {
-            let world = MpidWorld::init(comm, cfg.clone()).expect("valid config");
-            match world.role() {
-                Role::Master => {
-                    let splits: Vec<u64> = (0..input.n_splits() as u64).collect();
-                    world.run_master(splits).expect("master failed");
-                    let _ = world.collect_stats().expect("stats gather failed");
-                }
-                Role::Mapper(_) => {
-                    let mut sender = world.sender::<String, u64>();
-                    while let Some(split) = world.next_split::<u64>().expect("split fetch") {
-                        for (k, v) in input.records(split as usize) {
-                            app.map(k, v, &mut |mk, mv| {
-                                sender.send(mk, mv).expect("MPI_D_Send failed");
-                            });
-                        }
-                    }
-                    let stats = sender.finish().expect("finish failed");
-                    world.report_stats(&stats).expect("stats report failed");
-                }
-                Role::Reducer(_) => {
-                    let mut recv = world
-                        .receiver::<String, u64>()
-                        .with_timeout(Duration::from_secs(60));
-                    while let Some(_group) = recv.recv().expect("MPI_D_Recv failed") {}
-                }
-            }
-            world.finalize().expect("finalize failed");
-        },
+        |comm| wordcount_rank(comm, &cfg, &input),
     );
     assert!(
         started.elapsed() < Duration::from_secs(30),

@@ -38,7 +38,7 @@ pub const UNTIMED: &[(&str, &str)] = &[
 ];
 
 /// Crates the pass scans: the MPI runtime and the MPI-D core (whose sender
-/// waits on the requests of its own sends).
+/// joins its table thread and waits on its channels).
 const SCANNED: &[&str] = &["mpirt", "core"];
 
 /// True when `code` calls `.wait(` with an argument.

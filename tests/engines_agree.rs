@@ -116,17 +116,16 @@ fn pipeline_knobs_do_not_change_results() {
         ])
     };
     let reference = sorted(run_local(&WordCount, &make_input()));
-    for (spill, frame, isend, eager) in [
-        (32usize, 16usize, false, 16usize),
-        (1 << 20, 1 << 16, true, 64),
-        (64, 1 << 20, true, 1 << 20),
+    for (spill, frame, eager) in [
+        (32usize, 16usize, 16usize),
+        (1 << 20, 1 << 16, 64),
+        (64, 1 << 20, 1 << 20),
     ] {
         let cfg = MpidEngineConfig {
             n_mappers: 2,
             n_reducers: 2,
             spill_threshold_bytes: spill,
             frame_bytes: frame,
-            use_isend: isend,
             eager_threshold: eager,
             ..Default::default()
         };
@@ -134,7 +133,7 @@ fn pipeline_knobs_do_not_change_results() {
         assert_eq!(
             sorted(job.output),
             reference,
-            "spill={spill} frame={frame} isend={isend} eager={eager}"
+            "spill={spill} frame={frame} eager={eager}"
         );
     }
 }
