@@ -18,7 +18,9 @@
 //!   `cargo xtask trace-diff`). Sim profiles are byte-identical run to run
 //!   — `fig6_mpid_1gb`'s is the committed `PROFILE_BASELINE.json`, gated
 //!   by `tests/run_profile.rs`; real-pipeline profiles have deterministic
-//!   counters and span structure but wall-clock duration fields.
+//!   counters (but the frame free list's hits and misses, which depend on
+//!   the shapes run before) and span structure, and wall-clock duration
+//!   fields.
 //! * `--trace <path>` writes each matched shape's Chrome trace, inserting
 //!   the shape name before the `.json` extension.
 //! * `--filter <substr>` keeps the shapes whose name contains the substring.

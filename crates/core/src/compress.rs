@@ -66,6 +66,12 @@ fn hash4(data: &[u8], i: usize) -> u32 {
 /// see [`crate::sender`]'s frame marker).
 pub fn compress(data: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.len() / 2 + 16);
+    compress_into(data, &mut out);
+    out
+}
+
+/// [`compress`] `data`, appending the token stream to `out`.
+pub fn compress_into(data: &[u8], out: &mut Vec<u8>) {
     let mut index: HashMap<u32, Vec<usize>> = HashMap::new();
     let mut i = 0usize;
     let mut lit_start = 0usize;
@@ -105,10 +111,10 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
         index.entry(h).or_default().push(i);
 
         if best_len >= MIN_MATCH {
-            flush_literals(&mut out, lit_start, i, data);
+            flush_literals(out, lit_start, i, data);
             out.push(TOK_MATCH);
-            put_varint(&mut out, best_dist as u64);
-            put_varint(&mut out, best_len as u64);
+            put_varint(out, best_dist as u64);
+            put_varint(out, best_len as u64);
             // Index a few positions inside the match so later data can
             // reference it (sparse, to bound cost).
             let end = i + best_len;
@@ -123,13 +129,20 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
             i += 1;
         }
     }
-    flush_literals(&mut out, lit_start, data.len(), data);
-    out
+    flush_literals(out, lit_start, data.len(), data);
 }
 
 /// Decompress a [`compress`] token stream.
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>, CodecError> {
     let mut out = Vec::with_capacity(data.len() * 2);
+    decompress_into(data, &mut out)?;
+    Ok(out)
+}
+
+/// [`decompress`] `data`, appending the bytes to `out`; a match reaches
+/// back no further than what this call appended.
+pub fn decompress_into(data: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
+    let base = out.len();
     let mut pos = 0usize;
     while pos < data.len() {
         let tok = data[pos];
@@ -146,7 +159,7 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, CodecError> {
             TOK_MATCH => {
                 let dist = get_varint(data, &mut pos)? as usize;
                 let len = get_varint(data, &mut pos)? as usize;
-                if dist == 0 || dist > out.len() {
+                if dist == 0 || dist > out.len() - base {
                     return Err(CodecError::Corrupt("match distance out of range"));
                 }
                 if len > MAX_MATCH {
@@ -162,7 +175,7 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, CodecError> {
             _ => return Err(CodecError::Corrupt("unknown token")),
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -174,6 +187,21 @@ mod tests {
         let back = decompress(&c).unwrap();
         assert_eq!(back, data, "round trip failed for {} bytes", data.len());
         c.len()
+    }
+
+    #[test]
+    fn the_into_forms_append_the_same_bytes_behind_a_prefix() {
+        let data = b"abcabcabcabcabcabc-xyz-abcabcabc".repeat(20);
+        let mut wire = vec![7u8];
+        compress_into(&data, &mut wire);
+        assert_eq!(&wire[1..], &compress(&data)[..]);
+        let mut body = vec![9u8; 3];
+        decompress_into(&wire[1..], &mut body).unwrap();
+        assert_eq!((&body[..3], &body[3..]), (&[9u8; 3][..], &data[..]));
+        // A match may not reach back into what was there before the call.
+        let reach_back = [TOK_MATCH, 2, 4];
+        let mut out = vec![1u8, 2];
+        assert!(decompress_into(&reach_back, &mut out).is_err());
     }
 
     #[test]

@@ -382,7 +382,8 @@ impl<K: Key, V: Value> RunWriter<'_, K, V> {
     }
 }
 
-/// Write run records, each with one call, counting their bytes as spilled.
+/// Write run records, each with one call, counting their bytes as spilled;
+/// each record's buffer goes back to the free list once written.
 fn write_records(
     w: &mut BufWriter<File>,
     spilled: &mut u64,
@@ -391,6 +392,7 @@ fn write_records(
     for record in records {
         w.write_all(&record)?;
         *spilled += record.len() as u64;
+        crate::pool::recycle(RUN_FRAME_BYTES, record);
     }
     Ok(())
 }

@@ -27,11 +27,13 @@
 //! (`split_group`).
 //!
 //! Frames are capped near a configured size; one logical spill can produce
-//! several frames per partition. The reverse direction ([`FrameReader`])
-//! streams groups back out without materializing the whole frame's contents
-//! at once.
+//! several frames per partition. Each frame is built in a buffer taken from
+//! the process's free list ([`crate::pool`]), keyed by that size. The
+//! reverse direction ([`FrameReader`]) streams groups back out without
+//! materializing the whole frame's contents at once.
 
 use crate::kv::{CodecError, Kv};
+use crate::pool::Takes;
 use bytes::{BufMut, Bytes, BytesMut};
 
 /// Leading byte of a wire frame built with [`FrameBuilder::new_wire`]:
@@ -87,6 +89,8 @@ pub struct FrameBuilder {
     buf: BytesMut,
     n_groups: u32,
     frames: Vec<Bytes>,
+    /// Frame buffers taken from the free list ([`crate::pool`]) so far.
+    takes: Takes,
 }
 
 impl FrameBuilder {
@@ -113,25 +117,28 @@ impl FrameBuilder {
 
     fn with_header(target_bytes: usize, hdr: usize) -> Self {
         assert!(target_bytes > 0);
-        FrameBuilder {
+        let mut builder = FrameBuilder {
             target_bytes,
             hdr,
             single: false,
-            buf: Self::open_frame(target_bytes, hdr),
+            buf: BytesMut::new(),
             n_groups: 0,
             frames: Vec::new(),
-        }
+            takes: Takes::default(),
+        };
+        builder.open_frame();
+        builder
     }
 
-    fn open_frame(target_bytes: usize, hdr: usize) -> BytesMut {
-        let mut buf = BytesMut::with_capacity(target_bytes + 64);
-        match hdr {
-            5 => buf.put_u8(MARKER_PLAIN),
-            8 => buf.put_u32_le(0), // body-length placeholder
+    /// Start the next frame in a buffer from the free list.
+    fn open_frame(&mut self) {
+        self.buf = self.takes.take(self.target_bytes);
+        match self.hdr {
+            5 => self.buf.put_u8(MARKER_PLAIN),
+            8 => self.buf.put_u32_le(0), // body-length placeholder
             _ => {}
         }
-        buf.put_u32_le(0); // count-word placeholder
-        buf
+        self.buf.put_u32_le(0); // count-word placeholder
     }
 
     /// Build every frame in the single-valued layout ([`SINGLE_VALUED`]) when
@@ -178,9 +185,12 @@ impl FrameBuilder {
         self.n_groups += 1;
         if self.buf.len() >= self.target_bytes {
             self.seal();
+            self.open_frame();
         }
     }
 
+    /// Close the open frame unless it holds no group. A closed frame
+    /// leaves no buffer open.
     fn seal(&mut self) {
         if self.n_groups == 0 {
             return;
@@ -191,16 +201,21 @@ impl FrameBuilder {
             let body_len = (self.buf.len() - 4) as u32;
             self.buf[..4].copy_from_slice(&body_len.to_le_bytes());
         }
-        let next = Self::open_frame(self.target_bytes, self.hdr);
-        self.frames
-            .push(std::mem::replace(&mut self.buf, next).freeze());
+        self.frames.push(std::mem::take(&mut self.buf).freeze());
         self.n_groups = 0;
     }
 
-    /// Close the current frame and return every frame built.
+    /// Close the current frame and return every frame built. A frame left
+    /// open with no group goes back to the free list.
     pub fn finish(mut self) -> Vec<Bytes> {
         self.seal();
-        self.frames
+        std::mem::take(&mut self.frames)
+    }
+
+    /// Frame buffers this builder has taken from the free list, and
+    /// allocated because the list held none.
+    pub(crate) fn takes(&self) -> Takes {
+        self.takes
     }
 
     /// Hand over the frames sealed so far, in build order, so that a
@@ -212,6 +227,16 @@ impl FrameBuilder {
     /// Number of sealed frames so far.
     pub fn sealed_frames(&self) -> usize {
         self.frames.len()
+    }
+}
+
+impl Drop for FrameBuilder {
+    /// The open frame's buffer, if any, goes back to the free list.
+    fn drop(&mut self) {
+        let open = std::mem::take(&mut self.buf);
+        if open.capacity() > 0 {
+            crate::pool::give(self.target_bytes, open);
+        }
     }
 }
 
@@ -402,6 +427,7 @@ pub fn parse_group_index_raw<K: Kv, V: Kv>(body: &[u8]) -> Result<Vec<RawGroup>,
 mod tests {
     use super::*;
     use crate::kv::Key;
+    use proptest::prelude::*;
 
     fn build(groups: &[(String, Vec<u64>)], target: usize) -> Vec<Bytes> {
         let mut b = FrameBuilder::new(target);
@@ -719,6 +745,55 @@ mod tests {
         }
         // A bare flag over no groups is an empty frame, like a bare zero.
         assert_eq!(read_every_way(&SINGLE_VALUED.to_le_bytes()), [Ok(0), Ok(0)]);
+    }
+
+    /// Every builder's frames for `groups`: plain, wire and run records.
+    fn every_kind(groups: &[(String, Vec<u64>)], target: usize) -> (Vec<Bytes>, Takes) {
+        let mut frames = Vec::new();
+        let mut takes = Takes::default();
+        let builders = [
+            FrameBuilder::new(target),
+            FrameBuilder::new_wire(target),
+            FrameBuilder::new_record(target),
+        ];
+        for mut b in builders {
+            for (k, vs) in groups {
+                b.push_group(k, vs);
+            }
+            takes += b.takes();
+            frames.extend(b.finish());
+        }
+        (frames, takes)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// A frame is the same bytes whether its buffer is fresh or comes
+        /// off a free list seeded with garbage-filled buffers. The odd
+        /// frame sizes are this test's own, so no other test's frames draw
+        /// on the seeded buffers.
+        #[test]
+        fn recycled_buffers_build_the_same_frames(
+            groups in proptest::collection::vec(
+                ("[a-z]{0,12}", proptest::collection::vec(any::<u64>(), 0..6)),
+                0..40,
+            ),
+            target in (2_500usize..4_500).prop_map(|t| 2 * t + 1),
+            junk in any::<u8>(),
+            extra in 0usize..4096,
+        ) {
+            crate::pool::empty_class(target);
+            let (fresh, takes) = every_kind(&groups, target);
+            prop_assert_eq!(takes.reused, 0);
+            for n in 0..8 {
+                let garbage = vec![junk; target + 64 + extra * n];
+                crate::pool::give(target, BytesMut::from(garbage));
+            }
+            let (recycled, takes) = every_kind(&groups, target);
+            prop_assert_eq!(recycled, fresh);
+            prop_assert_eq!((takes.fresh, takes.reused), (0, 3));
+        }
     }
 
     #[test]

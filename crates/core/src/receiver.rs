@@ -19,9 +19,10 @@
 //!   time, its groups as framed, so a key comes once per frame that carried
 //!   it and the consumer must fold with an associative operation.
 //!
-//! Frames arrive as refcounted [`Bytes`] straight off the transport (plain
-//! frames are a zero-copy slice past the wire marker; only LZ frames are
-//! decompressed into a fresh buffer). Each frame body is indexed into
+//! Frames arrive as refcounted [`Bytes`] straight off the transport (a
+//! plain frame's body is read in place, past its wire marker; an LZ frame
+//! is decompressed into a buffer from the free list of [`crate::pool`]).
+//! Each frame body is indexed into
 //! per-group byte ranges ([`parse_group_index_raw`]) as it arrives, and,
 //! outside streaming, the held frames go through *one* merge (`Merged`) at
 //! end of stream. Nothing has been decoded by then, and no table is ever
@@ -73,12 +74,18 @@
 //! source by source: the budget changes how much is held, never what comes
 //! out — the bounded drain delivers, byte for byte, what the grouped one
 //! does.
+//!
+//! A frame's buffer goes back to the process's free list ([`crate::pool`])
+//! when the receiver drops the frame: at the end of a grouped drain, per
+//! frame when streaming, with a spilled window, or with a half-drained
+//! receiver. The sender's next frames, in this job or the next, are built
+//! in it.
 
 use crate::config::{tags, MpidConfig};
 use crate::error::{MpidError, MpidResult};
 use crate::extmerge::{ExtMergeError, ExternalTable, MergeIter, RawSource, Source};
 use crate::kv::{CodecError, Key, Value};
-use crate::pool::PoolCharge;
+use crate::pool::{PoolCharge, Takes};
 use crate::realign::{
     fits_single_valued, parse_group_index_raw, KeyRef, RawGroup, MARKER_LZ, MARKER_PLAIN,
 };
@@ -128,19 +135,66 @@ enum RecvState<K: Key, V: Value> {
     Done,
 }
 
-/// One received frame, held as bytes: the body buffer and its groups' byte
-/// ranges. Holds no decoded key, so the merged index is `Send` whatever `K`
-/// is.
+/// One received frame, held as bytes: the buffer that holds its body and
+/// its groups' byte ranges. Holds no decoded key, so the merged index is
+/// `Send` whatever `K` is. Dropping it returns the buffer to the free list
+/// ([`crate::pool`]) when it holds the last handle.
 struct Frame {
-    body: Bytes,
+    /// The wire frame as it arrived, body behind its marker, or the body a
+    /// compressed frame inflated to. Kept whole, so that the buffer goes
+    /// back to the free list without a copy.
+    buf: Bytes,
+    /// Where the body starts in `buf`.
+    at: usize,
+    /// The body's groups, their offsets into `buf` rather than the body,
+    /// so that reading a group slices the buffer once.
     raw: Vec<RawGroup>,
     /// Sender rank, for attributing late decode errors.
     src: Rank,
+    /// The free-list class `buf` goes back to: the job's frame size.
+    class: usize,
 }
 
 impl Frame {
+    /// Index the body at `buf[at..]`, a frame from `src`.
+    fn index<K: Key, V: Value>(
+        buf: Bytes,
+        at: usize,
+        src: Rank,
+        class: usize,
+    ) -> Result<Self, CodecError> {
+        if buf.len() > u32::MAX as usize {
+            return Err(CodecError::Corrupt("frame body exceeds u32 indexing"));
+        }
+        let mut raw = parse_group_index_raw::<K, V>(&buf[at..])?;
+        let shift = at as u32;
+        for g in &mut raw {
+            g.key_off += shift;
+            g.key_end += shift;
+            g.val_off += shift;
+            g.val_end += shift;
+        }
+        Ok(Frame {
+            buf,
+            at,
+            raw,
+            src,
+            class,
+        })
+    }
+
+    fn body_len(&self) -> usize {
+        self.buf.len() - self.at
+    }
+
     fn key_bytes(&self, e: &KeyRef) -> &[u8] {
-        self.raw[e.group as usize].key_bytes(&self.body)
+        self.raw[e.group as usize].key_bytes(&self.buf)
+    }
+}
+
+impl Drop for Frame {
+    fn drop(&mut self) {
+        crate::pool::recycle(self.class, std::mem::take(&mut self.buf));
     }
 }
 
@@ -232,18 +286,21 @@ impl<'a, K: Key, V: Value> MpidReceiver<'a, K, V> {
             }
             self.stats.frames += 1;
             self.stats.bytes_received += payload.len() as u64;
-            let codec_err = codec_err(status.source);
-            let body = match payload[0] {
-                MARKER_PLAIN => payload.slice(1..),
+            let (codec_err, class) = (codec_err(status.source), self.cfg.frame_bytes);
+            let (buf, at) = match payload[0] {
+                MARKER_PLAIN => (payload, 1),
                 MARKER_LZ => {
-                    Bytes::from(crate::compress::decompress(&payload[1..]).map_err(codec_err)?)
+                    let mut body = Vec::from(Takes::default().take(class));
+                    let inflated = crate::compress::decompress_into(&payload[1..], &mut body);
+                    crate::pool::recycle(class, payload);
+                    inflated.map_err(codec_err)?;
+                    (Bytes::from(body), 0)
                 }
                 _ => return Err(codec_err(CodecError::Corrupt("unknown frame marker"))),
             };
-            let raw = parse_group_index_raw::<K, V>(&body).map_err(codec_err)?;
-            self.stats.groups_in += raw.len() as u64;
-            let src = status.source;
-            return Ok(Some(Frame { body, raw, src }));
+            let frame = Frame::index::<K, V>(buf, at, status.source, class).map_err(codec_err)?;
+            self.stats.groups_in += frame.raw.len() as u64;
+            return Ok(Some(frame));
         }
         Ok(None)
     }
@@ -273,7 +330,7 @@ impl<'a, K: Key, V: Value> MpidReceiver<'a, K, V> {
         let mut run_ranks: Vec<Rank> = Vec::new();
         let (mut window_bytes, mut window_high_water) = (0usize, 0usize);
         while let Some(frame) = self.next_frame()? {
-            let b = frame.body.len();
+            let b = frame.body_len();
             // Charge *before* buffering: a frame that doesn't fit spills the
             // current window first, so the pool's high-water mark stays at or
             // under the budget unless a single frame alone exceeds it or
@@ -318,7 +375,7 @@ impl<'a, K: Key, V: Value> MpidReceiver<'a, K, V> {
             sources.entry(src).or_default().push(Box::new(run));
         }
         for (src, frames) in by_rank(frames) {
-            let held = frames.iter().map(|f| f.body.len()).sum();
+            let held = frames.iter().map(Frame::body_len).sum();
             let groups = Groups::new(Merged::new::<K>(frames), charge.split_off(held));
             sources
                 .entry(src)
@@ -429,7 +486,7 @@ impl<'a, K: Key, V: Value> MpidReceiver<'a, K, V> {
                         return Ok(None);
                     };
                     let mut charge = PoolCharge::new(self.cfg.pool.clone());
-                    charge.grow(frame.body.len());
+                    charge.grow(frame.body_len());
                     let groups = Groups::new(Merged::as_framed(frame), charge);
                     self.state = RecvState::Streaming(groups);
                 }
@@ -513,7 +570,7 @@ impl Merged {
         let mut index = Vec::with_capacity(frames.iter().map(|f| f.raw.len()).sum());
         for (run, f) in (0u32..).zip(&frames) {
             index.extend((f.raw.iter().zip(0u32..)).map(|(g, group)| KeyRef {
-                prefix: K::encoded_prefix(g.key_bytes(&f.body)),
+                prefix: K::encoded_prefix(g.key_bytes(&f.buf)),
                 run,
                 group,
             }));
@@ -597,7 +654,7 @@ impl Merged {
     fn decode_values<V: Value>(&self, span: &[KeyRef], out: &mut Vec<V>) -> MpidResult<()> {
         for e in span {
             let (frame, g) = self.group(e);
-            let mut slice = g.val_bytes(&frame.body);
+            let mut slice = g.val_bytes(&frame.buf);
             for _ in 0..g.n_values {
                 out.push(V::decode(&mut slice).map_err(codec_err(frame.src))?);
             }
@@ -730,7 +787,7 @@ fn spill_run<K: Key, V: Value>(
         rw.begin_group_raw(merged.span_key(span), merged.n_values(span) as u32);
         for e in span {
             let (frame, g) = merged.group(e);
-            rw.push_raw(g.val_bytes(&frame.body));
+            rw.push_raw(g.val_bytes(&frame.buf));
         }
         rw.end_group()?;
     }
@@ -798,11 +855,7 @@ mod tests {
     fn merged<K: Key, V: Value>(arrivals: &[(Rank, Bytes)]) -> Grouped<K, V> {
         let frames = arrivals
             .iter()
-            .map(|(src, body)| {
-                let raw = parse_group_index_raw::<K, V>(body).unwrap();
-                let (body, src) = (body.clone(), *src);
-                Frame { body, raw, src }
-            })
+            .map(|(src, body)| Frame::index::<K, V>(body.clone(), 0, *src, 1 << 20).unwrap())
             .collect();
         let mut groups = Groups::<K, V>::new(merge_by_rank::<K>(frames), PoolCharge::new(None));
         let out = groups.by_ref().collect::<MpidResult<_>>().unwrap();
@@ -1451,11 +1504,7 @@ mod tests {
     /// the run took on disk, and its groups read back.
     fn spill_one_run(bodies: &[Bytes]) -> (u64, Grouped<String, u64>) {
         let frames = (bodies.iter())
-            .map(|body| Frame {
-                raw: parse_group_index_raw::<String, u64>(body).unwrap(),
-                body: body.clone(),
-                src: 1,
-            })
+            .map(|body| Frame::index::<String, u64>(body.clone(), 0, 1, 1 << 20).unwrap())
             .collect();
         let mut table = ExternalTable::<String, u64>::new(1 << 20, std::env::temp_dir()).unwrap();
         spill_run(&mut table, frames).unwrap();

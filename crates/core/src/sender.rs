@@ -89,7 +89,7 @@ use crate::config::{tags, MpidConfig, Role};
 use crate::error::MpidResult;
 use crate::kv::{Key, Kv, Value};
 use crate::partition::{HashPartitioner, Partitioner};
-use crate::pool::{PoolCharge, BLOCK_BYTES};
+use crate::pool::{self, PoolCharge, Takes, BLOCK_BYTES};
 use crate::realign::{fits_single_valued, FrameBuilder, MARKER_LZ};
 use crate::shuffle::{self, ShipCtx, ShuffleKind, ShuffleStrategy};
 use crate::stats::SenderStats;
@@ -100,10 +100,6 @@ use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TryRecvError, TrySendE
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
-
-/// Retired compression scratch buffers kept for reuse; anything beyond this
-/// is dropped so a burst of large spills doesn't pin memory forever.
-const WIRE_POOL_CAP: usize = 8;
 
 /// FxHash-style mixing over a byte slice, 8 bytes at a time.
 ///
@@ -373,25 +369,6 @@ impl<V> ByteTable<V> {
     }
 }
 
-/// Compression scratch state: retired wire buffers recycled across spills.
-pub(crate) struct WireShop {
-    pool: Vec<Vec<u8>>,
-    /// Compressed spills that reused a pooled scratch buffer.
-    pub(crate) hits: u64,
-    /// Compressed spills that had to allocate a fresh scratch buffer.
-    pub(crate) misses: u64,
-}
-
-impl WireShop {
-    pub(crate) fn new() -> Self {
-        WireShop {
-            pool: Vec::new(),
-            hits: 0,
-            misses: 0,
-        }
-    }
-}
-
 /// Reusable per-spill scratch: per-partition `(key prefix, entry)` indexes,
 /// each with whether all its groups fit the single-valued frame layout, and
 /// the radix sort's second buffer. Steady state allocates nothing.
@@ -473,6 +450,8 @@ pub(crate) struct SpillOutput {
     pub(crate) precompress: u64,
     /// Bytes as shipped (markers included, compression applied).
     pub(crate) wire_bytes: u64,
+    /// Frame buffers the realignment took from the free list.
+    pub(crate) takes: Takes,
 }
 
 /// Realign a table into per-partition wire frames: the spill core shared by
@@ -485,7 +464,6 @@ pub(crate) fn realign_table<K: Key, V: Value>(
     n_red: usize,
     frame_bytes: usize,
     do_compress: bool,
-    shop: &mut WireShop,
     scratch: &mut SpillScratch,
 ) -> SpillOutput {
     let mut out = SpillOutput {
@@ -494,6 +472,7 @@ pub(crate) fn realign_table<K: Key, V: Value>(
         frames: 0,
         precompress: 0,
         wire_bytes: 0,
+        takes: Takes::default(),
     };
     // Hash-mod partition selection over entry indices, straight from the
     // partition stored at insert; the per-reducer indexes persist across
@@ -533,6 +512,7 @@ pub(crate) fn realign_table<K: Key, V: Value>(
         }
         index.clear();
         *single = true;
+        out.takes += builder.takes();
         let mut wires = Vec::new();
         for frame in builder.finish() {
             out.frames += 1;
@@ -544,31 +524,7 @@ pub(crate) fn realign_table<K: Key, V: Value>(
             // when it actually shrinks the body; plain frames ship the
             // builder's buffer as-is, zero-copy.
             let wire = if do_compress {
-                let body = &frame[1..];
-                let packed = compress::compress(body);
-                if packed.len() < body.len() {
-                    let mut wire = match shop.pool.pop() {
-                        Some(w) => {
-                            shop.hits += 1;
-                            w
-                        }
-                        None => {
-                            shop.misses += 1;
-                            Vec::new()
-                        }
-                    };
-                    wire.clear();
-                    wire.reserve(packed.len() + 1);
-                    wire.push(MARKER_LZ);
-                    wire.extend_from_slice(&packed);
-                    let shipped = Bytes::copy_from_slice(&wire);
-                    if shop.pool.len() < WIRE_POOL_CAP {
-                        shop.pool.push(wire);
-                    }
-                    shipped
-                } else {
-                    frame
-                }
+                lz_wire(frame, frame_bytes, &mut out.takes)
             } else {
                 frame
             };
@@ -578,6 +534,23 @@ pub(crate) fn realign_table<K: Key, V: Value>(
         out.shipments.push((p as u32, wires));
     }
     out
+}
+
+/// The LZ wire form of a plain wire frame when it is the smaller, else the
+/// frame itself. The compressed form is written straight into a buffer
+/// from the free list, behind its [`MARKER_LZ`]; whichever form loses
+/// goes back to the list.
+fn lz_wire(frame: Bytes, frame_bytes: usize, takes: &mut Takes) -> Bytes {
+    let mut wire = Vec::from(takes.take(frame_bytes));
+    wire.push(MARKER_LZ);
+    compress::compress_into(&frame[1..], &mut wire);
+    if wire.len() < frame.len() {
+        pool::recycle(frame_bytes, frame);
+        Bytes::from(wire)
+    } else {
+        pool::give(frame_bytes, wire.into());
+        frame
+    }
 }
 
 /// Blocks the rank thread lets wait for the table thread before a hand-off
@@ -630,8 +603,8 @@ struct Realigned {
     /// Traced with a combiner: the drain's time folding this epoch's pairs
     /// (one clock pair per pair at `threads = 1`, per block at 2 or more).
     combine_ns: u64,
-    /// The drain's compression scratch hits and misses so far.
-    wire_pool: (u64, u64),
+    /// Frame buffers the drain has taken from the free list so far.
+    takes: Takes,
 }
 
 /// The table side of the sender: the `ByteTable`, what folds pairs into
@@ -648,7 +621,8 @@ struct Drain<K, V> {
     /// The hash of each key of the block being drained.
     hashes: Vec<u64>,
     scratch: SpillScratch,
-    shop: WireShop,
+    /// Frame buffers taken from the free list, over every epoch.
+    takes: Takes,
     /// This epoch's pairs folded away, and its clocked drain time.
     pairs_combined: u64,
     combine_ns: u64,
@@ -729,9 +703,9 @@ impl<K: Key, V: Value> Drain<K, V> {
             self.n_reducers,
             self.frame_bytes,
             self.compress,
-            &mut self.shop,
             &mut self.scratch,
         );
+        self.takes += out.takes;
         let realigned = Realigned {
             out,
             pairs_combined: std::mem::take(&mut self.pairs_combined),
@@ -739,7 +713,7 @@ impl<K: Key, V: Value> Drain<K, V> {
             table_bytes: self.table.arena_bytes() as u64,
             table_entries: self.table.len() as u64,
             combine_ns: std::mem::take(&mut self.combine_ns),
-            wire_pool: (self.shop.hits, self.shop.misses),
+            takes: self.takes,
         };
         self.table.clear();
         realigned
@@ -941,7 +915,7 @@ impl<K: Key, V: Value> Stage<K, V> {
             clocked: traced && combiner.is_some(),
             hashes: Vec::new(),
             scratch: SpillScratch::new(),
-            shop: WireShop::new(),
+            takes: Takes::default(),
             pairs_combined: 0,
             combine_ns: 0,
         };
@@ -1223,13 +1197,12 @@ impl<'a, K: Key, V: Value> MpidSender<'a, K, V> {
             );
             // Memory-accounting samples, one set per spill: the profile's
             // high-water marks come from the max over these.
-            let (hits, misses) = realigned.wire_pool;
             for (name, value) in [
                 (obs::names::CTR_MEM_TABLE_BYTES, realigned.table_bytes),
                 (obs::names::CTR_MEM_TABLE_ENTRIES, realigned.table_entries),
                 (obs::names::CTR_MEM_SPILLS, epoch.spill),
-                (obs::names::CTR_MEM_WIRE_POOL_HITS, hits),
-                (obs::names::CTR_MEM_WIRE_POOL_MISSES, misses),
+                (obs::names::CTR_MEM_FRAME_POOL_HITS, realigned.takes.reused),
+                (obs::names::CTR_MEM_FRAME_POOL_MISSES, realigned.takes.fresh),
             ] {
                 rt.counter(name, obs::names::CAT_MPID_MEM, value as f64);
             }

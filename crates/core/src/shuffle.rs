@@ -43,9 +43,9 @@ use crate::compress;
 use crate::config::{tags, MpidConfig, Role};
 use crate::error::{MpidError, MpidResult};
 use crate::kv::{CodecError, Key, Value};
-use crate::pool::PoolCharge;
+use crate::pool::{self, PoolCharge};
 use crate::realign::{FrameReader, MARKER_LZ, MARKER_PLAIN};
-use crate::sender::{realign_table, ByteTable, SpillOutput, SpillScratch, WireShop};
+use crate::sender::{realign_table, ByteTable, SpillOutput, SpillScratch};
 use bytes::{BufMut, Bytes, BytesMut};
 use mpi_rt::{Comm, Rank};
 use obs::ArgValue;
@@ -148,14 +148,14 @@ pub(crate) fn build_strategy<K: Key, V: Value>(
 }
 
 /// The shared reducer-bound send loop: frames go out in ascending partition
-/// order on [`tags::DATA`].
-fn ship_to_reducers(ctx: &ShipCtx<'_>, out: &SpillOutput) -> MpidResult<()> {
-    for (p, wires) in &out.shipments {
-        let dst = Role::reducer_rank(ctx.cfg, *p as usize);
+/// order on [`tags::DATA`]. Each frame's handle moves to its reducer, so
+/// the reducer holds the last one and can return the buffer to the free
+/// list ([`crate::pool`]).
+fn ship_to_reducers(ctx: &ShipCtx<'_>, out: SpillOutput) -> MpidResult<()> {
+    for (p, wires) in out.shipments {
+        let dst = Role::reducer_rank(ctx.cfg, p as usize);
         for wire in wires {
-            // `Bytes` handles are refcounted; this clone is a pointer bump,
-            // not a payload copy.
-            ctx.comm.send_bytes(dst, tags::DATA, wire.clone())?;
+            ctx.comm.send_bytes(dst, tags::DATA, wire)?;
         }
     }
     Ok(())
@@ -166,7 +166,7 @@ struct BaselineShip;
 
 impl<K: Key, V: Value> ShuffleStrategy<K, V> for BaselineShip {
     fn ship(&mut self, ctx: &ShipCtx<'_>, out: SpillOutput) -> MpidResult<()> {
-        ship_to_reducers(ctx, &out)
+        ship_to_reducers(ctx, out)
     }
 
     fn flush(&mut self, _ctx: &ShipCtx<'_>) -> MpidResult<ShuffleReport> {
@@ -299,6 +299,7 @@ impl<K: Key, V: Value> ShuffleStrategy<K, V> for InNodeShip<K, V> {
                         let mut payload = BytesMut::with_capacity(4 + wire.len());
                         payload.put_u32_le(p);
                         payload.put_slice(&wire);
+                        pool::recycle(ctx.cfg.frame_bytes, wire);
                         ctx.comm.send_bytes(leader, tags::RELAY, payload.freeze())?;
                     }
                 }
@@ -351,22 +352,24 @@ impl<K: Key, V: Value> ShuffleStrategy<K, V> for InNodeShip<K, V> {
         // merge gives baseline runs.
         let t0 = ctx.comm.trace().map(|rt| rt.now_ns());
         let mut table: ByteTable<V> = ByteTable::new();
-        let stash = std::mem::take(&mut self.stash);
-        for (src, frames) in &stash {
+        let own = ctx.comm.rank();
+        for (src, frames) in std::mem::take(&mut self.stash) {
             for (part, wire) in frames {
-                self.merge_frame(&mut table, *src, *part, wire)?;
+                self.merge_frame(&mut table, src, part, &wire)?;
+                // The leader's own frames came from the free list; a
+                // relayed one sits in its relay payload.
+                if src == own {
+                    pool::recycle(ctx.cfg.frame_bytes, wire);
+                }
             }
         }
-        drop(stash);
         // One-time flush scratch; this is teardown, not the per-spill path.
-        let mut shop = WireShop::new();
         let mut scratch = SpillScratch::new();
         let out = realign_table::<K, V>(
             &table,
             ctx.cfg.n_reducers,
             ctx.cfg.frame_bytes,
             ctx.cfg.compress,
-            &mut shop,
             &mut scratch,
         );
         self.report.host_groups_out += out.groups;
@@ -385,7 +388,7 @@ impl<K: Key, V: Value> ShuffleStrategy<K, V> for InNodeShip<K, V> {
                 ],
             );
         }
-        ship_to_reducers(ctx, &out)?;
+        ship_to_reducers(ctx, out)?;
         Ok(self.report.clone())
     }
 }

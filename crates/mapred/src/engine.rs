@@ -3,7 +3,7 @@
 //! actual bytes through `mpid` and `mpi-rt`.
 
 use crate::api::{InputFormat, MapReduceApp};
-use mpi_rt::{MpiConfig, Universe};
+use mpi_rt::{MpiConfig, MpiError, Universe};
 use mpid::combine::FnCombiner;
 use mpid::partition::Partitioner;
 use mpid::{Key, MpidConfig, MpidReceiver, MpidResult, MpidWorld, Role, Value};
@@ -142,6 +142,35 @@ enum RankResult<K, V> {
     Master(mpid::MasterStats, mpid::SenderStats),
     Mapper,
     Reducer(Vec<(K, V)>),
+    /// The leg stopped at [`MpiError::RankLost`]: another rank died, and
+    /// the universe reports that rank's own failure.
+    Lost,
+}
+
+/// A leg's value, or `None` when it failed only because another rank was
+/// lost — the universe then reports that rank's own failure, and a second
+/// report of the same cause would only bury it. Any other error panics,
+/// prefixed with `what`.
+fn unless_lost<T>(res: MpidResult<T>, what: &str) -> Option<T> {
+    match res {
+        Ok(t) => Some(t),
+        Err(mpid::MpidError::Mpi(MpiError::RankLost(_))) => None,
+        Err(e) => panic!("{what}: {e}"),
+    }
+}
+
+/// The reducer leg of [`run_mpid`]: drain `MPI_D_Recv` into `reduce`.
+fn reducer_step<A: MapReduceApp>(
+    world: &MpidWorld,
+    cfg: &MpidEngineConfig,
+    app: &A,
+) -> MpidResult<Vec<(A::OutKey, A::OutVal)>> {
+    let mut recv = cfg.receiver::<A::MidKey, A::MidVal>(world)?;
+    let mut out = Vec::new();
+    while let Some((k, vs)) = recv.recv()? {
+        app.reduce(k, vs, &mut |ok, ov| out.push((ok, ov)));
+    }
+    Ok(out)
 }
 
 /// Adapter exposing the application's `partition` method as an MPI-D
@@ -215,7 +244,9 @@ where
 /// `mpid.mem.*` memory counters) into `sink`. Timestamps are real
 /// nanoseconds — unlike the simulators they vary run to run, but the
 /// counter *values* and span structure are deterministic for a fixed
-/// config and input.
+/// config and input. The exception is `mpid.mem.frame_pool_{hits,misses}`:
+/// how many frame buffers a sender found on the process's free list
+/// depends on what earlier jobs left there.
 pub fn run_mpid_traced<A, I>(
     cfg: &MpidEngineConfig,
     app: Arc<A>,
@@ -262,27 +293,17 @@ where
     let rank_fn = move |comm: &mpi_rt::Comm| {
         let world = MpidWorld::init(comm, mpid_cfg.clone()).expect("valid config");
         let result = match world.role() {
-            Role::Master => {
-                let (master, sender) =
-                    master_step(&world, &splits).unwrap_or_else(|e| panic!("master failed: {e}"));
-                RankResult::Master(master, sender)
-            }
-            Role::Mapper(_) => {
-                mapper_step(&world, &app, &input).unwrap_or_else(|e| panic!("mapper failed: {e}"));
-                RankResult::Mapper
-            }
-            Role::Reducer(_) => {
-                let mut recv = cfg
-                    .receiver::<A::MidKey, A::MidVal>(&world)
-                    .expect("external ingest failed");
-                let mut out = Vec::new();
-                while let Some((k, vs)) = recv.recv().expect("MPI_D_Recv failed") {
-                    app.reduce(k, vs, &mut |ok, ov| out.push((ok, ov)));
-                }
-                RankResult::Reducer(out)
-            }
+            Role::Master => unless_lost(master_step(&world, &splits), "master failed")
+                .map(|(master, sender)| RankResult::Master(master, sender)),
+            Role::Mapper(_) => unless_lost(mapper_step(&world, &app, &input), "mapper failed")
+                .map(|()| RankResult::Mapper),
+            Role::Reducer(_) => unless_lost(reducer_step(&world, cfg, &*app), "MPI_D_Recv failed")
+                .map(RankResult::Reducer),
         };
-        world.finalize().expect("finalize failed");
+        let result = match (result, unless_lost(world.finalize(), "finalize failed")) {
+            (Some(result), Some(())) => result,
+            _ => RankResult::Lost,
+        };
         // Read after the finalize barrier, when this rank has sent all of
         // its messages: the last rank to read sees every rank's, so the max
         // over ranks is the job's exact total.
@@ -307,6 +328,7 @@ where
             }
             RankResult::Mapper => {}
             RankResult::Reducer(o) => output.extend(o),
+            RankResult::Lost => unreachable!("a rank was lost, but the universe completed"),
         }
     }
     JobOutput {

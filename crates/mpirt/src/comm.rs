@@ -5,9 +5,9 @@
 //! rendezvous, deliver the envelope, and return the [`SendRequest`] that
 //! completes it. Every blocking wait — a blocking or timed receive, a
 //! rendezvous send, a request's `wait` — goes through one poll loop
-//! (`Waiter::block_on`), in checked and unchecked universes alike: between
-//! polls it checks the universe's abort flag, which a panicking rank sets,
-//! so no wait outlives a dead rank by more than one poll slice.
+//! (`Waiter::block_on`), in checked and unchecked universes alike. The
+//! universe's abort flag, which a panicking rank sets, ends every wait: the
+//! abort wakes each blocked handle, so no wait outlives a dead rank.
 
 use crate::data::MpiType;
 use crate::lock;
@@ -91,12 +91,19 @@ impl WorldState {
         lock(&self.abort).clone()
     }
 
-    /// Abort the universe with `err`; the first abort wins.
+    /// Abort the universe with `err`; the first abort wins, and wakes
+    /// every rank blocked in a wait to fail with it.
     pub(crate) fn abort_with(&self, err: MpiError) {
-        let mut slot = lock(&self.abort);
-        if slot.is_none() {
+        {
+            let mut slot = lock(&self.abort);
+            if slot.is_some() {
+                return;
+            }
             *slot = Some(err);
             self.aborted.store(true, Ordering::Release);
+        }
+        for mailbox in &self.mailboxes {
+            mailbox.wake_waiters();
         }
     }
 
@@ -140,9 +147,10 @@ impl Waiter {
     }
 
     /// The one blocking wait of the point-to-point layer. `poll` waits up
-    /// to the given slice for `handle` to complete. Between `ABORT_POLL`
-    /// slices the loop checks the universe's abort flag, and the timeout
-    /// (timed receives only), whose expiry is [`MpiError::Timeout`].
+    /// to the given slice for `handle` to complete, or until the universe's
+    /// abort flag (passed to it) goes up. After each poll the loop checks
+    /// for an abort, and the timeout (timed receives only), whose expiry is
+    /// [`MpiError::Timeout`].
     ///
     /// An untimed wait in a checked run sits in the wait-for graph as
     /// `self.op` while it blocks. A timed wait never does — timing out IS
@@ -151,7 +159,7 @@ impl Waiter {
         &self,
         handle: WaitHandle,
         timeout: Option<Duration>,
-        mut poll: impl FnMut(Duration) -> Option<R>,
+        mut poll: impl FnMut(Duration, &AtomicBool) -> Option<R>,
     ) -> MpiResult<R> {
         let deadline = timeout.map(|t| (t, Instant::now() + t));
         let _block = match (&self.world.verifier, deadline) {
@@ -169,7 +177,7 @@ impl Waiter {
                     ABORT_POLL.min(left)
                 }
             };
-            if let Some(out) = poll(slice) {
+            if let Some(out) = poll(slice, &self.world.aborted) {
                 return Ok(out);
             }
             if let Some(e) = self.world.abort_error() {
@@ -469,7 +477,7 @@ impl Comm {
         };
         let waiter = self.waiter(BlockedOp::Recv { src, tag });
         let handle = WaitHandle::Slot(slot.clone());
-        let poll = |slice| slot.wait_timeout(slice);
+        let poll = |slice, abort: &AtomicBool| slot.wait_timeout(slice, abort);
         match waiter.block_on(handle.clone(), timeout, poll) {
             Err(MpiError::Timeout(t)) => {
                 if mailbox.cancel_posted(posted_id) {
@@ -646,8 +654,8 @@ impl SendRequest {
         let Some((rv, waiter)) = &self.rv else {
             return Ok(());
         };
-        waiter.block_on(WaitHandle::Rv(rv.clone()), None, |slice| {
-            rv.wait_taken_timeout(slice).then_some(())
+        waiter.block_on(WaitHandle::Rv(rv.clone()), None, |slice, abort| {
+            rv.wait_taken_timeout(slice, abort).then_some(())
         })
     }
 
@@ -691,8 +699,8 @@ impl<T: MpiType> RecvRequest<T> {
             RecvReqState::Ready(env) => env,
             RecvReqState::Waiting(slot) => {
                 self.waiter
-                    .block_on(WaitHandle::Slot(slot.clone()), None, |slice| {
-                        slot.wait_timeout(slice)
+                    .block_on(WaitHandle::Slot(slot.clone()), None, |slice, abort| {
+                        slot.wait_timeout(slice, abort)
                     })?
             }
         };

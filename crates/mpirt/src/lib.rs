@@ -14,8 +14,8 @@
 //!   [`Comm`] is the world communicator.
 //! * **Failure visibility**: a rank that panics aborts the universe, as
 //!   `mpiexec` does when a process dies, so every wait blocked then or
-//!   later fails with a structured [`MpiError::RankLost`] within one poll
-//!   slice, checked or not. Ranks that return close their mailboxes, so a
+//!   later fails at once with a structured [`MpiError::RankLost`], checked
+//!   or not. Ranks that return close their mailboxes, so a
 //!   send to a finished rank errors ([`MpiError::PeerGone`]) instead of
 //!   hanging. Timed receives ([`Comm::recv_timeout`]) remain for callers
 //!   that want their own failure detector.

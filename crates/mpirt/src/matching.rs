@@ -16,13 +16,17 @@
 //! [`RecvSlot::wait_timeout`] for a posted receive,
 //! [`Rendezvous::wait_taken_timeout`] for a parked rendezvous payload. The
 //! blocking operations in [`comm`](crate::comm) poll them in slices, so one
-//! loop serves checked and unchecked universes alike.
+//! loop serves checked and unchecked universes alike. Each wait also ends
+//! once the universe's abort flag is up: an abort sets it, then wakes every
+//! handle its mailboxes know of (`Mailbox::wake_waiters`), and a handle
+//! posted after that finds the flag up before it sleeps.
 
 use crate::types::{MpiError, MpiResult, Rank, Status, Tag};
 use crate::verify::WireSig;
 use crate::{lock, wait_while};
 use bytes::Bytes;
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -124,9 +128,17 @@ impl Rendezvous {
         data
     }
 
-    /// Sender side: block until claimed or `timeout`; true once claimed.
-    pub fn wait_taken_timeout(&self, timeout: Duration) -> bool {
-        wait_while(&self.cond, lock(&self.state), timeout, |st| !st.taken).taken
+    /// Sender side: block until claimed, `abort` is up, or `timeout`; true
+    /// once claimed.
+    pub fn wait_taken_timeout(&self, timeout: Duration, abort: &AtomicBool) -> bool {
+        let st = lock(&self.state);
+        wait_while(&self.cond, st, timeout, |st| !st.taken && !aborted(abort)).taken
+    }
+
+    /// Wake the sender blocked on this payload, to look at the abort flag.
+    fn wake(&self) {
+        let _st = lock(&self.state);
+        self.cond.notify_all();
     }
 
     /// Sender side: non-blocking completion check.
@@ -158,9 +170,20 @@ impl RecvSlot {
         self.cond.notify_all();
     }
 
-    /// Block until delivery or `timeout`, consuming the envelope.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<Envelope> {
-        wait_while(&self.cond, lock(&self.state), timeout, |st| st.is_none()).take()
+    /// Block until delivery, `abort` is up, or `timeout`, consuming the
+    /// envelope if one was delivered.
+    pub fn wait_timeout(&self, timeout: Duration, abort: &AtomicBool) -> Option<Envelope> {
+        let st = lock(&self.state);
+        wait_while(&self.cond, st, timeout, |st| {
+            st.is_none() && !aborted(abort)
+        })
+        .take()
+    }
+
+    /// Wake the receiver blocked on this slot, to look at the abort flag.
+    fn wake(&self) {
+        let _st = lock(&self.state);
+        self.cond.notify_all();
     }
 
     /// True if an envelope has been delivered and not yet consumed.
@@ -177,6 +200,11 @@ struct PostedRecv {
     slot: Arc<RecvSlot>,
     /// Posting sequence, for cancel.
     id: u64,
+}
+
+/// Whether the universe's abort flag is up.
+fn aborted(abort: &AtomicBool) -> bool {
+    abort.load(Ordering::Acquire)
 }
 
 fn matches(src: Rank, tag: Tag, want_src: Option<Rank>, want_tag: Option<Tag>) -> bool {
@@ -263,6 +291,22 @@ impl Mailbox {
         inner.posted.len() != before
     }
 
+    /// Wake every wait on a handle this mailbox holds: each posted
+    /// receive, and the sender of each rendezvous payload not yet matched.
+    /// Called once the universe's abort flag is up, so that each wait sees
+    /// it now rather than when its poll slice runs out.
+    pub(crate) fn wake_waiters(&self) {
+        let inner = lock(&self.inner);
+        for posted in &inner.posted {
+            posted.slot.wake();
+        }
+        for env in &inner.unexpected {
+            if let PayloadSlot::Rendezvous(rv) = &env.payload {
+                rv.wake();
+            }
+        }
+    }
+
     /// Mark this rank as finished; subsequent deliveries fail with
     /// `PeerGone`.
     pub fn close(&self) {
@@ -309,6 +353,10 @@ mod tests {
         }
     }
 
+    /// An abort flag that never goes up, and one that is up.
+    static DOWN: AtomicBool = AtomicBool::new(false);
+    static UP: AtomicBool = AtomicBool::new(true);
+
     fn payload(e: &Envelope) -> &[u8] {
         match &e.payload {
             PayloadSlot::Eager(b) => b,
@@ -353,7 +401,7 @@ mod tests {
         let (slot, _) = mb.match_or_post(Some(2), None).unwrap_err();
         assert!(!slot.is_ready());
         mb.deliver(env(2, 4, b"hello")).unwrap();
-        let got = slot.wait_timeout(Duration::ZERO).expect("delivered");
+        let got = slot.wait_timeout(Duration::ZERO, &UP).expect("delivered");
         assert_eq!(payload(&got), b"hello");
         assert_eq!(mb.unexpected_len(), 0);
     }
@@ -375,7 +423,7 @@ mod tests {
         let h = std::thread::spawn(move || match mb2.match_or_post(None, Some(3)) {
             Ok(e) => e,
             Err((slot, _)) => slot
-                .wait_timeout(Duration::from_secs(10))
+                .wait_timeout(Duration::from_secs(10), &DOWN)
                 .expect("delivered"),
         });
         std::thread::sleep(Duration::from_millis(20));
@@ -388,7 +436,9 @@ mod tests {
     fn timed_receive_expires_and_cancels() {
         let mb = Mailbox::new();
         let (slot, id) = mb.match_or_post(Some(0), Some(0)).unwrap_err();
-        assert!(slot.wait_timeout(Duration::from_millis(30)).is_none());
+        assert!(slot
+            .wait_timeout(Duration::from_millis(30), &DOWN)
+            .is_none());
         assert!(mb.cancel_posted(id));
         // Late delivery now goes to unexpected instead of the dead slot.
         mb.deliver(env(0, 0, b"late")).unwrap();
@@ -404,11 +454,38 @@ mod tests {
     }
 
     #[test]
+    fn an_abort_ends_every_wait_at_once() {
+        let abort = Arc::new(AtomicBool::new(false));
+        let mb = Arc::new(Mailbox::new());
+        let (slot, _) = mb.match_or_post(Some(1), None).unwrap_err();
+        let rv = Rendezvous::new(Bytes::from_static(b"parked"));
+        let parked = Envelope {
+            src: 2,
+            tag: 0,
+            payload: PayloadSlot::Rendezvous(rv.clone()),
+            sig: None,
+        };
+        mb.deliver(parked).unwrap(); // rank 2 is not the one awaited
+        let long = Duration::from_secs(30);
+        let (a, b) = (abort.clone(), abort.clone());
+        let receiver = std::thread::spawn(move || slot.wait_timeout(long, &a).is_none());
+        let sender = std::thread::spawn(move || rv.wait_taken_timeout(long, &b));
+        std::thread::sleep(Duration::from_millis(20));
+        let t0 = std::time::Instant::now();
+        abort.store(true, Ordering::Release);
+        mb.wake_waiters();
+        assert!(receiver.join().unwrap(), "woken with nothing delivered");
+        assert!(!sender.join().unwrap(), "woken, the payload unclaimed");
+        assert!(t0.elapsed() < Duration::from_secs(10), "{:?}", t0.elapsed());
+    }
+
+    #[test]
     fn rendezvous_handoff() {
         let rv = Rendezvous::new(Bytes::from_static(b"big payload"));
         assert!(!rv.is_taken());
         let rv2 = rv.clone();
-        let sender = std::thread::spawn(move || rv2.wait_taken_timeout(Duration::from_secs(10)));
+        let sender =
+            std::thread::spawn(move || rv2.wait_taken_timeout(Duration::from_secs(10), &DOWN));
         std::thread::sleep(Duration::from_millis(10));
         let data = rv.take();
         assert_eq!(&data[..], b"big payload");

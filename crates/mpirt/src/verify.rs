@@ -56,7 +56,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 /// Poll slice of every blocking wait in `comm`: how often a blocked rank
-/// wakes to re-check the abort flag and its deadline.
+/// wakes to re-check its deadline. An abort wakes it at once
+/// ([`WorldState::abort_with`]); the slice only bounds a wake-up missed.
 pub(crate) const ABORT_POLL: Duration = Duration::from_millis(25);
 
 /// Checker configuration, part of [`MpiConfig`](crate::MpiConfig).

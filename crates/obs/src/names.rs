@@ -200,10 +200,11 @@ pub const CTR_MEM_TABLE_BYTES: &str = "mpid.mem.table_bytes";
 pub const CTR_MEM_TABLE_ENTRIES: &str = "mpid.mem.table_entries";
 /// Cumulative sender spills.
 pub const CTR_MEM_SPILLS: &str = "mpid.mem.spills";
-/// Cumulative wire-pool buffer reuses.
-pub const CTR_MEM_WIRE_POOL_HITS: &str = "mpid.mem.wire_pool_hits";
-/// Cumulative wire-pool buffer allocations.
-pub const CTR_MEM_WIRE_POOL_MISSES: &str = "mpid.mem.wire_pool_misses";
+/// Cumulative frame buffers a sender took from the process's free list.
+pub const CTR_MEM_FRAME_POOL_HITS: &str = "mpid.mem.frame_pool_hits";
+/// Cumulative frame buffers a sender allocated because the free list held
+/// none of their size.
+pub const CTR_MEM_FRAME_POOL_MISSES: &str = "mpid.mem.frame_pool_misses";
 /// Receiver frame-buffer high water, bytes.
 pub const CTR_MEM_FRAME_BYTES: &str = "mpid.mem.frame_bytes";
 /// Frames decoded by a receiver.
@@ -366,8 +367,8 @@ mod tests {
             CTR_MEM_TABLE_BYTES,
             CTR_MEM_TABLE_ENTRIES,
             CTR_MEM_SPILLS,
-            CTR_MEM_WIRE_POOL_HITS,
-            CTR_MEM_WIRE_POOL_MISSES,
+            CTR_MEM_FRAME_POOL_HITS,
+            CTR_MEM_FRAME_POOL_MISSES,
             CTR_MEM_FRAME_BYTES,
             CTR_MEM_FRAMES_DECODED,
             CTR_MEM_SPILL_BYTES,

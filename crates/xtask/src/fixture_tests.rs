@@ -228,6 +228,41 @@ fn hotpath_respects_manifest_and_skips_test_modules() {
 }
 
 #[test]
+fn hotpath_allows_fresh_byte_buffers_only_at_reviewed_sites() {
+    let root = fixture_root("hotpath-byte-buffers");
+    write(
+        &root,
+        "crates/xtask/hotpath.txt",
+        "core/src/pool.rs\ncore/src/realign.rs\n",
+    );
+    let alloc = "pub fn open(n: usize) -> bytes::BytesMut {\n    \
+                 bytes::BytesMut::with_capacity(n)\n}\n";
+    write(&root, "crates/core/src/pool.rs", alloc);
+    write(&root, "crates/core/src/realign.rs", alloc);
+    // Not hot: ignored.
+    write(&root, "crates/core/src/lib.rs", alloc);
+    let findings = run(&root, &["hotpath"]);
+    let files: Vec<&str> = findings.iter().map(|f| f.file.as_str()).collect();
+    assert_eq!(
+        files,
+        ["crates/core/src/pool.rs", "crates/core/src/realign.rs"],
+        "{findings:?}"
+    );
+    assert!(findings
+        .iter()
+        .all(|f| f.token == "BytesMut::with_capacity" && f.line == 2));
+    // The free list's site is reviewed; a second site stays a finding.
+    write(
+        &root,
+        "crates/xtask/analyze-allow.txt",
+        "hotpath:core/src/pool.rs:BytesMut::with_capacity\n",
+    );
+    let findings = run(&root, &["hotpath"]);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].file, "crates/core/src/realign.rs");
+}
+
+#[test]
 fn hotpath_reports_manifest_entries_that_match_no_file() {
     let root = fixture_root("hotpath-missing");
     write(&root, "crates/xtask/hotpath.txt", "core/src/gone.rs\n");

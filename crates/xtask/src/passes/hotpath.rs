@@ -9,7 +9,10 @@
 //! * `.unwrap()` / `.expect(` / `panic!` — a malformed frame or a full
 //!   disk must surface as an error on the data path, not a crash;
 //! * `.clone()` / `Vec::new` / `.to_vec(` — allocation and copying belong
-//!   at setup/teardown, not per record/batch.
+//!   at setup/teardown, not per record/batch;
+//! * `BytesMut::with_capacity` — frame buffers come from the one free list
+//!   in `core/src/pool.rs`, the one frame allocation site, so that a
+//!   process keeps the memory it already faulted in.
 //!
 //! Test modules are exempt. Reviewed exceptions (one-time clones at stage
 //! boundaries, init-time `expect`s) go in `analyze-allow.txt` as
@@ -43,6 +46,12 @@ pub const SUSPECT: &[(&str, &str)] = &[
     (
         ".to_vec(",
         "copies the slice into a fresh allocation; borrow or reuse a buffer",
+    ),
+    (
+        "BytesMut::with_capacity",
+        "a fresh byte buffer on the hot path; take a frame buffer from the \
+         free list in core/src/pool.rs (reviewed exceptions go in the \
+         allowlist)",
     ),
 ];
 
